@@ -5,7 +5,7 @@ Times one Bernoulli audit workload (40k points, 400 candidate regions,
 :class:`repro.engine.MonteCarloEngine`:
 
 * ``workers=1`` — the serial chunk loop;
-* ``workers=4`` — the fork + shared-memory pool;
+* ``workers=4`` — the thread pool (capped at the usable cores);
 * a repeated identical audit — answered from the null-distribution
   cache without simulating anything.
 
@@ -35,8 +35,8 @@ from repro import (
 
 N_POINTS = 40_000
 GRID_SIDE = 20
-#: Big enough that fork + pool startup is noise against the world
-#: loop on a multi-core machine (~1s of serial simulation).
+#: Big enough that pool startup is noise against the world loop on a
+#: multi-core machine (~1s of serial simulation).
 N_WORLDS = 3072
 SEED = 11
 WORKERS = 4

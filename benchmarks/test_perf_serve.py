@@ -22,7 +22,7 @@ grid(50, 25) design — they differ only in ``correction`` — so
 sequential simulates 5 passes, fused 1.)  The wall-clock speedup is
 always recorded; it is asserted
 (>= 2x) only under ``BENCH_STRICT=1`` on a quiet machine, mirroring
-``test_perf_engine.py`` — though unlike fork-pool parallelism the
+``test_perf_engine.py`` — though unlike thread-pool parallelism the
 fused saving is algorithmic and shows up on a single core too.
 """
 

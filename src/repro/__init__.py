@@ -32,9 +32,8 @@ or from the shell: ``python -m repro batch specs/*.json --data
 data.npz``.
 
 Many datasets and tenants at once go through the gateway
-(:mod:`repro.gateway`): a shared-memory dataset registry
-(:mod:`repro.registry`), spatially tiled membership builds
-(:mod:`repro.tiling`), bounded admission with per-tenant quotas, and
+(:mod:`repro.gateway`): a content-deduplicated dataset registry
+(:mod:`repro.registry`), bounded admission with per-tenant quotas, and
 a stdlib HTTP front door — ``python -m repro serve --port 8080``.
 With ``--store PATH`` the gateway journals every ticket to a durable
 sqlite store (:mod:`repro.ticketstore`): tickets survive restarts and
@@ -45,13 +44,12 @@ fault-injection layer (:mod:`repro.faults`, ``REPRO_FAULTS``).
 Module map: :mod:`repro.api` (sessions, reports, the builder),
 :mod:`repro.serve` (batched multi-spec service, fused simulation),
 :mod:`repro.gateway` (multi-tenant front door: back-pressure, asyncio,
-HTTP), :mod:`repro.registry` (shared-memory dataset store),
-:mod:`repro.tiling` (sharded membership builds),
+HTTP), :mod:`repro.registry` (read-only dataset store),
 :mod:`repro.ticketstore` (durable sqlite ticket journal),
 :mod:`repro.faults` (deterministic fault injection),
 :mod:`repro.spec` (declarative audit requests), :mod:`repro.core`
 (family/measure registries, dispatch, legacy auditors, analyses),
-:mod:`repro.engine` (shared parallel Monte Carlo engine),
+:mod:`repro.engine` (shared threaded Monte Carlo engine),
 :mod:`repro.budget` (world-budget policies, sequential stopping),
 :mod:`repro.geometry` (regions and partitionings), :mod:`repro.stats`
 (statistic kernels), :mod:`repro.kernels` (backend-dispatched
@@ -158,9 +156,8 @@ from .registry import DatasetRegistry, SharedDataset
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec, RegionSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
-from .tiling import TileStats, TilingPolicy, tiled_membership
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AsyncAuditGateway",
@@ -221,8 +218,6 @@ __all__ = [
     "TicketRecoveryError",
     "TicketStore",
     "TicketStoreError",
-    "TileStats",
-    "TilingPolicy",
     "UnknownDatasetError",
     "active_backend",
     "array_fingerprint",
@@ -250,7 +245,6 @@ __all__ = [
     "serve_http",
     "set_backend",
     "square_region_set",
-    "tiled_membership",
     "top_contributors",
     "__version__",
 ]

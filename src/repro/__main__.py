@@ -26,14 +26,13 @@ changed are re-run at each step
 
 ``serve`` boots the multi-tenant HTTP gateway
 (:class:`repro.gateway.GatewayHTTPServer`): each ``--data NAME=file``
-registers a named dataset in a shared-memory
+registers a named dataset in a
 :class:`repro.registry.DatasetRegistry`, ``--queue-size`` /
 ``--tenant-quota`` bound admission (rejections are HTTP 429 with
-``Retry-After``), ``--tiles NXxNY`` shards membership builds,
-``--store PATH`` journals every ticket to a sqlite file (tickets
-survive restarts; journalled-but-unsettled audits are re-run on boot,
-see :mod:`repro.ticketstore`), and SIGTERM/SIGINT drain in-flight
-audits before exit.
+``Retry-After``), ``--store PATH`` journals every ticket to a sqlite
+file (tickets survive restarts; journalled-but-unsettled audits are
+re-run on boot, see :mod:`repro.ticketstore`), and SIGTERM/SIGINT
+drain in-flight audits before exit.
 
 The ``.npz`` archive must hold ``coords`` (an ``(n, 2)`` float array)
 and the outcomes under ``outcomes`` (aliases ``y_pred``, ``labels`` or
@@ -277,15 +276,6 @@ def main(argv: list | None = None) -> int:
         help="simulation worker count for every dataset session",
     )
     serve.add_argument(
-        "--tiles", default=None, metavar="NXxNY",
-        help="shard membership builds over an NXxNY tile grid "
-        "(e.g. 4x4)",
-    )
-    serve.add_argument(
-        "--tile-workers", type=int, default=None,
-        help="process count for the per-tile builds",
-    )
-    serve.add_argument(
         "--n-classes", type=int, default=None,
         help="class count applied to every --data dataset",
     )
@@ -438,21 +428,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     boot the HTTP gateway, block until SIGTERM/SIGINT, drain."""
     from .gateway import AuditGateway, serve_http
     from .ticketstore import TicketStore, TicketStoreError
-    from .tiling import TilingPolicy
 
-    tiling = None
-    if args.tiles is not None:
-        try:
-            nx, _, ny = args.tiles.lower().partition("x")
-            tiling = TilingPolicy(
-                int(nx), int(ny), workers=args.tile_workers
-            )
-        except ValueError as exc:
-            print(
-                f"invalid --tiles {args.tiles!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
     store = None
     if args.store is not None:
         try:
@@ -465,7 +441,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             queue_size=args.queue_size,
             tenant_quota=args.tenant_quota,
             workers=args.workers,
-            tiling=tiling,
             store=store,
         )
     except ValueError as exc:

@@ -1078,7 +1078,7 @@ class SpatialFairnessAuditor(_ScanAuditorBase):
         membership : RegionMembership, optional
             Precomputed membership index (else built/cached).
         workers : int, optional
-            Monte Carlo worker processes (see
+            Monte Carlo worker threads (see
             :meth:`repro.engine.MonteCarloEngine.null_distribution`);
             results are bit-identical for any worker count.
 
@@ -1415,7 +1415,7 @@ class PowerAnalysis:
     seed : int, optional
         Master seed; per-trial seeds are derived from it.
     workers : int, optional
-        Monte Carlo worker processes for every trial audit (see
+        Monte Carlo worker threads for every trial audit (see
         :meth:`repro.engine.MonteCarloEngine.null_distribution`).
     """
 

@@ -6,7 +6,7 @@ that loop duplicated inside each auditor; this module centralises it:
 
 * :class:`MonteCarloEngine` owns world simulation, chunking, the sparse
   membership mat-vec recount, null-distribution caching, and an
-  optional multiprocessing path (``workers=N``);
+  optional thread pool (``workers=N``);
 * the per-family statistics plug in as :class:`LLRKernel` subclasses —
   :class:`BernoulliKernel` (binary outcomes), :class:`PoissonKernel`
   (observed vs forecast counts), :class:`MultinomialKernel`
@@ -24,20 +24,23 @@ whether the chunks run serially or on any number of workers.
 
 Parallel path
 -------------
-``workers >= 2`` forks a process pool (POSIX only; other platforms fall
-back to serial).  The read-only inputs — the bound kernel and the
-sparse membership matrix — reach the workers through fork
-copy-on-write, and each worker writes its chunks' per-world maxima
-directly into one :class:`multiprocessing.shared_memory.SharedMemory`
-buffer, so no world batch is ever pickled or copied between processes.
+``workers >= 2`` runs the chunks on a
+:class:`concurrent.futures.ThreadPoolExecutor` of at most
+``min(workers, chunks, usable cores)`` threads.  The heavy steps —
+numpy's random draws and ufuncs, scipy's sparse mat-vec — release the
+GIL, so the threads overlap on separate cores.  Every thread reads the
+same bound kernel and membership matrix, and each chunk writes its
+per-world maxima into its own disjoint slice of one output array, so
+nothing is copied, pickled or locked, and no process is forked.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import weakref
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -70,8 +73,17 @@ _MIN_CHUNK = 8
 
 #: Upper bound on the number of chunks a run is split into (memory
 #: permitting); keeps per-chunk overhead negligible while leaving
-#: enough chunks for a pool of workers to balance.
+#: enough chunks for a pool of threads to balance.
 _TARGET_CHUNKS = 16
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the
+    platform reports one, else :func:`os.cpu_count`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def world_chunk_size(n_points: int, n_worlds: int) -> int:
@@ -107,7 +119,8 @@ class LLRKernel:
     A kernel knows how to *simulate* a batch of null worlds and how to
     *score* every region of every simulated world with the family's
     log-likelihood ratio.  The engine supplies chunking, seeding,
-    caching and parallelism around it.
+    caching and parallelism around it.  Once bound, a kernel is only
+    read, so pool threads may score chunks through it concurrently.
 
     Subclasses implement :meth:`simulate`, :meth:`score`,
     :attr:`chunk_points` and :meth:`cache_key`, and may extend
@@ -373,23 +386,12 @@ class MultinomialKernel(LLRKernel):
         return llr
 
 
-# Read-only state the forked pool workers inherit copy-on-write.  Only
-# ever populated in the parent immediately before the fork (under
-# _FORK_LOCK, so concurrent engines cannot corrupt each other's runs);
-# workers never mutate it.
-_FORK_STATE: dict = {}
-_FORK_LOCK = threading.Lock()
-
-
-def _attach_worker(shm_name: str, shape: tuple) -> None:
-    """Pool initializer: map the shared null-max buffer once per worker."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    _FORK_STATE["shm"] = shm
-    _FORK_STATE["out"] = np.ndarray(
-        shape, dtype=np.float64, buffer=shm.buf
-    )
+def _maxima_buffer(n_worlds: int, segments: list | None) -> np.ndarray:
+    """The uninitialised per-world maxima output of one pass: 1-d for a
+    single design, one row per segment for a fused one."""
+    if segments is None:
+        return np.empty(n_worlds)
+    return np.empty((len(segments), n_worlds))
 
 
 def _write_maxima(
@@ -413,18 +415,18 @@ def _write_maxima(
             out[i, start : start + width] = llr[a:b].max(axis=0)
 
 
-def _run_chunk(chunk_id: int) -> int:
-    """Simulate and score one chunk, writing its per-world maxima into
-    the shared buffer.  Runs inside a forked pool worker."""
-    kernel = _FORK_STATE["kernel"]
-    start, width = _FORK_STATE["chunks"][chunk_id]
-    rng = np.random.default_rng(_FORK_STATE["seeds"][chunk_id])
-    worlds = kernel.simulate(rng, width)
-    llr = kernel.score(worlds)
-    _write_maxima(
-        _FORK_STATE["out"], llr, start, width, _FORK_STATE["segments"]
-    )
-    return chunk_id
+def _score_chunk(
+    kernel: LLRKernel,
+    out: np.ndarray,
+    chunk: tuple,
+    child: np.random.SeedSequence,
+    segments: list | None,
+) -> None:
+    """Simulate one chunk from its own seed child, score it and write
+    its per-world maxima into the chunk's slice of ``out``."""
+    start, width = chunk
+    worlds = kernel.simulate(np.random.default_rng(child), width)
+    _write_maxima(out, kernel.score(worlds), start, width, segments)
 
 
 class MonteCarloEngine:
@@ -442,16 +444,10 @@ class MonteCarloEngine:
     coords : ndarray of shape (n, 2)
         Observation locations the audits share.
     workers : int, optional
-        Default worker count for :meth:`null_distribution`; ``None`` or
-        ``1`` runs serially.  Results are bit-identical either way.
+        Default thread count for :meth:`null_distribution`; ``None``
+        or ``1`` runs serially.  Results are bit-identical either way.
     cache_size : int, default 8
         Null distributions retained per membership index (LRU).
-    tiling : repro.tiling.TilingPolicy, optional
-        Shard cold membership builds across spatial tiles
-        (:func:`repro.tiling.tiled_membership`), optionally on a
-        process pool.  A pure execution strategy: the built matrix —
-        and hence every downstream result — is byte-identical to the
-        untiled build.
 
     Attributes
     ----------
@@ -475,10 +471,6 @@ class MonteCarloEngine:
         fused :meth:`null_distribution_multi` pass counts its world
         budget once however many designs it scores, so the counter
         measures exactly the work batching amortises.
-    tiled_builds : int
-        Cold membership builds that went through the spatial tiling
-        path; ``last_tile_stats`` holds the most recent build's
-        :class:`repro.tiling.TileStats`.
     """
 
     def __init__(
@@ -486,14 +478,10 @@ class MonteCarloEngine:
         coords: np.ndarray,
         workers: int | None = None,
         cache_size: int = 8,
-        tiling=None,
     ):
         self.coords = np.asarray(coords, dtype=np.float64)
         self.workers = workers
         self.cache_size = int(cache_size)
-        self.tiling = tiling
-        self.tiled_builds = 0
-        self.last_tile_stats = None
         self._member_cache: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary()
         )
@@ -525,23 +513,7 @@ class MonteCarloEngine:
         return member
 
     def _cold_build(self, regions) -> RegionMembership:
-        """One cold membership build — tiled across spatial shards
-        when a :class:`repro.tiling.TilingPolicy` is attached and the
-        dataset is large enough, byte-identical either way."""
-        policy = self.tiling
-        if (
-            policy is not None
-            and len(self.coords) >= policy.min_points
-            and len(self.coords) > 0
-        ):
-            from .tiling import tiled_membership
-
-            member, stats = tiled_membership(
-                regions, self.coords, policy
-            )
-            self.tiled_builds += 1
-            self.last_tile_stats = stats
-            return member
+        """One cold membership build over the engine's coordinates."""
         return RegionMembership(regions, self.coords)
 
     def append_points(self, coords: np.ndarray) -> None:
@@ -689,13 +661,12 @@ class MonteCarloEngine:
             Master seed; per-chunk streams are spawned from it.  When
             ``None`` the run is unseeded (and never cached).
         workers : int, optional
-            Process count; overrides the engine default.  ``>= 2``
-            forks a pool (POSIX), anything else runs serially; the
-            result is bit-identical either way.  An explicit request
-            is honoured even beyond the machine's usable cores
-            (oversubscription costs wall-clock, never correctness) —
-            callers wanting auto-sizing should pass
-            ``len(os.sched_getaffinity(0))``.
+            Thread count; overrides the engine default.  ``>= 2`` runs
+            the chunks on a thread pool, anything else serially; the
+            result is bit-identical either way.  The pool never grows
+            past the chunk count or the usable cores
+            (``os.sched_getaffinity``), so a large request cannot
+            oversubscribe the machine.
         chunk_worlds : int, optional
             Chunk size override (tests/benchmarks); the default is
             :func:`world_chunk_size` of the workload.
@@ -891,7 +862,7 @@ class MonteCarloEngine:
         segments: list | None,
     ) -> np.ndarray:
         """Bind, chunk, seed and run one simulation pass (serial or
-        pooled); ``segments`` selects per-design reduction."""
+        threaded); ``segments`` selects per-design reduction."""
         chunks = self.chunk_layout(
             kernel.chunk_points, n_worlds, chunk_worlds
         )
@@ -912,18 +883,22 @@ class MonteCarloEngine:
         segments: list | None,
     ) -> np.ndarray:
         """Bind and execute one explicit (chunks, seeds) layout —
-        serially or on a fork pool — returning the per-world maxima
+        serially or on a thread pool — returning the per-world maxima
         (per segment when ``segments`` is given)."""
         kernel.bind(member)
         workers = self.workers if workers is None else workers
-        n_procs = min(int(workers or 1), len(chunks))
-        if n_procs >= 2 and hasattr(os, "fork"):
-            return self._null_parallel(
-                kernel, chunks, seeds, n_worlds, n_procs, segments
+        n_threads = min(int(workers or 1), len(chunks), _usable_cores())
+        if n_threads < 2:
+            return self._null_serial(
+                kernel, chunks, seeds, n_worlds, segments
             )
-        return self._null_serial(
-            kernel, chunks, seeds, n_worlds, segments
-        )
+        null_max = _maxima_buffer(n_worlds, segments)
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            # Each chunk owns a disjoint slice of null_max, so completion
+            # order is irrelevant; list() re-raises the first chunk error.
+            run = partial(_score_chunk, kernel, null_max, segments=segments)
+            list(pool.map(run, chunks, seeds))
+        return null_max
 
     def _adaptive_pass(
         self,
@@ -1011,64 +986,14 @@ class MonteCarloEngine:
         n_worlds: int,
         segments: list | None = None,
     ) -> np.ndarray:
-        shape = (
-            (n_worlds,)
-            if segments is None
-            else (len(segments), n_worlds)
-        )
-        null_max = np.empty(shape)
+        null_max = _maxima_buffer(n_worlds, segments)
+        # Inline rather than via _score_chunk: the previous chunk's
+        # worlds and scores stay referenced until the next chunk's are
+        # allocated, so malloc reuses their pages instead of trimming
+        # the heap and faulting fresh pages in on every chunk.
         for (start, width), child in zip(chunks, seeds):
             rng = np.random.default_rng(child)
             worlds = kernel.simulate(rng, width)
             llr = kernel.score(worlds)
             _write_maxima(null_max, llr, start, width, segments)
         return null_max
-
-    @staticmethod
-    def _null_parallel(
-        kernel: LLRKernel,
-        chunks: list,
-        seeds: list,
-        n_worlds: int,
-        n_procs: int,
-        segments: list | None = None,
-    ) -> np.ndarray:
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        ctx = multiprocessing.get_context("fork")
-        shape = (
-            (n_worlds,)
-            if segments is None
-            else (len(segments), n_worlds)
-        )
-        size = int(np.prod(shape)) * 8
-        shm = shared_memory.SharedMemory(create=True, size=max(size, 8))
-        # The lock spans populate -> fork -> clear: a concurrent run
-        # must not overwrite the state another pool is about to
-        # inherit.
-        with _FORK_LOCK:
-            _FORK_STATE["kernel"] = kernel
-            _FORK_STATE["chunks"] = chunks
-            _FORK_STATE["seeds"] = seeds
-            _FORK_STATE["segments"] = segments
-            try:
-                with ctx.Pool(
-                    processes=n_procs,
-                    initializer=_attach_worker,
-                    initargs=(shm.name, shape),
-                ) as pool:
-                    # Unordered is safe: each chunk owns a disjoint
-                    # slice of the shared buffer.
-                    for _ in pool.imap_unordered(
-                        _run_chunk, range(len(chunks))
-                    ):
-                        pass
-                out = np.ndarray(
-                    shape, dtype=np.float64, buffer=shm.buf
-                ).copy()
-            finally:
-                _FORK_STATE.clear()
-                shm.close()
-                shm.unlink()
-        return out

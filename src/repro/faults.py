@@ -3,10 +3,10 @@
 Crash safety is only trustworthy if failures can be *provoked on
 purpose*: this module lets a test (or a chaos CI job) arm named
 **fail points** threaded through :mod:`repro.gateway`,
-:mod:`repro.serve`, :mod:`repro.registry` and
-:mod:`repro.ticketstore`, then drive the stack and assert that every
-injected failure surfaces as a typed error or a clean crash — never a
-hang, never a wrong report (``tests/test_faults.py``).
+:mod:`repro.serve` and :mod:`repro.ticketstore`, then drive the
+stack and assert that every injected failure surfaces as a typed
+error or a clean crash — never a hang, never a wrong report
+(``tests/test_faults.py``).
 
 Each production call site names itself once::
 
@@ -66,7 +66,6 @@ __all__ = [
 SITES = {
     "gateway.submit": "admission stall or death before queue checks",
     "serve.run_group": "worker death mid-way through a fused group",
-    "registry.attach": "shared-memory segment allocation failure",
     "ticketstore.write": "journal write error (disk full, I/O error)",
     "ticketstore.after_write": "process death right after a journal "
     "commit (the chaos crash window)",

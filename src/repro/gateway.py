@@ -1,14 +1,14 @@
-"""Sharded multi-tenant audit gateway: one front door, many datasets.
+"""Multi-tenant audit gateway: one front door, many datasets.
 
 :class:`repro.serve.AuditService` serves batches over *one* dataset.
 This module is the layer above it — the deployment front door that a
 fleet of tenants talks to:
 
 * :class:`AuditGateway` routes each request by dataset name through a
-  :class:`repro.registry.DatasetRegistry` (shared-memory storage,
-  content-deduplicated) to a per-dataset service, with a **bounded
-  admission queue** (full → :class:`GatewayFullError`, HTTP 429 with
-  ``Retry-After``), optional per-tenant quotas
+  :class:`repro.registry.DatasetRegistry` (read-only,
+  content-deduplicated storage) to a per-dataset service, with a
+  **bounded admission queue** (full → :class:`GatewayFullError`,
+  HTTP 429 with ``Retry-After``), optional per-tenant quotas
   (:class:`TenantQuotaError`) and a graceful :meth:`~AuditGateway.drain`
   that finishes queued work while refusing new submissions
   (:class:`GatewayDrainingError`, 503);
@@ -22,15 +22,14 @@ fleet of tenants talks to:
   ``GET``/``POST /datasets``, ``GET /stats``, ``GET /healthz``.
 
 Every execution path below the gateway is the existing deterministic
-machinery — fused service batches, SeedSequence-per-chunk simulation,
-optionally tile-sharded membership builds (:mod:`repro.tiling`) — so a
-report served over HTTP to one of fifty tenants is bit-identical to
-the same spec run alone in-process (asserted in
-``tests/test_gateway.py``).  :meth:`AuditGateway.stats` surfaces
-queue depth and peak, admission rejections, per-tenant counters,
-end-to-end latency and per-dataset shard utilization for dashboards;
-``tools/loadgen.py`` appends them as ``gateway_history`` rows to
-``BENCH_serve.json``.
+machinery — fused service batches, SeedSequence-per-chunk simulation
+on an optional thread pool — so a report served over HTTP to one of
+fifty tenants is bit-identical to the same spec run alone in-process
+(asserted in ``tests/test_gateway.py``).  :meth:`AuditGateway.stats`
+surfaces queue depth and peak, admission rejections, per-tenant
+counters, end-to-end latency and per-dataset service counters for
+dashboards; ``tools/loadgen.py`` appends them as ``gateway_history``
+rows to ``BENCH_serve.json``.
 
 Crash safety: constructed with ``store=`` (a
 :class:`repro.ticketstore.TicketStore` or a path), the gateway
@@ -59,7 +58,6 @@ from .registry import DatasetRegistry
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
-from .tiling import TilingPolicy
 
 __all__ = [
     "GatewayError",
@@ -317,7 +315,7 @@ class AuditGateway:
     The gateway owns a :class:`repro.registry.DatasetRegistry` (or
     wraps one you pass in) and lazily builds one
     :class:`repro.serve.AuditService` per registered dataset, sharing
-    the gateway-wide ``workers``/``tiling`` execution policy.
+    the gateway-wide ``workers`` execution policy.
     Admission is bounded: at most ``queue_size`` audits may be in
     flight (submitted, not yet resolved) across all tenants, and at
     most ``tenant_quota`` per tenant — excess submissions raise
@@ -328,7 +326,7 @@ class AuditGateway:
     >>> import numpy as np
     >>> from repro.spec import AuditSpec, RegionSpec
     >>> rng = np.random.default_rng(0)
-    >>> gw = AuditGateway(use_shared_memory=False)
+    >>> gw = AuditGateway()
     >>> _ = gw.register("demo", rng.random((80, 2)),
     ...                 rng.integers(0, 2, 80))
     >>> spec = AuditSpec(regions=RegionSpec.grid(3, 3), n_worlds=25,
@@ -349,12 +347,8 @@ class AuditGateway:
         gateway-wide bound.
     workers : int, optional
         Default simulation worker count for every per-dataset session.
-    tiling : TilingPolicy, optional
-        Shard membership builds spatially (:mod:`repro.tiling`).
     cache_size : int, default 128
         Per-dataset service report-cache size.
-    use_shared_memory : bool, default True
-        Passed to the owned registry when ``registry`` is omitted.
     store : TicketStore or str, optional
         Durable ticket journal (:mod:`repro.ticketstore`); a path
         opens one.  With a store, every submit is journalled before
@@ -370,9 +364,7 @@ class AuditGateway:
         queue_size: int = 64,
         tenant_quota: int | None = None,
         workers: int | None = None,
-        tiling: TilingPolicy | None = None,
         cache_size: int = 128,
-        use_shared_memory: bool = True,
         store: TicketStore | str | None = None,
     ):
         if int(queue_size) < 1:
@@ -385,16 +377,13 @@ class AuditGateway:
                 f"{tenant_quota!r}"
             )
         self.registry = (
-            registry
-            if registry is not None
-            else DatasetRegistry(use_shared_memory=use_shared_memory)
+            registry if registry is not None else DatasetRegistry()
         )
         self.queue_size = int(queue_size)
         self.tenant_quota = (
             None if tenant_quota is None else int(tenant_quota)
         )
         self.workers = workers
-        self.tiling = tiling
         self.cache_size = int(cache_size)
         if store is not None and not isinstance(store, TicketStore):
             store = TicketStore(store)
@@ -449,7 +438,7 @@ class AuditGateway:
 
     def service(self, dataset: str) -> AuditService:
         """The per-dataset service, built lazily over the registry's
-        shared views.
+        read-only arrays.
 
         Parameters
         ----------
@@ -473,9 +462,7 @@ class AuditGateway:
             service = self._services.get(dataset)
             if service is None:
                 service = AuditService(
-                    shared.session(
-                        workers=self.workers, tiling=self.tiling
-                    ),
+                    shared.session(workers=self.workers),
                     cache_size=self.cache_size,
                 )
                 self._services[dataset] = service
@@ -936,7 +923,7 @@ class AuditGateway:
             (``latency_avg_ms`` / ``latency_max_ms``), ``draining``,
             per-``tenants`` buckets, the ``registry`` stats, one
             ``datasets`` entry per active service (its service
-            counters plus ``shard_stats`` utilization), and ``store``
+            counters), and ``store``
             — the ticket journal's counters plus ``write_errors`` and
             the boot-time ``recovery`` summary (``None`` when the
             gateway runs without a store).
@@ -977,11 +964,7 @@ class AuditGateway:
             }
         out["registry"] = self.registry.stats()
         out["datasets"] = {
-            name: {
-                **service.stats(),
-                "shard_stats": service.session.shard_stats(),
-            }
-            for name, service in services.items()
+            name: service.stats() for name, service in services.items()
         }
         if self.store is not None:
             out["store"] = {
@@ -1338,7 +1321,7 @@ class GatewayHTTPServer:
         :meth:`AuditGateway.stats` / liveness.
 
     >>> import numpy as np
-    >>> gw = AuditGateway(use_shared_memory=False)
+    >>> gw = AuditGateway()
     >>> server = GatewayHTTPServer(gw, port=0)  # ephemeral port
     >>> server.start()
     >>> isinstance(server.port, int)

@@ -323,21 +323,6 @@ class RegionMembership:
             self._matrix.sum(axis=1)
         ).ravel().astype(np.int64)
 
-    @classmethod
-    def _from_matrix(cls, regions: RegionSet, matrix) -> "RegionMembership":
-        """Wrap an already-built canonical CSR matrix (sorted indices
-        per row, float64 ones) without re-running the kd-tree queries.
-        The tiled build path (:func:`repro.tiling.tiled_membership`)
-        merges per-tile blocks into exactly this layout."""
-        self = cls.__new__(cls)
-        self.regions = regions
-        self.n_points = int(matrix.shape[1])
-        self._matrix = matrix
-        self.counts = np.asarray(
-            matrix.sum(axis=1)
-        ).ravel().astype(np.int64)
-        return self
-
     def __len__(self) -> int:
         return len(self.regions)
 

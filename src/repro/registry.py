@@ -1,74 +1,48 @@
-"""Multi-dataset registry with shared-memory array storage.
+"""Multi-dataset registry with content-deduplicated, read-only storage.
 
 A single :class:`repro.serve.AuditService` binds one dataset.  A
-gateway serving many tenants needs many datasets resident at once —
-and, when membership builds fan out across processes
-(:mod:`repro.tiling`), it needs the arrays visible to workers without
-pickling millions of coordinates per task.  This module provides both:
+gateway serving many tenants needs many datasets resident at once,
+stored once however many names and tenants refer to them.  This module
+provides both:
 
-* :class:`SharedDataset` pins one named dataset's arrays in
-  :mod:`multiprocessing.shared_memory` segments and hands out
-  read-only :class:`numpy.ndarray` views over them — the parent and
-  every forked worker see the same physical pages, zero-copy;
+* :class:`SharedDataset` holds one named dataset's arrays as private
+  read-only copies (``coords``, ``outcomes``, ``y_true``,
+  ``forecast``), shared by every name and tenant that refers to the
+  same content;
 * :class:`DatasetRegistry` names those datasets, deduplicates storage
   by content (:func:`repro.fingerprint.dataset_fingerprint` — two
-  names over equal arrays share one set of segments), and builds
-  :class:`repro.api.AuditSession` instances over the shared views on
-  demand.
+  names over equal arrays share one set of arrays), and builds
+  :class:`repro.api.AuditSession` instances over them on demand.
 
 Fingerprint keying makes the registry safe as a cache: a dataset
 re-registered under the same name with different content gets fresh
-segments and a fresh fingerprint, so
+arrays and a fresh fingerprint, so
 :class:`~repro.serve.AuditService` report caches (which fold the
-fingerprint into every key) can never serve stale answers.  Views are
-read-only by construction — an accidental in-place mutation through a
-registry view raises instead of silently corrupting every tenant that
-shares the segment.
+fingerprint into every key) can never serve stale answers.  The arrays
+are read-only by construction — an accidental in-place mutation
+through a registry array raises instead of silently corrupting every
+tenant that shares it.
 """
 
 from __future__ import annotations
 
-import atexit
 import threading
 
 import numpy as np
 
 from .api import AuditSession
-from .faults import fault_point
 from .fingerprint import dataset_fingerprint
-from .tiling import TilingPolicy
 
 __all__ = ["SharedDataset", "DatasetRegistry"]
 
 
-def _share_array(arr: np.ndarray):
-    """Copy one array into a fresh shared-memory segment; returns
-    ``(segment, read-only view)``.  Zero-size arrays still get a
-    (1-byte) segment so close/unlink stays uniform."""
-    from multiprocessing import shared_memory
-
-    fault_point("registry.attach")
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(
-        create=True, size=max(arr.nbytes, 1)
-    )
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    view.flags.writeable = False
-    return shm, view
-
-
 class SharedDataset:
-    """One named dataset pinned in shared memory.
+    """One named dataset, stored once and shared across names and
+    tenants.
 
-    Construction copies each array once into its own
-    :class:`multiprocessing.shared_memory.SharedMemory` segment and
-    exposes read-only views (``coords``, ``outcomes``, ``y_true``,
-    ``forecast``).  Forked workers inherit the mapped segments, so a
-    tiled membership build or a fused null pass touches the data
-    zero-copy.  With ``use_shared_memory=False`` the arrays are plain
-    private copies (same read-only discipline, no segments) — the
-    fallback for platforms where shared memory is unavailable.
+    Construction copies each array once and marks the copy read-only
+    (``coords``, ``outcomes``, ``y_true``, ``forecast``); every
+    session built over the dataset reads those arrays without copying.
 
     Parameters
     ----------
@@ -76,8 +50,6 @@ class SharedDataset:
         The registry name this dataset was registered under.
     coords, outcomes, y_true, forecast, n_classes
         As in :class:`repro.api.AuditSession`.
-    use_shared_memory : bool, default True
-        Back the arrays with shared-memory segments.
 
     Attributes
     ----------
@@ -86,7 +58,7 @@ class SharedDataset:
         :func:`repro.fingerprint.dataset_fingerprint` of the stored
         content — the registry's storage-dedup and cache key.
     coords, outcomes, y_true, forecast
-        Read-only array views over the stored content.
+        Read-only arrays holding the stored content.
     n_classes : int or None
     """
 
@@ -98,13 +70,11 @@ class SharedDataset:
         y_true=None,
         forecast=None,
         n_classes: int | None = None,
-        use_shared_memory: bool = True,
     ):
         self.name = str(name)
         self.n_classes = (
             None if n_classes is None else int(n_classes)
         )
-        self._segments: list = []
         self._closed = False
         arrays = {
             "coords": np.asarray(coords, dtype=np.float64),
@@ -122,16 +92,10 @@ class SharedDataset:
                 f"{arrays['coords'].shape}"
             )
         for field, arr in arrays.items():
-            if arr is None:
-                setattr(self, field, None)
-                continue
-            if use_shared_memory:
-                shm, view = _share_array(arr)
-                self._segments.append(shm)
-            else:
-                view = arr.copy()
-                view.flags.writeable = False
-            setattr(self, field, view)
+            if arr is not None:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            setattr(self, field, arr)
         self.fingerprint = dataset_fingerprint(
             self.coords,
             self.outcomes,
@@ -158,25 +122,14 @@ class SharedDataset:
             if arr is not None
         )
 
-    @property
-    def shared(self) -> bool:
-        """Whether the arrays live in shared-memory segments."""
-        return bool(self._segments)
-
-    def session(
-        self,
-        workers: int | None = None,
-        tiling: TilingPolicy | None = None,
-    ) -> AuditSession:
+    def session(self, workers: int | None = None) -> AuditSession:
         """A fresh :class:`repro.api.AuditSession` over the stored
-        views (no array copies).
+        arrays (no copies).
 
         Parameters
         ----------
         workers : int, optional
             Session default worker count for null simulation.
-        tiling : TilingPolicy, optional
-            Shard membership builds (:mod:`repro.tiling`).
 
         Returns
         -------
@@ -184,7 +137,7 @@ class SharedDataset:
         """
         if self._closed:
             raise ValueError(
-                f"dataset {self.name!r}: shared memory already closed"
+                f"dataset {self.name!r}: already closed"
             )
         return AuditSession(
             self.coords,
@@ -193,29 +146,17 @@ class SharedDataset:
             forecast=self.forecast,
             n_classes=self.n_classes,
             workers=workers,
-            tiling=tiling,
         )
 
     def close(self) -> None:
-        """Release the shared-memory segments (idempotent).
+        """Drop the stored arrays (idempotent).
 
-        Views handed out earlier become invalid; sessions hold their
-        own references to the views, so close only after their
-        service has drained.
+        Sessions built earlier keep their own references to the
+        arrays; the dataset itself can no longer build sessions.
         """
-        if self._closed:
-            return
         self._closed = True
-        # Drop the numpy views first so the buffers are unreferenced.
         self.coords = self.outcomes = None
         self.y_true = self.forecast = None
-        for shm in self._segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # already gone
-                pass
-        self._segments = []
 
 
 class DatasetRegistry:
@@ -224,12 +165,11 @@ class DatasetRegistry:
     The registry is the gateway's data plane: tenants refer to
     datasets by name, the registry stores each distinct content
     (keyed by :func:`repro.fingerprint.dataset_fingerprint`) exactly
-    once in shared memory, and hands out
-    :class:`repro.api.AuditSession` views on demand.  All methods are
-    thread-safe.
+    once, and hands out :class:`repro.api.AuditSession` instances on
+    demand.  All methods are thread-safe.
 
     >>> import numpy as np
-    >>> reg = DatasetRegistry(use_shared_memory=False)
+    >>> reg = DatasetRegistry()
     >>> rng = np.random.default_rng(0)
     >>> ds = reg.register("a", rng.random((10, 2)), np.ones(10))
     >>> reg.register("b", ds.coords, ds.outcomes) is ds  # dedup
@@ -237,23 +177,14 @@ class DatasetRegistry:
     >>> sorted(reg.names())
     ['a', 'b']
     >>> reg.close()
-
-    Parameters
-    ----------
-    use_shared_memory : bool, default True
-        Back stored arrays with :mod:`multiprocessing.shared_memory`
-        segments (zero-copy across forked workers).  ``False`` keeps
-        private read-only copies instead.
     """
 
-    def __init__(self, use_shared_memory: bool = True):
-        self.use_shared_memory = bool(use_shared_memory)
+    def __init__(self):
         self._by_name: dict = {}
         self._by_print: dict = {}
         self._lock = threading.Lock()
         self._registered = 0
         self._deduped = 0
-        atexit.register(self.close)
 
     def register(
         self,
@@ -267,10 +198,9 @@ class DatasetRegistry:
         """Store a dataset under ``name`` (thread-safe).
 
         Content equal to an already-stored dataset (same
-        fingerprint) shares its segments instead of copying again;
+        fingerprint) shares its arrays instead of copying again;
         re-registering an existing name points it at the new content
-        (the old content's segments are released once no name refers
-        to them).
+        (the old content is released once no name refers to it).
 
         Parameters
         ----------
@@ -303,7 +233,6 @@ class DatasetRegistry:
                     y_true=y_true,
                     forecast=forecast,
                     n_classes=n_classes,
-                    use_shared_memory=self.use_shared_memory,
                 )
                 self._by_print[fingerprint] = dataset
             else:
@@ -361,24 +290,21 @@ class DatasetRegistry:
             return len(self._by_name)
 
     def session(
-        self,
-        name: str,
-        workers: int | None = None,
-        tiling: TilingPolicy | None = None,
+        self, name: str, workers: int | None = None
     ) -> AuditSession:
-        """A fresh session over the named dataset's shared views.
+        """A fresh session over the named dataset's stored arrays.
 
         Parameters
         ----------
         name : str
-        workers, tiling
+        workers : int, optional
             As in :meth:`SharedDataset.session`.
 
         Returns
         -------
         AuditSession
         """
-        return self.get(name).session(workers=workers, tiling=tiling)
+        return self.get(name).session(workers=workers)
 
     def remove(self, name: str) -> bool:
         """Forget ``name``; release its storage when no other name
@@ -403,9 +329,9 @@ class DatasetRegistry:
         -------
         dict
             ``datasets`` (names), ``unique`` (distinct contents),
-            ``points`` / ``bytes`` totals over the distinct contents,
-            ``registered`` / ``deduped`` registration counters and
-            ``shared_memory``.
+            ``points`` / ``bytes`` totals over the distinct contents
+            and the ``registered`` / ``deduped`` registration
+            counters.
         """
         with self._lock:
             unique = list(self._by_print.values())
@@ -416,12 +342,10 @@ class DatasetRegistry:
                 "bytes": sum(d.nbytes for d in unique),
                 "registered": self._registered,
                 "deduped": self._deduped,
-                "shared_memory": self.use_shared_memory,
             }
 
     def close(self) -> None:
-        """Release every dataset's segments (idempotent; also runs
-        at interpreter exit)."""
+        """Forget every dataset and release its arrays (idempotent)."""
         with self._lock:
             datasets = list(self._by_print.values())
             self._by_name.clear()

@@ -393,7 +393,7 @@ class AuditSpec:
     seed : int, optional
         Monte Carlo master seed; ``None`` runs unseeded (and uncached).
     workers : int, optional
-        Worker processes; ``None`` defers to the session default.
+        Worker threads; ``None`` defers to the session default.
 
     Examples
     --------

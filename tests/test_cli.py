@@ -217,11 +217,6 @@ def test_stream_bad_spec_is_exit_2(npz_file, tmp_path):
 # -- serve -----------------------------------------------------------
 
 
-def test_serve_invalid_tiles_is_exit_2(capsys):
-    assert main(["serve", "--tiles", "banana"]) == 2
-    assert "invalid --tiles" in capsys.readouterr().err
-
-
 def test_serve_invalid_queue_size_is_exit_2(capsys):
     assert main(["serve", "--queue-size", "0"]) == 2
     assert "invalid gateway options" in capsys.readouterr().err
@@ -263,11 +258,12 @@ def test_serve_happy_path_boots_and_announces(
             "serve",
             "--data", f"city={npz_file}",
             "--queue-size", "8",
-            "--tiles", "2x2",
+            "--workers", "2",
         ]
     )
     assert rc == 0
     assert seen["gateway"].queue_size == 8
+    assert seen["gateway"].workers == 2
     assert seen["gateway"].registry.names() == ["city"]
     err = capsys.readouterr().err
     assert "registered dataset 'city'" in err

@@ -1,11 +1,16 @@
 """Unit tests for :mod:`repro.engine`: chunk layout, caching, the
-worker pool, and the engine's determinism contract through all three
-auditors (the seed-stability golden tests)."""
+worker thread pool, and the engine's determinism contract through all
+three auditors (the seed-stability golden tests)."""
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from tests.conftest import N_WORLDS
+from repro import engine as engine_mod
 from repro.core import (
     MultinomialSpatialAuditor,
     PoissonSpatialAuditor,
@@ -19,6 +24,29 @@ from repro.engine import (
     PoissonKernel,
     world_chunk_size,
 )
+
+
+def make_kernel(family, coords, labels, counts, classes):
+    """A fresh kernel of ``family`` over the golden datasets."""
+    if family == "bernoulli":
+        return BernoulliKernel(len(coords), int(labels.sum()))
+    if family == "poisson":
+        observed, forecast = counts
+        total = float(observed.sum())
+        return PoissonKernel(forecast * (total / forecast.sum()), total)
+    return MultinomialKernel(
+        len(coords), np.bincount(classes, minlength=3)
+    )
+
+
+def null_pass(coords, regions, kernel, workers, seed=7):
+    """A fixed-budget, multi-chunk null pass on a fresh engine (so the
+    null cache cannot short-circuit a comparison)."""
+    engine = MonteCarloEngine(coords)
+    return engine.null_distribution(
+        engine.membership(regions), kernel, 48, seed=seed,
+        chunk_worlds=8, workers=workers,
+    )
 
 
 def result_fingerprint(result):
@@ -157,42 +185,127 @@ class TestNullCache:
 
 class TestWorkersBitIdentical:
     """The engine's core promise: the null distribution is the same
-    array no matter how many processes simulated it."""
+    array no matter how many threads simulated it."""
 
     @pytest.mark.parametrize("family", ["bernoulli", "poisson",
                                         "multinomial"])
     def test_parallel_equals_serial(self, family, unit_coords,
                                     unit_regions, biased_labels,
                                     biased_counts, biased_classes):
-        def make_kernel():
-            if family == "bernoulli":
-                return BernoulliKernel(
-                    len(unit_coords), int(biased_labels.sum())
-                )
-            if family == "poisson":
-                observed, forecast = biased_counts
-                total = float(observed.sum())
-                return PoissonKernel(
-                    forecast * (total / forecast.sum()), total
-                )
-            return MultinomialKernel(
-                len(unit_coords),
-                np.bincount(biased_classes, minlength=3),
-            )
-
-        # Fresh engines so the comparison cannot be short-circuited by
-        # the null cache; chunk_worlds=8 forces a multi-chunk run.
-        serial_engine = MonteCarloEngine(unit_coords)
-        serial = serial_engine.null_distribution(
-            serial_engine.membership(unit_regions), make_kernel(),
-            48, seed=7, chunk_worlds=8, workers=1,
+        data = (unit_coords, biased_labels, biased_counts, biased_classes)
+        serial = null_pass(
+            unit_coords, unit_regions, make_kernel(family, *data), 1
         )
-        parallel_engine = MonteCarloEngine(unit_coords)
-        parallel = parallel_engine.null_distribution(
-            parallel_engine.membership(unit_regions), make_kernel(),
-            48, seed=7, chunk_worlds=8, workers=2,
+        parallel = null_pass(
+            unit_coords, unit_regions, make_kernel(family, *data), 2
         )
         assert np.array_equal(serial, parallel)
+
+
+class _PoolSpy(engine_mod.ThreadPoolExecutor):
+    """Records the ``max_workers`` of every pool the engine starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        type(self).sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+@pytest.fixture()
+def pool_spy(monkeypatch):
+    monkeypatch.setattr(_PoolSpy, "sizes", [])
+    monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", _PoolSpy)
+    return _PoolSpy
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class TestThreadPool:
+    def test_oversized_request_is_clamped_to_usable_cores(
+        self, pool_spy, unit_coords, unit_regions, biased_labels
+    ):
+        kernel = BernoulliKernel(len(unit_coords), int(biased_labels.sum()))
+        serial = null_pass(unit_coords, unit_regions, kernel, 1)
+        assert pool_spy.sizes == []
+        huge = null_pass(unit_coords, unit_regions, kernel, 512)
+        assert huge.tobytes() == serial.tobytes()
+        assert all(n <= _usable_cores() for n in pool_spy.sizes)
+
+    def test_pool_is_min_of_workers_chunks_and_cores(
+        self, pool_spy, monkeypatch, unit_coords, unit_regions,
+        biased_labels,
+    ):
+        kernel = BernoulliKernel(len(unit_coords), int(biased_labels.sum()))
+        serial = null_pass(unit_coords, unit_regions, kernel, 1)
+        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: 3)
+        # 48 worlds in chunks of 8: six chunks.
+        for workers, expected in ((512, 3), (2, 2)):
+            pool_spy.sizes.clear()
+            out = null_pass(unit_coords, unit_regions, kernel, workers)
+            assert pool_spy.sizes == [expected]
+            assert out.tobytes() == serial.tobytes()
+        monkeypatch.setattr(engine_mod, "_usable_cores", lambda: 64)
+        pool_spy.sizes.clear()
+        null_pass(unit_coords, unit_regions, kernel, 512)
+        assert pool_spy.sizes == [6]
+
+    def test_concurrent_sessions_match_serial(
+        self, unit_coords, unit_regions, biased_labels, biased_counts,
+        biased_classes,
+    ):
+        """Two threads run workers=2 null passes on separate engines at
+        the same time; neither may disturb the other's results."""
+        data = (unit_coords, biased_labels, biased_counts, biased_classes)
+        families = ("bernoulli", "multinomial")
+        serial = {
+            family: null_pass(
+                unit_coords, unit_regions, make_kernel(family, *data), 1
+            )
+            for family in families
+        }
+        barrier = threading.Barrier(len(families))
+        results: dict = {}
+        errors: list = []
+
+        def run(family):
+            try:
+                barrier.wait()
+                results[family] = [
+                    null_pass(
+                        unit_coords, unit_regions,
+                        make_kernel(family, *data), 2,
+                    )
+                    for _ in range(3)
+                ]
+            except Exception as exc:  # surfaced after join
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(family,))
+            for family in families
+        ]
+        # Frequent thread switches make a lost or crossed write likely
+        # to surface as a mismatch against the serial run.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for family in families:
+            for out in results[family]:
+                assert np.array_equal(out, serial[family])
 
 
 class TestGoldenSeedStability:

@@ -222,11 +222,7 @@ class TestSingleFaultTyped:
     @pytest.fixture()
     def gateway(self, tmp_path, unit_coords, biased_labels):
         clear_faults()
-        gw = AuditGateway(
-            queue_size=16,
-            use_shared_memory=False,
-            store=tmp_path / "j.sqlite",
-        )
+        gw = AuditGateway(queue_size=16, store=tmp_path / "j.sqlite")
         gw.register("city", unit_coords, biased_labels)
         yield gw
         clear_faults()
@@ -259,18 +255,6 @@ class TestSingleFaultTyped:
             gateway.store.record_submit("d", "t", "{}", "fp")
         clear_faults()
         assert gateway.store.record_submit("d", "t", "{}", "fp")
-
-    def test_registry_attach_fault_is_typed(
-        self, unit_coords, biased_labels
-    ):
-        install_faults("registry.attach:at=1")
-        gw = AuditGateway(queue_size=4, use_shared_memory=True)
-        try:
-            with pytest.raises(FaultInjected):
-                gw.register("city", unit_coords, biased_labels)
-        finally:
-            clear_faults()
-            gw.registry.close()
 
     def test_stall_never_changes_reports(self, gateway):
         golden = _payload(gateway.submit("city", _spec()).result())
@@ -327,7 +311,7 @@ def chaos_npz(tmp_path_factory, chaos_arrays):
 def golden_reports(chaos_arrays):
     """Per-spec payloads from an uninterrupted, storeless run."""
     coords, labels = chaos_arrays
-    gw = AuditGateway(queue_size=16, use_shared_memory=False)
+    gw = AuditGateway(queue_size=16)
     try:
         gw.register("city", coords, labels)
         return [

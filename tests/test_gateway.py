@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -20,7 +21,6 @@ from repro.gateway import (
     UnknownDatasetError,
 )
 from repro.spec import AuditSpec, RegionSpec
-from repro.tiling import TilingPolicy
 
 from .conftest import N_WORLDS
 
@@ -40,7 +40,7 @@ def _payload(report) -> str:
 
 @pytest.fixture()
 def gateway(unit_coords, biased_labels):
-    gw = AuditGateway(queue_size=16, use_shared_memory=False)
+    gw = AuditGateway(queue_size=16)
     gw.register("unit", unit_coords, biased_labels)
     yield gw
     gw.registry.close()
@@ -62,7 +62,7 @@ class TestAdmission:
     def test_queue_full_rejects_with_retry_after(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(queue_size=2, use_shared_memory=False)
+        gw = AuditGateway(queue_size=2)
         gw.register("unit", unit_coords, biased_labels)
         t1 = gw.submit("unit", _spec(1))
         gw.submit("unit", _spec(2))
@@ -78,9 +78,7 @@ class TestAdmission:
     def test_tenant_quota_isolates_tenants(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(
-            queue_size=16, tenant_quota=1, use_shared_memory=False
-        )
+        gw = AuditGateway(queue_size=16, tenant_quota=1)
         gw.register("unit", unit_coords, biased_labels)
         gw.submit("unit", _spec(1), tenant="chatty")
         with pytest.raises(TenantQuotaError):
@@ -129,25 +127,9 @@ class TestBatchesAndStats:
         assert stats["latency_avg_ms"] > 0
         assert stats["tenants"]["alice"]["completed"] == 1
         assert stats["registry"]["datasets"] == 1
-        assert "shard_stats" in stats["datasets"]["unit"]
-
-    def test_shard_stats_surface_tiling(
-        self, unit_coords, biased_labels
-    ):
-        gw = AuditGateway(
-            use_shared_memory=False,
-            tiling=TilingPolicy(2, 2),
+        assert stats["datasets"]["unit"] == (
+            gateway.service("unit").stats()
         )
-        gw.register("unit", unit_coords, biased_labels)
-        gw.run("unit", _spec(1))
-        shard = gw.stats()["datasets"]["unit"]["shard_stats"]
-        assert shard["tiling"] == {
-            "nx": 2,
-            "ny": 2,
-            "workers": None,
-            "min_points": 0,
-        }
-        assert shard["tiled_builds"] >= 1
 
     def test_register_replacement_rebuilds_service(
         self, gateway, unit_coords, biased_labels
@@ -173,7 +155,7 @@ class TestConcurrency:
     ):
         """Many threads, many tenants, interleaved submits and
         redeems: every report must equal its solo run bit for bit."""
-        gw = AuditGateway(queue_size=64, use_shared_memory=False)
+        gw = AuditGateway(queue_size=64)
         gw.register("unit", unit_coords, biased_labels)
         seeds = [1, 2, 3, 4]
         solo = {}
@@ -209,7 +191,7 @@ class TestConcurrency:
         self, unit_coords, biased_labels
     ):
         """stats() must never tear while gathers run concurrently."""
-        gw = AuditGateway(queue_size=64, use_shared_memory=False)
+        gw = AuditGateway(queue_size=64)
         gw.register("unit", unit_coords, biased_labels)
         stop = threading.Event()
         torn: list = []
@@ -233,9 +215,7 @@ class TestConcurrency:
     def test_asyncio_gather_many_tenants(
         self, unit_coords, biased_labels
     ):
-        agw = AsyncAuditGateway(
-            queue_size=32, use_shared_memory=False
-        )
+        agw = AsyncAuditGateway(queue_size=32)
         agw.gateway.register("unit", unit_coords, biased_labels)
         solo = _payload(
             AuditSession(unit_coords, biased_labels).run(_spec(5))
@@ -254,9 +234,7 @@ class TestConcurrency:
         assert agw.stats()["completed"] == 4
 
     def test_asyncio_batch(self, unit_coords, biased_labels):
-        agw = AsyncAuditGateway(
-            queue_size=32, use_shared_memory=False
-        )
+        agw = AsyncAuditGateway(queue_size=32)
         agw.gateway.register("unit", unit_coords, biased_labels)
 
         async def main():
@@ -281,7 +259,7 @@ class TestDrain:
     def test_close_drains_and_releases(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(use_shared_memory=False)
+        gw = AuditGateway()
         gw.register("unit", unit_coords, biased_labels)
         gw.submit("unit", _spec(1))
         gw.close()
@@ -297,7 +275,7 @@ class TestDrain:
 
         from repro.gateway import serve_http
 
-        gw = AuditGateway(use_shared_memory=False)
+        gw = AuditGateway()
         gw.register("unit", unit_coords, biased_labels)
         seen: dict = {}
 
@@ -348,7 +326,7 @@ class _Client:
 
 @pytest.fixture()
 def http(unit_coords, biased_labels):
-    gw = AuditGateway(queue_size=2, use_shared_memory=False)
+    gw = AuditGateway(queue_size=2)
     server = GatewayHTTPServer(gw, port=0)
     server.start()
     client = _Client(server.url)
@@ -485,3 +463,56 @@ class TestHTTP:
             },
         )
         assert gw.stats()["tenants"]["acme"]["completed"] == 1
+
+
+class TestNoFork:
+    def test_threaded_workers_never_fork_inside_http_server(
+        self, monkeypatch, unit_coords, biased_labels
+    ):
+        """workers=2 over real HTTP runs its chunks on threads: with
+        os.fork disabled every report still equals its solo serial
+        run, byte for byte."""
+        from repro import engine
+
+        def no_fork():
+            raise AssertionError("os.fork called inside the HTTP server")
+
+        pools: list = []
+
+        class PoolSpy(engine.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", PoolSpy)
+        gw = AuditGateway(queue_size=8, workers=2)
+        server = GatewayHTTPServer(gw, port=0)
+        server.start()
+        try:
+            client = _Client(server.url)
+            status, _, _ = client.post(
+                "/datasets",
+                {
+                    "name": "unit",
+                    "coords": unit_coords.tolist(),
+                    "outcomes": biased_labels.tolist(),
+                },
+            )
+            assert status == 201
+            solo = AuditSession(unit_coords, biased_labels, workers=1)
+            for seed in (7, 8):
+                spec = dict(SPEC_DICT, seed=seed)
+                status, body, _ = client.post(
+                    "/audit", {"dataset": "unit", "spec": spec}
+                )
+                assert status == 200
+                expected = solo.run(AuditSpec.from_dict(spec))
+                assert json.dumps(body["report"], sort_keys=True) == (
+                    json.dumps(expected.to_dict(full=True), sort_keys=True)
+                )
+        finally:
+            server.stop()
+            gw.registry.close()
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert pools and all(n == 2 for n in pools)

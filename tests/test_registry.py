@@ -1,4 +1,4 @@
-"""Shared-memory dataset registry: storage, dedup, safety rails."""
+"""Dataset registry: read-only storage, dedup, safety rails."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.api import AuditSession
 from repro.fingerprint import dataset_fingerprint
 from repro.registry import DatasetRegistry, SharedDataset
 from repro.spec import AuditSpec, RegionSpec
-from repro.tiling import TilingPolicy
 
 from .conftest import N_WORLDS
 
@@ -27,7 +26,6 @@ class TestSharedDataset:
     ):
         ds = SharedDataset("d", unit_coords, biased_labels)
         try:
-            assert ds.shared
             assert np.array_equal(ds.coords, unit_coords)
             assert np.array_equal(ds.outcomes, biased_labels)
             assert len(ds) == len(unit_coords)
@@ -71,14 +69,14 @@ class TestSharedDataset:
         finally:
             ds.close()
 
-    def test_private_copy_fallback(self, unit_coords, biased_labels):
-        ds = SharedDataset(
-            "d", unit_coords, biased_labels, use_shared_memory=False
-        )
-        assert not ds.shared
+    def test_private_copy_and_idempotent_close(
+        self, unit_coords, biased_labels
+    ):
+        ds = SharedDataset("d", unit_coords, biased_labels)
+        assert not np.shares_memory(ds.outcomes, biased_labels)
         with pytest.raises(ValueError):
             ds.outcomes[0] = 5
-        ds.close()  # no segments; still idempotent
+        ds.close()
         ds.close()
 
     def test_rejects_bad_coords(self):
@@ -133,15 +131,8 @@ class TestDatasetRegistry:
         )
         direct = AuditSession(unit_coords, biased_labels).run(spec)
         via = registry.session("a").run(spec)
-        tiled = registry.session(
-            "a", tiling=TilingPolicy(2, 2, workers=2)
-        ).run(spec)
         expected = json.dumps(direct.to_dict(full=True), sort_keys=True)
         assert json.dumps(via.to_dict(full=True), sort_keys=True) == expected
-        assert (
-            json.dumps(tiled.to_dict(full=True), sort_keys=True)
-            == expected
-        )
 
     def test_remove_releases_orphaned_storage(
         self, registry, unit_coords, biased_labels
@@ -178,4 +169,3 @@ class TestDatasetRegistry:
         stats = registry.stats()
         assert stats["points"] == len(unit_coords)
         assert stats["bytes"] > 0
-        assert stats["shared_memory"] is True

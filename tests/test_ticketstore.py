@@ -51,11 +51,7 @@ def store(tmp_path):
 
 @pytest.fixture()
 def gateway(tmp_path):
-    gw = AuditGateway(
-        queue_size=16,
-        use_shared_memory=False,
-        store=tmp_path / "tickets.sqlite",
-    )
+    gw = AuditGateway(queue_size=16, store=tmp_path / "tickets.sqlite")
     yield gw
     gw.registry.close()
 
@@ -231,7 +227,7 @@ class TestGatewayWriteThrough:
     ):
         path = tmp_path / "j.sqlite"
         gw1 = AuditGateway(
-            queue_size=16, use_shared_memory=False, store=path
+            queue_size=16, store=path
         )
         _register(gw1, unit_coords, biased_labels)
         ticket = gw1.submit("city", _spec())
@@ -239,7 +235,7 @@ class TestGatewayWriteThrough:
         gw1.registry.close()
 
         gw2 = AuditGateway(
-            queue_size=16, use_shared_memory=False, store=path
+            queue_size=16, store=path
         )
         try:
             stored = gw2.ticket(ticket.id)
@@ -257,7 +253,7 @@ class TestGatewayWriteThrough:
     ):
         path = tmp_path / "j.sqlite"
         gw1 = AuditGateway(
-            queue_size=16, use_shared_memory=False, store=path
+            queue_size=16, store=path
         )
         _register(gw1, unit_coords, biased_labels)
         ticket = gw1.submit("city", _spec(measure="equal_opportunity"))
@@ -266,7 +262,7 @@ class TestGatewayWriteThrough:
         gw1.registry.close()
 
         gw2 = AuditGateway(
-            queue_size=16, use_shared_memory=False, store=path
+            queue_size=16, store=path
         )
         try:
             stored = gw2.ticket(ticket.id)
@@ -322,7 +318,7 @@ class TestGatewayWriteThrough:
     def test_storeless_gateway_unchanged(
         self, unit_coords, biased_labels
     ):
-        gw = AuditGateway(queue_size=16, use_shared_memory=False)
+        gw = AuditGateway(queue_size=16)
         try:
             _register(gw, unit_coords, biased_labels)
             ticket = gw.submit("city", _spec())
@@ -342,7 +338,7 @@ class TestGatewayWriteThrough:
 
 class TestRecovery:
     def _golden(self, unit_coords, biased_labels, spec):
-        gw = AuditGateway(queue_size=16, use_shared_memory=False)
+        gw = AuditGateway(queue_size=16)
         try:
             _register(gw, unit_coords, biased_labels)
             return _payload(gw.submit("city", spec).result())
@@ -358,7 +354,7 @@ class TestRecovery:
         path = tmp_path / "j.sqlite"
         with TicketStore(path) as store:
             gw = AuditGateway(
-                queue_size=16, use_shared_memory=False, store=store
+                queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
             fingerprint = gw.registry.get("city").fingerprint
@@ -387,7 +383,7 @@ class TestRecovery:
         path = tmp_path / "j.sqlite"
         with TicketStore(path) as store:
             gw = AuditGateway(
-                queue_size=16, use_shared_memory=False, store=store
+                queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
             fingerprint = gw.registry.get("city").fingerprint
@@ -412,7 +408,7 @@ class TestRecovery:
                 "gone", "acme", _spec().to_json(), "deadbeef"
             )
             gw = AuditGateway(
-                queue_size=16, use_shared_memory=False, store=store
+                queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
             summary = gw.recover()
@@ -432,7 +428,7 @@ class TestRecovery:
                 "city", "acme", _spec().to_json(), "not-the-data"
             )
             gw = AuditGateway(
-                queue_size=16, use_shared_memory=False, store=store
+                queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
             summary = gw.recover()
@@ -452,7 +448,7 @@ class TestRecovery:
         path = tmp_path / "j.sqlite"
         with TicketStore(path) as store:
             gw = AuditGateway(
-                queue_size=16, use_shared_memory=False, store=store
+                queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
             fingerprint = gw.registry.get("city").fingerprint
@@ -470,7 +466,7 @@ class TestRecovery:
         path = tmp_path / "j.sqlite"
         with TicketStore(path) as store:
             gw = AuditGateway(
-                queue_size=16, use_shared_memory=False, store=store
+                queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
             ticket = gw.submit("city", _spec())

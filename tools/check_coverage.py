@@ -21,9 +21,11 @@ Two modes:
           src/repro/stats.py src/repro/index.py src/repro/engine.py \\
           src/repro/budget.py
 
-Trace mode undercounts slightly (lines run only inside forked pool
-workers are invisible to the parent's tracer), so treat it as a local
-sanity check; the JSON mode number is authoritative.
+Trace mode undercounts slightly (``trace.Trace.runfunc`` follows only
+the calling thread, so lines run only on other threads — the engine's
+chunk pool, the HTTP server's handlers — are invisible to it), so
+treat it as a local sanity check; the JSON mode number is
+authoritative.
 """
 
 from __future__ import annotations
