@@ -1,10 +1,11 @@
-"""Ablation: counting backends (DESIGN.md Section 5).
+"""Ablation: counting strategies (DESIGN.md Section 5).
 
-Compares the three range-count backends on identical queries over the
-LAR-like point cloud: brute-force numpy masks, the uniform GridIndex,
-and the KD-tree.  All must agree exactly; the bench records the
-throughput ranking that justifies the KD-tree default for arbitrary
-square regions.
+Compares two ways of counting identical queries over the LAR-like
+point cloud: brute-force numpy masks per query, and one sort-and-slice
+:class:`RegionMembership` build answering all queries at once.  Both
+must agree exactly; the bench records the throughput gap that
+justifies building the membership index rather than scanning every
+point per region.
 """
 
 import time
@@ -13,7 +14,8 @@ import numpy as np
 from conftest import report
 
 from repro import Rect
-from repro.index import GridIndex, KDTree
+from repro.geometry import Region, RegionSet
+from repro.index import RegionMembership
 
 
 def _make_queries(lar, k=300, seed=0, min_side=0.05, max_side=0.5):
@@ -30,41 +32,36 @@ def _make_queries(lar, k=300, seed=0, min_side=0.05, max_side=0.5):
 
 def test_counting_backends_agree_and_rank(benchmark, lar):
     queries = _make_queries(lar)
+    regions = RegionSet([Region(q, i) for i, q in enumerate(queries)])
     coords = lar.coords
 
     def run():
-        tree = KDTree(coords)
-        grid = GridIndex(coords)
         t0 = time.perf_counter()
         brute = [int(q.contains(coords).sum()) for q in queries]
         t_brute = time.perf_counter() - t0
         t0 = time.perf_counter()
-        via_tree = [tree.count(q) for q in queries]
-        t_tree = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        via_grid = [grid.count(q) for q in queries]
-        t_grid = time.perf_counter() - t0
-        return brute, via_tree, via_grid, t_brute, t_tree, t_grid
+        via_index = RegionMembership(regions, coords).counts.tolist()
+        t_index = time.perf_counter() - t0
+        return brute, via_index, t_brute, t_index
 
-    brute, via_tree, via_grid, t_brute, t_tree, t_grid = benchmark.pedantic(
+    brute, via_index, t_brute, t_index = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
 
     report(
-        "Ablation: counting backends (300 queries, 60k points)",
+        "Ablation: counting strategies (300 queries, 60k points)",
         [
             ("brute force (s)", "-", f"{t_brute:.3f}"),
-            ("KD-tree (s)", "-", f"{t_tree:.3f}"),
-            ("GridIndex (s)", "-", f"{t_grid:.3f}"),
+            ("RegionMembership build (s)", "-", f"{t_index:.3f}"),
             (
-                "KD-tree speedup over brute",
+                "index speedup over brute",
                 ">1",
-                f"{t_brute / max(t_tree, 1e-9):.1f}x",
+                f"{t_brute / max(t_index, 1e-9):.1f}x",
             ),
         ],
     )
 
-    assert brute == via_tree == via_grid
+    assert brute == via_index
     # The point of having an index: selective queries beat a full scan.
     # Allow slack for timer noise in shared environments.
-    assert t_tree < 1.5 * t_brute
+    assert t_index < 1.5 * t_brute

@@ -1,8 +1,9 @@
 """Ablation: Monte Carlo recounting strategies (DESIGN.md Section 5).
 
 The membership-matrix design recounts every region for a simulated
-world with one sparse mat-vec.  The naive alternative re-queries the
-KD-tree per region per world.  Both must produce identical counts; the
+world with one sparse mat-vec.  The naive alternative re-tests every
+point against each region (``Region.contains``) and sums the masked
+worlds per region.  Both must produce identical counts; the
 bench measures the gap that motivates the design.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 from conftest import report
 
 from repro import paper_side_lengths, scan_centers, square_region_set
-from repro.index import KDTree, RegionMembership
+from repro.index import RegionMembership
 
 
 def test_membership_matmul_vs_requery(benchmark, lar):
@@ -24,8 +25,7 @@ def test_membership_matmul_vs_requery(benchmark, lar):
     n_worlds = 20
 
     def run():
-        tree = KDTree(coords)
-        member = RegionMembership(regions, coords, kdtree=tree)
+        member = RegionMembership(regions, coords)
         worlds = (rng.random((len(coords), n_worlds)) < 0.6).astype(
             np.float64
         )
@@ -35,8 +35,7 @@ def test_membership_matmul_vs_requery(benchmark, lar):
         t0 = time.perf_counter()
         slow = np.empty((len(regions), n_worlds))
         for r, region in enumerate(regions):
-            idx = tree.query_indices(region.rect)
-            slow[r] = worlds[idx].sum(axis=0)
+            slow[r] = worlds[region.contains(coords)].sum(axis=0)
         t_slow = time.perf_counter() - t0
         return fast, slow, t_fast, t_slow
 

@@ -55,7 +55,7 @@ HTTP), :mod:`repro.registry` (read-only dataset store),
 (statistic kernels), :mod:`repro.kernels` (backend-dispatched
 hot-path kernels: numpy or optional compiled numba, bit-identical),
 :mod:`repro.fingerprint` (dataset content fingerprints for cache
-keys), :mod:`repro.index` (counting backends),
+keys), :mod:`repro.index` (sparse region membership),
 :mod:`repro.baselines` (MeanVar, naive testing),
 :mod:`repro.datasets` (paper-shaped generators), :mod:`repro.forest`
 (numpy random forest), :mod:`repro.viz` (SVG figures).
@@ -146,7 +146,7 @@ from .gateway import (
     UnknownDatasetError,
     serve_http,
 )
-from .index import GridIndex, KDTree, RegionMembership, StackedMembership
+from .index import RegionMembership, StackedMembership
 from .kernels import (
     active_backend,
     numba_available,
@@ -183,9 +183,7 @@ __all__ = [
     "GatewayHTTPServer",
     "GatewayTicket",
     "GerrymanderScore",
-    "GridIndex",
     "GridPartitioning",
-    "KDTree",
     "LLRKernel",
     "MEASURES",
     "Measure",

@@ -51,7 +51,7 @@ from .fingerprint import (
     dataset_fingerprint as _dataset_fingerprint,
     extend_fingerprint as _extend_fingerprint,
 )
-from .geometry import Rect, RegionSet
+from .geometry import Rect, RegionSet, check_coords
 from .index import RegionMembership
 from .spec import AuditSpec, RegionSpec
 
@@ -280,12 +280,7 @@ class AuditSession:
         workers: int | None = None,
         timestamps: np.ndarray | None = None,
     ):
-        self.coords = np.asarray(coords, dtype=np.float64)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 2:
-            raise ValueError(
-                "coords: expected an (n, 2) array, got shape "
-                f"{self.coords.shape}"
-            )
+        self.coords = check_coords(coords)
         self.outcomes = np.asarray(outcomes).ravel()
         if len(self.outcomes) != len(self.coords):
             raise ValueError(
@@ -649,12 +644,7 @@ class AuditSession:
         int
             The number of points appended.
         """
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise ValueError(
-                "coords: expected a (k, 2) array, got shape "
-                f"{coords.shape}"
-            )
+        coords = check_coords(coords)
         k = len(coords)
         outcomes = np.asarray(outcomes).ravel()
         if len(outcomes) != k:

@@ -47,6 +47,7 @@ import numpy as np
 from . import kernels
 from .budget import BudgetPolicy, round_sizes, sequential_decision
 from .fingerprint import array_fingerprint
+from .geometry import check_coords
 from .index import RegionMembership, StackedMembership
 
 __all__ = [
@@ -202,24 +203,6 @@ class LLRKernel:
         raise NotImplementedError
 
 
-def _bernoulli_batch_llr(
-    n: np.ndarray,
-    world_p: np.ndarray,
-    N: float,
-    world_P: np.ndarray,
-    direction: int,
-) -> np.ndarray:
-    """Bernoulli LLR for a batch of simulated worlds.
-
-    Each world has its own global positive total ``world_P[w]``; the
-    statistic must be computed against that world's own rate, exactly
-    as for the observed data.  Evaluation dispatches through
-    :func:`repro.kernels.bernoulli_llr_batch` (numpy or compiled —
-    bit-identical either way).
-    """
-    return kernels.bernoulli_llr_batch(n, world_p, N, world_P, direction)
-
-
 class BernoulliKernel(LLRKernel):
     """Null worlds for binary outcomes: labels redrawn i.i.d. Bernoulli
     at the global positive rate, locations fixed (the paper's SUL null).
@@ -264,7 +247,7 @@ class BernoulliKernel(LLRKernel):
     def score(self, worlds: np.ndarray) -> np.ndarray:
         world_p = self.member.positive_counts_batch(worlds)
         world_P = worlds.sum(axis=0, dtype=np.float64)
-        return _bernoulli_batch_llr(
+        return kernels.bernoulli_llr_batch(
             self._n, world_p, float(self.n_points), world_P, self.direction
         )
 
@@ -479,7 +462,7 @@ class MonteCarloEngine:
         workers: int | None = None,
         cache_size: int = 8,
     ):
-        self.coords = np.asarray(coords, dtype=np.float64)
+        self.coords = check_coords(coords)
         self.workers = workers
         self.cache_size = int(cache_size)
         self._member_cache: "weakref.WeakKeyDictionary" = (
@@ -522,8 +505,8 @@ class MonteCarloEngine:
         Every cached membership index is extended incrementally
         (:meth:`repro.index.RegionMembership.append_points`), so
         subsequent audits see matrices **bit-identical** to cold builds
-        over the grown coordinate array without paying for the full
-        kd-tree pass.  The updated members' cached null distributions
+        over the grown coordinate array without paying for a full
+        rebuild.  The updated members' cached null distributions
         are dropped — their counting operand changed — while other
         members' caches survive untouched.
 
@@ -532,12 +515,7 @@ class MonteCarloEngine:
         coords : ndarray of shape (k, 2)
             Coordinates of the appended points, in arrival order.
         """
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise ValueError(
-                "coords: expected an array of shape (k, 2), got shape "
-                f"{coords.shape}"
-            )
+        coords = check_coords(coords)
         self.coords = np.concatenate([self.coords, coords])
         for member in list(self._member_cache.values()):
             member.append_points(coords)

@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "check_coords",
     "Rect",
     "Region",
     "RegionSet",
@@ -29,6 +30,43 @@ __all__ = [
     "paper_side_lengths",
     "random_partitionings",
 ]
+
+
+def check_coords(coords) -> np.ndarray:
+    """Validate observation locations as a finite ``(k, 2)`` array.
+
+    Every entry point that accepts coordinates (sessions, appends,
+    engines, registered datasets) goes through this one check, so a
+    NaN or infinite location is rejected up front instead of silently
+    falling outside every region while still counting toward ``N``.
+
+    Parameters
+    ----------
+    coords : array_like of shape (k, 2)
+
+    Returns
+    -------
+    ndarray of float64, shape (k, 2)
+
+    Raises
+    ------
+    ValueError
+        Naming ``coords`` when the shape is not ``(k, 2)`` or a value
+        is NaN or infinite.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise ValueError(
+            f"coords: expected a (k, 2) array, got shape {coords.shape}"
+        )
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValueError(
+            f"coords: expected finite values, got {len(bad)} row(s) "
+            f"with NaN or infinite coordinates (first: row {bad[0]})"
+        )
+    return coords
 
 
 @dataclass(frozen=True)

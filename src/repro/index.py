@@ -1,16 +1,14 @@
-"""Spatial indexes for vectorized point-in-region counting.
+"""Sparse region-by-point membership for vectorized counting.
 
-Three backends answer the audit's counting queries:
-
-* :class:`KDTree` — a 2-d kd-tree with bounding-box pruning; the
-  default for arbitrary rectangle queries;
-* :class:`GridIndex` — a uniform bucket grid; fastest when query
-  extents match the bucket size;
 * :class:`RegionMembership` — the precomputed sparse region-by-point
   membership matrix that turns Monte Carlo recounting into a single
-  sparse mat-vec per batch of simulated worlds.
+  sparse mat-vec per batch of simulated worlds;
+* :class:`StackedMembership` — several designs' matrices over the same
+  points, stacked so a fused batch recounts every design at once.
 
-All backends return exact counts and agree with brute force.
+Membership is exact: a row holds precisely the points that
+:meth:`repro.geometry.Region.contains` accepts (closed rectangles,
+closed discs).
 """
 
 from __future__ import annotations
@@ -18,238 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .geometry import Rect, RegionSet
+from .geometry import RegionSet
 
-__all__ = ["KDTree", "GridIndex", "RegionMembership", "StackedMembership"]
-
-
-class KDTree:
-    """A 2-d kd-tree over ``(n, 2)`` points supporting rectangle queries.
-
-    The tree is built once (median splits, array-backed nodes) and then
-    answers :meth:`count` and :meth:`query_indices` by descending with
-    bounding-box pruning: subtrees wholly inside the query are counted
-    without touching their points, subtrees wholly outside are skipped.
-
-    Parameters
-    ----------
-    coords : ndarray of shape (n, 2)
-        Point coordinates.  The tree stores a permutation of indices
-        into this array.
-    leaf_size : int, default 64
-        Maximum number of points in a leaf node.
-    """
-
-    def __init__(self, coords: np.ndarray, leaf_size: int = 64):
-        coords = np.asarray(coords, dtype=np.float64)
-        self.coords = coords
-        self.leaf_size = int(leaf_size)
-        n = len(coords)
-        self._idx = np.arange(n, dtype=np.int64)
-        # Flat node arrays, appended during construction.
-        self._start: list[int] = []
-        self._end: list[int] = []
-        self._bbox: list[tuple[float, float, float, float]] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        if n:
-            self._build(0, n, 0)
-
-    def _build(self, start: int, end: int, depth: int) -> int:
-        node = len(self._start)
-        self._start.append(start)
-        self._end.append(end)
-        sub = self.coords[self._idx[start:end]]
-        mn = sub.min(axis=0)
-        mx = sub.max(axis=0)
-        self._bbox.append(
-            (float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1]))
-        )
-        self._left.append(-1)
-        self._right.append(-1)
-        if end - start > self.leaf_size:
-            axis = depth % 2
-            mid = (start + end) // 2
-            part = self._idx[start:end]
-            order = np.argpartition(
-                self.coords[part, axis], mid - start
-            )
-            self._idx[start:end] = part[order]
-            self._left[node] = self._build(start, mid, depth + 1)
-            self._right[node] = self._build(mid, end, depth + 1)
-        return node
-
-    def _visit(self, rect: Rect) -> list:
-        """Shared traversal: returns (start, end, full) index spans."""
-        spans = []
-        if not self._start:
-            return spans
-        stack = [0]
-        qx0, qy0 = rect.min_x, rect.min_y
-        qx1, qy1 = rect.max_x, rect.max_y
-        while stack:
-            node = stack.pop()
-            bx0, by0, bx1, by1 = self._bbox[node]
-            if bx0 > qx1 or bx1 < qx0 or by0 > qy1 or by1 < qy0:
-                continue
-            if bx0 >= qx0 and bx1 <= qx1 and by0 >= qy0 and by1 <= qy1:
-                spans.append((self._start[node], self._end[node], True))
-                continue
-            left = self._left[node]
-            if left < 0:
-                spans.append((self._start[node], self._end[node], False))
-            else:
-                stack.append(left)
-                stack.append(self._right[node])
-        return spans
-
-    def count(self, rect: Rect) -> int:
-        """Exact number of points inside the closed rectangle.
-
-        Parameters
-        ----------
-        rect : Rect
-
-        Returns
-        -------
-        int
-        """
-        total = 0
-        for start, end, full in self._visit(rect):
-            if full:
-                total += end - start
-            else:
-                pts = self.coords[self._idx[start:end]]
-                total += int(rect.contains(pts).sum())
-        return total
-
-    def query_indices(self, rect: Rect) -> np.ndarray:
-        """Indices (into the original array) of points inside ``rect``.
-
-        Parameters
-        ----------
-        rect : Rect
-
-        Returns
-        -------
-        ndarray of int64
-        """
-        chunks = []
-        for start, end, full in self._visit(rect):
-            idx = self._idx[start:end]
-            if full:
-                chunks.append(idx)
-            else:
-                pts = self.coords[idx]
-                chunks.append(idx[rect.contains(pts)])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-
-class GridIndex:
-    """A uniform bucket grid for exact rectangle counting.
-
-    Points are bucketed once into an ``nx x ny`` grid; a query counts
-    fully-covered buckets from precomputed sizes and inspects only the
-    boundary buckets' points.
-
-    Parameters
-    ----------
-    coords : ndarray of shape (n, 2)
-    n_cells_hint : int, optional
-        Target total bucket count; defaults to roughly one point per
-        bucket capped at 16384.
-    """
-
-    def __init__(self, coords: np.ndarray, n_cells_hint: int | None = None):
-        coords = np.asarray(coords, dtype=np.float64)
-        self.coords = coords
-        n = len(coords)
-        if n_cells_hint is None:
-            n_cells_hint = int(min(max(n, 16), 16_384))
-        side = max(1, int(np.sqrt(n_cells_hint)))
-        self.nx = self.ny = side
-        bounds = Rect.bounding(coords) if n else Rect(0, 0, 1, 1)
-        # A hair of margin so max-coordinate points land inside.
-        eps_x = (bounds.width or 1.0) * 1e-9
-        eps_y = (bounds.height or 1.0) * 1e-9
-        self.x_edges = np.linspace(
-            bounds.min_x, bounds.max_x + eps_x, side + 1
-        )
-        self.y_edges = np.linspace(
-            bounds.min_y, bounds.max_y + eps_y, side + 1
-        )
-        ix = np.clip(
-            np.searchsorted(self.x_edges, coords[:, 0], side="right") - 1,
-            0,
-            side - 1,
-        )
-        iy = np.clip(
-            np.searchsorted(self.y_edges, coords[:, 1], side="right") - 1,
-            0,
-            side - 1,
-        )
-        cell = iy * side + ix
-        order = np.argsort(cell, kind="stable")
-        self._order = order.astype(np.int64)
-        counts = np.bincount(cell, minlength=side * side)
-        self._offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    def _cell_slice(self, ix: int, iy: int) -> np.ndarray:
-        c = iy * self.nx + ix
-        return self._order[self._offsets[c] : self._offsets[c + 1]]
-
-    def count(self, rect: Rect) -> int:
-        """Exact number of points inside the closed rectangle."""
-        ix0 = int(
-            np.clip(
-                np.searchsorted(self.x_edges, rect.min_x, "right") - 1,
-                0,
-                self.nx - 1,
-            )
-        )
-        ix1 = int(
-            np.clip(
-                np.searchsorted(self.x_edges, rect.max_x, "right") - 1,
-                0,
-                self.nx - 1,
-            )
-        )
-        iy0 = int(
-            np.clip(
-                np.searchsorted(self.y_edges, rect.min_y, "right") - 1,
-                0,
-                self.ny - 1,
-            )
-        )
-        iy1 = int(
-            np.clip(
-                np.searchsorted(self.y_edges, rect.max_y, "right") - 1,
-                0,
-                self.ny - 1,
-            )
-        )
-        total = 0
-        for iy in range(iy0, iy1 + 1):
-            inner_y = (
-                self.y_edges[iy] >= rect.min_y
-                and self.y_edges[iy + 1] <= rect.max_y
-            )
-            for ix in range(ix0, ix1 + 1):
-                idx = self._cell_slice(ix, iy)
-                if not len(idx):
-                    continue
-                inner = (
-                    inner_y
-                    and self.x_edges[ix] >= rect.min_x
-                    and self.x_edges[ix + 1] <= rect.max_x
-                )
-                if inner:
-                    total += len(idx)
-                else:
-                    total += int(rect.contains(self.coords[idx]).sum())
-        return total
+__all__ = ["RegionMembership", "StackedMembership"]
 
 
 class RegionMembership:
@@ -260,7 +29,7 @@ class RegionMembership:
     (``n_regions x n_points``, one where the point lies in the region)
     this is a single sparse matrix product ``M @ worlds`` for a whole
     batch of worlds — the design that keeps the scan O(worlds) instead
-    of O(worlds x regions x tree queries).
+    of O(worlds x regions x point queries).
 
     The matrix is stored in a **canonical layout**: within every
     region row the member point indices are sorted ascending.  A cold
@@ -276,36 +45,37 @@ class RegionMembership:
         Candidate regions (rectangles and/or circles).
     coords : ndarray of shape (n, 2)
         Observation locations.
-    kdtree : KDTree, optional
-        A prebuilt tree over ``coords``; built on demand otherwise.
     """
 
-    def __init__(
-        self,
-        regions: RegionSet,
-        coords: np.ndarray,
-        kdtree: KDTree | None = None,
-    ):
+    def __init__(self, regions: RegionSet, coords: np.ndarray):
         from scipy import sparse
 
         coords = np.asarray(coords, dtype=np.float64)
         self.regions = regions
         self.n_points = len(coords)
-        if kdtree is None:
-            kdtree = KDTree(coords)
-        indptr = np.zeros(len(regions) + 1, dtype=np.int64)
+        # Sort the points by x once; each region's x-span is then one
+        # contiguous slice, filtered on y (and radius, for circles).
+        order = np.argsort(coords[:, 0])
+        xs = coords[order, 0]
+        ys = coords[order, 1]
+        rects = [region.rect for region in regions]
+        lo = np.searchsorted(xs, [r.min_x for r in rects], side="left")
+        hi = np.searchsorted(xs, [r.max_x for r in rects], side="right")
+        sizes = np.zeros(len(regions), dtype=np.int64)
         chunks = []
-        for r, region in enumerate(regions):
-            idx = kdtree.query_indices(region.rect)
-            if region.kind == "circle" and len(idx):
-                cx, cy = region.rect.center
-                pts = coords[idx]
-                d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
-                idx = idx[d2 <= region.radius**2]
+        for r in np.flatnonzero(hi > lo).tolist():
+            rect, a, b = rects[r], int(lo[r]), int(hi[r])
+            y = ys[a:b]
+            keep = (y >= rect.min_y) & (y <= rect.max_y)
+            if regions[r].kind == "circle":
+                cx, cy = rect.center
+                d2 = (xs[a:b] - cx) ** 2 + (y - cy) ** 2
+                keep &= d2 <= regions[r].radius**2
             # Canonical layout: sorted column indices per row (see the
             # class docstring — required for streamed bit-identity).
-            chunks.append(np.sort(idx))
-            indptr[r + 1] = indptr[r] + len(idx)
+            chunks.append(np.sort(order[a:b][keep]))
+            sizes[r] = len(chunks[-1])
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
         indices = (
             np.concatenate(chunks) if chunks else np.empty(0, np.int64)
         )
@@ -330,8 +100,8 @@ class RegionMembership:
         """Append newly arrived points as CSR columns, in place.
 
         Membership of the new points is computed against this index's
-        regions only (a small kd-tree over the delta), so the update
-        costs O(delta) queries instead of a full rebuild.  New points
+        regions only (a build over the delta), so the update costs
+        O(delta) work instead of a full rebuild.  New points
         take column indices past the existing ones and every row keeps
         its indices sorted, so the updated matrix is **bit-identical**
         to a cold build over the concatenated coordinate array.
@@ -499,8 +269,8 @@ class StackedMembership:
         stacked matrix is then re-stacked from the members' canonical
         matrices, which is bit-identical to a cold
         :class:`StackedMembership` build over the grown members and
-        costs only a sparse copy — the kd-tree queries are the
-        incremental part.
+        costs only a sparse copy — the per-region builds over the delta
+        are the incremental part.
 
         Parameters
         ----------

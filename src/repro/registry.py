@@ -32,6 +32,7 @@ import numpy as np
 
 from .api import AuditSession
 from .fingerprint import dataset_fingerprint
+from .geometry import check_coords
 
 __all__ = ["SharedDataset", "DatasetRegistry"]
 
@@ -77,7 +78,7 @@ class SharedDataset:
         )
         self._closed = False
         arrays = {
-            "coords": np.asarray(coords, dtype=np.float64),
+            "coords": check_coords(coords),
             "outcomes": np.asarray(outcomes),
             "y_true": None if y_true is None else np.asarray(y_true),
             "forecast": (
@@ -86,11 +87,6 @@ class SharedDataset:
                 else np.asarray(forecast, dtype=np.float64)
             ),
         }
-        if arrays["coords"].ndim != 2 or arrays["coords"].shape[1] != 2:
-            raise ValueError(
-                "coords: expected an (n, 2) array, got shape "
-                f"{arrays['coords'].shape}"
-            )
         for field, arr in arrays.items():
             if arr is not None:
                 arr = arr.copy()

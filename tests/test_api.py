@@ -300,6 +300,19 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="outcomes"):
             AuditSession(unit_coords, biased_labels[:-1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_session_rejects_non_finite_coords(
+        self, unit_coords, biased_labels, bad
+    ):
+        # A NaN point would fall in no region yet still count toward N
+        # (explicit bounds), or break the auto-bounds grid; reject it.
+        coords = unit_coords.copy()
+        coords[3, 1] = bad
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            AuditSession(coords, biased_labels)
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            repro.audit(coords, biased_labels)
+
 
 class TestCorrections:
     def test_fdr_bh_matches_manual_bh(self, unit_coords, biased_labels):

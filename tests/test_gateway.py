@@ -452,6 +452,24 @@ class TestHTTP:
         )
         assert status == 400
 
+    def test_register_rejects_non_finite_coords(
+        self, http, unit_coords, biased_labels
+    ):
+        client, gw = http
+        coords = unit_coords.tolist()
+        coords[5][0] = float("nan")  # json.dumps writes a NaN token
+        status, body, _ = client.post(
+            "/datasets",
+            {
+                "name": "bad",
+                "coords": coords,
+                "outcomes": biased_labels.tolist(),
+            },
+        )
+        assert status == 400
+        assert "coords" in body["error"]
+        assert "bad" not in gw.registry
+
     def test_unknown_tenant_accounting(self, http):
         client, gw = http
         client.post(

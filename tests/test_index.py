@@ -1,25 +1,23 @@
-"""Unit tests for the counting backends in :mod:`repro.index`.
+"""Unit tests for the sparse membership indexes in :mod:`repro.index`.
 
-Every backend must agree exactly with brute force on random point
+Every build must agree exactly with brute force on random point
 sets — the audit's correctness rests on exact counts.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.geometry import (
     GridPartitioning,
     Rect,
+    Region,
+    RegionSet,
     circle_region_set,
     partition_region_set,
     square_region_set,
 )
-from repro.index import (
-    GridIndex,
-    KDTree,
-    RegionMembership,
-    StackedMembership,
-)
+from repro.index import RegionMembership, StackedMembership
 
 
 @pytest.fixture(scope="module")
@@ -45,56 +43,126 @@ def query_rects():
     return rects
 
 
-def brute_count(coords, rect):
-    return int(rect.contains(coords).sum())
+def rect_regions(rects):
+    return RegionSet([Region(rect, i) for i, rect in enumerate(rects)])
 
 
-class TestKDTree:
-    def test_count_equals_brute_force(self, points, query_rects):
-        tree = KDTree(points)
-        for rect in query_rects:
-            assert tree.count(rect) == brute_count(points, rect)
+def brute_csr(regions, coords):
+    """Reference CSR built row by row from ``Region.contains``."""
+    rows = [np.nonzero(r.contains(coords))[0] for r in regions]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.concatenate(rows) if rows else np.empty(0, np.int64)
+    return sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr),
+        shape=(len(regions), len(coords)),
+    )
 
-    def test_small_leaves_force_deep_tree(self, points, query_rects):
-        tree = KDTree(points, leaf_size=4)
-        for rect in query_rects:
-            assert tree.count(rect) == brute_count(points, rect)
 
-    def test_query_indices_equal_brute_force(self, points, query_rects):
-        tree = KDTree(points)
-        for rect in query_rects:
-            got = np.sort(tree.query_indices(rect))
-            want = np.nonzero(rect.contains(points))[0]
-            assert np.array_equal(got, want)
+def assert_csr_identical(regions, coords):
+    """The membership matrix equals brute force byte for byte."""
+    got = RegionMembership(regions, coords)._matrix
+    want = brute_csr(regions, coords)
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
 
-    def test_empty_point_set(self):
-        tree = KDTree(np.empty((0, 2)))
-        assert tree.count(Rect(0, 0, 1, 1)) == 0
-        assert len(tree.query_indices(Rect(0, 0, 1, 1))) == 0
+
+GRID20 = GridPartitioning.regular(Rect(0, 0, 1, 1), 20, 20)
+
+
+def grid20_cells(point):
+    """Cells of the 20x20 unit grid whose membership row holds
+    ``point``."""
+    member = RegionMembership(
+        partition_region_set(GRID20), np.array([point])
+    )
+    return [r for r in range(len(member)) if len(member.point_indices(r))]
+
+
+class TestMembershipBuild:
+    def test_rect_counts_equal_brute_force(self, points, query_rects):
+        member = RegionMembership(rect_regions(query_rects), points)
+        want = [int(rect.contains(points).sum()) for rect in query_rects]
+        assert list(member.counts) == want
+
+    def test_rect_csr_matches_brute_force(self, points, query_rects):
+        # Includes the degenerate, all-covering and partly outside
+        # rectangles of the ``query_rects`` fixture.
+        assert_csr_identical(rect_regions(query_rects), points)
+
+    def test_tied_x_coordinates_match_brute_force(self, query_rects):
+        # Many points share an x (and y) value, so the x-sorted slice
+        # boundaries fall inside runs of ties.
+        rng = np.random.default_rng(5)
+        pts = np.round(rng.random((400, 2)) * 10) / 10
+        assert_csr_identical(rect_regions(query_rects), pts)
+
+    def test_grid_csr_matches_brute_force(self, points):
+        assert_csr_identical(partition_region_set(GRID20), points)
+
+    def test_coarse_grid_csr_matches_brute_force(self, points):
+        grid = GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
+        assert_csr_identical(partition_region_set(grid), points)
+
+    def test_squares_and_circles_csr_match_brute_force(self, points):
+        rng = np.random.default_rng(3)
+        centers = rng.random((6, 2))
+        squares = square_region_set(centers, [0.05, 0.15, 0.4])
+        circles = circle_region_set(centers, [0.05, 0.1, 0.25])
+        assert_csr_identical(squares, points)
+        assert_csr_identical(circles, points)
+
+    def test_point_on_circle_boundary_is_inside(self):
+        # Discs are closed: points at exactly the radius are members.
+        circles = circle_region_set(np.array([[0.5, 0.5]]), [0.25])
+        pts = np.array([[0.75, 0.5], [0.5, 0.25], [0.75, 0.75]])
+        member = RegionMembership(circles, pts)
+        assert list(member.point_indices(0)) == [0, 1]
+        assert_csr_identical(circles, pts)
+
+    def test_empty_point_set(self, query_rects):
+        empty = np.empty((0, 2))
+        member = RegionMembership(rect_regions(query_rects), empty)
+        assert member.n_points == 0
+        assert not member.counts.any()
+        assert_csr_identical(rect_regions(query_rects), empty)
 
     def test_single_point(self):
-        tree = KDTree(np.array([[0.5, 0.5]]))
-        assert tree.count(Rect(0, 0, 1, 1)) == 1
-        assert tree.count(Rect(0.6, 0.6, 1, 1)) == 0
-
-
-class TestGridIndex:
-    def test_count_equals_brute_force(self, points, query_rects):
-        grid = GridIndex(points)
-        for rect in query_rects:
-            assert grid.count(rect) == brute_count(points, rect)
-
-    def test_coarse_buckets(self, points, query_rects):
-        grid = GridIndex(points, n_cells_hint=9)
-        for rect in query_rects:
-            assert grid.count(rect) == brute_count(points, rect)
+        one = np.array([[0.5, 0.5]])
+        regions = rect_regions([Rect(0, 0, 1, 1), Rect(0.6, 0.6, 1, 1)])
+        member = RegionMembership(regions, one)
+        assert list(member.counts) == [1, 0]
+        assert_csr_identical(regions, one)
 
     def test_max_coordinate_point_is_inside(self):
-        # The bucket edges get a hair of margin so the max point lands
-        # in the last bucket, not outside the grid.
+        # Closed rectangles: the max-coordinate point is a member.
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        grid = GridIndex(pts)
-        assert grid.count(Rect(0, 0, 1, 1)) == 2
+        member = RegionMembership(rect_regions([Rect(0, 0, 1, 1)]), pts)
+        assert list(member.counts) == [2]
+
+
+class TestClosedRectangleGrid:
+    """Grid cells are closed rectangles, not half-open bins.
+
+    A point on a shared edge or corner belongs to every cell that
+    touches it, and a point outside explicit bounds belongs to none.
+    :meth:`GridPartitioning.cell_ids` bins half-open and clamps outside
+    points into border cells, so it cannot stand in for the membership
+    build without changing reports.
+    """
+
+    def test_shared_edge_point_in_two_cells(self):
+        assert grid20_cells((0.05, 0.3)) == [100, 101]
+        assert list(GRID20.cell_ids(np.array([[0.05, 0.3]]))) == [101]
+
+    def test_shared_corner_point_in_four_cells(self):
+        corner = (GRID20.x_edges[10], GRID20.y_edges[10])
+        assert grid20_cells(corner) == [189, 190, 209, 210]
+
+    def test_point_outside_explicit_bounds_in_no_cell(self):
+        assert grid20_cells((1.5, 0.5)) == []
+        assert len(GRID20.cell_ids(np.array([[1.5, 0.5]]))) == 1
 
 
 class TestRegionMembership:
@@ -146,12 +214,6 @@ class TestRegionMembership:
             got = set(member.point_indices(r_id))
             want = set(np.nonzero(regions[r_id].contains(points))[0])
             assert got == want
-
-    def test_reuses_prebuilt_kdtree(self, points, regions):
-        tree = KDTree(points)
-        member = RegionMembership(regions, points, kdtree=tree)
-        want = [int(r.contains(points).sum()) for r in regions]
-        assert list(member.counts) == want
 
 
 class TestLargeCountExactness:

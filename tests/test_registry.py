@@ -82,6 +82,8 @@ class TestSharedDataset:
     def test_rejects_bad_coords(self):
         with pytest.raises(ValueError, match="coords"):
             SharedDataset("d", np.zeros(5), np.zeros(5))
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            SharedDataset("d", np.full((5, 2), np.inf), np.zeros(5))
 
     def test_session_after_close_raises(
         self, unit_coords, biased_labels
@@ -105,6 +107,15 @@ class TestDatasetRegistry:
     def test_unknown_name_lists_known(self, registry):
         with pytest.raises(KeyError, match="unknown dataset"):
             registry.get("ghost")
+
+    def test_register_rejects_non_finite_coords(
+        self, registry, unit_coords, biased_labels
+    ):
+        coords = unit_coords.copy()
+        coords[0, 1] = np.nan
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            registry.register("a", coords, biased_labels)
+        assert "a" not in registry and len(registry) == 0
 
     def test_equal_content_shares_storage(
         self, registry, unit_coords, biased_labels

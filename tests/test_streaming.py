@@ -415,6 +415,24 @@ class TestStreamValidation:
             engine.append_points(np.zeros(4))
         with pytest.raises(ValueError, match="boolean mask"):
             engine.evict_points(np.zeros(10, dtype=bool))
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            engine.append_points(np.full((4, 2), np.nan))
+        assert len(engine.coords) == len(unit_coords)
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            MonteCarloEngine(np.full((4, 2), np.inf))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_append_rejects_non_finite_coords(
+        self, unit_coords, biased_labels, bad
+    ):
+        session = AuditSession(unit_coords[:500], biased_labels[:500])
+        delta = unit_coords[500:505].copy()
+        delta[2, 0] = bad
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            session.append(delta, biased_labels[500:505])
+        # The rejected batch left the session untouched.
+        assert len(session.coords) == 500
+        assert len(session.outcomes) == 500
 
 
 class TestIncrementalIndex:

@@ -20,7 +20,8 @@ machines enforce it.
 
 Each history row records the commit, UTC timestamp, backend, usable
 cores and per-kernel throughput in processed cells (region x world
-entries) per second; the list is capped so the JSON stays small.
+entries) per second, plus the ``membership_build`` row in region x
+point entries per second; the list is capped so the JSON stays small.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro import kernels  # noqa: E402
 from repro.index import RegionMembership  # noqa: E402
 from repro.geometry import GridPartitioning, Rect  # noqa: E402
 from repro.geometry import partition_region_set  # noqa: E402
+from repro.geometry import square_region_set  # noqa: E402
 
 #: Synthetic workload: regions x points x worlds sized so one repeat
 #: runs in well under a second per kernel on any machine.
@@ -49,6 +51,10 @@ N_POINTS = 20_000
 GRID_SIDE = 20  # 400 regions
 N_WORLDS = 192
 SEED = 7
+#: Fixed squares design for the membership-build row: 100 centres x
+#: 20 sides = 2000 regions.
+N_CENTERS = 100
+SQUARE_SIDES = np.linspace(0.02, 0.4, 20)
 
 #: History rows kept per file (oldest dropped first).
 HISTORY_CAP = 50
@@ -120,6 +126,38 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
+def bench_membership_build(repeats: int = 3) -> float:
+    """Throughput of the cold :class:`RegionMembership` build.
+
+    Times one build over the fixed 20x20 grid and one over the fixed
+    squares design (same points as the kernel workload).
+
+    Parameters
+    ----------
+    repeats : int, default 3
+        Timed repetitions per design (best taken).
+
+    Returns
+    -------
+    float
+        Region x point entries per second over both designs.
+    """
+    rng = np.random.default_rng(SEED)
+    coords = rng.random((N_POINTS, 2))
+    designs = [
+        partition_region_set(
+            GridPartitioning.regular(Rect(0, 0, 1, 1), GRID_SIDE, GRID_SIDE)
+        ),
+        square_region_set(rng.random((N_CENTERS, 2)), SQUARE_SIDES),
+    ]
+    seconds = sum(
+        _time(lambda: RegionMembership(regions, coords), repeats)
+        for regions in designs
+    )
+    cells = float(sum(len(regions) for regions in designs) * N_POINTS)
+    return round(cells / max(seconds, 1e-9), 1)
+
+
 def bench_kernels(backend: str, repeats: int = 3) -> dict:
     """Throughput of every hot-path kernel on one backend.
 
@@ -134,7 +172,8 @@ def bench_kernels(backend: str, repeats: int = 3) -> dict:
     -------
     dict
         Kernel name -> processed cells (region x world entries) per
-        second.
+        second; ``membership_build`` counts region x point entries
+        (see :func:`bench_membership_build`).
     """
     kernels.set_backend(backend)
     w = _workload()
@@ -168,10 +207,12 @@ def bench_kernels(backend: str, repeats: int = 3) -> dict:
             repeats,
         ),
     }
-    return {
+    rates = {
         name: round(cells / max(seconds, 1e-9), 1)
         for name, seconds in timings.items()
     }
+    rates["membership_build"] = bench_membership_build(repeats)
+    return rates
 
 
 def available_backends() -> list:
