@@ -1,13 +1,10 @@
-"""Perf: the backend-dispatched hot-path kernels.
+"""Perf: the hot-path kernels.
 
 Times every :mod:`repro.kernels` entry point (Bernoulli / Poisson /
-multinomial LLR batches and the membership recount) on every backend
-available in this environment, records per-backend throughput under
-the ``kernels`` key of ``BENCH_engine.json`` (merged, so the engine
-bench's keys and ``tools/bench.py``'s ``kernel_history`` rows
-survive), and asserts the bit-exactness contract: whatever backends
-are present must return **identical float64 bits** on identical
-inputs.
+multinomial LLR batches and the membership recount) and records their
+throughput under the ``kernels`` key of ``BENCH_engine.json`` (merged,
+so the engine bench's keys and ``tools/bench.py``'s
+``kernel_history`` rows survive).
 
 No wall-clock number is asserted — throughput is recorded for the
 history and gated by ``tools/bench.py --check`` under the usual
@@ -18,35 +15,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench  # noqa: E402  (tools/bench.py)
 
-from repro import kernels  # noqa: E402
-
 REPEATS = 2
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Leave the process-wide backend as the tests found it."""
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
-
-
 def test_perf_kernels():
-    per_backend = {}
-    for backend in bench.available_backends():
-        per_backend[backend] = bench.bench_kernels(
-            backend, repeats=REPEATS
-        )
-        for name, ops in per_backend[backend].items():
-            assert ops > 0, f"{backend}:{name} recorded no throughput"
+    rates = bench.bench_kernels(repeats=REPEATS)
+    for name, ops in rates.items():
+        assert ops > 0, f"{name} recorded no throughput"
 
     out = ROOT / "BENCH_engine.json"
     merged = {}
@@ -55,43 +35,9 @@ def test_perf_kernels():
             merged = json.loads(out.read_text())
         except json.JSONDecodeError:
             merged = {}
-    merged["kernels"] = per_backend
+    merged["kernels"] = rates
     out.write_text(json.dumps(merged, indent=2) + "\n")
 
     print("\n=== Kernel perf (BENCH_engine.json: kernels) ===")
-    for backend, ops in per_backend.items():
-        for name, value in ops.items():
-            print(f"{backend}:{name}: {value:,.0f} cells/s")
-
-
-@pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-def test_backends_bit_identical():
-    """The compiled backend must return the numpy backend's exact
-    float64 bits on every kernel."""
-    w = bench._workload()
-    n, world_p, world_P = w["n"], w["world_p"], w["world_P"]
-    member, worlds = w["member"], w["worlds"]
-    exp_r, C = w["exp_r"], w["C"]
-    N = float(bench.N_POINTS)
-
-    def all_outputs():
-        return [
-            kernels.bernoulli_llr_batch(n, world_p, N, world_P, d)
-            for d in (0, 1, -1)
-        ] + [
-            kernels.poisson_llr_batch(world_p, exp_r, N, d)
-            for d in (0, 1, -1)
-        ] + [
-            kernels.multinomial_llr_term(n[:, None], world_p, C, N),
-            kernels.membership_counts_batch(member._matrix, worlds),
-        ]
-
-    kernels.set_backend("numpy")
-    reference = all_outputs()
-    kernels.set_backend("numba")
-    compiled = all_outputs()
-    for ref, got in zip(reference, compiled):
-        assert ref.dtype == got.dtype == np.float64
-        assert np.array_equal(ref, got), "backend outputs diverge"
+    for name, value in rates.items():
+        print(f"{name}: {value:,.0f} cells/s")

@@ -43,8 +43,8 @@ fault-injection layer (:mod:`repro.faults`, ``REPRO_FAULTS``).
 
 Module map: :mod:`repro.api` (sessions, reports, the builder),
 :mod:`repro.serve` (batched multi-spec service, fused simulation),
-:mod:`repro.gateway` (multi-tenant front door: back-pressure, asyncio,
-HTTP), :mod:`repro.registry` (read-only dataset store),
+:mod:`repro.gateway` (multi-tenant front door: back-pressure, HTTP),
+:mod:`repro.registry` (read-only dataset store),
 :mod:`repro.ticketstore` (durable sqlite ticket journal),
 :mod:`repro.faults` (deterministic fault injection),
 :mod:`repro.spec` (declarative audit requests), :mod:`repro.core`
@@ -52,10 +52,9 @@ HTTP), :mod:`repro.registry` (read-only dataset store),
 :mod:`repro.engine` (shared threaded Monte Carlo engine),
 :mod:`repro.budget` (world-budget policies, sequential stopping),
 :mod:`repro.geometry` (regions and partitionings), :mod:`repro.stats`
-(statistic kernels), :mod:`repro.kernels` (backend-dispatched
-hot-path kernels: numpy or optional compiled numba, bit-identical),
-:mod:`repro.fingerprint` (dataset content fingerprints for cache
-keys), :mod:`repro.index` (sparse region membership),
+(statistic kernels), :mod:`repro.kernels` (hot-path LLR and recount
+kernels), :mod:`repro.fingerprint` (dataset content fingerprints for
+cache keys), :mod:`repro.index` (sparse region membership),
 :mod:`repro.baselines` (MeanVar, naive testing),
 :mod:`repro.datasets` (paper-shaped generators), :mod:`repro.forest`
 (numpy random forest), :mod:`repro.viz` (SVG figures).
@@ -133,7 +132,6 @@ from .fingerprint import (
     dataset_fingerprint,
 )
 from .gateway import (
-    AsyncAuditGateway,
     AuditGateway,
     GatewayDrainingError,
     GatewayError,
@@ -147,11 +145,6 @@ from .gateway import (
     serve_http,
 )
 from .index import RegionMembership, StackedMembership
-from .kernels import (
-    active_backend,
-    numba_available,
-    set_backend,
-)
 from .registry import DatasetRegistry, SharedDataset
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec, RegionSpec
@@ -160,7 +153,6 @@ from .ticketstore import TicketRecord, TicketStore, TicketStoreError
 __version__ = "0.9.0"
 
 __all__ = [
-    "AsyncAuditGateway",
     "AuditBuilder",
     "AuditGateway",
     "AuditReport",
@@ -217,7 +209,6 @@ __all__ = [
     "TicketStore",
     "TicketStoreError",
     "UnknownDatasetError",
-    "active_backend",
     "array_fingerprint",
     "audit",
     "circle_region_set",
@@ -229,7 +220,6 @@ __all__ = [
     "log_likelihood_ratio",
     "mean_variance",
     "naive_audit",
-    "numba_available",
     "paper_side_lengths",
     "partition_region_set",
     "predictive_equality",
@@ -241,7 +231,6 @@ __all__ = [
     "scan_centers",
     "select_non_overlapping",
     "serve_http",
-    "set_backend",
     "square_region_set",
     "top_contributors",
     "__version__",

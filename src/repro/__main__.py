@@ -52,7 +52,6 @@ import numpy as np
 
 from .api import AuditSession
 from .budget import BUDGET_KINDS
-from .kernels import BACKENDS, set_backend
 from .serve import AuditService
 from .spec import AuditSpec
 
@@ -159,11 +158,6 @@ def main(argv: list | None = None) -> int:
         "stops null simulation early once the verdict is decided)",
     )
     run.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto' = "
-        "numba if importable else numpy; results are bit-identical)",
-    )
-    run.add_argument(
         "--indent", type=int, default=2, help="JSON indent (default 2)"
     )
 
@@ -195,10 +189,6 @@ def main(argv: list | None = None) -> int:
     batch.add_argument(
         "--budget", choices=BUDGET_KINDS, default=None,
         help="override every spec's world-budget policy",
-    )
-    batch.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto')",
     )
     batch.add_argument(
         "--indent", type=int, default=2, help="JSON indent (default 2)"
@@ -239,10 +229,6 @@ def main(argv: list | None = None) -> int:
         help="class count for multinomial specs",
     )
     stream.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto')",
-    )
-    stream.add_argument(
         "--indent", type=int, default=2, help="JSON indent (default 2)"
     )
 
@@ -280,10 +266,6 @@ def main(argv: list | None = None) -> int:
         help="class count applied to every --data dataset",
     )
     serve.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="kernel backend (default: REPRO_BACKEND env or 'auto')",
-    )
-    serve.add_argument(
         "--store", default=None, metavar="PATH",
         help="sqlite ticket journal; tickets survive restarts and "
         "journalled-but-unsettled audits are re-run on boot",
@@ -299,12 +281,6 @@ def main(argv: list | None = None) -> int:
     validate.add_argument("spec", help="AuditSpec JSON file")
 
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        try:
-            set_backend(args.backend)
-        except ValueError as exc:
-            print(f"invalid backend: {exc}", file=sys.stderr)
-            return 2
     if args.command == "batch":
         return _run_batch(args)
     if args.command == "stream":

@@ -12,10 +12,6 @@ fleet of tenants talks to:
   (:class:`TenantQuotaError`) and a graceful :meth:`~AuditGateway.drain`
   that finishes queued work while refusing new submissions
   (:class:`GatewayDrainingError`, 503);
-* :class:`AsyncAuditGateway` exposes the same flow to ``asyncio``
-  code — ``await`` a submit, gather many tenants concurrently —
-  without blocking the event loop (blocking calls run on executor
-  threads);
 * :class:`GatewayHTTPServer` + ``python -m repro serve`` put the
   gateway behind a stdlib-only threaded JSON API: ``POST /audit``
   (synchronous or ticketed), ``GET /tickets/<id>``, ``POST /batch``,
@@ -71,7 +67,6 @@ __all__ = [
     "StoredReport",
     "StoredTicket",
     "AuditGateway",
-    "AsyncAuditGateway",
     "GatewayHTTPServer",
     "serve_http",
 ]
@@ -977,107 +972,6 @@ class AuditGateway:
         return out
 
 
-class AsyncAuditGateway:
-    """``asyncio`` face of an :class:`AuditGateway`.
-
-    Wraps a gateway (or builds one from the same keyword arguments)
-    and exposes awaitable submit/result/run/batch/gather/drain —
-    blocking service work runs on the event loop's default executor,
-    so many tenants' audits can be in flight from one coroutine via
-    ``asyncio.gather``.  Admission checks (queue bound, quotas) stay
-    synchronous and immediate: an over-quota ``await submit(...)``
-    raises :class:`GatewayFullError` right away.
-
-    Parameters
-    ----------
-    gateway : AuditGateway, optional
-        Existing gateway to wrap; one is constructed from ``kwargs``
-        when omitted.
-    **kwargs
-        Passed to :class:`AuditGateway` when building one.
-    """
-
-    def __init__(
-        self, gateway: AuditGateway | None = None, **kwargs
-    ):
-        self.gateway = (
-            gateway if gateway is not None else AuditGateway(**kwargs)
-        )
-
-    async def submit(
-        self,
-        dataset: str,
-        spec: AuditSpec,
-        tenant: str = "default",
-    ) -> GatewayTicket:
-        """Admit one audit; immediate, raises like
-        :meth:`AuditGateway.submit`."""
-        return self.gateway.submit(dataset, spec, tenant=tenant)
-
-    async def result(
-        self, ticket: GatewayTicket, timeout: float | None = None
-    ):
-        """Await a ticket's report without blocking the event loop."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, lambda: ticket.result(timeout=timeout)
-        )
-
-    async def run(
-        self,
-        dataset: str,
-        spec: AuditSpec,
-        tenant: str = "default",
-    ):
-        """Submit and await one audit's report."""
-        ticket = await self.submit(dataset, spec, tenant=tenant)
-        return await self.result(ticket)
-
-    async def run_batch(
-        self,
-        dataset: str,
-        specs: Sequence[AuditSpec],
-        tenant: str = "default",
-    ) -> list:
-        """Submit a batch and await all its reports (one fused
-        gather on an executor thread)."""
-        import asyncio
-
-        tickets = [
-            await self.submit(dataset, spec, tenant=tenant)
-            for spec in specs
-        ]
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, lambda: self.gateway.gather(dataset)
-        )
-        return [
-            await self.result(ticket) for ticket in tickets
-        ]
-
-    async def gather(self, dataset: str | None = None) -> int:
-        """Awaitable :meth:`AuditGateway.gather`."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, lambda: self.gateway.gather(dataset)
-        )
-
-    async def drain(self) -> int:
-        """Awaitable :meth:`AuditGateway.drain`."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.gateway.drain)
-
-    def stats(self) -> dict:
-        """The wrapped gateway's :meth:`AuditGateway.stats`."""
-        return self.gateway.stats()
-
-
 # -- HTTP front door ---------------------------------------------------
 
 
@@ -1108,6 +1002,14 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
 
         def _body(self) -> dict:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up,
+                # and without a length the next request cannot be
+                # framed, so answer 400 and close the connection.
+                self.close_connection = True
+                raise ValueError(
+                    f"Content-Length must be >= 0, got {length}"
+                )
             raw = self.rfile.read(length) if length else b"{}"
             data = json.loads(raw.decode("utf-8"))
             if not isinstance(data, dict):

@@ -1,43 +1,23 @@
-"""Backend-dispatched numeric kernels for the Monte Carlo hot path.
+"""Numeric kernels for the Monte Carlo hot path.
 
-The scan's cost concentrates in four array kernels: the Bernoulli /
-Poisson / multinomial log-likelihood-ratio batches and the sparse
-membership recount (``M @ worlds``).  This module gives each a single
-entry point that dispatches to one of two implementations:
+The scan's cost concentrates in four array kernels, evaluated on every
+chunk of simulated worlds:
 
-``numpy``
-    The reference implementation — the exact expressions the engine
-    has always run, moved here verbatim.  Always available.
-``numba``
-    ``@njit``-compiled loops (:mod:`repro._numba_backend`) mirroring
-    the numpy operation order **scalar for scalar**, so results are
-    bit-identical.  Used only when :mod:`numba` imports cleanly; the
-    dependency is optional and never required.
+* :func:`bernoulli_llr_batch` — Kulldorff's Bernoulli LLR of every
+  region against every world's own global rate;
+* :func:`poisson_llr_batch` — the Poisson LLR against fixed expected
+  counts;
+* :func:`multinomial_llr_term` — one class's additive term of the
+  multinomial LLR, summed over classes by the caller;
+* :func:`membership_counts_batch` — the sparse recount
+  ``M @ worlds`` in float64.
 
-Selection
----------
-The backend is resolved once per process from the ``REPRO_BACKEND``
-environment variable (``auto`` | ``numpy`` | ``numba``, default
-``auto`` = numba if importable else numpy) and can be overridden
-programmatically with :func:`set_backend` or from the CLI via
-``python -m repro run --backend ...``.  Requesting ``numba`` on a
-machine without it raises :class:`ValueError` rather than silently
-degrading.
-
-Bit-exactness contract
-----------------------
-Backends are interchangeable *by value*: for every kernel and every
-input, the numba path must return the same float64 bits as the numpy
-path.  The compiled loops therefore replicate numpy's elementwise
-operation order (left-associated additions, the same ``1e-300``
-clamps, the same ``xlogy(0, y) == 0`` convention) instead of
-algebraically equivalent rewrites.  The existing fused≡solo and
-serial≡parallel equivalence tests run unchanged under either backend.
+The three LLR kernels clamp rates at ``1e-300`` and use the
+``xlogy(0, y) == 0`` convention, so degenerate regions score 0 rather
+than NaN.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.special import xlogy
@@ -45,193 +25,11 @@ from scipy.special import xlogy
 from .stats import poisson_llr
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "active_backend",
     "bernoulli_llr_batch",
     "membership_counts_batch",
     "multinomial_llr_term",
-    "numba_available",
     "poisson_llr_batch",
-    "resolve_backend",
-    "set_backend",
 ]
-
-#: Environment variable read (once, lazily) to pick the backend.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Recognised backend requests.
-BACKENDS = ("auto", "numpy", "numba")
-
-#: Resolved backend name, or None until first use / after set_backend.
-_resolved: str | None = None
-
-#: Cached numba importability (None = not probed yet).
-_numba_ok: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether :mod:`numba` imports in this environment.
-
-    Probed once and cached; the import is attempted lazily so the
-    package works (and imports fast) on machines without numba.
-
-    Returns
-    -------
-    bool
-    """
-    global _numba_ok
-    if _numba_ok is None:
-        try:
-            import numba  # noqa: F401
-
-            _numba_ok = True
-        except Exception:
-            _numba_ok = False
-    return _numba_ok
-
-
-def resolve_backend(request: str | None = None) -> str:
-    """Resolve a backend request to a concrete backend name.
-
-    Parameters
-    ----------
-    request : str, optional
-        ``'auto'``, ``'numpy'`` or ``'numba'``; ``None`` reads
-        ``REPRO_BACKEND`` from the environment (default ``'auto'``).
-
-    Returns
-    -------
-    str
-        ``'numpy'`` or ``'numba'``.
-
-    Raises
-    ------
-    ValueError
-        On an unknown request, or an explicit ``'numba'`` request when
-        numba is not importable.
-    """
-    if request is None:
-        request = os.environ.get(BACKEND_ENV, "auto")
-    request = str(request).lower()
-    if request not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {request!r}"
-        )
-    if request == "auto":
-        return "numba" if numba_available() else "numpy"
-    if request == "numba" and not numba_available():
-        raise ValueError(
-            "backend 'numba' requested but numba is not importable; "
-            "install numba or use REPRO_BACKEND=numpy"
-        )
-    return request
-
-
-def active_backend() -> str:
-    """The backend kernels currently dispatch to.
-
-    Resolved on first call (from ``REPRO_BACKEND``) and cached for the
-    life of the process; :func:`set_backend` replaces it.
-
-    Returns
-    -------
-    str
-        ``'numpy'`` or ``'numba'``.
-    """
-    global _resolved
-    if _resolved is None:
-        _resolved = resolve_backend()
-    return _resolved
-
-
-def set_backend(request: str) -> str:
-    """Select the kernel backend for this process.
-
-    Parameters
-    ----------
-    request : str
-        ``'auto'``, ``'numpy'`` or ``'numba'``.
-
-    Returns
-    -------
-    str
-        The concrete backend now active.
-
-    Raises
-    ------
-    ValueError
-        As in :func:`resolve_backend`.
-    """
-    global _resolved
-    _resolved = resolve_backend(request)
-    return _resolved
-
-
-def _use_numba() -> bool:
-    return active_backend() == "numba"
-
-
-# ---------------------------------------------------------------------------
-# Reference (numpy) implementations — the expressions the engine has
-# always evaluated, moved here verbatim.  The numba mirrors in
-# repro._numba_backend replicate their operation order scalar for
-# scalar; any change here must be made in both places.
-# ---------------------------------------------------------------------------
-
-
-def _bernoulli_numpy(
-    n: np.ndarray,
-    world_p: np.ndarray,
-    N: float,
-    world_P: np.ndarray,
-    direction: int,
-) -> np.ndarray:
-    n = n[:, None]
-    P = world_P[None, :]
-    p = world_p
-    n_out = N - n
-    p_out = P - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_in = np.where(n > 0, p / np.maximum(n, 1.0), 0.0)
-        rho_out = np.where(
-            n_out > 0, p_out / np.maximum(n_out, 1.0), 0.0
-        )
-        rho = P / N
-    llr = (
-        xlogy(p, np.maximum(rho_in, 1e-300))
-        + xlogy(n - p, np.maximum(1.0 - rho_in, 1e-300))
-        + xlogy(p_out, np.maximum(rho_out, 1e-300))
-        + xlogy(n_out - p_out, np.maximum(1.0 - rho_out, 1e-300))
-        - xlogy(P, np.maximum(rho, 1e-300))
-        - xlogy(N - P, np.maximum(1.0 - rho, 1e-300))
-    )
-    llr = np.maximum(llr, 0.0)
-    llr = np.where((n <= 0) | (n >= N), 0.0, llr)
-    if direction > 0:
-        llr = np.where(rho_in > rho_out, llr, 0.0)
-    elif direction < 0:
-        llr = np.where(rho_in < rho_out, llr, 0.0)
-    return llr
-
-
-def _multinomial_term_numpy(n, c, C, N: float):
-    n_out = N - n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(n > 0, c / np.maximum(n, 1.0), 0.0)
-        q = np.where(
-            n_out > 0, (C - c) / np.maximum(n_out, 1.0), 0.0
-        )
-    return (
-        xlogy(c, np.maximum(rho, 1e-300))
-        + xlogy(C - c, np.maximum(q, 1e-300))
-        - xlogy(C, np.maximum(C / N, 1e-300))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dispatched kernels
-# ---------------------------------------------------------------------------
 
 
 def bernoulli_llr_batch(
@@ -264,16 +62,33 @@ def bernoulli_llr_batch(
     -------
     ndarray of float64, shape (R, W)
     """
-    n = np.ascontiguousarray(n, dtype=np.float64)
-    world_p = np.ascontiguousarray(world_p, dtype=np.float64)
-    world_P = np.ascontiguousarray(world_P, dtype=np.float64)
-    if _use_numba():
-        from . import _numba_backend
-
-        return _numba_backend.bernoulli_llr_batch(
-            n, world_p, float(N), world_P, int(direction)
+    n = np.ascontiguousarray(n, dtype=np.float64)[:, None]
+    p = np.ascontiguousarray(world_p, dtype=np.float64)
+    P = np.ascontiguousarray(world_P, dtype=np.float64)[None, :]
+    N = float(N)
+    n_out = N - n
+    p_out = P - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_in = np.where(n > 0, p / np.maximum(n, 1.0), 0.0)
+        rho_out = np.where(
+            n_out > 0, p_out / np.maximum(n_out, 1.0), 0.0
         )
-    return _bernoulli_numpy(n, world_p, float(N), world_P, direction)
+        rho = P / N
+    llr = (
+        xlogy(p, np.maximum(rho_in, 1e-300))
+        + xlogy(n - p, np.maximum(1.0 - rho_in, 1e-300))
+        + xlogy(p_out, np.maximum(rho_out, 1e-300))
+        + xlogy(n_out - p_out, np.maximum(1.0 - rho_out, 1e-300))
+        - xlogy(P, np.maximum(rho, 1e-300))
+        - xlogy(N - P, np.maximum(1.0 - rho, 1e-300))
+    )
+    llr = np.maximum(llr, 0.0)
+    llr = np.where((n <= 0) | (n >= N), 0.0, llr)
+    if direction > 0:
+        llr = np.where(rho_in > rho_out, llr, 0.0)
+    elif direction < 0:
+        llr = np.where(rho_in < rho_out, llr, 0.0)
+    return llr
 
 
 def poisson_llr_batch(
@@ -301,12 +116,6 @@ def poisson_llr_batch(
     """
     world_obs = np.ascontiguousarray(world_obs, dtype=np.float64)
     exp_r = np.ascontiguousarray(exp_r, dtype=np.float64)
-    if _use_numba():
-        from . import _numba_backend
-
-        return _numba_backend.poisson_llr_batch(
-            world_obs, exp_r, float(total_obs), int(direction)
-        )
     return poisson_llr(
         world_obs, exp_r[:, None], total_obs, direction=direction
     )
@@ -337,17 +146,20 @@ def multinomial_llr_term(n, c, C, N: float) -> np.ndarray:
     -------
     ndarray of float64, broadcast shape of the inputs
     """
-    if _use_numba():
-        from . import _numba_backend
-
-        out = _numba_backend.multinomial_llr_term_dispatch(n, c, C, N)
-        if out is not None:
-            return out
-    return _multinomial_term_numpy(
-        np.asarray(n, dtype=np.float64),
-        np.asarray(c, dtype=np.float64),
-        np.asarray(C, dtype=np.float64),
-        float(N),
+    n = np.asarray(n, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    C = np.asarray(C, dtype=np.float64)
+    N = float(N)
+    n_out = N - n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(n > 0, c / np.maximum(n, 1.0), 0.0)
+        q = np.where(
+            n_out > 0, (C - c) / np.maximum(n_out, 1.0), 0.0
+        )
+    return (
+        xlogy(c, np.maximum(rho, 1e-300))
+        + xlogy(C - c, np.maximum(q, 1e-300))
+        - xlogy(C, np.maximum(C / N, 1e-300))
     )
 
 
@@ -372,13 +184,4 @@ def membership_counts_batch(matrix, worlds: np.ndarray) -> np.ndarray:
     ndarray of float64, shape (n_regions, n_worlds)
     """
     worlds = np.ascontiguousarray(worlds, dtype=np.float64)
-    if _use_numba():
-        from . import _numba_backend
-
-        return _numba_backend.csr_matmul_batch(
-            matrix.indptr,
-            matrix.indices,
-            worlds,
-            matrix.shape[0],
-        )
     return np.asarray(matrix @ worlds, dtype=np.float64)

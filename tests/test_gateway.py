@@ -1,8 +1,8 @@
 """Multi-tenant gateway: admission control, determinism, HTTP API."""
 
-import asyncio
 import json
 import os
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import AuditSession
 from repro.gateway import (
-    AsyncAuditGateway,
     AuditGateway,
     GatewayDrainingError,
     GatewayFullError,
@@ -211,38 +210,6 @@ class TestConcurrency:
             stop.set()
             poller.join()
         assert not torn
-
-    def test_asyncio_gather_many_tenants(
-        self, unit_coords, biased_labels
-    ):
-        agw = AsyncAuditGateway(queue_size=32)
-        agw.gateway.register("unit", unit_coords, biased_labels)
-        solo = _payload(
-            AuditSession(unit_coords, biased_labels).run(_spec(5))
-        )
-
-        async def main():
-            return await asyncio.gather(
-                *(
-                    agw.run("unit", _spec(5), tenant=f"t{i}")
-                    for i in range(4)
-                )
-            )
-
-        reports = asyncio.run(main())
-        assert all(_payload(r) == solo for r in reports)
-        assert agw.stats()["completed"] == 4
-
-    def test_asyncio_batch(self, unit_coords, biased_labels):
-        agw = AsyncAuditGateway(queue_size=32)
-        agw.gateway.register("unit", unit_coords, biased_labels)
-
-        async def main():
-            return await agw.run_batch(
-                "unit", [_spec(1), _spec(2)], tenant="a"
-            )
-
-        assert len(asyncio.run(main())) == 2
 
 
 class TestDrain:
@@ -451,6 +418,27 @@ class TestHTTP:
             "/audit", {"dataset": "unit", "spec": {"n_worlds": -1}}
         )
         assert status == 400
+
+    def test_negative_content_length_is_400_not_a_hang(self, http):
+        client, _ = http
+        host, port = client.url.split("//")[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /audit HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            # A hang surfaces here as socket.timeout, not a pass; the
+            # server closes the connection after its 400.
+            raw = b""
+            while chunk := sock.recv(4096):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        payload = json.loads(body)
+        assert payload["type"] == "ValueError"
+        assert "Content-Length" in payload["error"]
 
     def test_register_rejects_non_finite_coords(
         self, http, unit_coords, biased_labels

@@ -1,19 +1,8 @@
-"""Unit tests for :mod:`repro.kernels`: backend selection + dispatch.
+"""Unit tests for :mod:`repro.kernels`.
 
-Two layers:
-
-* **selection** — ``resolve_backend`` / ``set_backend`` /
-  ``active_backend`` honour explicit requests, the ``REPRO_BACKEND``
-  environment variable and ``auto`` fallback, and reject unknown or
-  unavailable backends loudly (never silent degradation);
-* **dispatch** — every kernel entry point returns float64 and matches
-  an independent re-derivation of its formula written out in the test
-  (not a call back into the module), so a backend or refactor cannot
-  drift numerically without failing here.
-
-The numpy-vs-numba bit-identity matrix lives in
-``benchmarks/test_perf_kernels.py`` (it needs the larger workload);
-these tests run on the numpy backend everywhere.
+Every kernel returns float64 and matches an independent re-derivation
+of its formula written out in the test (not a call back into the
+module), so a refactor cannot drift numerically without failing here.
 """
 
 import numpy as np
@@ -24,14 +13,6 @@ from repro import kernels
 from repro.geometry import GridPartitioning, Rect, partition_region_set
 from repro.index import RegionMembership
 from repro.stats import poisson_llr
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Leave the process-wide backend as the tests found it."""
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
 
 
 @pytest.fixture(scope="module")
@@ -52,58 +33,6 @@ def workload():
         "world_P": worlds.sum(axis=0, dtype=np.float64),
         "N": 200.0,
     }
-
-
-class TestBackendSelection:
-    def test_auto_matches_availability(self, monkeypatch):
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        resolved = kernels.resolve_backend()
-        assert resolved in ("numpy", "numba")
-        expected = "numba" if kernels.numba_available() else "numpy"
-        assert resolved == expected
-
-    def test_explicit_numpy(self):
-        assert kernels.resolve_backend("numpy") == "numpy"
-
-    def test_unknown_request_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            kernels.resolve_backend("fortran")
-        with pytest.raises(ValueError, match="backend"):
-            kernels.set_backend("fortran")
-
-    def test_env_variable_drives_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-        assert kernels.resolve_backend() == "numpy"
-        monkeypatch.setenv(kernels.BACKEND_ENV, "fortran")
-        with pytest.raises(ValueError, match="backend"):
-            kernels.resolve_backend()
-
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="numba is installed here"
-    )
-    def test_explicit_numba_without_numba_rejected(self):
-        with pytest.raises(ValueError, match="numba"):
-            kernels.resolve_backend("numba")
-
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="numba is installed here"
-    )
-    def test_cli_backend_numba_without_numba_exits_2(self, capsys):
-        # --backend is validated before any file is touched.
-        from repro.__main__ import main
-
-        rc = main(
-            ["run", "missing.json", "--data", "missing.npz",
-             "--backend", "numba"]
-        )
-        assert rc == 2
-        assert "invalid backend" in capsys.readouterr().err
-
-    def test_set_backend_round_trip(self):
-        assert kernels.set_backend("numpy") == "numpy"
-        assert kernels.active_backend() == "numpy"
-        # 'auto' resolves to a concrete backend, never stays 'auto'.
-        assert kernels.set_backend("auto") in ("numpy", "numba")
 
 
 class TestDispatchedKernels:
