@@ -49,8 +49,10 @@ from .geometry import (
     GridPartitioning,
     Rect,
     RegionSet,
+    check_coords,
 )
 from .index import RegionMembership
+from .kernels import multinomial_llr
 from .stats import benjamini_hochberg, bernoulli_llr, poisson_llr
 
 __all__ = [
@@ -850,32 +852,6 @@ class MultinomialFamily(ScanFamily):
             ).astype(np.float64),
         }
 
-    @staticmethod
-    def _class_llr(n, class_counts, N, totals):
-        """Multinomial scan LLR.
-
-        Parameters
-        ----------
-        n : ndarray (R,) or (R, W)
-            Region sizes.
-        class_counts : ndarray (K, R) or (K, R, W)
-            Per-class counts inside each region.
-        N : float
-            Total observations.
-        totals : ndarray (K,)
-            Global class counts.
-        """
-        from .kernels import multinomial_llr_term
-
-        llr = np.zeros(np.shape(n))
-        for k in range(len(totals)):
-            llr = llr + multinomial_llr_term(
-                n, class_counts[k], totals[k], N
-            )
-        llr = np.maximum(llr, 0.0)
-        llr = np.where((n <= 0) | (n >= N), 0.0, llr)
-        return llr
-
     def observed(self, bound, member, direction):
         labels = bound["labels"]
         N, K = bound["N"], bound["n_classes"]
@@ -889,7 +865,7 @@ class MultinomialFamily(ScanFamily):
                 for k in range(K)
             ]
         )
-        llr = self._class_llr(n, class_counts, N, totals)
+        llr = multinomial_llr(n, zip(class_counts, totals), N)
         with np.errstate(invalid="ignore"):
             rates = np.where(
                 n[None, :] > 0,
@@ -927,28 +903,26 @@ def _mask_identity(coords, outcomes, y_true):
     return np.ones(len(coords), dtype=bool)
 
 
-def _extract_equal_opportunity(coords, outcomes, y_true):
-    mask = np.asarray(y_true) == 1
-    return (
-        coords[mask],
-        (np.asarray(outcomes)[mask] == 1).astype(np.int8),
+def _accuracy_measure(name: str, true_label: int) -> MeasureDef:
+    """A measure keeping the rows whose true label is ``true_label``;
+    the outcome is whether the model predicted them positive."""
+
+    def mask(coords, outcomes, y_true):
+        return np.asarray(y_true) == true_label
+
+    def extract(coords, outcomes, y_true):
+        keep = mask(coords, outcomes, y_true)
+        return coords[keep], (np.asarray(outcomes)[keep] == 1).astype(
+            np.int8
+        )
+
+    return MeasureDef(
+        name,
+        extract,
+        families=("bernoulli",),
+        needs_y_true=True,
+        mask=mask,
     )
-
-
-def _mask_equal_opportunity(coords, outcomes, y_true):
-    return np.asarray(y_true) == 1
-
-
-def _extract_predictive_equality(coords, outcomes, y_true):
-    mask = np.asarray(y_true) == 0
-    return (
-        coords[mask],
-        (np.asarray(outcomes)[mask] == 1).astype(np.int8),
-    )
-
-
-def _mask_predictive_equality(coords, outcomes, y_true):
-    return np.asarray(y_true) == 0
 
 
 register_measure(
@@ -956,41 +930,43 @@ register_measure(
         "statistical_parity", _extract_identity, mask=_mask_identity
     )
 )
-register_measure(
-    MeasureDef(
-        "equal_opportunity",
-        _extract_equal_opportunity,
-        families=("bernoulli",),
-        needs_y_true=True,
-        mask=_mask_equal_opportunity,
-    )
-)
-register_measure(
-    MeasureDef(
-        "predictive_equality",
-        _extract_predictive_equality,
-        families=("bernoulli",),
-        needs_y_true=True,
-        mask=_mask_predictive_equality,
-    )
-)
+register_measure(_accuracy_measure("equal_opportunity", 1))
+register_measure(_accuracy_measure("predictive_equality", 0))
 
 
 class _ScanAuditorBase:
-    """Shared plumbing of the legacy auditor classes: each binds one
-    :class:`ScanFamily`'s data to a
-    :class:`repro.engine.MonteCarloEngine` and delegates ``audit()``
-    to :func:`run_scan`."""
+    """Shared body of the legacy auditor classes: each binds one
+    :class:`ScanFamily`'s data (the :attr:`family` class attribute) to
+    a :class:`repro.engine.MonteCarloEngine` and delegates
+    :meth:`audit` to :func:`run_scan`.
+
+    Raises
+    ------
+    ValueError
+        Naming ``coords`` when a location is malformed, or ``engine``
+        when a shared engine is bound to other coordinates.
+    """
+
+    #: The registered family this auditor scans with.
+    family: ScanFamily
 
     def __init__(
         self, coords: np.ndarray, engine: MonteCarloEngine | None = None
     ):
-        self.coords = np.asarray(coords, dtype=np.float64)
+        self.coords = check_coords(coords)
+        if engine is None:
+            engine = MonteCarloEngine(self.coords)
+        elif engine.coords is not self.coords and not np.array_equal(
+            engine.coords, self.coords
+        ):
+            raise ValueError(
+                "engine: the shared engine is bound to different "
+                f"coordinates ({len(engine.coords)} points) than the "
+                f"auditor's ({len(self.coords)} points)"
+            )
         # A shared engine (e.g. from PowerAnalysis) pools membership
         # and null-distribution caches across auditors.
-        self.engine = (
-            engine if engine is not None else MonteCarloEngine(self.coords)
-        )
+        self.engine = engine
 
     def membership(self, regions: RegionSet) -> RegionMembership:
         """The (cached) point-membership index for a region set.
@@ -1005,9 +981,70 @@ class _ScanAuditorBase:
         """
         return self.engine.membership(regions)
 
+    def audit(
+        self,
+        regions: RegionSet,
+        n_worlds: int = 99,
+        alpha: float = 0.05,
+        seed: int | None = None,
+        direction: str | None = None,
+        membership: RegionMembership | None = None,
+        workers: int | None = None,
+    ) -> AuditResult:
+        """Run the Monte Carlo scan over a candidate region set.
+
+        Simulates ``n_worlds`` spatially fair worlds under the family's
+        null (see the class docstring), compares the observed maximum
+        region statistic against the null maxima, and returns
+        per-region adjusted significance.
+
+        Parameters
+        ----------
+        regions : RegionSet
+            Candidate regions (grid partitions, squares, circles, ...).
+        n_worlds : int, default 99
+            Simulated null worlds; the p-value resolution is
+            ``1 / (n_worlds + 1)``.
+        alpha : float, default 0.05
+            Significance level for the verdict and per-region flags.
+        seed : int, optional
+            Seed of the world simulator.
+        direction : {None, 'lower', 'higher'}, optional
+            ``None`` scans two-sided.  ``'lower'`` hunts "red" regions
+            (rate inside below outside), ``'higher'`` "green" ones.
+            The null distribution is directional too, matching the
+            statistic.  Non-directional families (multinomial) scan
+            two-sided only and reject any other direction.
+        membership : RegionMembership, optional
+            Precomputed membership index (else built/cached).
+        workers : int, optional
+            Monte Carlo worker threads (see
+            :meth:`repro.engine.MonteCarloEngine.null_distribution`);
+            results are bit-identical for any worker count.
+
+        Returns
+        -------
+        AuditResult
+        """
+        return run_scan(
+            self.engine,
+            self.family,
+            self._bound,
+            regions,
+            n_worlds=n_worlds,
+            alpha=alpha,
+            seed=seed,
+            direction=direction,
+            membership=membership,
+            workers=workers,
+        )
+
 
 class SpatialFairnessAuditor(_ScanAuditorBase):
     """Audit binary outcomes for spatial fairness (the paper's SUL test).
+
+    Null worlds redraw the labels i.i.d. Bernoulli at the global rate,
+    locations fixed.
 
     Parameters
     ----------
@@ -1015,6 +1052,8 @@ class SpatialFairnessAuditor(_ScanAuditorBase):
         Outcome locations.
     labels : ndarray of shape (n,)
         Binary outcomes (0/1 or bool).
+    engine : MonteCarloEngine, optional
+        A shared engine bound to the same ``coords``.
 
     Examples
     --------
@@ -1032,6 +1071,8 @@ class SpatialFairnessAuditor(_ScanAuditorBase):
     True
     """
 
+    family = BERNOULLI
+
     def __init__(
         self,
         coords: np.ndarray,
@@ -1039,65 +1080,8 @@ class SpatialFairnessAuditor(_ScanAuditorBase):
         engine: MonteCarloEngine | None = None,
     ):
         super().__init__(coords, engine=engine)
-        self._bound = BERNOULLI.bind(self.coords, labels)
+        self._bound = self.family.bind(self.coords, labels)
         self.labels = self._bound["labels"]
-
-    def audit(
-        self,
-        regions: RegionSet,
-        n_worlds: int = 99,
-        alpha: float = 0.05,
-        seed: int | None = None,
-        direction: str | None = None,
-        membership: RegionMembership | None = None,
-        workers: int | None = None,
-    ) -> AuditResult:
-        """Run the Monte Carlo scan over a candidate region set.
-
-        Simulates ``n_worlds`` spatially fair worlds (labels redrawn
-        i.i.d. Bernoulli at the global rate, locations fixed), compares
-        the observed maximum region statistic against the null maxima,
-        and returns per-region adjusted significance.
-
-        Parameters
-        ----------
-        regions : RegionSet
-            Candidate regions (grid partitions, squares, circles, ...).
-        n_worlds : int, default 99
-            Simulated null worlds; the p-value resolution is
-            ``1 / (n_worlds + 1)``.
-        alpha : float, default 0.05
-            Significance level for the verdict and per-region flags.
-        seed : int, optional
-            Seed of the world simulator.
-        direction : {None, 'lower', 'higher'}, optional
-            ``None`` scans two-sided.  ``'lower'`` hunts "red" regions
-            (rate inside below outside), ``'higher'`` "green" ones.
-            The null distribution is directional too, matching the
-            statistic.
-        membership : RegionMembership, optional
-            Precomputed membership index (else built/cached).
-        workers : int, optional
-            Monte Carlo worker threads (see
-            :meth:`repro.engine.MonteCarloEngine.null_distribution`);
-            results are bit-identical for any worker count.
-
-        Returns
-        -------
-        AuditResult
-        """
-        return run_scan(
-            self.engine,
-            BERNOULLI,
-            self._bound,
-            regions,
-            n_worlds=n_worlds,
-            alpha=alpha,
-            seed=seed,
-            direction=direction,
-            membership=membership,
-            workers=workers,
-        )
 
 
 class PoissonSpatialAuditor(_ScanAuditorBase):
@@ -1108,6 +1092,12 @@ class PoissonSpatialAuditor(_ScanAuditorBase):
     *accuracy* means observed counts deviate from their (calibrated)
     expectations nowhere more than chance allows.
 
+    Null worlds redistribute the observed event total over areas with
+    probabilities proportional to the forecast (conditional /
+    multinomial simulation), so the audit is exact given the total.
+    ``direction='higher'`` hunts excess regions (observed above
+    forecast), ``'lower'`` deficits.
+
     Parameters
     ----------
     coords : ndarray of shape (n, 2)
@@ -1117,7 +1107,11 @@ class PoissonSpatialAuditor(_ScanAuditorBase):
     forecast : ndarray of shape (n,)
         Forecast (expected) counts per area; internally rescaled so
         the totals match, making the audit test *relative* calibration.
+    engine : MonteCarloEngine, optional
+        A shared engine bound to the same ``coords``.
     """
+
+    family = POISSON
 
     def __init__(
         self,
@@ -1127,51 +1121,11 @@ class PoissonSpatialAuditor(_ScanAuditorBase):
         engine: MonteCarloEngine | None = None,
     ):
         super().__init__(coords, engine=engine)
-        self._bound = POISSON.bind(
+        self._bound = self.family.bind(
             self.coords, observed, forecast=forecast
         )
         self.observed = self._bound["observed"]
         self.forecast = self._bound["forecast"]
-
-    def audit(
-        self,
-        regions: RegionSet,
-        n_worlds: int = 99,
-        alpha: float = 0.05,
-        seed: int | None = None,
-        direction: str | None = None,
-        membership: RegionMembership | None = None,
-        workers: int | None = None,
-    ) -> AuditResult:
-        """Monte Carlo Poisson scan of observed vs forecast counts.
-
-        Null worlds redistribute the observed event total over areas
-        with probabilities proportional to the forecast (conditional /
-        multinomial simulation), so the audit is exact given the total.
-
-        Parameters
-        ----------
-        regions, n_worlds, alpha, seed, direction, membership, workers
-            As in :meth:`SpatialFairnessAuditor.audit`; ``direction``
-            +1 hunts excess regions (observed above forecast), -1
-            deficits.
-
-        Returns
-        -------
-        AuditResult
-        """
-        return run_scan(
-            self.engine,
-            POISSON,
-            self._bound,
-            regions,
-            n_worlds=n_worlds,
-            alpha=alpha,
-            seed=seed,
-            direction=direction,
-            membership=membership,
-            workers=workers,
-        )
 
 
 class MultinomialSpatialAuditor(_ScanAuditorBase):
@@ -1180,6 +1134,10 @@ class MultinomialSpatialAuditor(_ScanAuditorBase):
     Spatial fairness of a multi-class system means the outcome *class
     distribution* is location-independent; the scan statistic is the
     multinomial generalisation of the Bernoulli log-likelihood ratio.
+    Null worlds redraw every label i.i.d. from the global class
+    distribution with locations fixed.  The scan is two-sided only,
+    and findings carry ``class_rates`` (the per-class rates inside
+    each region).
 
     Parameters
     ----------
@@ -1187,7 +1145,11 @@ class MultinomialSpatialAuditor(_ScanAuditorBase):
     labels : ndarray of shape (n,)
         Integer class labels in ``[0, n_classes)``.
     n_classes : int
+    engine : MonteCarloEngine, optional
+        A shared engine bound to the same ``coords``.
     """
+
+    family = MULTINOMIAL
 
     def __init__(
         self,
@@ -1197,48 +1159,11 @@ class MultinomialSpatialAuditor(_ScanAuditorBase):
         engine: MonteCarloEngine | None = None,
     ):
         super().__init__(coords, engine=engine)
-        self._bound = MULTINOMIAL.bind(
+        self._bound = self.family.bind(
             self.coords, labels, n_classes=n_classes
         )
         self.labels = self._bound["labels"]
         self.n_classes = self._bound["n_classes"]
-
-    def audit(
-        self,
-        regions: RegionSet,
-        n_worlds: int = 99,
-        alpha: float = 0.05,
-        seed: int | None = None,
-        membership: RegionMembership | None = None,
-        workers: int | None = None,
-    ) -> AuditResult:
-        """Monte Carlo multinomial scan.
-
-        Null worlds redraw every label i.i.d. from the global class
-        distribution with locations fixed.
-
-        Parameters
-        ----------
-        regions, n_worlds, alpha, seed, membership, workers
-            As in :meth:`SpatialFairnessAuditor.audit`.
-
-        Returns
-        -------
-        AuditResult
-            Findings carry ``class_rates`` (the per-class rates inside
-            each region).
-        """
-        return run_scan(
-            self.engine,
-            MULTINOMIAL,
-            self._bound,
-            regions,
-            n_worlds=n_worlds,
-            alpha=alpha,
-            seed=seed,
-            membership=membership,
-            workers=workers,
-        )
 
 
 def select_non_overlapping(
@@ -1317,6 +1242,17 @@ class Measure:
         return float(np.mean(self.outcomes)) if self.n else 0.0
 
 
+def _dataset_measure(name: str, dataset, display: str) -> Measure:
+    """The registered measure ``name`` applied to a dataset's
+    predictions."""
+    if dataset.y_true is None:
+        raise ValueError(f"{name} needs y_true labels")
+    coords, outcomes = MEASURES[name].extract(
+        dataset.coords, dataset.y_pred, dataset.y_true
+    )
+    return Measure(coords=coords, outcomes=outcomes, name=display)
+
+
 def equal_opportunity(dataset) -> Measure:
     """Equal-opportunity measure: is the true positive rate uniform?
 
@@ -1334,15 +1270,8 @@ def equal_opportunity(dataset) -> Measure:
     -------
     Measure
     """
-    if dataset.y_true is None:
-        raise ValueError("equal_opportunity needs y_true labels")
-    coords, outcomes = _extract_equal_opportunity(
-        dataset.coords, dataset.y_pred, dataset.y_true
-    )
-    return Measure(
-        coords=coords,
-        outcomes=outcomes,
-        name="equal opportunity (TPR)",
+    return _dataset_measure(
+        "equal_opportunity", dataset, "equal opportunity (TPR)"
     )
 
 
@@ -1362,15 +1291,8 @@ def predictive_equality(dataset) -> Measure:
     -------
     Measure
     """
-    if dataset.y_true is None:
-        raise ValueError("predictive_equality needs y_true labels")
-    coords, outcomes = _extract_predictive_equality(
-        dataset.coords, dataset.y_pred, dataset.y_true
-    )
-    return Measure(
-        coords=coords,
-        outcomes=outcomes,
-        name="predictive equality (FPR)",
+    return _dataset_measure(
+        "predictive_equality", dataset, "predictive equality (FPR)"
     )
 
 
@@ -1476,7 +1398,7 @@ class PowerAnalysis:
                 np.int8
             )
             auditor = SpatialFairnessAuditor(
-                self.coords, labels, engine=self.engine
+                self.engine.coords, labels, engine=self.engine
             )
             result = auditor.audit(
                 self.regions,

@@ -1,12 +1,15 @@
 """Shared parallel Monte Carlo engine for the scan auditors.
 
 The audit's cost is dominated by the M x N x Q world loop (simulate a
-null world, recount every region, take the max statistic).  PR 1 left
-that loop duplicated inside each auditor; this module centralises it:
+null world, recount every region, take the max statistic).  This
+module holds that loop once for every auditor:
 
 * :class:`MonteCarloEngine` owns world simulation, chunking, the sparse
   membership mat-vec recount, null-distribution caching, and an
-  optional thread pool (``workers=N``);
+  optional thread pool (``workers=N``).  There is one simulation pass,
+  :meth:`MonteCarloEngine.null_distribution_multi`, which scores each
+  world batch against one or more designs; a solo
+  :meth:`MonteCarloEngine.null_distribution` is its one-design case;
 * the per-family statistics plug in as :class:`LLRKernel` subclasses —
   :class:`BernoulliKernel` (binary outcomes), :class:`PoissonKernel`
   (observed vs forecast counts), :class:`MultinomialKernel`
@@ -356,25 +359,17 @@ class MultinomialKernel(LLRKernel):
         return np.searchsorted(self._cum, u)  # (N, w) int labels < K
 
     def score(self, worlds: np.ndarray) -> np.ndarray:
-        N = float(self.n_points)
-        n = self._n[:, None]
-        llr = np.zeros((len(self.member), worlds.shape[1]))
+        return kernels.multinomial_llr(
+            self._n[:, None], self._class_counts(worlds), self.n_points
+        )
+
+    def _class_counts(self, worlds: np.ndarray):
+        """Yield each class's ``(c, C)`` recount of a world batch, one
+        class at a time so only one indicator matrix is alive."""
         for k in range(self.n_classes):
             ind = (worlds == k).astype(np.float32)
             c = self.member.positive_counts_batch(ind)
-            C = ind.sum(axis=0, dtype=np.float64)[None, :]
-            llr = llr + kernels.multinomial_llr_term(n, c, C, N)
-        llr = np.maximum(llr, 0.0)
-        llr = np.where((n <= 0) | (n >= N), 0.0, llr)
-        return llr
-
-
-def _maxima_buffer(n_worlds: int, segments: list | None) -> np.ndarray:
-    """The uninitialised per-world maxima output of one pass: 1-d for a
-    single design, one row per segment for a fused one."""
-    if segments is None:
-        return np.empty(n_worlds)
-    return np.empty((len(segments), n_worlds))
+            yield c, ind.sum(axis=0, dtype=np.float64)[None, :]
 
 
 def _write_maxima(
@@ -382,20 +377,16 @@ def _write_maxima(
     llr: np.ndarray,
     start: int,
     width: int,
-    segments: list | None,
+    segments: list,
 ) -> None:
     """Reduce one chunk's (regions, worlds) scores to per-world maxima.
 
-    With ``segments=None`` the chunk's global maximum lands in the 1-d
-    output span (the single-design path); otherwise each segment — one
-    stacked member design — reduces independently into its own row of
-    the 2-d output (the fused multi-design path).
+    Each segment — one design's rows of the scored matrix — reduces
+    independently into its own row of ``out``.  A solo run is the
+    one-segment case.
     """
-    if segments is None:
-        out[start : start + width] = llr.max(axis=0)
-    else:
-        for i, (a, b) in enumerate(segments):
-            out[i, start : start + width] = llr[a:b].max(axis=0)
+    for i, (a, b) in enumerate(segments):
+        out[i, start : start + width] = llr[a:b].max(axis=0)
 
 
 def _score_chunk(
@@ -403,7 +394,7 @@ def _score_chunk(
     out: np.ndarray,
     chunk: tuple,
     child: np.random.SeedSequence,
-    segments: list | None,
+    segments: list,
 ) -> None:
     """Simulate one chunk from its own seed child, score it and write
     its per-world maxima into the chunk's slice of ``out``."""
@@ -669,41 +660,24 @@ class MonteCarloEngine:
         ndarray of float64, shape (m,)
             ``m == n_worlds`` for a fixed budget; ``m <= n_worlds``
             when an adaptive budget stopped early.
+
+        Notes
+        -----
+        A solo run is the one-design case of
+        :meth:`null_distribution_multi`: the same cache, chunk layout,
+        random streams and counters, so the two agree bit for bit.
         """
-        n_worlds = int(n_worlds)
-        policy = BudgetPolicy.parse(budget)
-        if policy.is_adaptive:
-            return self._adaptive_pass(
-                [member],
-                kernel,
-                n_worlds,
-                seed,
-                workers,
-                chunk_worlds,
-                [observed_max],
-                [alpha],
-                policy,
-            )[0]
-        key = None
-        if seed is not None:
-            key = (kernel.cache_key(), n_worlds, int(seed), chunk_worlds)
-            per_member = self._null_cache.get(member)
-            if per_member is not None and key in per_member:
-                self.cache_hits += 1
-                per_member.move_to_end(key)
-                return per_member[key].copy()
-            self.cache_misses += 1
-
-        null_max = self._simulate_pass(
-            kernel, member, n_worlds, seed, workers, chunk_worlds, None
-        )
-
-        if key is not None:
-            per_member = self._null_cache.setdefault(member, OrderedDict())
-            per_member[key] = null_max.copy()
-            while len(per_member) > self.cache_size:
-                per_member.popitem(last=False)
-        return null_max
+        return self.null_distribution_multi(
+            [member],
+            kernel,
+            n_worlds,
+            seed=seed,
+            workers=workers,
+            chunk_worlds=chunk_worlds,
+            budget=budget,
+            observed_maxes=[observed_max],
+            alphas=[alpha],
+        )[0]
 
     def null_distribution_multi(
         self,
@@ -725,10 +699,12 @@ class MonteCarloEngine:
         membership matrix of every design
         (:class:`repro.index.StackedMembership`); per-design maxima are
         reduced segment by segment.  The chunk layout and per-chunk
-        random streams are identical to :meth:`null_distribution`'s, so
+        random streams depend only on ``(kernel, n_worlds, seed)``, so
         every returned distribution is **bit-identical** to the one a
-        solo run of that design would produce — fused and sequential
-        audits agree exactly, and both share the same null cache.
+        solo run of that design (:meth:`null_distribution`, the
+        one-design case of this method) would produce — fused and
+        sequential audits agree exactly, and both share the same null
+        cache.
 
         Parameters
         ----------
@@ -808,15 +784,13 @@ class MonteCarloEngine:
                 self.cache_misses += 1
             misses.append(member)
         if misses:
-            fused, segments = self._fused_member(misses)
             nulls = self._simulate_pass(
                 kernel,
-                fused,
+                misses,
                 n_worlds,
-                seed,
+                np.random.SeedSequence(seed),
                 workers,
                 chunk_worlds,
-                segments,
             )
             for member, null_max in zip(misses, nulls):
                 results[id(member)] = null_max
@@ -832,19 +806,22 @@ class MonteCarloEngine:
     def _simulate_pass(
         self,
         kernel: LLRKernel,
-        member,
+        members: list,
         n_worlds: int,
-        seed: int | None,
+        parent: np.random.SeedSequence,
         workers: int | None,
         chunk_worlds: int | None,
-        segments: list | None,
     ) -> np.ndarray:
-        """Bind, chunk, seed and run one simulation pass (serial or
-        threaded); ``segments`` selects per-design reduction."""
+        """Simulate ``n_worlds`` worlds once and score them against
+        every design in ``members``: one row of per-world maxima per
+        design.  Each chunk draws from its own child of ``parent`` — a
+        fixed pass's ``SeedSequence(seed)``, or one adaptive round's
+        seed."""
+        member, segments = self._fused_member(members)
         chunks = self.chunk_layout(
             kernel.chunk_points, n_worlds, chunk_worlds
         )
-        seeds = np.random.SeedSequence(seed).spawn(len(chunks))
+        seeds = parent.spawn(len(chunks))
         self.worlds_simulated += n_worlds
         return self._run_chunks(
             kernel, member, chunks, seeds, n_worlds, workers, segments
@@ -858,19 +835,18 @@ class MonteCarloEngine:
         seeds: list,
         n_worlds: int,
         workers: int | None,
-        segments: list | None,
+        segments: list,
     ) -> np.ndarray:
         """Bind and execute one explicit (chunks, seeds) layout —
-        serially or on a thread pool — returning the per-world maxima
-        (per segment when ``segments`` is given)."""
+        serially or on a thread pool — returning the per-world maxima,
+        one row per segment."""
         kernel.bind(member)
         workers = self.workers if workers is None else workers
         n_threads = min(int(workers or 1), len(chunks), _usable_cores())
+        null_max = np.empty((len(segments), n_worlds))
         if n_threads < 2:
-            return self._null_serial(
-                kernel, chunks, seeds, n_worlds, segments
-            )
-        null_max = _maxima_buffer(n_worlds, segments)
+            self._null_serial(kernel, null_max, chunks, seeds, segments)
+            return null_max
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             # Each chunk owns a disjoint slice of null_max, so completion
             # order is irrelevant; list() re-raises the first chunk error.
@@ -920,22 +896,13 @@ class MonteCarloEngine:
         exceed = [0] * len(members)
         total = 0
         for size, round_seed in zip(sizes, round_seeds):
-            fused, segments = self._fused_member(
-                [members[i] for i in active]
-            )
-            chunks = self.chunk_layout(
-                kernel.chunk_points, size, chunk_worlds
-            )
-            seeds = round_seed.spawn(len(chunks))
-            self.worlds_simulated += size
-            out = self._run_chunks(
+            out = self._simulate_pass(
                 kernel,
-                fused,
-                chunks,
-                seeds,
+                [members[i] for i in active],
                 size,
+                round_seed,
                 workers,
-                segments,
+                chunk_worlds,
             )
             total += size
             still = []
@@ -959,12 +926,11 @@ class MonteCarloEngine:
     @staticmethod
     def _null_serial(
         kernel: LLRKernel,
+        out: np.ndarray,
         chunks: list,
         seeds: list,
-        n_worlds: int,
-        segments: list | None = None,
-    ) -> np.ndarray:
-        null_max = _maxima_buffer(n_worlds, segments)
+        segments: list,
+    ) -> None:
         # Inline rather than via _score_chunk: the previous chunk's
         # worlds and scores stay referenced until the next chunk's are
         # allocated, so malloc reuses their pages instead of trimming
@@ -973,5 +939,4 @@ class MonteCarloEngine:
             rng = np.random.default_rng(child)
             worlds = kernel.simulate(rng, width)
             llr = kernel.score(worlds)
-            _write_maxima(null_max, llr, start, width, segments)
-        return null_max
+            _write_maxima(out, llr, start, width, segments)

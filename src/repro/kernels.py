@@ -8,7 +8,9 @@ chunk of simulated worlds:
 * :func:`poisson_llr_batch` — the Poisson LLR against fixed expected
   counts;
 * :func:`multinomial_llr_term` — one class's additive term of the
-  multinomial LLR, summed over classes by the caller;
+  multinomial LLR; :func:`multinomial_llr` sums it over classes and
+  masks degenerate regions, for the observed scan and the world
+  batches alike;
 * :func:`membership_counts_batch` — the sparse recount
   ``M @ worlds`` in float64.
 
@@ -27,6 +29,7 @@ from .stats import poisson_llr
 __all__ = [
     "bernoulli_llr_batch",
     "membership_counts_batch",
+    "multinomial_llr",
     "multinomial_llr_term",
     "poisson_llr_batch",
 ]
@@ -126,8 +129,9 @@ def multinomial_llr_term(n, c, C, N: float) -> np.ndarray:
 
     The multinomial statistic is a sum over classes ``k`` of
     ``xlogy(c, rho) + xlogy(C - c, q) - xlogy(C, C / N)`` with the
-    in/out rates clamped at ``1e-300``; callers accumulate this term
-    across classes and apply the degeneracy mask afterwards.
+    in/out rates clamped at ``1e-300``; :func:`multinomial_llr`
+    accumulates this term across classes and applies the degeneracy
+    mask afterwards.
 
     Parameters
     ----------
@@ -161,6 +165,33 @@ def multinomial_llr_term(n, c, C, N: float) -> np.ndarray:
         + xlogy(C - c, np.maximum(q, 1e-300))
         - xlogy(C, np.maximum(C / N, 1e-300))
     )
+
+
+def multinomial_llr(n, class_terms, N: float) -> np.ndarray:
+    """The multinomial scan LLR: :func:`multinomial_llr_term` summed
+    over classes, clamped at 0, and 0 for regions that are empty or
+    hold every observation.
+
+    Parameters
+    ----------
+    n : array_like
+        Region sizes, as in :func:`multinomial_llr_term`.
+    class_terms : iterable of (c, C)
+        One ``(c_k, C_k)`` pair per class, in class order.  A generator
+        works, so a caller can recount one class at a time.
+    N : float
+        Total observations.
+
+    Returns
+    -------
+    ndarray of float64, broadcast shape of ``n`` and the counts
+    """
+    n = np.asarray(n, dtype=np.float64)
+    llr = np.zeros(n.shape)
+    for c, C in class_terms:
+        llr = llr + multinomial_llr_term(n, c, C, N)
+    llr = np.maximum(llr, 0.0)
+    return np.where((n <= 0) | (n >= N), 0.0, llr)
 
 
 def membership_counts_batch(matrix, worlds: np.ndarray) -> np.ndarray:

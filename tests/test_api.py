@@ -14,6 +14,7 @@ from repro.core import (
     PoissonSpatialAuditor,
     SpatialFairnessAuditor,
     equal_opportunity,
+    predictive_equality,
 )
 from repro.datasets import SpatialDataset
 from repro.stats import benjamini_hochberg
@@ -274,6 +275,23 @@ class TestValidationErrors:
         auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
         with pytest.raises(ValueError, match="does not cover"):
             auditor.audit(far, n_worlds=N_WORLDS, seed=1)
+
+    def test_legacy_multinomial_is_two_sided_only(
+        self, unit_coords, biased_classes, unit_regions
+    ):
+        auditor = MultinomialSpatialAuditor(unit_coords, biased_classes, 3)
+        with pytest.raises(ValueError, match="directional"):
+            auditor.audit(
+                unit_regions, n_worlds=N_WORLDS, seed=1, direction="lower"
+            )
+
+    def test_accuracy_measures_need_y_true(self, unit_coords,
+                                           biased_labels):
+        dataset = SpatialDataset(coords=unit_coords, y_pred=biased_labels)
+        with pytest.raises(ValueError, match="equal_opportunity needs"):
+            equal_opportunity(dataset)
+        with pytest.raises(ValueError, match="predictive_equality needs"):
+            predictive_equality(dataset)
 
     def test_poisson_without_forecast(self, unit_coords, biased_counts):
         observed, _ = biased_counts

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import N_WORLDS
+from repro import AuditSession, AuditSpec, RegionSpec
 from repro import engine as engine_mod
 from repro.core import (
     MultinomialSpatialAuditor,
@@ -394,3 +395,244 @@ class TestGoldenSeedStability:
             unit_regions, n_worlds=N_WORLDS, seed=18
         )
         assert a.critical_value != b.critical_value
+
+
+#: Golden scan designs over the unit datasets: the 5x5 unit grid and
+#: eight k-means centres with two squares or two circles each.
+GOLDEN_DESIGNS = {
+    "grid": RegionSpec.grid(5, 5, bounds=(0, 0, 1, 1)),
+    "squares": RegionSpec.squares(8, sides=(0.2, 0.35)),
+    "circles": RegionSpec.circles(8, radii=(0.1, 0.2)),
+}
+
+#: A small first round, so the 49-world adaptive budget runs four
+#: rounds ([8, 8, 16, 17]) instead of one.
+GOLDEN_BUDGETS = {
+    "fixed": "fixed",
+    "adaptive": {"kind": "adaptive", "initial": 8},
+}
+
+GOLDEN_SEEDS = {"bernoulli": 17, "poisson": 23, "multinomial": 29}
+
+#: (verdict, p_value, significant indices, worlds simulated,
+#: critical_value) per (family, design, budget).
+GOLDEN_NULL = {
+    ('bernoulli', 'grid', 'fixed'): (
+        'unfair', 0.02, (0,), 49, 5.7557604881,
+    ),
+    ('bernoulli', 'grid', 'adaptive'): (
+        'unfair', 0.02, (0,), 49, 4.231173379,
+    ),
+    ('bernoulli', 'squares', 'fixed'): (
+        'unfair', 0.02, (8, 9), 49, 4.56972817483,
+    ),
+    ('bernoulli', 'squares', 'adaptive'): (
+        'unfair', 0.02, (8, 9), 49, 4.32635622411,
+    ),
+    ('bernoulli', 'circles', 'fixed'): (
+        'unfair', 0.02, (5, 8, 9), 49, 4.57172767604,
+    ),
+    ('bernoulli', 'circles', 'adaptive'): (
+        'unfair', 0.02, (8, 9), 49, 4.96151083832,
+    ),
+    ('poisson', 'grid', 'fixed'): (
+        'unfair', 0.02, (0, 1, 5, 6), 49, 5.20996384683,
+    ),
+    ('poisson', 'grid', 'adaptive'): (
+        'unfair', 0.02, (0, 1, 5, 6), 49, 5.1801645936,
+    ),
+    ('poisson', 'squares', 'fixed'): (
+        'unfair', 0.02, (8, 9), 49, 5.99355691305,
+    ),
+    ('poisson', 'squares', 'adaptive'): (
+        'unfair', 0.02, (8, 9), 49, 4.9807707663,
+    ),
+    ('poisson', 'circles', 'fixed'): (
+        'unfair', 0.02, (8, 9), 49, 5.2676711596,
+    ),
+    ('poisson', 'circles', 'adaptive'): (
+        'unfair', 0.02, (8, 9, 11), 49, 4.36855744107,
+    ),
+    ('multinomial', 'grid', 'fixed'): (
+        'unfair', 0.02, (0, 1, 5), 49, 7.3168341315,
+    ),
+    ('multinomial', 'grid', 'adaptive'): (
+        'unfair', 0.02, (0, 1, 5), 49, 6.40719763224,
+    ),
+    ('multinomial', 'squares', 'fixed'): (
+        'unfair', 0.02, (8, 9), 49, 6.8608234677,
+    ),
+    ('multinomial', 'squares', 'adaptive'): (
+        'unfair', 0.02, (8, 9), 49, 5.42272587618,
+    ),
+    ('multinomial', 'circles', 'fixed'): (
+        'unfair', 0.02, (8, 9), 49, 6.56384883241,
+    ),
+    ('multinomial', 'circles', 'adaptive'): (
+        'unfair', 0.02, (8, 9), 49, 6.63857906506,
+    ),
+}
+GOLDEN_LLR = {
+    ('bernoulli', 'grid'): [
+        17.2369507486, 2.61802056607, 0.926501742497, 0.326054746454,
+        0.00465803530926, 3.98003997259, 3.99030009668, 0.88817957101,
+        0.00243279158036, 0.674008551395, 0.409481969396,
+        0.126057656799, 0.032327052986, 0.235184556822, 0.758065642553,
+        0.571926608358, 0.0891702943239, 1.97590815814, 0.836281316613,
+        1.2805719568, 0.49547783857, 1.72847074475, 0.251952112985,
+        1.53879140216, 0.503501929772
+    ],
+    ('bernoulli', 'squares'): [
+        0.251952112985, 0.433930395279, 0.00114196834568,
+        0.00614708772082, 0.395839545722, 3.27378978911, 0.313683062006,
+        0.403484527271, 9.41826280742, 32.6170892242, 0.333685111362,
+        3.01545041725, 0.0665004515412, 0.219941574512, 0.170900831017,
+        2.14328656346
+    ],
+    ('bernoulli', 'circles'): [
+        0.17432204816, 0.517872102417, 0.00561829328063,
+        0.000167638035009, 0.00855905405308, 4.95038847479,
+        0.0851858177948, 0.290808682652, 11.9447920831, 31.5865466785,
+        0.850045274714, 2.66827230637, 0.597267077598, 0.427423553316,
+        0.483202199198, 1.0125581544
+    ],
+    ('poisson', 'grid'): [
+        15.3367698292, 30.3747675523, 1.93023010431, 0.666921334546,
+        1.6897569218, 10.1181865326, 5.96300739294, 0.0111809551588,
+        0.725410143789, 2.30772756997, 0.659874549505, 0.765477693644,
+        0.000940906362631, 0.0561211275132, 0.187068900472, 2.326384302,
+        0.982405487918, 1.49257814201, 1.03965591866, 1.1620903192,
+        1.90462748559, 0.708807220632, 0.138738779051,
+        0.000200674048642, 0.26277117481
+    ],
+    ('poisson', 'squares'): [
+        0.0916438464972, 0.690276666978, 0.524779396406, 3.39071173445,
+        0.054730492493, 0.0208487211861, 0.488124154765,
+        0.0214793748557, 22.5091437012, 74.3233557635, 0.720915103526,
+        4.56125508131, 1.45375716337, 2.25068400208, 0.054376252494,
+        0.571933984889
+    ],
+    ('poisson', 'circles'): [
+        0.0415871440796, 0.71147209544, 0.743458983535, 3.35780605379,
+        0.062625508464, 0.434192775898, 0.213988577473,
+        0.00309717143396, 18.1207857664, 68.2518585251, 0.149730642605,
+        5.04633441696, 0.676696668925, 2.37978067191, 0.0818441695476,
+        0.964536910738
+    ],
+    ('multinomial', 'grid'): [
+        13.7692271802, 9.03682670906, 0.463058425993, 0.861664814385,
+        1.35320432881, 9.14215963146, 3.11009758007, 2.69854667583,
+        1.60907147025, 1.03947001274, 0.260744890661, 0.0734731994497,
+        0.65667652206, 4.00649141774, 5.75137818964, 2.24678911331,
+        1.99323511502, 0.0128611759365, 1.00928851294, 3.63172501699,
+        1.70567129665, 0.788449657046, 2.80061370723, 0.311282337044,
+        1.70064677111
+    ],
+    ('multinomial', 'squares'): [
+        0.739135336783, 0.403543091018, 0.317308558313, 0.496728485782,
+        3.82450561503, 5.09518651936, 1.7388524043, 0.339175613881,
+        15.4648006601, 37.6886897589, 0.668333909581, 1.03367568167,
+        0.250004719864, 0.0721923609927, 4.78623120973, 4.82992596846
+    ],
+    ('multinomial', 'circles'): [
+        0.59188831649, 0.775450408513, 0.333725256652, 0.333019318475,
+        3.58096208194, 5.26720628432, 1.62251308934, 0.493086858864,
+        12.0552214616, 36.4905037949, 1.11116714505, 2.00886311175,
+        0.162128985311, 0.195406773058, 2.71470697849, 5.1835799943
+    ],
+}
+
+
+class TestCrossVersionGolden:
+    """Report values pinned as literals, so a change to the random
+    stream, the chunk layout or a statistic shows up across commits
+    (``result_fingerprint`` only compares runs within one commit).
+
+    Verdicts, p-values and significant sets are exact; critical values
+    and per-region LLRs match to 1e-9 relative, which absorbs numpy and
+    libm rounding differences between Python versions."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self, unit_coords, biased_labels, biased_counts,
+                 biased_classes):
+        observed, forecast = biased_counts
+        return {
+            "bernoulli": AuditSession(unit_coords, biased_labels),
+            "poisson": AuditSession(
+                unit_coords, observed, forecast=forecast
+            ),
+            "multinomial": AuditSession(
+                unit_coords, biased_classes, n_classes=3
+            ),
+        }
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_NULL))
+    def test_report_matches_golden(self, sessions, key):
+        family, design, budget = key
+        result = sessions[family].run(
+            AuditSpec(
+                regions=GOLDEN_DESIGNS[design],
+                family=family,
+                n_worlds=N_WORLDS,
+                seed=GOLDEN_SEEDS[family],
+                budget=GOLDEN_BUDGETS[budget],
+                workers=1,
+            )
+        ).result
+        verdict, p_value, significant, worlds, critical = GOLDEN_NULL[key]
+        assert ("fair" if result.is_fair else "unfair") == verdict
+        assert result.p_value == p_value
+        assert tuple(
+            sorted(f.index for f in result.significant_findings)
+        ) == significant
+        assert result.n_worlds == worlds
+        assert result.critical_value == pytest.approx(critical, rel=1e-9)
+        # abs=1e-12 only admits regions whose LLR is exactly 0.
+        assert [f.llr for f in result.findings] == pytest.approx(
+            GOLDEN_LLR[family, design], rel=1e-9, abs=1e-12
+        )
+
+
+class TestSharedEngineCheck:
+    """A legacy auditor refuses an engine bound to other points."""
+
+    def test_same_shape_other_points_rejected(self, unit_coords,
+                                              biased_labels):
+        other = np.random.default_rng(7).random(unit_coords.shape)
+        with pytest.raises(ValueError, match="engine"):
+            SpatialFairnessAuditor(
+                unit_coords, biased_labels,
+                engine=MonteCarloEngine(other),
+            )
+
+    def test_other_length_rejected(self, unit_coords, biased_counts):
+        observed, forecast = biased_counts
+        with pytest.raises(ValueError, match="engine"):
+            PoissonSpatialAuditor(
+                unit_coords[:500], observed[:500], forecast[:500],
+                engine=MonteCarloEngine(unit_coords),
+            )
+
+    def test_nan_coords_rejected_with_engine(self, unit_coords,
+                                             biased_classes):
+        coords = unit_coords.copy()
+        coords[3, 0] = np.nan
+        with pytest.raises(ValueError, match="coords"):
+            MultinomialSpatialAuditor(
+                coords, biased_classes, 3,
+                engine=MonteCarloEngine(unit_coords),
+            )
+
+    def test_equal_copy_is_accepted(self, unit_coords, biased_labels,
+                                    unit_regions):
+        engine = MonteCarloEngine(unit_coords.copy())
+        shared = SpatialFairnessAuditor(
+            unit_coords, biased_labels, engine=engine
+        )
+        own = SpatialFairnessAuditor(unit_coords, biased_labels)
+        assert shared.engine is engine
+        assert result_fingerprint(
+            shared.audit(unit_regions, n_worlds=N_WORLDS, seed=3)
+        ) == result_fingerprint(
+            own.audit(unit_regions, n_worlds=N_WORLDS, seed=3)
+        )

@@ -8,6 +8,7 @@ Two modes:
 
       python tools/check_coverage.py --json coverage.json --min 80 \\
           src/repro/stats.py src/repro/index.py src/repro/engine.py \\
+          src/repro/core.py src/repro/geometry.py \\
           src/repro/budget.py src/repro/kernels.py \\
           src/repro/fingerprint.py src/repro/datasets.py \\
           src/repro/baselines.py src/repro/forest.py src/repro/viz.py

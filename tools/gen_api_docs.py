@@ -68,10 +68,20 @@ def _emit_callable(name: str, obj, lines: list, level: int = 3) -> None:
     lines.append(_doc(obj) + "\n")
 
 
+def _public_members(cls) -> list:
+    """``(name, member)`` pairs defined on ``cls`` or inherited from a
+    private base class, whose members the docs show nowhere else."""
+    members: dict = {}
+    for klass in reversed(cls.__mro__):
+        if klass is cls or klass.__name__.startswith("_"):
+            members.update(vars(klass))
+    return sorted(members.items())
+
+
 def _emit_class(name: str, cls, lines: list) -> None:
     lines.append(f"### `{name}`\n")
     lines.append(_doc(cls) + "\n")
-    for attr, member in sorted(vars(cls).items()):
+    for attr, member in _public_members(cls):
         if attr.startswith("_"):
             continue
         if isinstance(member, property):
@@ -97,7 +107,7 @@ def iter_public(mod_name: str):
         obj = getattr(module, name)
         if inspect.isclass(obj):
             yield f"{mod_name}.{name}", obj
-            for attr, member in sorted(vars(obj).items()):
+            for attr, member in _public_members(obj):
                 if attr.startswith("_"):
                     continue
                 if isinstance(member, property):
