@@ -17,17 +17,15 @@ threshold: at ``alpha=0.005`` the k=0 Clopper-Pearson upper bound
 only clears alpha after ~1060 worlds, so a 1024-world budget never
 stops early — see the golden tests in ``tests/test_adaptive.py``).
 
-Results merge into ``BENCH_serve.json`` under ``adaptive_*`` keys
-(field glossary in EXPERIMENTS.md).  Asserted unconditionally:
+The test prints its numbers (field glossary in EXPERIMENTS.md).
+Asserted unconditionally:
 adaptive verdicts match fixed verdicts spec-for-spec, and adaptive
 simulates >= 3x fewer worlds — a deterministic count immune to
 machine noise.  Wall-clock is asserted only under ``BENCH_STRICT=1``.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro import AuditService, AuditSession, AuditSpec, RegionSpec
 
@@ -57,27 +55,6 @@ def _specs(budget: str) -> list:
     ]
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _merge_bench(out: Path, payload: dict) -> None:
-    """Update BENCH_serve.json in place: the file is shared with
-    ``test_perf_serve.py``, so each bench only overwrites its own
-    keys."""
-    merged = {}
-    if out.exists():
-        try:
-            merged = json.loads(out.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(payload)
-    out.write_text(json.dumps(merged, indent=2) + "\n")
-
-
 def _run_fused(lar, budget: str):
     specs = _specs(budget)
     session = AuditSession(lar.coords, lar.y_pred)
@@ -99,34 +76,19 @@ def test_perf_adaptive(lar):
     verdicts_adaptive = [r.result.is_fair for r in adaptive]
     per_spec_worlds = [r.result.n_worlds for r in adaptive]
     worlds_ratio = worlds_fixed / max(worlds_adaptive, 1)
-    payload = {
-        "adaptive_alpha": ALPHA,
-        "adaptive_n_worlds_per_spec": N_WORLDS,
-        "adaptive_fixed_seconds": round(t_fixed, 4),
-        "adaptive_seconds": round(t_adaptive, 4),
+    table = {
         "adaptive_fixed_worlds_simulated": worlds_fixed,
         "adaptive_worlds_simulated": worlds_adaptive,
         "adaptive_worlds_ratio": round(worlds_ratio, 2),
         "adaptive_speedup": round(t_fixed / t_adaptive, 3),
         "adaptive_per_spec_worlds": per_spec_worlds,
-        "adaptive_stopped_early": [
-            r.result.stopped_early for r in adaptive
-        ],
         "adaptive_verdicts_match_fixed": (
             verdicts_fixed == verdicts_adaptive
         ),
-        "machine_usable_cores": _usable_cores(),
     }
-    out = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-    _merge_bench(out, payload)
-
-    print("\n=== Adaptive budget perf (BENCH_serve.json) ===")
-    for key in (
-        "adaptive_fixed_worlds_simulated", "adaptive_worlds_simulated",
-        "adaptive_worlds_ratio", "adaptive_speedup",
-        "adaptive_per_spec_worlds", "adaptive_verdicts_match_fixed",
-    ):
-        print(f"{key}: {payload[key]}")
+    print("\n=== Adaptive budget perf ===")
+    for key, value in table.items():
+        print(f"{key}: {value}")
 
     # World counts and verdicts are deterministic — asserted
     # everywhere, any machine.

@@ -9,20 +9,17 @@ Times one Bernoulli audit workload (40k points, 400 candidate regions,
 * a repeated identical audit — answered from the null-distribution
   cache without simulating anything.
 
-Results land in ``BENCH_engine.json`` at the repository root (see
-EXPERIMENTS.md for the field glossary) so future PRs can track the
-engine's perf trajectory.  The determinism contract — bit-identical
-verdicts, critical values and significant-region sets for any worker
-count — is asserted unconditionally; the >= 2x parallel speedup is
-always recorded but only *asserted* when ``BENCH_STRICT=1`` is set
-and the machine has >= 4 usable cores, so shared/throttled CI runners
-and 1-core containers cannot flake on a perf number.
+The test prints its timings (field glossary in EXPERIMENTS.md).  The
+determinism contract — bit-identical verdicts, critical values and
+significant-region sets for any worker count — is asserted
+unconditionally; the >= 2x parallel speedup is always printed but
+only *asserted* when ``BENCH_STRICT=1`` is set and the machine has
+>= 4 usable cores, so shared/throttled CI runners and 1-core
+containers cannot flake on a perf number.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -47,21 +44,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _merge_bench(out: Path, payload: dict) -> None:
-    """Update BENCH_engine.json in place: the file also carries the
-    per-commit ``kernel_history`` rows appended by ``tools/bench.py``
-    (and the kernel-suite keys), so each writer only overwrites its
-    own keys."""
-    merged = {}
-    if out.exists():
-        try:
-            merged = json.loads(out.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(payload)
-    out.write_text(json.dumps(merged, indent=2) + "\n")
 
 
 def _fingerprint(result):
@@ -112,35 +94,17 @@ def test_perf_engine():
 
     identical = _fingerprint(serial) == _fingerprint(parallel)
     cores = _usable_cores()
-    payload = {
-        "workload": {
-            "n_points": N_POINTS,
-            "n_regions": len(regions),
-            "n_worlds": N_WORLDS,
-            "seed": SEED,
-            "family": "bernoulli",
-        },
-        "machine_usable_cores": cores,
+    table = {
         "serial_seconds": round(t_serial, 4),
-        "serial_worlds_per_sec": round(N_WORLDS / t_serial, 1),
-        "workers": WORKERS,
         "parallel_seconds": round(t_parallel, 4),
-        "parallel_worlds_per_sec": round(N_WORLDS / t_parallel, 1),
         "parallel_speedup": round(t_serial / t_parallel, 3),
         "cache_hit_seconds": round(t_cached, 4),
-        "cache_hit_speedup": round(t_serial / max(t_cached, 1e-9), 1),
+        "machine_usable_cores": cores,
         "parallel_identical_to_serial": identical,
     }
-    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-    _merge_bench(out, payload)
-
-    print("\n=== Engine perf (BENCH_engine.json) ===")
-    for key in (
-        "serial_seconds", "parallel_seconds", "parallel_speedup",
-        "cache_hit_seconds", "machine_usable_cores",
-        "parallel_identical_to_serial",
-    ):
-        print(f"{key}: {payload[key]}")
+    print("\n=== Engine perf ===")
+    for key, value in table.items():
+        print(f"{key}: {value}")
 
     # The determinism contract holds everywhere, cores or not.
     assert identical

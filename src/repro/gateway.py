@@ -24,8 +24,7 @@ fifty tenants is bit-identical to the same spec run alone in-process
 (asserted in ``tests/test_gateway.py``).  :meth:`AuditGateway.stats`
 surfaces queue depth and peak, admission rejections, per-tenant
 counters, end-to-end latency and per-dataset service counters for
-dashboards; ``tools/loadgen.py`` appends them as ``gateway_history``
-rows to ``BENCH_serve.json``.
+dashboards.
 
 Crash safety: constructed with ``store=`` (a
 :class:`repro.ticketstore.TicketStore` or a path), the gateway
@@ -246,8 +245,9 @@ class GatewayTicket:
     Returned by :meth:`AuditGateway.submit`.  The ticket wraps the
     underlying service's :class:`repro.serve.PendingAudit` and adds
     the gateway bookkeeping: a stable id (the HTTP API's handle), the
-    tenant and dataset it was admitted under, and submit/finish
-    timestamps feeding the gateway's latency counters.
+    tenant and dataset it was admitted under, and the submit timestamp
+    that, with the pending audit's resolution time, feeds the gateway's
+    latency counters.
 
     Attributes
     ----------
@@ -483,7 +483,10 @@ class AuditGateway:
         if ticket._settled:
             return
         ticket._settled = True
-        elapsed = time.monotonic() - ticket._submitted_at
+        # Latency ends when the audit resolved, not when the client
+        # redeemed it (an escaped internal error leaves no stamp).
+        resolved_at = ticket._pending._resolved_at or time.monotonic()
+        elapsed = resolved_at - ticket._submitted_at
         self._latency_total += elapsed
         self._latency_max = max(self._latency_max, elapsed)
         self._latency_count += 1
@@ -897,7 +900,7 @@ class AuditGateway:
 
     def close(self) -> None:
         """Drain, close the ticket store (if any), then release the
-        registry's shared memory."""
+        registry's arrays."""
         self.drain()
         if self.store is not None:
             self.store.close()
@@ -906,7 +909,7 @@ class AuditGateway:
     # -- observability -------------------------------------------------
 
     def stats(self) -> dict:
-        """Gateway counters for dashboards and the load generator.
+        """Gateway counters for dashboards.
 
         Returns
         -------
@@ -914,8 +917,9 @@ class AuditGateway:
             ``submitted`` / ``completed`` / ``errors``, the rejection
             counters (``rejected_full``, ``rejected_quota``,
             ``rejected_draining``), ``queue_depth`` / ``queue_peak`` /
-            ``queue_size``, latency aggregates over redeemed audits
-            (``latency_avg_ms`` / ``latency_max_ms``), ``draining``,
+            ``queue_size``, submit-to-resolution latency aggregates
+            over settled audits (``latency_avg_ms`` /
+            ``latency_max_ms``), ``draining``,
             per-``tenants`` buckets, the ``registry`` stats, one
             ``datasets`` entry per active service (its service
             counters), and ``store``
@@ -1092,12 +1096,17 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             for part in query.split("&"):
                 if part.startswith("wait="):
                     wait = float(part[len("wait="):])
-            if wait == 0 and not ticket.done():
+            report = None
+            if wait != 0 or ticket.done():
+                try:
+                    report = ticket.result(timeout=wait)
+                except TimeoutError:
+                    pass
+            if report is None:
                 self._send(
                     200, {"ticket": ticket.id, "done": False}
                 )
                 return
-            report = ticket.result(timeout=wait)
             self._send(
                 200,
                 {
@@ -1130,26 +1139,32 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                 spec,
                 tenant=str(body.get("tenant", "default")),
             )
+            report = None
             if body.get("wait", True):
-                report = ticket.result(
-                    timeout=body.get("timeout")
-                )
-                self._send(
-                    200,
-                    {
-                        "ticket": ticket.id,
-                        "report": report.to_dict(full=True),
-                    },
-                )
-            else:
+                try:
+                    report = ticket.result(timeout=body.get("timeout"))
+                except TimeoutError:
+                    pass
+            if report is None:
+                # Not waited for, or still pending at the timeout: the
+                # client redeems the ticket via GET /tickets/<id>.
                 self._send(
                     202,
                     {
                         "ticket": ticket.id,
                         "dataset": ticket.dataset,
                         "tenant": ticket.tenant,
+                        "done": False,
                     },
                 )
+                return
+            self._send(
+                200,
+                {
+                    "ticket": ticket.id,
+                    "report": report.to_dict(full=True),
+                },
+            )
 
         def _batch(self, body: dict):
             specs = [
@@ -1209,11 +1224,13 @@ class GatewayHTTPServer:
 
     ``POST /audit``
         ``{"dataset", "spec", "tenant"?, "wait"?, "timeout"?}`` —
-        200 with the report when ``wait`` (default), 202 with a
-        ticket id otherwise.  Queue-full and quota rejections return
-        429 with a ``Retry-After`` header; draining returns 503.
+        200 with the report when ``wait`` (default) and it resolves
+        within ``timeout``, 202 with a ticket id otherwise.
+        Queue-full and quota rejections return 429 with a
+        ``Retry-After`` header; draining returns 503.
     ``GET /tickets/<id>?wait=<s>``
-        Redeem or poll a ticket (``wait=0`` polls without blocking).
+        Redeem or poll a ticket (``wait=0`` polls without blocking);
+        ``"done": false`` while it is still pending after ``wait``.
     ``POST /batch``
         ``{"dataset", "specs": [...], "tenant"?}`` — all reports,
         one fused pass.

@@ -114,9 +114,7 @@ class RegionMembership:
         Returns
         -------
         RegionMembership
-            The delta membership over just the new points —
-            :class:`StackedMembership` reuses it to extend stacked
-            matrices without recomputing the queries.
+            The delta membership over just the new points.
         """
         from scipy import sparse
 
@@ -259,59 +257,6 @@ class StackedMembership:
 
     def __len__(self) -> int:
         return self._matrix.shape[0]
-
-    def append_points(self, coords: np.ndarray) -> None:
-        """Append newly arrived points to every member, in place.
-
-        Each distinct member (deduplicated by identity, so a shared
-        :class:`RegionMembership` is only updated once) appends the new
-        CSR columns via :meth:`RegionMembership.append_points`; the
-        stacked matrix is then re-stacked from the members' canonical
-        matrices, which is bit-identical to a cold
-        :class:`StackedMembership` build over the grown members and
-        costs only a sparse copy — the per-region builds over the delta
-        are the incremental part.
-
-        Parameters
-        ----------
-        coords : ndarray of shape (k, 2)
-            Coordinates of the appended points, in arrival order.
-        """
-        from scipy import sparse
-
-        seen: set = set()
-        for member in self.members:
-            if id(member) in seen:
-                continue
-            seen.add(id(member))
-            member.append_points(coords)
-        self.n_points = self.members[0].n_points
-        self._matrix = sparse.vstack(
-            [m._matrix for m in self.members], format="csr"
-        )
-        self.counts = np.concatenate([m.counts for m in self.members])
-
-    def evict_points(self, keep: np.ndarray) -> None:
-        """Drop expired points from every member, in place.
-
-        Parameters
-        ----------
-        keep : bool ndarray of shape (n_points,)
-            ``True`` for the points that stay.
-        """
-        from scipy import sparse
-
-        seen: set = set()
-        for member in self.members:
-            if id(member) in seen:
-                continue
-            seen.add(id(member))
-            member.evict_points(keep)
-        self.n_points = self.members[0].n_points
-        self._matrix = sparse.vstack(
-            [m._matrix for m in self.members], format="csr"
-        )
-        self.counts = np.concatenate([m.counts for m in self.members])
 
     def positive_counts(self, labels: np.ndarray) -> np.ndarray:
         """Per-region sum of a single label vector, all members at once.

@@ -79,6 +79,8 @@ class PendingAudit:
         self._event = threading.Event()
         self._report: AuditReport | None = None
         self._error: Exception | None = None
+        #: ``time.monotonic()`` when the ticket resolved.
+        self._resolved_at: float | None = None
 
     def done(self) -> bool:
         """Whether the ticket has resolved (report or error)."""
@@ -152,6 +154,7 @@ class PendingAudit:
     ) -> None:
         self._report = report
         self._error = error
+        self._resolved_at = time.monotonic()
         self._event.set()
 
 

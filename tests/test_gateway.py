@@ -4,6 +4,7 @@ import json
 import os
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -146,6 +147,20 @@ class TestBatchesAndStats:
     def test_stats_json_serializable(self, gateway):
         gateway.run("unit", _spec(1))
         json.dumps(gateway.stats())
+
+    def test_latency_ends_at_resolution_not_redeem(
+        self, gateway, monkeypatch
+    ):
+        now = [100.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        ticket = gateway.submit("unit", _spec(seed=5), tenant="alice")
+        now[0] += 0.335  # the audit takes 335 ms ...
+        gateway.service("unit").gather()
+        now[0] += 1.0  # ... and the client redeems it a second later
+        ticket.result()
+        stats = gateway.stats()
+        assert stats["latency_max_ms"] == pytest.approx(335.0)
+        assert stats["latency_avg_ms"] == pytest.approx(335.0)
 
 
 class TestConcurrency:
@@ -376,6 +391,32 @@ class TestHTTP:
             },
         )
         assert status == 202
+
+    def test_sync_audit_timeout_answers_ticket(
+        self, http, unit_coords, biased_labels
+    ):
+        client, gw = http
+        # Another request's gather holds the service past the timeout.
+        with gw.service("unit")._gather_lock:
+            status, body, _ = client.post(
+                "/audit",
+                {"dataset": "unit", "spec": SPEC_DICT, "timeout": 0.05},
+            )
+            assert status == 202
+            assert body["done"] is False
+            assert body["dataset"] == "unit"
+            ticket = body["ticket"]
+            status, body, _ = client.get(f"/tickets/{ticket}?wait=0.05")
+            assert status == 200
+            assert body == {"ticket": ticket, "done": False}
+        status, body, _ = client.get(f"/tickets/{ticket}")
+        assert status == 200 and body["done"] is True
+        solo = AuditSession(unit_coords, biased_labels).run(
+            AuditSpec.from_dict(SPEC_DICT)
+        )
+        assert json.dumps(body["report"], sort_keys=True) == (
+            json.dumps(solo.to_dict(full=True), sort_keys=True)
+        )
 
     def test_batch_endpoint(self, http):
         client, _ = http

@@ -17,8 +17,7 @@ import pytest
 
 from repro.api import AuditSession
 from repro.engine import MonteCarloEngine
-from repro.geometry import GridPartitioning, Rect, partition_region_set
-from repro.index import RegionMembership, StackedMembership
+from repro.index import RegionMembership
 from repro.serve import AuditService
 from repro.spec import AuditSpec, RegionSpec
 
@@ -436,7 +435,7 @@ class TestStreamValidation:
 
 
 class TestIncrementalIndex:
-    """RegionMembership/StackedMembership CSR updates == cold builds."""
+    """RegionMembership CSR updates == cold builds."""
 
     def test_membership_append_matches_cold(
         self, unit_coords, unit_regions
@@ -468,66 +467,6 @@ class TestIncrementalIndex:
             member.evict_points(np.ones(10, dtype=bool))
         with pytest.raises(ValueError, match="boolean mask"):
             member.evict_points(np.ones(len(unit_coords)))
-
-    def _two_designs(self, coords):
-        fine = partition_region_set(
-            GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
-        )
-        members = [
-            RegionMembership(regions, coords)
-            for regions in (fine,)
-        ]
-        return members
-
-    def test_stacked_append_matches_cold(
-        self, unit_coords, unit_regions
-    ):
-        other = partition_region_set(
-            GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
-        )
-        m1 = RegionMembership(unit_regions, unit_coords[:500])
-        m2 = RegionMembership(other, unit_coords[:500])
-        stacked = StackedMembership([m1, m2])
-        stacked.append_points(unit_coords[500:])
-        cold = StackedMembership(
-            [
-                RegionMembership(unit_regions, unit_coords),
-                RegionMembership(other, unit_coords),
-            ]
-        )
-        assert csr_equal(stacked, cold)
-        assert np.array_equal(stacked.counts, cold.counts)
-        assert stacked.segments == cold.segments
-
-    def test_stacked_evict_matches_cold(self, unit_coords, unit_regions):
-        other = partition_region_set(
-            GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
-        )
-        m1 = RegionMembership(unit_regions, unit_coords)
-        m2 = RegionMembership(other, unit_coords)
-        stacked = StackedMembership([m1, m2])
-        keep = np.ones(len(unit_coords), dtype=bool)
-        keep[100:200] = False
-        stacked.evict_points(keep)
-        cold = StackedMembership(
-            [
-                RegionMembership(unit_regions, unit_coords[keep]),
-                RegionMembership(other, unit_coords[keep]),
-            ]
-        )
-        assert csr_equal(stacked, cold)
-        assert np.array_equal(stacked.counts, cold.counts)
-
-    def test_stacked_shared_member_updates_once(
-        self, unit_coords, unit_regions
-    ):
-        member = RegionMembership(unit_regions, unit_coords[:500])
-        stacked = StackedMembership([member, member])
-        stacked.append_points(unit_coords[500:])
-        assert member.n_points == len(unit_coords)
-        cold_member = RegionMembership(unit_regions, unit_coords)
-        assert csr_equal(member, cold_member)
-        assert stacked.n_points == len(unit_coords)
 
 
 class TestIndexBuildCounter:
