@@ -349,9 +349,14 @@ class AuditSession:
             n_classes=self.n_classes,
         )
 
-    def _measured_data(self, measure: str):
-        """(coords, outcomes) after applying a measure, cached."""
-        key = (self.dataset_fingerprint(), measure)
+    def _measured_data(self, measure: str, fp: str | None = None):
+        """(coords, outcomes) after applying a measure, cached.
+
+        Like every helper below, it takes the caller's dataset
+        fingerprint ``fp`` when one is at hand, so a run hashes the
+        dataset once.
+        """
+        key = (fp or self.dataset_fingerprint(), measure)
         cached = self._measured.get(key)
         if cached is None:
             mdef = MEASURES[measure]
@@ -369,22 +374,28 @@ class AuditSession:
             self._measured[key] = cached
         return cached
 
-    def _engine(self, measure: str) -> MonteCarloEngine:
+    def _engine(
+        self, measure: str, fp: str | None = None
+    ) -> MonteCarloEngine:
         """The engine over a measure's coordinate subset, cached."""
-        key = (self.dataset_fingerprint(), measure)
+        fp = fp or self.dataset_fingerprint()
+        key = (fp, measure)
         engine = self._engines.get(key)
         if engine is None:
-            coords, _ = self._measured_data(measure)
+            coords, _ = self._measured_data(measure, fp)
             engine = MonteCarloEngine(coords)
             self._engines[key] = engine
         return engine
 
-    def _family_bound(self, family: str, measure: str) -> dict:
+    def _family_bound(
+        self, family: str, measure: str, fp: str | None = None
+    ) -> dict:
         """The family's validated bound state for a measure, cached."""
-        key = (self.dataset_fingerprint(), family, measure)
+        fp = fp or self.dataset_fingerprint()
+        key = (fp, family, measure)
         bound = self._bound.get(key)
         if bound is None:
-            coords, outcomes = self._measured_data(measure)
+            coords, outcomes = self._measured_data(measure, fp)
             bound = FAMILIES[family].bind(
                 coords,
                 outcomes,
@@ -418,10 +429,14 @@ class AuditSession:
         -------
         RegionSet
         """
-        key = (self.dataset_fingerprint(), design, measure)
+        return self._region_set(design, measure, self.dataset_fingerprint())
+
+    def _region_set(self, design: RegionSpec, measure: str, fp: str):
+        """:meth:`region_set` under a known dataset fingerprint."""
+        key = (fp, design, measure)
         regions = self._region_sets.get(key)
         if regions is None:
-            self._measured_data(measure)  # validate the measure first
+            self._measured_data(measure, fp)  # validate the measure first
             if design.kind == "grid":
                 # Grids are predetermined region families: without
                 # explicit bounds they cover the FULL dataset's
@@ -432,7 +447,7 @@ class AuditSession:
                 regions = design.build(self.coords)
             else:
                 # Scan centres adapt to the points actually audited.
-                coords, _ = self._measured_data(measure)
+                coords, _ = self._measured_data(measure, fp)
                 regions = design.build(coords)
             self._region_sets[key] = regions
         return regions
@@ -871,9 +886,10 @@ class AuditSession:
             region design yields no scannable regions.
         """
         self._check_spec(spec)
-        regions = self.region_set(spec.regions, spec.measure)
-        engine = self._engine(spec.measure)
-        bound = self._family_bound(spec.family, spec.measure)
+        fp = self.dataset_fingerprint()
+        regions = self._region_set(spec.regions, spec.measure, fp)
+        engine = self._engine(spec.measure, fp)
+        bound = self._family_bound(spec.family, spec.measure, fp)
         member = engine.membership(regions)
         kernel = FAMILIES[spec.family].kernel(
             bound, _parse_direction(spec.direction)
@@ -914,11 +930,12 @@ class AuditSession:
             scannable regions.
         """
         self._check_spec(spec)
-        regions = self.region_set(spec.regions, spec.measure)
+        fp = self.dataset_fingerprint()
+        regions = self._region_set(spec.regions, spec.measure, fp)
         result = run_scan(
-            self._engine(spec.measure),
+            self._engine(spec.measure, fp),
             spec.family,
-            self._family_bound(spec.family, spec.measure),
+            self._family_bound(spec.family, spec.measure, fp),
             regions,
             n_worlds=spec.n_worlds,
             alpha=spec.alpha,

@@ -542,27 +542,39 @@ def _assemble(
         sig_mask = benjamini_hochberg(p_values, alpha) & (llr > 0.0)
     else:
         sig_mask = (p_values <= tol) & (llr > 0.0)
-    findings = []
-    for i, region in enumerate(regions):
-        findings.append(
-            Finding(
-                index=i,
-                center_id=region.center_id,
-                rect=region.rect,
-                n=int(obs.n[i]),
-                p=int(obs.p[i]),
-                rho_in=float(obs.rho_in[i]),
-                llr=float(llr[i]),
-                p_value=float(p_values[i]),
-                significant=bool(sig_mask[i]),
-                direction=int(obs.direction_arr[i]),
-                class_rates=(
-                    tuple(obs.class_rates[i])
-                    if obs.class_rates is not None
-                    else ()
-                ),
-            )
+    # Each column converts to Python scalars once, not per region.
+    rows = zip(
+        regions,
+        np.asarray(obs.n).astype(np.int64).tolist(),
+        np.asarray(obs.p).astype(np.int64).tolist(),
+        np.asarray(obs.rho_in, dtype=np.float64).tolist(),
+        llr.astype(np.float64).tolist(),
+        p_values.tolist(),
+        sig_mask.astype(bool).tolist(),
+        np.asarray(obs.direction_arr).astype(np.int64).tolist(),
+    )
+    findings = [
+        Finding(
+            index=i,
+            center_id=region.center_id,
+            rect=region.rect,
+            n=n,
+            p=p,
+            rho_in=rho_in,
+            llr=stat,
+            p_value=p_value,
+            significant=sig,
+            direction=sign,
+            class_rates=(
+                tuple(obs.class_rates[i])
+                if obs.class_rates is not None
+                else ()
+            ),
         )
+        for i, (region, n, p, rho_in, stat, p_value, sig, sign) in (
+            enumerate(rows)
+        )
+    ]
     return AuditResult(
         findings=findings,
         p_value=float(global_p),

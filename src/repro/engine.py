@@ -187,7 +187,11 @@ class LLRKernel:
         -------
         ndarray
             World batch with one column per world; the exact layout is
-            the kernel's own (``score`` must understand it).
+            the kernel's own (``score`` must understand it).  The
+            Bernoulli and Poisson kernels draw straight into the
+            C-contiguous float64 ``(n_points, n_worlds)`` operand of
+            the recount; the multinomial kernel returns class labels
+            and recounts one float64 indicator batch per class.
         """
         raise NotImplementedError
 
@@ -245,11 +249,11 @@ class BernoulliKernel(LLRKernel):
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
         return (
             rng.random((self.n_points, n_worlds)) < self.rate
-        ).astype(np.float32)
+        ).astype(np.float64)
 
     def score(self, worlds: np.ndarray) -> np.ndarray:
         world_p = self.member.positive_counts_batch(worlds)
-        world_P = worlds.sum(axis=0, dtype=np.float64)
+        world_P = _world_totals(worlds)
         return kernels.bernoulli_llr_batch(
             self._n, world_p, float(self.n_points), world_P, self.direction
         )
@@ -260,6 +264,9 @@ class PoissonKernel(LLRKernel):
     total redistributed over areas with probabilities proportional to
     the (scaled) forecast — the conditional multinomial simulation that
     makes the Poisson scan exact given the total.
+
+    Worlds are drawn as float64 counts, exact up to ``2**53`` per area,
+    so every world holds exactly ``total_obs_int`` events.
 
     Parameters
     ----------
@@ -299,9 +306,8 @@ class PoissonKernel(LLRKernel):
         return (self.family, self.total_obs_int, digest, self.direction)
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
-        return rng.multinomial(
-            self.total_obs_int, self.probs, size=n_worlds
-        ).T.astype(np.float32)
+        draws = rng.multinomial(self.total_obs_int, self.probs, size=n_worlds)
+        return np.ascontiguousarray(draws.T, dtype=np.float64)
 
     def score(self, worlds: np.ndarray) -> np.ndarray:
         world_obs = self.member.positive_counts_batch(worlds)
@@ -367,9 +373,21 @@ class MultinomialKernel(LLRKernel):
         """Yield each class's ``(c, C)`` recount of a world batch, one
         class at a time so only one indicator matrix is alive."""
         for k in range(self.n_classes):
-            ind = (worlds == k).astype(np.float32)
+            ind = (worlds == k).astype(np.float64)
             c = self.member.positive_counts_batch(ind)
-            yield c, ind.sum(axis=0, dtype=np.float64)[None, :]
+            yield c, _world_totals(ind)[None, :]
+
+
+def _world_totals(worlds: np.ndarray) -> np.ndarray:
+    """Per-world column sums of a ``(n_points, w)`` batch, as float64.
+
+    ``einsum`` walks the C-contiguous batch row by row, where
+    ``sum(axis=0)`` strides down each column; a BLAS ``ones @ worlds``
+    would be contiguous too, but its thread pool costs more than the
+    sum.  World values are integers, so every order gives the same
+    exact total below ``2**53``.
+    """
+    return np.einsum("ij->j", worlds, dtype=np.float64)
 
 
 def _write_maxima(

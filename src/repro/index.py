@@ -9,6 +9,17 @@
 Membership is exact: a row holds precisely the points that
 :meth:`repro.geometry.Region.contains` accepts (closed rectangles,
 closed discs).
+
+World recounts go through a **nest layout**.  Scan designs are nests:
+each centre has a sequence of growing squares (or circles), so every
+region contains the previous one from the same centre.  The recount
+multiplies a *ring* matrix — each region's row minus the row of the
+next smaller region in its nest — and takes a cumulative sum along
+every nest.  World values are integers, so every partial sum is an
+exact float64 below ``2**53`` and the result is bit-identical to the
+full-matrix product.  Regions that nest with nothing (grid cells,
+arbitrary rectangles) are nests of length 1, whose ring row is the
+full row: for such a design the ring matrix *is* the full matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +30,157 @@ from . import kernels
 from .geometry import RegionSet
 
 __all__ = ["RegionMembership", "StackedMembership"]
+
+
+def _nest_size(region) -> tuple:
+    """Sort key that puts every region after the regions it contains."""
+    rect = region.rect
+    return (region.radius, rect.width, rect.height)
+
+
+def _nests_in(outer, inner) -> bool:
+    """Whether every point of ``inner`` is a point of ``outer``, decided
+    from the geometry alone (so it holds for any point set).
+
+    Membership is a closed-rectangle test, plus ``d2 <= radius**2``
+    about ``rect.center`` for circles; containing rectangles and, for
+    circles, the same centre and a radius no smaller imply containing
+    rows under exactly those float comparisons.
+    """
+    a, b = inner.rect, outer.rect
+    if not (
+        b.min_x <= a.min_x
+        and a.max_x <= b.max_x
+        and b.min_y <= a.min_y
+        and a.max_y <= b.max_y
+    ):
+        return False
+    if outer.kind == "circle":
+        return inner.radius <= outer.radius and a.center == b.center
+    return True
+
+
+def _nest_layout(regions) -> tuple:
+    """The nest layout of a region set: ``(nests, blocks)``.
+
+    Regions of one ``(kind, center_id)`` are sorted by size (the
+    caller's sides or radii may be unsorted or repeated) and chained
+    while each contains the previous one; a chain that breaks starts a
+    new nest.  ``nests`` lists every nest's region indices (inner to
+    outer) in layout order: by length, so equal-length nests form one
+    ``(start, count, length)`` block of consecutive layout rows.  A
+    design without nests of length two or more keeps region order, one
+    region per nest, and gets no blocks.
+    """
+    regions = list(regions)
+    singles = [[r] for r in range(len(regions))]
+    keys = [(region.kind, region.center_id) for region in regions]
+    if len(set(keys)) == len(keys):
+        return singles, ()
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    sizes = [_nest_size(region) for region in regions]
+    nests = []
+    for group in groups.values():
+        group.sort(key=sizes.__getitem__)
+        nest = [group[0]]
+        for inner, outer in zip(group, group[1:]):
+            if _nests_in(regions[outer], regions[inner]):
+                nest.append(outer)
+            else:
+                nests.append(nest)
+                nest = [outer]
+        nests.append(nest)
+    if max(len(nest) for nest in nests) < 2:
+        return singles, ()
+    nests.sort(key=len)
+    blocks = []
+    start = 0
+    for length in sorted({len(nest) for nest in nests}):
+        count = sum(len(nest) == length for nest in nests)
+        if length > 1:
+            blocks.append((start, count, length))
+        start += count * length
+    return nests, tuple(blocks)
+
+
+def _inverse(nests):
+    """``perm`` with ``perm[r]`` the layout row of region ``r``;
+    ``None`` when the layout keeps region order."""
+    order = np.concatenate(nests)
+    if np.array_equal(order, np.arange(len(order))):
+        return None
+    perm = np.empty(len(order), dtype=np.intp)
+    perm[order] = np.arange(len(order))
+    return perm
+
+
+def _nest_levels(regions, nest, x, y) -> np.ndarray:
+    """Position in ``nest`` (inner to outer) of the smallest region
+    holding each point of its outermost region.
+
+    Containment is chained, so every bound is monotone along the nest
+    and each of the build's membership comparisons becomes one binary
+    search over the nest, made on the same float values.
+    """
+    rects = [regions[i].rect for i in nest]
+    level = np.searchsorted([-r.min_x for r in rects], -x)
+    for bounds, values in (
+        ([r.max_x for r in rects], x),
+        ([-r.min_y for r in rects], -y),
+        ([r.max_y for r in rects], y),
+    ):
+        np.maximum(level, np.searchsorted(bounds, values), out=level)
+    if regions[nest[0]].kind == "circle":
+        cx, cy = rects[0].center
+        d2 = (x - cx) ** 2 + (y - cy) ** 2
+        radii2 = [regions[i].radius**2 for i in nest]
+        np.maximum(level, np.searchsorted(radii2, d2), out=level)
+    return level
+
+
+def _csr(rows, sizes, shape):
+    """A 0/1 CSR matrix from its rows' sorted point indices."""
+    from scipy import sparse
+
+    indices = np.concatenate(rows) if rows else np.empty(0, np.int64)
+    indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    # float64 membership data: the recount accumulates world sums
+    # exactly up to 2**53.
+    return sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.float64), indices, indptr),
+        shape=shape,
+    )
+
+
+def _nested_recount(ring, perm, blocks, worlds) -> np.ndarray:
+    """``M @ worlds`` through a nest layout: the ring product, a
+    cumulative sum along every nest, then region order."""
+    counts = kernels.membership_counts_batch(ring, worlds)
+    for start, count, length in blocks:
+        nest = counts[start : start + count * length]
+        nest = nest.reshape(count, length, counts.shape[1])
+        np.cumsum(nest, axis=1, out=nest)
+    return counts if perm is None else counts[perm]
+
+
+def _append_columns(matrix, delta):
+    """``[matrix | delta]`` in canonical (row-sorted) CSR layout."""
+    from scipy import sparse
+
+    out = sparse.hstack([matrix, delta], format="csr")
+    # Both blocks are row-sorted and the delta's indices all sit past
+    # the old ones, so sorting restores the canonical layout.
+    out.sort_indices()
+    return out
+
+
+def _keep_columns(matrix, keep):
+    """``matrix[:, keep]`` in canonical (row-sorted) CSR layout."""
+    out = matrix[:, keep].tocsr()
+    out.sort_indices()
+    return out
 
 
 class RegionMembership:
@@ -39,6 +201,11 @@ class RegionMembership:
     path prove itself bit-identical to a full rebuild (floating-point
     accumulation order in ``M @ worlds`` follows storage order).
 
+    World recounts (:meth:`positive_counts_batch`) run through the
+    design's nest layout (see the module docstring); the ring matrix is
+    kept in step with the full matrix by :meth:`append_points` and
+    :meth:`evict_points`.
+
     Parameters
     ----------
     regions : RegionSet
@@ -48,46 +215,51 @@ class RegionMembership:
     """
 
     def __init__(self, regions: RegionSet, coords: np.ndarray):
-        from scipy import sparse
-
         coords = np.asarray(coords, dtype=np.float64)
         self.regions = regions
         self.n_points = len(coords)
-        # Sort the points by x once; each region's x-span is then one
-        # contiguous slice, filtered on y (and radius, for circles).
+        nests, self._blocks = _nest_layout(regions)
+        self._perm = _inverse(nests) if self._blocks else None
+        # Sort the points by x once; each nest's outermost x-span is
+        # then one contiguous slice, filtered on y (and radius, for
+        # circles).  The inner regions' rows and the rings follow from
+        # each point's level in its nest.
         order = np.argsort(coords[:, 0])
         xs = coords[order, 0]
         ys = coords[order, 1]
-        rects = [region.rect for region in regions]
+        rects = [regions[nest[-1]].rect for nest in nests]
         lo = np.searchsorted(xs, [r.min_x for r in rects], side="left")
         hi = np.searchsorted(xs, [r.max_x for r in rects], side="right")
-        sizes = np.zeros(len(regions), dtype=np.int64)
-        chunks = []
-        for r in np.flatnonzero(hi > lo).tolist():
-            rect, a, b = rects[r], int(lo[r]), int(hi[r])
+        rows = [np.empty(0, np.int64)] * len(regions)
+        rings, ring_sizes = [], []
+        for nest, rect, a, b in zip(nests, rects, lo.tolist(), hi.tolist()):
+            outer = regions[nest[-1]]
             y = ys[a:b]
             keep = (y >= rect.min_y) & (y <= rect.max_y)
-            if regions[r].kind == "circle":
+            if outer.kind == "circle":
                 cx, cy = rect.center
                 d2 = (xs[a:b] - cx) ** 2 + (y - cy) ** 2
-                keep &= d2 <= regions[r].radius**2
+                keep &= d2 <= outer.radius**2
             # Canonical layout: sorted column indices per row (see the
             # class docstring — required for streamed bit-identity).
-            chunks.append(np.sort(order[a:b][keep]))
-            sizes[r] = len(chunks[-1])
-        indptr = np.concatenate(([0], np.cumsum(sizes)))
-        indices = (
-            np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-        )
-        # float64 membership data: the recount accumulates world sums
-        # exactly up to 2**53 (float32 lost exactness past 2**24).
-        self._matrix = sparse.csr_matrix(
-            (
-                np.ones(len(indices), dtype=np.float64),
-                indices,
-                indptr,
-            ),
-            shape=(len(regions), self.n_points),
+            points = np.sort(order[a:b][keep])
+            if len(nest) == 1:
+                rows[nest[0]] = points
+                rings.append(points)
+                ring_sizes.append(len(points))
+                continue
+            level = _nest_levels(
+                regions, nest, coords[points, 0], coords[points, 1]
+            )
+            for k, r in enumerate(nest):
+                rows[r] = points[level <= k]
+            # Stable: each ring keeps its point indices sorted.
+            rings.append(points[np.argsort(level, kind="stable")])
+            ring_sizes.extend(np.bincount(level, minlength=len(nest)))
+        shape = (len(regions), self.n_points)
+        self._matrix = _csr(rows, [len(row) for row in rows], shape)
+        self._ring = (
+            _csr(rings, ring_sizes, shape) if self._blocks else self._matrix
         )
         self.counts = np.asarray(
             self._matrix.sum(axis=1)
@@ -116,16 +288,13 @@ class RegionMembership:
         RegionMembership
             The delta membership over just the new points.
         """
-        from scipy import sparse
-
         delta = RegionMembership(self.regions, coords)
-        matrix = sparse.hstack(
-            [self._matrix, delta._matrix], format="csr"
+        self._matrix = _append_columns(self._matrix, delta._matrix)
+        self._ring = (
+            _append_columns(self._ring, delta._ring)
+            if self._blocks
+            else self._matrix
         )
-        # Both blocks are row-sorted and the delta's indices all sit
-        # past the old ones, so sorting restores the canonical layout.
-        matrix.sort_indices()
-        self._matrix = matrix
         self.n_points += delta.n_points
         self.counts = self.counts + delta.counts
         return delta
@@ -148,12 +317,13 @@ class RegionMembership:
                 f"{self.n_points}, got dtype {keep.dtype} and shape "
                 f"{keep.shape}"
             )
-        matrix = self._matrix[:, keep].tocsr()
-        matrix.sort_indices()
-        self._matrix = matrix
+        self._matrix = _keep_columns(self._matrix, keep)
+        self._ring = (
+            _keep_columns(self._ring, keep) if self._blocks else self._matrix
+        )
         self.n_points = int(keep.sum())
         self.counts = np.asarray(
-            matrix.sum(axis=1)
+            self._matrix.sum(axis=1)
         ).ravel().astype(np.int64)
 
     def positive_counts(self, labels: np.ndarray) -> np.ndarray:
@@ -185,12 +355,14 @@ class RegionMembership:
 
         Notes
         -----
-        The product runs in float64 end to end (via
-        :func:`repro.kernels.membership_counts_batch`), so 0/1 world
-        counts stay exact up to ``2**53``; the earlier float32 path
-        lost integer exactness once counts approached ``2**24``.
+        The product runs in float64 end to end through the nest layout:
+        the ring product (:func:`repro.kernels.membership_counts_batch`)
+        plus a cumulative sum along each nest.  For integer-valued
+        worlds every partial sum is exact below ``2**53``, so the result
+        is bit-identical to the full ``M @ worlds``; non-integer weights
+        agree with it up to float rounding.
         """
-        return kernels.membership_counts_batch(self._matrix, worlds)
+        return _nested_recount(self._ring, self._perm, self._blocks, worlds)
 
     def point_indices(self, region: int) -> np.ndarray:
         """Indices of the points inside region ``region``."""
@@ -254,6 +426,23 @@ class StackedMembership:
             (int(offsets[i]), int(offsets[i + 1]))
             for i in range(len(members))
         ]
+        # One nest layout per member, each shifted to its segment.
+        self._blocks = tuple(
+            (start + a, count, length)
+            for m, (a, _b) in zip(members, self.segments)
+            for start, count, length in m._blocks
+        )
+        self._ring = (
+            sparse.vstack([m._ring for m in members], format="csr")
+            if self._blocks
+            else self._matrix
+        )
+        self._perm = None
+        if any(m._perm is not None for m in members):
+            self._perm = np.concatenate([
+                a + (np.arange(len(m)) if m._perm is None else m._perm)
+                for m, (a, _b) in zip(members, self.segments)
+            ])
 
     def __len__(self) -> int:
         return self._matrix.shape[0]
@@ -286,10 +475,11 @@ class StackedMembership:
 
         Notes
         -----
-        Exact in float64 up to ``2**53``, as in
+        Runs through every member's nest layout, and is exact in
+        float64 up to ``2**53``, as in
         :meth:`RegionMembership.positive_counts_batch`.
         """
-        return kernels.membership_counts_batch(self._matrix, worlds)
+        return _nested_recount(self._ring, self._perm, self._blocks, worlds)
 
     def split(self, stacked: np.ndarray) -> list:
         """Slice a stacked per-region array back into member arrays.

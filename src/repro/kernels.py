@@ -12,7 +12,8 @@ chunk of simulated worlds:
   masks degenerate regions, for the observed scan and the world
   batches alike;
 * :func:`membership_counts_batch` — the sparse recount
-  ``M @ worlds`` in float64.
+  ``M @ worlds`` in float64 (:mod:`repro.index` feeds it ring
+  matrices of nested scans).
 
 The three LLR kernels clamp rates at ``1e-300`` and use the
 ``xlogy(0, y) == 0`` convention, so degenerate regions score 0 rather
@@ -197,16 +198,15 @@ def multinomial_llr(n, class_terms, N: float) -> np.ndarray:
 def membership_counts_batch(matrix, worlds: np.ndarray) -> np.ndarray:
     """Per-region sums of a world batch through a CSR membership matrix.
 
-    Computes ``matrix @ worlds`` in float64 throughout.  Accumulating
-    in float64 keeps 0/1 world counts exact up to 2**53 (the old
-    float32 product lost integer exactness past 2**24) and is
-    bit-identical below that on every existing workload, since partial
-    sums of small integers are exact in both precisions.
+    Computes ``matrix @ worlds`` in float64 throughout, so integer
+    world counts stay exact up to ``2**53``.  The engine's kernels draw
+    their worlds straight into C-contiguous float64, which this
+    function uses as is; any other batch is converted once.
 
     Parameters
     ----------
     matrix : scipy.sparse.csr_matrix
-        Region-by-point membership matrix (float64 data).
+        Region-by-point membership (or ring) matrix, float64 data.
     worlds : ndarray of shape (n_points, n_worlds)
         One column per simulated world.
 

@@ -109,6 +109,17 @@ class TestKernelContract:
         with pytest.raises(NotImplementedError):
             kernel.chunk_points
 
+    def test_poisson_worlds_exact_past_2_24(self):
+        # One area's count passes 2**24, where float32 integers stop
+        # being exact: every simulated world must still redistribute
+        # exactly the observed total.
+        expected = np.array([2e7, 1e7 + 3, 5.0])
+        kernel = PoissonKernel(expected, expected.sum())
+        worlds = kernel.simulate(np.random.default_rng(0), 6)
+        totals = worlds.astype(np.float64).sum(axis=0)
+        assert (totals == kernel.total_obs_int).all()
+        assert worlds.dtype == np.float64
+
     def test_cache_keys_distinguish_designs(self):
         keys = {
             BernoulliKernel(100, 50).cache_key(),

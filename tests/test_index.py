@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro import kernels
 from repro.geometry import (
     GridPartitioning,
     Rect,
@@ -250,3 +251,166 @@ class TestLargeCountExactness:
         out = stacked.positive_counts_batch(self.WORLD)
         assert out.dtype == np.float64
         assert np.array_equal(out[:, 0], [2.0**24 + 2.0] * 2)
+
+
+def assert_recount_identical(member, worlds):
+    """The nested ring recount equals the full-matrix product byte for
+    byte."""
+    got = member.positive_counts_batch(worlds)
+    want = kernels.membership_counts_batch(member._matrix, worlds)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_csr(got, want):
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestNestedRingRecount:
+    """World recounts run through each design's nest layout: a ring
+    matrix product plus a cumulative sum along every nest.  Every
+    recount must equal the full ``M @ worlds`` bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def centers(self):
+        return np.random.default_rng(3).random((8, 2))
+
+    @pytest.fixture(scope="class")
+    def worlds(self, points):
+        rng = np.random.default_rng(13)
+        n = len(points)
+        return np.hstack([
+            (rng.random((n, 4)) < 0.4).astype(np.float64),
+            rng.poisson(3.0, (n, 3)).astype(np.float64),
+            # One indicator column per point: the recount of this block
+            # is the membership matrix itself.
+            np.eye(n),
+        ])
+
+    def test_squares_unsorted_and_duplicate_sides(
+        self, points, centers, worlds
+    ):
+        sides = [0.3, 0.1, 0.3, 0.05, 0.2, 0.1]
+        squares = square_region_set(centers, sides)
+        assert_csr_identical(squares, points)
+        member = RegionMembership(squares, points)
+        assert member._blocks == ((0, len(centers), len(sides)),)
+        assert member._perm is not None
+        assert member._ring.nnz < member._matrix.nnz
+        assert_recount_identical(member, worlds)
+
+    def test_sorted_sides_keep_region_order(self, points, centers, worlds):
+        member = RegionMembership(
+            square_region_set(centers, [0.05, 0.1, 0.2]), points
+        )
+        assert member._perm is None
+        assert member._blocks
+        assert_recount_identical(member, worlds)
+
+    def test_circles(self, points, centers, worlds):
+        circles = circle_region_set(centers, [0.25, 0.05, 0.1, 0.1])
+        assert_csr_identical(circles, points)
+        member = RegionMembership(circles, points)
+        assert member._blocks
+        assert member._ring.nnz < member._matrix.nnz
+        assert_recount_identical(member, worlds)
+
+    def test_points_on_region_boundaries(self):
+        # Closed regions: a point exactly on an edge, corner or circle
+        # belongs to that region and to every larger one of its nest.
+        center = np.array([[0.5, 0.5]])
+        regions = RegionSet(
+            list(square_region_set(center, [0.5, 0.125, 0.25]))
+            + list(circle_region_set(center, [0.25, 0.125]))
+        )
+        pts = [(0.5, 0.5), (0.9, 0.1)]
+        for region in regions:
+            r = region.rect
+            pts += [(r.min_x, 0.5), (r.max_x, 0.5), (0.5, r.min_y)]
+            pts += [(0.5, r.max_y), (r.min_x, r.min_y), (r.max_x, r.max_y)]
+        pts = np.array(pts)
+        assert_csr_identical(regions, pts)
+        member = RegionMembership(regions, pts)
+        assert len(member._blocks) == 2
+        assert_recount_identical(member, np.eye(len(pts)))
+
+    def test_grid_ring_is_the_full_matrix(self, points, worlds):
+        member = RegionMembership(partition_region_set(GRID20), points)
+        assert member._ring is member._matrix
+        assert member._perm is None and member._blocks == ()
+        assert_recount_identical(member, worlds)
+
+    def test_mixed_region_set(self, points, centers, query_rects, worlds):
+        # Squares, a grid, circles and arbitrary rectangles whose
+        # centre ids collide: only true containment chains nest.
+        regions = RegionSet(
+            list(square_region_set(centers, [0.2, 0.1]))
+            + list(partition_region_set(GRID20))
+            + list(circle_region_set(centers, [0.15, 0.05]))
+            + list(rect_regions(query_rects))
+        )
+        assert_csr_identical(regions, points)
+        member = RegionMembership(regions, points)
+        assert member._blocks
+        assert_recount_identical(member, worlds)
+
+    def test_stacked_membership(self, points, centers, worlds):
+        members = [
+            RegionMembership(square_region_set(centers, sides), points)
+            for sides in ([0.2, 0.05, 0.1], [0.1, 0.3])
+        ]
+        members.insert(
+            1, RegionMembership(partition_region_set(GRID20), points)
+        )
+        members.append(
+            RegionMembership(circle_region_set(centers, [0.2, 0.1]), points)
+        )
+        stacked = StackedMembership(members)
+        assert_recount_identical(stacked, worlds)
+        got = stacked.split(stacked.positive_counts_batch(worlds))
+        for part, member in zip(got, members):
+            want = member.positive_counts_batch(worlds)
+            assert part.tobytes() == want.tobytes()
+
+    def test_scan_geometry_ring_is_sparse(self):
+        # The paper's square scan at perfbench audit-scan size: 100
+        # centres x 20 sides over 20k points.
+        rng = np.random.default_rng(0)
+        coords = rng.random((20_000, 2))
+        sides = np.linspace(0.02, 0.20, 20).round(4)
+        member = RegionMembership(
+            square_region_set(rng.random((100, 2)), sides), coords
+        )
+        assert member._ring.nnz * 5 < member._matrix.nnz
+        worlds = np.ascontiguousarray(
+            rng.multinomial(30_000, np.full(20_000, 1 / 20_000), 8).T,
+            dtype=np.float64,
+        )
+        assert_recount_identical(member, worlds)
+
+    @pytest.mark.stream
+    @pytest.mark.parametrize("design", ["squares", "circles", "grid"])
+    def test_append_and_evict_keep_the_ring_in_step(
+        self, points, centers, worlds, design
+    ):
+        regions = {
+            "squares": square_region_set(centers, [0.3, 0.1, 0.2]),
+            "circles": circle_region_set(centers, [0.2, 0.05, 0.1]),
+            "grid": partition_region_set(GRID20),
+        }[design]
+        member = RegionMembership(regions, points[:350])
+        member.append_points(points[350:])
+        assert_same_csr(member._ring, RegionMembership(regions, points)._ring)
+        assert_recount_identical(member, worlds)
+
+        keep = np.random.default_rng(8).random(len(points)) < 0.7
+        member.evict_points(keep)
+        cold = RegionMembership(regions, points[keep])
+        assert_same_csr(member._ring, cold._ring)
+        assert_same_csr(member._matrix, cold._matrix)
+        assert (member._ring is member._matrix) == (design == "grid")
+        assert_recount_identical(member, worlds[keep])
