@@ -14,8 +14,8 @@ Three audits are watched over a 20k-point stream:
   rebuilding;
 * an equal-opportunity grid and an equal-opportunity square scan —
   the arrival and eviction batches are crafted with ``y_true == 0``,
-  so their measured slice is untouched and the service skips them
-  outright (fingerprint-keyed stream cache).
+  so their measured slice is untouched and the service answers them
+  from the report cache, whose key covers exactly that slice.
 
 The **warm** measurement is one ``advance(batch, window=...)`` call
 after the baseline audit; the **cold** measurement builds a fresh

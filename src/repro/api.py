@@ -46,11 +46,7 @@ from .core import (
     run_scan,
 )
 from .engine import LLRKernel, MonteCarloEngine
-from .fingerprint import (
-    array_fingerprint as _array_fingerprint,
-    dataset_fingerprint as _dataset_fingerprint,
-    extend_fingerprint as _extend_fingerprint,
-)
+from .fingerprint import dataset_fingerprint as _dataset_fingerprint
 from .geometry import Rect, RegionSet, check_coords
 from .index import RegionMembership
 from .spec import AuditSpec, RegionSpec
@@ -318,7 +314,6 @@ class AuditSession:
             "incremental_builds": 0,
             "worlds_simulated": 0,
         }
-        self._stream_fp = self.dataset_fingerprint()
 
     # -- cached intermediates -------------------------------------------
     #
@@ -334,8 +329,7 @@ class AuditSession:
         (coords, outcomes, y_true, forecast) plus ``n_classes`` — see
         :func:`repro.fingerprint.dataset_fingerprint`.  Recomputed
         from the current array contents on every call, so it tracks
-        in-place mutation; :class:`repro.serve.AuditService` folds it
-        into report cache keys.
+        in-place mutation; every session cache key starts with it.
 
         Returns
         -------
@@ -452,14 +446,20 @@ class AuditSession:
             self._region_sets[key] = regions
         return regions
 
+    def _engine_total(self, counter: str) -> int:
+        """One engine counter summed over live and retired engines.
+        The engine dict is snapshotted first: a concurrent resolve or
+        stream event may add or drop engines while a reader sums."""
+        return self._retired[counter] + sum(
+            getattr(e, counter) for e in list(self._engines.values())
+        )
+
     @property
     def index_builds(self) -> int:
         """Membership matrices built so far, across all engines
         (including engines since retired by stream events — the
         counter never goes backwards)."""
-        return self._retired["index_builds"] + sum(
-            e.index_builds for e in self._engines.values()
-        )
+        return self._engine_total("index_builds")
 
     @property
     def incremental_builds(self) -> int:
@@ -467,18 +467,14 @@ class AuditSession:
         :meth:`evict`, across all engines.  A sliding window that
         re-audits without cold rebuilds moves this counter while
         :attr:`index_builds` stays put."""
-        return self._retired["incremental_builds"] + sum(
-            e.incremental_builds for e in self._engines.values()
-        )
+        return self._engine_total("incremental_builds")
 
     @property
     def worlds_simulated(self) -> int:
         """Null worlds actually simulated so far, across all engines
         (cache answers and fused sharing excluded) — the denominator
         of every batching-amortisation claim."""
-        return self._retired["worlds_simulated"] + sum(
-            e.worlds_simulated for e in self._engines.values()
-        )
+        return self._engine_total("worlds_simulated")
 
     # -- streaming ------------------------------------------------------
     #
@@ -490,23 +486,6 @@ class AuditSession:
     # that survives is bit-identical to what a cold session over the
     # final arrays would build, so streamed audits equal cold audits
     # exactly.
-
-    def stream_fingerprint(self) -> str:
-        """Chained digest of the session's append/evict history.
-
-        Starts as the initial :meth:`dataset_fingerprint` and is
-        extended in O(delta) by every stream event
-        (:func:`repro.fingerprint.extend_fingerprint`), so it versions
-        the *event sequence* without re-hashing the whole history.
-        Unlike :meth:`dataset_fingerprint` it does not track external
-        in-place mutation of the session arrays — streams should
-        mutate through :meth:`append` / :meth:`evict` only.
-
-        Returns
-        -------
-        str
-        """
-        return self._stream_fp
 
     def _check_delta(self, name, existing, delta, k, dtype=None):
         """Validate one optional auxiliary array of an append batch."""
@@ -716,17 +695,6 @@ class AuditSession:
             ),
             old_box,
         )
-        self._stream_fp = _extend_fingerprint(
-            self._stream_fp,
-            {
-                "event": "append",
-                "coords": _array_fingerprint(coords),
-                "outcomes": _array_fingerprint(outcomes),
-                "y_true": _array_fingerprint(y_true),
-                "forecast": _array_fingerprint(forecast),
-                "timestamps": _array_fingerprint(timestamps),
-            },
-        )
         return k
 
     def evict(
@@ -845,10 +813,6 @@ class AuditSession:
             ),
             old_box,
         )
-        self._stream_fp = _extend_fingerprint(
-            self._stream_fp,
-            {"event": "evict", "keep": _array_fingerprint(keep)},
-        )
         return int(n - keep.sum())
 
     # -- running specs --------------------------------------------------
@@ -929,18 +893,23 @@ class AuditSession:
             y_true, ...), or the spec's region design yields no
             scannable regions.
         """
-        self._check_spec(spec)
-        fp = self.dataset_fingerprint()
-        regions = self._region_set(spec.regions, spec.measure, fp)
+        return self._run_resolved(self.resolve(spec), null_max)
+
+    def _run_resolved(
+        self, resolved: ResolvedSpec, null_max: np.ndarray | None
+    ) -> AuditReport:
+        """:meth:`run` of an already resolved spec."""
+        spec = resolved.spec
         result = run_scan(
-            self._engine(spec.measure, fp),
+            resolved.engine,
             spec.family,
-            self._family_bound(spec.family, spec.measure, fp),
-            regions,
+            resolved.bound,
+            resolved.regions,
             n_worlds=spec.n_worlds,
             alpha=spec.alpha,
             seed=spec.seed,
             direction=spec.direction,
+            membership=resolved.member,
             workers=spec.workers if spec.workers is not None
             else self.workers,
             correction=spec.correction,

@@ -13,9 +13,10 @@ digests over an array's raw bytes together with its dtype and shape
 it ships in :mod:`hashlib` and streams at memory bandwidth for the
 array sizes audits carry).  :meth:`repro.api.AuditSession` exposes its
 dataset's combined digest as
-:meth:`~repro.api.AuditSession.dataset_fingerprint`, and
-:class:`repro.serve.AuditService` folds that digest into every report
-cache key — a swapped or mutated dataset misses by construction.
+:meth:`~repro.api.AuditSession.dataset_fingerprint` and folds it into
+every session cache key, and :class:`repro.serve.AuditService` folds
+the fingerprints of each spec's measured slice into its report cache
+key — a swapped or mutated dataset misses by construction.
 
 Fingerprints are *content* hashes: two arrays with equal bytes, dtype
 and shape collide on purpose (that is the cache-sharing feature), and
@@ -33,7 +34,6 @@ __all__ = [
     "array_fingerprint",
     "combine_fingerprints",
     "dataset_fingerprint",
-    "extend_fingerprint",
 ]
 
 #: BLAKE2b digest size in bytes (16 -> 32 hex characters), plenty for
@@ -141,36 +141,3 @@ def dataset_fingerprint(
         }
     )
 
-
-def extend_fingerprint(prev: str, parts: dict) -> str:
-    """Chain a previous fingerprint with a delta's components.
-
-    The streaming counterpart of :func:`dataset_fingerprint`: instead
-    of re-hashing a whole (possibly large) history, a stream keeps one
-    running digest and folds each event's delta into it in O(delta).
-    The chained digest identifies the *event sequence* — the same
-    point set reached through different append/evict orders hashes
-    differently, which is exactly what a stream-state version wants
-    (each event invalidates downstream caches once).
-
-    Parameters
-    ----------
-    prev : str
-        The running digest before the event.
-    parts : dict of str -> str
-        The event's component digests by name (e.g. the appended
-        arrays' :func:`array_fingerprint`), hashed in sorted-name
-        order alongside the previous digest.
-
-    Returns
-    -------
-    str
-
-    Examples
-    --------
-    >>> a = extend_fingerprint("seed", {"coords": "x"})
-    >>> b = extend_fingerprint(a, {"coords": "y"})
-    >>> b == extend_fingerprint("seed", {"coords": "y"})
-    False
-    """
-    return combine_fingerprints({"prev": prev, **parts})

@@ -18,7 +18,8 @@ Fingerprint keying makes the registry safe as a cache: a dataset
 re-registered under the same name with different content gets fresh
 arrays and a fresh fingerprint, so
 :class:`~repro.serve.AuditService` report caches (which fold the
-fingerprint into every key) can never serve stale answers.  The arrays
+measured data's fingerprints into every key) can never serve stale
+answers.  The arrays
 are read-only by construction — an accidental in-place mutation
 through a registry array raises instead of silently corrupting every
 tenant that shares it.

@@ -15,14 +15,14 @@ repeat the dominant cost once per request.  This module amortises it:
   once per group while every member spec's statistics are scored
   against the stacked membership matrix
   (:class:`repro.index.StackedMembership`);
-* an LRU result cache keyed on ``dataset fingerprint : spec hash``
-  (:func:`repro.fingerprint.dataset_fingerprint` +
-  :meth:`AuditSpec.spec_hash <repro.spec.AuditSpec.spec_hash>`)
-  answers repeated seeded requests without touching the engine at
-  all, with explicit :meth:`~AuditService.invalidate`.  Folding the
-  dataset's content fingerprint into the key makes stale answers
-  impossible by construction: swap (or mutate) the session's arrays
-  and the same spec simply misses;
+* an LRU report cache keyed on a digest of what a report depends on
+  — the spec hash (:meth:`AuditSpec.spec_hash
+  <repro.spec.AuditSpec.spec_hash>`) plus the content fingerprint
+  (:mod:`repro.fingerprint`) of the measure's data slice — answers
+  repeated seeded requests without touching the engine at all, with
+  explicit :meth:`~AuditService.invalidate`.  Swap (or mutate) the
+  session's arrays under a spec's slice and the same spec simply
+  misses; change only data outside that slice and it still hits;
 * :meth:`~AuditService.submit` / :meth:`~AuditService.gather` give an
   async-style flow on top of :class:`repro.api.AuditSession`, and
   ``python -m repro batch specs/*.json --data file.npz`` drives it
@@ -31,9 +31,9 @@ repeat the dominant cost once per request.  This module amortises it:
   **continuous audit** over streaming data: each ``advance`` appends
   newly arrived points and/or slides the session's time window
   (:meth:`AuditSession.append <repro.api.AuditSession.append>` /
-  :meth:`~repro.api.AuditSession.evict`), then re-runs only the
-  watched specs whose *measured data slice actually changed* — an
-  unchanged spec is answered from its last report, and a re-run spec
+  :meth:`~repro.api.AuditSession.evict`), then gathers every watched
+  spec as one batch — a spec whose measured data slice did not change
+  is a report-cache hit, and a re-run spec
   still reuses every surviving membership matrix and null
   distribution.  ``python -m repro stream`` drives it from the shell.
 
@@ -81,6 +81,8 @@ class PendingAudit:
         self._error: Exception | None = None
         #: ``time.monotonic()`` when the ticket resolved.
         self._resolved_at: float | None = None
+        #: Whether the report cache answered the ticket.
+        self._cache_hit = False
 
     def done(self) -> bool:
         """Whether the ticket has resolved (report or error)."""
@@ -166,8 +168,8 @@ class AuditService:
     batch layer: a thread-safe submission queue, null-model grouping,
     fused execution (one world simulation per group, all member
     statistics scored per world through stacked membership matrices),
-    and an LRU result cache keyed on the session's dataset
-    fingerprint plus the spec hash.
+    and an LRU report cache keyed on the spec hash plus a fingerprint
+    of the data the spec scans.
 
     Two equivalent flows::
 
@@ -225,14 +227,9 @@ class AuditService:
         self._worlds_requested = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        # Continuous-audit state: the watched specs, one cached
-        # (stream key, report) per seeded watched spec, and a lock
-        # serialising stream events (session mutation is not safe
-        # against concurrent gathers).
+        # Continuous-audit state: the watched specs (under ``_lock``)
+        # and their counters.
         self._watched: list = []
-        self._stream_cache: dict = {}
-        self._stream_lock = threading.Lock()
-        self._n_watched = 0
         self._advances = 0
         self._stream_runs = 0
         self._stream_skips = 0
@@ -352,16 +349,46 @@ class AuditService:
     # -- execution -----------------------------------------------------
 
     def _report_key(self, spec: AuditSpec) -> str | None:
-        """Result-cache key of a spec: ``dataset fingerprint : spec
-        hash``, or None for unseeded specs (never cached).  The
-        fingerprint is recomputed from the session's current array
-        contents, so a swapped or mutated dataset can never be
-        answered with a report computed over the old one."""
+        """Report-cache key of a spec: a digest of everything its report
+        depends on under the session's *current* data, or None for
+        unseeded specs (deliberately non-reproducible, never cached).
+
+        Covers the spec itself (hash), the measure's extracted slice
+        (coordinates and outcomes — hence observed statistics, null
+        totals, and k-means scan centres), and the data-dependent
+        extras: the full dataset's bounding box for grids without
+        explicit bounds, the forecast for Poisson specs, the class
+        count for multinomial ones.  Equal keys mean a cold run would
+        reproduce the cached report bit for bit, so data outside the
+        slice may change freely while a swapped or mutated slice
+        misses.  Raises what the session raises for a measure it
+        cannot serve.
+        """
         if spec.seed is None:
             return None
-        return (
-            f"{self.session.dataset_fingerprint()}:{spec.spec_hash()}"
-        )
+        coords, outcomes = self.session._measured_data(spec.measure)
+        parts = {
+            "spec": spec.spec_hash(),
+            "coords": array_fingerprint(coords),
+            "outcomes": array_fingerprint(outcomes),
+        }
+        design = spec.regions
+        if design.kind == "grid" and design.bounds is None:
+            box = Rect.bounding(self.session.coords)
+            parts["bbox"] = repr(
+                (box.min_x, box.min_y, box.max_x, box.max_y)
+            )
+        if spec.family == "poisson":
+            parts["forecast"] = array_fingerprint(
+                self.session.forecast
+            )
+        if spec.family == "multinomial":
+            parts["n_classes"] = (
+                "none"
+                if self.session.n_classes is None
+                else str(self.session.n_classes)
+            )
+        return combine_fingerprints(parts)
 
     def _execute(self, batch: list) -> None:
         """Run one drained batch: cache lookups, deduplication,
@@ -374,7 +401,11 @@ class AuditService:
         groups: "OrderedDict[tuple, list]" = OrderedDict()
         for ticket in batch:
             spec = ticket.spec
-            key = self._report_key(spec)
+            try:
+                key = self._report_key(spec)
+            except Exception as exc:  # the measure is per-spec
+                self._finish([ticket], None, error=exc)
+                continue
             if key is not None:
                 with self._lock:
                     cached = self._cache.get(key)
@@ -382,6 +413,7 @@ class AuditService:
                         self._cache.move_to_end(key)
                         self._cache_hits += 1
                         self._completed += 1
+                        ticket._cache_hit = True
                         ticket._resolve(report=cached)
                         continue
                     self._cache_misses += 1
@@ -397,7 +429,7 @@ class AuditService:
                 self._finish(tickets, key, error=exc)
                 continue
             groups.setdefault(self._group_key(resolved), []).append(
-                (tickets, resolved)
+                (tickets, key, resolved)
             )
         for members in groups.values():
             self._run_group(members)
@@ -405,7 +437,7 @@ class AuditService:
     def _run_group(self, members: list) -> None:
         """One fused pass: simulate the group's worlds once, score all
         member designs, assemble per-spec reports."""
-        resolutions = [r for _, r in members]
+        resolutions = [r for _, _, r in members]
         first = resolutions[0]
         spec0 = first.spec
         # Each member's effective request is its explicit workers if
@@ -450,26 +482,22 @@ class AuditService:
                 **adaptive,
             )
         except Exception as exc:  # group-level failure fails members
-            for tickets, resolved in members:
-                self._finish(
-                    tickets, self._report_key(resolved.spec), error=exc
-                )
+            for tickets, key, _ in members:
+                self._finish(tickets, key, error=exc)
             return
         # One critical section for the whole group's accounting, so a
         # concurrent stats() can never see the group counted with its
         # specs (or worlds) still missing.
         with self._lock:
             self._fused_groups += 1
-            for tickets, resolved in members:
+            for tickets, _, resolved in members:
                 self._fused_specs += len(tickets)
                 self._worlds_requested += (
                     resolved.spec.n_worlds * len(tickets)
                 )
-        for (tickets, resolved), null_max in zip(members, nulls):
-            spec = resolved.spec
-            key = self._report_key(spec)
+        for (tickets, key, resolved), null_max in zip(members, nulls):
             try:
-                report = self.session.run(spec, null_max=null_max)
+                report = self.session._run_resolved(resolved, null_max)
             except Exception as exc:
                 self._finish(tickets, key, error=exc)
                 continue
@@ -483,7 +511,7 @@ class AuditService:
         error: Exception | None = None,
     ) -> None:
         """Resolve a representative's tickets, caching successful
-        seeded reports under their spec hash."""
+        seeded reports under their report key."""
         with self._lock:
             if report is not None and key is not None:
                 self._cache[key] = report
@@ -517,15 +545,14 @@ class AuditService:
         """
         if isinstance(specs, AuditSpec):
             specs = [specs]
-        with self._stream_lock:
+        for spec in specs:
+            self.session._check_spec(spec)
+        with self._lock:
             known = {s.spec_hash() for s in self._watched}
             for spec in specs:
-                self.session._check_spec(spec)
                 if spec.spec_hash() not in known:
                     known.add(spec.spec_hash())
                     self._watched.append(spec)
-            with self._lock:
-                self._n_watched = len(self._watched)
             return len(self._watched)
 
     def unwatch(self, spec: AuditSpec | None = None) -> int:
@@ -540,68 +567,21 @@ class AuditService:
         int
             The number of specs removed.
         """
-        with self._stream_lock:
-            if spec is None:
-                removed = len(self._watched)
-                self._watched.clear()
-                self._stream_cache.clear()
-                with self._lock:
-                    self._n_watched = 0
-                return removed
-            target = spec.spec_hash()
+        with self._lock:
             before = len(self._watched)
-            self._watched = [
-                s for s in self._watched if s.spec_hash() != target
-            ]
-            self._stream_cache.pop(target, None)
-            with self._lock:
-                self._n_watched = len(self._watched)
+            if spec is None:
+                self._watched = []
+            else:
+                target = spec.spec_hash()
+                self._watched = [
+                    s for s in self._watched if s.spec_hash() != target
+                ]
             return before - len(self._watched)
 
     def watched(self) -> list:
         """The currently watched specs, in registration order."""
-        with self._stream_lock:
+        with self._lock:
             return list(self._watched)
-
-    def _stream_key(self, spec: AuditSpec) -> str | None:
-        """Digest of everything a spec's report depends on, under the
-        session's *current* data — the skip test of :meth:`advance`.
-
-        Covers the spec itself (hash), the measure's extracted slice
-        (coordinates and outcomes — hence observed statistics, null
-        totals, and k-means scan centres), and the data-dependent
-        extras: the full dataset's bounding box for grids without
-        explicit bounds, the forecast for Poisson specs, the class
-        count for multinomial ones.  Equal keys across an advance mean
-        a cold re-run would reproduce the previous report bit for bit.
-        Unseeded specs get ``None``: they are deliberately
-        non-reproducible and always re-run.
-        """
-        if spec.seed is None:
-            return None
-        coords, outcomes = self.session._measured_data(spec.measure)
-        parts = {
-            "spec": spec.spec_hash(),
-            "coords": array_fingerprint(coords),
-            "outcomes": array_fingerprint(outcomes),
-        }
-        design = spec.regions
-        if design.kind == "grid" and design.bounds is None:
-            box = Rect.bounding(self.session.coords)
-            parts["bbox"] = repr(
-                (box.min_x, box.min_y, box.max_x, box.max_y)
-            )
-        if spec.family == "poisson":
-            parts["forecast"] = array_fingerprint(
-                self.session.forecast
-            )
-        if spec.family == "multinomial":
-            parts["n_classes"] = (
-                "none"
-                if self.session.n_classes is None
-                else str(self.session.n_classes)
-            )
-        return combine_fingerprints(parts)
 
     def advance(
         self,
@@ -621,13 +601,15 @@ class AuditService:
         Appends the given batch (if any) via
         :meth:`AuditSession.append <repro.api.AuditSession.append>`,
         applies at most one eviction selector via
-        :meth:`~repro.api.AuditSession.evict`, then evaluates every
-        watched spec.  A seeded spec whose stream key
-        (:meth:`_stream_key`) is unchanged since its last report is
-        answered from that report without touching the engine; the
-        rest run as one fused batch over the session's incrementally
-        maintained caches.  Reports are bit-identical to cold audits
-        of the post-event dataset either way.
+        :meth:`~repro.api.AuditSession.evict`, then submits every
+        watched spec and gathers them as one batch.  A seeded spec
+        whose measured data slice the event left untouched is answered
+        by the report cache (its key covers exactly that slice); the
+        rest run fused over the session's incrementally maintained
+        caches.  Reports are bit-identical to cold audits of the
+        post-event dataset either way.  The step holds the gather
+        lock, so it never mutates the session under another thread's
+        in-flight gather.
 
         Parameters
         ----------
@@ -647,15 +629,25 @@ class AuditService:
         list of AuditReport
             One report per watched spec, in registration order.
         """
-        with self._stream_lock:
+        if coords is not None and outcomes is None:
+            raise ValueError(
+                "advance: outcomes are required when appending points"
+            )
+        selectors = {
+            "mask": evict_mask,
+            "older_than": older_than,
+            "window": window,
+        }
+        given = {k: v for k, v in selectors.items() if v is not None}
+        if len(given) > 1:
+            raise ValueError(
+                "advance: pass at most one of evict_mask, older_than "
+                "or window"
+            )
+        with self._gather_lock:
             with self._lock:
                 self._advances += 1
             if coords is not None:
-                if outcomes is None:
-                    raise ValueError(
-                        "advance: outcomes are required when "
-                        "appending points"
-                    )
                 self.session.append(
                     coords,
                     outcomes,
@@ -663,52 +655,15 @@ class AuditService:
                     forecast=forecast,
                     timestamps=timestamps,
                 )
-            selectors = {
-                "mask": evict_mask,
-                "older_than": older_than,
-                "window": window,
-            }
-            given = {
-                k: v for k, v in selectors.items() if v is not None
-            }
-            if len(given) > 1:
-                raise ValueError(
-                    "advance: pass at most one of evict_mask, "
-                    "older_than or window"
-                )
             if given:
-                ((kind, value),) = given.items()
-                if kind == "mask":
-                    self.session.evict(value)
-                else:
-                    self.session.evict(**{kind: value})
-            specs = list(self._watched)
-            keys = [self._stream_key(spec) for spec in specs]
-            to_run = []
-            for spec, key in zip(specs, keys):
-                entry = (
-                    None
-                    if key is None
-                    else self._stream_cache.get(spec.spec_hash())
-                )
-                if entry is not None and entry[0] == key:
-                    with self._lock:
-                        self._stream_skips += 1
-                else:
-                    to_run.append(spec)
-            reports = self.run_batch(to_run) if to_run else []
-            with self._lock:
-                self._stream_runs += len(to_run)
-            fresh = dict(zip((s.spec_hash() for s in to_run), reports))
-            out = []
-            for spec, key in zip(specs, keys):
-                report = fresh.get(spec.spec_hash())
-                if report is None:
-                    report = self._stream_cache[spec.spec_hash()][1]
-                elif key is not None:
-                    self._stream_cache[spec.spec_hash()] = (key, report)
-                out.append(report)
-            return out
+                self.session.evict(**given)
+            tickets = [self.submit(spec) for spec in self.watched()]
+            self._drain()
+        skips = sum(ticket._cache_hit for ticket in tickets)
+        with self._lock:
+            self._stream_skips += skips
+            self._stream_runs += len(tickets) - skips
+        return [ticket.result() for ticket in tickets]
 
     # -- cache control & observability ---------------------------------
 
@@ -719,15 +674,21 @@ class AuditService:
         ----------
         spec : AuditSpec, optional
             Evict this spec's cached report against the session's
-            *current* dataset (matched by the fingerprint-qualified
-            :meth:`~repro.spec.AuditSpec.spec_hash` key, so the
-            worker count is irrelevant).  ``None`` clears the whole
-            cache, entries for earlier dataset contents included.
+            *current* data (matched by its report key — the
+            :meth:`~repro.spec.AuditSpec.spec_hash` plus the measured
+            slice's fingerprint — so the worker count is irrelevant).
+            ``None`` clears the whole cache, entries for earlier
+            dataset contents included.
 
         Returns
         -------
         int
             Number of reports evicted.
+
+        Raises
+        ------
+        ValueError
+            When the session cannot serve the spec's measure.
         """
         key = None if spec is None else self._report_key(spec)
         with self._lock:
@@ -765,8 +726,8 @@ class AuditService:
             ``report_cache_size``, the session's ``index_builds`` and
             ``incremental_builds``, and the continuous-audit counters
             ``watched`` / ``advances`` / ``stream_runs`` /
-            ``stream_skips`` (watched-spec evaluations answered from
-            the last report without re-running).
+            ``stream_skips`` (watched-spec evaluations the report
+            cache answered, counted among the report cache hits).
         """
         with self._lock:
             return {
@@ -783,7 +744,7 @@ class AuditService:
                 "report_cache_size": len(self._cache),
                 "index_builds": self.session.index_builds,
                 "incremental_builds": self.session.incremental_builds,
-                "watched": self._n_watched,
+                "watched": len(self._watched),
                 "advances": self._advances,
                 "stream_runs": self._stream_runs,
                 "stream_skips": self._stream_skips,

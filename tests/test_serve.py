@@ -7,13 +7,16 @@ Acceptance contract of the service layer:
   family, measure, direction and correction;
 * fusion really amortises: one simulation pass per null-model group,
   observable through ``worlds_simulated`` vs ``worlds_requested``;
-* the spec-hash LRU result cache hits on repeats, is explicitly
-  invalidatable, and never caches unseeded (non-reproducible) specs;
+* the LRU report cache, keyed on the spec hash plus the measured data
+  slice, hits on repeats and on data changes outside that slice, is
+  explicitly invalidatable, and never caches unseeded
+  (non-reproducible) specs;
 * concurrent submissions from many threads are deterministic.
 """
 
 import json
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +206,54 @@ class TestResultCache:
         service.run_batch([spec])
         assert service.stats()["report_cache_size"] == 0
         assert service.stats()["report_cache_misses"] == 0
+
+    def test_hit_survives_changes_outside_the_measured_slice(
+        self, unit_coords, biased_labels
+    ):
+        rng = np.random.default_rng(7)
+        y_true = (rng.random(len(unit_coords)) < 0.5).astype(np.int8)
+        svc = AuditService(
+            AuditSession(
+                unit_coords[:500], biased_labels[:500],
+                y_true=y_true[:500],
+            )
+        )
+        eo = AuditSpec(
+            regions=UNIT_GRID, n_worlds=N_WORLDS, seed=3,
+            measure="equal_opportunity",
+        )
+        (first,) = svc.run_batch([eo])
+        # Arrivals with y_true == 0 lie outside the eo slice.
+        svc.session.append(
+            unit_coords[500:], biased_labels[500:],
+            y_true=np.zeros(len(unit_coords) - 500, dtype=np.int8),
+        )
+        (again,) = svc.run_batch([eo])
+        assert again is first
+        assert svc.stats()["report_cache_hits"] == 1
+
+
+def test_stats_survive_engines_changing_underfoot(
+    unit_coords, biased_labels
+):
+    # A concurrent resolve or stream event may add an engine while
+    # stats() sums the per-engine counters.
+    service = AuditService(AuditSession(unit_coords, biased_labels))
+    engines = service.session._engines
+
+    class GrowingEngine:
+        incremental_builds = 0
+        worlds_simulated = 0
+
+        @property
+        def index_builds(self):
+            engines[("late", len(engines))] = SimpleNamespace(
+                index_builds=0, incremental_builds=0, worlds_simulated=0
+            )
+            return 0
+
+    engines[("stub", "measure")] = GrowingEngine()
+    assert service.stats()["index_builds"] == 0
 
 
 class TestAsyncFlow:

@@ -11,6 +11,8 @@ own job (``pytest -m stream``).
 """
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -153,13 +155,9 @@ class TestSessionEquivalence:
         reports = [s.run(spec) for s in (twice, once, cold)]
         payloads = {report_json(r) for r in reports}
         assert len(payloads) == 1
-        # Equal content -> equal dataset fingerprint; the *stream*
-        # fingerprint tracks the event sequence and must differ.
+        # Equal content -> equal dataset fingerprint.
         assert (
             twice.dataset_fingerprint() == once.dataset_fingerprint()
-        )
-        assert (
-            twice.stream_fingerprint() != once.stream_fingerprint()
         )
 
     def test_evict_by_mask_equals_cold(self, unit_coords, biased_labels):
@@ -198,13 +196,11 @@ class TestSessionEquivalence:
     def test_empty_append_is_a_noop(self, unit_coords, biased_labels):
         session = AuditSession(unit_coords, biased_labels)
         fp = session.dataset_fingerprint()
-        sfp = session.stream_fingerprint()
         assert (
             session.append(np.empty((0, 2)), np.empty(0, dtype=np.int8))
             == 0
         )
         assert session.dataset_fingerprint() == fp
-        assert session.stream_fingerprint() == sfp
 
     def test_evict_nothing_is_a_noop(self, unit_coords, biased_labels):
         spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=5)
@@ -642,25 +638,52 @@ class TestServiceStreaming:
             assert key in stats
 
 
-class TestStreamFingerprint:
-    def test_every_event_moves_the_digest(
+    def test_evicted_watched_report_reruns(
+        self, unit_coords, biased_labels
+    ):
+        # One cache slot for two watched specs: the second advance
+        # finds only the last-finished report and re-runs the other.
+        service = AuditService(
+            AuditSession(unit_coords, biased_labels), cache_size=1
+        )
+        specs = [
+            AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=s)
+            for s in (8, 9)
+        ]
+        service.watch(specs)
+        first = service.advance()
+        again = service.advance()
+        assert [report_json(r) for r in again] == [
+            report_json(r) for r in first
+        ]
+        stats = service.stats()
+        assert stats["stream_runs"] == 3
+        assert stats["stream_skips"] == 1
+
+    def test_advance_waits_for_inflight_gather(
         self, unit_coords, biased_labels
     ):
         session = AuditSession(unit_coords[:500], biased_labels[:500])
-        digests = [session.stream_fingerprint()]
-        session.append(unit_coords[500:], biased_labels[500:])
-        digests.append(session.stream_fingerprint())
-        drop = np.zeros(len(unit_coords), dtype=bool)
-        drop[:10] = True
-        session.evict(drop)
-        digests.append(session.stream_fingerprint())
-        assert len(set(digests)) == 3
+        service = AuditService(session)
+        spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=8)
+        service.watch(spec)
+        out = {}
 
-    def test_event_order_matters(self, unit_coords, biased_labels):
-        a = AuditSession(unit_coords[:400], biased_labels[:400])
-        a.append(unit_coords[400:500], biased_labels[400:500])
-        a.append(unit_coords[500:], biased_labels[500:])
-        b = AuditSession(unit_coords[:400], biased_labels[:400])
-        b.append(unit_coords[400:], biased_labels[400:])
-        assert a.dataset_fingerprint() == b.dataset_fingerprint()
-        assert a.stream_fingerprint() != b.stream_fingerprint()
+        def step():
+            out["reports"] = service.advance(
+                unit_coords[500:], biased_labels[500:]
+            )
+
+        service._gather_lock.acquire()  # another thread's gather
+        try:
+            thread = threading.Thread(target=step)
+            thread.start()
+            time.sleep(0.3)
+            # The session must not move under the in-flight gather.
+            assert len(session.coords) == 500
+        finally:
+            service._gather_lock.release()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        cold = AuditSession(unit_coords, biased_labels).run(spec)
+        assert report_json(out["reports"][0]) == report_json(cold)
