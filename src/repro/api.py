@@ -59,8 +59,10 @@ __all__ = [
     "audit",
 ]
 
-#: Version stamp of ``AuditReport.to_dict`` payloads.
-REPORT_VERSION = 1
+#: Version stamp of ``AuditReport.to_dict`` payloads.  Version 2
+#: dropped the ``worlds_simulated`` key (``n_worlds`` carries it) and
+#: marks the region-level world stream of disjoint designs.
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -151,7 +153,6 @@ class AuditReport:
             "critical_value": result.critical_value,
             "n_regions": result.n_regions,
             "n_worlds": result.n_worlds,
-            "worlds_simulated": result.n_worlds,
             "n_worlds_requested": (
                 result.n_worlds_requested or result.n_worlds
             ),

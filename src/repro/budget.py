@@ -45,6 +45,7 @@ verdicts agree with fixed-budget runs across all three families.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -77,6 +78,21 @@ DEFAULT_CONFIDENCE = 0.99
 
 def _err(field_name: str, message: str) -> ValueError:
     return ValueError(f"{field_name}: {message}")
+
+
+def _int(field_name: str, value) -> int:
+    """``value`` as an ``int``, or a ValueError naming ``field_name``.
+
+    Python and numpy integers and integral floats (``2.0``) pass;
+    bools, fractional floats, strings and anything else are refused
+    rather than truncated or parsed.
+    """
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise _err(field_name, f"expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +151,7 @@ class BudgetPolicy:
                     "(initial/growth/min_exceedances/confidence)",
                 )
             return
-        initial = int(self.initial)
+        initial = _int("budget.initial", self.initial)
         if initial < 1:
             raise _err(
                 "budget.initial",
@@ -149,7 +165,7 @@ class BudgetPolicy:
                 f"refinement multiplier must be > 1, got {self.growth}",
             )
         object.__setattr__(self, "growth", growth)
-        min_exc = int(self.min_exceedances)
+        min_exc = _int("budget.min_exceedances", self.min_exceedances)
         if min_exc < 1:
             raise _err(
                 "budget.min_exceedances",

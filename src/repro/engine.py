@@ -15,15 +15,37 @@ module holds that loop once for every auditor:
   (observed vs forecast counts), :class:`MultinomialKernel`
   (categorical outcomes).
 
+Region-level worlds
+-------------------
+The null keeps locations fixed and redraws outcomes independently of
+location, so when no point lies in two regions of a design
+(:attr:`repro.index.RegionMembership.disjoint`) a world's per-region
+counts have a closed form.  A kernel bound to such a design simulates
+one count per *unit* — the ``R`` regions, then one remainder unit for
+the points in no region — and scores the region rows directly, with
+no recount: ``Binomial(n_r, rate)`` per unit for Bernoulli outcomes,
+``Multinomial(n_r, class_p)`` per unit for categorical ones, and one
+multinomial of the observed total over the units' summed forecasts for
+Poisson counts.  The draw is exact in distribution, and is chosen from
+the data alone: no option selects it.
+
 Determinism contract
 --------------------
-The engine splits the world budget into chunks whose layout depends
-only on ``(kernel.chunk_points, n_worlds)`` — never on the worker
-count — and simulates each chunk from its own child of one
-:class:`numpy.random.SeedSequence` spawned off ``seed``.  Chunks are
-therefore independent computations, and the null distribution (hence
-verdicts, critical values and significant-region sets) is bit-identical
-whether the chunks run serially or on any number of workers.
+One simulation pass of ``n_worlds`` worlds from a
+:class:`numpy.random.SeedSequence` ``parent`` (``SeedSequence(seed)``
+for a fixed budget, one round's seed for an adaptive one) runs
+
+* one **region-level** pass per disjoint design, whose chunks draw
+  from the children of an unspawned copy of ``parent`` and whose
+  layout depends only on ``(R + 1, n_worlds)``;
+* one **points** pass over every other design, stacked, whose chunks
+  draw from ``parent.spawn(...)`` and whose layout depends only on
+  ``(kernel.chunk_points, n_worlds)``.
+
+Neither depends on the worker count or on the design's companions in
+a fused group, so the null distribution (hence verdicts, critical
+values and significant-region sets) is bit-identical serial or
+threaded, fused or solo, and streamed or cold.
 
 Parallel path
 -------------
@@ -136,10 +158,16 @@ class LLRKernel:
 
     def __init__(self) -> None:
         self._member: RegionMembership | None = None
+        self._units: np.ndarray | None = None
 
     def bind(self, member: RegionMembership) -> "LLRKernel":
         """Attach the membership index the scores will be counted
         through.  Called once by the engine before the chunk loop.
+
+        A disjoint ``member`` switches the kernel to region-level
+        worlds (see the module docstring): :meth:`simulate` then draws
+        one row per unit and :meth:`score` reads the region rows
+        without a recount.
 
         Parameters
         ----------
@@ -151,6 +179,10 @@ class LLRKernel:
             ``self``, for chaining.
         """
         self._member = member
+        self._units = None
+        if member.disjoint:
+            counts = member.counts
+            self._units = np.append(counts, member.n_points - counts.sum())
         return self
 
     @property
@@ -186,12 +218,14 @@ class LLRKernel:
         Returns
         -------
         ndarray
-            World batch with one column per world; the exact layout is
-            the kernel's own (``score`` must understand it).  The
-            Bernoulli and Poisson kernels draw straight into the
+            World batch with worlds along axis 1; the exact layout is
+            the kernel's own (``score`` must understand it).  On the
+            points path the Bernoulli and Poisson kernels return the
             C-contiguous float64 ``(n_points, n_worlds)`` operand of
-            the recount; the multinomial kernel returns class labels
-            and recounts one float64 indicator batch per class.
+            the recount, and the multinomial kernel returns class
+            labels.  Bound to a disjoint design, each kernel returns
+            float64 counts with one row per unit: ``(R + 1, n_worlds)``,
+            or ``(R + 1, n_worlds, K)`` per class.
         """
         raise NotImplementedError
 
@@ -209,10 +243,21 @@ class LLRKernel:
         """
         raise NotImplementedError
 
+    def _region_counts(self, worlds: np.ndarray) -> np.ndarray:
+        """Per-region sums of a world batch: the region rows of a
+        region-level batch, else the recount through the membership."""
+        if self._units is not None:
+            return worlds[:-1]
+        return self.member.positive_counts_batch(worlds)
+
 
 class BernoulliKernel(LLRKernel):
     """Null worlds for binary outcomes: labels redrawn i.i.d. Bernoulli
     at the global positive rate, locations fixed (the paper's SUL null).
+
+    On a disjoint design each unit's positive count is one
+    ``Binomial(n_r, rate)`` draw, and a world's global total is the
+    sum over units.
 
     Parameters
     ----------
@@ -247,12 +292,16 @@ class BernoulliKernel(LLRKernel):
         return (self.family, self.n_points, self.total_p, self.direction)
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
+        if self._units is not None:
+            shape = (len(self._units), n_worlds)
+            units = self._units[:, None]
+            return rng.binomial(units, self.rate, shape).astype(np.float64)
         return (
             rng.random((self.n_points, n_worlds)) < self.rate
         ).astype(np.float64)
 
     def score(self, worlds: np.ndarray) -> np.ndarray:
-        world_p = self.member.positive_counts_batch(worlds)
+        world_p = self._region_counts(worlds)
         world_P = _world_totals(worlds)
         return kernels.bernoulli_llr_batch(
             self._n, world_p, float(self.n_points), world_P, self.direction
@@ -266,7 +315,10 @@ class PoissonKernel(LLRKernel):
     makes the Poisson scan exact given the total.
 
     Worlds are drawn as float64 counts, exact up to ``2**53`` per area,
-    so every world holds exactly ``total_obs_int`` events.
+    so every world holds exactly ``total_obs_int`` events.  On a
+    disjoint design the total is redistributed over the units instead,
+    with probabilities ``exp_r / total_obs`` per region and the rest
+    (clipped at 0) on the remainder unit.
 
     Parameters
     ----------
@@ -291,10 +343,14 @@ class PoissonKernel(LLRKernel):
         self.probs = self.expected / self.total_obs
         self.direction = int(direction)
         self._exp_r: np.ndarray | None = None
+        self._unit_probs: np.ndarray | None = None
 
     def bind(self, member: RegionMembership) -> "PoissonKernel":
         super().bind(member)
         self._exp_r = member.positive_counts(self.expected)
+        if self._units is not None:
+            probs = self._exp_r / self.total_obs
+            self._unit_probs = np.append(probs, max(1.0 - probs.sum(), 0.0))
         return self
 
     @property
@@ -306,11 +362,12 @@ class PoissonKernel(LLRKernel):
         return (self.family, self.total_obs_int, digest, self.direction)
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
-        draws = rng.multinomial(self.total_obs_int, self.probs, size=n_worlds)
+        probs = self.probs if self._units is None else self._unit_probs
+        draws = rng.multinomial(self.total_obs_int, probs, size=n_worlds)
         return np.ascontiguousarray(draws.T, dtype=np.float64)
 
     def score(self, worlds: np.ndarray) -> np.ndarray:
-        world_obs = self.member.positive_counts_batch(worlds)
+        world_obs = self._region_counts(worlds)
         return kernels.poisson_llr_batch(
             world_obs,
             self._exp_r,
@@ -322,6 +379,10 @@ class PoissonKernel(LLRKernel):
 class MultinomialKernel(LLRKernel):
     """Null worlds for categorical outcomes: every label redrawn i.i.d.
     from the global class distribution, locations fixed.
+
+    On a disjoint design each unit's class counts are one
+    ``Multinomial(n_r, class_p)`` draw, which also spares the per-class
+    indicator recount.
 
     Parameters
     ----------
@@ -340,7 +401,8 @@ class MultinomialKernel(LLRKernel):
             class_totals, dtype=np.float64
         ).ravel()
         self.n_classes = len(self.class_totals)
-        self._cum = np.cumsum(self.class_totals / self.n_points)
+        self._class_p = self.class_totals / self.n_points
+        self._cum = np.cumsum(self._class_p)
         self._n: np.ndarray | None = None
 
     def bind(self, member: RegionMembership) -> "MultinomialKernel":
@@ -361,6 +423,13 @@ class MultinomialKernel(LLRKernel):
         )
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
+        if self._units is not None:
+            size = (n_worlds, len(self._units))
+            draws = rng.multinomial(self._units, self._class_p, size=size)
+            # (units, w, K) class counts: worlds on axis 1, as below.
+            return np.ascontiguousarray(
+                draws.transpose(1, 0, 2), dtype=np.float64
+            )
         u = rng.random((self.n_points, n_worlds))
         return np.searchsorted(self._cum, u)  # (N, w) int labels < K
 
@@ -370,12 +439,14 @@ class MultinomialKernel(LLRKernel):
         )
 
     def _class_counts(self, worlds: np.ndarray):
-        """Yield each class's ``(c, C)`` recount of a world batch, one
+        """Yield each class's ``(c, C)`` counts of a world batch, one
         class at a time so only one indicator matrix is alive."""
         for k in range(self.n_classes):
-            ind = (worlds == k).astype(np.float64)
-            c = self.member.positive_counts_batch(ind)
-            yield c, _world_totals(ind)[None, :]
+            if self._units is not None:
+                ind = worlds[:, :, k]
+            else:
+                ind = (worlds == k).astype(np.float64)
+            yield self._region_counts(ind), _world_totals(ind)[None, :]
 
 
 def _world_totals(worlds: np.ndarray) -> np.ndarray:
@@ -450,7 +521,8 @@ class MonteCarloEngine:
         :meth:`membership` plus every fused stacking of two or more
         designs (:class:`repro.index.StackedMembership`); lets callers
         assert index reuse.  A fused pass over a *single* design skips
-        the stacking and scores the member's own matrix, so it costs no
+        the stacking and scores the member's own matrix, and disjoint
+        designs run their own region-level passes, so neither costs a
         build.
     incremental_builds : int
         In-place membership updates applied by :meth:`append_points` /
@@ -461,8 +533,9 @@ class MonteCarloEngine:
     worlds_simulated : int
         Total null worlds actually simulated (cache hits excluded).  A
         fused :meth:`null_distribution_multi` pass counts its world
-        budget once however many designs it scores, so the counter
-        measures exactly the work batching amortises.
+        budget once however many designs it scores (region-level
+        passes included), so the counter measures the budgets paid,
+        not the draws.
     """
 
     def __init__(
@@ -712,17 +785,18 @@ class MonteCarloEngine:
         """Null distributions of several region designs from **one**
         simulation pass — the engine's multi-statistic evaluation hook.
 
-        All designs share the same null model (one ``kernel``), so each
-        world batch is simulated once and scored against the stacked
-        membership matrix of every design
-        (:class:`repro.index.StackedMembership`); per-design maxima are
-        reduced segment by segment.  The chunk layout and per-chunk
-        random streams depend only on ``(kernel, n_worlds, seed)``, so
-        every returned distribution is **bit-identical** to the one a
-        solo run of that design (:meth:`null_distribution`, the
-        one-design case of this method) would produce — fused and
-        sequential audits agree exactly, and both share the same null
-        cache.
+        All designs share the same null model (one ``kernel``).  Each
+        disjoint design gets its own region-level pass (see the module
+        docstring); every other design's worlds are simulated once and
+        scored against the stacked membership matrix of those designs
+        (:class:`repro.index.StackedMembership`), and per-design maxima
+        are reduced segment by segment.  The chunk layouts and
+        per-chunk random streams depend only on ``(kernel, n_worlds,
+        seed)`` and the design itself, so every returned distribution
+        is **bit-identical** to the one a solo run of that design
+        (:meth:`null_distribution`, the one-design case of this method)
+        would produce — fused and sequential audits agree exactly, and
+        both share the same null cache.
 
         Parameters
         ----------
@@ -830,20 +904,45 @@ class MonteCarloEngine:
         workers: int | None,
         chunk_worlds: int | None,
     ) -> np.ndarray:
-        """Simulate ``n_worlds`` worlds once and score them against
-        every design in ``members``: one row of per-world maxima per
-        design.  Each chunk draws from its own child of ``parent`` — a
-        fixed pass's ``SeedSequence(seed)``, or one adaptive round's
-        seed."""
-        member, segments = self._fused_member(members)
-        chunks = self.chunk_layout(
-            kernel.chunk_points, n_worlds, chunk_worlds
-        )
-        seeds = parent.spawn(len(chunks))
+        """Simulate ``n_worlds`` worlds and score them against every
+        design in ``members``: one row of per-world maxima per design.
+
+        ``parent`` is a fixed pass's ``SeedSequence(seed)`` or one
+        adaptive round's seed.  Each disjoint design runs its own
+        region-level pass from an unspawned copy of ``parent``; the
+        other designs share one stacked points pass whose chunks draw
+        from ``parent.spawn``.  So every design sees the streams a solo
+        run of it would, and the budget counts once.
+        """
         self.worlds_simulated += n_worlds
-        return self._run_chunks(
-            kernel, member, chunks, seeds, n_worlds, workers, segments
-        )
+        null_max = np.empty((len(members), n_worlds))
+        points = []
+        for i, member in enumerate(members):
+            if not member.disjoint:
+                points.append(i)
+                continue
+            fresh = np.random.SeedSequence(
+                parent.entropy,
+                spawn_key=parent.spawn_key,
+                pool_size=parent.pool_size,
+            )
+            chunks = self.chunk_layout(len(member) + 1, n_worlds, chunk_worlds)
+            null_max[i] = self._run_chunks(
+                kernel, member, chunks, fresh.spawn(len(chunks)),
+                n_worlds, workers, [(0, len(member))],
+            )[0]
+        if points:
+            member, segments = self._fused_member(
+                [members[i] for i in points]
+            )
+            chunks = self.chunk_layout(
+                kernel.chunk_points, n_worlds, chunk_worlds
+            )
+            null_max[points] = self._run_chunks(
+                kernel, member, chunks, parent.spawn(len(chunks)),
+                n_worlds, workers, segments,
+            )
+        return null_max
 
     def _run_chunks(
         self,

@@ -20,6 +20,12 @@ exact float64 below ``2**53`` and the result is bit-identical to the
 full-matrix product.  Regions that nest with nothing (grid cells,
 arbitrary rectangles) are nests of length 1, whose ring row is the
 full row: for such a design the ring matrix *is* the full matrix.
+
+A membership is **disjoint** when no point lies in two of its regions
+(:attr:`RegionMembership.disjoint`) — every grid partitioning whose
+cell edges hold no point.  The engine simulates such a design's null
+worlds one count per region (plus one remainder unit for the points
+in no region) and never recounts them.
 """
 
 from __future__ import annotations
@@ -264,9 +270,27 @@ class RegionMembership:
         self.counts = np.asarray(
             self._matrix.sum(axis=1)
         ).ravel().astype(np.int64)
+        self._disjoint = None
 
     def __len__(self) -> int:
         return len(self.regions)
+
+    @property
+    def disjoint(self) -> bool:
+        """Whether no point lies in two regions.
+
+        A property of the indexed points, not of the design's kind: a
+        grid with a point on a shared closed cell edge is not disjoint.
+        Decided on first use and cached until the next
+        :meth:`append_points` / :meth:`evict_points`, so the build does
+        not pay for it.
+        """
+        if self._disjoint is None:
+            self._disjoint = bool(
+                self.counts.sum() <= self.n_points
+                and np.bincount(self._matrix.indices, minlength=1).max() <= 1
+            )
+        return self._disjoint
 
     def append_points(self, coords: np.ndarray) -> "RegionMembership":
         """Append newly arrived points as CSR columns, in place.
@@ -297,6 +321,7 @@ class RegionMembership:
         )
         self.n_points += delta.n_points
         self.counts = self.counts + delta.counts
+        self._disjoint = None
         return delta
 
     def evict_points(self, keep: np.ndarray) -> None:
@@ -325,6 +350,7 @@ class RegionMembership:
         self.counts = np.asarray(
             self._matrix.sum(axis=1)
         ).ravel().astype(np.int64)
+        self._disjoint = None
 
     def positive_counts(self, labels: np.ndarray) -> np.ndarray:
         """Per-region sum of a single label vector.
@@ -399,7 +425,13 @@ class StackedMembership:
         Half-open row span of each member in the stacked matrix.
     counts : ndarray of int64
         Concatenated per-region observation counts.
+    disjoint : bool
+        Always ``False``: the engine runs every disjoint design on its
+        own region-level pass, so a stacked operand is always
+        recounted point by point.
     """
+
+    disjoint = False
 
     def __init__(self, members):
         from scipy import sparse

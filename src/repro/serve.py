@@ -14,7 +14,9 @@ repeat the dominant cost once per request.  This module amortises it:
   :class:`repro.engine.MonteCarloEngine` pass: worlds are simulated
   once per group while every member spec's statistics are scored
   against the stacked membership matrix
-  (:class:`repro.index.StackedMembership`);
+  (:class:`repro.index.StackedMembership`) — or, for a disjoint
+  design such as a grid, on its own region-level pass, which draws
+  one count per cell and needs no matrix;
 * an LRU report cache keyed on a digest of what a report depends on
   — the spec hash (:meth:`AuditSpec.spec_hash
   <repro.spec.AuditSpec.spec_hash>`) plus the content fingerprint

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .budget import BudgetPolicy
+from .budget import BudgetPolicy, _int
 from .core import CORRECTIONS, FAMILIES, MEASURES
 from .core import _DIRECTIONS as _core_directions
 from .geometry import (
@@ -108,7 +108,11 @@ class RegionSpec:
         object.__setattr__(
             self, "radii", tuple(float(r) for r in self.radii)
         )
-        object.__setattr__(self, "centers_seed", int(self.centers_seed))
+        object.__setattr__(
+            self,
+            "centers_seed",
+            _int("regions.centers_seed", self.centers_seed),
+        )
         if self.bounds is not None:
             bounds = tuple(float(b) for b in self.bounds)
             if len(bounds) != 4:
@@ -125,12 +129,14 @@ class RegionSpec:
         if self.kind == "grid":
             for name in ("nx", "ny"):
                 value = getattr(self, name)
-                if value is None or int(value) < 1:
+                if value is not None:
+                    value = _int(f"regions.{name}", value)
+                if value is None or value < 1:
                     raise _err(
                         f"regions.{name}",
                         f"a grid design needs {name} >= 1, got {value!r}",
                     )
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, value)
             if self.n_centers is not None or self.sides or self.radii:
                 raise _err(
                     "regions",
@@ -153,13 +159,16 @@ class RegionSpec:
                     f"a {self.kind!r} design takes no bounds — its "
                     "centres come from the data",
                 )
-            if self.n_centers is None or int(self.n_centers) < 1:
+            n_centers = self.n_centers
+            if n_centers is not None:
+                n_centers = _int("regions.n_centers", n_centers)
+            if n_centers is None or n_centers < 1:
                 raise _err(
                     "regions.n_centers",
                     f"a {self.kind!r} design needs n_centers >= 1, "
                     f"got {self.n_centers!r}",
                 )
-            object.__setattr__(self, "n_centers", int(self.n_centers))
+            object.__setattr__(self, "n_centers", n_centers)
             if any(s <= 0 for s in self.sides):
                 raise _err(
                     "regions.sides", "side lengths must be positive"
@@ -451,7 +460,7 @@ class AuditSpec:
                 f"measure {self.measure!r} applies to families "
                 f"{measure.families}, not {self.family!r}",
             )
-        n_worlds = int(self.n_worlds)
+        n_worlds = _int("n_worlds", self.n_worlds)
         if n_worlds < 1:
             raise _err("n_worlds", f"must be >= 1, got {self.n_worlds}")
         object.__setattr__(self, "n_worlds", n_worlds)
@@ -488,9 +497,9 @@ class AuditSpec:
             self, "budget", BudgetPolicy.parse(self.budget)
         )
         if self.seed is not None:
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "seed", _int("seed", self.seed))
         if self.workers is not None:
-            workers = int(self.workers)
+            workers = _int("workers", self.workers)
             if workers < 1:
                 raise _err(
                     "workers", f"must be >= 1, got {self.workers}"

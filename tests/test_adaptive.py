@@ -449,7 +449,6 @@ class TestAgreementAndDeterminism:
         payload = report.to_dict()
         assert payload["verdict"] == "fair"
         assert payload["stopped_early"] is True
-        assert payload["worlds_simulated"] == 16
         assert payload["n_worlds_requested"] == N_WORLDS
         assert payload["n_worlds"] == 16
         lo, hi = payload["p_value_ci"]
@@ -465,7 +464,7 @@ class TestAgreementAndDeterminism:
             regions=UNIT_GRID, n_worlds=N_WORLDS, seed=3,
             budget=SMALL_ADAPTIVE,
         )).to_dict()
-        assert payload["worlds_simulated"] == 32
+        assert payload["n_worlds"] == 32
 
     def test_same_seed_same_report_any_workers(
         self, unit_coords, biased_labels,

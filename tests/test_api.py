@@ -397,7 +397,8 @@ class TestAuditReport:
         )
         payload = report.to_dict()
         json.dumps(payload)  # must be plain JSON types
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+        assert "worlds_simulated" not in payload
         assert payload["verdict"] == "unfair"
         assert payload["spec"] == report.spec.to_dict()
         assert payload["n_significant"] == len(

@@ -25,6 +25,7 @@ from repro.engine import (
     PoissonKernel,
     world_chunk_size,
 )
+from repro.index import RegionMembership, StackedMembership
 
 
 def make_kernel(family, coords, labels, counts, classes):
@@ -195,6 +196,17 @@ class TestNullCache:
         )
 
 
+#: A fused group mixing region-level and points passes over the unit
+#: points: both grids are disjoint there, the nested squares are not.
+MIXED_DESIGNS = (
+    RegionSpec.grid(5, 5, bounds=(0, 0, 1, 1)),
+    RegionSpec.squares(8, sides=(0.2, 0.35)),
+    RegionSpec.grid(3, 3, bounds=(0, 0, 1, 1)),
+)
+
+FAMILIES = ["bernoulli", "poisson", "multinomial"]
+
+
 class TestWorkersBitIdentical:
     """The engine's core promise: the null distribution is the same
     array no matter how many threads simulated it."""
@@ -204,6 +216,8 @@ class TestWorkersBitIdentical:
     def test_parallel_equals_serial(self, family, unit_coords,
                                     unit_regions, biased_labels,
                                     biased_counts, biased_classes):
+        # The unit grid is disjoint: this is the region-level pass.
+        assert RegionMembership(unit_regions, unit_coords).disjoint
         data = (unit_coords, biased_labels, biased_counts, biased_classes)
         serial = null_pass(
             unit_coords, unit_regions, make_kernel(family, *data), 1
@@ -212,6 +226,102 @@ class TestWorkersBitIdentical:
             unit_coords, unit_regions, make_kernel(family, *data), 2
         )
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_points_pass_parallel_equals_serial(
+        self, family, unit_coords, biased_labels, biased_counts,
+        biased_classes,
+    ):
+        squares = MIXED_DESIGNS[1].build(unit_coords)
+        assert not RegionMembership(squares, unit_coords).disjoint
+        data = (unit_coords, biased_labels, biased_counts, biased_classes)
+        serial = null_pass(unit_coords, squares, make_kernel(family, *data), 1)
+        parallel = null_pass(
+            unit_coords, squares, make_kernel(family, *data), 2
+        )
+        assert np.array_equal(serial, parallel)
+
+
+class TestRegionLevelPass:
+    """Disjoint designs simulate one count per unit and skip the
+    recount; the split keeps every determinism contract."""
+
+    @pytest.fixture()
+    def data(self, unit_coords, biased_labels, biased_counts,
+             biased_classes):
+        return (unit_coords, biased_labels, biased_counts, biased_classes)
+
+    @pytest.mark.parametrize("budget", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mixed_fused_group_equals_solo(self, family, budget, data):
+        coords = data[0]
+        adaptive = {"kind": "adaptive", "initial": 8}
+        options = dict(
+            seed=7, budget=adaptive if budget == "adaptive" else None
+        )
+        engine = MonteCarloEngine(coords)
+        members = [
+            engine.membership(design.build(coords))
+            for design in MIXED_DESIGNS
+        ]
+        assert [m.disjoint for m in members] == [True, False, True]
+        fused = engine.null_distribution_multi(
+            members, make_kernel(family, *data), N_WORLDS,
+            observed_maxes=[5.0] * len(members), **options,
+        )
+        for member, got in zip(members, fused):
+            solo = MonteCarloEngine(coords).null_distribution(
+                RegionMembership(member.regions, coords),
+                make_kernel(family, *data), N_WORLDS,
+                observed_max=5.0, **options,
+            )
+            assert got.tobytes() == solo.tobytes()
+        assert engine.worlds_simulated == max(len(n) for n in fused)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_region_level_pass_never_recounts(
+        self, family, data, unit_regions, monkeypatch
+    ):
+        calls = []
+        for cls in (RegionMembership, StackedMembership):
+            recount = cls.positive_counts_batch
+
+            def spy(self, worlds, recount=recount):
+                calls.append(type(self).__name__)
+                return recount(self, worlds)
+
+            monkeypatch.setattr(cls, "positive_counts_batch", spy)
+        coords = data[0]
+        null_pass(coords, unit_regions, make_kernel(family, *data), 1)
+        assert calls == []
+        # The spy does see a points pass.
+        squares = MIXED_DESIGNS[1].build(coords)
+        null_pass(coords, squares, make_kernel(family, *data), 1)
+        assert calls
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_row_per_unit(self, family, data):
+        # A grid over the lower-left quarter: most points fall in the
+        # remainder unit.
+        coords = data[0]
+        regions = RegionSpec.grid(2, 2, bounds=(0, 0, 0.5, 0.5)).build(
+            coords
+        )
+        member = RegionMembership(regions, coords)
+        assert member.disjoint
+        kernel = make_kernel(family, *data).bind(member)
+        worlds = kernel.simulate(np.random.default_rng(0), 6)
+        assert worlds.shape[:2] == (len(member) + 1, 6)
+        assert worlds.dtype == np.float64
+        assert kernel.score(worlds).shape == (len(member), 6)
+        per_unit = worlds if worlds.ndim == 2 else worlds.sum(axis=2)
+        if family == "poisson":
+            assert (per_unit.sum(axis=0) == kernel.total_obs_int).all()
+        else:
+            sizes = np.append(member.counts, len(coords) - member.counts.sum())
+            assert (per_unit <= sizes[:, None]).all()
+            if family == "multinomial":
+                assert (per_unit == sizes[:, None]).all()
 
 
 class _PoolSpy(engine_mod.ThreadPoolExecutor):
@@ -426,13 +536,15 @@ GOLDEN_BUDGETS = {
 GOLDEN_SEEDS = {"bernoulli": 17, "poisson": 23, "multinomial": 29}
 
 #: (verdict, p_value, significant indices, worlds simulated,
-#: critical_value) per (family, design, budget).
+#: critical_value) per (family, design, budget).  The grid rows draw
+#: region-level worlds (the unit grid is disjoint on the unit points),
+#: so their critical values follow that stream.
 GOLDEN_NULL = {
     ('bernoulli', 'grid', 'fixed'): (
-        'unfair', 0.02, (0,), 49, 5.7557604881,
+        'unfair', 0.02, (0,), 49, 4.93718941316,
     ),
     ('bernoulli', 'grid', 'adaptive'): (
-        'unfair', 0.02, (0,), 49, 4.231173379,
+        'unfair', 0.02, (0,), 49, 5.81374980431,
     ),
     ('bernoulli', 'squares', 'fixed'): (
         'unfair', 0.02, (8, 9), 49, 4.56972817483,
@@ -447,10 +559,10 @@ GOLDEN_NULL = {
         'unfair', 0.02, (8, 9), 49, 4.96151083832,
     ),
     ('poisson', 'grid', 'fixed'): (
-        'unfair', 0.02, (0, 1, 5, 6), 49, 5.20996384683,
+        'unfair', 0.02, (0, 1, 5, 6), 49, 4.36983713868,
     ),
     ('poisson', 'grid', 'adaptive'): (
-        'unfair', 0.02, (0, 1, 5, 6), 49, 5.1801645936,
+        'unfair', 0.02, (0, 1, 5, 6), 49, 5.4396560745,
     ),
     ('poisson', 'squares', 'fixed'): (
         'unfair', 0.02, (8, 9), 49, 5.99355691305,
@@ -465,10 +577,10 @@ GOLDEN_NULL = {
         'unfair', 0.02, (8, 9, 11), 49, 4.36855744107,
     ),
     ('multinomial', 'grid', 'fixed'): (
-        'unfair', 0.02, (0, 1, 5), 49, 7.3168341315,
+        'unfair', 0.02, (0, 1, 5), 49, 6.42379271545,
     ),
     ('multinomial', 'grid', 'adaptive'): (
-        'unfair', 0.02, (0, 1, 5), 49, 6.40719763224,
+        'unfair', 0.02, (0, 1, 5), 49, 7.29976484361,
     ),
     ('multinomial', 'squares', 'fixed'): (
         'unfair', 0.02, (8, 9), 49, 6.8608234677,

@@ -460,6 +460,17 @@ class TestHTTP:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("value", [2.7, True, "7"])
+    def test_non_integer_n_worlds_is_400(self, http, value):
+        client, _ = http
+        status, body, _ = client.post(
+            "/audit",
+            {"dataset": "unit", "spec": {**SPEC_DICT, "n_worlds": value}},
+        )
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"].startswith("n_worlds: expected an integer")
+
     def test_negative_content_length_is_400_not_a_hang(self, http):
         client, _ = http
         host, port = client.url.split("//")[1].split(":")

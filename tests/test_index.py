@@ -166,6 +166,64 @@ class TestClosedRectangleGrid:
         assert len(GRID20.cell_ids(np.array([[1.5, 0.5]]))) == 1
 
 
+class TestDisjoint:
+    """``disjoint``: no point in two regions — decided from the indexed
+    points, not from the design's kind."""
+
+    def test_grid_over_generic_points_is_disjoint(self, points):
+        member = RegionMembership(partition_region_set(GRID20), points)
+        assert member.disjoint
+
+    def test_points_outside_every_region_keep_it_disjoint(self, points):
+        grid = GridPartitioning.regular(Rect(0, 0, 0.5, 0.5), 4, 4)
+        member = RegionMembership(partition_region_set(grid), points)
+        assert member.counts.sum() < len(points)
+        assert member.disjoint
+
+    def test_shared_edge_point_is_not_disjoint(self, points):
+        edge = np.array([[0.05, 0.3]])  # the two-cell point above
+        member = RegionMembership(
+            partition_region_set(GRID20), np.vstack([points, edge])
+        )
+        assert not member.disjoint
+
+    def test_overlap_below_the_point_count_is_caught(self):
+        # Two points in no region and one in both: the region sizes
+        # sum to fewer than the points, so only the per-point count
+        # sees the overlap.
+        pts = np.array([[0.5, 0.5], [5.0, 5.0], [6.0, 6.0]])
+        rects = [Rect(0, 0, 1, 1), Rect(0.4, 0.4, 2, 2)]
+        member = RegionMembership(rect_regions(rects), pts)
+        assert member.counts.sum() < len(pts)
+        assert not member.disjoint
+
+    def test_nested_scans_and_stacks_are_not_disjoint(self, points):
+        centers = np.random.default_rng(3).random((6, 2))
+        squares = RegionMembership(
+            square_region_set(centers, [0.15, 0.4]), points
+        )
+        grid = RegionMembership(partition_region_set(GRID20), points)
+        assert not squares.disjoint
+        assert not StackedMembership([grid]).disjoint
+
+    def test_empty_index_is_disjoint(self):
+        member = RegionMembership(
+            rect_regions([Rect(0, 0, 1, 1)]), np.empty((0, 2))
+        )
+        assert member.disjoint
+
+    @pytest.mark.stream
+    def test_append_and_evict_reset_the_flag(self, points):
+        member = RegionMembership(partition_region_set(GRID20), points)
+        assert member.disjoint
+        member.append_points(np.array([[0.05, 0.3]]))
+        assert not member.disjoint
+        keep = np.ones(len(points) + 1, dtype=bool)
+        keep[-1] = False
+        member.evict_points(keep)
+        assert member.disjoint
+
+
 class TestRegionMembership:
     @pytest.fixture(scope="class")
     def regions(self, points):

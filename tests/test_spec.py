@@ -1,6 +1,7 @@
 """Unit tests for :mod:`repro.spec`: construction-time validation,
 lossless dict/JSON round-tripping, and region-design materialisation."""
 
+import numpy as np
 import pytest
 
 from repro.budget import BudgetPolicy
@@ -182,6 +183,65 @@ class TestAuditSpecValidation:
     def test_regions_dict_is_coerced(self):
         spec = AuditSpec(regions={"kind": "grid", "nx": 3, "ny": 2})
         assert spec.regions == RegionSpec.grid(3, 2)
+
+
+#: Values an integer field must refuse instead of truncating or
+#: parsing them.
+NOT_INTEGERS = [2.7, 2.5, 3.9, True, False, "7", float("nan")]
+GRID = {"kind": "grid", "nx": 3, "ny": 3}
+
+
+class TestIntegerFields:
+    """Integer fields take integers (or integral floats) only."""
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("field", ["n_worlds", "seed", "workers"])
+    def test_audit_spec_refuses(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            AuditSpec(regions=RegionSpec.grid(5, 5), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            AuditSpec.from_dict({"regions": GRID, field: value})
+
+    @pytest.mark.parametrize("value", [*NOT_INTEGERS, None])
+    @pytest.mark.parametrize("field", ["nx", "ny"])
+    def test_grid_refuses(self, field, value):
+        with pytest.raises(ValueError, match=f"^regions.{field}: "):
+            RegionSpec.from_dict({**GRID, field: value})
+        with pytest.raises(ValueError, match=f"^regions.{field}: "):
+            AuditSpec.from_dict({"regions": {**GRID, field: value}})
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_scan_fields_refuse(self, value):
+        with pytest.raises(ValueError, match="^regions.n_centers: "):
+            RegionSpec(kind="squares", n_centers=value)
+        with pytest.raises(ValueError, match="^regions.centers_seed: "):
+            RegionSpec(kind="squares", n_centers=4, centers_seed=value)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("field", ["initial", "min_exceedances"])
+    def test_budget_refuses(self, field, value):
+        with pytest.raises(ValueError, match=f"^budget.{field}: "):
+            BudgetPolicy.parse({"kind": "adaptive", field: value})
+
+    @pytest.mark.parametrize(
+        "value", [7, np.int64(7), np.int32(7), 7.0, np.float64(7.0)]
+    )
+    def test_integers_and_integral_floats_pass(self, value):
+        spec = AuditSpec(
+            regions=RegionSpec.grid(value, value), n_worlds=value,
+            seed=value, workers=value,
+        )
+        assert spec == AuditSpec(
+            regions=RegionSpec.grid(7, 7), n_worlds=7, seed=7, workers=7
+        )
+        assert all(
+            type(v) is int
+            for v in (spec.n_worlds, spec.seed, spec.workers,
+                      spec.regions.nx, spec.regions.ny)
+        )
+        assert spec.spec_hash() == AuditSpec(
+            regions=RegionSpec.grid(7, 7), n_worlds=7, seed=7, workers=7
+        ).spec_hash()
 
 
 class TestAuditSpecBudget:

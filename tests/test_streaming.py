@@ -30,6 +30,7 @@ pytestmark = pytest.mark.stream
 GRID = RegionSpec.grid(5, 5, bounds=(0.0, 0.0, 1.0, 1.0))
 GRID_AUTO = RegionSpec.grid(4, 4)  # bounds from the data's bbox
 SQUARES = RegionSpec.squares(4, sides=(0.15, 0.3), centers_seed=7)
+CIRCLES = RegionSpec.circles(4, radii=(0.1, 0.2), centers_seed=7)
 
 
 def report_json(report) -> str:
@@ -138,6 +139,50 @@ class TestSessionEquivalence:
                 rc.member, rc.kernel, N_WORLDS, seed=11
             )
             assert np.array_equal(ns, nc)
+
+    @pytest.mark.parametrize(
+        "family", ["bernoulli", "poisson", "multinomial"]
+    )
+    def test_edge_point_switches_the_grid_pass_and_back(
+        self,
+        family,
+        unit_coords,
+        biased_labels,
+        biased_counts,
+        biased_classes,
+    ):
+        # A point on the edge two grid cells share makes the grid
+        # overlap (points pass); evicting it makes it disjoint again
+        # (region-level pass).  Both states must match a cold session.
+        arrays, spec_kw = _family_case(
+            family, biased_labels, biased_counts, biased_classes
+        )
+        spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=9, **spec_kw)
+        cell = GRID.build(unit_coords)[0].rect
+        edge = np.array([[cell.max_x, (cell.min_y + cell.max_y) / 2]])
+        grown = {
+            key: np.concatenate([value, value[:1]])
+            for key, value in arrays.items()
+        }
+        streamed = AuditSession(unit_coords, **arrays)
+        before = report_json(streamed.run(spec))
+        assert streamed.resolve(spec).member.disjoint
+        streamed.append(edge, **_sliced(grown, slice(-1, None)))
+        assert not streamed.resolve(spec).member.disjoint
+        cold = AuditSession(np.vstack([unit_coords, edge]), **grown)
+        assert not cold.resolve(spec).member.disjoint
+        assert report_json(streamed.run(spec)) == report_json(
+            cold.run(spec)
+        )
+        mask = np.zeros(len(unit_coords) + 1, dtype=bool)
+        mask[-1] = True
+        streamed.evict(mask)
+        assert streamed.resolve(spec).member.disjoint
+        after = report_json(streamed.run(spec))
+        assert after == before
+        assert after == report_json(
+            AuditSession(unit_coords, **arrays).run(spec)
+        )
 
     def test_two_batches_equal_one_batch(
         self, unit_coords, biased_labels
@@ -471,12 +516,13 @@ class TestIndexBuildCounter:
     def test_fused_stacking_counts_as_build(
         self, unit_coords, biased_labels
     ):
+        # Two scan designs: they overlap, so they share one stacked
+        # points pass.
         session = AuditSession(unit_coords, biased_labels)
         service = AuditService(session)
-        other = RegionSpec.grid(3, 3, bounds=(0.0, 0.0, 1.0, 1.0))
         specs = [
-            AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=6),
-            AuditSpec(regions=other, n_worlds=N_WORLDS, seed=6),
+            AuditSpec(regions=SQUARES, n_worlds=N_WORLDS, seed=6),
+            AuditSpec(regions=CIRCLES, n_worlds=N_WORLDS, seed=6),
         ]
         service.run_batch(specs)
         # Two member indexes plus one fused stacking over them.
@@ -489,6 +535,21 @@ class TestIndexBuildCounter:
         service.invalidate()
         service.run_batch(specs)
         assert session.index_builds == 3
+
+    def test_disjoint_grids_fuse_without_stacking(
+        self, unit_coords, biased_labels
+    ):
+        # Each disjoint grid runs its own region-level pass.
+        session = AuditSession(unit_coords, biased_labels)
+        service = AuditService(session)
+        other = RegionSpec.grid(3, 3, bounds=(0.0, 0.0, 1.0, 1.0))
+        specs = [
+            AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=6),
+            AuditSpec(regions=other, n_worlds=N_WORLDS, seed=6),
+        ]
+        service.run_batch(specs)
+        assert session.index_builds == 2
+        assert session.worlds_simulated == N_WORLDS
 
     def test_single_member_fusion_skips_stacking(
         self, unit_coords, biased_labels
