@@ -546,8 +546,9 @@ class AuditSession:
             return new_box is not None and new_box == old_box
         return delta_changed is False
 
-    def _migrate(self, old_fp: str, changed: dict, update, old_box) -> None:
-        """Re-key cached intermediates after a stream event.
+    def _migrate(self, old_fp: str, changed: dict, update, old_box) -> str:
+        """Re-key cached intermediates after a stream event; returns
+        the new dataset fingerprint.
 
         Parameters
         ----------
@@ -603,6 +604,7 @@ class AuditSession:
             self._engines[(new_fp, measure)] = engine
         for (design, measure), regions in surviving_regions.items():
             self._region_sets[(new_fp, design, measure)] = regions
+        return new_fp
 
     def append(
         self,
@@ -623,6 +625,8 @@ class AuditSession:
         ``equal_opportunity`` when every arrival has ``y_true == 0`` —
         keeps its simulated nulls outright.  Subsequent reports are
         bit-identical to a cold session over the concatenated arrays.
+        A non-empty batch hashes the dataset once on entry, so an
+        in-place mutation made before the call is still seen.
 
         Parameters
         ----------
@@ -638,6 +642,20 @@ class AuditSession:
         -------
         int
             The number of points appended.
+        """
+        batch = self._check_batch(
+            coords, outcomes, y_true, forecast, timestamps
+        )
+        k = len(batch[0])
+        if k:
+            self._append(self.dataset_fingerprint(), *batch)
+        return k
+
+    def _check_batch(self, coords, outcomes, y_true, forecast, timestamps):
+        """Validate an :meth:`append` batch against the session.
+
+        Returns ``(coords, outcomes, y_true, forecast, timestamps)`` as
+        the session stores them.
         """
         coords = check_coords(coords)
         k = len(coords)
@@ -655,10 +673,15 @@ class AuditSession:
             "timestamps", self.timestamps, timestamps, k,
             dtype=np.float64,
         )
-        if k == 0:
-            return 0
+        return coords, outcomes, y_true, forecast, timestamps
 
-        old_fp = self.dataset_fingerprint()
+    def _append(
+        self, fp: str, coords, outcomes, y_true, forecast, timestamps
+    ) -> str:
+        """:meth:`append` of a checked batch to the dataset whose
+        fingerprint is ``fp``; returns the new fingerprint."""
+        if len(coords) == 0:
+            return fp
         old_box = (
             Rect.bounding(self.coords) if len(self.coords) else None
         )
@@ -666,7 +689,7 @@ class AuditSession:
         # measured coordinates?
         changed: dict = {}
         deltas: dict = {}
-        for measure in self._streamed_measures(old_fp):
+        for measure in self._streamed_measures(fp):
             mdef = MEASURES.get(measure)
             if mdef is None or mdef.mask is None:
                 changed[measure] = None
@@ -688,15 +711,14 @@ class AuditSession:
                 [self.timestamps, timestamps]
             )
 
-        self._migrate(
-            old_fp,
+        return self._migrate(
+            fp,
             changed,
             lambda engine, measure: engine.append_points(
                 deltas[measure]
             ),
             old_box,
         )
-        return k
 
     def evict(
         self,
@@ -712,6 +734,8 @@ class AuditSession:
         slice lost points re-simulate their nulls on next use, and
         untouched measures keep theirs.  Subsequent reports are
         bit-identical to a cold session over the surviving arrays.
+        An eviction that drops points hashes the dataset once on
+        entry.
 
         Exactly one selector must be given.
 
@@ -732,14 +756,19 @@ class AuditSession:
         int
             The number of points evicted.
         """
-        selectors = sum(
-            x is not None for x in (mask, older_than, window)
-        )
-        if selectors != 1:
+        keep = self._evict_keep(mask, older_than, window)
+        if keep.all():
+            return 0
+        self._evict(self.dataset_fingerprint(), keep)
+        return int(len(keep) - keep.sum())
+
+    def _check_selector(self, n: int, mask, older_than, window) -> None:
+        """Validate :meth:`evict`'s selector against a dataset of ``n``
+        points, so a caller can reject it before mutating anything."""
+        if sum(x is not None for x in (mask, older_than, window)) != 1:
             raise ValueError(
                 "evict: pass exactly one of mask, older_than or window"
             )
-        n = len(self.coords)
         if mask is not None:
             drop = np.asarray(mask)
             if drop.dtype != np.bool_ or drop.shape != (n,):
@@ -748,35 +777,42 @@ class AuditSession:
                     f"{n}, got dtype {drop.dtype} and shape "
                     f"{drop.shape}"
                 )
-            keep = ~drop
-        else:
-            if self.timestamps is None:
-                raise ValueError(
-                    "evict: older_than/window selectors need the "
-                    "session constructed with timestamps="
-                )
-            if older_than is not None:
-                keep = self.timestamps >= float(older_than)
-            else:
-                window = float(window)
-                if window < 0:
-                    raise ValueError(
-                        f"window: must be non-negative, got {window}"
-                    )
-                if n == 0:
-                    return 0
-                cutoff = float(self.timestamps.max()) - window
-                keep = self.timestamps >= cutoff
-        if keep.all():
-            return 0
+            return
+        if self.timestamps is None:
+            raise ValueError(
+                "evict: older_than/window selectors need the "
+                "session constructed with timestamps="
+            )
+        # Convert here, so a non-numeric selector raises before any
+        # change too.
+        value = float(window if older_than is None else older_than)
+        if window is not None and value < 0:
+            raise ValueError(f"window: must be non-negative, got {value}")
 
-        old_fp = self.dataset_fingerprint()
+    def _evict_keep(self, mask, older_than, window) -> np.ndarray:
+        """The keep mask of an :meth:`evict` selector over the current
+        data."""
+        self._check_selector(len(self.coords), mask, older_than, window)
+        if mask is not None:
+            return ~np.asarray(mask)
+        if older_than is not None:
+            return self.timestamps >= float(older_than)
+        if len(self.timestamps) == 0:
+            return np.ones(0, dtype=bool)
+        cutoff = float(self.timestamps.max()) - float(window)
+        return self.timestamps >= cutoff
+
+    def _evict(self, fp: str, keep: np.ndarray) -> str:
+        """Keep only the ``keep`` rows of the dataset whose fingerprint
+        is ``fp``; returns the new fingerprint."""
+        if keep.all():
+            return fp
         old_box = (
             Rect.bounding(self.coords) if len(self.coords) else None
         )
         changed: dict = {}
         measured_keeps: dict = {}
-        for measure in self._streamed_measures(old_fp):
+        for measure in self._streamed_measures(fp):
             mdef = MEASURES.get(measure)
             if mdef is None or mdef.mask is None:
                 changed[measure] = None
@@ -806,15 +842,14 @@ class AuditSession:
         if self.timestamps is not None:
             self.timestamps = self.timestamps[keep]
 
-        self._migrate(
-            old_fp,
+        return self._migrate(
+            fp,
             changed,
             lambda engine, measure: engine.evict_points(
                 measured_keeps[measure]
             ),
             old_box,
         )
-        return int(n - keep.sum())
 
     # -- running specs --------------------------------------------------
 
@@ -851,7 +886,11 @@ class AuditSession:
             region design yields no scannable regions.
         """
         self._check_spec(spec)
-        fp = self.dataset_fingerprint()
+        return self._resolve(spec, self.dataset_fingerprint())
+
+    def _resolve(self, spec: AuditSpec, fp: str) -> ResolvedSpec:
+        """:meth:`resolve` of a checked spec under a known dataset
+        fingerprint."""
         regions = self._region_set(spec.regions, spec.measure, fp)
         engine = self._engine(spec.measure, fp)
         bound = self._family_bound(spec.family, spec.measure, fp)
@@ -941,7 +980,13 @@ class AuditSession:
         list of AuditReport
             One report per spec, in order.
         """
-        return [self.run(spec) for spec in specs]
+        # Running a spec never changes the data: one hash serves all.
+        fp = self.dataset_fingerprint()
+        reports = []
+        for spec in specs:
+            self._check_spec(spec)
+            reports.append(self._run_resolved(self._resolve(spec, fp), None))
+        return reports
 
 
 class AuditBuilder:

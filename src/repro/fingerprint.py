@@ -21,6 +21,15 @@ key — a swapped or mutated dataset misses by construction.
 Fingerprints are *content* hashes: two arrays with equal bytes, dtype
 and shape collide on purpose (that is the cache-sharing feature), and
 any difference in value, dtype or shape separates them.
+
+When hashing happens: once on entry to each public call that reads or
+changes the dataset (``AuditSession.append``/``evict``/``resolve``/
+``run``/``run_many``, ``AuditService.gather``/``plan``), so an
+in-place mutation made between calls is always seen.  Inside
+``AuditService.advance`` the dataset is hashed once on entry and once
+per new state (after the append, after the eviction); the gather that
+follows reuses the last fingerprint and hashes each measured slice
+once, however many watched specs read it.
 """
 
 from __future__ import annotations

@@ -279,13 +279,20 @@ class AuditService:
             batch = self._drain()
         return [t._report for t in batch if t._error is None]
 
-    def _drain(self) -> list:
+    def _drain(self, fp: str | None = None) -> list:
         """Snapshot and execute the pending queue; caller must hold
-        ``_gather_lock``.  Returns the drained tickets."""
+        ``_gather_lock``.  Returns the drained tickets.
+
+        ``fp`` is the session's dataset fingerprint when the caller
+        already knows it; otherwise a non-empty batch hashes the
+        dataset once here.
+        """
         with self._lock:
             batch, self._pending = self._pending, []
         if batch:
-            self._execute(batch)
+            self._execute(
+                batch, fp or self.session.dataset_fingerprint()
+            )
         return batch
 
     def run_batch(self, specs: Sequence[AuditSpec]) -> list:
@@ -324,9 +331,11 @@ class AuditService:
             Indices into ``specs``, one inner list per fused group
             (specs in the same group share one simulation pass).
         """
+        fp = self.session.dataset_fingerprint()
         groups: "OrderedDict[tuple, list]" = OrderedDict()
         for i, spec in enumerate(specs):
-            resolved = self.session.resolve(spec)
+            self.session._check_spec(spec)
+            resolved = self.session._resolve(spec, fp)
             groups.setdefault(self._group_key(resolved), []).append(i)
         return list(groups.values())
 
@@ -350,10 +359,13 @@ class AuditService:
 
     # -- execution -----------------------------------------------------
 
-    def _report_key(self, spec: AuditSpec) -> str | None:
+    def _report_key(
+        self, spec: AuditSpec, fp: str, slices: dict
+    ) -> str | None:
         """Report-cache key of a spec: a digest of everything its report
-        depends on under the session's *current* data, or None for
-        unseeded specs (deliberately non-reproducible, never cached).
+        depends on under the session's current data (whose dataset
+        fingerprint is ``fp``), or None for unseeded specs
+        (deliberately non-reproducible, never cached).
 
         Covers the spec itself (hash), the measure's extracted slice
         (coordinates and outcomes — hence observed statistics, null
@@ -365,14 +377,25 @@ class AuditService:
         slice may change freely while a swapped or mutated slice
         misses.  Raises what the session raises for a measure it
         cannot serve.
+
+        ``slices`` memoises the measured slice's fingerprints per
+        measure, so the specs of one batch hash each slice once.
         """
         if spec.seed is None:
             return None
-        coords, outcomes = self.session._measured_data(spec.measure)
+        if spec.measure not in slices:
+            coords, outcomes = self.session._measured_data(
+                spec.measure, fp
+            )
+            slices[spec.measure] = (
+                array_fingerprint(coords),
+                array_fingerprint(outcomes),
+            )
+        coords_fp, outcomes_fp = slices[spec.measure]
         parts = {
             "spec": spec.spec_hash(),
-            "coords": array_fingerprint(coords),
-            "outcomes": array_fingerprint(outcomes),
+            "coords": coords_fp,
+            "outcomes": outcomes_fp,
         }
         design = spec.regions
         if design.kind == "grid" and design.bounds is None:
@@ -392,19 +415,20 @@ class AuditService:
             )
         return combine_fingerprints(parts)
 
-    def _execute(self, batch: list) -> None:
-        """Run one drained batch: cache lookups, deduplication,
-        resolution, fused group passes, ticket resolution.  Called
-        under ``_gather_lock``."""
+    def _execute(self, batch: list, fp: str) -> None:
+        """Run one drained batch against the data whose fingerprint is
+        ``fp``: cache lookups, deduplication, resolution, fused group
+        passes, ticket resolution.  Called under ``_gather_lock``."""
         # Tickets sharing a cache key this batch compute once; the
         # list is shared by reference, so late duplicates of a
         # not-yet-finished representative join its resolution.
         peers: dict = {}
         groups: "OrderedDict[tuple, list]" = OrderedDict()
+        slices: dict = {}
         for ticket in batch:
             spec = ticket.spec
             try:
-                key = self._report_key(spec)
+                key = self._report_key(spec, fp, slices)
             except Exception as exc:  # the measure is per-spec
                 self._finish([ticket], None, error=exc)
                 continue
@@ -425,7 +449,7 @@ class AuditService:
                 peers[key] = [ticket]
             tickets = peers.get(key, [ticket])
             try:
-                resolved = self.session.resolve(spec)
+                resolved = self.session._resolve(spec, fp)
             except Exception as exc:  # resolution is per-spec
                 peers.pop(key, None)
                 self._finish(tickets, key, error=exc)
@@ -600,18 +624,27 @@ class AuditService:
         """One streaming step: ingest arrivals, slide the window,
         re-audit what changed.
 
-        Appends the given batch (if any) via
-        :meth:`AuditSession.append <repro.api.AuditSession.append>`,
-        applies at most one eviction selector via
-        :meth:`~repro.api.AuditSession.evict`, then submits every
-        watched spec and gathers them as one batch.  A seeded spec
-        whose measured data slice the event left untouched is answered
-        by the report cache (its key covers exactly that slice); the
-        rest run fused over the session's incrementally maintained
-        caches.  Reports are bit-identical to cold audits of the
-        post-event dataset either way.  The step holds the gather
-        lock, so it never mutates the session under another thread's
-        in-flight gather.
+        Appends the given batch (if any) as
+        :meth:`AuditSession.append <repro.api.AuditSession.append>`
+        would, applies at most one eviction selector as
+        :meth:`~repro.api.AuditSession.evict` would, then submits
+        every watched spec and gathers them as one batch.  A seeded
+        spec whose measured data slice the event left untouched is
+        answered by the report cache (its key covers exactly that
+        slice); the rest run fused over the session's incrementally
+        maintained caches.  Reports are bit-identical to cold audits
+        of the post-event dataset either way.  The step holds the
+        gather lock, so it never mutates the session under another
+        thread's in-flight gather.
+
+        Hashing: the dataset is hashed once on entry (so an in-place
+        mutation made since the last call is seen) and once per new
+        state the append and the eviction produce; the gather reuses
+        the last of those fingerprints and hashes each measured slice
+        once, however many watched specs share it.
+
+        The whole step is validated before anything changes: an
+        advance that raises leaves the session as it found it.
 
         Parameters
         ----------
@@ -631,36 +664,51 @@ class AuditService:
         list of AuditReport
             One report per watched spec, in registration order.
         """
-        if coords is not None and outcomes is None:
+        if coords is None:
+            arrivals = {
+                "outcomes": outcomes,
+                "y_true": y_true,
+                "forecast": forecast,
+                "timestamps": timestamps,
+            }
+            for name, value in arrivals.items():
+                if value is not None:
+                    raise ValueError(
+                        f"advance: {name} given without coords — "
+                        "arrivals need their locations"
+                    )
+        elif outcomes is None:
             raise ValueError(
                 "advance: outcomes are required when appending points"
             )
-        selectors = {
-            "mask": evict_mask,
-            "older_than": older_than,
-            "window": window,
-        }
-        given = {k: v for k, v in selectors.items() if v is not None}
-        if len(given) > 1:
+        selectors = (evict_mask, older_than, window)
+        n_selectors = sum(x is not None for x in selectors)
+        if n_selectors > 1:
             raise ValueError(
                 "advance: pass at most one of evict_mask, older_than "
                 "or window"
             )
+        evicting = n_selectors == 1
+        session = self.session
         with self._gather_lock:
+            batch = None
+            n = len(session.coords)
+            if coords is not None:
+                batch = session._check_batch(
+                    coords, outcomes, y_true, forecast, timestamps
+                )
+                n += len(batch[0])
+            if evicting:
+                session._check_selector(n, *selectors)
             with self._lock:
                 self._advances += 1
-            if coords is not None:
-                self.session.append(
-                    coords,
-                    outcomes,
-                    y_true=y_true,
-                    forecast=forecast,
-                    timestamps=timestamps,
-                )
-            if given:
-                self.session.evict(**given)
+            fp = session.dataset_fingerprint()
+            if batch is not None:
+                fp = session._append(fp, *batch)
+            if evicting:
+                fp = session._evict(fp, session._evict_keep(*selectors))
             tickets = [self.submit(spec) for spec in self.watched()]
-            self._drain()
+            self._drain(fp)
         skips = sum(ticket._cache_hit for ticket in tickets)
         with self._lock:
             self._stream_skips += skips
@@ -692,7 +740,13 @@ class AuditService:
         ValueError
             When the session cannot serve the spec's measure.
         """
-        key = None if spec is None else self._report_key(spec)
+        key = (
+            None
+            if spec is None
+            else self._report_key(
+                spec, self.session.dataset_fingerprint(), {}
+            )
+        )
         with self._lock:
             if spec is None:
                 evicted = len(self._cache)

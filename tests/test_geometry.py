@@ -34,6 +34,33 @@ class TestRect:
         assert (r.min_x, r.min_y, r.max_x, r.max_y) == (0.1, 0.2, 0.9, 0.8)
         assert r.contains(coords).all()
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            np.random.default_rng(0).random((1000, 2)),
+            np.random.default_rng(1).normal(size=(50_000, 2)) * 1e3,
+            np.random.default_rng(2).random((7, 2)) - 5.0,
+            np.array([[-0.25, 3.5]]),
+            np.array([[-0.0, 0.0]]),
+            np.array([[0.0, -0.0], [-0.0, 0.0], [-1.0, -0.0]]),
+            np.random.default_rng(3).choice(
+                np.array([-0.0, 0.0, -1.5, 2.0]), size=(300, 2)
+            ),
+        ],
+    )
+    def test_bounding_is_per_column_min_max(self, coords):
+        r = Rect.bounding(coords)
+        box = (r.min_x, r.min_y, r.max_x, r.max_y)
+        xs = [float(v) for v in coords[:, 0]]
+        ys = [float(v) for v in coords[:, 1]]
+        assert box == (min(xs), min(ys), max(xs), max(ys))
+        # The very floats of the axis-0 reduction, signed zeros
+        # included: grid bounds and report-cache keys use their repr.
+        mn, mx = coords.min(axis=0), coords.max(axis=0)
+        assert repr(box) == repr(
+            (float(mn[0]), float(mn[1]), float(mx[0]), float(mx[1]))
+        )
+
     def test_contains_is_closed(self):
         r = Rect(0.0, 0.0, 1.0, 1.0)
         corners = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)

@@ -660,6 +660,137 @@ class TestServiceStreaming:
                 older_than=2.0,
             )
 
+    @pytest.mark.parametrize(
+        "name", ["outcomes", "y_true", "forecast", "timestamps"]
+    )
+    def test_advance_rejects_arrivals_without_coords(
+        self, unit_coords, biased_labels, name
+    ):
+        session = AuditSession(unit_coords, biased_labels)
+        service = AuditService(session)
+        with pytest.raises(ValueError, match=f"{name} given without coords"):
+            service.advance(**{name: np.ones(5)})
+        assert len(session.coords) == len(unit_coords)
+
+    @pytest.mark.parametrize("case", ["negative_window", "mask_length",
+                                      "no_timestamps"])
+    def test_raising_advance_changes_nothing(
+        self, unit_coords, biased_labels, case
+    ):
+        ts = np.arange(len(unit_coords), dtype=np.float64)
+        stamped = case != "no_timestamps"
+        session = AuditSession(
+            unit_coords[:200],
+            biased_labels[:200],
+            timestamps=ts[:200] if stamped else None,
+        )
+        service = AuditService(session)
+        spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=8)
+        service.watch(spec)
+        service.advance()
+        before = (
+            session.coords.copy(),
+            session.outcomes.copy(),
+            None if session.timestamps is None
+            else session.timestamps.copy(),
+        )
+        arrivals = {"timestamps": ts[200:205]} if stamped else {}
+        bad = {
+            "negative_window": {"window": -1.0},
+            "mask_length": {"evict_mask": np.zeros(200, dtype=bool)},
+            "no_timestamps": {"window": 1.0},
+        }[case]
+        with pytest.raises(ValueError):
+            service.advance(
+                unit_coords[200:205], biased_labels[200:205],
+                **arrivals, **bad,
+            )
+        assert np.array_equal(session.coords, before[0])
+        assert np.array_equal(session.outcomes, before[1])
+        if stamped:
+            assert np.array_equal(session.timestamps, before[2])
+        else:
+            assert session.timestamps is None
+        # The next valid advance equals a cold run over its result.
+        drop = np.zeros(210, dtype=bool)
+        drop[:10] = True
+        (report,) = service.advance(
+            unit_coords[200:210], biased_labels[200:210],
+            **({"timestamps": ts[200:210]} if stamped else {}),
+            evict_mask=drop,
+        )
+        cold = AuditSession(unit_coords[10:210], biased_labels[10:210])
+        assert report_json(report) == report_json(cold.run(spec))
+
+    def test_in_place_mutation_between_advances_misses(
+        self, unit_coords, biased_labels
+    ):
+        ts = np.arange(len(unit_coords), dtype=np.float64)
+        session = AuditSession(
+            unit_coords[:500],
+            biased_labels[:500].copy(),
+            timestamps=ts[:500],
+        )
+        service = AuditService(session)
+        spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=8)
+        service.watch(spec)
+        service.advance()
+        session.outcomes[:250] = 1 - session.outcomes[:250]
+        (report,) = service.advance(
+            unit_coords[500:],
+            biased_labels[500:],
+            timestamps=ts[500:],
+            window=499.0,
+        )
+        assert service.stats()["report_cache_hits"] == 0
+        outcomes = biased_labels.copy()
+        outcomes[:250] = 1 - outcomes[:250]
+        cold = AuditSession(unit_coords[100:], outcomes[100:])
+        assert report_json(report) == report_json(cold.run(spec))
+
+    def test_advance_hashes_each_state_once(
+        self, unit_coords, biased_labels, monkeypatch
+    ):
+        import repro.fingerprint
+        import repro.serve
+
+        hashed = []
+        real = repro.fingerprint.array_fingerprint
+
+        def spy(arr):
+            hashed.append(0 if arr is None else np.asarray(arr).nbytes)
+            return real(arr)
+
+        monkeypatch.setattr(repro.fingerprint, "array_fingerprint", spy)
+        monkeypatch.setattr(repro.serve, "array_fingerprint", spy)
+        ts = np.arange(len(unit_coords), dtype=np.float64)
+        session = AuditSession(
+            unit_coords[:500], biased_labels[:500], timestamps=ts[:500]
+        )
+        service = AuditService(session)
+        service.watch([
+            AuditSpec(
+                regions=RegionSpec.grid(c, c, bounds=(0.0, 0.0, 1.0, 1.0)),
+                n_worlds=N_WORLDS,
+                seed=8,
+            )
+            for c in (3, 4, 5)
+        ])
+        service.advance()
+        hashed.clear()
+        service.advance(
+            unit_coords[500:550],
+            biased_labels[500:550],
+            timestamps=ts[500:550],
+            window=499.0,
+        )
+        # Entry state, post-append state, post-evict state and one
+        # hash of the slice all three specs measure; none is larger
+        # than the 550-point state the advance passes through.
+        state = 550 * (2 * session.coords.itemsize + session.outcomes.itemsize)
+        assert len(session.coords) == 500
+        assert sum(hashed) <= 4 * state
+
     def test_unwatch(self, unit_coords, biased_labels):
         service = AuditService(AuditSession(unit_coords, biased_labels))
         sp = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=8)
