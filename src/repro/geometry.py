@@ -31,6 +31,14 @@ __all__ = [
     "random_partitionings",
 ]
 
+#: Largest point set Lloyd's iterations run on; bigger inputs are
+#: subsampled to this many points.
+_KMEANS_SAMPLE = 20_000
+
+#: Points per block of the k-means assignment step (bounds its
+#: working memory at two ``(block, k)`` float64 buffers).
+_KMEANS_BLOCK = 4096
+
 
 def check_coords(coords) -> np.ndarray:
     """Validate observation locations as a finite ``(k, 2)`` array.
@@ -464,6 +472,11 @@ def scan_centers(
     of the LAR locations; centres are convex combinations of data points
     and therefore stay inside the data's bounding box.
 
+    Each iteration costs O(n * k) time for the assignment step, which
+    runs over fixed blocks of points so its working memory is
+    O(block * k) rather than O(n * k); inputs beyond 20,000 points are
+    subsampled to 20,000 first.
+
     Parameters
     ----------
     coords : ndarray of shape (n, 2)
@@ -477,32 +490,56 @@ def scan_centers(
     Returns
     -------
     ndarray of shape (n_centers, 2)
+
+    Raises
+    ------
+    ValueError
+        When ``n_centers`` exceeds the number of (sampled) points.
     """
     coords = np.asarray(coords, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = len(coords)
     # Subsample large inputs: centre positions stabilise long before
     # the full point set is needed, and Lloyd's is O(n * k) per pass.
-    if n > 20_000:
-        sample = coords[rng.choice(n, size=20_000, replace=False)]
+    if n > _KMEANS_SAMPLE:
+        sample = coords[rng.choice(n, size=_KMEANS_SAMPLE, replace=False)]
     else:
         sample = coords
+    m = len(sample)
+    if n_centers > m:
+        raise ValueError(
+            f"n_centers: {n_centers} centres need at least as many "
+            f"points, got {m}"
+        )
     centers = sample[
-        rng.choice(len(sample), size=n_centers, replace=False)
+        rng.choice(m, size=n_centers, replace=False)
     ].copy()
+    xs = np.ascontiguousarray(sample[:, 0])
+    ys = np.ascontiguousarray(sample[:, 1])
+    rows = min(_KMEANS_BLOCK, m)
+    dx = np.empty((rows, n_centers))
+    dy = np.empty((rows, n_centers))
+    assign = np.empty(m, dtype=np.intp)
     for _ in range(n_iter):
-        # (n, k) squared distances, assignment, then mean per cluster.
-        d2 = (
-            (sample[:, None, :] - centers[None, :, :]) ** 2
-        ).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        # Squared distances block by block, then mean per cluster.
+        # dx*dx + dy*dy is exactly the sum of squares over the length-2
+        # coordinate axis, so assignments (ties included) and hence the
+        # centres are bit-identical to that formulation.
+        cx = centers[:, 0].copy()
+        cy = centers[:, 1].copy()
+        for lo in range(0, m, _KMEANS_BLOCK):
+            hi = min(lo + _KMEANS_BLOCK, m)
+            bx = dx[: hi - lo]
+            by = dy[: hi - lo]
+            np.subtract(xs[lo:hi, None], cx, out=bx)
+            np.subtract(ys[lo:hi, None], cy, out=by)
+            bx *= bx
+            by *= by
+            bx += by
+            bx.argmin(axis=1, out=assign[lo:hi])
         counts = np.bincount(assign, minlength=n_centers)
-        sx = np.bincount(
-            assign, weights=sample[:, 0], minlength=n_centers
-        )
-        sy = np.bincount(
-            assign, weights=sample[:, 1], minlength=n_centers
-        )
+        sx = np.bincount(assign, weights=xs, minlength=n_centers)
+        sy = np.bincount(assign, weights=ys, minlength=n_centers)
         nonempty = counts > 0
         centers[nonempty, 0] = sx[nonempty] / counts[nonempty]
         centers[nonempty, 1] = sy[nonempty] / counts[nonempty]
@@ -510,7 +547,7 @@ def scan_centers(
             # Re-seed dead centres at random points.
             k_dead = int((~nonempty).sum())
             centers[~nonempty] = sample[
-                rng.choice(len(sample), size=k_dead, replace=False)
+                rng.choice(m, size=k_dead, replace=False)
             ]
     return centers
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -113,6 +114,11 @@ class RegionSpec:
             "centers_seed",
             _int("regions.centers_seed", self.centers_seed),
         )
+        if self.centers_seed < 0:
+            raise _err(
+                "regions.centers_seed",
+                f"must be >= 0, got {self.centers_seed}",
+            )
         if self.bounds is not None:
             bounds = tuple(float(b) for b in self.bounds)
             if len(bounds) != 4:
@@ -169,12 +175,18 @@ class RegionSpec:
                     f"got {self.n_centers!r}",
                 )
             object.__setattr__(self, "n_centers", n_centers)
-            if any(s <= 0 for s in self.sides):
+            # The chained test is False for NaN and for inf.
+            if any(not (0 < s < math.inf) for s in self.sides):
                 raise _err(
-                    "regions.sides", "side lengths must be positive"
+                    "regions.sides",
+                    f"side lengths must be finite and positive, got "
+                    f"{self.sides}",
                 )
-            if any(r <= 0 for r in self.radii):
-                raise _err("regions.radii", "radii must be positive")
+            if any(not (0 < r < math.inf) for r in self.radii):
+                raise _err(
+                    "regions.radii",
+                    f"radii must be finite and positive, got {self.radii}",
+                )
             if self.kind == "squares" and self.radii:
                 raise _err(
                     "regions.radii", "a 'squares' design takes no radii"
@@ -292,6 +304,12 @@ class RegionSpec:
         Returns
         -------
         RegionSet
+
+        Raises
+        ------
+        ValueError
+            Naming ``regions.n_centers`` when a scan design asks for
+            more centres than ``coords`` has points.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if self.kind == "grid":
@@ -302,6 +320,12 @@ class RegionSpec:
             )
             return partition_region_set(
                 GridPartitioning.regular(rect, self.nx, self.ny)
+            )
+        if self.n_centers > len(coords):
+            raise _err(
+                "regions.n_centers",
+                f"{self.n_centers} centres need at least as many points, "
+                f"but the slice has {len(coords)}",
             )
         centers = scan_centers(
             coords, self.n_centers, seed=self.centers_seed

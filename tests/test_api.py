@@ -261,6 +261,18 @@ class TestValidationErrors:
         assert "spec.regions" in str(err.value)
         assert "observation" in str(err.value)
 
+    def test_too_many_centres_name_the_field(self, unit_coords,
+                                             biased_labels):
+        n = len(unit_coords)
+        spec = AuditSpec(regions=RegionSpec.squares(n + 1),
+                         n_worlds=N_WORLDS, seed=1)
+        session = AuditSession(unit_coords, biased_labels)
+        with pytest.raises(
+            ValueError,
+            match=rf"^regions.n_centers: {n + 1} centres .* has {n}$",
+        ):
+            session.run(spec)
+
     def test_legacy_uncovered_regions_raise_too(self, unit_coords,
                                                 biased_labels):
         from repro.geometry import (

@@ -471,6 +471,23 @@ class TestHTTP:
         assert body["type"] == "ValueError"
         assert body["error"].startswith("n_worlds: expected an integer")
 
+    def test_too_many_centres_is_400_naming_the_field(
+        self, http, unit_coords
+    ):
+        client, _ = http
+        n = len(unit_coords)
+        spec = {**SPEC_DICT, "regions": {"kind": "squares",
+                                         "n_centers": n + 1}}
+        status, body, _ = client.post(
+            "/audit", {"dataset": "unit", "spec": spec}
+        )
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"] == (
+            f"regions.n_centers: {n + 1} centres need at least as many "
+            f"points, but the slice has {n}"
+        )
+
     def test_negative_content_length_is_400_not_a_hang(self, http):
         client, _ = http
         host, port = client.url.split("//")[1].split(":")

@@ -1,6 +1,8 @@
 """Unit tests for :mod:`repro.geometry`: rectangles, region sets,
 grid partitionings, and scan-centre placement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,80 @@ class TestCircleRegions:
         assert (in_square | ~in_circle).all()  # circle implies square
 
 
+def _broadcast_scan_centers(coords, n_centers, seed=None, n_iter=20):
+    """Reference k-means with the one-shot ``(n, k, 2)`` broadcast
+    assignment; :func:`scan_centers` must match it bit for bit."""
+    coords = np.asarray(coords, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n = len(coords)
+    if n > 20_000:
+        sample = coords[rng.choice(n, size=20_000, replace=False)]
+    else:
+        sample = coords
+    centers = sample[
+        rng.choice(len(sample), size=n_centers, replace=False)
+    ].copy()
+    for _ in range(n_iter):
+        d2 = (
+            (sample[:, None, :] - centers[None, :, :]) ** 2
+        ).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=n_centers)
+        sx = np.bincount(
+            assign, weights=sample[:, 0], minlength=n_centers
+        )
+        sy = np.bincount(
+            assign, weights=sample[:, 1], minlength=n_centers
+        )
+        nonempty = counts > 0
+        centers[nonempty, 0] = sx[nonempty] / counts[nonempty]
+        centers[nonempty, 1] = sy[nonempty] / counts[nonempty]
+        if not nonempty.all():
+            k_dead = int((~nonempty).sum())
+            centers[~nonempty] = sample[
+                rng.choice(len(sample), size=k_dead, replace=False)
+            ]
+    return centers
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(11)
+    uniform = rng.random((300, 2))
+    return {
+        "uniform-300": (uniform, 10),
+        "subsampled-25k": (rng.random((25_000, 2)), 40),
+        # 16 distinct locations and 30 centres: dead centres re-seed.
+        "quantised-dead-centres": (
+            rng.integers(0, 4, (500, 2)).astype(np.float64), 30
+        ),
+        "k=1": (uniform, 1),
+        "k=n": (uniform, len(uniform)),
+    }
+
+
 class TestScanCenters:
+    @pytest.mark.parametrize("case", list(_oracle_inputs()))
+    def test_bit_identical_to_broadcast_reference(self, case):
+        coords, k = _oracle_inputs()[case]
+        got = scan_centers(coords, n_centers=k, seed=4)
+        want = _broadcast_scan_centers(coords, n_centers=k, seed=4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_assignment_memory_is_blocked(self):
+        coords = np.random.default_rng(12).random((20_000, 2))
+        tracemalloc.start()
+        try:
+            scan_centers(coords, n_centers=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The (n, k, 2) broadcast peaks near 61 MB here.
+        assert peak < 16 * 2**20
+
+    def test_too_many_centres(self):
+        with pytest.raises(ValueError, match="^n_centers: 6 centres"):
+            scan_centers(np.zeros((5, 2)), n_centers=6)
+
     def test_centers_inside_data_bounds(self):
         rng = np.random.default_rng(5)
         # Two separated blobs, like the paper's metro areas.

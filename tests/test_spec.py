@@ -51,6 +51,19 @@ class TestRegionSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             RegionSpec(kind="circles", n_centers=5, radii=(0.0,))
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_geometry(self, value):
+        with pytest.raises(ValueError, match="^regions.sides: "):
+            RegionSpec.squares(5, sides=(value, 0.2))
+        with pytest.raises(ValueError, match="^regions.radii: "):
+            RegionSpec.circles(5, radii=(0.1, value))
+        with pytest.raises(ValueError, match="^regions.sides: "):
+            RegionSpec.from_dict(
+                {"kind": "squares", "n_centers": 5, "sides": [value]}
+            )
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="regions.bounds"):
             RegionSpec(kind="grid", nx=2, ny=2, bounds=(0, 0, 1))
@@ -210,7 +223,7 @@ class TestIntegerFields:
         with pytest.raises(ValueError, match=f"^regions.{field}: "):
             AuditSpec.from_dict({"regions": {**GRID, field: value}})
 
-    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("value", [*NOT_INTEGERS, -1])
     def test_scan_fields_refuse(self, value):
         with pytest.raises(ValueError, match="^regions.n_centers: "):
             RegionSpec(kind="squares", n_centers=value)
