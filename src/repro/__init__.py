@@ -32,8 +32,8 @@ or from the shell: ``python -m repro batch specs/*.json --data
 data.npz``.
 
 Many datasets and tenants at once go through the gateway
-(:mod:`repro.gateway`): a content-deduplicated dataset registry
-(:mod:`repro.registry`), bounded admission with per-tenant quotas, and
+(:mod:`repro.gateway`): one table of named read-only datasets, each
+with its own service, bounded admission with per-tenant quotas, and
 a stdlib HTTP front door — ``python -m repro serve --port 8080``.
 With ``--store PATH`` the gateway journals every ticket to a durable
 sqlite store (:mod:`repro.ticketstore`): tickets survive restarts and
@@ -44,7 +44,6 @@ fault-injection layer (:mod:`repro.faults`, ``REPRO_FAULTS``).
 Module map: :mod:`repro.api` (sessions, reports, the builder),
 :mod:`repro.serve` (batched multi-spec service, fused simulation),
 :mod:`repro.gateway` (multi-tenant front door: back-pressure, HTTP),
-:mod:`repro.registry` (read-only dataset store),
 :mod:`repro.ticketstore` (durable sqlite ticket journal),
 :mod:`repro.faults` (deterministic fault injection),
 :mod:`repro.spec` (declarative audit requests), :mod:`repro.core`
@@ -145,7 +144,6 @@ from .gateway import (
     serve_http,
 )
 from .index import RegionMembership, StackedMembership
-from .registry import DatasetRegistry, SharedDataset
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec, RegionSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
@@ -164,7 +162,6 @@ __all__ = [
     "BudgetPolicy",
     "CORRECTIONS",
     "Contribution",
-    "DatasetRegistry",
     "FAMILIES",
     "FailPoint",
     "FaultInjected",
@@ -197,7 +194,6 @@ __all__ = [
     "RegionSpec",
     "ResolvedSpec",
     "ScanFamily",
-    "SharedDataset",
     "StackedMembership",
     "SpatialDataset",
     "SpatialFairnessAuditor",

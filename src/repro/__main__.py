@@ -26,8 +26,7 @@ changed are re-run at each step
 
 ``serve`` boots the multi-tenant HTTP gateway
 (:class:`repro.gateway.GatewayHTTPServer`): each ``--data NAME=file``
-registers a named dataset in a
-:class:`repro.registry.DatasetRegistry`, ``--queue-size`` /
+registers a named dataset (invalid arrays exit 2), ``--queue-size`` /
 ``--tenant-quota`` bound admission (rejections are HTTP 429 with
 ``Retry-After``), ``--store PATH`` journals every ticket to a sqlite
 file (tickets survive restarts; journalled-but-unsettled audits are
@@ -435,14 +434,18 @@ def _run_serve(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot load {path}: {exc}", file=sys.stderr)
             return 2
-        gateway.register(
-            name,
-            arrays["coords"],
-            arrays["outcomes"],
-            y_true=arrays["y_true"],
-            forecast=arrays["forecast"],
-            n_classes=args.n_classes,
-        )
+        try:
+            gateway.register(
+                name,
+                arrays["coords"],
+                arrays["outcomes"],
+                y_true=arrays["y_true"],
+                forecast=arrays["forecast"],
+                n_classes=args.n_classes,
+            )
+        except ValueError as exc:
+            print(f"invalid --data {name}: {exc}", file=sys.stderr)
+            return 2
         print(
             f"registered dataset {name!r} "
             f"({len(arrays['coords'])} points)",

@@ -279,11 +279,6 @@ class AuditSession:
     ):
         self.coords = check_coords(coords)
         self.outcomes = np.asarray(outcomes).ravel()
-        if len(self.outcomes) != len(self.coords):
-            raise ValueError(
-                "outcomes: length does not match coords "
-                f"({len(self.outcomes)} vs {len(self.coords)})"
-            )
         self.y_true = None if y_true is None else np.asarray(y_true).ravel()
         self.forecast = (
             None
@@ -295,13 +290,13 @@ class AuditSession:
             if timestamps is None
             else np.asarray(timestamps, dtype=np.float64).ravel()
         )
-        if self.timestamps is not None and len(self.timestamps) != len(
-            self.coords
-        ):
-            raise ValueError(
-                "timestamps: length does not match coords "
-                f"({len(self.timestamps)} vs {len(self.coords)})"
-            )
+        for field in ("outcomes", "y_true", "forecast", "timestamps"):
+            arr = getattr(self, field)
+            if arr is not None and len(arr) != len(self.coords):
+                raise ValueError(
+                    f"{field}: length does not match coords "
+                    f"({len(arr)} vs {len(self.coords)})"
+                )
         self.n_classes = None if n_classes is None else int(n_classes)
         self.workers = workers
         self._engines: dict = {}

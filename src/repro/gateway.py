@@ -4,9 +4,9 @@
 This module is the layer above it — the deployment front door that a
 fleet of tenants talks to:
 
-* :class:`AuditGateway` routes each request by dataset name through a
-  :class:`repro.registry.DatasetRegistry` (read-only,
-  content-deduplicated storage) to a per-dataset service, with a
+* :class:`AuditGateway` routes each request by dataset name to that
+  dataset's service (one table: name → content fingerprint and
+  service over read-only copies of the arrays), with a
   **bounded admission queue** (full → :class:`GatewayFullError`,
   HTTP 429 with ``Retry-After``), optional per-tenant quotas
   (:class:`TenantQuotaError`) and a graceful :meth:`~AuditGateway.drain`
@@ -42,14 +42,15 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import threading
 import time
 from typing import Sequence
 
 import numpy as np
 
+from .api import AuditSession
 from .faults import fault_point
-from .registry import DatasetRegistry
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
@@ -84,7 +85,7 @@ class GatewayError(Exception):
 
 
 class UnknownDatasetError(GatewayError):
-    """The request names a dataset the registry does not hold (404)."""
+    """The request names a dataset the gateway does not hold (404)."""
 
     http_status = 404
 
@@ -304,13 +305,23 @@ class GatewayTicket:
         return report
 
 
+def _entry(name: str, fingerprint: str, service: AuditService) -> dict:
+    """The public description of one registered dataset."""
+    return {
+        "name": name,
+        "fingerprint": fingerprint,
+        "points": len(service.session.coords),
+    }
+
+
 class AuditGateway:
     """Multi-dataset, multi-tenant audit front door with back-pressure.
 
-    The gateway owns a :class:`repro.registry.DatasetRegistry` (or
-    wraps one you pass in) and lazily builds one
-    :class:`repro.serve.AuditService` per registered dataset, sharing
-    the gateway-wide ``workers`` execution policy.
+    The gateway holds one table of named datasets: each entry is the
+    dataset's content fingerprint and the
+    :class:`repro.serve.AuditService` built over it at
+    :meth:`register`, sharing the gateway-wide ``workers`` execution
+    policy.
     Admission is bounded: at most ``queue_size`` audits may be in
     flight (submitted, not yet resolved) across all tenants, and at
     most ``tenant_quota`` per tenant — excess submissions raise
@@ -332,9 +343,6 @@ class AuditGateway:
 
     Parameters
     ----------
-    registry : DatasetRegistry, optional
-        Dataset store to route through; a fresh one is created (and
-        owned) when omitted.
     queue_size : int, default 64
         Gateway-wide cap on in-flight audits.
     tenant_quota : int, optional
@@ -355,7 +363,6 @@ class AuditGateway:
 
     def __init__(
         self,
-        registry: DatasetRegistry | None = None,
         queue_size: int = 64,
         tenant_quota: int | None = None,
         workers: int | None = None,
@@ -371,9 +378,6 @@ class AuditGateway:
                 "tenant_quota: expected None or >= 1, got "
                 f"{tenant_quota!r}"
             )
-        self.registry = (
-            registry if registry is not None else DatasetRegistry()
-        )
         self.queue_size = int(queue_size)
         self.tenant_quota = (
             None if tenant_quota is None else int(tenant_quota)
@@ -385,7 +389,8 @@ class AuditGateway:
         self.store = store
         self._store_errors = 0
         self._recovery: dict | None = None
-        self._services: dict = {}
+        # name -> (dataset fingerprint, AuditService)
+        self._datasets: dict = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._tickets: dict = {}
@@ -405,35 +410,97 @@ class AuditGateway:
 
     # -- datasets ------------------------------------------------------
 
-    def register(self, name: str, coords, outcomes, **kwargs):
-        """Register (or replace) a named dataset; see
-        :meth:`repro.registry.DatasetRegistry.register`.
+    def register(
+        self,
+        name: str,
+        coords,
+        outcomes,
+        y_true=None,
+        forecast=None,
+        n_classes: int | None = None,
+    ) -> dict:
+        """Register (or replace) a named dataset (thread-safe).
 
-        Replacing a name's content drops that name's service so the
-        next request builds one over the new arrays (report caches are
-        fingerprint-keyed, so stale answers were impossible anyway —
-        this just frees the old session's memory).
+        The arrays are copied once into read-only storage, hashed once,
+        and bound to a session and service right away, so shape and
+        length errors surface here rather than at the first audit.
+        Re-registering equal content keeps the existing service and
+        its warm report cache; new content replaces it.
+
+        Parameters
+        ----------
+        name : str
+        coords, outcomes, y_true, forecast, n_classes
+            As in :class:`repro.api.AuditSession`.
 
         Returns
         -------
-        SharedDataset
+        dict
+            The ``{"name", "fingerprint", "points"}`` entry
+            :meth:`datasets` lists for ``name``.
+
+        Raises
+        ------
+        ValueError
+            Invalid coordinates or mismatched array lengths (the
+            message names the field).
         """
-        dataset = self.registry.register(
-            name, coords, outcomes, **kwargs
+
+        def frozen(arr, dtype=None):
+            if arr is None:
+                return None
+            arr = np.array(arr, dtype=dtype)
+            arr.flags.writeable = False
+            return arr
+
+        name = str(name)
+        session = AuditSession(
+            frozen(coords, np.float64),
+            frozen(outcomes),
+            y_true=frozen(y_true),
+            forecast=frozen(forecast, np.float64),
+            n_classes=n_classes,
+            workers=self.workers,
         )
+        fingerprint = session.dataset_fingerprint()
+        service = AuditService(session, cache_size=self.cache_size)
         with self._lock:
-            service = self._services.get(name)
-            if (
-                service is not None
-                and service.session.dataset_fingerprint()
-                != dataset.fingerprint
-            ):
-                del self._services[name]
-        return dataset
+            current = self._datasets.get(name)
+            if current is None or current[0] != fingerprint:
+                self._datasets[name] = (fingerprint, service)
+        return _entry(name, fingerprint, service)
+
+    def datasets(self) -> list:
+        """The registered datasets, sorted by name, from one locked
+        snapshot.
+
+        Returns
+        -------
+        list of dict
+            One ``{"name", "fingerprint", "points"}`` entry per
+            dataset.
+        """
+        with self._lock:
+            return [
+                _entry(name, fingerprint, service)
+                for name, (fingerprint, service) in sorted(
+                    self._datasets.items()
+                )
+            ]
+
+    def _lookup(self, dataset: str) -> tuple:
+        """``(fingerprint, service)`` registered under ``dataset``."""
+        with self._lock:
+            found = self._datasets.get(dataset)
+            if found is not None:
+                return found
+            known = ", ".join(sorted(self._datasets)) or "(none)"
+        raise UnknownDatasetError(
+            f"unknown dataset {dataset!r}; registered: {known}"
+        )
 
     def service(self, dataset: str) -> AuditService:
-        """The per-dataset service, built lazily over the registry's
-        read-only arrays.
+        """The service over a registered dataset.
 
         Parameters
         ----------
@@ -447,21 +514,10 @@ class AuditGateway:
         Raises
         ------
         UnknownDatasetError
-            The name is not registered.
+            The name is not registered (the message lists the
+            registered ones).
         """
-        try:
-            shared = self.registry.get(dataset)
-        except KeyError as exc:
-            raise UnknownDatasetError(str(exc.args[0])) from None
-        with self._lock:
-            service = self._services.get(dataset)
-            if service is None:
-                service = AuditService(
-                    shared.session(workers=self.workers),
-                    cache_size=self.cache_size,
-                )
-                self._services[dataset] = service
-            return service
+        return self._lookup(dataset)[1]
 
     # -- admission -----------------------------------------------------
 
@@ -569,7 +625,7 @@ class AuditGateway:
             gateways refuse work they cannot make durable).
         """
         fault_point("gateway.submit")
-        service = self.service(dataset)
+        fingerprint, service = self._lookup(dataset)
         with self._lock:
             if self._draining:
                 self._rejected_draining += 1
@@ -615,7 +671,7 @@ class AuditGateway:
                 dataset,
                 tenant,
                 spec.to_json(),
-                self.registry.get(dataset).fingerprint,
+                fingerprint,
             )
         # Service submission validates the spec outside the gateway
         # lock (it only takes the service's own lock).
@@ -710,7 +766,9 @@ class AuditGateway:
             services = [self.service(dataset)]
         else:
             with self._lock:
-                services = list(self._services.values())
+                services = [
+                    service for _, service in self._datasets.values()
+                ]
         produced = 0
         for service in services:
             produced += len(service.gather())
@@ -816,8 +874,8 @@ class AuditGateway:
 
         for dataset, records in by_dataset.items():
             try:
-                shared = self.registry.get(dataset)
-            except KeyError:
+                fingerprint, service = self._lookup(dataset)
+            except UnknownDatasetError:
                 for record in records:
                     _fail(
                         record,
@@ -826,10 +884,9 @@ class AuditGateway:
                         "restart",
                     )
                 continue
-            service = self.service(dataset)
             replay = []
             for record in records:
-                if record.fingerprint != shared.fingerprint:
+                if record.fingerprint != fingerprint:
                     _fail(
                         record,
                         "TicketRecoveryError",
@@ -899,12 +956,13 @@ class AuditGateway:
             return self._draining
 
     def close(self) -> None:
-        """Drain, close the ticket store (if any), then release the
-        registry's arrays."""
+        """Drain, close the ticket store (if any), then forget every
+        dataset (idempotent)."""
         self.drain()
         if self.store is not None:
             self.store.close()
-        self.registry.close()
+        with self._lock:
+            self._datasets.clear()
 
     # -- observability -------------------------------------------------
 
@@ -920,9 +978,8 @@ class AuditGateway:
             ``queue_size``, submit-to-resolution latency aggregates
             over settled audits (``latency_avg_ms`` /
             ``latency_max_ms``), ``draining``,
-            per-``tenants`` buckets, the ``registry`` stats, one
-            ``datasets`` entry per active service (its service
-            counters), and ``store``
+            per-``tenants`` buckets, one ``datasets`` entry per
+            registered dataset (its service counters), and ``store``
             — the ticket journal's counters plus ``write_errors`` and
             the boot-time ``recovery`` summary (``None`` when the
             gateway runs without a store).
@@ -933,7 +990,10 @@ class AuditGateway:
                 name: dict(bucket)
                 for name, bucket in self._per_tenant.items()
             }
-            services = dict(self._services)
+            services = {
+                name: service
+                for name, (_, service) in self._datasets.items()
+            }
             store_errors = self._store_errors
             recovery = (
                 dict(self._recovery) if self._recovery else None
@@ -961,7 +1021,6 @@ class AuditGateway:
                 "draining": self._draining,
                 "tenants": tenants,
             }
-        out["registry"] = self.registry.stats()
         out["datasets"] = {
             name: service.stats() for name, service in services.items()
         }
@@ -977,6 +1036,29 @@ class AuditGateway:
 
 
 # -- HTTP front door ---------------------------------------------------
+
+
+def _field(body: dict, name: str):
+    """A required request-body field; missing is a 400 naming it."""
+    try:
+        return body[name]
+    except KeyError:
+        raise ValueError(f"{name}: missing from the request body") from None
+
+
+def _seconds(name: str, value) -> float | None:
+    """A client-supplied wait: ``None`` or a finite number >= 0."""
+    if value is None:
+        return None
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value < math.inf
+    ):
+        return float(value)
+    raise ValueError(
+        f"{name}: expected null or a finite number >= 0, got {value!r}"
+    )
 
 
 def _make_handler(gateway: AuditGateway, quiet: bool):
@@ -1064,23 +1146,7 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                         {"ok": True, "draining": gateway.draining},
                     )
                 elif path == "/datasets":
-                    names = sorted(gateway.registry.names())
-                    self._send(
-                        200,
-                        {
-                            "datasets": [
-                                {
-                                    "name": name,
-                                    "fingerprint": gateway.registry
-                                    .get(name).fingerprint,
-                                    "points": len(
-                                        gateway.registry.get(name)
-                                    ),
-                                }
-                                for name in names
-                            ]
-                        },
-                    )
+                    self._send(200, {"datasets": gateway.datasets()})
                 elif path.startswith("/tickets/"):
                     self._ticket(path[len("/tickets/"):], query)
                 else:
@@ -1095,7 +1161,12 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             wait = None
             for part in query.split("&"):
                 if part.startswith("wait="):
-                    wait = float(part[len("wait="):])
+                    text = part[len("wait="):]
+                    try:
+                        wait = float(text)
+                    except ValueError:
+                        wait = text
+                    wait = _seconds("wait", wait)
             report = None
             if wait != 0 or ticket.done():
                 try:
@@ -1133,16 +1204,17 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                 self._fail(exc)
 
         def _audit(self, body: dict):
-            spec = AuditSpec.from_dict(body["spec"])
+            spec = AuditSpec.from_dict(_field(body, "spec"))
+            timeout = _seconds("timeout", body.get("timeout"))
             ticket = gateway.submit(
-                body["dataset"],
+                _field(body, "dataset"),
                 spec,
                 tenant=str(body.get("tenant", "default")),
             )
             report = None
             if body.get("wait", True):
                 try:
-                    report = ticket.result(timeout=body.get("timeout"))
+                    report = ticket.result(timeout=timeout)
                 except TimeoutError:
                     pass
             if report is None:
@@ -1168,10 +1240,10 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
 
         def _batch(self, body: dict):
             specs = [
-                AuditSpec.from_dict(s) for s in body["specs"]
+                AuditSpec.from_dict(s) for s in _field(body, "specs")
             ]
             reports = gateway.run_batch(
-                body["dataset"],
+                _field(body, "dataset"),
                 specs,
                 tenant=str(body.get("tenant", "default")),
             )
@@ -1185,32 +1257,15 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             )
 
         def _register(self, body: dict):
-            dataset = gateway.register(
-                str(body["name"]),
-                np.asarray(body["coords"], dtype=np.float64),
-                np.asarray(body["outcomes"]),
-                y_true=(
-                    None
-                    if body.get("y_true") is None
-                    else np.asarray(body["y_true"])
-                ),
-                forecast=(
-                    None
-                    if body.get("forecast") is None
-                    else np.asarray(
-                        body["forecast"], dtype=np.float64
-                    )
-                ),
+            entry = gateway.register(
+                _field(body, "name"),
+                _field(body, "coords"),
+                _field(body, "outcomes"),
+                y_true=body.get("y_true"),
+                forecast=body.get("forecast"),
                 n_classes=body.get("n_classes"),
             )
-            self._send(
-                201,
-                {
-                    "name": dataset.name,
-                    "fingerprint": dataset.fingerprint,
-                    "points": len(dataset),
-                },
-            )
+            self._send(201, entry)
 
     return Handler
 
@@ -1235,9 +1290,15 @@ class GatewayHTTPServer:
         ``{"dataset", "specs": [...], "tenant"?}`` — all reports,
         one fused pass.
     ``POST /datasets`` / ``GET /datasets``
-        Register arrays / list registered names.
+        Register arrays (201 with the dataset's entry) / list every
+        ``{"name", "fingerprint", "points"}`` entry.
     ``GET /stats``, ``GET /healthz``
         :meth:`AuditGateway.stats` / liveness.
+
+    A missing body field, an invalid spec or dataset, and a
+    ``timeout``/``wait`` that is not ``null`` or a finite number >= 0
+    are 400s whose message names the field; an unknown dataset,
+    ticket or route is a 404.
 
     >>> import numpy as np
     >>> gw = AuditGateway()

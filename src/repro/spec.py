@@ -126,6 +126,10 @@ class RegionSpec:
                     "regions.bounds",
                     "expected (min_x, min_y, max_x, max_y)",
                 )
+            if not all(map(math.isfinite, bounds)):
+                raise _err(
+                    "regions.bounds", f"values must be finite, got {bounds}"
+                )
             if bounds[0] > bounds[2] or bounds[1] > bounds[3]:
                 raise _err(
                     "regions.bounds",

@@ -329,6 +329,14 @@ class TestValidationErrors:
             AuditSession(unit_coords[:, 0], biased_labels)
         with pytest.raises(ValueError, match="outcomes"):
             AuditSession(unit_coords, biased_labels[:-1])
+        # A short optional array would otherwise fail later, inside the
+        # measure or the kernel, with an IndexError.
+        short = np.ones(len(unit_coords) - 1)
+        for field in ("y_true", "forecast"):
+            with pytest.raises(
+                ValueError, match=f"^{field}: length does not match coords"
+            ):
+                AuditSession(unit_coords, biased_labels, **{field: short})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_session_rejects_non_finite_coords(

@@ -214,6 +214,24 @@ def test_serve_unreadable_data_file_is_exit_2(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "defect, reason",
+    [("nan", "coords: expected finite"), ("short", "outcomes: length")],
+)
+def test_serve_invalid_data_arrays_is_exit_2(
+    tmp_path, capsys, unit_coords, biased_labels, defect, reason
+):
+    coords, labels = unit_coords.copy(), biased_labels
+    if defect == "nan":
+        coords[3, 0] = np.nan
+    else:
+        labels = labels[:-1]
+    path = tmp_path / "bad.npz"
+    np.savez(path, coords=coords, outcomes=labels)
+    assert main(["serve", "--data", f"city={path}"]) == 2
+    assert f"invalid --data city: {reason}" in capsys.readouterr().err
+
+
 def test_serve_bad_store_path_is_exit_2(tmp_path, capsys):
     rc = main(
         ["serve", "--store", str(tmp_path / "missing" / "j.sqlite")]
@@ -245,7 +263,7 @@ def test_serve_happy_path_boots_and_announces(
     assert rc == 0
     assert seen["gateway"].queue_size == 8
     assert seen["gateway"].workers == 2
-    assert seen["gateway"].registry.names() == ["city"]
+    assert [d["name"] for d in seen["gateway"].datasets()] == ["city"]
     err = capsys.readouterr().err
     assert "registered dataset 'city'" in err
     assert "drained; bye" in err

@@ -226,7 +226,7 @@ class TestSingleFaultTyped:
         gw.register("city", unit_coords, biased_labels)
         yield gw
         clear_faults()
-        gw.registry.close()
+        gw.close()
 
     def test_submit_fault_is_typed_and_transient(self, gateway):
         install_faults("gateway.submit:at=1")
@@ -319,7 +319,7 @@ def golden_reports(chaos_arrays):
             for spec in CHAOS_SPECS
         ]
     finally:
-        gw.registry.close()
+        gw.close()
 
 
 def _read_announce(proc, timeout=60.0):

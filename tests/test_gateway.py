@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import AuditSession
+from repro.fingerprint import dataset_fingerprint
 from repro.gateway import (
     AuditGateway,
     GatewayDrainingError,
@@ -43,7 +44,7 @@ def gateway(unit_coords, biased_labels):
     gw = AuditGateway(queue_size=16)
     gw.register("unit", unit_coords, biased_labels)
     yield gw
-    gw.registry.close()
+    gw.close()
 
 
 class TestAdmission:
@@ -126,7 +127,7 @@ class TestBatchesAndStats:
         assert stats["queue_peak"] == 1
         assert stats["latency_avg_ms"] > 0
         assert stats["tenants"]["alice"]["completed"] == 1
-        assert stats["registry"]["datasets"] == 1
+        assert list(stats["datasets"]) == ["unit"]
         assert stats["datasets"]["unit"] == (
             gateway.service("unit").stats()
         )
@@ -161,6 +162,102 @@ class TestBatchesAndStats:
         stats = gateway.stats()
         assert stats["latency_max_ms"] == pytest.approx(335.0)
         assert stats["latency_avg_ms"] == pytest.approx(335.0)
+
+
+class TestDatasets:
+    def test_register_stores_read_only_private_copy(
+        self, gateway, unit_coords, biased_labels
+    ):
+        session = gateway.service("unit").session
+        assert np.array_equal(session.coords, unit_coords)
+        assert np.array_equal(session.outcomes, biased_labels)
+        for stored, given in (
+            (session.coords, unit_coords),
+            (session.outcomes, biased_labels),
+        ):
+            assert not np.shares_memory(stored, given)
+            with pytest.raises(ValueError):
+                stored[0] = 5
+
+    def test_fingerprint_matches_module_function(
+        self, unit_coords, biased_labels
+    ):
+        gw = AuditGateway()
+        entry = gw.register("d", unit_coords, biased_labels)
+        assert entry == {
+            "name": "d",
+            "fingerprint": dataset_fingerprint(
+                np.asarray(unit_coords, dtype=np.float64),
+                np.asarray(biased_labels),
+            ),
+            "points": len(unit_coords),
+        }
+        assert gw.datasets() == [entry]
+
+    def test_register_hashes_once(
+        self, monkeypatch, unit_coords, biased_labels
+    ):
+        from repro import api
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dataset_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(api, "_dataset_fingerprint", counting)
+        AuditGateway().register("d", unit_coords, biased_labels)
+        assert len(calls) == 1
+
+    def test_optional_arrays_reach_the_session(
+        self, unit_coords, biased_counts
+    ):
+        observed, forecast = biased_counts
+        gw = AuditGateway()
+        gw.register(
+            "d", unit_coords, observed, forecast=forecast, n_classes=3
+        )
+        session = gw.service("d").session
+        assert np.array_equal(session.forecast, forecast)
+        assert session.y_true is None
+        assert session.n_classes == 3
+
+    def test_register_rejects_bad_arrays(
+        self, unit_coords, biased_labels
+    ):
+        gw = AuditGateway()
+        with pytest.raises(ValueError, match="coords"):
+            gw.register("d", np.zeros(5), np.zeros(5))
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            gw.register("d", np.full((5, 2), np.inf), np.zeros(5))
+        with pytest.raises(ValueError, match="^y_true: length"):
+            gw.register(
+                "d", unit_coords, biased_labels, y_true=biased_labels[:3]
+            )
+        assert gw.datasets() == []
+
+    def test_datasets_sorted_by_name(self, unit_coords, biased_labels):
+        gw = AuditGateway()
+        gw.register("b", unit_coords, biased_labels)
+        gw.register("a", unit_coords[:50], biased_labels[:50])
+        assert [(d["name"], d["points"]) for d in gw.datasets()] == [
+            ("a", 50),
+            ("b", len(unit_coords)),
+        ]
+
+    def test_unknown_name_lists_known(self, gateway):
+        with pytest.raises(
+            UnknownDatasetError,
+            match="unknown dataset 'ghost'; registered: unit",
+        ):
+            gateway.service("ghost")
+
+    def test_close_is_idempotent(self, gateway):
+        gateway.close()
+        gateway.close()
+        assert gateway.datasets() == []
+        with pytest.raises(UnknownDatasetError):
+            gateway.service("unit")
 
 
 class TestConcurrency:
@@ -246,7 +343,7 @@ class TestDrain:
         gw.submit("unit", _spec(1))
         gw.close()
         assert gw.draining
-        assert gw.registry.names() == []
+        assert gw.datasets() == []
 
     def test_serve_http_blocks_until_signal(
         self, unit_coords, biased_labels
@@ -323,7 +420,7 @@ def http(unit_coords, biased_labels):
     assert status == 201 and body["points"] == len(unit_coords)
     yield client, gw
     server.stop()
-    gw.registry.close()
+    gw.close()
 
 
 SPEC_DICT = {
@@ -437,7 +534,7 @@ class TestHTTP:
         assert body["datasets"][0]["name"] == "unit"
         assert (
             body["datasets"][0]["fingerprint"]
-            == gw.registry.get("unit").fingerprint
+            == gw.datasets()[0]["fingerprint"]
         )
         status, body, _ = client.get("/stats")
         assert status == 200 and body["queue_size"] == 2
@@ -525,7 +622,79 @@ class TestHTTP:
         )
         assert status == 400
         assert "coords" in body["error"]
-        assert "bad" not in gw.registry
+        assert [d["name"] for d in gw.datasets()] == ["unit"]
+
+    @pytest.mark.parametrize("field", ["outcomes", "y_true"])
+    def test_register_rejects_mismatched_lengths(
+        self, http, unit_coords, biased_labels, field
+    ):
+        client, gw = http
+        labels = biased_labels.tolist()
+        payload = {
+            "name": "bad",
+            "coords": unit_coords.tolist(),
+            "outcomes": labels,
+            field: labels[:-1],
+        }
+        status, body, _ = client.post("/datasets", payload)
+        assert status == 400
+        assert body["error"].startswith(
+            f"{field}: length does not match coords"
+        )
+        assert [d["name"] for d in gw.datasets()] == ["unit"]
+
+    @pytest.mark.parametrize(
+        "path, payload, field",
+        [
+            ("/audit", {"dataset": "unit"}, "spec"),
+            ("/audit", {"spec": SPEC_DICT}, "dataset"),
+            ("/batch", {"dataset": "unit"}, "specs"),
+            ("/batch", {"specs": [SPEC_DICT]}, "dataset"),
+            ("/datasets", {"coords": [[0, 0]], "outcomes": [1]}, "name"),
+            ("/datasets", {"name": "d", "outcomes": [1]}, "coords"),
+            ("/datasets", {"name": "d", "coords": [[0, 0]]}, "outcomes"),
+        ],
+    )
+    def test_missing_body_field_is_400_naming_it(
+        self, http, path, payload, field
+    ):
+        client, _ = http
+        status, body, _ = client.post(path, payload)
+        assert status == 400
+        assert body == {
+            "error": f"{field}: missing from the request body",
+            "type": "ValueError",
+        }
+
+    @pytest.mark.parametrize(
+        "value", ["x", -1, True, [1], float("inf"), float("nan")]
+    )
+    def test_bad_timeout_is_400(self, http, value):
+        client, gw = http
+        status, body, _ = client.post(
+            "/audit",
+            {"dataset": "unit", "spec": SPEC_DICT, "timeout": value},
+        )
+        assert status == 400
+        assert body["error"].startswith(
+            "timeout: expected null or a finite number >= 0"
+        )
+        assert gw.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("value", ["x", "-1", "inf", "nan", "1e400"])
+    def test_bad_wait_is_400(self, http, value):
+        client, _ = http
+        _, body, _ = client.post(
+            "/audit",
+            {"dataset": "unit", "spec": SPEC_DICT, "wait": False},
+        )
+        status, body, _ = client.get(
+            f"/tickets/{body['ticket']}?wait={value}"
+        )
+        assert status == 400
+        assert body["error"].startswith(
+            "wait: expected null or a finite number >= 0"
+        )
 
     def test_unknown_tenant_accounting(self, http):
         client, gw = http
@@ -588,6 +757,6 @@ class TestNoFork:
                 )
         finally:
             server.stop()
-            gw.registry.close()
+            gw.close()
         if len(os.sched_getaffinity(0)) >= 2:
             assert pools and all(n == 2 for n in pools)

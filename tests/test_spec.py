@@ -69,6 +69,9 @@ class TestRegionSpecValidation:
             RegionSpec(kind="grid", nx=2, ny=2, bounds=(0, 0, 1))
         with pytest.raises(ValueError, match="min exceeds max"):
             RegionSpec(kind="grid", nx=2, ny=2, bounds=(1, 0, 0, 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^regions.bounds: .*finite"):
+                RegionSpec.grid(3, 3, bounds=(bad, 0, 1, 1))
 
     def test_grid_rejects_centers_seed(self):
         # centers_seed is meaningless for grids; accepting it would

@@ -53,7 +53,7 @@ def store(tmp_path):
 def gateway(tmp_path):
     gw = AuditGateway(queue_size=16, store=tmp_path / "tickets.sqlite")
     yield gw
-    gw.registry.close()
+    gw.close()
 
 
 def _register(gw, unit_coords, biased_labels, name="city"):
@@ -202,7 +202,7 @@ class TestGatewayWriteThrough:
         assert record.tenant == "acme"
         assert record.spec == _spec().to_json()
         assert record.fingerprint == (
-            gateway.registry.get("city").fingerprint
+            gateway.datasets()[0]["fingerprint"]
         )
         assert json.dumps(record.report, sort_keys=True) == _payload(
             report
@@ -232,7 +232,7 @@ class TestGatewayWriteThrough:
         _register(gw1, unit_coords, biased_labels)
         ticket = gw1.submit("city", _spec())
         golden = _payload(ticket.result())
-        gw1.registry.close()
+        gw1.close()
 
         gw2 = AuditGateway(
             queue_size=16, store=path
@@ -246,7 +246,7 @@ class TestGatewayWriteThrough:
             assert report.to_dict() == report.to_dict(full=True)
             assert 0.0 <= report.p_value <= 1.0
         finally:
-            gw2.registry.close()
+            gw2.close()
 
     def test_stored_failed_ticket_raises_typed(
         self, tmp_path, unit_coords, biased_labels
@@ -259,7 +259,7 @@ class TestGatewayWriteThrough:
         ticket = gw1.submit("city", _spec(measure="equal_opportunity"))
         with pytest.raises(Exception):
             ticket.result()
-        gw1.registry.close()
+        gw1.close()
 
         gw2 = AuditGateway(
             queue_size=16, store=path
@@ -270,7 +270,7 @@ class TestGatewayWriteThrough:
                 stored.result()
             assert err.value.http_status == 500
         finally:
-            gw2.registry.close()
+            gw2.close()
 
     def test_unsettled_stored_ticket_raises_recovery_error(
         self, gateway, unit_coords, biased_labels
@@ -280,7 +280,7 @@ class TestGatewayWriteThrough:
             "city",
             "acme",
             _spec().to_json(),
-            gateway.registry.get("city").fingerprint,
+            gateway.datasets()[0]["fingerprint"],
         )
         stored = gateway.ticket(tid)
         assert not stored.done()
@@ -330,7 +330,7 @@ class TestGatewayWriteThrough:
                 "failed": 0,
             }
         finally:
-            gw.registry.close()
+            gw.close()
 
 
 # -- boot-time recovery ----------------------------------------------
@@ -343,7 +343,7 @@ class TestRecovery:
             _register(gw, unit_coords, biased_labels)
             return _payload(gw.submit("city", spec).result())
         finally:
-            gw.registry.close()
+            gw.close()
 
     def test_recover_replays_byte_identical(
         self, tmp_path, unit_coords, biased_labels
@@ -357,7 +357,7 @@ class TestRecovery:
                 queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
-            fingerprint = gw.registry.get("city").fingerprint
+            fingerprint = gw.datasets()[0]["fingerprint"]
             tid = store.record_submit(
                 "city", "acme", spec.to_json(), fingerprint
             )
@@ -375,7 +375,7 @@ class TestRecovery:
             )
             assert _payload(gw.ticket(tid).result()) == golden
             assert gw.stats()["store"]["recovery"] == summary
-            gw.registry.close()
+            gw.close()
 
     def test_recover_fuses_one_pass_per_dataset(
         self, tmp_path, unit_coords, biased_labels
@@ -386,7 +386,7 @@ class TestRecovery:
                 queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
-            fingerprint = gw.registry.get("city").fingerprint
+            fingerprint = gw.datasets()[0]["fingerprint"]
             for _ in range(3):
                 store.record_submit(
                     "city", "acme", _spec(seed=3).to_json(), fingerprint
@@ -397,7 +397,7 @@ class TestRecovery:
             stats = service.stats()
             # identical specs dedupe into one fused simulation
             assert stats["fused_groups"] == 1
-            gw.registry.close()
+            gw.close()
 
     def test_recover_fails_missing_dataset_typed(
         self, tmp_path, unit_coords, biased_labels
@@ -417,7 +417,7 @@ class TestRecovery:
             assert record.state == "failed"
             assert record.error_type == "TicketRecoveryError"
             assert record.recovered
-            gw.registry.close()
+            gw.close()
 
     def test_recover_fails_on_fingerprint_mismatch(
         self, tmp_path, unit_coords, biased_labels
@@ -440,7 +440,7 @@ class TestRecovery:
             record = store.get(tid)
             assert record.error_type == "TicketRecoveryError"
             assert "fingerprint" in record.error
-            gw.registry.close()
+            gw.close()
 
     def test_recover_fails_bad_spec_typed(
         self, tmp_path, unit_coords, biased_labels
@@ -451,14 +451,14 @@ class TestRecovery:
                 queue_size=16, store=store
             )
             _register(gw, unit_coords, biased_labels)
-            fingerprint = gw.registry.get("city").fingerprint
+            fingerprint = gw.datasets()[0]["fingerprint"]
             tid = store.record_submit(
                 "city", "acme", "{not json", fingerprint
             )
             summary = gw.recover()
             assert summary["failed"] == 1
             assert store.get(tid).state == "failed"
-            gw.registry.close()
+            gw.close()
 
     def test_recover_skips_settled_tickets(
         self, tmp_path, unit_coords, biased_labels
@@ -476,4 +476,4 @@ class TestRecovery:
                 "recovered": 0,
                 "failed": 0,
             }
-            gw.registry.close()
+            gw.close()

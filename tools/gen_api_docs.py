@@ -34,7 +34,6 @@ MODULES = [
     "repro.gateway",
     "repro.ticketstore",
     "repro.faults",
-    "repro.registry",
     "repro.spec",
     "repro.core",
     "repro.engine",
