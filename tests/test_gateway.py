@@ -165,12 +165,23 @@ class TestBatchesAndStats:
 
 
 class TestDatasets:
-    def test_register_stores_read_only_private_copy(
+    def test_register_stores_inputs(
         self, gateway, unit_coords, biased_labels
     ):
         session = gateway.service("unit").session
         assert np.array_equal(session.coords, unit_coords)
         assert np.array_equal(session.outcomes, biased_labels)
+        assert gateway.datasets()[0]["points"] == len(unit_coords)
+
+    def test_stored_arrays_are_read_only(self, gateway):
+        session = gateway.service("unit").session
+        with pytest.raises(ValueError):
+            session.coords[0, 0] = 42.0
+
+    def test_register_stores_read_only_private_copy(
+        self, gateway, unit_coords, biased_labels
+    ):
+        session = gateway.service("unit").session
         for stored, given in (
             (session.coords, unit_coords),
             (session.outcomes, biased_labels),
@@ -178,6 +189,8 @@ class TestDatasets:
             assert not np.shares_memory(stored, given)
             with pytest.raises(ValueError):
                 stored[0] = 5
+        gateway.close()
+        gateway.close()
 
     def test_fingerprint_matches_module_function(
         self, unit_coords, biased_labels
@@ -236,6 +249,42 @@ class TestDatasets:
             )
         assert gw.datasets() == []
 
+    def test_register_rejects_non_finite_coords(
+        self, unit_coords, biased_labels
+    ):
+        gw = AuditGateway()
+        coords = unit_coords.copy()
+        coords[0, 1] = np.nan
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            gw.register("a", coords, biased_labels)
+        assert gw.datasets() == []
+        with pytest.raises(UnknownDatasetError):
+            gw.service("a")
+
+    def test_dataset_session_runs_bit_identical(
+        self, unit_coords, biased_labels
+    ):
+        gw = AuditGateway()
+        gw.register("a", unit_coords, biased_labels)
+        spec = AuditSpec(
+            regions=RegionSpec.grid(4, 4), n_worlds=N_WORLDS, seed=3
+        )
+        direct = AuditSession(unit_coords, biased_labels).run(spec)
+        via = gw.service("a").session.run(spec)
+        assert _payload(via) == _payload(direct)
+
+    def test_rebind_name_to_new_content(
+        self, unit_coords, biased_labels
+    ):
+        gw = AuditGateway()
+        old = gw.register("a", unit_coords, biased_labels)
+        old_service = gw.service("a")
+        new = gw.register("a", unit_coords[:100], biased_labels[:100])
+        assert new["fingerprint"] != old["fingerprint"]
+        assert gw.service("a") is not old_service
+        assert gw.datasets() == [new]
+        assert new["points"] == 100
+
     def test_datasets_sorted_by_name(self, unit_coords, biased_labels):
         gw = AuditGateway()
         gw.register("b", unit_coords, biased_labels)
@@ -254,8 +303,11 @@ class TestDatasets:
 
     def test_close_is_idempotent(self, gateway):
         gateway.close()
-        gateway.close()
         assert gateway.datasets() == []
+        gateway.close()
+
+    def test_service_after_close_raises(self, gateway):
+        gateway.close()
         with pytest.raises(UnknownDatasetError):
             gateway.service("unit")
 
