@@ -253,7 +253,18 @@ class RegionSet:
 
     Region sets are what :meth:`repro.core.SpatialFairnessAuditor.audit`
     scans.  They behave like sequences of :class:`Region`.
+
+    Attributes
+    ----------
+    grid : GridPartitioning or None
+        The partitioning whose cells these regions are, set only by
+        :func:`partition_region_set` (internal, not a constructor
+        option).  :class:`repro.index.RegionMembership` bins points
+        into a grid's cells instead of testing every region; both
+        builds give byte-identical rows.
     """
+
+    grid = None
 
     def __init__(self, regions: Sequence[Region]):
         self._regions = list(regions)
@@ -278,12 +289,37 @@ class GridPartitioning:
     Parameters
     ----------
     x_edges, y_edges : ndarray
-        Strictly increasing edge positions; ``len(edges) - 1`` cells per
-        axis.  A single cell on an axis is expressed by two edges.
+        Finite, non-decreasing edge positions; ``len(edges) - 1`` cells
+        per axis.  A single cell on an axis is expressed by two edges.
+        Equal edges give zero-width cells (a grid over points that
+        share one x, say).  Stored as read-only float64 copies, so a
+        partitioning (and the region sets built from it) cannot change
+        after construction.
+
+    Raises
+    ------
+    ValueError
+        Naming ``x_edges`` or ``y_edges`` when an axis has fewer than
+        two edges, a non-finite edge or a decreasing edge.
     """
 
     x_edges: np.ndarray
     y_edges: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x_edges", "y_edges"):
+            edges = np.array(getattr(self, name), dtype=np.float64)
+            if edges.ndim != 1 or len(edges) < 2:
+                raise ValueError(
+                    f"{name}: need a 1-D sequence of at least two edges, "
+                    f"got shape {edges.shape}"
+                )
+            if not np.isfinite(edges).all():
+                raise ValueError(f"{name}: edges must be finite")
+            if (np.diff(edges) < 0).any():
+                raise ValueError(f"{name}: edges must be non-decreasing")
+            edges.flags.writeable = False
+            object.__setattr__(self, name, edges)
 
     @classmethod
     def regular(cls, bounds: Rect, nx: int, ny: int) -> "GridPartitioning":
@@ -299,7 +335,17 @@ class GridPartitioning:
         Returns
         -------
         GridPartitioning
+
+        Raises
+        ------
+        ValueError
+            Naming ``nx`` or ``ny`` when it is below one.
         """
+        for name, cells in (("nx", nx), ("ny", ny)):
+            if cells < 1:
+                raise ValueError(
+                    f"{name}: need at least one cell, got {cells}"
+                )
         return cls(
             x_edges=np.linspace(bounds.min_x, bounds.max_x, nx + 1),
             y_edges=np.linspace(bounds.min_y, bounds.max_y, ny + 1),
@@ -379,7 +425,8 @@ def partition_region_set(grid: GridPartitioning) -> RegionSet:
     """Turn a grid partitioning into a scannable :class:`RegionSet`.
 
     Each cell becomes one rectangular region whose ``center_id`` is the
-    flat cell index.
+    flat cell index.  The set records ``grid`` as its
+    :attr:`RegionSet.grid`, so membership builds bin points by cell.
 
     Parameters
     ----------
@@ -389,12 +436,14 @@ def partition_region_set(grid: GridPartitioning) -> RegionSet:
     -------
     RegionSet
     """
-    return RegionSet(
+    regions = RegionSet(
         [
             Region(rect=rect, center_id=i, kind="rect")
             for i, rect in enumerate(grid.cell_rects())
         ]
     )
+    regions.grid = grid
+    return regions
 
 
 def square_region_set(

@@ -10,6 +10,17 @@ Membership is exact: a row holds precisely the points that
 :meth:`repro.geometry.Region.contains` accepts (closed rectangles,
 closed discs).
 
+Two builds produce those rows.  A grid design (a region set from
+:func:`repro.geometry.partition_region_set`, which records its
+partitioning as :attr:`repro.geometry.RegionSet.grid`) **bins** its
+points: one vectorised lookup per axis finds each point's cell range
+(one cell, two on an inner edge, every cell on a zero-width axis,
+none outside the edges) and a stable sort by cell lays the rows out.
+Every other design — scans, hand-built rectangle sets — is built one
+nest at a time.  Both give byte-identical CSR arrays for the same
+cells, and a stream's delta goes through the same build as a cold
+index.
+
 World recounts go through a **nest layout**.  Scan designs are nests:
 each centre has a sequence of growing squares (or circles), so every
 region contains the previous one from the same centre.  The recount
@@ -146,11 +157,131 @@ def _nest_levels(regions, nest, x, y) -> np.ndarray:
     return level
 
 
-def _csr(rows, sizes, shape):
-    """A 0/1 CSR matrix from its rows' sorted point indices."""
+def _nest_build(regions, coords, shape) -> tuple:
+    """``(matrix, ring, blocks, perm)`` of a design, one nest at a time.
+
+    The points are sorted by x once; each nest's outermost x-span is
+    then one contiguous slice, filtered on y (and radius, for circles).
+    The inner regions' rows and the rings follow from each point's
+    level in its nest.
+    """
+    nests, blocks = _nest_layout(regions)
+    perm = _inverse(nests) if blocks else None
+    order = np.argsort(coords[:, 0])
+    xs = coords[order, 0]
+    ys = coords[order, 1]
+    rects = [regions[nest[-1]].rect for nest in nests]
+    lo = np.searchsorted(xs, [r.min_x for r in rects], side="left")
+    hi = np.searchsorted(xs, [r.max_x for r in rects], side="right")
+    rows = [np.empty(0, np.int64)] * len(regions)
+    rings, ring_sizes = [], []
+    for nest, rect, a, b in zip(nests, rects, lo.tolist(), hi.tolist()):
+        outer = regions[nest[-1]]
+        y = ys[a:b]
+        keep = (y >= rect.min_y) & (y <= rect.max_y)
+        if outer.kind == "circle":
+            cx, cy = rect.center
+            d2 = (xs[a:b] - cx) ** 2 + (y - cy) ** 2
+            keep &= d2 <= outer.radius**2
+        # Canonical layout: sorted column indices per row (see the
+        # class docstring — required for streamed bit-identity).
+        points = np.sort(order[a:b][keep])
+        if len(nest) == 1:
+            rows[nest[0]] = points
+            rings.append(points)
+            ring_sizes.append(len(points))
+            continue
+        level = _nest_levels(
+            regions, nest, coords[points, 0], coords[points, 1]
+        )
+        for k, r in enumerate(nest):
+            rows[r] = points[level <= k]
+        # Stable: each ring keeps its point indices sorted.
+        rings.append(points[np.argsort(level, kind="stable")])
+        ring_sizes.extend(np.bincount(level, minlength=len(nest)))
+    matrix = _csr(_concat(rows), [len(row) for row in rows], shape)
+    ring = _csr(_concat(rings), ring_sizes, shape) if blocks else matrix
+    return matrix, ring, blocks, perm
+
+
+def _axis_cells(edges, values) -> tuple:
+    """``(first, last)``: the cells of one grid axis holding each value.
+
+    Cells are closed, so a value lies in every cell ``i`` with
+    ``edges[i] <= v <= edges[i + 1]``: the range from
+    ``searchsorted(edges, v, "left") - 1`` to
+    ``searchsorted(edges, v, "right") - 1``, clipped to the axis.  That
+    is one cell for most values, two on an inner edge, every cell on a
+    zero-width axis and none (``last < first``) outside the edges.
+    """
+    n = len(edges) - 1
+    span = edges[-1] - edges[0]
+    if span > 0:
+        # A uniform-spacing guess at the right end, checked exactly
+        # against the edges; only the misses (irregular edges, rounding,
+        # outer edges, outside points) pay for a binary search.  A plain
+        # searchsorted over unsorted values costs more than the guess.
+        guess = (values - edges[0]) * (n / span)
+        np.fmax(guess, 0, out=guess)  # fmax also maps NaN to 0
+        np.fmin(guess, n - 1, out=guess)
+        last = guess.astype(np.intp)
+        at = edges[last]
+        # Negated so that NaN (no comparison holds) is a miss too.
+        miss = np.flatnonzero(~((at <= values) & (values < edges[1:][last])))
+        if len(miss):
+            last[miss] = np.searchsorted(edges, values[miss], "right") - 1
+            at[miss] = edges[last[miss]]
+    else:
+        last = np.searchsorted(edges, values, "right") - 1
+        at = edges[last]
+    # The left end differs only for values on an edge.  ``last`` is -1
+    # only below ``edges[0]``, where ``edges[-1]`` cannot equal them.
+    on_edge = np.flatnonzero(at == values)
+    first = last.copy()
+    first[on_edge] = np.searchsorted(edges, values[on_edge], "left") - 1
+    np.maximum(first, 0, out=first)
+    np.minimum(last, n - 1, out=last)
+    return first, last
+
+
+def _grid_rows(grid, coords) -> tuple:
+    """``(indices, sizes)``: a grid's membership rows, binned by cell.
+
+    Each point's cells are the product of its x and y cell ranges
+    (:func:`_axis_cells`).  The (point, cell) pairs are listed in point
+    order and stably sorted by cell, so every row's point indices come
+    out ascending: the canonical layout of :func:`_nest_build`.
+    """
+    # Contiguous columns: the strided views of ``coords`` are slower
+    # in each of the lookup's passes than one copy.
+    x0, x1 = _axis_cells(grid.x_edges, np.ascontiguousarray(coords[:, 0]))
+    y0, y1 = _axis_cells(grid.y_edges, np.ascontiguousarray(coords[:, 1]))
+    nx = grid.nx
+    cells = y0 * nx + x0
+    points = None  # every point in exactly one cell: the identity
+    if ((x1 != x0) | (y1 != y0)).any():
+        kx = np.maximum(x1 - x0 + 1, 0)
+        k = kx * np.maximum(y1 - y0 + 1, 0)
+        points = np.repeat(np.arange(len(coords)), k)
+        offset = np.arange(len(points)) - np.repeat(np.cumsum(k) - k, k)
+        kx = np.repeat(kx, k)
+        cells = np.repeat(cells, k) + offset // kx * nx + offset % kx
+    # numpy's stable sort is a radix sort on 16-bit keys.
+    key = cells.astype(np.uint16) if grid.n_cells <= 1 << 16 else cells
+    order = np.argsort(key, kind="stable")
+    indices = order if points is None else points[order]
+    return indices, np.bincount(cells, minlength=grid.n_cells)
+
+
+def _concat(rows):
+    return np.concatenate(rows) if rows else np.empty(0, np.int64)
+
+
+def _csr(indices, sizes, shape):
+    """A 0/1 CSR matrix from its rows' concatenated sorted point
+    indices and the rows' sizes."""
     from scipy import sparse
 
-    indices = np.concatenate(rows) if rows else np.empty(0, np.int64)
     indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     # float64 membership data: the recount accumulates world sums
     # exactly up to 2**53.
@@ -212,6 +343,10 @@ class RegionMembership:
     kept in step with the full matrix by :meth:`append_points` and
     :meth:`evict_points`.
 
+    A grid design (``regions.grid`` set) is built by binning its points
+    into cells rather than by testing them nest by nest; its ring is
+    its matrix.  The rows are the same either way.
+
     Parameters
     ----------
     regions : RegionSet
@@ -224,49 +359,15 @@ class RegionMembership:
         coords = np.asarray(coords, dtype=np.float64)
         self.regions = regions
         self.n_points = len(coords)
-        nests, self._blocks = _nest_layout(regions)
-        self._perm = _inverse(nests) if self._blocks else None
-        # Sort the points by x once; each nest's outermost x-span is
-        # then one contiguous slice, filtered on y (and radius, for
-        # circles).  The inner regions' rows and the rings follow from
-        # each point's level in its nest.
-        order = np.argsort(coords[:, 0])
-        xs = coords[order, 0]
-        ys = coords[order, 1]
-        rects = [regions[nest[-1]].rect for nest in nests]
-        lo = np.searchsorted(xs, [r.min_x for r in rects], side="left")
-        hi = np.searchsorted(xs, [r.max_x for r in rects], side="right")
-        rows = [np.empty(0, np.int64)] * len(regions)
-        rings, ring_sizes = [], []
-        for nest, rect, a, b in zip(nests, rects, lo.tolist(), hi.tolist()):
-            outer = regions[nest[-1]]
-            y = ys[a:b]
-            keep = (y >= rect.min_y) & (y <= rect.max_y)
-            if outer.kind == "circle":
-                cx, cy = rect.center
-                d2 = (xs[a:b] - cx) ** 2 + (y - cy) ** 2
-                keep &= d2 <= outer.radius**2
-            # Canonical layout: sorted column indices per row (see the
-            # class docstring — required for streamed bit-identity).
-            points = np.sort(order[a:b][keep])
-            if len(nest) == 1:
-                rows[nest[0]] = points
-                rings.append(points)
-                ring_sizes.append(len(points))
-                continue
-            level = _nest_levels(
-                regions, nest, coords[points, 0], coords[points, 1]
-            )
-            for k, r in enumerate(nest):
-                rows[r] = points[level <= k]
-            # Stable: each ring keeps its point indices sorted.
-            rings.append(points[np.argsort(level, kind="stable")])
-            ring_sizes.extend(np.bincount(level, minlength=len(nest)))
         shape = (len(regions), self.n_points)
-        self._matrix = _csr(rows, [len(row) for row in rows], shape)
-        self._ring = (
-            _csr(rings, ring_sizes, shape) if self._blocks else self._matrix
-        )
+        grid = getattr(regions, "grid", None)
+        if grid is None:
+            self._matrix, self._ring, self._blocks, self._perm = (
+                _nest_build(regions, coords, shape)
+            )
+        else:
+            self._matrix = _csr(*_grid_rows(grid, coords), shape)
+            self._ring, self._blocks, self._perm = self._matrix, (), None
         self.counts = np.asarray(
             self._matrix.sum(axis=1)
         ).ravel().astype(np.int64)

@@ -183,6 +183,25 @@ class TestSessionCaching:
         assert session.index_builds == 2
 
 
+class TestDegenerateGrids:
+    def test_zero_width_axis_counts_every_column(self):
+        # Every point shares one x and the grid's bounds come from the
+        # data, so the x axis has zero width: each point lies in all
+        # four (closed, zero-width) columns of its row.
+        rng = np.random.default_rng(11)
+        coords = np.column_stack([np.full(190, 0.5), rng.random(190)])
+        outcomes = (rng.random(190) < 0.5).astype(np.int8)
+        spec = AuditSpec(
+            regions=RegionSpec.grid(4, 4), n_worlds=N_WORLDS, seed=3
+        )
+        session = AuditSession(coords, outcomes)
+        report = session.run(spec)
+        assert [f.n for f in report.findings] == (
+            [60] * 4 + [43] * 4 + [45] * 4 + [42] * 4
+        )
+        assert not session.resolve(spec).member.disjoint
+
+
 class TestBuilder:
     def test_builder_equals_explicit_spec(self, unit_coords,
                                           biased_labels):

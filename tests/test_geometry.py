@@ -270,6 +270,59 @@ class TestGridPartitioning:
         counts = grid.counts(coords, weights=weights)
         assert counts[0] == 4.0 and counts[3] == 2.0
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([0.0, 1.0, 0.5], "non-decreasing"),
+            ([0.0, np.nan, 1.0], "finite"),
+            ([0.0, np.inf], "finite"),
+            ([0.3], "at least two edges"),
+            ([], "at least two edges"),
+            ([[0.0, 1.0], [0.0, 1.0]], "at least two edges"),
+        ],
+    )
+    @pytest.mark.parametrize("axis", ["x_edges", "y_edges"])
+    def test_bad_edges_raise_naming_the_axis(self, edges, message, axis):
+        good = [0.0, 0.5, 1.0]
+        kwargs = {"x_edges": good, "y_edges": good, axis: edges}
+        with pytest.raises(ValueError, match=f"^{axis}: .*{message}"):
+            GridPartitioning(**kwargs)
+
+    @pytest.mark.parametrize("field", ["nx", "ny"])
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_regular_needs_a_cell_per_axis(self, field, cells):
+        sizes = {"nx": 3, "ny": 3, field: cells}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            GridPartitioning.regular(Rect(0, 0, 1, 1), **sizes)
+
+    def test_descending_bounds_raise(self):
+        with pytest.raises(ValueError, match="^x_edges: .*non-decreasing"):
+            GridPartitioning.regular(Rect(1, 0, 0, 1), 3, 3)
+
+    def test_equal_edges_are_kept(self):
+        # Data-derived bounds of points sharing one x give a zero-width
+        # axis; such grids run, so equal edges stay valid.
+        grid = GridPartitioning.regular(Rect(0.3, 0, 0.3, 1), 4, 2)
+        assert list(grid.x_edges) == [0.3] * 5
+        inner = GridPartitioning([0.0, 0.5, 0.5, 1.0], [0.0, 1.0])
+        assert inner.n_cells == 3
+
+    def test_edges_are_read_only_copies(self):
+        # The binned membership build reads a region set's recorded
+        # grid, so the edges must not drift from its cell rectangles.
+        given = [0, 0.5, 1]
+        grid = GridPartitioning(given, np.array(given))
+        assert grid.x_edges.dtype == grid.y_edges.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            grid.y_edges[1] = 0.7
+        given[1] = 0.7
+        assert list(grid.x_edges) == [0, 0.5, 1]
+
+    def test_partition_region_set_records_its_grid(self):
+        grid = GridPartitioning.regular(Rect(0, 0, 1, 1), 2, 3)
+        assert partition_region_set(grid).grid is grid
+        assert square_region_set(np.array([[0.5, 0.5]]), [0.1]).grid is None
+
 
 def test_paper_side_lengths():
     sides = paper_side_lengths()

@@ -166,6 +166,171 @@ class TestClosedRectangleGrid:
         assert len(GRID20.cell_ids(np.array([[1.5, 0.5]]))) == 1
 
 
+def assert_grid_build(grid, coords):
+    """The binned build of ``grid`` equals brute force and the nest
+    loop over the same cell regions, byte for byte."""
+    regions = partition_region_set(grid)
+    assert regions.grid is grid
+    assert_csr_identical(regions, coords)
+    binned = RegionMembership(regions, coords)
+    looped = RegionMembership(RegionSet(list(regions)), coords)
+    assert_same_csr(binned._matrix, looped._matrix)
+    assert binned.counts.tobytes() == looped.counts.tobytes()
+    assert binned._ring is binned._matrix
+    assert binned._perm is None and binned._blocks == ()
+    return binned
+
+
+def around(values):
+    """Each value, and its float neighbours below and above."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([
+        np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)
+    ])
+
+
+def lattice(xs, ys):
+    """Every ``(x, y)`` pair of two coordinate lists."""
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+class TestGridBinning:
+    """Grid designs bin points by cell instead of testing every cell;
+    rows must stay those of closed rectangles, degenerate axes and
+    irregular edges included."""
+
+    def test_zero_width_x_axis(self, points):
+        grid = GridPartitioning(np.full(4, 0.3), np.linspace(0, 1, 5))
+        pts = points.copy()
+        pts[::3, 0] = 0.3
+        pts = np.vstack([pts, lattice(around([0.3]), around(grid.y_edges))])
+        member = assert_grid_build(grid, pts)
+        # A point on the zero-width axis lies in all three columns.
+        rows = member.counts.reshape(4, 3)
+        assert (rows == rows[:, :1]).all()
+        assert member.counts.sum() > len(pts[::3])
+
+    def test_zero_width_y_axis(self, points):
+        grid = GridPartitioning(np.linspace(0, 1, 6), np.full(3, 0.7))
+        pts = points.copy()
+        pts[::2, 1] = 0.7
+        pts = np.vstack([pts, lattice(around(grid.x_edges), around([0.7]))])
+        assert_grid_build(grid, pts)
+
+    def test_data_bounds_of_points_sharing_one_x(self):
+        rng = np.random.default_rng(11)
+        pts = np.column_stack([np.full(190, 0.5), rng.random(190)])
+        grid = GridPartitioning.regular(Rect.bounding(pts), 4, 4)
+        member = assert_grid_build(grid, pts)
+        rows = member.counts.reshape(4, 4)
+        assert (rows == rows[:, :1]).all() and rows.sum() >= 4 * 190
+
+    def test_single_location(self):
+        pts = np.tile([0.2, 0.7], (25, 1))
+        grid = GridPartitioning.regular(Rect.bounding(pts), 3, 3)
+        member = assert_grid_build(grid, pts)
+        assert list(member.counts) == [25] * 9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_gerrymander_grids(self, points, seed):
+        # The irregular grids of :func:`repro.core.gerrymander_score`:
+        # sorted uniform inner edges inside the data's bounding box.
+        rng = np.random.default_rng(seed)
+        bounds = Rect.bounding(points)
+        kx = int(rng.integers(0, 9))
+        grid = GridPartitioning(
+            np.concatenate((
+                [bounds.min_x],
+                np.sort(rng.uniform(bounds.min_x, bounds.max_x, kx)),
+                [bounds.max_x],
+            )),
+            np.concatenate((
+                [bounds.min_y],
+                np.sort(rng.uniform(bounds.min_y, bounds.max_y, 8 - kx)),
+                [bounds.max_y],
+            )),
+        )
+        edge_points = lattice(around(grid.x_edges), around(grid.y_edges))
+        assert_grid_build(grid, np.vstack([points, edge_points]))
+
+    def test_repeated_inner_edges(self):
+        # Zero-width inner cells: a point on one lies in three cells
+        # per axis.
+        grid = GridPartitioning([0, 0.25, 0.5, 0.5, 1], [0, 0.5, 0.5, 1])
+        pts = lattice(around([0, 0.25, 0.5, 0.6, 1]), around([0, 0.5, 1]))
+        member = assert_grid_build(grid, pts)
+        (at,) = np.flatnonzero((pts[:, 0] == 0.5) & (pts[:, 1] == 0.5))
+        assert member._matrix[:, at].sum() == 9
+
+    @pytest.mark.parametrize("nx, ny", [(7, 5), (20, 20), (1, 3)])
+    def test_points_at_and_beside_every_edge(self, nx, ny):
+        grid = GridPartitioning.regular(Rect(0, 0, 1, 1), nx, ny)
+        assert_grid_build(
+            grid, lattice(around(grid.x_edges), around(grid.y_edges))
+        )
+
+    def test_points_outside_explicit_bounds(self, points):
+        grid = GridPartitioning.regular(Rect(0.2, 0.3, 0.8, 0.6), 6, 3)
+        far = np.array([[-1e9, 0.4], [0.5, 1e9], [5.0, 5.0], [-3.0, -3.0]])
+        pts = np.vstack([points, far])
+        member = assert_grid_build(grid, pts)
+        inside = Rect(0.2, 0.3, 0.8, 0.6).contains(pts)
+        assert set(member._matrix.indices) == set(np.flatnonzero(inside))
+
+    def test_tiny_grid_far_from_the_origin(self):
+        # Edges ~1 ulp-spaced multiples apart: the uniform-spacing guess
+        # rounds into the wrong cell and the exact check must catch it.
+        base = 1.0e6 + 0.123
+        grid = GridPartitioning.regular(
+            Rect(base, -base, base + 3e-9, -base + 7e-9), 9, 13
+        )
+        rng = np.random.default_rng(4)
+        inner = np.column_stack([
+            base + rng.random(300) * 3e-9,
+            -base + rng.random(300) * 7e-9,
+        ])
+        edges = lattice(around(grid.x_edges), around(grid.y_edges))
+        assert_grid_build(grid, np.vstack([inner, edges]))
+
+    def test_empty_point_set(self):
+        assert_grid_build(GRID20, np.empty((0, 2)))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GRID20,
+            GridPartitioning.regular(Rect(-2.5, 10, 7.5, 11), 13, 4),
+            GridPartitioning([0, 0.1, 0.15, 0.6, 1], [0, 0.3, 0.31, 1]),
+        ],
+    )
+    def test_binned_rows_equal_the_nest_loop(self, points, grid):
+        # One design, two builders: binning (``partition_region_set``)
+        # and the nest loop (the same cells without the grid record)
+        # must never drift, for random and edge points alike.
+        rng = np.random.default_rng(12)
+        lo = np.array([grid.x_edges[0], grid.y_edges[0]])
+        hi = np.array([grid.x_edges[-1], grid.y_edges[-1]])
+        spread = lo + (rng.random((400, 2)) * 1.2 - 0.1) * (hi - lo)
+        edges = lattice(around(grid.x_edges), around(grid.y_edges))
+        pts = np.vstack([spread, edges, points])
+        rng.shuffle(pts)
+        assert_grid_build(grid, pts)
+
+    def test_append_binned_delta_equals_cold(self, points):
+        edges = lattice(around(GRID20.x_edges[::4]), around([0.5, 1.0]))
+        regions = partition_region_set(GRID20)
+        member = RegionMembership(regions, points)
+        delta = member.append_points(edges)
+        looped = RegionMembership(RegionSet(list(regions)), edges)
+        assert_same_csr(delta._matrix, looped._matrix)
+        assert_same_csr(
+            member._matrix,
+            RegionMembership(regions, np.vstack([points, edges]))._matrix,
+        )
+        assert_csr_identical(regions, np.vstack([points, edges]))
+
+
 class TestDisjoint:
     """``disjoint``: no point in two regions — decided from the indexed
     points, not from the design's kind."""

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import AuditSession
 from repro.engine import MonteCarloEngine
+from repro.geometry import GridPartitioning, Rect
 from repro.index import RegionMembership
 from repro.serve import AuditService
 from repro.spec import AuditSpec, RegionSpec
@@ -879,3 +880,75 @@ class TestServiceStreaming:
         assert not thread.is_alive()
         cold = AuditSession(unit_coords, biased_labels).run(spec)
         assert report_json(out["reports"][0]) == report_json(cold)
+
+
+class TestGridEdgeStreaming:
+    """Grid deltas are binned by cell, not tested cell by cell: points
+    on shared edges, on corners and outside explicit bounds must
+    stream in and out exactly as a cold build places them."""
+
+    def test_edge_points_stream_in_and_out(
+        self, unit_coords, biased_labels
+    ):
+        inner = RegionSpec.grid(4, 4, bounds=(0.1, 0.2, 0.9, 0.8))
+        specs = [
+            AuditSpec(regions=grid, n_worlds=N_WORLDS, seed=6)
+            for grid in (GRID, inner, GRID_AUTO)
+        ]
+        gx = GridPartitioning.regular(Rect(0, 0, 1, 1), 5, 5)
+        ix = GridPartitioning.regular(Rect(0.1, 0.2, 0.9, 0.8), 4, 4)
+        # Batch a: an inner edge and a corner of GRID (off ``inner``'s
+        # edges), points outside ``inner`` only, and one outside both
+        # explicit grids (it grows GRID_AUTO's bounding box).
+        batch_a = np.array([
+            [gx.x_edges[1], 0.45], [gx.x_edges[2], gx.y_edges[3]],
+            [0.95, 0.5], [0.05, 0.1],
+            [1.5, 0.5],
+        ])
+        # Batch b: a corner and an outer edge of ``inner``.
+        batch_b = np.array([
+            [ix.x_edges[1], ix.y_edges[1]], [ix.x_edges[-1], 0.45],
+        ])
+        n0 = 400
+        session = AuditSession(
+            unit_coords[:n0], biased_labels[:n0],
+            timestamps=np.arange(n0, dtype=np.float64),
+        )
+        service = AuditService(session)
+        service.watch(specs)
+
+        def step(expect_disjoint, **event):
+            reports = service.advance(**event)
+            s = session
+            cold = AuditSession(
+                s.coords.copy(), s.outcomes.copy(),
+                timestamps=s.timestamps.copy(),
+            )
+            for spec, report in zip(specs, reports):
+                assert report_json(report) == report_json(cold.run(spec))
+            disjoint = [
+                session.resolve(spec).member.disjoint for spec in specs[:2]
+            ]
+            assert disjoint == expect_disjoint
+            return reports
+
+        def arrive(batch, clock):
+            return {
+                "coords": batch,
+                "outcomes": (np.arange(len(batch)) % 2).astype(np.int8),
+                "timestamps": clock + np.arange(len(batch), dtype=float),
+            }
+
+        first = step([True, True])
+        step([False, True], **arrive(batch_a, n0))
+        step([False, False], **arrive(batch_b, n0 + 10))
+        # Evict batch a, then batch b: each grid turns disjoint again.
+        expired = np.zeros(len(session.coords), dtype=bool)
+        expired[n0 : n0 + len(batch_a)] = True
+        step([True, False], evict_mask=expired)
+        expired = np.arange(len(session.coords)) >= n0
+        last = step([True, True], evict_mask=expired)
+        # Back to the starting window: the same reports as at first.
+        assert [report_json(r) for r in last] == [
+            report_json(r) for r in first
+        ]
