@@ -127,8 +127,42 @@ class AuditReport:
             "class_rates": list(finding.class_rates),
         }
 
+    @staticmethod
+    def _region_dicts(columns, idx: list | None) -> list:
+        """:meth:`_finding_dict` of each region index in ``idx`` (every
+        region when ``None``), built straight from the result's
+        :class:`repro.core.RegionColumns` without
+        :class:`repro.core.Finding` objects."""
+        centers = columns.regions.center_ids
+        corners = columns.regions.corners
+        rates = columns.class_rates
+        return [
+            {
+                "index": i,
+                "center_id": centers[i],
+                "rect": list(corners[i]),
+                "n": n,
+                "p": p,
+                "rho_in": rho_in,
+                "llr": stat,
+                "p_value": p_value,
+                "significant": sig,
+                "direction": sign,
+                "class_rates": [] if rates is None else rates[i].tolist(),
+            }
+            for i, n, p, rho_in, stat, p_value, sig, sign in (
+                columns.rows(idx)
+            )
+        ]
+
     def to_dict(self, full: bool = False) -> dict:
         """The report as plain JSON types with a stable schema.
+
+        Every per-region dict (``"significant"``, ``"best"`` and, with
+        ``full``, ``"findings"``) is built straight from the result's
+        columns (:attr:`repro.core.AuditResult.columns`); no
+        :class:`repro.core.Finding` object is made.  Each equals
+        :meth:`_finding_dict` of the matching finding.
 
         Parameters
         ----------
@@ -142,7 +176,9 @@ class AuditReport:
         dict
         """
         result = self.result
-        best = result.best_finding
+        columns = result.columns
+        significant = columns.significant_order()
+        best = columns.best_index()
         out = {
             "version": REPORT_VERSION,
             "spec": self.spec.to_dict(),
@@ -161,17 +197,18 @@ class AuditReport:
             "total_p": result.total_p,
             "direction": result.direction,
             "correction": result.correction,
-            "n_significant": len(result.significant_findings),
-            "significant": [
-                self._finding_dict(f)
-                for f in result.significant_findings
-            ],
-            "best": self._finding_dict(best) if best else None,
+            "n_significant": len(significant),
+            "significant": self._region_dicts(
+                columns, significant.tolist()
+            ),
+            "best": (
+                None
+                if best is None
+                else self._region_dicts(columns, [best])[0]
+            ),
         }
         if full:
-            out["findings"] = [
-                self._finding_dict(f) for f in result.findings
-            ]
+            out["findings"] = self._region_dicts(columns, None)
         return out
 
 

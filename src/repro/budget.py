@@ -383,8 +383,15 @@ def clopper_pearson(
     (float, float)
         ``(lo, hi)`` with ``lo = 0`` when ``k == 0`` and ``hi = 1``
         when ``k == m``.
+
+    Notes
+    -----
+    The bounds are Beta quantiles, computed with
+    :func:`scipy.special.betaincinv` (``betaincinv(a, b, q)`` equals
+    ``scipy.stats.beta.ppf(q, a, b)`` bit for bit).  Importing
+    :mod:`scipy.stats` would cost every audit process tens of MB.
     """
-    from scipy.stats import beta
+    from scipy.special import betaincinv
 
     k, m = int(k), int(m)
     if m < 1:
@@ -392,8 +399,8 @@ def clopper_pearson(
     if not 0 <= k <= m:
         raise ValueError(f"k must lie in [0, {m}], got {k}")
     tail = (1.0 - float(confidence)) / 2.0
-    lo = 0.0 if k == 0 else float(beta.ppf(tail, k, m - k + 1))
-    hi = 1.0 if k == m else float(beta.ppf(1.0 - tail, k + 1, m - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, m - k + 1, tail))
+    hi = 1.0 if k == m else float(betaincinv(k + 1, m - k, 1.0 - tail))
     return (lo, hi)
 
 

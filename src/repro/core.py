@@ -32,12 +32,13 @@ sparse mat-vec through :class:`repro.index.RegionMembership`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .budget import BudgetPolicy, clopper_pearson
+from .budget import BudgetPolicy, _int, clopper_pearson
 from .engine import (
     BernoulliKernel,
     LLRKernel,
@@ -57,6 +58,7 @@ from .stats import benjamini_hochberg, bernoulli_llr, poisson_llr
 
 __all__ = [
     "Finding",
+    "RegionColumns",
     "AuditResult",
     "ObservedScan",
     "ScanFamily",
@@ -197,14 +199,103 @@ class Finding:
         )
 
 
-@dataclass
-class AuditResult:
-    """Everything a spatial-fairness audit concluded.
+@dataclass(frozen=True, eq=False)
+class RegionColumns:
+    """The audit's evidence about every candidate region, one array
+    per :class:`Finding` field.
+
+    :func:`run_scan` keeps these columns on the :class:`AuditResult`
+    and builds :class:`Finding` objects only for the regions a caller
+    reads.  Every array has one entry per region, in region order, and
+    is a read-only copy, so a result cannot change after assembly.
 
     Attributes
     ----------
-    findings : list of Finding
-        One entry per scanned region, in region order.
+    regions : RegionSet
+        The scanned regions; each :class:`Finding` takes its
+        ``center_id`` and ``rect`` from here.
+    n, p : ndarray of int64
+        Observations and the family's evidence count per region (see
+        :class:`Finding`).
+    rho_in, llr, p_value : ndarray of float64
+        Inside rate (or observed/expected ratio), scan statistic and
+        max-statistic adjusted p-value per region.
+    significant : ndarray of bool
+        The per-region flags of the audit's correction.
+    direction : ndarray of int64
+        Sign of each region's deviation from its complement.
+    class_rates : ndarray of float64, shape (n_regions, K), or None
+        Per-class rates inside each region (multinomial only).
+    """
+
+    regions: RegionSet
+    n: np.ndarray
+    p: np.ndarray
+    rho_in: np.ndarray
+    llr: np.ndarray
+    p_value: np.ndarray
+    significant: np.ndarray
+    direction: np.ndarray
+    class_rates: np.ndarray | None = None
+
+    @functools.cached_property
+    def _scalars(self) -> tuple:
+        return tuple(
+            column.tolist()
+            for column in (
+                self.n,
+                self.p,
+                self.rho_in,
+                self.llr,
+                self.p_value,
+                self.significant,
+                self.direction,
+            )
+        )
+
+    def rows(self, idx: list | None = None):
+        """Iterate ``(index, n, p, rho_in, llr, p_value, significant,
+        direction)`` as Python scalars for each region index in
+        ``idx`` (a list of ints; every region, in order, when
+        ``None``).  The columns convert to Python scalars once, on
+        first use, and are kept."""
+        if idx is None:
+            return zip(range(len(self.n)), *self._scalars)
+        return zip(idx, *([col[i] for i in idx] for col in self._scalars))
+
+    def significant_order(self) -> np.ndarray:
+        """Indices of the significant regions, highest statistic first;
+        equal statistics keep region order."""
+        idx = np.flatnonzero(self.significant)
+        return idx[np.argsort(-self.llr[idx], kind="stable")]
+
+    def best_index(self) -> int | None:
+        """Index of the region with the strongest evidence: the first
+        of :meth:`significant_order`, else the first region of highest
+        statistic among those with an observation; ``None`` when no
+        region has one."""
+        order = self.significant_order()
+        if len(order):
+            return int(order[0])
+        occupied = np.flatnonzero(self.n > 0)
+        if not len(occupied):
+            return None
+        return int(occupied[np.argmax(self.llr[occupied])])
+
+
+@dataclass(eq=False)
+class AuditResult:
+    """Everything a spatial-fairness audit concluded.
+
+    The per-region evidence is kept as arrays (:attr:`columns`); the
+    :class:`Finding` objects of :attr:`findings`,
+    :attr:`significant_findings` and :attr:`best_finding` are built
+    from them on first access and cached.
+
+    Attributes
+    ----------
+    columns : RegionColumns
+        Every region's evidence, one array per :class:`Finding` field.
     p_value : float
         Monte Carlo p-value of the observed maximum statistic: the
         probability, under spatial fairness, of seeing a scan maximum
@@ -243,7 +334,7 @@ class AuditResult:
         (:func:`repro.budget.clopper_pearson`).
     """
 
-    findings: list
+    columns: RegionColumns
     p_value: float
     alpha: float
     critical_value: float
@@ -256,7 +347,53 @@ class AuditResult:
     n_worlds_requested: int = 0
     stopped_early: bool = False
     p_value_ci: tuple = ()
-    _significant: list = field(default=None, repr=False)
+    _findings: list = field(default=None, init=False, repr=False)
+    _significant: list = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other):
+        # Field by field, as a dataclass compares, with the region
+        # evidence compared through its findings.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.findings == other.findings and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.init and f.name != "columns"
+        )
+
+    def _findings_at(self, idx: list | None) -> list:
+        """The :class:`Finding` of each region index in ``idx`` (every
+        region when ``None``)."""
+        if self._findings is not None:
+            return [self._findings[i] for i in idx]
+        regions = self.columns.regions
+        rates = self.columns.class_rates
+        return [
+            Finding(
+                index=i,
+                center_id=regions[i].center_id,
+                rect=regions[i].rect,
+                n=n,
+                p=p,
+                rho_in=rho_in,
+                llr=stat,
+                p_value=p_value,
+                significant=sig,
+                direction=sign,
+                class_rates=tuple(rates[i]) if rates is not None else (),
+            )
+            for i, n, p, rho_in, stat, p_value, sig, sign in (
+                self.columns.rows(idx)
+            )
+        ]
+
+    @property
+    def findings(self) -> list:
+        """One :class:`Finding` per scanned region, in region order
+        (built on first access, then cached)."""
+        if self._findings is None:
+            self._findings = self._findings_at(None)
+        return self._findings
 
     @property
     def is_fair(self) -> bool:
@@ -266,29 +403,35 @@ class AuditResult:
 
     @property
     def significant_findings(self) -> list:
-        """Significant findings, strongest (highest statistic) first."""
+        """Significant findings, strongest (highest statistic) first;
+        equal statistics keep region order."""
         if self._significant is None:
-            self._significant = sorted(
-                (f for f in self.findings if f.significant),
-                key=lambda f: f.llr,
-                reverse=True,
+            self._significant = self._findings_at(
+                self.columns.significant_order().tolist()
             )
         return self._significant
 
     @property
     def best_finding(self):
-        """The region with the strongest evidence, or ``None`` when no
+        """The region with the strongest evidence: the first
+        significant finding, else the first region of highest
+        statistic among those with an observation; ``None`` when no
         region contains any observation."""
-        sig = self.significant_findings
-        if sig:
-            return sig[0]
-        candidates = [f for f in self.findings if f.n > 0]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda f: f.llr)
+        i = self.columns.best_index()
+        return None if i is None else self._findings_at([i])[0]
 
     def top_regions(self, k: int) -> list:
-        """The ``k`` strongest significant findings."""
+        """The ``k`` strongest significant findings.
+
+        Raises
+        ------
+        ValueError
+            Naming ``k`` when it is negative, a bool or not an
+            integer.
+        """
+        k = _int("k", k)
+        if k < 0:
+            raise ValueError(f"k: must be non-negative, got {k}")
         return self.significant_findings[:k]
 
     @property
@@ -314,7 +457,7 @@ class AuditResult:
             f"({dir_txt})",
             f"verdict: {verdict} (p-value {self.p_value:.4f})",
             f"critical value {self.critical_value:.2f}; "
-            f"{len(self.significant_findings)} significant region(s)",
+            f"{int(self.columns.significant.sum())} significant region(s)",
         ]
         best = self.best_finding
         if best is not None:
@@ -542,41 +685,30 @@ def _assemble(
         sig_mask = benjamini_hochberg(p_values, alpha) & (llr > 0.0)
     else:
         sig_mask = (p_values <= tol) & (llr > 0.0)
-    # Each column converts to Python scalars once, not per region.
-    rows = zip(
-        regions,
-        np.asarray(obs.n).astype(np.int64).tolist(),
-        np.asarray(obs.p).astype(np.int64).tolist(),
-        np.asarray(obs.rho_in, dtype=np.float64).tolist(),
-        llr.astype(np.float64).tolist(),
-        p_values.tolist(),
-        sig_mask.astype(bool).tolist(),
-        np.asarray(obs.direction_arr).astype(np.int64).tolist(),
+    columns = RegionColumns(
+        regions=regions,
+        n=np.asarray(obs.n).astype(np.int64),
+        p=np.asarray(obs.p).astype(np.int64),
+        rho_in=np.array(obs.rho_in, dtype=np.float64),
+        llr=llr.astype(np.float64),
+        p_value=p_values,
+        significant=sig_mask.astype(bool),
+        direction=np.asarray(obs.direction_arr).astype(np.int64),
+        class_rates=(
+            None
+            if obs.class_rates is None
+            else np.array(obs.class_rates, dtype=np.float64)
+        ),
     )
-    findings = [
-        Finding(
-            index=i,
-            center_id=region.center_id,
-            rect=region.rect,
-            n=n,
-            p=p,
-            rho_in=rho_in,
-            llr=stat,
-            p_value=p_value,
-            significant=sig,
-            direction=sign,
-            class_rates=(
-                tuple(obs.class_rates[i])
-                if obs.class_rates is not None
-                else ()
-            ),
-        )
-        for i, (region, n, p, rho_in, stat, p_value, sig, sign) in (
-            enumerate(rows)
-        )
-    ]
+    # The arrays above are fresh copies (``member.counts`` is a cached
+    # index array); freezing them keeps the lazily built findings equal
+    # to the columns they come from.
+    for f in fields(columns)[1:]:
+        array = getattr(columns, f.name)
+        if array is not None:
+            array.flags.writeable = False
     return AuditResult(
-        findings=findings,
+        columns=columns,
         p_value=float(global_p),
         alpha=float(alpha),
         critical_value=critical,

@@ -12,6 +12,7 @@ over numpy arrays of shape ``(n, 2)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -262,6 +263,12 @@ class RegionSet:
         option).  :class:`repro.index.RegionMembership` bins points
         into a grid's cells instead of testing every region; both
         builds give byte-identical rows.
+    center_ids : list of int
+        Every region's ``center_id``, in region order.
+    corners : list of tuple
+        Every region's ``(min_x, min_y, max_x, max_y)``, in region
+        order.  Both lists are built on first use and kept (report
+        serialisation reads them on every call).
     """
 
     grid = None
@@ -277,6 +284,22 @@ class RegionSet:
 
     def __getitem__(self, i: int) -> Region:
         return self._regions[i]
+
+    @functools.cached_property
+    def center_ids(self) -> list:
+        """Every region's ``center_id``, in region order (built on
+        first use and kept: a region set never changes)."""
+        return [region.center_id for region in self._regions]
+
+    @functools.cached_property
+    def corners(self) -> list:
+        """Every region's rectangle as a ``(min_x, min_y, max_x,
+        max_y)`` tuple, in region order (built on first use and kept:
+        a region set never changes)."""
+        return [
+            (r.rect.min_x, r.rect.min_y, r.rect.max_x, r.rect.max_y)
+            for r in self._regions
+        ]
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,28 @@ class TestSequentialDecision:
         with pytest.raises(ValueError, match="k must lie"):
             clopper_pearson(5, 4)
 
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_clopper_pearson_equals_beta_ppf(self, confidence):
+        # The reference is the textbook form through scipy.stats; the
+        # library computes the same quantiles without importing it.
+        from scipy.stats import beta
+
+        tail = (1.0 - confidence) / 2.0
+        cases = [(k, m) for m in range(1, 65) for k in range(m + 1)]
+        cases += [
+            (k, m)
+            for m in (99, 999, 1023, 4095, 9999)
+            for k in (0, 1, 2, m // 20, m // 2, m - 1, m)
+        ]
+        for k, m in cases:
+            lo = 0.0 if k == 0 else float(beta.ppf(tail, k, m - k + 1))
+            hi = (
+                1.0
+                if k == m
+                else float(beta.ppf(1.0 - tail, k + 1, m - k))
+            )
+            assert clopper_pearson(k, m, confidence) == (lo, hi), (k, m)
+
 
 class TestEngineStopping:
     """Hand-computable Besag-Clifford stops at the engine layer:

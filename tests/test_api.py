@@ -465,6 +465,141 @@ class TestAuditReport:
         assert report.summary().startswith("bernoulli/")
 
 
+FAMILY_CASES = [
+    (family, correction)
+    for family in ("bernoulli", "poisson", "multinomial")
+    for correction in ("max-stat", "fdr-bh")
+]
+
+
+def _family_session(family, unit_coords, biased_labels, biased_counts,
+                    biased_classes):
+    observed, forecast = biased_counts
+    if family == "poisson":
+        return AuditSession(unit_coords, observed, forecast=forecast)
+    if family == "multinomial":
+        return AuditSession(unit_coords, biased_classes, n_classes=3)
+    return AuditSession(unit_coords, biased_labels)
+
+
+class TestColumnarReport:
+    """``to_dict`` builds its region dicts from the result's columns;
+    they must equal :meth:`AuditReport._finding_dict` of the lazily
+    built findings."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    @pytest.mark.parametrize(
+        "family,correction", FAMILY_CASES, ids="-".join
+    )
+    def test_column_dicts_equal_finding_dicts(
+        self, family, correction, alpha, unit_coords, biased_labels,
+        biased_counts, biased_classes,
+    ):
+        session = _family_session(
+            family, unit_coords, biased_labels, biased_counts,
+            biased_classes,
+        )
+        report = session.run(
+            AuditSpec(
+                regions=RegionSpec.squares(8, sides=(0.2, 0.35)),
+                family=family, n_worlds=N_WORLDS, alpha=alpha, seed=4,
+                correction=correction,
+            )
+        )
+        result = report.result
+        payload = report.to_dict(full=True)
+        as_dict = repro.AuditReport._finding_dict
+        assert payload["findings"] == [
+            as_dict(f) for f in result.findings
+        ]
+        assert payload["significant"] == [
+            as_dict(f) for f in result.significant_findings
+        ]
+        assert payload["n_significant"] == len(result.significant_findings)
+        assert payload["best"] == as_dict(result.best_finding)
+        assert json.dumps(payload) == json.dumps(report.to_dict(full=True))
+        assert report.to_dict() == {
+            k: v for k, v in payload.items() if k != "findings"
+        }
+        if alpha == 0.01:  # 49 worlds cannot reach p <= 0.01
+            assert payload["significant"] == []
+
+    def test_report_survives_a_stream_event(
+        self, unit_coords, biased_counts
+    ):
+        # Findings built after an append must still describe the data
+        # the audit saw, not the session's updated membership.
+        observed, forecast = biased_counts
+        session = AuditSession(
+            unit_coords[:500], observed[:500], forecast=forecast[:500]
+        )
+        spec = AuditSpec(
+            regions=UNIT_GRID, family="poisson", n_worlds=N_WORLDS,
+            seed=4,
+        )
+        report = session.run(spec)
+        before = json.dumps(report.to_dict(full=True))
+        session.append(
+            unit_coords[500:], observed[500:], forecast=forecast[500:]
+        )
+        assert session.run(spec).to_dict(full=True) != json.loads(before)
+        assert json.dumps(report.to_dict(full=True)) == before
+        assert [f.n for f in report.findings] == [
+            d["n"] for d in json.loads(before)["findings"]
+        ]
+
+
+#: Runs every audit path once in a fresh interpreter and prints whether
+#: ``scipy.stats`` got imported (it costs ~40 MB of RSS per process).
+IMPORT_PROBE = """
+import sys
+import numpy as np
+import repro
+from repro import AuditService, AuditSession, AuditSpec, RegionSpec
+
+rng = np.random.default_rng(0)
+coords = rng.random((300, 2))
+labels = (rng.random(300) < 0.5).astype(np.int8)
+forecast = np.full(300, 2.0)
+counts = rng.poisson(forecast).astype(np.float64)
+classes = rng.integers(0, 3, 300)
+grid = RegionSpec.grid(4, 4, bounds=(0.0, 0.0, 1.0, 1.0))
+reports = [
+    AuditSession(coords, labels).run(
+        AuditSpec(regions=grid, n_worlds=19, seed=1)),
+    AuditSession(coords, labels).run(
+        AuditSpec(regions=RegionSpec.squares(6, sides=(0.2, 0.4)),
+                  n_worlds=64, seed=1, budget="adaptive")),
+    AuditSession(coords, counts, forecast=forecast).run(
+        AuditSpec(regions=grid, family="poisson", n_worlds=19, seed=1)),
+    AuditSession(coords, classes, n_classes=3).run(
+        AuditSpec(regions=grid, family="multinomial", n_worlds=19,
+                  seed=1)),
+]
+reports += AuditService(AuditSession(coords, labels)).run_batch(
+    [AuditSpec(regions=grid, n_worlds=19, seed=s) for s in (1, 2)])
+for report in reports:
+    report.to_dict(full=True)
+    report.summary()
+print(len(reports), "scipy.stats" in sys.modules)
+"""
+
+
+def test_audit_paths_do_not_import_scipy_stats():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["6", "False"]
+
+
 class TestCommandLine:
     @pytest.fixture()
     def spec_and_data(self, tmp_path, unit_coords, biased_labels):

@@ -1,6 +1,6 @@
 """Unit tests for the helpers of :mod:`repro.core` that sit beside the
 scan dispatch: region selection, power planning, the gerrymandering
-score, and argument validation."""
+score, argument validation, and the columnar :class:`AuditResult`."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,23 @@ import pytest
 from tests.conftest import BIAS_RECT, N_WORLDS
 from repro import AuditSession, AuditSpec, RegionSpec
 from repro.core import (
+    CORRECTIONS,
+    FAMILIES,
     PowerAnalysis,
     SpatialFairnessAuditor,
     gerrymander_score,
     log_likelihood_ratio,
+    run_scan,
     select_non_overlapping,
 )
-from repro.geometry import GridPartitioning, Rect
+from repro.engine import MonteCarloEngine
+from repro.geometry import (
+    GridPartitioning,
+    Rect,
+    Region,
+    RegionSet,
+    partition_region_set,
+)
 from repro.stats import bernoulli_llr
 
 
@@ -116,3 +126,133 @@ class TestValidation:
         auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
         with pytest.raises(ValueError, match="n_worlds"):
             auditor.audit(unit_regions, n_worlds=0)
+
+
+def _doubled_grid() -> RegionSet:
+    """An empty region, then every cell of the unit 3x3 grid twice: each
+    statistic appears at two region indices (a tie), and the empty
+    region must never be the best."""
+    cells = list(
+        partition_region_set(
+            GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
+        )
+    )
+    return RegionSet([Region(Rect(2.0, 2.0, 3.0, 3.0), -1)] + cells + cells)
+
+
+@pytest.fixture(
+    params=[
+        (family, correction)
+        for family in ("bernoulli", "poisson", "multinomial")
+        for correction in CORRECTIONS
+    ],
+    ids=lambda case: "-".join(case),
+)
+def doubled_scan(request, unit_coords, biased_labels, biased_counts,
+                 biased_classes):
+    """``scan(alpha)`` runs the case's family and correction over
+    :func:`_doubled_grid`."""
+    family, correction = request.param
+    observed, forecast = biased_counts
+    outcomes, extra = {
+        "bernoulli": (biased_labels, {}),
+        "poisson": (observed, {"forecast": forecast}),
+        "multinomial": (biased_classes, {"n_classes": 3}),
+    }[family]
+    bound = FAMILIES[family].bind(unit_coords, outcomes, **extra)
+    engine = MonteCarloEngine(unit_coords)
+
+    def scan(alpha=0.25):
+        return run_scan(
+            engine, family, bound, _doubled_grid(), n_worlds=N_WORLDS,
+            alpha=alpha, seed=5, correction=correction,
+        )
+
+    return family, scan
+
+
+class TestColumnarResult:
+    """The result keeps per-region columns and builds findings from
+    them on request, with the values, types and orders of findings
+    built eagerly."""
+
+    def test_findings_built_once(self, doubled_scan):
+        _, scan = doubled_scan
+        result = scan()
+        assert result.findings is result.findings
+        assert result.significant_findings is result.significant_findings
+        assert [f.index for f in result.findings] == list(
+            range(result.n_regions)
+        )
+
+    def test_field_types(self, doubled_scan):
+        family, scan = doubled_scan
+        result = scan()
+        assert not result.columns.llr.flags.writeable
+        for f in result.findings:
+            for name in ("index", "center_id", "n", "p", "direction"):
+                assert type(getattr(f, name)) is int, name
+            for name in ("rho_in", "llr", "p_value"):
+                assert type(getattr(f, name)) is float, name
+            assert type(f.significant) is bool
+            assert type(f.rect) is Rect
+            assert type(f.class_rates) is tuple
+            if family == "multinomial":
+                assert len(f.class_rates) == 3
+                assert all(type(r) is np.float64 for r in f.class_rates)
+                assert f.class_rates == tuple(
+                    result.columns.class_rates[f.index]
+                )
+            else:
+                assert f.class_rates == ()
+
+    def test_tied_significant_keep_region_order(self, doubled_scan):
+        _, scan = doubled_scan
+        result = scan()
+        sig = result.significant_findings
+        assert sig, "the biased fixtures must flag regions"
+        assert sig == sorted(
+            (f for f in result.findings if f.significant),
+            key=lambda f: f.llr,
+            reverse=True,
+        )
+        # Each statistic is tied with its copy 9 regions later.
+        assert [f.index for f in sig[::2]] == [
+            f.index - 9 for f in sig[1::2]
+        ]
+        assert result.best_finding == sig[0]
+        assert result.top_regions(2) == sig[:2]
+
+    def test_best_without_significant_region(self, doubled_scan):
+        # 49 worlds cannot reach p <= 0.01: nothing is flagged.
+        _, scan = doubled_scan
+        result = scan(alpha=0.01)
+        assert result.significant_findings == []
+        best = result.best_finding
+        assert best == max(
+            (f for f in result.findings if f.n > 0), key=lambda f: f.llr
+        )
+        assert 1 <= best.index <= 9
+        assert best.index + 9 in {
+            f.index for f in result.findings if f.llr == best.llr
+        }
+        assert result.top_regions(3) == []
+
+    def test_equality_compares_findings(self, doubled_scan):
+        _, scan = doubled_scan
+        a, b = scan(), scan()
+        assert a.columns is not b.columns
+        assert a == b
+        assert a != scan(alpha=0.01)
+
+    @pytest.mark.parametrize("k", [-1, True, 2.5, "2", None])
+    def test_top_regions_rejects_bad_k(self, square_scan, k):
+        with pytest.raises(ValueError, match="^k: "):
+            square_scan.top_regions(k)
+
+    def test_top_regions_accepts_integers(self, square_scan):
+        sig = square_scan.significant_findings
+        assert square_scan.top_regions(0) == []
+        assert square_scan.top_regions(np.int64(1)) == sig[:1]
+        assert square_scan.top_regions(2.0) == sig[:2]
+        assert square_scan.top_regions(len(sig) + 5) == sig
