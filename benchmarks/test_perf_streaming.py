@@ -10,7 +10,7 @@ Three audits are watched over a 20k-point stream:
 
 * a statistical-parity grid — its measured slice moves with every
   slide, so it must re-simulate its null, but the membership index
-  updates incrementally (CSR column append/evict) instead of
+  updates incrementally (column append/evict) instead of
   rebuilding;
 * an equal-opportunity grid and an equal-opportunity square scan —
   the arrival and eviction batches are crafted with ``y_true == 0``,

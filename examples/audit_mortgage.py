@@ -69,7 +69,7 @@ def square_scan(session) -> None:
         )
     )
     print(report.result.summary())
-    kept = select_non_overlapping(report.findings)
+    kept = select_non_overlapping(report.result)
     print(f"\nnon-overlapping unfair regions ({len(kept)}):")
     for finding in kept:
         print("  " + finding.describe())
@@ -90,7 +90,7 @@ def directional_scans(session) -> None:
         [replace(base, direction=d) for d in ("lower", "higher")]
     )
     for name, report in zip(("red", "green"), reports):
-        kept = select_non_overlapping(report.findings)
+        kept = select_non_overlapping(report.result)
         print(
             f"--- {name} regions: {len(kept)} non-overlapping, "
             f"verdict {'FAIR' if report.is_fair else 'UNFAIR'}"

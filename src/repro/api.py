@@ -261,7 +261,7 @@ class AuditSession:
     Sessions also stream: :meth:`append` takes newly arrived points
     and :meth:`evict` expires old ones (by mask, age, or sliding time
     window), and both maintain the cached intermediates
-    *incrementally* — membership matrices gain or lose CSR columns in
+    *incrementally* — membership matrices gain or lose columns in
     place, and every updated structure is **bit-identical** to the one
     a cold session over the final data would build.  Null
     distributions survive a stream event exactly when the measure's
@@ -338,6 +338,8 @@ class AuditSession:
         self.workers = workers
         self._engines: dict = {}
         self._measured: dict = {}
+        # (fingerprint, [(array, digest), ...]) of the last dataset hash.
+        self._hashed: tuple = (None, [])
         self._bound: dict = {}
         self._region_sets: dict = {}
         # Counters of engines retired by stream events, so the
@@ -363,18 +365,42 @@ class AuditSession:
         :func:`repro.fingerprint.dataset_fingerprint`.  Recomputed
         from the current array contents on every call, so it tracks
         in-place mutation; every session cache key starts with it.
+        The per-array digests of the last call are kept, so a report
+        key over the same array objects need not hash them again.
 
         Returns
         -------
         str
         """
-        return _dataset_fingerprint(
-            self.coords,
-            self.outcomes,
-            y_true=self.y_true,
-            forecast=self.forecast,
+        arrays = {
+            "coords": self.coords,
+            "outcomes": self.outcomes,
+            "y_true": self.y_true,
+            "forecast": self.forecast,
+        }
+        digests: dict = {}
+        fp = _dataset_fingerprint(
+            arrays["coords"],
+            arrays["outcomes"],
+            y_true=arrays["y_true"],
+            forecast=arrays["forecast"],
             n_classes=self.n_classes,
+            digests=digests,
         )
+        self._hashed = (fp, [(arrays[k], digests[k]) for k in arrays])
+        return fp
+
+    def _known_digest(self, arr, fp: str) -> str | None:
+        """The :func:`repro.fingerprint.array_fingerprint` of ``arr``
+        when ``arr`` is one of the array objects the last
+        :meth:`dataset_fingerprint` hashed and that call returned
+        ``fp``; else None."""
+        hashed_fp, digests = self._hashed
+        if hashed_fp == fp:
+            for known, digest in digests:
+                if known is arr:
+                    return digest
+        return None
 
     def _measured_data(self, measure: str, fp: str | None = None):
         """(coords, outcomes) after applying a measure, cached.
@@ -649,7 +675,7 @@ class AuditSession:
         """Stream a batch of newly arrived observations into the
         session.
 
-        Cached membership matrices gain the new points' CSR columns in
+        Cached membership matrices gain the new points' columns in
         place (:meth:`repro.engine.MonteCarloEngine.append_points`);
         k-means region designs and measures whose data slice changed
         drop their null caches (their geometry or null totals moved);
@@ -762,7 +788,7 @@ class AuditSession:
         """Expire observations from the session.
 
         The mirror of :meth:`append`: cached membership matrices drop
-        the expired points' CSR columns in place, measures whose data
+        the expired points' columns in place, measures whose data
         slice lost points re-simulate their nulls on next use, and
         untouched measures keep theirs.  Subsequent reports are
         bit-identical to a cold session over the surviving arrays.

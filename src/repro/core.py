@@ -238,36 +238,67 @@ class RegionColumns:
     direction: np.ndarray
     class_rates: np.ndarray | None = None
 
+    def _columns(self) -> tuple:
+        return (
+            self.n,
+            self.p,
+            self.rho_in,
+            self.llr,
+            self.p_value,
+            self.significant,
+            self.direction,
+        )
+
     @functools.cached_property
     def _scalars(self) -> tuple:
-        return tuple(
-            column.tolist()
-            for column in (
-                self.n,
-                self.p,
-                self.rho_in,
-                self.llr,
-                self.p_value,
-                self.significant,
-                self.direction,
-            )
-        )
+        return tuple(column.tolist() for column in self._columns())
 
     def rows(self, idx: list | None = None):
         """Iterate ``(index, n, p, rho_in, llr, p_value, significant,
         direction)`` as Python scalars for each region index in
         ``idx`` (a list of ints; every region, in order, when
-        ``None``).  The columns convert to Python scalars once, on
-        first use, and are kept."""
+        ``None``).  Every region's columns convert to Python scalars
+        once, on first use, and are kept; a list of indices converts
+        only its own entries."""
         if idx is None:
             return zip(range(len(self.n)), *self._scalars)
-        return zip(idx, *([col[i] for i in idx] for col in self._scalars))
+        at = np.asarray(idx, dtype=np.intp)
+        return zip(idx, *(column[at].tolist() for column in self._columns()))
+
+    def findings(self, idx: list | None = None) -> list:
+        """The :class:`Finding` of each region index in ``idx`` (a list
+        of ints; every region, in order, when ``None``)."""
+        regions = self.regions
+        rates = self.class_rates
+        return [
+            Finding(
+                index=i,
+                center_id=regions[i].center_id,
+                rect=regions[i].rect,
+                n=n,
+                p=p,
+                rho_in=rho_in,
+                llr=stat,
+                p_value=p_value,
+                significant=sig,
+                direction=sign,
+                class_rates=tuple(rates[i]) if rates is not None else (),
+            )
+            for i, n, p, rho_in, stat, p_value, sig, sign in self.rows(idx)
+        ]
+
+    @functools.cached_property
+    def _significant_order(self) -> np.ndarray:
+        idx = np.flatnonzero(self.significant)
+        order = idx[np.argsort(-self.llr[idx], kind="stable")]
+        order.flags.writeable = False
+        return order
 
     def significant_order(self) -> np.ndarray:
         """Indices of the significant regions, highest statistic first;
-        equal statistics keep region order."""
-        idx = np.flatnonzero(self.significant)
-        return idx[np.argsort(-self.llr[idx], kind="stable")]
+        equal statistics keep region order.  Computed once; the array
+        is read-only."""
+        return self._significant_order
 
     def best_index(self) -> int | None:
         """Index of the region with the strongest evidence: the first
@@ -366,26 +397,7 @@ class AuditResult:
         region when ``None``)."""
         if self._findings is not None:
             return [self._findings[i] for i in idx]
-        regions = self.columns.regions
-        rates = self.columns.class_rates
-        return [
-            Finding(
-                index=i,
-                center_id=regions[i].center_id,
-                rect=regions[i].rect,
-                n=n,
-                p=p,
-                rho_in=rho_in,
-                llr=stat,
-                p_value=p_value,
-                significant=sig,
-                direction=sign,
-                class_rates=tuple(rates[i]) if rates is not None else (),
-            )
-            for i, n, p, rho_in, stat, p_value, sig, sign in (
-                self.columns.rows(idx)
-            )
-        ]
+        return self.columns.findings(idx)
 
     @property
     def findings(self) -> list:
@@ -1310,42 +1322,48 @@ class MultinomialSpatialAuditor(_ScanAuditorBase):
         self.n_classes = self._bound["n_classes"]
 
 
-def select_non_overlapping(
-    findings: Sequence[Finding], policy: str = "per-center"
-) -> list:
+def select_non_overlapping(findings, policy: str = "per-center") -> list:
     """Reduce significant findings to a disjoint set of regions.
 
     Parameters
     ----------
-    findings : sequence of Finding
-        Typically ``result.findings``; only significant findings are
-        eligible.
+    findings : AuditResult, RegionColumns or sequence of Finding
+        An audit's result (or its :attr:`AuditResult.columns`), of
+        which only the significant regions' findings are built; or any
+        findings, typically ``result.findings``, of which only the
+        significant ones are eligible.
     policy : {'per-center', 'greedy'}, default 'per-center'
         ``'per-center'`` (the paper's rule) keeps, per scan centre in
         sequence, that centre's strongest region unless it overlaps an
         already-kept one.  ``'greedy'`` orders all significant regions
         by statistic and keeps best-first, which always retains the
-        single strongest region overall.
+        single strongest region overall.  Equal statistics keep region
+        order under either policy.
 
     Returns
     -------
     list of Finding
         Pairwise non-intersecting significant findings.
     """
-    sig = [f for f in findings if f.significant]
+    if policy not in ("per-center", "greedy"):
+        raise ValueError(f"unknown policy {policy!r}")
+    # Significant findings, strongest first (ties in region order).
+    if isinstance(findings, AuditResult):
+        sig = findings.significant_findings
+    elif isinstance(findings, RegionColumns):
+        sig = findings.findings(findings.significant_order().tolist())
+    else:
+        sig = sorted(
+            (f for f in findings if f.significant),
+            key=lambda f: f.llr,
+            reverse=True,
+        )
+    ordered = sig
     if policy == "per-center":
         best_per_center: dict[int, Finding] = {}
         for f in sig:
-            cur = best_per_center.get(f.center_id)
-            if cur is None or f.llr > cur.llr:
-                best_per_center[f.center_id] = f
-        ordered = [
-            best_per_center[c] for c in sorted(best_per_center)
-        ]
-    elif policy == "greedy":
-        ordered = sorted(sig, key=lambda f: f.llr, reverse=True)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+            best_per_center.setdefault(f.center_id, f)
+        ordered = [best_per_center[c] for c in sorted(best_per_center)]
     kept: list[Finding] = []
     for f in ordered:
         if all(not f.rect.intersects(k.rect) for k in kept):

@@ -608,7 +608,7 @@ class MonteCarloEngine:
         """Expire observation locations from the engine, in place.
 
         The mirror of :meth:`append_points`: cached membership indexes
-        drop the expired CSR columns incrementally and their null
+        drop the expired columns incrementally and their null
         caches are invalidated.
 
         Parameters

@@ -28,8 +28,10 @@ changes the dataset (``AuditSession.append``/``evict``/``resolve``/
 in-place mutation made between calls is always seen.  Inside
 ``AuditService.advance`` the dataset is hashed once on entry and once
 per new state (after the append, after the eviction); the gather that
-follows reuses the last fingerprint and hashes each measured slice
-once, however many watched specs read it.
+follows reuses the last fingerprint.  A measured slice that *is* the
+session's own arrays (``statistical_parity``), and a Poisson spec's
+forecast, reuse the digests that fingerprint took; any other slice is
+hashed once, however many watched specs read it.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ def dataset_fingerprint(
     y_true=None,
     forecast=None,
     n_classes: int | None = None,
+    *,
+    digests: dict | None = None,
 ) -> str:
     """Combined content fingerprint of one audit dataset.
 
@@ -135,18 +139,23 @@ def dataset_fingerprint(
     ----------
     coords, outcomes, y_true, forecast, n_classes
         As in :class:`repro.api.AuditSession`.
+    digests : dict, optional
+        Filled with each array's :func:`array_fingerprint` by name
+        (``"coords"``, ``"outcomes"``, ``"y_true"``, ``"forecast"``),
+        so a caller can reuse them without hashing the arrays again.
 
     Returns
     -------
     str
     """
-    return combine_fingerprints(
-        {
-            "coords": array_fingerprint(coords),
-            "outcomes": array_fingerprint(outcomes),
-            "y_true": array_fingerprint(y_true),
-            "forecast": array_fingerprint(forecast),
-            "n_classes": "none" if n_classes is None else str(int(n_classes)),
-        }
-    )
+    parts = {
+        "coords": array_fingerprint(coords),
+        "outcomes": array_fingerprint(outcomes),
+        "y_true": array_fingerprint(y_true),
+        "forecast": array_fingerprint(forecast),
+    }
+    if digests is not None:
+        digests.update(parts)
+    parts["n_classes"] = "none" if n_classes is None else str(int(n_classes))
+    return combine_fingerprints(parts)
 

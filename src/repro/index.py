@@ -6,31 +6,32 @@
 * :class:`StackedMembership` — several designs' matrices over the same
   points, stacked so a fused batch recounts every design at once.
 
-Membership is exact: a row holds precisely the points that
+Membership is exact: a region holds precisely the points that
 :meth:`repro.geometry.Region.contains` accepts (closed rectangles,
 closed discs).
 
-Two builds produce those rows.  A grid design (a region set from
+Each membership is **one** column-major (CSC) matrix: one column per
+point, listing the rows that hold it, ascending.  A column depends on
+its point alone, so a stream's arrivals append columns and an eviction
+keeps a subset of them.  A grid design (a region set from
 :func:`repro.geometry.partition_region_set`, which records its
 partitioning as :attr:`repro.geometry.RegionSet.grid`) **bins** its
 points: one vectorised lookup per axis finds each point's cell range
-(one cell, two on an inner edge, every cell on a zero-width axis,
-none outside the edges) and a stable sort by cell lays the rows out.
-Every other design — scans, hand-built rectangle sets — is built one
-nest at a time.  Both give byte-identical CSR arrays for the same
-cells, and a stream's delta goes through the same build as a cold
-index.
+(one cell, two on an inner edge, every cell on a zero-width axis, none
+outside the edges), and the (point, cell) pairs are the columns.
+Every other design is built one nest at a time and transposed once.
+Both builds give byte-identical arrays for the same cells.
 
-World recounts go through a **nest layout**.  Scan designs are nests:
-each centre has a sequence of growing squares (or circles), so every
-region contains the previous one from the same centre.  The recount
-multiplies a *ring* matrix — each region's row minus the row of the
-next smaller region in its nest — and takes a cumulative sum along
-every nest.  World values are integers, so every partial sum is an
-exact float64 below ``2**53`` and the result is bit-identical to the
-full-matrix product.  Regions that nest with nothing (grid cells,
-arbitrary rectangles) are nests of length 1, whose ring row is the
-full row: for such a design the ring matrix *is* the full matrix.
+The matrix follows a **nest layout**.  Scan designs are nests: each
+centre has a sequence of growing squares (or circles), so every region
+contains the previous one from the same centre.  The matrix holds each
+nest's *rings* — each region's row minus the row of the next smaller
+region in its nest — and every per-region sum (counts, world recounts)
+is a ring sum followed by a cumulative sum along every nest.  World
+values are integers, so every partial sum is an exact float64 below
+``2**53`` and the result is bit-identical to the full-matrix product.
+Regions that nest with nothing (grid cells, arbitrary rectangles) are
+nests of length 1, whose ring row is the full row.
 
 A membership is **disjoint** when no point lies in two of its regions
 (:attr:`RegionMembership.disjoint`) — every grid partitioning whose
@@ -158,12 +159,13 @@ def _nest_levels(regions, nest, x, y) -> np.ndarray:
 
 
 def _nest_build(regions, coords, shape) -> tuple:
-    """``(matrix, ring, blocks, perm)`` of a design, one nest at a time.
+    """``(matrix, blocks, perm)`` of a design, one nest at a time.
 
     The points are sorted by x once; each nest's outermost x-span is
     then one contiguous slice, filtered on y (and radius, for circles).
-    The inner regions' rows and the rings follow from each point's
-    level in its nest.
+    Each point's level in its nest gives its ring row.  The rings are
+    laid out row by row and transposed once into the column-major
+    matrix, whose columns come out with ascending rows.
     """
     nests, blocks = _nest_layout(regions)
     perm = _inverse(nests) if blocks else None
@@ -173,7 +175,6 @@ def _nest_build(regions, coords, shape) -> tuple:
     rects = [regions[nest[-1]].rect for nest in nests]
     lo = np.searchsorted(xs, [r.min_x for r in rects], side="left")
     hi = np.searchsorted(xs, [r.max_x for r in rects], side="right")
-    rows = [np.empty(0, np.int64)] * len(regions)
     rings, ring_sizes = [], []
     for nest, rect, a, b in zip(nests, rects, lo.tolist(), hi.tolist()):
         outer = regions[nest[-1]]
@@ -183,25 +184,24 @@ def _nest_build(regions, coords, shape) -> tuple:
             cx, cy = rect.center
             d2 = (xs[a:b] - cx) ** 2 + (y - cy) ** 2
             keep &= d2 <= outer.radius**2
-        # Canonical layout: sorted column indices per row (see the
-        # class docstring — required for streamed bit-identity).
-        points = np.sort(order[a:b][keep])
+        points = order[a:b][keep]
         if len(nest) == 1:
-            rows[nest[0]] = points
-            rings.append(points)
             ring_sizes.append(len(points))
-            continue
-        level = _nest_levels(
-            regions, nest, coords[points, 0], coords[points, 1]
-        )
-        for k, r in enumerate(nest):
-            rows[r] = points[level <= k]
-        # Stable: each ring keeps its point indices sorted.
-        rings.append(points[np.argsort(level, kind="stable")])
-        ring_sizes.extend(np.bincount(level, minlength=len(nest)))
-    matrix = _csr(_concat(rows), [len(row) for row in rows], shape)
-    ring = _csr(_concat(rings), ring_sizes, shape) if blocks else matrix
-    return matrix, ring, blocks, perm
+        else:
+            level = _nest_levels(
+                regions, nest, coords[points, 0], coords[points, 1]
+            )
+            points = points[np.argsort(level)]
+            ring_sizes.extend(np.bincount(level, minlength=len(nest)))
+        rings.append(points)
+    from scipy import sparse
+
+    indptr = np.concatenate(([0], np.cumsum(ring_sizes, dtype=np.int64)))
+    rings = np.concatenate([np.empty(0, np.intp), *rings])
+    rows = sparse.csr_matrix(
+        (np.ones(len(rings)), rings, indptr), shape=shape
+    ).tocsc()
+    return _csc(rows.indices, rows.indptr, shape), blocks, perm
 
 
 def _axis_cells(edges, values) -> tuple:
@@ -244,13 +244,12 @@ def _axis_cells(edges, values) -> tuple:
     return first, last
 
 
-def _grid_rows(grid, coords) -> tuple:
-    """``(indices, sizes)``: a grid's membership rows, binned by cell.
+def _grid_columns(grid, coords) -> tuple:
+    """``(indices, indptr)``: a grid's membership columns, by cell.
 
     Each point's cells are the product of its x and y cell ranges
     (:func:`_axis_cells`).  The (point, cell) pairs are listed in point
-    order and stably sorted by cell, so every row's point indices come
-    out ascending: the canonical layout of :func:`_nest_build`.
+    order, each point's cells ascending: the column-major layout as is.
     """
     # Contiguous columns: the strided views of ``coords`` are slower
     # in each of the lookup's passes than one copy.
@@ -258,66 +257,85 @@ def _grid_rows(grid, coords) -> tuple:
     y0, y1 = _axis_cells(grid.y_edges, np.ascontiguousarray(coords[:, 1]))
     nx = grid.nx
     cells = y0 * nx + x0
-    points = None  # every point in exactly one cell: the identity
-    if ((x1 != x0) | (y1 != y0)).any():
-        kx = np.maximum(x1 - x0 + 1, 0)
-        k = kx * np.maximum(y1 - y0 + 1, 0)
-        points = np.repeat(np.arange(len(coords)), k)
-        offset = np.arange(len(points)) - np.repeat(np.cumsum(k) - k, k)
-        kx = np.repeat(kx, k)
-        cells = np.repeat(cells, k) + offset // kx * nx + offset % kx
-    # numpy's stable sort is a radix sort on 16-bit keys.
-    key = cells.astype(np.uint16) if grid.n_cells <= 1 << 16 else cells
-    order = np.argsort(key, kind="stable")
-    indices = order if points is None else points[order]
-    return indices, np.bincount(cells, minlength=grid.n_cells)
+    if not ((x1 != x0) | (y1 != y0)).any():
+        # Every point in exactly one cell.
+        return cells, np.arange(len(cells) + 1)
+    kx = np.maximum(x1 - x0 + 1, 0)
+    k = kx * np.maximum(y1 - y0 + 1, 0)
+    indptr = np.concatenate(([0], np.cumsum(k)))
+    offset = np.arange(indptr[-1]) - np.repeat(indptr[:-1], k)
+    kx = np.repeat(kx, k)
+    cells = np.repeat(cells, k) + offset // kx * nx + offset % kx
+    return cells, indptr
 
 
-def _concat(rows):
-    return np.concatenate(rows) if rows else np.empty(0, np.int64)
+def _index_dtype(shape, nnz):
+    """The index dtype scipy picks for ``shape`` and ``nnz`` entries."""
+    return np.int32 if max(*shape, nnz) < 2**31 else np.int64
 
 
-def _csr(indices, sizes, shape):
-    """A 0/1 CSR matrix from its rows' concatenated sorted point
-    indices and the rows' sizes."""
+def _csc(indices, indptr, shape, ones=None):
+    """A 0/1 column-major matrix from its columns' concatenated row
+    indices and the column pointer; its data is a prefix of ``ones``
+    (an all-ones array at least that long) when given.
+
+    The index arrays take the dtype scipy would pick, so the
+    constructor neither scans nor copies them.  The data is float64, so
+    the recount accumulates world sums exactly up to ``2**53``.
+    """
     from scipy import sparse
 
-    indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    # float64 membership data: the recount accumulates world sums
-    # exactly up to 2**53.
-    return sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr),
-        shape=shape,
+    n = len(indices)
+    data = np.ones(n) if ones is None else ones[:n]
+    dtype = _index_dtype(shape, n)
+    indices, indptr = (a.astype(dtype, copy=False) for a in (indices, indptr))
+    return sparse.csc_matrix((data, indices, indptr), shape=shape)
+
+
+def _nest_sums(sums, perm, blocks) -> np.ndarray:
+    """Per-region sums from ring sums (leading axis in layout rows): a
+    cumulative sum along every nest, then region order."""
+    for start, count, length in blocks:
+        nest = sums[start : start + count * length]
+        nest = nest.reshape(count, length, *sums.shape[1:])
+        np.cumsum(nest, axis=1, out=nest)
+    return sums if perm is None else sums[perm]
+
+
+def _recount(member, values) -> np.ndarray:
+    """Per-region sums of one value per point (``values`` 1-D) or of a
+    batch of worlds (one column each) through ``member``'s matrix and
+    nest layout."""
+    return _nest_sums(
+        kernels.membership_counts_batch(member._matrix, values),
+        member._perm,
+        member._blocks,
     )
 
 
-def _nested_recount(ring, perm, blocks, worlds) -> np.ndarray:
-    """``M @ worlds`` through a nest layout: the ring product, a
-    cumulative sum along every nest, then region order."""
-    counts = kernels.membership_counts_batch(ring, worlds)
-    for start, count, length in blocks:
-        nest = counts[start : start + count * length]
-        nest = nest.reshape(count, length, counts.shape[1])
-        np.cumsum(nest, axis=1, out=nest)
-    return counts if perm is None else counts[perm]
+def _keep_columns(matrix, keep) -> tuple:
+    """``(matrix[:, keep], dropped)``, column-major layout kept;
+    ``dropped`` lists the row indices of the dropped entries.
 
-
-def _append_columns(matrix, delta):
-    """``[matrix | delta]`` in canonical (row-sorted) CSR layout."""
-    from scipy import sparse
-
-    out = sparse.hstack([matrix, delta], format="csr")
-    # Both blocks are row-sorted and the delta's indices all sit past
-    # the old ones, so sorting restores the canonical layout.
-    out.sort_indices()
-    return out
-
-
-def _keep_columns(matrix, keep):
-    """``matrix[:, keep]`` in canonical (row-sorted) CSR layout."""
-    out = matrix[:, keep].tocsr()
-    out.sort_indices()
-    return out
+    Dropping a prefix of the points — a window slide over in-order
+    timestamps — is one slice of the column pointer; any other mask
+    gathers the kept columns' entries.
+    """
+    indptr = matrix.indptr
+    drop = len(keep) - np.count_nonzero(keep)
+    if keep[drop:].all():
+        start = indptr[drop]
+        dropped = matrix.indices[:start]
+        indices = matrix.indices[start:]
+        indptr = indptr[drop:] - start
+    else:
+        sizes = np.diff(indptr)
+        entries = np.repeat(keep, sizes)
+        dropped = matrix.indices[~entries]
+        indices = matrix.indices[entries]
+        indptr = np.concatenate(([0], np.cumsum(sizes[keep])))
+    shape = (matrix.shape[0], len(keep) - drop)
+    return _csc(indices, indptr, shape, matrix.data), dropped
 
 
 class RegionMembership:
@@ -330,22 +348,15 @@ class RegionMembership:
     batch of worlds — the design that keeps the scan O(worlds) instead
     of O(worlds x regions x point queries).
 
-    The matrix is stored in a **canonical layout**: within every
-    region row the member point indices are sorted ascending.  A cold
-    build and an incrementally maintained matrix
-    (:meth:`append_points` / :meth:`evict_points`) therefore hold
-    byte-identical CSR arrays, which is what lets the streaming audit
-    path prove itself bit-identical to a full rebuild (floating-point
-    accumulation order in ``M @ worlds`` follows storage order).
-
-    World recounts (:meth:`positive_counts_batch`) run through the
-    design's nest layout (see the module docstring); the ring matrix is
-    kept in step with the full matrix by :meth:`append_points` and
-    :meth:`evict_points`.
-
-    A grid design (``regions.grid`` set) is built by binning its points
-    into cells rather than by testing them nest by nest; its ring is
-    its matrix.  The rows are the same either way.
+    The index holds **one** column-major matrix in the design's nest
+    layout (see the module docstring): the rings of a nested scan, the
+    full rows of any other design.  :attr:`counts`, the recounts and
+    :attr:`disjoint` all derive from it.  Every column lists its rows
+    ascending, so a cold build and an incrementally maintained matrix
+    (:meth:`append_points` / :meth:`evict_points`) hold byte-identical
+    arrays: that lets the streaming audit path prove itself
+    bit-identical to a full rebuild (floating-point accumulation order
+    in ``M @ worlds`` follows storage order).
 
     Parameters
     ----------
@@ -358,20 +369,27 @@ class RegionMembership:
     def __init__(self, regions: RegionSet, coords: np.ndarray):
         coords = np.asarray(coords, dtype=np.float64)
         self.regions = regions
-        self.n_points = len(coords)
-        shape = (len(regions), self.n_points)
+        shape = (len(regions), len(coords))
         grid = getattr(regions, "grid", None)
         if grid is None:
-            self._matrix, self._ring, self._blocks, self._perm = (
-                _nest_build(regions, coords, shape)
-            )
+            built = _nest_build(regions, coords, shape)
         else:
-            self._matrix = _csr(*_grid_rows(grid, coords), shape)
-            self._ring, self._blocks, self._perm = self._matrix, (), None
-        self.counts = np.asarray(
-            self._matrix.sum(axis=1)
-        ).ravel().astype(np.int64)
+            built = (_csc(*_grid_columns(grid, coords), shape), (), None)
+        matrix, self._blocks, self._perm = built
+        self._store(matrix)
+
+    def _store(self, matrix, counts=None) -> None:
+        """Install ``matrix`` and its ``counts`` (computed if omitted)."""
+        self._matrix = matrix
+        self.n_points = matrix.shape[1]
+        self.counts = self._sums(matrix.indices) if counts is None else counts
         self._disjoint = None
+
+    def _sums(self, rows) -> np.ndarray:
+        """Per-region counts of the matrix entries with row indices
+        ``rows``: ring counts summed along every nest."""
+        ring = np.bincount(rows, minlength=self._matrix.shape[0])
+        return _nest_sums(ring, self._perm, self._blocks)
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -382,26 +400,26 @@ class RegionMembership:
 
         A property of the indexed points, not of the design's kind: a
         grid with a point on a shared closed cell edge is not disjoint.
-        Decided on first use and cached until the next
-        :meth:`append_points` / :meth:`evict_points`, so the build does
-        not pay for it.
+        A covered point has one matrix entry per nest it lies in and
+        adds at least one to :attr:`counts` through it, so the design
+        is disjoint exactly when the counts sum to the number of
+        covered points.  Decided on first use and cached until the
+        next :meth:`append_points` / :meth:`evict_points`.
         """
         if self._disjoint is None:
-            self._disjoint = bool(
-                self.counts.sum() <= self.n_points
-                and np.bincount(self._matrix.indices, minlength=1).max() <= 1
-            )
+            covered = np.count_nonzero(np.diff(self._matrix.indptr))
+            self._disjoint = bool(self.counts.sum() == covered)
         return self._disjoint
 
     def append_points(self, coords: np.ndarray) -> "RegionMembership":
-        """Append newly arrived points as CSR columns, in place.
+        """Append newly arrived points as matrix columns, in place.
 
         Membership of the new points is computed against this index's
         regions only (a build over the delta), so the update costs
-        O(delta) work instead of a full rebuild.  New points
-        take column indices past the existing ones and every row keeps
-        its indices sorted, so the updated matrix is **bit-identical**
-        to a cold build over the concatenated coordinate array.
+        O(delta) work instead of a full rebuild.  New points take
+        column indices past the existing ones, so the updated matrix
+        is **bit-identical** to a cold build over the concatenated
+        coordinate array.
 
         Parameters
         ----------
@@ -414,19 +432,17 @@ class RegionMembership:
             The delta membership over just the new points.
         """
         delta = RegionMembership(self.regions, coords)
-        self._matrix = _append_columns(self._matrix, delta._matrix)
-        self._ring = (
-            _append_columns(self._ring, delta._ring)
-            if self._blocks
-            else self._matrix
-        )
-        self.n_points += delta.n_points
-        self.counts = self.counts + delta.counts
-        self._disjoint = None
+        old, new = self._matrix, delta._matrix
+        shape = (len(self), self.n_points + delta.n_points)
+        dtype = _index_dtype(shape, old.nnz + new.nnz)
+        indices = np.concatenate([old.indices, new.indices], dtype=dtype)
+        shifted = new.indptr[1:].astype(dtype) + old.nnz
+        indptr = np.concatenate([old.indptr, shifted], dtype=dtype)
+        self._store(_csc(indices, indptr, shape), self.counts + delta.counts)
         return delta
 
     def evict_points(self, keep: np.ndarray) -> None:
-        """Drop expired points' CSR columns, in place.
+        """Drop expired points' matrix columns, in place.
 
         Surviving columns are renumbered in order, so the result is
         **bit-identical** to a cold build over ``coords[keep]``.
@@ -443,15 +459,8 @@ class RegionMembership:
                 f"{self.n_points}, got dtype {keep.dtype} and shape "
                 f"{keep.shape}"
             )
-        self._matrix = _keep_columns(self._matrix, keep)
-        self._ring = (
-            _keep_columns(self._ring, keep) if self._blocks else self._matrix
-        )
-        self.n_points = int(keep.sum())
-        self.counts = np.asarray(
-            self._matrix.sum(axis=1)
-        ).ravel().astype(np.int64)
-        self._disjoint = None
+        matrix, dropped = _keep_columns(self._matrix, keep)
+        self._store(matrix, self.counts - self._sums(dropped))
 
     def positive_counts(self, labels: np.ndarray) -> np.ndarray:
         """Per-region sum of a single label vector.
@@ -463,10 +472,9 @@ class RegionMembership:
         Returns
         -------
         ndarray of float64, shape (n_regions,)
+            Summed like :meth:`positive_counts_batch`.
         """
-        return np.asarray(
-            self._matrix @ np.asarray(labels, dtype=np.float64)
-        )
+        return _recount(self, labels)
 
     def positive_counts_batch(self, worlds: np.ndarray) -> np.ndarray:
         """Per-region sums for a batch of simulated worlds at once.
@@ -489,12 +497,7 @@ class RegionMembership:
         is bit-identical to the full ``M @ worlds``; non-integer weights
         agree with it up to float rounding.
         """
-        return _nested_recount(self._ring, self._perm, self._blocks, worlds)
-
-    def point_indices(self, region: int) -> np.ndarray:
-        """Indices of the points inside region ``region``."""
-        m = self._matrix
-        return m.indices[m.indptr[region] : m.indptr[region + 1]]
+        return _recount(self, worlds)
 
 
 class StackedMembership:
@@ -502,12 +505,12 @@ class StackedMembership:
     points, vertically stacked into one sparse matrix.
 
     The fused batch path simulates each null world once and must score
-    every member design against it.  Stacking the designs' membership
-    matrices turns that into a single sparse mat-vec per world batch —
-    exactly the trick :class:`RegionMembership` plays for one design,
-    lifted to a whole batch of audits.  :attr:`segments` maps stacked
-    rows back to each member, and because CSR rows are computed
-    independently, every statistic (and hence every audit verdict) is
+    every member design against it.  Stacking the designs' matrices
+    turns that into a single sparse mat-vec per world batch — exactly
+    the trick :class:`RegionMembership` plays for one design, lifted to
+    a whole batch of audits.  :attr:`segments` maps stacked rows back
+    to each member, and because every row sums its own entries in point
+    order, every statistic (and hence every audit verdict) is
     bit-identical to scoring the members one by one.
 
     The object quacks like :class:`RegionMembership` for the engine's
@@ -551,7 +554,7 @@ class StackedMembership:
         self.members = members
         self.n_points = members[0].n_points
         self._matrix = sparse.vstack(
-            [m._matrix for m in members], format="csr"
+            [m._matrix for m in members], format="csc"
         )
         self.counts = np.concatenate([m.counts for m in members])
         offsets = np.cumsum([0] + [len(m) for m in members])
@@ -564,11 +567,6 @@ class StackedMembership:
             (start + a, count, length)
             for m, (a, _b) in zip(members, self.segments)
             for start, count, length in m._blocks
-        )
-        self._ring = (
-            sparse.vstack([m._ring for m in members], format="csr")
-            if self._blocks
-            else self._matrix
         )
         self._perm = None
         if any(m._perm is not None for m in members):
@@ -591,9 +589,7 @@ class StackedMembership:
         -------
         ndarray of float64, shape (sum of member region counts,)
         """
-        return np.asarray(
-            self._matrix @ np.asarray(labels, dtype=np.float64)
-        )
+        return _recount(self, labels)
 
     def positive_counts_batch(self, worlds: np.ndarray) -> np.ndarray:
         """Per-region sums for a batch of worlds, all members at once.
@@ -612,7 +608,7 @@ class StackedMembership:
         float64 up to ``2**53``, as in
         :meth:`RegionMembership.positive_counts_batch`.
         """
-        return _nested_recount(self._ring, self._perm, self._blocks, worlds)
+        return _recount(self, worlds)
 
     def split(self, stacked: np.ndarray) -> list:
         """Slice a stacked per-region array back into member arrays.

@@ -12,8 +12,8 @@ chunk of simulated worlds:
   masks degenerate regions, for the observed scan and the world
   batches alike;
 * :func:`membership_counts_batch` — the sparse recount
-  ``M @ worlds`` in float64 (:mod:`repro.index` feeds it ring
-  matrices of nested scans).
+  ``M @ worlds`` in float64 (:mod:`repro.index` feeds it its
+  column-major matrices: the ring matrix of a nested scan).
 
 The three LLR kernels clamp rates at ``1e-300`` and use the
 ``xlogy(0, y) == 0`` convention, so degenerate regions score 0 rather
@@ -196,23 +196,28 @@ def multinomial_llr(n, class_terms, N: float) -> np.ndarray:
 
 
 def membership_counts_batch(matrix, worlds: np.ndarray) -> np.ndarray:
-    """Per-region sums of a world batch through a CSR membership matrix.
+    """Per-region sums of a world batch through a membership matrix.
 
     Computes ``matrix @ worlds`` in float64 throughout, so integer
     world counts stay exact up to ``2**53``.  The engine's kernels draw
     their worlds straight into C-contiguous float64, which this
-    function uses as is; any other batch is converted once.
+    function uses as is; any other batch is converted once.  Each
+    region's sum runs over its entries in point order, so a
+    column-major matrix (one column per point, rows ascending, as
+    :mod:`repro.index` stores it) gives the same bytes as the same
+    matrix row-major with sorted rows.
 
     Parameters
     ----------
-    matrix : scipy.sparse.csr_matrix
-        Region-by-point membership (or ring) matrix, float64 data.
-    worlds : ndarray of shape (n_points, n_worlds)
-        One column per simulated world.
+    matrix : scipy.sparse.csc_matrix
+        Region-by-point membership (or ring) matrix, float64 data, one
+        column per point.
+    worlds : ndarray of shape (n_points, n_worlds) or (n_points,)
+        One column per simulated world, or a single vector.
 
     Returns
     -------
-    ndarray of float64, shape (n_regions, n_worlds)
+    ndarray of float64, shape (n_regions, n_worlds) or (n_regions,)
     """
     worlds = np.ascontiguousarray(worlds, dtype=np.float64)
     return np.asarray(matrix @ worlds, dtype=np.float64)

@@ -379,7 +379,9 @@ class AuditService:
         cannot serve.
 
         ``slices`` memoises the measured slice's fingerprints per
-        measure, so the specs of one batch hash each slice once.
+        measure, so the specs of one batch hash each slice once.  A
+        slice array that is one of the session's own (and the forecast)
+        reuses the digest the dataset fingerprint ``fp`` took of it.
         """
         if spec.seed is None:
             return None
@@ -388,8 +390,8 @@ class AuditService:
                 spec.measure, fp
             )
             slices[spec.measure] = (
-                array_fingerprint(coords),
-                array_fingerprint(outcomes),
+                self._digest(coords, fp),
+                self._digest(outcomes, fp),
             )
         coords_fp, outcomes_fp = slices[spec.measure]
         parts = {
@@ -404,9 +406,7 @@ class AuditService:
                 (box.min_x, box.min_y, box.max_x, box.max_y)
             )
         if spec.family == "poisson":
-            parts["forecast"] = array_fingerprint(
-                self.session.forecast
-            )
+            parts["forecast"] = self._digest(self.session.forecast, fp)
         if spec.family == "multinomial":
             parts["n_classes"] = (
                 "none"
@@ -414,6 +414,13 @@ class AuditService:
                 else str(self.session.n_classes)
             )
         return combine_fingerprints(parts)
+
+    def _digest(self, arr, fp: str) -> str:
+        """``array_fingerprint(arr)``, taken from the session's hash of
+        the dataset whose fingerprint is ``fp`` when ``arr`` is one of
+        its arrays."""
+        known = self.session._known_digest(arr, fp)
+        return array_fingerprint(arr) if known is None else known
 
     def _execute(self, batch: list, fp: str) -> None:
         """Run one drained batch against the data whose fingerprint is
@@ -640,8 +647,9 @@ class AuditService:
         Hashing: the dataset is hashed once on entry (so an in-place
         mutation made since the last call is seen) and once per new
         state the append and the eviction produce; the gather reuses
-        the last of those fingerprints and hashes each measured slice
-        once, however many watched specs share it.
+        the last of those fingerprints.  A measured slice that is the
+        session's own arrays reuses that hash's digests; any other
+        slice is hashed once, however many watched specs share it.
 
         The whole step is validated before anything changes: an
         advance that raises leaves the session as it found it.

@@ -524,6 +524,33 @@ class TestColumnarReport:
         if alpha == 0.01:  # 49 worlds cannot reach p <= 0.01
             assert payload["significant"] == []
 
+    @pytest.mark.parametrize(
+        "family,correction", FAMILY_CASES, ids="-".join
+    )
+    def test_default_payload_converts_only_its_rows(
+        self, family, correction, unit_coords, biased_labels,
+        biased_counts, biased_classes,
+    ):
+        # The default payload's first call converts only the rows it
+        # ships, and is byte-identical to the full payload minus
+        # "findings" computed afterwards.
+        session = _family_session(
+            family, unit_coords, biased_labels, biased_counts,
+            biased_classes,
+        )
+        spec = AuditSpec(
+            regions=RegionSpec.squares(8, sides=(0.2, 0.35)),
+            family=family, n_worlds=N_WORLDS, seed=4,
+            correction=correction,
+        )
+        report = session.run(spec)
+        first = json.dumps(report.to_dict())
+        assert "_scalars" not in vars(report.result.columns)
+        full = report.to_dict(full=True)
+        del full["findings"]
+        assert first == json.dumps(full)
+        assert first == json.dumps(report.to_dict())
+
     def test_report_survives_a_stream_event(
         self, unit_coords, biased_counts
     ):

@@ -11,6 +11,7 @@ from repro.core import (
     CORRECTIONS,
     FAMILIES,
     PowerAnalysis,
+    RegionColumns,
     SpatialFairnessAuditor,
     gerrymander_score,
     log_likelihood_ratio,
@@ -58,6 +59,54 @@ class TestSelectNonOverlapping:
     def test_unknown_policy(self, square_scan):
         with pytest.raises(ValueError, match="unknown policy"):
             select_non_overlapping(square_scan.findings, policy="random")
+
+    @pytest.mark.parametrize("policy", ["per-center", "greedy"])
+    def test_result_and_columns_keep_the_same_regions(
+        self, unit_coords, biased_labels, policy
+    ):
+        # A result or its columns builds only the significant findings;
+        # the kept regions equal those selected from every finding.
+        spec = AuditSpec(
+            regions=RegionSpec.squares(8, sides=(0.2, 0.35)),
+            n_worlds=N_WORLDS,
+            seed=11,
+        )
+        result = AuditSession(unit_coords, biased_labels).run(spec).result
+        from_result = select_non_overlapping(result, policy=policy)
+        from_columns = select_non_overlapping(result.columns, policy=policy)
+        assert result._findings is None
+        from_list = select_non_overlapping(result.findings, policy=policy)
+        assert from_result == from_columns == from_list
+        assert 0 < len(from_list) < len(result.significant_findings)
+
+    @pytest.mark.parametrize("policy", ["per-center", "greedy"])
+    def test_ties_keep_region_order(self, policy):
+        # Equal statistics on one centre and across centres: the first
+        # region in region order wins, whatever the input form.
+        regions = RegionSet([
+            Region(Rect(0, 0, 1, 1), 0),
+            Region(Rect(0.5, 0.5, 1.5, 1.5), 0),
+            Region(Rect(3, 3, 4, 4), 1),
+            Region(Rect(2.5, 2.5, 3.5, 3.5), 2),
+            Region(Rect(6, 6, 7, 7), 3),
+        ])
+        llr = np.array([2.0, 2.0, 5.0, 5.0, 1.0])
+        columns = RegionColumns(
+            regions=regions,
+            n=np.full(5, 10),
+            p=np.full(5, 3),
+            rho_in=np.full(5, 0.3),
+            llr=llr,
+            p_value=np.array([0.01, 0.01, 0.01, 0.01, 0.5]),
+            significant=np.array([True, True, True, True, False]),
+            direction=np.full(5, -1),
+        )
+        kept = select_non_overlapping(columns, policy=policy)
+        assert kept == select_non_overlapping(
+            columns.findings(), policy=policy
+        )
+        want = {"per-center": [0, 2], "greedy": [2, 0]}[policy]
+        assert [f.index for f in kept] == want
 
 
 class TestPowerAnalysis:

@@ -48,25 +48,75 @@ def rect_regions(rects):
     return RegionSet([Region(rect, i) for i, rect in enumerate(rects)])
 
 
-def brute_csr(regions, coords):
-    """Reference CSR built row by row from ``Region.contains``."""
-    rows = [np.nonzero(r.contains(coords))[0] for r in regions]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.concatenate(rows) if rows else np.empty(0, np.int64)
+def brute_rows(regions, coords):
+    """Reference membership rows, region by region from
+    ``Region.contains``: a dense bool array (n_regions, n_points)."""
+    rows = np.zeros((len(regions), len(coords)), dtype=bool)
+    for r, region in enumerate(regions):
+        rows[r] = region.contains(coords)
+    return rows
+
+
+def column_major(dense):
+    """A dense 0/1 array as a column-major (CSC) float64 matrix."""
+    return sparse.csc_matrix(np.asarray(dense, dtype=np.float64))
+
+
+def nest_steps(member):
+    """Square 0/1 matrix taking ring rows to full rows in layout
+    order: each layout row sums itself and every smaller ring row of
+    its nest."""
+    n = member._matrix.shape[0]
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    for start, count, length in member._blocks:
+        for k in range(1, length):
+            for j in range(k):
+                at = start + np.arange(count) * length
+                rows.append(at + k)
+                cols.append(at + j)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     return sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr),
-        shape=(len(regions), len(coords)),
+        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
     )
 
 
-def assert_csr_identical(regions, coords):
-    """The membership matrix equals brute force byte for byte."""
-    got = RegionMembership(regions, coords)._matrix
-    want = brute_csr(regions, coords)
-    for field in ("indptr", "indices", "data"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype, field
-        assert a.tobytes() == b.tobytes(), field
+def full_rows(member):
+    """Test-side ring expansion: a membership's full region-by-point
+    rows as a CSR matrix in region order with sorted rows."""
+    full = (nest_steps(member) @ member._matrix.tocsr()).tocsr()
+    if member._perm is not None:
+        full = full[member._perm]
+    full.sort_indices()
+    return full
+
+
+def brute_ring(member, regions, coords):
+    """Reference column-major matrix of ``member``'s layout: the
+    brute-force rows in layout order, each nest row minus the row
+    before it."""
+    rows = brute_rows(regions, coords).astype(np.int8)
+    if member._perm is not None:
+        layout = np.empty_like(rows)
+        layout[member._perm] = rows
+        rows = layout
+    ring = rows.copy()
+    for start, count, length in member._blocks:
+        for i in range(count):
+            a = start + i * length
+            ring[a + 1 : a + length] -= rows[a : a + length - 1]
+    assert ring.min(initial=0) >= 0
+    return column_major(ring)
+
+
+def assert_matrix_identical(regions, coords):
+    """The one membership matrix equals the brute-force column-major
+    reference byte for byte, and expands to the brute-force rows."""
+    member = RegionMembership(regions, coords)
+    assert_same_matrix(member._matrix, brute_ring(member, regions, coords))
+    want = brute_rows(regions, coords)
+    assert np.array_equal(full_rows(member).toarray() != 0, want)
+    assert member.counts.dtype == np.int64
+    assert list(member.counts) == list(want.sum(axis=1))
 
 
 GRID20 = GridPartitioning.regular(Rect(0, 0, 1, 1), 20, 20)
@@ -78,7 +128,8 @@ def grid20_cells(point):
     member = RegionMembership(
         partition_region_set(GRID20), np.array([point])
     )
-    return [r for r in range(len(member)) if len(member.point_indices(r))]
+    # One point: its column's rows are the cells.
+    return member._matrix.indices.tolist()
 
 
 class TestMembershipBuild:
@@ -90,51 +141,51 @@ class TestMembershipBuild:
     def test_rect_csr_matches_brute_force(self, points, query_rects):
         # Includes the degenerate, all-covering and partly outside
         # rectangles of the ``query_rects`` fixture.
-        assert_csr_identical(rect_regions(query_rects), points)
+        assert_matrix_identical(rect_regions(query_rects), points)
 
     def test_tied_x_coordinates_match_brute_force(self, query_rects):
         # Many points share an x (and y) value, so the x-sorted slice
         # boundaries fall inside runs of ties.
         rng = np.random.default_rng(5)
         pts = np.round(rng.random((400, 2)) * 10) / 10
-        assert_csr_identical(rect_regions(query_rects), pts)
+        assert_matrix_identical(rect_regions(query_rects), pts)
 
     def test_grid_csr_matches_brute_force(self, points):
-        assert_csr_identical(partition_region_set(GRID20), points)
+        assert_matrix_identical(partition_region_set(GRID20), points)
 
     def test_coarse_grid_csr_matches_brute_force(self, points):
         grid = GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
-        assert_csr_identical(partition_region_set(grid), points)
+        assert_matrix_identical(partition_region_set(grid), points)
 
     def test_squares_and_circles_csr_match_brute_force(self, points):
         rng = np.random.default_rng(3)
         centers = rng.random((6, 2))
         squares = square_region_set(centers, [0.05, 0.15, 0.4])
         circles = circle_region_set(centers, [0.05, 0.1, 0.25])
-        assert_csr_identical(squares, points)
-        assert_csr_identical(circles, points)
+        assert_matrix_identical(squares, points)
+        assert_matrix_identical(circles, points)
 
     def test_point_on_circle_boundary_is_inside(self):
         # Discs are closed: points at exactly the radius are members.
         circles = circle_region_set(np.array([[0.5, 0.5]]), [0.25])
         pts = np.array([[0.75, 0.5], [0.5, 0.25], [0.75, 0.75]])
         member = RegionMembership(circles, pts)
-        assert list(member.point_indices(0)) == [0, 1]
-        assert_csr_identical(circles, pts)
+        assert list(full_rows(member)[0].indices) == [0, 1]
+        assert_matrix_identical(circles, pts)
 
     def test_empty_point_set(self, query_rects):
         empty = np.empty((0, 2))
         member = RegionMembership(rect_regions(query_rects), empty)
         assert member.n_points == 0
         assert not member.counts.any()
-        assert_csr_identical(rect_regions(query_rects), empty)
+        assert_matrix_identical(rect_regions(query_rects), empty)
 
     def test_single_point(self):
         one = np.array([[0.5, 0.5]])
         regions = rect_regions([Rect(0, 0, 1, 1), Rect(0.6, 0.6, 1, 1)])
         member = RegionMembership(regions, one)
         assert list(member.counts) == [1, 0]
-        assert_csr_identical(regions, one)
+        assert_matrix_identical(regions, one)
 
     def test_max_coordinate_point_is_inside(self):
         # Closed rectangles: the max-coordinate point is a member.
@@ -171,12 +222,15 @@ def assert_grid_build(grid, coords):
     loop over the same cell regions, byte for byte."""
     regions = partition_region_set(grid)
     assert regions.grid is grid
-    assert_csr_identical(regions, coords)
+    assert_matrix_identical(regions, coords)
     binned = RegionMembership(regions, coords)
     looped = RegionMembership(RegionSet(list(regions)), coords)
-    assert_same_csr(binned._matrix, looped._matrix)
+    assert_same_matrix(binned._matrix, looped._matrix)
     assert binned.counts.tobytes() == looped.counts.tobytes()
-    assert binned._ring is binned._matrix
+    # No nests: the one matrix is the full rows.
+    assert_same_matrix(
+        binned._matrix, column_major(brute_rows(regions, coords))
+    )
     assert binned._perm is None and binned._blocks == ()
     return binned
 
@@ -276,7 +330,8 @@ class TestGridBinning:
         pts = np.vstack([points, far])
         member = assert_grid_build(grid, pts)
         inside = Rect(0.2, 0.3, 0.8, 0.6).contains(pts)
-        assert set(member._matrix.indices) == set(np.flatnonzero(inside))
+        covered = np.flatnonzero(np.diff(member._matrix.indptr))
+        assert set(covered) == set(np.flatnonzero(inside))
 
     def test_tiny_grid_far_from_the_origin(self):
         # Edges ~1 ulp-spaced multiples apart: the uniform-spacing guess
@@ -323,12 +378,12 @@ class TestGridBinning:
         member = RegionMembership(regions, points)
         delta = member.append_points(edges)
         looped = RegionMembership(RegionSet(list(regions)), edges)
-        assert_same_csr(delta._matrix, looped._matrix)
-        assert_same_csr(
+        assert_same_matrix(delta._matrix, looped._matrix)
+        assert_same_matrix(
             member._matrix,
             RegionMembership(regions, np.vstack([points, edges]))._matrix,
         )
-        assert_csr_identical(regions, np.vstack([points, edges]))
+        assert_matrix_identical(regions, np.vstack([points, edges]))
 
 
 class TestDisjoint:
@@ -376,6 +431,53 @@ class TestDisjoint:
             rect_regions([Rect(0, 0, 1, 1)]), np.empty((0, 2))
         )
         assert member.disjoint
+
+    def test_matches_the_brute_force_definition(self, points):
+        # Disjoint means no point lies in two regions.  Shared-edge
+        # and corner points, nests (inner squares and circles, or only
+        # their outermost ring occupied) and overlapping hand-built
+        # rectangles, with and without the points that break it.
+        rng = np.random.default_rng(21)
+        centers = rng.random((5, 2))
+        edge_points = lattice(around(GRID20.x_edges[::5]), [0.3, 0.55])
+        far = np.array([[0.02, 0.02], [0.98, 0.98]])
+        nest = square_region_set(np.array([[0.5, 0.5]]), [0.1, 0.4])
+        outer_ring = np.array([[0.65, 0.5], [0.5, 0.35], [0.7, 0.7]])
+        cases = [
+            (partition_region_set(GRID20), points),
+            (partition_region_set(GRID20), np.vstack([points, edge_points])),
+            (square_region_set(centers, [0.05, 0.2]), points),
+            (circle_region_set(centers, [0.1, 0.3]), points),
+            # A nest whose points all sit in its outer ring, then one
+            # more at its centre.
+            (nest, outer_ring),
+            (nest, np.vstack([outer_ring, [[0.5, 0.5]]])),
+            (
+                rect_regions([Rect(0, 0, 0.5, 1), Rect(0.5, 0, 1, 1)]),
+                np.vstack([points, [[0.5, 0.2]]]),
+            ),
+            (
+                rect_regions([Rect(0, 0, 0.5, 1), Rect(0.5, 0, 1, 1)]),
+                points[points[:, 0] != 0.5],
+            ),
+            (
+                rect_regions([Rect(0, 0, 0.6, 0.6), Rect(0.4, 0.4, 1, 1)]),
+                points,
+            ),
+            (
+                rect_regions([Rect(0, 0, 0.6, 0.6), Rect(0.4, 0.4, 1, 1)]),
+                far,
+            ),
+        ]
+        got, want = [], []
+        for regions, coords in cases:
+            got.append(RegionMembership(regions, coords).disjoint)
+            per_point = brute_rows(regions, coords).sum(axis=0)
+            want.append(bool(per_point.max(initial=0) <= 1))
+        assert got == want
+        assert want == [
+            True, False, False, False, True, False, False, True, False, True
+        ]
 
     @pytest.mark.stream
     def test_append_and_evict_reset_the_flag(self, points):
@@ -433,11 +535,65 @@ class TestRegionMembership:
             assert batch[:, w] == pytest.approx(single)
 
     def test_point_indices_match_contains(self, points, regions):
-        member = RegionMembership(regions, points)
+        # Each region's points, read from the expanded rings.
+        full = full_rows(RegionMembership(regions, points))
         for r_id in range(len(regions)):
-            got = set(member.point_indices(r_id))
-            want = set(np.nonzero(regions[r_id].contains(points))[0])
-            assert got == want
+            got = full.indices[full.indptr[r_id] : full.indptr[r_id + 1]]
+            want = np.nonzero(regions[r_id].contains(points))[0]
+            assert list(got) == list(want)
+
+
+@pytest.mark.stream
+class TestColumnUpdates:
+    """Appends concatenate columns; evictions keep a subset of them,
+    through a slice when the dropped points are a prefix and a gather
+    otherwise.  Either way the matrix equals a cold build and the
+    brute-force reference byte for byte."""
+
+    @pytest.fixture(scope="class", params=["grid", "squares", "circles"])
+    def regions(self, request):
+        centers = np.random.default_rng(3).random((6, 2))
+        return {
+            "grid": partition_region_set(GRID20),
+            "squares": square_region_set(centers, [0.3, 0.1, 0.2]),
+            "circles": circle_region_set(centers, [0.2, 0.05, 0.1]),
+        }[request.param]
+
+    @pytest.mark.parametrize(
+        "case", ["prefix", "scattered", "suffix", "all", "none", "first"]
+    )
+    def test_evict_equals_cold(self, points, regions, case):
+        n = len(points)
+        keep = {
+            "prefix": np.arange(n) >= 120,
+            "scattered": np.random.default_rng(9).random(n) < 0.6,
+            "suffix": np.arange(n) < n - 40,
+            "all": np.ones(n, dtype=bool),
+            "none": np.zeros(n, dtype=bool),
+            "first": np.arange(n) != 0,
+        }[case]
+        member = RegionMembership(regions, points)
+        member.evict_points(keep)
+        cold = RegionMembership(regions, points[keep])
+        assert member.n_points == cold.n_points == keep.sum()
+        assert_same_matrix(member._matrix, cold._matrix)
+        assert member.counts.tobytes() == cold.counts.tobytes()
+        assert member.disjoint == cold.disjoint
+        assert_matrix_identical(regions, points[keep])
+
+    def test_append_then_evict_round_trip(self, points, regions):
+        member = RegionMembership(regions, points[:100])
+        for a, b in ((100, 250), (250, 251), (251, 251), (251, 500)):
+            delta = member.append_points(points[a:b])
+            assert_same_matrix(
+                delta._matrix, RegionMembership(regions, points[a:b])._matrix
+            )
+        member.evict_points(np.arange(500) >= 300)
+        member.append_points(points[:50])
+        want = np.vstack([points[300:], points[:50]])
+        cold = RegionMembership(regions, want)
+        assert_same_matrix(member._matrix, cold._matrix)
+        assert member.counts.tobytes() == cold.counts.tobytes()
 
 
 class TestLargeCountExactness:
@@ -480,13 +636,13 @@ def assert_recount_identical(member, worlds):
     """The nested ring recount equals the full-matrix product byte for
     byte."""
     got = member.positive_counts_batch(worlds)
-    want = kernels.membership_counts_batch(member._matrix, worlds)
+    want = kernels.membership_counts_batch(full_rows(member), worlds)
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_csr(got, want):
+def assert_same_matrix(got, want):
     for field in ("indptr", "indices", "data"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype, field
@@ -519,11 +675,11 @@ class TestNestedRingRecount:
     ):
         sides = [0.3, 0.1, 0.3, 0.05, 0.2, 0.1]
         squares = square_region_set(centers, sides)
-        assert_csr_identical(squares, points)
+        assert_matrix_identical(squares, points)
         member = RegionMembership(squares, points)
         assert member._blocks == ((0, len(centers), len(sides)),)
         assert member._perm is not None
-        assert member._ring.nnz < member._matrix.nnz
+        assert member._matrix.nnz < full_rows(member).nnz
         assert_recount_identical(member, worlds)
 
     def test_sorted_sides_keep_region_order(self, points, centers, worlds):
@@ -536,10 +692,10 @@ class TestNestedRingRecount:
 
     def test_circles(self, points, centers, worlds):
         circles = circle_region_set(centers, [0.25, 0.05, 0.1, 0.1])
-        assert_csr_identical(circles, points)
+        assert_matrix_identical(circles, points)
         member = RegionMembership(circles, points)
         assert member._blocks
-        assert member._ring.nnz < member._matrix.nnz
+        assert member._matrix.nnz < full_rows(member).nnz
         assert_recount_identical(member, worlds)
 
     def test_points_on_region_boundaries(self):
@@ -556,14 +712,17 @@ class TestNestedRingRecount:
             pts += [(r.min_x, 0.5), (r.max_x, 0.5), (0.5, r.min_y)]
             pts += [(0.5, r.max_y), (r.min_x, r.min_y), (r.max_x, r.max_y)]
         pts = np.array(pts)
-        assert_csr_identical(regions, pts)
+        assert_matrix_identical(regions, pts)
         member = RegionMembership(regions, pts)
         assert len(member._blocks) == 2
         assert_recount_identical(member, np.eye(len(pts)))
 
     def test_grid_ring_is_the_full_matrix(self, points, worlds):
-        member = RegionMembership(partition_region_set(GRID20), points)
-        assert member._ring is member._matrix
+        regions = partition_region_set(GRID20)
+        member = RegionMembership(regions, points)
+        assert_same_matrix(
+            member._matrix, column_major(brute_rows(regions, points))
+        )
         assert member._perm is None and member._blocks == ()
         assert_recount_identical(member, worlds)
 
@@ -576,7 +735,7 @@ class TestNestedRingRecount:
             + list(circle_region_set(centers, [0.15, 0.05]))
             + list(rect_regions(query_rects))
         )
-        assert_csr_identical(regions, points)
+        assert_matrix_identical(regions, points)
         member = RegionMembership(regions, points)
         assert member._blocks
         assert_recount_identical(member, worlds)
@@ -605,10 +764,11 @@ class TestNestedRingRecount:
         rng = np.random.default_rng(0)
         coords = rng.random((20_000, 2))
         sides = np.linspace(0.02, 0.20, 20).round(4)
-        member = RegionMembership(
-            square_region_set(rng.random((100, 2)), sides), coords
-        )
-        assert member._ring.nnz * 5 < member._matrix.nnz
+        regions = square_region_set(rng.random((100, 2)), sides)
+        member = RegionMembership(regions, coords)
+        full = sum(int(r.contains(coords).sum()) for r in regions)
+        assert member._matrix.nnz * 5 < full
+        assert full_rows(member).nnz == full
         worlds = np.ascontiguousarray(
             rng.multinomial(30_000, np.full(20_000, 1 / 20_000), 8).T,
             dtype=np.float64,
@@ -627,13 +787,19 @@ class TestNestedRingRecount:
         }[design]
         member = RegionMembership(regions, points[:350])
         member.append_points(points[350:])
-        assert_same_csr(member._ring, RegionMembership(regions, points)._ring)
+        assert_same_matrix(
+            member._matrix, RegionMembership(regions, points)._matrix
+        )
         assert_recount_identical(member, worlds)
 
         keep = np.random.default_rng(8).random(len(points)) < 0.7
         member.evict_points(keep)
         cold = RegionMembership(regions, points[keep])
-        assert_same_csr(member._ring, cold._ring)
-        assert_same_csr(member._matrix, cold._matrix)
-        assert (member._ring is member._matrix) == (design == "grid")
+        assert_same_matrix(member._matrix, cold._matrix)
+        assert_same_matrix(
+            member._matrix, brute_ring(member, regions, points[keep])
+        )
+        assert np.array_equal(member.counts, cold.counts)
+        ring_is_full = member._matrix.nnz == full_rows(member).nnz
+        assert ring_is_full == (design == "grid")
         assert_recount_identical(member, worlds[keep])

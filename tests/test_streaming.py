@@ -2,7 +2,7 @@
 
 The incremental path is only trustworthy if it is *provably* the cold
 path: every test here pins ``incremental == full rebuild`` bit for bit
-— reports (full JSON payloads), membership matrices (raw CSR arrays),
+— reports (full JSON payloads), membership matrices (raw arrays),
 and null distributions — across all three outcome families, plus the
 cache-survival and counter semantics the streaming layer promises.
 
@@ -18,8 +18,14 @@ import numpy as np
 import pytest
 
 from repro.api import AuditSession
-from repro.engine import MonteCarloEngine
-from repro.geometry import GridPartitioning, Rect
+from repro.engine import BernoulliKernel, MonteCarloEngine, PoissonKernel
+from repro.geometry import (
+    GridPartitioning,
+    Rect,
+    circle_region_set,
+    partition_region_set,
+    square_region_set,
+)
 from repro.index import RegionMembership
 from repro.serve import AuditService
 from repro.spec import AuditSpec, RegionSpec
@@ -39,13 +45,14 @@ def report_json(report) -> str:
     return json.dumps(report.to_dict(full=True), sort_keys=True)
 
 
-def csr_equal(a, b) -> bool:
-    """Byte equality of two CSR matrices' raw arrays."""
+def matrix_equal(a, b) -> bool:
+    """Byte equality of two memberships' matrices: raw arrays and
+    their dtypes."""
     ma, mb = a._matrix, b._matrix
-    return (
-        np.array_equal(ma.indptr, mb.indptr)
-        and np.array_equal(ma.indices, mb.indices)
-        and np.array_equal(ma.data, mb.data)
+    return ma.shape == mb.shape and all(
+        getattr(ma, f).dtype == getattr(mb, f).dtype
+        and getattr(ma, f).tobytes() == getattr(mb, f).tobytes()
+        for f in ("indptr", "indices", "data")
     )
 
 
@@ -129,8 +136,8 @@ class TestSessionEquivalence:
         ]
         for spec in specs:
             rs, rc = streamed.resolve(spec), cold.resolve(spec)
-            # 2. membership matrices: raw CSR arrays
-            assert csr_equal(rs.member, rc.member)
+            # 2. membership matrices: raw arrays
+            assert matrix_equal(rs.member, rc.member)
             assert np.array_equal(rs.member.counts, rc.member.counts)
             # 3. null distributions
             ns = rs.engine.null_distribution(
@@ -477,7 +484,7 @@ class TestStreamValidation:
 
 
 class TestIncrementalIndex:
-    """RegionMembership CSR updates == cold builds."""
+    """RegionMembership column updates == cold builds."""
 
     def test_membership_append_matches_cold(
         self, unit_coords, unit_regions
@@ -486,7 +493,7 @@ class TestIncrementalIndex:
         delta = member.append_points(unit_coords[500:])
         assert delta.n_points == 100
         cold = RegionMembership(unit_regions, unit_coords)
-        assert csr_equal(member, cold)
+        assert matrix_equal(member, cold)
         assert np.array_equal(member.counts, cold.counts)
         assert member.n_points == cold.n_points
 
@@ -498,7 +505,7 @@ class TestIncrementalIndex:
         keep[::3] = False
         member.evict_points(keep)
         cold = RegionMembership(unit_regions, unit_coords[keep])
-        assert csr_equal(member, cold)
+        assert matrix_equal(member, cold)
         assert np.array_equal(member.counts, cold.counts)
 
     def test_membership_evict_mask_checked(
@@ -509,6 +516,127 @@ class TestIncrementalIndex:
             member.evict_points(np.ones(10, dtype=bool))
         with pytest.raises(ValueError, match="boolean mask"):
             member.evict_points(np.ones(len(unit_coords)))
+
+
+def _scattered_case(kind, n, stamp_seed=31):
+    """``(timestamps, evict kwargs, keep)`` of an eviction that is not
+    a prefix of the points: an explicit scattered mask, or a time
+    window over out-of-order timestamps."""
+    rng = np.random.default_rng(stamp_seed)
+    if kind == "mask":
+        ts = np.arange(n, dtype=np.float64)
+        keep = rng.random(n) < 0.65
+        return ts, {"mask": ~keep}, keep
+    ts = rng.permutation(n).astype(np.float64)
+    keep = ts >= ts.max() - 399.0
+    return ts, {"window": 399.0}, keep
+
+
+class TestNonPrefixEvictions:
+    """Streamed == cold when an eviction drops points from anywhere in
+    the arrays, so the index keeps columns through its general gather
+    rather than a prefix slice: grids, fixed-centre squares and
+    circles, and a Poisson squares scan, whose expected counts are
+    non-integer sums through the rings."""
+
+    CENTERS = np.random.default_rng(7).random((5, 2))
+
+    def _regions(self, design):
+        if design == "grid":
+            return partition_region_set(
+                GridPartitioning.regular(Rect(0, 0, 1, 1), 5, 5)
+            )
+        if design == "circles":
+            return circle_region_set(self.CENTERS, [0.25, 0.1, 0.15])
+        return square_region_set(self.CENTERS, [0.3, 0.1, 0.2])
+
+    def _kernel(self, design, outcomes, forecast):
+        if design == "poisson-squares":
+            total = float(outcomes.sum())
+            return PoissonKernel(forecast * (total / forecast.sum()), total)
+        return BernoulliKernel(len(outcomes), float(outcomes.sum()))
+
+    @pytest.mark.parametrize("kind", ["mask", "out-of-order window"])
+    @pytest.mark.parametrize(
+        "design", ["grid", "squares", "circles", "poisson-squares"]
+    )
+    def test_engine_streamed_equals_cold(
+        self, design, kind, unit_coords, biased_labels, biased_counts
+    ):
+        n = len(unit_coords)
+        observed, forecast = biased_counts
+        outcomes = observed if design == "poisson-squares" else biased_labels
+        regions = self._regions(design)
+        ts, _, keep = _scattered_case(kind, n)
+        drop = np.flatnonzero(~keep)
+        assert drop.max() > np.flatnonzero(keep).min()  # not a prefix
+        streamed = MonteCarloEngine(unit_coords[:450])
+        streamed.membership(regions)  # warm before the stream moves
+        streamed.append_points(unit_coords[450:])
+        streamed.evict_points(keep)
+        assert streamed.incremental_builds == 2
+        cold = MonteCarloEngine(unit_coords[keep])
+        ms, mc = streamed.membership(regions), cold.membership(regions)
+        assert matrix_equal(ms, mc)
+        assert ms.counts.tobytes() == mc.counts.tobytes()
+        assert ms.disjoint == mc.disjoint
+        ks = self._kernel(design, outcomes[keep], forecast[keep])
+        kc = self._kernel(design, outcomes[keep], forecast[keep])
+        ns = streamed.null_distribution(ms, ks, N_WORLDS, seed=11)
+        nc = cold.null_distribution(mc, kc, N_WORLDS, seed=11)
+        assert ns.tobytes() == nc.tobytes()
+        if design == "poisson-squares":
+            exp_s = ms.positive_counts(forecast[keep])
+            assert exp_s.tobytes() == mc.positive_counts(
+                forecast[keep]
+            ).tobytes()
+
+    @pytest.mark.parametrize("kind", ["mask", "out-of-order window"])
+    @pytest.mark.parametrize(
+        "design, family",
+        [
+            (GRID, "bernoulli"),
+            (SQUARES, "bernoulli"),
+            (CIRCLES, "bernoulli"),
+            (SQUARES, "poisson"),
+        ],
+    )
+    def test_session_streamed_equals_cold(
+        self, design, family, kind, unit_coords, biased_labels,
+        biased_counts,
+    ):
+        n = len(unit_coords)
+        observed, forecast = biased_counts
+        if family == "poisson":
+            arrays = {"outcomes": observed, "forecast": forecast}
+        else:
+            arrays = {"outcomes": biased_labels}
+        ts, evict, keep = _scattered_case(kind, n)
+        spec = AuditSpec(
+            regions=design, family=family, n_worlds=N_WORLDS, seed=13
+        )
+        streamed = AuditSession(
+            unit_coords[:450],
+            timestamps=ts[:450],
+            **_sliced(arrays, slice(None, 450)),
+        )
+        streamed.run(spec)
+        streamed.append(
+            unit_coords[450:],
+            timestamps=ts[450:],
+            **_sliced(arrays, slice(450, None)),
+        )
+        if "mask" in evict:
+            streamed.evict(evict["mask"])
+        else:
+            streamed.evict(window=evict["window"])
+        cold = AuditSession(
+            unit_coords[keep], timestamps=ts[keep], **_sliced(arrays, keep)
+        )
+        assert report_json(streamed.run(spec)) == report_json(cold.run(spec))
+        rs, rc = streamed.resolve(spec), cold.resolve(spec)
+        assert matrix_equal(rs.member, rc.member)
+        assert rs.member.counts.tobytes() == rc.member.counts.tobytes()
 
 
 class TestIndexBuildCounter:
@@ -791,6 +919,70 @@ class TestServiceStreaming:
         state = 550 * (2 * session.coords.itemsize + session.outcomes.itemsize)
         assert len(session.coords) == 500
         assert sum(hashed) <= 4 * state
+
+    def test_advance_reuses_the_state_digests(
+        self, unit_coords, biased_labels, monkeypatch
+    ):
+        # The watched specs measure statistical_parity, whose slice is
+        # the session's own arrays: the report keys reuse the digests
+        # of the post-evict state, so one advance hashes the entry,
+        # post-append and post-evict states and nothing else.
+        import repro.fingerprint
+        import repro.serve
+
+        hashed = []
+        real = repro.fingerprint.array_fingerprint
+
+        def spy(arr):
+            hashed.append(0 if arr is None else np.asarray(arr).nbytes)
+            return real(arr)
+
+        monkeypatch.setattr(repro.fingerprint, "array_fingerprint", spy)
+        monkeypatch.setattr(repro.serve, "array_fingerprint", spy)
+        ts = np.arange(len(unit_coords), dtype=np.float64)
+        session = AuditSession(
+            unit_coords[:500], biased_labels[:500], timestamps=ts[:500]
+        )
+        service = AuditService(session)
+        specs = [
+            AuditSpec(
+                regions=RegionSpec.grid(c, c, bounds=(0.0, 0.0, 1.0, 1.0)),
+                n_worlds=N_WORLDS,
+                seed=8,
+            )
+            for c in (3, 4, 5)
+        ]
+        service.watch(specs)
+        service.advance()
+        hashed.clear()
+        reports = service.advance(
+            unit_coords[500:550],
+            biased_labels[500:550],
+            timestamps=ts[500:550],
+            window=499.0,
+        )
+        state = 550 * (2 * session.coords.itemsize + session.outcomes.itemsize)
+        assert len(session.coords) == 500
+        assert sum(hashed) <= 3 * state
+        # Report keys are unchanged: a fresh service over a cold
+        # session, hashing its slices itself, hits the same cache key.
+        cold = AuditService(
+            AuditSession(unit_coords[50:550], biased_labels[50:550])
+        )
+        fp = cold.session.dataset_fingerprint()
+        for spec, report in zip(specs, reports):
+            want = repro.fingerprint.combine_fingerprints({
+                "spec": spec.spec_hash(),
+                "coords": real(unit_coords[50:550]),
+                "outcomes": real(biased_labels[50:550]),
+            })
+            assert cold._report_key(spec, fp, {}) == want
+            assert service._report_key(
+                spec, session.dataset_fingerprint(), {}
+            ) == want
+            assert report_json(report) == report_json(
+                cold.session.run(spec)
+            )
 
     def test_unwatch(self, unit_coords, biased_labels):
         service = AuditService(AuditSession(unit_coords, biased_labels))
