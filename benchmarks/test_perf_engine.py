@@ -1,13 +1,11 @@
-"""Perf: the shared Monte Carlo engine — serial vs workers, cache.
+"""Perf: the shared Monte Carlo engine — serial vs workers.
 
 Times one Bernoulli audit workload (40k points, 400 candidate regions,
-3072 null worlds) three ways through the same
+3072 null worlds) two ways through the same
 :class:`repro.engine.MonteCarloEngine`:
 
 * ``workers=1`` — the serial chunk loop;
-* ``workers=4`` — the thread pool (capped at the usable cores);
-* a repeated identical audit — answered from the null-distribution
-  cache without simulating anything.
+* ``workers=4`` — the thread pool (capped at the usable cores).
 
 The test prints its timings (field glossary in EXPERIMENTS.md).  The
 determinism contract — bit-identical verdicts, critical values and
@@ -66,9 +64,9 @@ def test_perf_engine():
         GridPartitioning.regular(Rect(0, 0, 1, 1), GRID_SIDE, GRID_SIDE)
     )
 
-    # Fresh auditor per mode so neither run can hit the other's null
-    # cache; membership indexes are prebuilt outside the timings (the
-    # engine's story is the world loop, not the index build).
+    # Fresh auditor per mode; membership indexes are prebuilt outside
+    # the timings (the engine's story is the world loop, not the index
+    # build).
     serial_auditor = SpatialFairnessAuditor(coords, labels)
     serial_auditor.membership(regions)
     parallel_auditor = SpatialFairnessAuditor(coords, labels)
@@ -79,12 +77,6 @@ def test_perf_engine():
         regions, n_worlds=N_WORLDS, seed=SEED, workers=1
     )
     t_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cached = serial_auditor.audit(
-        regions, n_worlds=N_WORLDS, seed=SEED, workers=1
-    )
-    t_cached = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     parallel = parallel_auditor.audit(
@@ -98,7 +90,6 @@ def test_perf_engine():
         "serial_seconds": round(t_serial, 4),
         "parallel_seconds": round(t_parallel, 4),
         "parallel_speedup": round(t_serial / t_parallel, 3),
-        "cache_hit_seconds": round(t_cached, 4),
         "machine_usable_cores": cores,
         "parallel_identical_to_serial": identical,
     }
@@ -108,9 +99,6 @@ def test_perf_engine():
 
     # The determinism contract holds everywhere, cores or not.
     assert identical
-    assert _fingerprint(cached) == _fingerprint(serial)
-    # The cache answers repeats without resimulating 3072 worlds.
-    assert t_cached < t_serial / 2
     # The parallel speedup claim needs real cores and a quiet machine;
     # opt in explicitly so shared CI runners never flake on it.
     if os.environ.get("BENCH_STRICT") == "1" and cores >= 4:

@@ -14,11 +14,9 @@ over the LAR-like dataset twice:
 
 The test prints its numbers (field glossary in EXPERIMENTS.md).
 Asserted unconditionally: fused reports are bit-identical to
-sequential ones, and fusion simulates >= 2x fewer worlds — here 5x, a
-deterministic count immune to machine noise.  (Not 6x: the sequential
-baseline is honest and keeps its engine null cache, which already
-dedupes the two specs sharing the grid(50, 25) design — they differ
-only in ``correction`` — so sequential simulates 5 passes, fused 1.)
+sequential ones, and fusion simulates >= 2x fewer worlds — here 6x
+(sequential simulates 6 passes, fused 1), a deterministic count
+immune to machine noise.
 The wall-clock speedup is always printed; it is asserted (>= 2x) only
 under ``BENCH_STRICT=1`` on a quiet machine, mirroring
 ``test_perf_engine.py`` — though unlike thread-pool parallelism the

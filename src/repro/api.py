@@ -5,9 +5,7 @@ One declarative entry point serves every audit family.  An
 whatever auxiliaries the families need) and then runs any number of
 :class:`repro.spec.AuditSpec` requests against it, reusing the
 expensive intermediates across calls: region sets and membership
-matrices are cached per design, and the shared
-:class:`repro.engine.MonteCarloEngine` caches null distributions per
-``(design, family, n_worlds, seed)``.  Results come back as
+matrices are cached per design.  Results come back as
 :class:`AuditReport` objects with a stable, versioned ``to_dict()``
 ready for serving.
 
@@ -255,19 +253,20 @@ class AuditSession:
     data slices, one :class:`repro.engine.MonteCarloEngine` per
     measure, and the materialised :class:`RegionSet` per
     :class:`repro.spec.RegionSpec` — so a second ``run()`` over the
-    same geometry performs zero membership rebuilds and, at the same
-    seed and world budget, zero re-simulation.
+    same geometry performs zero membership rebuilds.  Each ``run()``
+    simulates its own null worlds; repeated seeded specs are answered
+    without simulation by :class:`repro.serve.AuditService`'s report
+    cache.
 
     Sessions also stream: :meth:`append` takes newly arrived points
     and :meth:`evict` expires old ones (by mask, age, or sliding time
     window), and both maintain the cached intermediates
     *incrementally* — membership matrices gain or lose columns in
     place, and every updated structure is **bit-identical** to the one
-    a cold session over the final data would build.  Null
-    distributions survive a stream event exactly when the measure's
-    data slice did not change (the null model's totals are then
-    unchanged too); everything else re-simulates, so streamed reports
-    equal cold reports bit for bit.
+    a cold session over the final data would build.  A measure whose
+    data slice a stream event did not change keeps its engine and
+    indexes untouched, and streamed reports equal cold reports bit
+    for bit.
 
     Parameters
     ----------
@@ -677,12 +676,12 @@ class AuditSession:
 
         Cached membership matrices gain the new points' columns in
         place (:meth:`repro.engine.MonteCarloEngine.append_points`);
-        k-means region designs and measures whose data slice changed
-        drop their null caches (their geometry or null totals moved);
-        a measure whose slice is untouched by the batch — e.g.
-        ``equal_opportunity`` when every arrival has ``y_true == 0`` —
-        keeps its simulated nulls outright.  Subsequent reports are
-        bit-identical to a cold session over the concatenated arrays.
+        k-means region designs whose data slice changed are rebuilt on
+        next use; a measure whose slice is untouched by the batch —
+        e.g. ``equal_opportunity`` when every arrival has
+        ``y_true == 0`` — keeps its engine and indexes as they are.
+        Subsequent reports are bit-identical to a cold session over
+        the concatenated arrays.
         A non-empty batch hashes the dataset once on entry, so an
         in-place mutation made before the call is still seen.
 
@@ -788,10 +787,9 @@ class AuditSession:
         """Expire observations from the session.
 
         The mirror of :meth:`append`: cached membership matrices drop
-        the expired points' columns in place, measures whose data
-        slice lost points re-simulate their nulls on next use, and
-        untouched measures keep theirs.  Subsequent reports are
-        bit-identical to a cold session over the surviving arrays.
+        the expired points' columns in place, and measures whose data
+        slice lost no points are left untouched.  Subsequent reports
+        are bit-identical to a cold session over the surviving arrays.
         An eviction that drops points hashes the dataset once on
         entry.
 
@@ -1022,12 +1020,11 @@ class AuditSession:
 
         Specs are executed in the given order; every cached
         intermediate (measured slices, region sets, membership
-        matrices, null distributions) is shared across the batch.
-        Specs over the same region design share one membership index,
-        and a spec whose null design repeats an earlier one (same
-        family parameters, direction, ``n_worlds`` and seed) reuses
-        its simulated worlds outright; directional variants share the
-        index but simulate their own directional null.
+        matrices) is shared across the batch, so specs over the same
+        region design share one membership index.  Each spec
+        simulates its own null worlds;
+        :meth:`repro.serve.AuditService.run_batch` fuses specs that
+        share a null model into one simulation.
 
         Parameters
         ----------

@@ -1121,7 +1121,7 @@ class _ScanAuditorBase:
                 f"auditor's ({len(self.coords)} points)"
             )
         # A shared engine (e.g. from PowerAnalysis) pools membership
-        # and null-distribution caches across auditors.
+        # indexes across auditors.
         self.engine = engine
 
     def membership(self, regions: RegionSet) -> RegionMembership:
@@ -1518,8 +1518,8 @@ class PowerAnalysis:
         self.alpha = float(alpha)
         self.seed = seed
         # One engine serves every trial: locations are fixed by the
-        # design, only labels vary, so the membership index (and any
-        # reusable null distributions) are shared across audits.
+        # design, only labels vary, so the membership index is shared
+        # across audits.
         self.engine = MonteCarloEngine(self.coords, workers=workers)
         self._member = self.engine.membership(regions)
 

@@ -5,8 +5,8 @@ null world, recount every region, take the max statistic).  This
 module holds that loop once for every auditor:
 
 * :class:`MonteCarloEngine` owns world simulation, chunking, the sparse
-  membership mat-vec recount, null-distribution caching, and an
-  optional thread pool (``workers=N``).  There is one simulation pass,
+  membership mat-vec recount and an optional thread pool
+  (``workers=N``).  There is one simulation pass,
   :meth:`MonteCarloEngine.null_distribution_multi`, which scores each
   world batch against one or more designs; a solo
   :meth:`MonteCarloEngine.null_distribution` is its one-design case;
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import os
 import weakref
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -144,16 +143,16 @@ class LLRKernel:
 
     A kernel knows how to *simulate* a batch of null worlds and how to
     *score* every region of every simulated world with the family's
-    log-likelihood ratio.  The engine supplies chunking, seeding,
-    caching and parallelism around it.  Once bound, a kernel is only
-    read, so pool threads may score chunks through it concurrently.
+    log-likelihood ratio.  The engine supplies chunking, seeding and
+    parallelism around it.  Once bound, a kernel is only read, so pool
+    threads may score chunks through it concurrently.
 
     Subclasses implement :meth:`simulate`, :meth:`score`,
     :attr:`chunk_points` and :meth:`cache_key`, and may extend
     :meth:`bind` to precompute member-dependent arrays.
     """
 
-    #: Family tag used in cache keys and reprs.
+    #: Family tag used in fusion keys and reprs.
     family = "base"
 
     def __init__(self) -> None:
@@ -201,8 +200,10 @@ class LLRKernel:
         raise NotImplementedError
 
     def cache_key(self) -> tuple:
-        """Hashable key capturing everything that shapes the null
-        distribution besides ``(member, n_worlds, seed)``."""
+        """Hashable key of everything that shapes the simulated null
+        worlds besides ``(n_worlds, seed)``.  Specs whose kernels have
+        equal keys can share one simulation pass; the fusion grouping
+        of :class:`repro.serve.AuditService` reads it."""
         raise NotImplementedError
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
@@ -497,10 +498,10 @@ class MonteCarloEngine:
 
     One engine serves any number of audits over the same coordinates:
     it caches the membership index per candidate :class:`RegionSet`
-    (weakly, so region sets can be garbage collected) and the simulated
-    null max-statistic distribution per
-    ``(membership, kernel, n_worlds, seed)`` — repeated audits of the
-    same design reuse the simulated worlds outright.
+    (weakly, so region sets can be garbage collected).  Null worlds are
+    simulated afresh on every call; a repeated seeded audit is
+    answered without simulation only by the report cache of
+    :class:`repro.serve.AuditService`.
 
     Parameters
     ----------
@@ -509,13 +510,9 @@ class MonteCarloEngine:
     workers : int, optional
         Default thread count for :meth:`null_distribution`; ``None``
         or ``1`` runs serially.  Results are bit-identical either way.
-    cache_size : int, default 8
-        Null distributions retained per membership index (LRU).
 
     Attributes
     ----------
-    cache_hits, cache_misses : int
-        Null-distribution cache counters (diagnostics).
     index_builds : int
         Membership matrices actually constructed — cache misses of
         :meth:`membership` plus every fused stacking of two or more
@@ -531,30 +528,20 @@ class MonteCarloEngine:
         that re-audits without cold rebuilds shows this counter move
         while ``index_builds`` stays put.
     worlds_simulated : int
-        Total null worlds actually simulated (cache hits excluded).  A
-        fused :meth:`null_distribution_multi` pass counts its world
-        budget once however many designs it scores (region-level
-        passes included), so the counter measures the budgets paid,
-        not the draws.
+        Total null worlds simulated.  A fused
+        :meth:`null_distribution_multi` pass counts its world budget
+        once however many designs it scores (region-level passes
+        included), so the counter measures the budgets paid, not the
+        draws.  An adaptive pass counts the worlds of the rounds it
+        ran.
     """
 
-    def __init__(
-        self,
-        coords: np.ndarray,
-        workers: int | None = None,
-        cache_size: int = 8,
-    ):
+    def __init__(self, coords: np.ndarray, workers: int | None = None):
         self.coords = check_coords(coords)
         self.workers = workers
-        self.cache_size = int(cache_size)
         self._member_cache: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary()
         )
-        self._null_cache: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.index_builds = 0
         self.incremental_builds = 0
         self.worlds_simulated = 0
@@ -588,9 +575,7 @@ class MonteCarloEngine:
         (:meth:`repro.index.RegionMembership.append_points`), so
         subsequent audits see matrices **bit-identical** to cold builds
         over the grown coordinate array without paying for a full
-        rebuild.  The updated members' cached null distributions
-        are dropped — their counting operand changed — while other
-        members' caches survive untouched.
+        rebuild.
 
         Parameters
         ----------
@@ -602,14 +587,12 @@ class MonteCarloEngine:
         for member in list(self._member_cache.values()):
             member.append_points(coords)
             self.incremental_builds += 1
-            self._null_cache.pop(member, None)
 
     def evict_points(self, keep: np.ndarray) -> None:
         """Expire observation locations from the engine, in place.
 
         The mirror of :meth:`append_points`: cached membership indexes
-        drop the expired columns incrementally and their null
-        caches are invalidated.
+        drop the expired columns incrementally.
 
         Parameters
         ----------
@@ -630,10 +613,9 @@ class MonteCarloEngine:
         for member in list(self._member_cache.values()):
             member.evict_points(keep)
             self.incremental_builds += 1
-            self._null_cache.pop(member, None)
 
     def forget_regions(self, regions) -> None:
-        """Drop a region set's cached membership index and nulls.
+        """Drop a region set's cached membership index.
 
         Streaming callers retire designs whose geometry is about to be
         rebuilt (e.g. a data-driven grid whose bounding box grew) so
@@ -644,9 +626,7 @@ class MonteCarloEngine:
         ----------
         regions : RegionSet
         """
-        member = self._member_cache.pop(regions, None)
-        if member is not None:
-            self._null_cache.pop(member, None)
+        self._member_cache.pop(regions, None)
 
     def _fused_member(self, members: list):
         """The scoring operand of a fused pass: ``(member, segments)``.
@@ -707,8 +687,8 @@ class MonteCarloEngine:
 
         Simulates ``n_worlds`` null worlds chunk by chunk through
         ``kernel`` and returns each world's maximum region statistic.
-        Identical designs at the same integer ``seed`` are answered
-        from the cache without re-simulating.
+        The same design at the same integer ``seed`` gets bit-identical
+        maxima on every call.
 
         Parameters
         ----------
@@ -719,7 +699,7 @@ class MonteCarloEngine:
         n_worlds : int
         seed : int, optional
             Master seed; per-chunk streams are spawned from it.  When
-            ``None`` the run is unseeded (and never cached).
+            ``None`` the run is unseeded.
         workers : int, optional
             Thread count; overrides the engine default.  ``>= 2`` runs
             the chunks on a thread pool, anything else serially; the
@@ -737,8 +717,7 @@ class MonteCarloEngine:
             progressive-round schedule and may return fewer maxima —
             the caller reads the worlds actually simulated off the
             result's length.  Adaptive runs are deterministic for a
-            given ``(seed, budget)`` at any worker count, but are
-            never answered from (or written to) the null cache.
+            given ``(seed, budget)`` at any worker count.
         observed_max : float, optional
             The observed scan maximum the stopping rule tests
             against; required when ``budget`` is adaptive.
@@ -755,8 +734,8 @@ class MonteCarloEngine:
         Notes
         -----
         A solo run is the one-design case of
-        :meth:`null_distribution_multi`: the same cache, chunk layout,
-        random streams and counters, so the two agree bit for bit.
+        :meth:`null_distribution_multi`: the same chunk layout, random
+        streams and counters, so the two agree bit for bit.
         """
         return self.null_distribution_multi(
             [member],
@@ -795,15 +774,13 @@ class MonteCarloEngine:
         seed)`` and the design itself, so every returned distribution
         is **bit-identical** to the one a solo run of that design
         (:meth:`null_distribution`, the one-design case of this method)
-        would produce — fused and sequential audits agree exactly, and
-        both share the same null cache.
+        would produce — fused and sequential audits agree exactly.
 
         Parameters
         ----------
         members : list of RegionMembership
             One membership index per design.  Duplicates (by identity)
-            are simulated once; designs already answered by the null
-            cache are not re-simulated.
+            are simulated once, and every entry gets its own copy.
         kernel : LLRKernel
             The shared null model.  Callers must ensure every design in
             the batch really does share it (same family, simulation
@@ -856,44 +833,17 @@ class MonteCarloEngine:
                 list(alphas),
                 policy,
             )
-        key = None
-        if seed is not None:
-            key = (kernel.cache_key(), n_worlds, int(seed), chunk_worlds)
-        results: dict = {}
-        misses: list = []
-        for member in members:
-            if id(member) in results or any(
-                member is m for m in misses
-            ):
-                continue
-            if key is not None:
-                per_member = self._null_cache.get(member)
-                if per_member is not None and key in per_member:
-                    self.cache_hits += 1
-                    per_member.move_to_end(key)
-                    results[id(member)] = per_member[key]
-                    continue
-                self.cache_misses += 1
-            misses.append(member)
-        if misses:
-            nulls = self._simulate_pass(
-                kernel,
-                misses,
-                n_worlds,
-                np.random.SeedSequence(seed),
-                workers,
-                chunk_worlds,
-            )
-            for member, null_max in zip(misses, nulls):
-                results[id(member)] = null_max
-                if key is not None:
-                    per_member = self._null_cache.setdefault(
-                        member, OrderedDict()
-                    )
-                    per_member[key] = null_max.copy()
-                    while len(per_member) > self.cache_size:
-                        per_member.popitem(last=False)
-        return [results[id(member)].copy() for member in members]
+        unique = list({id(member): member for member in members}.values())
+        nulls = self._simulate_pass(
+            kernel,
+            unique,
+            n_worlds,
+            np.random.SeedSequence(seed),
+            workers,
+            chunk_worlds,
+        )
+        rows = {id(member): row for member, row in zip(unique, nulls)}
+        return [rows[id(member)].copy() for member in members]
 
     def _simulate_pass(
         self,

@@ -50,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .api import AuditSession
+from .budget import _err, _int
 from .faults import fault_point
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec
@@ -369,21 +370,21 @@ class AuditGateway:
         cache_size: int = 128,
         store: TicketStore | str | None = None,
     ):
-        if int(queue_size) < 1:
-            raise ValueError(
-                f"queue_size: expected >= 1, got {queue_size!r}"
-            )
-        if tenant_quota is not None and int(tenant_quota) < 1:
-            raise ValueError(
-                "tenant_quota: expected None or >= 1, got "
-                f"{tenant_quota!r}"
-            )
-        self.queue_size = int(queue_size)
+        self.queue_size = _int("queue_size", queue_size)
+        if self.queue_size < 1:
+            raise _err("queue_size", f"must be >= 1, got {queue_size!r}")
         self.tenant_quota = (
-            None if tenant_quota is None else int(tenant_quota)
+            None if tenant_quota is None
+            else _int("tenant_quota", tenant_quota)
         )
+        if self.tenant_quota is not None and self.tenant_quota < 1:
+            raise _err(
+                "tenant_quota", f"must be None or >= 1, got {tenant_quota!r}"
+            )
         self.workers = workers
-        self.cache_size = int(cache_size)
+        self.cache_size = _int("cache_size", cache_size)
+        if self.cache_size < 0:
+            raise _err("cache_size", f"must be >= 0, got {cache_size!r}")
         if store is not None and not isinstance(store, TicketStore):
             store = TicketStore(store)
         self.store = store

@@ -35,9 +35,9 @@ repeat the dominant cost once per request.  This module amortises it:
   (:meth:`AuditSession.append <repro.api.AuditSession.append>` /
   :meth:`~repro.api.AuditSession.evict`), then gathers every watched
   spec as one batch — a spec whose measured data slice did not change
-  is a report-cache hit, and a re-run spec
-  still reuses every surviving membership matrix and null
-  distribution.  ``python -m repro stream`` drives it from the shell.
+  is a report-cache hit, and a re-run spec still reuses every
+  surviving membership matrix.  ``python -m repro stream`` drives it
+  from the shell.
 
 Determinism: fusion reuses the engine's chunk layout and per-chunk
 random streams unchanged, so every fused report is **bit-identical**
@@ -55,6 +55,7 @@ from collections import OrderedDict
 from typing import Sequence
 
 from .api import AuditReport, AuditSession, ResolvedSpec
+from .budget import _err, _int
 from .core import FAMILIES, _parse_direction
 from .faults import fault_point
 from .fingerprint import array_fingerprint, combine_fingerprints
@@ -198,9 +199,10 @@ class AuditService:
     session : AuditSession
         The dataset binding every submitted spec runs against.
     cache_size : int, default 128
-        Reports retained in the LRU result cache.  Only seeded specs
-        are cached (an unseeded audit is deliberately non-reproducible,
-        so serving it from cache would be wrong).
+        Reports retained in the LRU result cache; ``0`` disables it.
+        Only seeded specs are cached (an unseeded audit is
+        deliberately non-reproducible, so serving it from cache would
+        be wrong).
 
     Attributes
     ----------
@@ -216,7 +218,9 @@ class AuditService:
                 f"{type(session).__name__}"
             )
         self.session = session
-        self.cache_size = int(cache_size)
+        self.cache_size = _int("cache_size", cache_size)
+        if self.cache_size < 0:
+            raise _err("cache_size", f"must be >= 0, got {cache_size!r}")
         self._cache: "OrderedDict[str, AuditReport]" = OrderedDict()
         self._pending: list = []
         self._lock = threading.Lock()

@@ -148,13 +148,11 @@ class TestSessionCaching:
                                          biased_labels):
         session = AuditSession(unit_coords, biased_labels)
         spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=5)
-        session.run(spec)
+        first = session.run(spec)
         assert session.index_builds == 1
-        engine = session._engine("statistical_parity")
-        assert engine.cache_misses == 1
-        session.run(spec)
+        again = session.run(spec)
         assert session.index_builds == 1  # zero membership rebuilds
-        assert engine.cache_hits == 1  # null worlds reused outright
+        assert again.to_dict(full=True) == first.to_dict(full=True)
 
     def test_run_many_shares_the_index(self, unit_coords, biased_labels):
         session = AuditSession(unit_coords, biased_labels)
@@ -384,16 +382,24 @@ class TestCorrections:
         got = np.array([f.significant for f in report.findings])
         assert np.array_equal(got, expected)
 
-    def test_corrections_share_the_null_cache(self, unit_coords,
+    def test_corrections_share_one_simulation(self, unit_coords,
                                               biased_labels):
         session = AuditSession(unit_coords, biased_labels)
         base = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=17)
         from dataclasses import replace
 
-        session.run(base)
-        session.run(replace(base, correction="fdr-bh"))
-        engine = session._engine("statistical_parity")
-        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+        specs = [
+            base,
+            replace(base, correction="fdr-bh"),
+            replace(base, alpha=0.01),
+        ]
+        reports = repro.AuditService(session).run_batch(specs)
+        assert session.worlds_simulated == N_WORLDS
+        solo = AuditSession(unit_coords, biased_labels)
+        for spec, report in zip(specs, reports):
+            assert report.to_dict(full=True) == solo.run(spec).to_dict(
+                full=True
+            )
 
 
 class TestRegistryExtension:

@@ -42,8 +42,7 @@ def make_kernel(family, coords, labels, counts, classes):
 
 
 def null_pass(coords, regions, kernel, workers, seed=7):
-    """A fixed-budget, multi-chunk null pass on a fresh engine (so the
-    null cache cannot short-circuit a comparison)."""
+    """A fixed-budget, multi-chunk null pass on a fresh engine."""
     engine = MonteCarloEngine(coords)
     return engine.null_distribution(
         engine.membership(regions), kernel, 48, seed=seed,
@@ -134,59 +133,37 @@ class TestKernelContract:
 
 
 class TestNullCache:
-    def test_repeat_design_hits_cache(self, unit_coords, unit_regions,
-                                      biased_labels):
+    """The engine keeps no null distributions: a repeat re-simulates
+    bit for bit, and duplicate designs get private copies."""
+
+    def test_repeat_design_is_bit_identical(self, unit_coords,
+                                            unit_regions, biased_labels):
         engine = MonteCarloEngine(unit_coords)
         member = engine.membership(unit_regions)
         P = int(biased_labels.sum())
         first = engine.null_distribution(
             member, BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
         )
-        assert (engine.cache_hits, engine.cache_misses) == (0, 1)
         second = engine.null_distribution(
             member, BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
         )
-        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+        # The engine keeps no nulls: the repeat re-simulates.
+        assert engine.worlds_simulated == 2 * N_WORLDS
         assert np.array_equal(first, second)
 
-    def test_cached_array_is_a_private_copy(self, unit_coords,
-                                            unit_regions, biased_labels):
+    def test_duplicate_members_get_private_copies(
+        self, unit_coords, unit_regions, biased_labels
+    ):
         engine = MonteCarloEngine(unit_coords)
         member = engine.membership(unit_regions)
-        P = int(biased_labels.sum())
-        kernel = BernoulliKernel(len(unit_coords), P)
-        first = engine.null_distribution(member, kernel, N_WORLDS, seed=5)
-        first[:] = -1.0  # caller mutates its copy
-        second = engine.null_distribution(member, kernel, N_WORLDS, seed=5)
-        assert (second >= 0.0).all()
-
-    def test_unseeded_runs_are_never_cached(self, unit_coords,
-                                            unit_regions):
-        engine = MonteCarloEngine(unit_coords)
-        member = engine.membership(unit_regions)
-        kernel = BernoulliKernel(len(unit_coords), 300)
-        engine.null_distribution(member, kernel, N_WORLDS, seed=None)
-        assert (engine.cache_hits, engine.cache_misses) == (0, 0)
-
-    def test_cache_evicts_least_recent(self, unit_coords, unit_regions):
-        engine = MonteCarloEngine(unit_coords, cache_size=2)
-        member = engine.membership(unit_regions)
-        for seed in (1, 2, 3):
-            engine.null_distribution(
-                member, BernoulliKernel(len(unit_coords), 300),
-                N_WORLDS, seed=seed,
-            )
-        # Seed 1 was evicted, seeds 2 and 3 remain.
-        engine.null_distribution(
-            member, BernoulliKernel(len(unit_coords), 300),
-            N_WORLDS, seed=1,
+        kernel = BernoulliKernel(len(unit_coords), int(biased_labels.sum()))
+        rows = engine.null_distribution_multi(
+            [member, member], kernel, N_WORLDS, seed=5
         )
-        assert engine.cache_misses == 4
-        engine.null_distribution(
-            member, BernoulliKernel(len(unit_coords), 300),
-            N_WORLDS, seed=3,
-        )
-        assert engine.cache_hits == 1
+        assert engine.worlds_simulated == N_WORLDS
+        assert np.array_equal(rows[0], rows[1])
+        rows[0][:] = -1.0  # caller mutates one entry's copy
+        assert (rows[1] >= 0.0).all()
 
     def test_membership_is_cached_per_region_set(self, unit_coords,
                                                  unit_regions):

@@ -100,6 +100,22 @@ class TestAdmission:
         with pytest.raises(ValueError, match="tenant_quota"):
             AuditGateway(tenant_quota=0)
 
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("queue_size", 2.7),
+            ("queue_size", "8"),
+            ("tenant_quota", 2.7),
+            ("tenant_quota", "2"),
+            ("cache_size", -1),
+            ("cache_size", 2.5),
+            ("cache_size", "8"),
+        ],
+    )
+    def test_non_integer_or_negative_bounds_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            AuditGateway(**{field: bad})
+
     def test_spec_error_resolves_ticket_with_error(self, gateway):
         # Poisson needs a forecast the dataset lacks.
         ticket = gateway.submit(

@@ -258,15 +258,15 @@ class TestSessionEquivalence:
     def test_evict_nothing_is_a_noop(self, unit_coords, biased_labels):
         spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=5)
         session = AuditSession(unit_coords, biased_labels)
-        session.run(spec)
-        worlds = session.worlds_simulated
+        before = report_json(session.run(spec))
+        builds = (session.index_builds, session.incremental_builds)
         assert session.evict(np.zeros(len(unit_coords), dtype=bool)) == 0
-        session.run(spec)  # still answered from every cache
-        assert session.worlds_simulated == worlds
+        assert report_json(session.run(spec)) == before
+        assert (session.index_builds, session.incremental_builds) == builds
 
 
 class TestCacheSurvival:
-    """Null distributions survive exactly the untouched slices."""
+    """Engines and indexes survive exactly the untouched slices."""
 
     def test_untouched_measure_keeps_nulls(
         self, unit_coords, biased_labels, unit_y_true
@@ -282,17 +282,19 @@ class TestCacheSurvival:
             biased_labels[:500],
             y_true=unit_y_true[:500],
         )
-        session.run(spec)
-        worlds = session.worlds_simulated
+        before = report_json(session.run(spec))
+        builds = (session.index_builds, session.incremental_builds)
         # Every arrival has y_true == 0: the equal-opportunity slice
-        # (y_true == 1) is untouched, so its nulls survive outright.
+        # (y_true == 1) is untouched, so its engine and index survive
+        # without an update.
         session.append(
             unit_coords[500:],
             biased_labels[500:],
             y_true=np.zeros(100, dtype=np.int8),
         )
         report = session.run(spec)
-        assert session.worlds_simulated == worlds
+        assert (session.index_builds, session.incremental_builds) == builds
+        assert report_json(report) == before
         # ... and the served report still matches a cold rebuild.
         cold = AuditSession(
             unit_coords,
@@ -659,11 +661,11 @@ class TestIndexBuildCounter:
         # Repeat: answered from the report cache, zero new builds.
         service.run_batch(specs)
         assert session.index_builds == 3
-        # Invalidate reports, keep the engine caches: the nulls are
-        # answered per member from the null cache, so no re-stacking.
+        # Invalidate reports: the member indexes survive, and the
+        # re-simulation stacks them once more.
         service.invalidate()
         service.run_batch(specs)
-        assert session.index_builds == 3
+        assert session.index_builds == 4
 
     def test_disjoint_grids_fuse_without_stacking(
         self, unit_coords, biased_labels
@@ -752,6 +754,46 @@ class TestServiceStreaming:
         )
         for got, want in zip(reports, cold.run_batch([sp, eo])):
             assert report_json(got) == report_json(want)
+
+    def test_untouched_watched_spec_simulates_nothing(
+        self, unit_coords, biased_labels, unit_y_true
+    ):
+        service = AuditService(
+            AuditSession(
+                unit_coords[:500],
+                biased_labels[:500],
+                y_true=unit_y_true[:500],
+            )
+        )
+        eo = AuditSpec(
+            regions=GRID,
+            n_worlds=N_WORLDS,
+            seed=8,
+            measure="equal_opportunity",
+        )
+        service.watch(eo)
+        service.advance()
+        before = service.stats()
+        # Arrivals with y_true == 0 leave the equal-opportunity slice
+        # untouched: the report cache answers, nothing is simulated.
+        (report,) = service.advance(
+            unit_coords[500:],
+            biased_labels[500:],
+            y_true=np.zeros(100, dtype=np.int8),
+        )
+        after = service.stats()
+        assert after["worlds_simulated"] == before["worlds_simulated"]
+        assert (
+            after["report_cache_hits"] == before["report_cache_hits"] + 1
+        )
+        cold = AuditSession(
+            unit_coords,
+            biased_labels,
+            y_true=np.concatenate(
+                [unit_y_true[:500], np.zeros(100, dtype=np.int8)]
+            ),
+        )
+        assert report_json(report) == report_json(cold.run(eo))
 
     def test_advance_window_equals_cold(
         self, unit_coords, biased_labels
