@@ -28,7 +28,9 @@ dashboards.
 
 Crash safety: constructed with ``store=`` (a
 :class:`repro.ticketstore.TicketStore` or a path), the gateway
-journals every submit *before* work starts and every settle after,
+journals every submit *before* work starts and every settle the
+moment its audit resolves (a :class:`GatewayTicket` settles itself
+before any waiter wakes, whichever thread's gather ran it),
 ``ticket()`` falls back to the journal after a restart
 (:class:`StoredTicket`), and :meth:`AuditGateway.recover` replays
 journalled-but-unsettled tickets on boot — guarded by the stored
@@ -241,15 +243,17 @@ class StoredTicket:
         )
 
 
-class GatewayTicket:
-    """One admitted audit: redeem for its report, or poll it.
+class GatewayTicket(PendingAudit):
+    """One admitted audit: redeem it for its report, or poll it.
 
-    Returned by :meth:`AuditGateway.submit`.  The ticket wraps the
-    underlying service's :class:`repro.serve.PendingAudit` and adds
-    the gateway bookkeeping: a stable id (the HTTP API's handle), the
-    tenant and dataset it was admitted under, and the submit timestamp
-    that, with the pending audit's resolution time, feeds the gateway's
-    latency counters.
+    Returned by :meth:`AuditGateway.submit`.  The ticket *is* the
+    service's :class:`repro.serve.PendingAudit`, plus the gateway
+    bookkeeping: a stable id (the HTTP API's handle), the tenant and
+    dataset it was admitted under, and the submit timestamp.  Whichever
+    thread's gather resolves it, the ticket settles with its gateway
+    first — latency, tenant and outcome counters, then the journal —
+    and only then wakes its waiters, so a report a client holds is
+    always already counted and, with a store, journalled.
 
     Attributes
     ----------
@@ -265,45 +269,22 @@ class GatewayTicket:
     def __init__(
         self,
         gateway: "AuditGateway",
+        service: AuditService,
+        spec: AuditSpec,
         ticket_id: str,
         dataset: str,
         tenant: str,
-        pending: PendingAudit,
     ):
+        super().__init__(service, spec)
         self._gateway = gateway
         self.id = ticket_id
         self.dataset = dataset
         self.tenant = tenant
-        self.spec = pending.spec
-        self._pending = pending
         self._submitted_at = time.monotonic()
-        self._settled = False
 
-    def done(self) -> bool:
-        """Whether the underlying audit has resolved."""
-        return self._pending.done()
-
-    def result(self, timeout: float | None = None):
-        """The audit's report, driving a service gather if needed.
-
-        Parameters
-        ----------
-        timeout : float, optional
-            As in :meth:`repro.serve.PendingAudit.result`.
-
-        Returns
-        -------
-        AuditReport
-        """
-        try:
-            report = self._pending.result(timeout=timeout)
-        except TimeoutError:
-            raise
-        except Exception:
-            self._gateway._settle(self, error=True)
-            raise
-        self._gateway._settle(self, error=False)
-        return report
+    def _resolve(self, report=None, error=None) -> None:
+        self._gateway._settle(self, report, error)
+        super()._resolve(report=report, error=error)
 
 
 def _entry(name: str, fingerprint: str, service: AuditService) -> dict:
@@ -356,7 +337,7 @@ class AuditGateway:
     store : TicketStore or str, optional
         Durable ticket journal (:mod:`repro.ticketstore`); a path
         opens one.  With a store, every submit is journalled before
-        work starts, settles are written through, ticket ids are
+        work starts, every settle as its audit resolves, ticket ids are
         allocated from the journal (unique across restarts),
         :meth:`ticket` falls back to the journal, and
         :meth:`recover` replays unsettled tickets on boot.
@@ -395,7 +376,7 @@ class AuditGateway:
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._tickets: dict = {}
-        self._inflight: list = []
+        self._inflight: dict = {}
         self._per_tenant: dict = {}
         self._draining = False
         self._submitted = 0
@@ -407,7 +388,6 @@ class AuditGateway:
         self._queue_peak = 0
         self._latency_total = 0.0
         self._latency_max = 0.0
-        self._latency_count = 0
 
     # -- datasets ------------------------------------------------------
 
@@ -522,50 +502,26 @@ class AuditGateway:
 
     # -- admission -----------------------------------------------------
 
-    def _reap(self) -> int:
-        """Drop resolved tickets from the in-flight accounting; caller
-        holds the lock.  Returns the remaining depth."""
-        still = []
-        for ticket in self._inflight:
-            if ticket._pending.done():
-                self._account_done(ticket)
+    def _settle(self, ticket: GatewayTicket, report, error) -> None:
+        """Account and journal one ticket as its audit resolves (the
+        ticket calls this before waking any waiter).  Never raises into
+        the service, which would strand the rest of its batch: a failed
+        journal write of any kind only bumps ``write_errors``."""
+        elapsed = time.monotonic() - ticket._submitted_at
+        with self._lock:
+            self._inflight.pop(ticket.id, None)
+            self._latency_total += elapsed
+            self._latency_max = max(self._latency_max, elapsed)
+            tenant = self._per_tenant[ticket.tenant]
+            tenant["inflight"] -= 1
+            if error is not None:
+                self._errors += 1
+                tenant["errors"] += 1
             else:
-                still.append(ticket)
-        self._inflight = still
-        return len(still)
-
-    def _account_done(self, ticket: GatewayTicket) -> None:
-        """Fold one freshly resolved ticket into the latency and
-        outcome counters; caller holds the lock."""
-        if ticket._settled:
-            return
-        ticket._settled = True
-        # Latency ends when the audit resolved, not when the client
-        # redeemed it (an escaped internal error leaves no stamp).
-        resolved_at = ticket._pending._resolved_at or time.monotonic()
-        elapsed = resolved_at - ticket._submitted_at
-        self._latency_total += elapsed
-        self._latency_max = max(self._latency_max, elapsed)
-        self._latency_count += 1
-        tenant = self._per_tenant[ticket.tenant]
-        tenant["inflight"] -= 1
-        if ticket._pending._error is not None:
-            self._errors += 1
-            tenant["errors"] += 1
-        else:
-            self._completed += 1
-            tenant["completed"] += 1
-        self._journal_settle(ticket)
-
-    def _journal_settle(self, ticket: GatewayTicket) -> None:
-        """Write a resolved ticket's outcome through to the store;
-        caller holds the lock.  A journal write failure degrades to a
-        counter (the report itself is still served) — except an
-        injected ``exit`` fault, which kills the process as designed.
-        """
+                self._completed += 1
+                tenant["completed"] += 1
         if self.store is None:
             return
-        error = ticket._pending._error
         try:
             if error is not None:
                 self.store.record_settle(
@@ -575,20 +531,11 @@ class AuditGateway:
                 )
             else:
                 self.store.record_settle(
-                    ticket.id,
-                    report=ticket._pending._report.to_dict(full=True),
+                    ticket.id, report=report.to_dict(full=True)
                 )
-        except TicketStoreError:
-            self._store_errors += 1
-
-    def _settle(self, ticket: GatewayTicket, error: bool) -> None:
-        """Ticket-side notification that a result was redeemed."""
-        with self._lock:
-            if not ticket._settled:
-                self._account_done(ticket)
-            self._inflight = [
-                t for t in self._inflight if t is not ticket
-            ]
+        except Exception:
+            with self._lock:
+                self._store_errors += 1
 
     def submit(
         self,
@@ -598,6 +545,9 @@ class AuditGateway:
     ) -> GatewayTicket:
         """Admit one audit (thread-safe); raises instead of queueing
         past the bounds.
+
+        Nothing is journalled for a rejected submission, and
+        concurrent submissions never overshoot the bounds.
 
         Parameters
         ----------
@@ -621,19 +571,25 @@ class AuditGateway:
             This tenant holds ``tenant_quota`` in-flight audits.
         UnknownDatasetError
             The dataset name is not registered.
+        ValueError
+            ``spec`` is not an :class:`AuditSpec`.
         TicketStoreError
             The admission could not be journalled (store-backed
             gateways refuse work they cannot make durable).
         """
         fault_point("gateway.submit")
         fingerprint, service = self._lookup(dataset)
+        service.session._check_spec(spec)
+        # One critical section from the bound checks to registration,
+        # journal write included: split, concurrent submits could all
+        # pass the checks before any of them counts.
         with self._lock:
             if self._draining:
                 self._rejected_draining += 1
                 raise GatewayDrainingError(
                     "gateway is draining; not accepting new audits"
                 )
-            depth = self._reap()
+            depth = len(self._inflight)
             if depth >= self.queue_size:
                 self._rejected_full += 1
                 raise GatewayFullError(
@@ -663,44 +619,28 @@ class AuditGateway:
                 )
             if self.store is None:
                 ticket_id = f"t-{next(self._ids)}"
-        if self.store is not None:
-            # Journal the admission before any work starts: a crash
-            # from here on can never lose an id the client was given
-            # (the id is allocated by the journal insert itself, so
-            # ids stay unique and monotone across restarts).
-            ticket_id = self.store.record_submit(
-                dataset,
-                tenant,
-                spec.to_json(),
-                fingerprint,
+            else:
+                # Journal the admission before any work starts: a
+                # crash from here on can never lose an id the client
+                # was given (the id is allocated by the journal insert
+                # itself, so ids stay unique and monotone across
+                # restarts).
+                ticket_id = self.store.record_submit(
+                    dataset,
+                    tenant,
+                    spec.to_json(),
+                    fingerprint,
+                )
+            ticket = GatewayTicket(
+                self, service, spec, ticket_id, dataset, tenant
             )
-        # Service submission validates the spec outside the gateway
-        # lock (it only takes the service's own lock).
-        try:
-            pending = service.submit(spec)
-        except Exception as exc:
-            # The admission is journalled but the spec never ran;
-            # settle it as failed so recovery will not replay it.
-            if self.store is not None:
-                try:
-                    self.store.record_settle(
-                        ticket_id,
-                        error_type=type(exc).__name__,
-                        error=str(exc),
-                    )
-                except TicketStoreError:
-                    with self._lock:
-                        self._store_errors += 1
-            raise
-        ticket = GatewayTicket(
-            self, ticket_id, dataset, tenant, pending
-        )
-        with self._lock:
+            # Register before queueing: another thread's gather may
+            # resolve the ticket as soon as it is queued.
             self._submitted += 1
             bucket["submitted"] += 1
             bucket["inflight"] += 1
             self._tickets[ticket_id] = ticket
-            self._inflight.append(ticket)
+            self._inflight[ticket_id] = ticket
             self._queue_peak = max(
                 self._queue_peak, len(self._inflight)
             )
@@ -708,6 +648,7 @@ class AuditGateway:
             # cap the table so abandoned ids cannot leak forever.
             while len(self._tickets) > max(4 * self.queue_size, 256):
                 self._tickets.pop(next(iter(self._tickets)))
+        service._enqueue(ticket)
         return ticket
 
     def ticket(self, ticket_id: str):
@@ -773,8 +714,6 @@ class AuditGateway:
         produced = 0
         for service in services:
             produced += len(service.gather())
-        with self._lock:
-            self._reap()
         return produced
 
     def run(
@@ -939,16 +878,14 @@ class AuditGateway:
         """
         with self._lock:
             self._draining = True
-            outstanding = list(self._inflight)
+            outstanding = list(self._inflight.values())
         self.gather()
-        resolved = 0
         for ticket in outstanding:
             try:
                 ticket.result(timeout=timeout)
-            except Exception:  # counted via the ticket's settle
+            except Exception:  # counted when the ticket settled
                 pass
-            resolved += 1
-        return resolved
+        return len(outstanding)
 
     @property
     def draining(self) -> bool:
@@ -968,7 +905,8 @@ class AuditGateway:
     # -- observability -------------------------------------------------
 
     def stats(self) -> dict:
-        """Gateway counters for dashboards.
+        """Gateway counters for dashboards (a read-only snapshot:
+        tickets settle as they resolve, so nothing is journalled here).
 
         Returns
         -------
@@ -986,7 +924,6 @@ class AuditGateway:
             gateway runs without a store).
         """
         with self._lock:
-            depth = self._reap()
             tenants = {
                 name: dict(bucket)
                 for name, bucket in self._per_tenant.items()
@@ -999,9 +936,10 @@ class AuditGateway:
             recovery = (
                 dict(self._recovery) if self._recovery else None
             )
+            settled = self._completed + self._errors
             avg_ms = (
-                1000.0 * self._latency_total / self._latency_count
-                if self._latency_count
+                1000.0 * self._latency_total / settled
+                if settled
                 else 0.0
             )
             out = {
@@ -1011,7 +949,7 @@ class AuditGateway:
                 "rejected_full": self._rejected_full,
                 "rejected_quota": self._rejected_quota,
                 "rejected_draining": self._rejected_draining,
-                "queue_depth": depth,
+                "queue_depth": len(self._inflight),
                 "queue_peak": self._queue_peak,
                 "queue_size": self.queue_size,
                 "tenant_quota": self.tenant_quota,
@@ -1088,15 +1026,17 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             self.wfile.write(body)
 
         def _body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length < 0:
-                # rfile.read(-1) would block until the client hangs up,
-                # and without a length the next request cannot be
-                # framed, so answer 400 and close the connection.
+            text = (self.headers.get("Content-Length") or "0").strip()
+            if not (text.isascii() and text.isdigit()):
+                # Without a length the body cannot be skipped, so the
+                # next request on this connection could not be framed
+                # (and rfile.read(-1) would block until the client
+                # hangs up): answer 400 and close the connection.
                 self.close_connection = True
                 raise ValueError(
-                    f"Content-Length must be >= 0, got {length}"
+                    f"Content-Length: expected an integer >= 0, got {text!r}"
                 )
+            length = int(text)
             raw = self.rfile.read(length) if length else b"{}"
             data = json.loads(raw.decode("utf-8"))
             if not isinstance(data, dict):

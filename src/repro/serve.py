@@ -82,8 +82,6 @@ class PendingAudit:
         self._event = threading.Event()
         self._report: AuditReport | None = None
         self._error: Exception | None = None
-        #: ``time.monotonic()`` when the ticket resolved.
-        self._resolved_at: float | None = None
         #: Whether the report cache answered the ticket.
         self._cache_hit = False
 
@@ -157,9 +155,10 @@ class PendingAudit:
         report: AuditReport | None = None,
         error: Exception | None = None,
     ) -> None:
+        """Record the outcome and wake every waiter.  The service calls
+        this exactly once per ticket, never under its own lock."""
         self._report = report
         self._error = error
-        self._resolved_at = time.monotonic()
         self._event.set()
 
 
@@ -255,7 +254,10 @@ class AuditService:
             The ticket to redeem via :meth:`PendingAudit.result`.
         """
         self.session._check_spec(spec)
-        ticket = PendingAudit(self, spec)
+        return self._enqueue(PendingAudit(self, spec))
+
+    def _enqueue(self, ticket: PendingAudit) -> PendingAudit:
+        """Queue an already checked ticket for the next batch."""
         with self._lock:
             self._pending.append(ticket)
             self._submitted += 1
@@ -450,10 +452,13 @@ class AuditService:
                         self._cache.move_to_end(key)
                         self._cache_hits += 1
                         self._completed += 1
-                        ticket._cache_hit = True
-                        ticket._resolve(report=cached)
-                        continue
-                    self._cache_misses += 1
+                    else:
+                        self._cache_misses += 1
+                if cached is not None:
+                    # Outside the lock: a ticket's _resolve may journal it.
+                    ticket._cache_hit = True
+                    ticket._resolve(report=cached)
+                    continue
                 if key in peers:
                     peers[key].append(ticket)
                     continue

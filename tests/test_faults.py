@@ -278,6 +278,19 @@ class TestSingleFaultTyped:
         clear_faults()
         assert gateway.stats()["store"]["write_errors"] >= 1
 
+    def test_settle_time_journal_fault_never_reaches_a_waiter(
+        self, gateway
+    ):
+        # Both tickets resolve in the first redemption's gather; the
+        # first settle write raises after its commit.  Neither waiter
+        # sees the fault, and it is counted once.
+        tickets = [gateway.submit("city", _spec(seed=s)) for s in (1, 2)]
+        install_faults("ticketstore.after_write:at=1:action=raise")
+        for ticket in tickets:
+            assert 0.0 <= ticket.result().p_value <= 1.0
+        clear_faults()
+        assert gateway.stats()["store"]["write_errors"] == 1
+
 
 # -- the chaos suite (pytest -m faults) ------------------------------
 

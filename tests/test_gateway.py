@@ -3,6 +3,7 @@
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -12,12 +13,14 @@ import numpy as np
 import pytest
 
 from repro.api import AuditSession
+from repro.faults import FaultInjected, install_faults
 from repro.fingerprint import dataset_fingerprint
 from repro.gateway import (
     AuditGateway,
     GatewayDrainingError,
     GatewayFullError,
     GatewayHTTPServer,
+    GatewayTicket,
     TenantQuotaError,
     UnknownDatasetError,
 )
@@ -178,6 +181,57 @@ class TestBatchesAndStats:
         stats = gateway.stats()
         assert stats["latency_max_ms"] == pytest.approx(335.0)
         assert stats["latency_avg_ms"] == pytest.approx(335.0)
+
+    def test_every_resolve_site_settles_exactly_once(
+        self, gateway, monkeypatch
+    ):
+        gateway.run("unit", _spec(seed=1))  # warms the report cache
+        resolves = []
+        resolve = GatewayTicket._resolve
+
+        def counted(ticket, report=None, error=None):
+            resolves.append(ticket.id)
+            resolve(ticket, report, error)
+
+        monkeypatch.setattr(GatewayTicket, "_resolve", counted)
+        # The first fused group to run fails as a whole.
+        install_faults("serve.run_group:at=1")
+        batch = [
+            (_spec(seed=7), "alice"),  # group failure
+            (_spec(seed=1), "alice"),  # report-cache hit
+            (_spec(seed=2), "bob"),
+            (_spec(seed=2), "bob"),  # duplicate within the batch
+            # equal_opportunity needs the y_true 'unit' lacks: the
+            # seeded spec fails at its report key, the unseeded one
+            # at resolution.
+            (_spec(seed=3, measure="equal_opportunity"), "bob"),
+            (_spec(seed=None, measure="equal_opportunity"), "alice"),
+        ]
+        tickets = [
+            gateway.submit("unit", spec, tenant=tenant)
+            for spec, tenant in batch
+        ]
+        gateway.gather("unit")
+        # Everything is accounted at resolution, before any redeem.
+        stats = gateway.stats()
+        assert stats["submitted"] == 7
+        assert stats["completed"] == 4 and stats["errors"] == 3
+        assert stats["queue_depth"] == 0
+        inflight = {
+            name: bucket["inflight"]
+            for name, bucket in stats["tenants"].items()
+        }
+        assert inflight == {"default": 0, "alice": 0, "bob": 0}
+        assert sorted(resolves) == sorted(t.id for t in tickets)
+        with pytest.raises(FaultInjected):
+            tickets[0].result()
+        assert tickets[1].result() is not None
+        assert _payload(tickets[2].result()) == _payload(
+            tickets[3].result()
+        )
+        for ticket in tickets[4:]:
+            with pytest.raises(ValueError):
+                ticket.result()
 
 
 class TestDatasets:
@@ -365,6 +419,102 @@ class TestConcurrency:
         stats = gw.stats()
         assert stats["completed"] == len(threads)
         assert stats["queue_depth"] == 0
+
+    def test_concurrent_gathers_settle_each_ticket_once(
+        self, tmp_path, unit_coords, biased_labels
+    ):
+        """Threads that submit, then gather or redeem, all at once:
+        whichever gather resolves a ticket, it is counted and
+        journalled exactly once."""
+        gw = AuditGateway(queue_size=64, store=tmp_path / "j.sqlite")
+        gw.register("unit", unit_coords, biased_labels)
+        settles: list = []
+        record_settle = gw.store.record_settle
+
+        def counted(ticket_id, **kwargs):
+            settles.append(ticket_id)
+            return record_settle(ticket_id, **kwargs)
+
+        gw.store.record_settle = counted
+        tickets: list = []
+        errors: list = []
+
+        def client(i: int):
+            try:
+                ticket = gw.submit(
+                    "unit", _spec(seed=1 + i % 3), tenant=f"t{i % 2}"
+                )
+                tickets.append(ticket)
+                if i % 2:
+                    gw.gather()
+                else:
+                    ticket.result()
+            except Exception as exc:  # surfaced after join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            stats = gw.stats()
+            assert stats["submitted"] == stats["completed"] == 8
+            assert stats["queue_depth"] == 0
+            assert all(
+                bucket["inflight"] == 0
+                for bucket in stats["tenants"].values()
+            )
+            assert sorted(settles) == sorted(t.id for t in tickets)
+            assert all(
+                gw.store.get(t.id).state == "done" for t in tickets
+            )
+        finally:
+            gw.close()
+
+    def test_concurrent_submits_never_overshoot_the_queue(
+        self, tmp_path, unit_coords, biased_labels
+    ):
+        gw = AuditGateway(queue_size=1, store=tmp_path / "j.sqlite")
+        gw.register("unit", unit_coords, biased_labels)
+        # A slow journal write widens the window between the bound
+        # check and the registration of each submission.
+        install_faults("ticketstore.write:action=sleep:delay=0.05")
+        barrier = threading.Barrier(4)
+        admitted: list = []
+        rejected: list = []
+
+        def client(seed: int):
+            barrier.wait(timeout=10)
+            try:
+                admitted.append(gw.submit("unit", _spec(seed=seed)))
+            except GatewayFullError:
+                rejected.append(seed)
+
+        threads = [
+            threading.Thread(target=client, args=(seed,))
+            for seed in range(1, 5)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(admitted) == 1 and len(rejected) == 3
+            assert gw.stats()["queue_peak"] == 1
+        finally:
+            gw.close()
 
     def test_stats_snapshot_under_load(
         self, unit_coords, biased_labels
@@ -653,15 +803,19 @@ class TestHTTP:
             f"points, but the slice has {n}"
         )
 
-    def test_negative_content_length_is_400_not_a_hang(self, http):
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_bad_content_length_is_400_and_closes(self, http, length):
         client, _ = http
         host, port = client.url.split("//")[1].split(":")
         with socket.create_connection((host, int(port)), timeout=5) as sock:
+            # A pipelined second request must never be parsed out of
+            # the unread body: the connection closes after the 400.
             sock.sendall(
                 b"POST /audit HTTP/1.1\r\n"
                 b"Host: localhost\r\n"
                 b"Content-Type: application/json\r\n"
-                b"Content-Length: -1\r\n\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
             )
             # A hang surfaces here as socket.timeout, not a pass; the
             # server closes the connection after its 400.
@@ -670,9 +824,10 @@ class TestHTTP:
                 raw += chunk
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400")
-        payload = json.loads(body)
+        payload = json.loads(body)  # one JSON answer, nothing after it
         assert payload["type"] == "ValueError"
-        assert "Content-Length" in payload["error"]
+        assert payload["error"].startswith("Content-Length:")
+        assert repr(length) in payload["error"]
 
     def test_register_rejects_non_finite_coords(
         self, http, unit_coords, biased_labels

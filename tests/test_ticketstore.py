@@ -222,6 +222,51 @@ class TestGatewayWriteThrough:
         assert record.error_type
         assert record.report is None
 
+    @staticmethod
+    def _peer_resolved(gateway, unit_coords, biased_labels):
+        """A ticket whose audit ran in another ticket's gather and was
+        never redeemed."""
+        _register(gateway, unit_coords, biased_labels)
+        first = gateway.submit("city", _spec(seed=1))
+        gateway.submit("city", _spec(seed=2)).result()
+        return first
+
+    def test_peer_resolved_ticket_is_journalled_at_once(
+        self, gateway, unit_coords, biased_labels
+    ):
+        first = self._peer_resolved(gateway, unit_coords, biased_labels)
+        assert gateway.store.get(first.id).state == "done"
+
+    def test_crash_after_peer_gather_replays_nothing(
+        self, tmp_path, gateway, unit_coords, biased_labels
+    ):
+        self._peer_resolved(gateway, unit_coords, biased_labels)
+        # A restart while the first process is still up (a crash
+        # leaves the file exactly like this).
+        restarted = AuditGateway(
+            queue_size=16, store=tmp_path / "tickets.sqlite"
+        )
+        try:
+            _register(restarted, unit_coords, biased_labels)
+            assert restarted.recover()["replayed"] == 0
+        finally:
+            restarted.close()
+
+    def test_stats_writes_no_settle(
+        self, gateway, unit_coords, biased_labels, monkeypatch
+    ):
+        self._peer_resolved(gateway, unit_coords, biased_labels)
+        settles = []
+        record_settle = gateway.store.record_settle
+
+        def counted(*args, **kwargs):
+            settles.append(args)
+            return record_settle(*args, **kwargs)
+
+        monkeypatch.setattr(gateway.store, "record_settle", counted)
+        gateway.stats()
+        assert settles == []
+
     def test_store_fallback_after_restart_is_byte_identical(
         self, tmp_path, unit_coords, biased_labels
     ):
