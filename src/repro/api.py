@@ -43,7 +43,9 @@ from .core import (
     _parse_direction,
     run_scan,
 )
+from .budget import _err, _int
 from .engine import LLRKernel, MonteCarloEngine
+from .fingerprint import array_fingerprint as _array_fingerprint
 from .fingerprint import dataset_fingerprint as _dataset_fingerprint
 from .geometry import Rect, RegionSet, check_coords
 from .index import RegionMembership
@@ -246,6 +248,128 @@ class ResolvedSpec:
     kernel: LLRKernel
 
 
+class _Snapshot:
+    """One immutable dataset state of an :class:`AuditSession`.
+
+    Holds the state's read-only arrays together with everything
+    derived from them alone — measured slices, family bound state and
+    content digests — each computed at most once, on first use.  A
+    stream event builds a new snapshot and the session swaps it in
+    whole, so a reader never pairs one state's arrays with another
+    state's fingerprint.
+    """
+
+    def __init__(
+        self, coords, outcomes, y_true, forecast, timestamps, n_classes
+    ):
+        self.coords = coords
+        self.outcomes = outcomes
+        self.y_true = y_true
+        self.forecast = forecast
+        self.timestamps = timestamps
+        self.n_classes = n_classes
+        for name in _SNAPSHOT_ARRAYS:
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.flags.writeable = False
+        self._fingerprint: str | None = None
+        self._digests: dict = {}
+        self._measured: dict = {}
+        self._slice_digests: dict = {}
+        self._bound: dict = {}
+
+    def derive(self, change) -> "_Snapshot":
+        """The next state: ``change(name, arr)`` of every present
+        array (``None`` arrays stay ``None``)."""
+        arrays = [
+            None if getattr(self, name) is None
+            else change(name, getattr(self, name))
+            for name in _SNAPSHOT_ARRAYS
+        ]
+        return _Snapshot(*arrays, self.n_classes)
+
+    def fingerprint(self) -> str:
+        """:func:`repro.fingerprint.dataset_fingerprint` of the state,
+        hashed on first call only."""
+        if self._fingerprint is None:
+            self._fingerprint = _dataset_fingerprint(
+                self.coords,
+                self.outcomes,
+                y_true=self.y_true,
+                forecast=self.forecast,
+                n_classes=self.n_classes,
+                digests=self._digests,
+            )
+        return self._fingerprint
+
+    def digest(self, name: str) -> str:
+        """:func:`repro.fingerprint.array_fingerprint` of one of the
+        hashed arrays (``coords``/``outcomes``/``y_true``/
+        ``forecast``), taken from :meth:`fingerprint`."""
+        self.fingerprint()
+        return self._digests[name]
+
+    def measured(self, measure: str):
+        """(coords, outcomes) after applying a measure, cached."""
+        cached = self._measured.get(measure)
+        if cached is None:
+            mdef = MEASURES[measure]
+            if mdef.needs_y_true and self.y_true is None:
+                raise ValueError(
+                    f"measure: {measure!r} needs ground-truth labels — "
+                    "construct the session with y_true="
+                )
+            cached = mdef.extract(self.coords, self.outcomes, self.y_true)
+            if len(cached[0]) == 0:
+                raise ValueError(
+                    f"measure: {measure!r} leaves no observations to "
+                    "audit on this dataset"
+                )
+            self._measured[measure] = cached
+        return cached
+
+    def slice_digests(self, measure: str) -> tuple:
+        """Digests of a measure's (coords, outcomes) slice, cached.  A
+        slice array that is one of the state's own reuses
+        :meth:`digest`."""
+        digests = self._slice_digests.get(measure)
+        if digests is None:
+            digests = tuple(
+                self.digest(name)
+                if arr is getattr(self, name)
+                else _array_fingerprint(arr)
+                for name, arr in zip(
+                    ("coords", "outcomes"), self.measured(measure)
+                )
+            )
+            self._slice_digests[measure] = digests
+        return digests
+
+    def bound(self, family: str, measure: str) -> dict:
+        """The family's validated bound state for a measure, cached."""
+        key = (family, measure)
+        bound = self._bound.get(key)
+        if bound is None:
+            coords, outcomes = self.measured(measure)
+            bound = FAMILIES[family].bind(
+                coords,
+                outcomes,
+                forecast=self.forecast,
+                n_classes=self.n_classes,
+            )
+            self._bound[key] = bound
+        return bound
+
+
+#: The per-point arrays of a :class:`_Snapshot`, in constructor order.
+_SNAPSHOT_ARRAYS = ("coords", "outcomes", "y_true", "forecast", "timestamps")
+
+
+def _state_field(name: str, doc: str) -> property:
+    """A read-only session attribute served from the current state."""
+    return property(lambda self: getattr(self._state, name), doc=doc)
+
+
 class AuditSession:
     """A dataset bound once, ready to answer any number of audit specs.
 
@@ -258,15 +382,24 @@ class AuditSession:
     without simulation by :class:`repro.serve.AuditService`'s report
     cache.
 
+    The dataset is an immutable snapshot: the constructor takes one
+    private copy of every array and marks it read-only, so writing
+    into ``session.outcomes`` raises :class:`ValueError`, assigning
+    ``session.outcomes`` raises :class:`AttributeError`, and changing
+    the caller's original arrays afterwards changes no report.  Each
+    dataset state is hashed at most once, and only where a content key
+    is needed (:meth:`dataset_fingerprint`, the service's report-cache
+    keys).
+
     Sessions also stream: :meth:`append` takes newly arrived points
     and :meth:`evict` expires old ones (by mask, age, or sliding time
-    window), and both maintain the cached intermediates
-    *incrementally* — membership matrices gain or lose columns in
-    place, and every updated structure is **bit-identical** to the one
-    a cold session over the final data would build.  A measure whose
-    data slice a stream event did not change keeps its engine and
-    indexes untouched, and streamed reports equal cold reports bit
-    for bit.
+    window).  Each event swaps in a new snapshot and maintains the
+    cached intermediates *incrementally* — membership matrices gain or
+    lose columns in place, and every updated structure is
+    **bit-identical** to the one a cold session over the final data
+    would build.  A measure whose data slice a stream event did not
+    change keeps its engine and indexes untouched, and streamed
+    reports equal cold reports bit for bit.
 
     Parameters
     ----------
@@ -282,8 +415,8 @@ class AuditSession:
     forecast : ndarray of shape (n,), optional
         Expected counts, required by the Poisson family.
     n_classes : int, optional
-        Class count for the multinomial family (inferred from the
-        labels when omitted).
+        Class count (``>= 1``) for the multinomial family (inferred
+        from the labels when omitted).
     workers : int, optional
         Default Monte Carlo worker count for specs that leave
         ``workers`` unset.
@@ -303,6 +436,25 @@ class AuditSession:
         ``index_builds``.
     """
 
+    coords = _state_field(
+        "coords", "Observation locations, ``(n, 2)`` float64, read-only."
+    )
+    outcomes = _state_field(
+        "outcomes", "The audited outcomes, ``(n,)``, read-only."
+    )
+    y_true = _state_field(
+        "y_true", "Ground-truth labels, ``(n,)`` read-only, or None."
+    )
+    forecast = _state_field(
+        "forecast", "Expected counts, ``(n,)`` float64 read-only, or None."
+    )
+    timestamps = _state_field(
+        "timestamps", "Event times, ``(n,)`` float64 read-only, or None."
+    )
+    n_classes = _state_field(
+        "n_classes", "Multinomial class count, or None to infer it."
+    )
+
     def __init__(
         self,
         coords: np.ndarray,
@@ -313,33 +465,32 @@ class AuditSession:
         workers: int | None = None,
         timestamps: np.ndarray | None = None,
     ):
-        self.coords = check_coords(coords)
-        self.outcomes = np.asarray(outcomes).ravel()
-        self.y_true = None if y_true is None else np.asarray(y_true).ravel()
-        self.forecast = (
-            None
-            if forecast is None
-            else np.asarray(forecast, dtype=np.float64).ravel()
+        def private(arr, dtype=None):
+            return None if arr is None else np.array(arr, dtype=dtype).ravel()
+
+        if n_classes is not None:
+            n_classes = _int("n_classes", n_classes)
+            if n_classes < 1:
+                raise _err("n_classes", f"must be >= 1, got {n_classes}")
+        self._state = _Snapshot(
+            check_coords(np.array(coords, dtype=np.float64)),
+            private(outcomes),
+            private(y_true),
+            private(forecast, np.float64),
+            private(timestamps, np.float64),
+            n_classes,
         )
-        self.timestamps = (
-            None
-            if timestamps is None
-            else np.asarray(timestamps, dtype=np.float64).ravel()
-        )
-        for field in ("outcomes", "y_true", "forecast", "timestamps"):
+        for field in _SNAPSHOT_ARRAYS[1:]:
             arr = getattr(self, field)
             if arr is not None and len(arr) != len(self.coords):
                 raise ValueError(
                     f"{field}: length does not match coords "
                     f"({len(arr)} vs {len(self.coords)})"
                 )
-        self.n_classes = None if n_classes is None else int(n_classes)
         self.workers = workers
+        # Caches that outlive a state: stream events migrate them.
+        # Everything else derived from the data lives on the snapshot.
         self._engines: dict = {}
-        self._measured: dict = {}
-        # (fingerprint, [(array, digest), ...]) of the last dataset hash.
-        self._hashed: tuple = (None, [])
-        self._bound: dict = {}
         self._region_sets: dict = {}
         # Counters of engines retired by stream events, so the
         # session-level totals never go backwards.
@@ -351,117 +502,39 @@ class AuditSession:
 
     # -- cached intermediates -------------------------------------------
     #
-    # Every internal cache key starts with the dataset fingerprint, so
-    # mutating the session's arrays in place simply misses the caches
-    # built over the old contents — stale intermediates cannot be
-    # served by construction.
+    # Engines and region sets key on measure/design alone: only a
+    # stream event changes the state, and it migrates them (see
+    # ``_migrate``).
 
     def dataset_fingerprint(self) -> str:
         """Content fingerprint of the session's dataset.
 
         A BLAKE2b digest over every array that shapes audit results
         (coords, outcomes, y_true, forecast) plus ``n_classes`` — see
-        :func:`repro.fingerprint.dataset_fingerprint`.  Recomputed
-        from the current array contents on every call, so it tracks
-        in-place mutation; every session cache key starts with it.
-        The per-array digests of the last call are kept, so a report
-        key over the same array objects need not hash them again.
+        :func:`repro.fingerprint.dataset_fingerprint`.  Computed once
+        per dataset state, on first call; :meth:`append` and
+        :meth:`evict` start a new state.
 
         Returns
         -------
         str
         """
-        arrays = {
-            "coords": self.coords,
-            "outcomes": self.outcomes,
-            "y_true": self.y_true,
-            "forecast": self.forecast,
-        }
-        digests: dict = {}
-        fp = _dataset_fingerprint(
-            arrays["coords"],
-            arrays["outcomes"],
-            y_true=arrays["y_true"],
-            forecast=arrays["forecast"],
-            n_classes=self.n_classes,
-            digests=digests,
-        )
-        self._hashed = (fp, [(arrays[k], digests[k]) for k in arrays])
-        return fp
+        return self._state.fingerprint()
 
-    def _known_digest(self, arr, fp: str) -> str | None:
-        """The :func:`repro.fingerprint.array_fingerprint` of ``arr``
-        when ``arr`` is one of the array objects the last
-        :meth:`dataset_fingerprint` hashed and that call returned
-        ``fp``; else None."""
-        hashed_fp, digests = self._hashed
-        if hashed_fp == fp:
-            for known, digest in digests:
-                if known is arr:
-                    return digest
-        return None
-
-    def _measured_data(self, measure: str, fp: str | None = None):
-        """(coords, outcomes) after applying a measure, cached.
-
-        Like every helper below, it takes the caller's dataset
-        fingerprint ``fp`` when one is at hand, so a run hashes the
-        dataset once.
-        """
-        key = (fp or self.dataset_fingerprint(), measure)
-        cached = self._measured.get(key)
-        if cached is None:
-            mdef = MEASURES[measure]
-            if mdef.needs_y_true and self.y_true is None:
-                raise ValueError(
-                    f"measure: {measure!r} needs ground-truth labels — "
-                    "construct the session with y_true="
-                )
-            cached = mdef.extract(self.coords, self.outcomes, self.y_true)
-            if len(cached[0]) == 0:
-                raise ValueError(
-                    f"measure: {measure!r} leaves no observations to "
-                    "audit on this dataset"
-                )
-            self._measured[key] = cached
-        return cached
-
-    def _engine(
-        self, measure: str, fp: str | None = None
-    ) -> MonteCarloEngine:
+    def _engine(self, measure: str) -> MonteCarloEngine:
         """The engine over a measure's coordinate subset, cached."""
-        fp = fp or self.dataset_fingerprint()
-        key = (fp, measure)
-        engine = self._engines.get(key)
+        engine = self._engines.get(measure)
         if engine is None:
-            coords, _ = self._measured_data(measure, fp)
+            coords, _ = self._state.measured(measure)
             engine = MonteCarloEngine(coords)
-            self._engines[key] = engine
+            self._engines[measure] = engine
         return engine
-
-    def _family_bound(
-        self, family: str, measure: str, fp: str | None = None
-    ) -> dict:
-        """The family's validated bound state for a measure, cached."""
-        fp = fp or self.dataset_fingerprint()
-        key = (fp, family, measure)
-        bound = self._bound.get(key)
-        if bound is None:
-            coords, outcomes = self._measured_data(measure, fp)
-            bound = FAMILIES[family].bind(
-                coords,
-                outcomes,
-                forecast=self.forecast,
-                n_classes=self.n_classes,
-            )
-            self._bound[key] = bound
-        return bound
 
     def region_set(
         self, design: RegionSpec, measure: str = "statistical_parity"
     ) -> RegionSet:
         """The materialised candidate regions of a design, cached per
-        ``(dataset fingerprint, design, measure)``.
+        ``(design, measure)``.
 
         Grid designs without explicit ``bounds`` partition the full
         dataset's bounding box regardless of the measure (the region
@@ -481,14 +554,11 @@ class AuditSession:
         -------
         RegionSet
         """
-        return self._region_set(design, measure, self.dataset_fingerprint())
-
-    def _region_set(self, design: RegionSpec, measure: str, fp: str):
-        """:meth:`region_set` under a known dataset fingerprint."""
-        key = (fp, design, measure)
+        key = (design, measure)
         regions = self._region_sets.get(key)
         if regions is None:
-            self._measured_data(measure, fp)  # validate the measure first
+            # Validates the measure first.
+            coords, _ = self._state.measured(measure)
             if design.kind == "grid":
                 # Grids are predetermined region families: without
                 # explicit bounds they cover the FULL dataset's
@@ -499,7 +569,6 @@ class AuditSession:
                 regions = design.build(self.coords)
             else:
                 # Scan centres adapt to the points actually audited.
-                coords, _ = self._measured_data(measure, fp)
                 regions = design.build(coords)
             self._region_sets[key] = regions
         return regions
@@ -536,14 +605,13 @@ class AuditSession:
 
     # -- streaming ------------------------------------------------------
     #
-    # Append/evict mutate the session's arrays AND migrate the cached
-    # intermediates to the new dataset fingerprint — incrementally
-    # where a structure can be updated in place (membership matrices),
-    # by retirement where it cannot (a data-driven grid whose bounding
-    # box moved, a measure whose row mask is unknown).  Everything
-    # that survives is bit-identical to what a cold session over the
-    # final arrays would build, so streamed audits equal cold audits
-    # exactly.
+    # Append/evict build the next snapshot AND migrate the cached
+    # intermediates to it — incrementally where a structure can be
+    # updated in place (membership matrices), by retirement where it
+    # cannot (a data-driven grid whose bounding box moved, a measure
+    # whose row mask is unknown).  Everything that survives is
+    # bit-identical to what a cold session over the final arrays would
+    # build, so streamed audits equal cold audits exactly.
 
     def _check_delta(self, name, existing, delta, k, dtype=None):
         """Validate one optional auxiliary array of an append batch."""
@@ -571,11 +639,9 @@ class AuditSession:
             )
         return arr
 
-    def _streamed_measures(self, fp: str) -> set:
-        """Measures with cached intermediates under a fingerprint."""
-        measures = {m for (f, m) in self._engines if f == fp}
-        measures |= {m for (f, _d, m) in self._region_sets if f == fp}
-        return measures
+    def _streamed_measures(self) -> set:
+        """Measures with cached engines or region sets."""
+        return set(self._engines) | {m for _d, m in self._region_sets}
 
     def _retire(self, engine: MonteCarloEngine) -> None:
         """Fold a dropped engine's counters into the session totals."""
@@ -603,65 +669,46 @@ class AuditSession:
             return new_box is not None and new_box == old_box
         return delta_changed is False
 
-    def _migrate(self, old_fp: str, changed: dict, update, old_box) -> str:
-        """Re-key cached intermediates after a stream event; returns
-        the new dataset fingerprint.
+    def _migrate(self, state: _Snapshot, changed: dict, update) -> None:
+        """Carry the cached intermediates over to the next state, then
+        swap it in.
 
         Parameters
         ----------
-        old_fp : str
-            The dataset fingerprint before the event (arrays are
-            already mutated when this runs).
+        state : _Snapshot
+            The dataset after the event.
         changed : dict of str -> bool or None
             Per measure: did its measured slice change?  ``None`` =
             unknown (retire everything data-driven for it).
         update : callable
             ``update(engine, measure)`` applies the event's in-place
             membership update to one surviving-but-changed engine.
-        old_box : Rect or None
-            The full dataset's bounding box before the event.
         """
-        new_box = (
-            Rect.bounding(self.coords) if len(self.coords) else None
-        )
+
+        def box(coords):
+            return Rect.bounding(coords) if len(coords) else None
+
+        old_box, new_box = box(self.coords), box(state.coords)
         # Region sets first: a design that dies must be forgotten by
         # its engine *before* the engine's incremental update, so the
         # engine never maintains a dead index.
-        surviving_regions = {}
         for key, regions in list(self._region_sets.items()):
-            fp, design, measure = key
-            del self._region_sets[key]
-            if fp != old_fp:
-                continue
-            if self._region_survives(
+            design, measure = key
+            if not self._region_survives(
                 design, changed.get(measure), old_box, new_box
             ):
-                surviving_regions[(design, measure)] = regions
-            else:
-                engine = self._engines.get((old_fp, measure))
+                del self._region_sets[key]
+                engine = self._engines.get(measure)
                 if engine is not None:
                     engine.forget_regions(regions)
         # Engines second: in-place update or retirement.
-        surviving_engines = {}
-        for key, engine in list(self._engines.items()):
-            fp, measure = key
-            del self._engines[key]
-            if fp != old_fp or changed.get(measure) is None:
+        for measure, engine in list(self._engines.items()):
+            if changed.get(measure) is None:
+                del self._engines[measure]
                 self._retire(engine)
-                continue
-            if changed[measure]:
+            elif changed[measure]:
                 update(engine, measure)
-            surviving_engines[measure] = engine
-        # Measured slices and family bounds recompute in O(n) — not
-        # worth a migration path of their own.
-        self._measured.clear()
-        self._bound.clear()
-        new_fp = self.dataset_fingerprint()
-        for measure, engine in surviving_engines.items():
-            self._engines[(new_fp, measure)] = engine
-        for (design, measure), regions in surviving_regions.items():
-            self._region_sets[(new_fp, design, measure)] = regions
-        return new_fp
+        self._state = state
 
     def append(
         self,
@@ -681,9 +728,8 @@ class AuditSession:
         e.g. ``equal_opportunity`` when every arrival has
         ``y_true == 0`` — keeps its engine and indexes as they are.
         Subsequent reports are bit-identical to a cold session over
-        the concatenated arrays.
-        A non-empty batch hashes the dataset once on entry, so an
-        in-place mutation made before the call is still seen.
+        the concatenated arrays.  The grown arrays are a new
+        read-only state; nothing is hashed here.
 
         Parameters
         ----------
@@ -703,10 +749,8 @@ class AuditSession:
         batch = self._check_batch(
             coords, outcomes, y_true, forecast, timestamps
         )
-        k = len(batch[0])
-        if k:
-            self._append(self.dataset_fingerprint(), *batch)
-        return k
+        self._append(*batch)
+        return len(batch[0])
 
     def _check_batch(self, coords, outcomes, y_true, forecast, timestamps):
         """Validate an :meth:`append` batch against the session.
@@ -733,20 +777,16 @@ class AuditSession:
         return coords, outcomes, y_true, forecast, timestamps
 
     def _append(
-        self, fp: str, coords, outcomes, y_true, forecast, timestamps
-    ) -> str:
-        """:meth:`append` of a checked batch to the dataset whose
-        fingerprint is ``fp``; returns the new fingerprint."""
+        self, coords, outcomes, y_true, forecast, timestamps
+    ) -> None:
+        """:meth:`append` of a checked batch."""
         if len(coords) == 0:
-            return fp
-        old_box = (
-            Rect.bounding(self.coords) if len(self.coords) else None
-        )
+            return
         # Which measures' slices does the batch touch, and with which
         # measured coordinates?
         changed: dict = {}
         deltas: dict = {}
-        for measure in self._streamed_measures(fp):
+        for measure in self._streamed_measures():
             mdef = MEASURES.get(measure)
             if mdef is None or mdef.mask is None:
                 changed[measure] = None
@@ -756,25 +796,21 @@ class AuditSession:
             )
             deltas[measure] = coords[dmask]
             changed[measure] = bool(dmask.any())
-
-        self.coords = np.concatenate([self.coords, coords])
-        self.outcomes = np.concatenate([self.outcomes, outcomes])
-        if self.y_true is not None:
-            self.y_true = np.concatenate([self.y_true, y_true])
-        if self.forecast is not None:
-            self.forecast = np.concatenate([self.forecast, forecast])
-        if self.timestamps is not None:
-            self.timestamps = np.concatenate(
-                [self.timestamps, timestamps]
-            )
-
-        return self._migrate(
-            fp,
+        delta = {
+            "coords": coords,
+            "outcomes": outcomes,
+            "y_true": y_true,
+            "forecast": forecast,
+            "timestamps": timestamps,
+        }
+        self._migrate(
+            self._state.derive(
+                lambda name, arr: np.concatenate([arr, delta[name]])
+            ),
             changed,
             lambda engine, measure: engine.append_points(
                 deltas[measure]
             ),
-            old_box,
         )
 
     def evict(
@@ -790,8 +826,8 @@ class AuditSession:
         the expired points' columns in place, and measures whose data
         slice lost no points are left untouched.  Subsequent reports
         are bit-identical to a cold session over the surviving arrays.
-        An eviction that drops points hashes the dataset once on
-        entry.
+        The surviving arrays are a new read-only state; nothing is
+        hashed here.
 
         Exactly one selector must be given.
 
@@ -813,9 +849,7 @@ class AuditSession:
             The number of points evicted.
         """
         keep = self._evict_keep(mask, older_than, window)
-        if keep.all():
-            return 0
-        self._evict(self.dataset_fingerprint(), keep)
+        self._evict(keep)
         return int(len(keep) - keep.sum())
 
     def _check_selector(self, n: int, mask, older_than, window) -> None:
@@ -858,23 +892,20 @@ class AuditSession:
         cutoff = float(self.timestamps.max()) - float(window)
         return self.timestamps >= cutoff
 
-    def _evict(self, fp: str, keep: np.ndarray) -> str:
-        """Keep only the ``keep`` rows of the dataset whose fingerprint
-        is ``fp``; returns the new fingerprint."""
+    def _evict(self, keep: np.ndarray) -> None:
+        """Keep only the ``keep`` rows of the dataset."""
         if keep.all():
-            return fp
-        old_box = (
-            Rect.bounding(self.coords) if len(self.coords) else None
-        )
+            return
+        state = self._state
         changed: dict = {}
         measured_keeps: dict = {}
-        for measure in self._streamed_measures(fp):
+        for measure in self._streamed_measures():
             mdef = MEASURES.get(measure)
             if mdef is None or mdef.mask is None:
                 changed[measure] = None
                 continue
             mmask = np.asarray(
-                mdef.mask(self.coords, self.outcomes, self.y_true),
+                mdef.mask(state.coords, state.outcomes, state.y_true),
                 dtype=bool,
             )
             measured_keep = keep[mmask]
@@ -888,23 +919,12 @@ class AuditSession:
                 # caches so the cold path reports the canonical
                 # no-observations error on next use.
                 changed[measure] = None
-
-        self.coords = self.coords[keep]
-        self.outcomes = self.outcomes[keep]
-        if self.y_true is not None:
-            self.y_true = self.y_true[keep]
-        if self.forecast is not None:
-            self.forecast = self.forecast[keep]
-        if self.timestamps is not None:
-            self.timestamps = self.timestamps[keep]
-
-        return self._migrate(
-            fp,
+        self._migrate(
+            state.derive(lambda name, arr: arr[keep]),
             changed,
             lambda engine, measure: engine.evict_points(
                 measured_keeps[measure]
             ),
-            old_box,
         )
 
     # -- running specs --------------------------------------------------
@@ -942,14 +962,9 @@ class AuditSession:
             region design yields no scannable regions.
         """
         self._check_spec(spec)
-        return self._resolve(spec, self.dataset_fingerprint())
-
-    def _resolve(self, spec: AuditSpec, fp: str) -> ResolvedSpec:
-        """:meth:`resolve` of a checked spec under a known dataset
-        fingerprint."""
-        regions = self._region_set(spec.regions, spec.measure, fp)
-        engine = self._engine(spec.measure, fp)
-        bound = self._family_bound(spec.family, spec.measure, fp)
+        regions = self.region_set(spec.regions, spec.measure)
+        engine = self._engine(spec.measure)
+        bound = self._state.bound(spec.family, spec.measure)
         member = engine.membership(regions)
         kernel = FAMILIES[spec.family].kernel(
             bound, _parse_direction(spec.direction)
@@ -1035,13 +1050,7 @@ class AuditSession:
         list of AuditReport
             One report per spec, in order.
         """
-        # Running a spec never changes the data: one hash serves all.
-        fp = self.dataset_fingerprint()
-        reports = []
-        for spec in specs:
-            self._check_spec(spec)
-            reports.append(self._run_resolved(self._resolve(spec, fp), None))
-        return reports
+        return [self.run(spec) for spec in specs]
 
 
 class AuditBuilder:

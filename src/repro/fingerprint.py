@@ -4,8 +4,8 @@ A spec hash (:meth:`repro.spec.AuditSpec.spec_hash`) identifies the
 *request*; it says nothing about the *data* the request ran against.
 A report cache keyed on the spec hash alone therefore serves stale
 reports the moment the dataset changes underneath it — a service
-re-pointed at new data, a session whose arrays were mutated in place,
-or a cache shared across processes holding different datasets.
+whose session appended or evicted points, or a cache shared across
+processes holding different datasets.
 
 This module closes that hole with content fingerprints: BLAKE2b
 digests over an array's raw bytes together with its dtype and shape
@@ -13,25 +13,27 @@ digests over an array's raw bytes together with its dtype and shape
 it ships in :mod:`hashlib` and streams at memory bandwidth for the
 array sizes audits carry).  :meth:`repro.api.AuditSession` exposes its
 dataset's combined digest as
-:meth:`~repro.api.AuditSession.dataset_fingerprint` and folds it into
-every session cache key, and :class:`repro.serve.AuditService` folds
-the fingerprints of each spec's measured slice into its report cache
-key — a swapped or mutated dataset misses by construction.
+:meth:`~repro.api.AuditSession.dataset_fingerprint` (the gateway's
+dataset table and the ticket journal's recovery guard key on it), and
+:class:`repro.serve.AuditService` folds the fingerprints of each
+spec's measured slice into its report cache key — changed data misses
+by construction.
 
 Fingerprints are *content* hashes: two arrays with equal bytes, dtype
 and shape collide on purpose (that is the cache-sharing feature), and
 any difference in value, dtype or shape separates them.
 
-When hashing happens: once on entry to each public call that reads or
-changes the dataset (``AuditSession.append``/``evict``/``resolve``/
-``run``/``run_many``, ``AuditService.gather``/``plan``), so an
-in-place mutation made between calls is always seen.  Inside
-``AuditService.advance`` the dataset is hashed once on entry and once
-per new state (after the append, after the eviction); the gather that
-follows reuses the last fingerprint.  A measured slice that *is* the
-session's own arrays (``statistical_parity``), and a Poisson spec's
-forecast, reuse the digests that fingerprint took; any other slice is
-hashed once, however many watched specs read it.
+When hashing happens: a session holds read-only private copies of its
+arrays, and its dataset only changes by ``append``/``evict``, each of
+which swaps in a new immutable state.  Each state is hashed at most
+once, on the first request that needs a content key — a report key
+or ``dataset_fingerprint()`` — and never by ``resolve``/``run`` or
+the session's internal caches.  A measured slice that *is* the
+state's own arrays (``statistical_parity``), and a Poisson spec's
+forecast, reuse the digests of that one hash; any other slice is
+hashed once per state, however many specs read it.  So a repeated
+request on an unchanged session hashes nothing, and an
+``AuditService.advance`` hashes only the state it ends in.
 """
 
 from __future__ import annotations

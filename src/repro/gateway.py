@@ -49,8 +49,6 @@ import threading
 import time
 from typing import Sequence
 
-import numpy as np
-
 from .api import AuditSession
 from .budget import _err, _int
 from .faults import fault_point
@@ -402,9 +400,10 @@ class AuditGateway:
     ) -> dict:
         """Register (or replace) a named dataset (thread-safe).
 
-        The arrays are copied once into read-only storage, hashed once,
-        and bound to a session and service right away, so shape and
-        length errors surface here rather than at the first audit.
+        The arrays are bound to a session (which copies them once into
+        read-only storage) and a service right away and hashed once,
+        so shape and length errors surface here rather than at the
+        first audit.
         Re-registering equal content keeps the existing service and
         its warm report cache; new content replaces it.
 
@@ -426,20 +425,12 @@ class AuditGateway:
             Invalid coordinates or mismatched array lengths (the
             message names the field).
         """
-
-        def frozen(arr, dtype=None):
-            if arr is None:
-                return None
-            arr = np.array(arr, dtype=dtype)
-            arr.flags.writeable = False
-            return arr
-
         name = str(name)
         session = AuditSession(
-            frozen(coords, np.float64),
-            frozen(outcomes),
-            y_true=frozen(y_true),
-            forecast=frozen(forecast, np.float64),
+            coords,
+            outcomes,
+            y_true=y_true,
+            forecast=forecast,
             n_classes=n_classes,
             workers=self.workers,
         )

@@ -22,9 +22,12 @@ repeat the dominant cost once per request.  This module amortises it:
   <repro.spec.AuditSpec.spec_hash>`) plus the content fingerprint
   (:mod:`repro.fingerprint`) of the measure's data slice — answers
   repeated seeded requests without touching the engine at all, with
-  explicit :meth:`~AuditService.invalidate`.  Swap (or mutate) the
-  session's arrays under a spec's slice and the same spec simply
-  misses; change only data outside that slice and it still hits;
+  explicit :meth:`~AuditService.invalidate`.  The session holds
+  read-only private copies of its arrays and hashes each dataset
+  state once, so a key costs no hashing after the state's first
+  batch; an append or eviction that changes a spec's slice makes the
+  same spec miss, while one that changes only data outside that
+  slice still hits;
 * :meth:`~AuditService.submit` / :meth:`~AuditService.gather` give an
   async-style flow on top of :class:`repro.api.AuditSession`, and
   ``python -m repro batch specs/*.json --data file.npz`` drives it
@@ -58,7 +61,7 @@ from .api import AuditReport, AuditSession, ResolvedSpec
 from .budget import _err, _int
 from .core import FAMILIES, _parse_direction
 from .faults import fault_point
-from .fingerprint import array_fingerprint, combine_fingerprints
+from .fingerprint import combine_fingerprints
 from .geometry import Rect
 from .spec import AuditSpec
 
@@ -128,9 +131,10 @@ class PendingAudit:
                     self._service._drain()
                 finally:
                     lock.release()
-                # The drain processed every pending ticket, ours
-                # included; loop re-checks and exits.
-                continue
+                # The drain resolves every ticket it took, ours
+                # included.
+                if self._event.is_set():
+                    break
             remaining = (
                 None
                 if deadline is None
@@ -143,6 +147,7 @@ class PendingAudit:
                 )
             # Wait briefly on the in-flight gather, then retry: its
             # batch may have been snapshotted before this submission.
+            # Every pass waits, so an unresolved ticket never spins.
             self._event.wait(
                 0.05 if remaining is None else min(0.05, remaining)
             )
@@ -285,20 +290,21 @@ class AuditService:
             batch = self._drain()
         return [t._report for t in batch if t._error is None]
 
-    def _drain(self, fp: str | None = None) -> list:
+    def _drain(self) -> list:
         """Snapshot and execute the pending queue; caller must hold
         ``_gather_lock``.  Returns the drained tickets.
 
-        ``fp`` is the session's dataset fingerprint when the caller
-        already knows it; otherwise a non-empty batch hashes the
-        dataset once here.
+        An exception escaping the execution resolves every ticket of
+        the batch it left unresolved with that error, so no waiter is
+        stranded.
         """
         with self._lock:
             batch, self._pending = self._pending, []
-        if batch:
-            self._execute(
-                batch, fp or self.session.dataset_fingerprint()
-            )
+        try:
+            self._execute(batch)
+        except Exception as exc:
+            stranded = [t for t in batch if not t.done()]
+            self._finish(stranded, None, error=exc)
         return batch
 
     def run_batch(self, specs: Sequence[AuditSpec]) -> list:
@@ -337,11 +343,9 @@ class AuditService:
             Indices into ``specs``, one inner list per fused group
             (specs in the same group share one simulation pass).
         """
-        fp = self.session.dataset_fingerprint()
         groups: "OrderedDict[tuple, list]" = OrderedDict()
         for i, spec in enumerate(specs):
-            self.session._check_spec(spec)
-            resolved = self.session._resolve(spec, fp)
+            resolved = self.session.resolve(spec)
             groups.setdefault(self._group_key(resolved), []).append(i)
         return list(groups.values())
 
@@ -365,13 +369,10 @@ class AuditService:
 
     # -- execution -----------------------------------------------------
 
-    def _report_key(
-        self, spec: AuditSpec, fp: str, slices: dict
-    ) -> str | None:
+    def _report_key(self, spec: AuditSpec) -> str | None:
         """Report-cache key of a spec: a digest of everything its report
-        depends on under the session's current data (whose dataset
-        fingerprint is ``fp``), or None for unseeded specs
-        (deliberately non-reproducible, never cached).
+        depends on under the session's current data, or None for
+        unseeded specs (deliberately non-reproducible, never cached).
 
         Covers the spec itself (hash), the measure's extracted slice
         (coordinates and outcomes — hence observed statistics, null
@@ -384,22 +385,13 @@ class AuditService:
         misses.  Raises what the session raises for a measure it
         cannot serve.
 
-        ``slices`` memoises the measured slice's fingerprints per
-        measure, so the specs of one batch hash each slice once.  A
-        slice array that is one of the session's own (and the forecast)
-        reuses the digest the dataset fingerprint ``fp`` took of it.
+        The digests come from the session's current state, which
+        hashes each slice at most once however many specs read it.
         """
         if spec.seed is None:
             return None
-        if spec.measure not in slices:
-            coords, outcomes = self.session._measured_data(
-                spec.measure, fp
-            )
-            slices[spec.measure] = (
-                self._digest(coords, fp),
-                self._digest(outcomes, fp),
-            )
-        coords_fp, outcomes_fp = slices[spec.measure]
+        state = self.session._state
+        coords_fp, outcomes_fp = state.slice_digests(spec.measure)
         parts = {
             "spec": spec.spec_hash(),
             "coords": coords_fp,
@@ -407,41 +399,33 @@ class AuditService:
         }
         design = spec.regions
         if design.kind == "grid" and design.bounds is None:
-            box = Rect.bounding(self.session.coords)
+            box = Rect.bounding(state.coords)
             parts["bbox"] = repr(
                 (box.min_x, box.min_y, box.max_x, box.max_y)
             )
         if spec.family == "poisson":
-            parts["forecast"] = self._digest(self.session.forecast, fp)
+            parts["forecast"] = state.digest("forecast")
         if spec.family == "multinomial":
             parts["n_classes"] = (
                 "none"
-                if self.session.n_classes is None
-                else str(self.session.n_classes)
+                if state.n_classes is None
+                else str(state.n_classes)
             )
         return combine_fingerprints(parts)
 
-    def _digest(self, arr, fp: str) -> str:
-        """``array_fingerprint(arr)``, taken from the session's hash of
-        the dataset whose fingerprint is ``fp`` when ``arr`` is one of
-        its arrays."""
-        known = self.session._known_digest(arr, fp)
-        return array_fingerprint(arr) if known is None else known
-
-    def _execute(self, batch: list, fp: str) -> None:
-        """Run one drained batch against the data whose fingerprint is
-        ``fp``: cache lookups, deduplication, resolution, fused group
-        passes, ticket resolution.  Called under ``_gather_lock``."""
+    def _execute(self, batch: list) -> None:
+        """Run one drained batch against the session's current data:
+        cache lookups, deduplication, resolution, fused group passes,
+        ticket resolution.  Called under ``_gather_lock``."""
         # Tickets sharing a cache key this batch compute once; the
         # list is shared by reference, so late duplicates of a
         # not-yet-finished representative join its resolution.
         peers: dict = {}
         groups: "OrderedDict[tuple, list]" = OrderedDict()
-        slices: dict = {}
         for ticket in batch:
             spec = ticket.spec
             try:
-                key = self._report_key(spec, fp, slices)
+                key = self._report_key(spec)
             except Exception as exc:  # the measure is per-spec
                 self._finish([ticket], None, error=exc)
                 continue
@@ -465,7 +449,7 @@ class AuditService:
                 peers[key] = [ticket]
             tickets = peers.get(key, [ticket])
             try:
-                resolved = self.session._resolve(spec, fp)
+                resolved = self.session.resolve(spec)
             except Exception as exc:  # resolution is per-spec
                 peers.pop(key, None)
                 self._finish(tickets, key, error=exc)
@@ -653,12 +637,9 @@ class AuditService:
         gather lock, so it never mutates the session under another
         thread's in-flight gather.
 
-        Hashing: the dataset is hashed once on entry (so an in-place
-        mutation made since the last call is seen) and once per new
-        state the append and the eviction produce; the gather reuses
-        the last of those fingerprints.  A measured slice that is the
-        session's own arrays reuses that hash's digests; any other
-        slice is hashed once, however many watched specs share it.
+        Hashing: only the state the step ends in is hashed, and only
+        as far as the watched specs' report keys need it — each
+        measured slice once, however many watched specs share it.
 
         The whole step is validated before anything changes: an
         advance that raises leaves the session as it found it.
@@ -719,13 +700,12 @@ class AuditService:
                 session._check_selector(n, *selectors)
             with self._lock:
                 self._advances += 1
-            fp = session.dataset_fingerprint()
             if batch is not None:
-                fp = session._append(fp, *batch)
+                session._append(*batch)
             if evicting:
-                fp = session._evict(fp, session._evict_keep(*selectors))
+                session._evict(session._evict_keep(*selectors))
             tickets = [self.submit(spec) for spec in self.watched()]
-            self._drain(fp)
+            self._drain()
         skips = sum(ticket._cache_hit for ticket in tickets)
         with self._lock:
             self._stream_skips += skips
@@ -757,13 +737,7 @@ class AuditService:
         ValueError
             When the session cannot serve the spec's measure.
         """
-        key = (
-            None
-            if spec is None
-            else self._report_key(
-                spec, self.session.dataset_fingerprint(), {}
-            )
-        )
+        key = None if spec is None else self._report_key(spec)
         with self._lock:
             if spec is None:
                 evicted = len(self._cache)

@@ -5,15 +5,16 @@ Everything here is deliberately small: the whole suite must stay fast
 few hundred points with one strongly biased region that 49 worlds
 detect reliably.
 
-A per-test watchdog (stdlib :mod:`faulthandler`) guards the whole
-suite: a deadlocked gateway/drain/chaos test dumps every thread's
-stack and kills the process after ``REPRO_TEST_TIMEOUT`` seconds
-(default 180) instead of stalling the CI job until its global
-timeout.
+A per-test watchdog (a daemon :class:`threading.Timer`) guards the
+whole suite: a deadlocked gateway/drain/chaos test — or a hung fixture
+teardown, even after the test failed — dumps every thread's stack and
+kills the process after ``REPRO_TEST_TIMEOUT`` seconds (default 180)
+instead of stalling the CI job until its global timeout.
 """
 
 import faulthandler
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,23 +26,51 @@ from repro.geometry import GridPartitioning, Rect, partition_region_set
 TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "180"))
 
 
+#: Where the watchdog writes its stack dump (see ``pytest_configure``).
+_STDERR_FD = 2
+
+
+def pytest_configure(config):
+    """Keep a descriptor of the real stderr: output capture is
+    suspended here, so the dump is not swallowed by the capture of
+    the test that hung."""
+    global _STDERR_FD
+    _STDERR_FD = os.dup(2)
+
+
+def _expire():
+    """Dump every thread's stack and end the process at once."""
+    os.write(
+        _STDERR_FD,
+        f"\nwatchdog: test still running after {TEST_TIMEOUT}s\n".encode(),
+    )
+    faulthandler.dump_traceback(file=_STDERR_FD, all_threads=True)
+    os._exit(1)
+
+
 @pytest.fixture(autouse=True)
 def _watchdog():
     """Fail a deadlocked test fast, with a stack dump of every thread.
 
-    Arms :func:`faulthandler.dump_traceback_later` around each test:
-    if the test (plus teardown) exceeds ``TEST_TIMEOUT`` seconds the
-    interpreter prints all thread stacks to stderr and exits — CI
-    shows *where* the hang is instead of a silent job timeout.  The
-    timer is cancelled on normal completion, so passing tests pay one
-    timer arm/cancel each.
+    Arms a daemon timer around each test: if the test (plus teardown)
+    exceeds ``TEST_TIMEOUT`` seconds, every thread's stack goes to
+    stderr and the process exits — CI shows *where* the hang is
+    instead of a silent job timeout.  The timer is our own, not
+    :func:`faulthandler.dump_traceback_later`, because pytest's
+    faulthandler plugin cancels that one as soon as a test fails,
+    leaving a hung teardown unguarded.  Passing tests pay one timer
+    start/cancel each.
     """
+    timer = None
     if TEST_TIMEOUT > 0:
-        faulthandler.dump_traceback_later(TEST_TIMEOUT, exit=True)
+        timer = threading.Timer(TEST_TIMEOUT, _expire)
+        timer.daemon = True
+        timer.start()
     try:
         yield
     finally:
-        faulthandler.cancel_dump_traceback_later()
+        if timer is not None:
+            timer.cancel()
 
 
 @pytest.fixture(autouse=True)

@@ -278,6 +278,20 @@ class TestValidationErrors:
         assert "spec.regions" in str(err.value)
         assert "observation" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["3", 2.7, True, 0, -1, [3]])
+    def test_bad_n_classes_names_the_field(
+        self, unit_coords, biased_labels, value
+    ):
+        with pytest.raises(ValueError, match=r"^n_classes: "):
+            AuditSession(unit_coords, biased_labels, n_classes=value)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
+    def test_integral_n_classes_is_kept_as_int(
+        self, unit_coords, biased_labels, value
+    ):
+        session = AuditSession(unit_coords, biased_labels, n_classes=value)
+        assert session.n_classes == 3 and type(session.n_classes) is int
+
     def test_too_many_centres_name_the_field(self, unit_coords,
                                              biased_labels):
         n = len(unit_coords)

@@ -6,16 +6,18 @@ Three layers:
   any difference in value, precision, dimensions or presence
   separates; combination is insertion-order independent but
   name-aware;
-* **session fingerprints** — :meth:`AuditSession.dataset_fingerprint`
-  is recomputed from current array contents, so in-place mutation is
-  visible;
-* **stale-cache regression** — before the fix, a service (or session)
-  whose dataset was mutated in place kept answering from caches built
-  over the old bytes.  Every report after a mutation must be
-  bit-identical to a fresh session over the mutated data.
+* **session fingerprints** — a session holds read-only private
+  copies of its arrays, so :meth:`AuditSession.dataset_fingerprint`
+  is computed once per dataset state and in-place writes are refused;
+* **stale-cache regression** — a service (or session) must never
+  answer from caches built over other bytes: writing into the
+  session's arrays raises, changing the caller's original arrays
+  changes no report, and every report after a stream event is
+  bit-identical to a fresh session over the new data.
 
-Plus the spec-hash stability golden: the request hash must never
-drift, or every persisted cache key and report id breaks.
+Plus the stability goldens: the request hash and the dataset
+fingerprint must never drift, or every persisted cache key, report id
+and journalled ticket breaks.
 """
 
 import numpy as np
@@ -126,13 +128,22 @@ class TestDatasetFingerprint:
             n_classes=session.n_classes,
         )
 
-    def test_session_tracks_in_place_mutation(
+    def test_session_refuses_in_place_mutation(
         self, unit_coords, biased_labels
     ):
-        session = AuditSession(unit_coords, biased_labels.copy())
+        outcomes = biased_labels.copy()
+        session = AuditSession(unit_coords, outcomes)
         before = session.dataset_fingerprint()
-        assert before == session.dataset_fingerprint()
-        session.outcomes[:] = 1 - session.outcomes
+        assert not np.shares_memory(session.outcomes, outcomes)
+        with pytest.raises(ValueError, match="read-only"):
+            session.outcomes[:] = 1 - session.outcomes
+        with pytest.raises(AttributeError):
+            session.outcomes = 1 - outcomes
+        outcomes[:] = 1 - outcomes
+        assert session.dataset_fingerprint() == before
+        assert np.array_equal(session.outcomes, biased_labels)
+        # A stream event is the one way to change the data.
+        session.evict(np.arange(len(outcomes)) < 10)
         assert session.dataset_fingerprint() != before
 
     def test_equal_data_sessions_share(self, unit_coords, biased_labels):
@@ -142,39 +153,63 @@ class TestDatasetFingerprint:
 
 
 class TestStaleCacheRegression:
-    """A dataset mutated underneath a service/session must miss every
-    cache: the regression the fingerprints exist to prevent."""
+    """A service/session must never answer from caches built over other
+    bytes: the regression the fingerprints exist to prevent.  The
+    session's arrays are read-only private copies, so the only way its
+    dataset changes is a stream event, which every cache must see."""
 
     SPEC = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=3)
+
+    #: The points each test evicts through the session.
+    DROP = np.arange(600) < 60
 
     def test_service_report_tracks_mutated_dataset(
         self, unit_coords, biased_labels
     ):
-        session = AuditSession(unit_coords, biased_labels.copy())
+        outcomes = biased_labels.copy()
+        session = AuditSession(unit_coords, outcomes)
         service = AuditService(session)
         stale = service.run_batch([self.SPEC])[0]
 
-        session.outcomes[:] = 1 - session.outcomes
+        with pytest.raises(ValueError, match="read-only"):
+            session.outcomes[:] = 1 - session.outcomes
+        outcomes[:] = 1 - outcomes
+        assert service.run_batch([self.SPEC])[0] is stale
+        assert stale.to_dict(full=True) == (
+            AuditSession(unit_coords, biased_labels)
+            .run(self.SPEC)
+            .to_dict(full=True)
+        )
+
+        session.evict(self.DROP)
         fresh_dict = (
-            AuditSession(unit_coords, session.outcomes.copy())
+            AuditSession(unit_coords[60:], biased_labels[60:])
             .run(self.SPEC)
             .to_dict(full=True)
         )
         again = service.run_batch([self.SPEC])[0]
         assert again is not stale
         assert again.to_dict(full=True) == fresh_dict
-        assert service.stats()["report_cache_hits"] == 0
+        assert service.stats()["report_cache_hits"] == 1
 
     def test_session_run_tracks_mutated_dataset(
         self, unit_coords, biased_labels
     ):
-        session = AuditSession(unit_coords, biased_labels.copy())
+        outcomes = biased_labels.copy()
+        session = AuditSession(unit_coords, outcomes)
         stale = session.run(self.SPEC)
 
-        session.outcomes[:] = 1 - session.outcomes
+        with pytest.raises(ValueError, match="read-only"):
+            session.outcomes[:] = 1 - session.outcomes
+        outcomes[:] = 1 - outcomes
+        assert session.run(self.SPEC).to_dict(full=True) == (
+            stale.to_dict(full=True)
+        )
+
+        session.evict(self.DROP)
         again = session.run(self.SPEC)
         fresh = AuditSession(
-            unit_coords, session.outcomes.copy()
+            unit_coords[60:], biased_labels[60:]
         ).run(self.SPEC)
         assert again.to_dict(full=True) == fresh.to_dict(full=True)
         assert again.to_dict(full=True) != stale.to_dict(full=True)
@@ -193,15 +228,34 @@ class TestStaleCacheRegression:
     def test_invalidate_targets_current_dataset(
         self, unit_coords, biased_labels
     ):
-        session = AuditSession(unit_coords, biased_labels.copy())
+        outcomes = biased_labels.copy()
+        session = AuditSession(unit_coords, outcomes)
         service = AuditService(session)
         service.run_batch([self.SPEC])
-        session.outcomes[:] = 1 - session.outcomes
+        # Changing the caller's array leaves the session's copy, and so
+        # the cached entry's key, as they were.
+        outcomes[:] = 1 - outcomes
+        assert service.invalidate(self.SPEC) == 1
+        service.run_batch([self.SPEC])
+        session.evict(self.DROP)
         # The cached entry belongs to the *old* dataset contents, so a
-        # targeted invalidate (keyed on the current fingerprint)
-        # cannot see it; clearing everything still can.
+        # targeted invalidate (keyed on the current data) cannot see
+        # it; clearing everything still can.
         assert service.invalidate(self.SPEC) == 0
         assert service.invalidate() == 1
+
+
+class TestDatasetFingerprintStability:
+    def test_golden_value(self):
+        coords = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]])
+        outcomes = np.array([0, 1, 1], dtype=np.int8)
+        session = AuditSession(coords, outcomes, n_classes=2)
+        # Pinned: journalled tickets carry the dataset fingerprint, and
+        # recovery refuses a ticket whose fingerprint no longer
+        # matches, so the value must never drift between releases.
+        golden = "8a2a9737011eff1c5a4096e05be1c24e"
+        assert session.dataset_fingerprint() == golden
+        assert dataset_fingerprint(coords, outcomes, n_classes=2) == golden
 
 
 class TestSpecHashStability:

@@ -234,6 +234,31 @@ class TestBatchesAndStats:
                 ticket.result()
 
 
+    def test_escaping_execute_error_still_drains(
+        self, gateway, monkeypatch
+    ):
+        from repro.serve import AuditService
+
+        def fail(resolved):
+            raise RuntimeError("grouping failed")
+
+        monkeypatch.setattr(AuditService, "_group_key", staticmethod(fail))
+        ticket = gateway.submit("unit", _spec(seed=5))
+        drained = []
+        thread = threading.Thread(
+            target=lambda: drained.append(gateway.drain(timeout=1.0)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(15.0)
+        assert not thread.is_alive(), "drain() never returned"
+        assert drained == [1]
+        stats = gateway.stats()
+        assert stats["errors"] == 1 and stats["completed"] == 0
+        with pytest.raises(RuntimeError, match="grouping failed"):
+            ticket.result(timeout=1.0)
+
+
 class TestDatasets:
     def test_register_stores_inputs(
         self, gateway, unit_coords, biased_labels
@@ -864,6 +889,24 @@ class TestHTTP:
         assert body["error"].startswith(
             f"{field}: length does not match coords"
         )
+        assert [d["name"] for d in gw.datasets()] == ["unit"]
+
+    @pytest.mark.parametrize("value", ["3", 2.7, True, 0, -1])
+    def test_register_rejects_bad_n_classes(
+        self, http, unit_coords, biased_labels, value
+    ):
+        client, gw = http
+        status, body, _ = client.post(
+            "/datasets",
+            {
+                "name": "bad",
+                "coords": unit_coords.tolist(),
+                "outcomes": biased_labels.tolist(),
+                "n_classes": value,
+            },
+        )
+        assert status == 400
+        assert body["error"].startswith("n_classes: ")
         assert [d["name"] for d in gw.datasets()] == ["unit"]
 
     @pytest.mark.parametrize(

@@ -357,6 +357,76 @@ class TestAsyncFlow:
             t_bad.result()
         assert service.stats()["errors"] == 1
 
+    @staticmethod
+    def _result_in_thread(ticket, timeout):
+        """``ticket.result(timeout)`` on a helper thread joined with a
+        bound, so a hang fails the test instead of stalling it."""
+        outcome = {}
+
+        def wait():
+            try:
+                outcome["report"] = ticket.result(timeout=timeout)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=wait, daemon=True)
+        thread.start()
+        thread.join(timeout + 10.0)
+        assert not thread.is_alive(), "result() ignored its timeout"
+        return outcome
+
+    def test_escaping_execute_error_resolves_the_batch(
+        self, service, monkeypatch
+    ):
+        boom = RuntimeError("grouping failed")
+
+        def fail(resolved):
+            raise boom
+
+        monkeypatch.setattr(AuditService, "_group_key", staticmethod(fail))
+        tickets = [
+            service.submit(
+                AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=s)
+            )
+            for s in (1, 2)
+        ]
+        assert service.gather() == []
+        assert all(t.done() for t in tickets)
+        for ticket in tickets:
+            assert self._result_in_thread(ticket, 1.0)["error"] is boom
+        assert service.stats()["errors"] == 2
+
+    def test_result_deadline_holds_for_an_unqueued_ticket(self, service):
+        # A ticket no batch holds: each drain finds nothing, so only the
+        # deadline can end the wait.
+        orphan = repro.PendingAudit(
+            service, AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=1)
+        )
+        outcome = self._result_in_thread(orphan, 0.2)
+        assert isinstance(outcome["error"], TimeoutError)
+
+    def test_repeated_gather_hashes_nothing(self, service, monkeypatch):
+        import repro.api
+        import repro.fingerprint
+
+        hashed = []
+        real = repro.fingerprint.array_fingerprint
+
+        def spy(arr):
+            hashed.append(arr)
+            return real(arr)
+
+        monkeypatch.setattr(repro.fingerprint, "array_fingerprint", spy)
+        monkeypatch.setattr(repro.api, "_array_fingerprint", spy)
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=4)
+        service.run_batch([spec])
+        assert hashed  # the first report key hashes the state once
+        hashed.clear()
+        service.run_batch([spec, spec])
+        service.session.run(spec)
+        service.session.dataset_fingerprint()
+        assert hashed == []
+
     def test_submit_rejects_non_specs(self, service):
         with pytest.raises(ValueError, match="AuditSpec"):
             service.submit({"regions": {"kind": "grid"}})

@@ -17,8 +17,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.api
+import repro.fingerprint
 from repro.api import AuditSession
 from repro.engine import BernoulliKernel, MonteCarloEngine, PoissonKernel
+from repro.fingerprint import array_fingerprint, combine_fingerprints
 from repro.geometry import (
     GridPartitioning,
     Rect,
@@ -893,47 +896,53 @@ class TestServiceStreaming:
         cold = AuditSession(unit_coords[10:210], biased_labels[10:210])
         assert report_json(report) == report_json(cold.run(spec))
 
-    def test_in_place_mutation_between_advances_misses(
+    def test_in_place_write_between_advances_raises(
         self, unit_coords, biased_labels
     ):
         ts = np.arange(len(unit_coords), dtype=np.float64)
+        outcomes = biased_labels[:500].copy()
         session = AuditSession(
-            unit_coords[:500],
-            biased_labels[:500].copy(),
-            timestamps=ts[:500],
+            unit_coords[:500], outcomes, timestamps=ts[:500]
         )
         service = AuditService(session)
         spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=8)
         service.watch(spec)
         service.advance()
-        session.outcomes[:250] = 1 - session.outcomes[:250]
+        with pytest.raises(ValueError, match="read-only"):
+            session.outcomes[:250] = 1 - session.outcomes[:250]
+        # The caller's original array is not the session's.
+        outcomes[:250] = 1 - outcomes[:250]
+        service.advance()
+        assert service.stats()["report_cache_hits"] == 1
         (report,) = service.advance(
             unit_coords[500:],
             biased_labels[500:],
             timestamps=ts[500:],
             window=499.0,
         )
-        assert service.stats()["report_cache_hits"] == 0
-        outcomes = biased_labels.copy()
-        outcomes[:250] = 1 - outcomes[:250]
-        cold = AuditSession(unit_coords[100:], outcomes[100:])
+        assert service.stats()["report_cache_hits"] == 1
+        cold = AuditSession(unit_coords[100:], biased_labels[100:])
         assert report_json(report) == report_json(cold.run(spec))
+
+    @staticmethod
+    def _spy_hashing(monkeypatch) -> list:
+        """Record the bytes every content hash reads: inside
+        ``dataset_fingerprint`` and where the session hashes one
+        array."""
+        hashed = []
+
+        def spy(arr):
+            hashed.append(0 if arr is None else np.asarray(arr).nbytes)
+            return array_fingerprint(arr)
+
+        monkeypatch.setattr(repro.fingerprint, "array_fingerprint", spy)
+        monkeypatch.setattr(repro.api, "_array_fingerprint", spy)
+        return hashed
 
     def test_advance_hashes_each_state_once(
         self, unit_coords, biased_labels, monkeypatch
     ):
-        import repro.fingerprint
-        import repro.serve
-
-        hashed = []
-        real = repro.fingerprint.array_fingerprint
-
-        def spy(arr):
-            hashed.append(0 if arr is None else np.asarray(arr).nbytes)
-            return real(arr)
-
-        monkeypatch.setattr(repro.fingerprint, "array_fingerprint", spy)
-        monkeypatch.setattr(repro.serve, "array_fingerprint", spy)
+        hashed = self._spy_hashing(monkeypatch)
         ts = np.arange(len(unit_coords), dtype=np.float64)
         session = AuditSession(
             unit_coords[:500], biased_labels[:500], timestamps=ts[:500]
@@ -955,32 +964,25 @@ class TestServiceStreaming:
             timestamps=ts[500:550],
             window=499.0,
         )
-        # Entry state, post-append state, post-evict state and one
-        # hash of the slice all three specs measure; none is larger
-        # than the 550-point state the advance passes through.
-        state = 550 * (2 * session.coords.itemsize + session.outcomes.itemsize)
+        # Only the state the advance ends in is hashed: the one slice
+        # all three specs measure, which is that state's own arrays.
         assert len(session.coords) == 500
-        assert sum(hashed) <= 4 * state
+        state = session.coords.nbytes + session.outcomes.nbytes
+        assert 0 < sum(hashed) <= state
+        # An unchanged state is never hashed again.
+        hashed.clear()
+        service.advance()
+        session.run(service.watched()[0])
+        session.dataset_fingerprint()
+        assert hashed == []
 
     def test_advance_reuses_the_state_digests(
         self, unit_coords, biased_labels, monkeypatch
     ):
         # The watched specs measure statistical_parity, whose slice is
-        # the session's own arrays: the report keys reuse the digests
-        # of the post-evict state, so one advance hashes the entry,
-        # post-append and post-evict states and nothing else.
-        import repro.fingerprint
-        import repro.serve
-
-        hashed = []
-        real = repro.fingerprint.array_fingerprint
-
-        def spy(arr):
-            hashed.append(0 if arr is None else np.asarray(arr).nbytes)
-            return real(arr)
-
-        monkeypatch.setattr(repro.fingerprint, "array_fingerprint", spy)
-        monkeypatch.setattr(repro.serve, "array_fingerprint", spy)
+        # the session's own arrays: the report keys and the dataset
+        # fingerprint share one hash of the post-evict state.
+        hashed = self._spy_hashing(monkeypatch)
         ts = np.arange(len(unit_coords), dtype=np.float64)
         session = AuditSession(
             unit_coords[:500], biased_labels[:500], timestamps=ts[:500]
@@ -1003,25 +1005,23 @@ class TestServiceStreaming:
             timestamps=ts[500:550],
             window=499.0,
         )
-        state = 550 * (2 * session.coords.itemsize + session.outcomes.itemsize)
+        session.dataset_fingerprint()
+        state = session.coords.nbytes + session.outcomes.nbytes
         assert len(session.coords) == 500
-        assert sum(hashed) <= 3 * state
+        assert sum(hashed) <= state
         # Report keys are unchanged: a fresh service over a cold
         # session, hashing its slices itself, hits the same cache key.
         cold = AuditService(
             AuditSession(unit_coords[50:550], biased_labels[50:550])
         )
-        fp = cold.session.dataset_fingerprint()
         for spec, report in zip(specs, reports):
-            want = repro.fingerprint.combine_fingerprints({
+            want = combine_fingerprints({
                 "spec": spec.spec_hash(),
-                "coords": real(unit_coords[50:550]),
-                "outcomes": real(biased_labels[50:550]),
+                "coords": array_fingerprint(unit_coords[50:550]),
+                "outcomes": array_fingerprint(biased_labels[50:550]),
             })
-            assert cold._report_key(spec, fp, {}) == want
-            assert service._report_key(
-                spec, session.dataset_fingerprint(), {}
-            ) == want
+            assert cold._report_key(spec) == want
+            assert service._report_key(spec) == want
             assert report_json(report) == report_json(
                 cold.session.run(spec)
             )
