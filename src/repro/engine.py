@@ -101,6 +101,12 @@ _MIN_CHUNK = 8
 #: enough chunks for a pool of threads to balance.
 _TARGET_CHUNKS = 16
 
+#: Region x world count entries scored at once: a pass runs its LLR
+#: and per-world maxima once per block of consecutive chunks holding
+#: at most this many entries, so its memory stays bounded at any
+#: ``n_worlds``.
+_BLOCK_ENTRIES = 2**20
+
 
 def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity set where the
@@ -230,8 +236,8 @@ class LLRKernel:
         """
         raise NotImplementedError
 
-    def score(self, worlds: np.ndarray) -> np.ndarray:
-        """Log-likelihood ratio of every region in every world.
+    def count(self, worlds: np.ndarray) -> tuple:
+        """The per-region sums a world batch is scored from.
 
         Parameters
         ----------
@@ -240,9 +246,33 @@ class LLRKernel:
 
         Returns
         -------
+        tuple of ndarray
+            The family's count arrays, each with worlds on its last
+            axis, so the engine can lay several chunks' counts side by
+            side and score them at once with :meth:`llr`.
+        """
+        raise NotImplementedError
+
+    def llr(self, counts: tuple) -> np.ndarray:
+        """Log-likelihood ratio of every region in every world.
+
+        Parameters
+        ----------
+        counts : tuple of ndarray
+            :meth:`count` of a batch, or several batches' counts joined
+            along the world axis.  The statistic is elementwise per
+            world, so the join changes no value.
+
+        Returns
+        -------
         ndarray of shape (n_regions, n_worlds)
         """
         raise NotImplementedError
+
+    def score(self, worlds: np.ndarray) -> np.ndarray:
+        """:meth:`llr` of :meth:`count`: every region of every world
+        in one batch scored."""
+        return self.llr(self.count(worlds))
 
     def _region_counts(self, worlds: np.ndarray) -> np.ndarray:
         """Per-region sums of a world batch: the region rows of a
@@ -301,9 +331,11 @@ class BernoulliKernel(LLRKernel):
             rng.random((self.n_points, n_worlds)) < self.rate
         ).astype(np.float64)
 
-    def score(self, worlds: np.ndarray) -> np.ndarray:
-        world_p = self._region_counts(worlds)
-        world_P = _world_totals(worlds)
+    def count(self, worlds: np.ndarray) -> tuple:
+        return self._region_counts(worlds), _world_totals(worlds)
+
+    def llr(self, counts: tuple) -> np.ndarray:
+        world_p, world_P = counts
         return kernels.bernoulli_llr_batch(
             self._n, world_p, float(self.n_points), world_P, self.direction
         )
@@ -367,8 +399,11 @@ class PoissonKernel(LLRKernel):
         draws = rng.multinomial(self.total_obs_int, probs, size=n_worlds)
         return np.ascontiguousarray(draws.T, dtype=np.float64)
 
-    def score(self, worlds: np.ndarray) -> np.ndarray:
-        world_obs = self._region_counts(worlds)
+    def count(self, worlds: np.ndarray) -> tuple:
+        return (self._region_counts(worlds),)
+
+    def llr(self, counts: tuple) -> np.ndarray:
+        (world_obs,) = counts
         return kernels.poisson_llr_batch(
             world_obs,
             self._exp_r,
@@ -434,24 +469,36 @@ class MultinomialKernel(LLRKernel):
         u = rng.random((self.n_points, n_worlds))
         return np.searchsorted(self._cum, u)  # (N, w) int labels < K
 
-    def score(self, worlds: np.ndarray) -> np.ndarray:
-        return kernels.multinomial_llr(
-            self._n[:, None], self._class_counts(worlds), self.n_points
-        )
-
-    def _class_counts(self, worlds: np.ndarray):
-        """Yield each class's ``(c, C)`` counts of a world batch, one
-        class at a time so only one indicator matrix is alive."""
+    def count(self, worlds: np.ndarray) -> tuple:
+        """``(c, C)``: class counts per region ``(K, R, w)`` and per
+        world ``(K, w)``.  On the points path one class's indicator
+        matrix is recounted at a time, so only one is alive."""
+        if self._units is not None:
+            return (
+                np.moveaxis(worlds[:-1], 2, 0),
+                _world_totals(worlds).T,
+            )
+        c = np.empty((self.n_classes, len(self.member), worlds.shape[1]))
+        C = np.empty((self.n_classes, worlds.shape[1]))
         for k in range(self.n_classes):
-            if self._units is not None:
-                ind = worlds[:, :, k]
-            else:
-                ind = (worlds == k).astype(np.float64)
-            yield self._region_counts(ind), _world_totals(ind)[None, :]
+            ind = (worlds == k).astype(np.float64)
+            c[k] = self._region_counts(ind)
+            C[k] = _world_totals(ind)
+        return c, C
+
+    def llr(self, counts: tuple) -> np.ndarray:
+        c, C = counts
+        return kernels.multinomial_llr(
+            self._n[:, None],
+            ((c[k], C[k][None, :]) for k in range(self.n_classes)),
+            self.n_points,
+        )
 
 
 def _world_totals(worlds: np.ndarray) -> np.ndarray:
-    """Per-world column sums of a ``(n_points, w)`` batch, as float64.
+    """Per-world sums over the first axis of a batch, as float64:
+    ``(w,)`` for a ``(n_points, w)`` batch, ``(w, K)`` for per-class
+    unit counts.
 
     ``einsum`` walks the C-contiguous batch row by row, where
     ``sum(axis=0)`` strides down each column; a BLAS ``ones @ worlds``
@@ -459,7 +506,27 @@ def _world_totals(worlds: np.ndarray) -> np.ndarray:
     sum.  World values are integers, so every order gives the same
     exact total below ``2**53``.
     """
-    return np.einsum("ij->j", worlds, dtype=np.float64)
+    return np.einsum("i...->...", worlds, dtype=np.float64)
+
+
+def _count_chunk(
+    kernel: LLRKernel, chunk: tuple, child: np.random.SeedSequence
+) -> tuple:
+    """The one chunk job: simulate a chunk from its own seed child and
+    count it."""
+    worlds = kernel.simulate(np.random.default_rng(child), chunk[1])
+    return kernel.count(worlds)
+
+
+def _blocks(chunks: list, rows: int) -> list:
+    """``(first, stop)`` chunk indices of each block of a layout: runs
+    of consecutive chunks whose counts hold at most
+    :data:`_BLOCK_ENTRIES` region x world entries, one chunk at least."""
+    per_block = max(1, _BLOCK_ENTRIES // max(rows * chunks[0][1], 1))
+    return [
+        (i, min(i + per_block, len(chunks)))
+        for i in range(0, len(chunks), per_block)
+    ]
 
 
 def _write_maxima(
@@ -469,7 +536,7 @@ def _write_maxima(
     width: int,
     segments: list,
 ) -> None:
-    """Reduce one chunk's (regions, worlds) scores to per-world maxima.
+    """Reduce one block's (regions, worlds) scores to per-world maxima.
 
     Each segment — one design's rows of the scored matrix — reduces
     independently into its own row of ``out``.  A solo run is the
@@ -477,20 +544,6 @@ def _write_maxima(
     """
     for i, (a, b) in enumerate(segments):
         out[i, start : start + width] = llr[a:b].max(axis=0)
-
-
-def _score_chunk(
-    kernel: LLRKernel,
-    out: np.ndarray,
-    chunk: tuple,
-    child: np.random.SeedSequence,
-    segments: list,
-) -> None:
-    """Simulate one chunk from its own seed child, score it and write
-    its per-world maxima into the chunk's slice of ``out``."""
-    start, width = chunk
-    worlds = kernel.simulate(np.random.default_rng(child), width)
-    _write_maxima(out, kernel.score(worlds), start, width, segments)
 
 
 class MonteCarloEngine:
@@ -904,21 +957,43 @@ class MonteCarloEngine:
         workers: int | None,
         segments: list,
     ) -> np.ndarray:
-        """Bind and execute one explicit (chunks, seeds) layout —
-        serially or on a thread pool — returning the per-world maxima,
-        one row per segment."""
+        """Bind and execute one explicit (chunks, seeds) layout,
+        returning the per-world maxima, one row per segment.
+
+        Each chunk is simulated and counted on its own, serially or on
+        a thread pool, and its counts take its column slice of its
+        block's buffer.  The LLR and the per-segment maxima then run
+        once per block (:func:`_blocks`).  The statistic is elementwise
+        per world, so the blocking changes no value."""
         kernel.bind(member)
         workers = self.workers if workers is None else workers
         n_threads = min(int(workers or 1), len(chunks), _usable_cores())
         null_max = np.empty((len(segments), n_worlds))
-        if n_threads < 2:
-            self._null_serial(kernel, null_max, chunks, seeds, segments)
-            return null_max
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            # Each chunk owns a disjoint slice of null_max, so completion
-            # order is irrelevant; list() re-raises the first chunk error.
-            run = partial(_score_chunk, kernel, null_max, segments=segments)
-            list(pool.map(run, chunks, seeds))
+        pool = (
+            ThreadPoolExecutor(max_workers=n_threads)
+            if n_threads >= 2
+            else None
+        )
+        job = partial(_count_chunk, kernel)
+        try:
+            for first, stop in _blocks(chunks, len(member)):
+                # Both maps yield in chunk order; pool.map re-raises
+                # the first chunk error.
+                parts = (pool.map if pool else map)(
+                    job, chunks[first:stop], seeds[first:stop]
+                )
+                counts = tuple(
+                    np.concatenate(arrays, axis=-1)
+                    for arrays in zip(*parts)
+                )
+                start = chunks[first][0]
+                width = counts[0].shape[-1]
+                _write_maxima(
+                    null_max, kernel.llr(counts), start, width, segments
+                )
+        finally:
+            if pool is not None:
+                pool.shutdown()
         return null_max
 
     def _adaptive_pass(
@@ -989,21 +1064,3 @@ class MonteCarloEngine:
             if not active:
                 break
         return [np.concatenate(parts) for parts in collected]
-
-    @staticmethod
-    def _null_serial(
-        kernel: LLRKernel,
-        out: np.ndarray,
-        chunks: list,
-        seeds: list,
-        segments: list,
-    ) -> None:
-        # Inline rather than via _score_chunk: the previous chunk's
-        # worlds and scores stay referenced until the next chunk's are
-        # allocated, so malloc reuses their pages instead of trimming
-        # the heap and faulting fresh pages in on every chunk.
-        for (start, width), child in zip(chunks, seeds):
-            rng = np.random.default_rng(child)
-            worlds = kernel.simulate(rng, width)
-            llr = kernel.score(worlds)
-            _write_maxima(out, llr, start, width, segments)
