@@ -248,12 +248,18 @@ class ResolvedSpec:
     kernel: LLRKernel
 
 
+#: Marks a lazy :class:`_Snapshot` value not computed yet (``None`` is
+#: a value: the bounding box of no points).
+_UNSET = object()
+
+
 class _Snapshot:
     """One immutable dataset state of an :class:`AuditSession`.
 
     Holds the state's read-only arrays together with everything
-    derived from them alone — measured slices, family bound state and
-    content digests — each computed at most once, on first use.  A
+    derived from them alone — measured slices, family bound state,
+    content digests and the bounding box — each computed at most once,
+    on first use.  A
     stream event builds a new snapshot and the session swaps it in
     whole, so a reader never pairs one state's arrays with another
     state's fingerprint.
@@ -273,6 +279,7 @@ class _Snapshot:
             if arr is not None:
                 arr.flags.writeable = False
         self._fingerprint: str | None = None
+        self._box = _UNSET
         self._digests: dict = {}
         self._measured: dict = {}
         self._slice_digests: dict = {}
@@ -308,6 +315,16 @@ class _Snapshot:
         ``forecast``), taken from :meth:`fingerprint`."""
         self.fingerprint()
         return self._digests[name]
+
+    def bounding_box(self) -> Rect | None:
+        """:meth:`repro.geometry.Rect.bounding` of the full dataset's
+        coordinates, or None when it holds no points; computed on first
+        call only."""
+        if self._box is _UNSET:
+            self._box = (
+                Rect.bounding(self.coords) if len(self.coords) else None
+            )
+        return self._box
 
     def measured(self, measure: str):
         """(coords, outcomes) after applying a measure, cached."""
@@ -650,7 +667,7 @@ class AuditSession:
         self._retired["worlds_simulated"] += engine.worlds_simulated
 
     def _region_survives(
-        self, design, delta_changed, old_box, new_box
+        self, design, delta_changed, old: _Snapshot, new: _Snapshot
     ) -> bool:
         """Whether a materialised region set is still the one a cold
         build over the new data would produce.
@@ -666,7 +683,8 @@ class AuditSession:
         if design.kind == "grid" and design.bounds is not None:
             return True
         if design.kind == "grid":
-            return new_box is not None and new_box == old_box
+            new_box = new.bounding_box()
+            return new_box is not None and new_box == old.bounding_box()
         return delta_changed is False
 
     def _migrate(self, state: _Snapshot, changed: dict, update) -> None:
@@ -684,18 +702,13 @@ class AuditSession:
             ``update(engine, measure)`` applies the event's in-place
             membership update to one surviving-but-changed engine.
         """
-
-        def box(coords):
-            return Rect.bounding(coords) if len(coords) else None
-
-        old_box, new_box = box(self.coords), box(state.coords)
         # Region sets first: a design that dies must be forgotten by
         # its engine *before* the engine's incremental update, so the
         # engine never maintains a dead index.
         for key, regions in list(self._region_sets.items()):
             design, measure = key
             if not self._region_survives(
-                design, changed.get(measure), old_box, new_box
+                design, changed.get(measure), self._state, state
             ):
                 del self._region_sets[key]
                 engine = self._engines.get(measure)

@@ -53,8 +53,8 @@ from .geometry import (
     check_coords,
 )
 from .index import RegionMembership
-from .kernels import multinomial_llr
-from .stats import benjamini_hochberg, bernoulli_llr, poisson_llr
+from .kernels import bernoulli_llr, multinomial_llr, poisson_llr
+from .stats import benjamini_hochberg
 
 __all__ = [
     "Finding",
@@ -116,7 +116,7 @@ def _check_n_worlds(n_worlds: int) -> int:
 def log_likelihood_ratio(n, p, total_n, total_p) -> np.ndarray:
     """Two-sided Bernoulli scan log-likelihood ratio.
 
-    Convenience re-export of :func:`repro.stats.bernoulli_llr` with the
+    Convenience re-export of :func:`repro.kernels.bernoulli_llr` with the
     argument order used throughout the paper's tables: region counts
     first, global totals second.
 
@@ -887,7 +887,16 @@ class BernoulliFamily(ScanFamily):
     directional = True
 
     def bind(self, coords, outcomes, forecast=None, n_classes=None):
-        labels = np.asarray(outcomes).astype(np.int8).ravel()
+        labels = np.asarray(outcomes).ravel()
+        if labels.dtype != np.bool_:
+            binary = (labels == 0) | (labels == 1)
+            if not binary.all():
+                raise ValueError(
+                    "outcomes: family 'bernoulli' needs binary outcomes "
+                    "(bool, or 0/1 values); got "
+                    f"{labels[~binary][:1].tolist()[0]!r}"
+                )
+        labels = labels.astype(np.int8)
         if len(labels) != len(coords):
             raise ValueError(
                 "coords and labels must have the same length"
@@ -932,7 +941,12 @@ class PoissonFamily(ScanFamily):
     directional = True
 
     def bind(self, coords, outcomes, forecast=None, n_classes=None):
-        observed = np.asarray(outcomes, dtype=np.float64).ravel()
+        try:
+            observed = np.asarray(outcomes, dtype=np.float64).ravel()
+        except (TypeError, ValueError):
+            raise ValueError(
+                "outcomes: family 'poisson' needs numeric event counts"
+            ) from None
         if forecast is None:
             raise ValueError(
                 "family 'poisson' needs a forecast array of expected "
@@ -943,8 +957,19 @@ class PoissonFamily(ScanFamily):
             raise ValueError(
                 "coords, observed and forecast must share a length"
             )
-        if (forecast < 0).any() or forecast.sum() <= 0:
-            raise ValueError("forecast must be non-negative, not all 0")
+        if not np.isfinite(observed).all() or (observed < 0).any():
+            raise ValueError(
+                "outcomes: family 'poisson' needs finite, non-negative "
+                "event counts"
+            )
+        if (
+            not np.isfinite(forecast).all()
+            or (forecast < 0).any()
+            or forecast.sum() <= 0
+        ):
+            raise ValueError(
+                "forecast must be finite, non-negative, not all 0"
+            )
         total_obs = float(observed.sum())
         return {
             "observed": observed,

@@ -47,16 +47,29 @@ a fused group, so the null distribution (hence verdicts, critical
 values and significant-region sets) is bit-identical serial or
 threaded, fused or solo, and streamed or cold.
 
+Counting and scoring
+--------------------
+A kernel splits scoring in two: :meth:`LLRKernel.count` turns one
+chunk's worlds into per-region sums and per-world totals (the region
+rows of a region-level batch, ``M @ worlds`` on the points path), and
+:meth:`LLRKernel.llr` scores counts.  Each chunk is simulated and
+counted on its own; the counts of a *block* of consecutive chunks —
+at most :data:`_BLOCK_ENTRIES` region x world entries — are laid side
+by side, and the LLR and the per-segment maxima run once per block.
+The statistic is elementwise per world, so the block layout changes
+no bit, and a pass's memory stays bounded at any ``n_worlds``.
+
 Parallel path
 -------------
-``workers >= 2`` runs the chunks on a
+``workers >= 2`` simulates and counts the chunks on a
 :class:`concurrent.futures.ThreadPoolExecutor` of at most
-``min(workers, chunks, usable cores)`` threads.  The heavy steps —
-numpy's random draws and ufuncs, scipy's sparse mat-vec — release the
-GIL, so the threads overlap on separate cores.  Every thread reads the
-same bound kernel and membership matrix, and each chunk writes its
-per-world maxima into its own disjoint slice of one output array, so
-nothing is copied, pickled or locked, and no process is forked.
+``min(workers, chunks, usable cores)`` threads; the LLR then runs once
+per block on the calling thread.  The heavy steps — numpy's random
+draws, scipy's sparse mat-vec — release the GIL, so the threads
+overlap on separate cores.  Every thread reads the same bound kernel
+and membership matrix, and the pool hands each chunk's counts back in
+chunk order, so nothing is pickled or locked, and no process is
+forked.
 """
 
 from __future__ import annotations
@@ -147,13 +160,13 @@ def world_chunk_size(n_points: int, n_worlds: int) -> int:
 class LLRKernel:
     """One outcome family's Monte Carlo statistics.
 
-    A kernel knows how to *simulate* a batch of null worlds and how to
-    *score* every region of every simulated world with the family's
-    log-likelihood ratio.  The engine supplies chunking, seeding and
-    parallelism around it.  Once bound, a kernel is only read, so pool
-    threads may score chunks through it concurrently.
+    A kernel knows how to *simulate* a batch of null worlds, how to
+    *count* a batch into per-region sums, and how to score counts with
+    the family's log-likelihood ratio (:meth:`llr`).  The engine
+    supplies chunking, seeding, blocking and parallelism around it.  Once bound, a kernel is only read, so
+    pool threads may count chunks through it concurrently.
 
-    Subclasses implement :meth:`simulate`, :meth:`score`,
+    Subclasses implement :meth:`simulate`, :meth:`count`, :meth:`llr`,
     :attr:`chunk_points` and :meth:`cache_key`, and may extend
     :meth:`bind` to precompute member-dependent arrays.
     """
@@ -171,7 +184,7 @@ class LLRKernel:
 
         A disjoint ``member`` switches the kernel to region-level
         worlds (see the module docstring): :meth:`simulate` then draws
-        one row per unit and :meth:`score` reads the region rows
+        one row per unit and :meth:`count` reads the region rows
         without a recount.
 
         Parameters
@@ -226,7 +239,7 @@ class LLRKernel:
         -------
         ndarray
             World batch with worlds along axis 1; the exact layout is
-            the kernel's own (``score`` must understand it).  On the
+            the kernel's own (``count`` must understand it).  On the
             points path the Bernoulli and Poisson kernels return the
             C-contiguous float64 ``(n_points, n_worlds)`` operand of
             the recount, and the multinomial kernel returns class
@@ -268,11 +281,6 @@ class LLRKernel:
         ndarray of shape (n_regions, n_worlds)
         """
         raise NotImplementedError
-
-    def score(self, worlds: np.ndarray) -> np.ndarray:
-        """:meth:`llr` of :meth:`count`: every region of every world
-        in one batch scored."""
-        return self.llr(self.count(worlds))
 
     def _region_counts(self, worlds: np.ndarray) -> np.ndarray:
         """Per-region sums of a world batch: the region rows of a
@@ -373,7 +381,10 @@ class PoissonKernel(LLRKernel):
         self.expected = np.asarray(expected, dtype=np.float64).ravel()
         self.total_obs = float(total_obs)
         self.total_obs_int = int(round(self.total_obs))
-        self.probs = self.expected / self.total_obs
+        # With no observed events every world is empty: the zero
+        # expectations stand in for the probabilities of drawing none.
+        self._scale = self.total_obs if self.total_obs > 0 else 1.0
+        self.probs = self.expected / self._scale
         self.direction = int(direction)
         self._exp_r: np.ndarray | None = None
         self._unit_probs: np.ndarray | None = None
@@ -382,7 +393,7 @@ class PoissonKernel(LLRKernel):
         super().bind(member)
         self._exp_r = member.positive_counts(self.expected)
         if self._units is not None:
-            probs = self._exp_r / self.total_obs
+            probs = self._exp_r / self._scale
             self._unit_probs = np.append(probs, max(1.0 - probs.sum(), 0.0))
         return self
 
@@ -748,7 +759,7 @@ class MonteCarloEngine:
         member : RegionMembership
             The candidate regions' membership index.
         kernel : LLRKernel
-            The outcome family's simulate/score pair.
+            The outcome family's simulate, count and LLR steps.
         n_worlds : int
         seed : int, optional
             Master seed; per-chunk streams are spawned from it.  When

@@ -62,7 +62,6 @@ from .budget import _err, _int
 from .core import FAMILIES, _parse_direction
 from .faults import fault_point
 from .fingerprint import combine_fingerprints
-from .geometry import Rect
 from .spec import AuditSpec
 
 __all__ = ["AuditService", "PendingAudit"]
@@ -399,7 +398,7 @@ class AuditService:
         }
         design = spec.regions
         if design.kind == "grid" and design.bounds is None:
-            box = Rect.bounding(state.coords)
+            box = state.bounding_box()
             parts["bbox"] = repr(
                 (box.min_x, box.min_y, box.max_x, box.max_y)
             )

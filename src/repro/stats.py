@@ -1,8 +1,10 @@
-"""Statistic kernels: likelihood ratios and exact binomial tests.
+"""Statistics: scan likelihood ratios and exact binomial tests.
 
-Everything here is pure numpy and vectorized over arrays of region
-counts — these kernels sit on the audit's hot path (one evaluation per
-region per Monte Carlo world).
+The scan likelihood ratios ``bernoulli_llr`` and ``poisson_llr``
+live in :mod:`repro.kernels`, where the observed scan and the Monte
+Carlo worlds share them; they stay importable from here.
+The binomial tests and the Benjamini–Hochberg procedure serve the
+per-region baselines and the ``fdr-bh`` correction.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Re-exported for callers that import the scan LLRs from here.
+from .kernels import bernoulli_llr, poisson_llr  # noqa: F401
+
 __all__ = [
-    "bernoulli_llr",
-    "poisson_llr",
     "binom_test",
     "binom_sf_vector",
     "binom_cdf_vector",
@@ -33,131 +36,6 @@ def _check_probability(p: float) -> float:
     if not 0.0 <= p <= 1.0:  # also catches nan
         raise ValueError(f"p must be a probability in [0, 1], got {p}")
     return p
-
-
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * log(y)`` with the convention ``0 * log(0) = 0``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros(np.broadcast(x, y).shape)
-    mask = x > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # y == 0 with x > 0 gives -inf, which callers clamp away.
-        out[mask] = x[mask] * np.log(np.broadcast_to(y, out.shape)[mask])
-    return out
-
-
-def bernoulli_llr(
-    n, p, total_n: float, total_p: float, direction: int = 0
-) -> np.ndarray:
-    """Bernoulli scan log-likelihood ratio of Kulldorff (1997).
-
-    Compares the hypothesis that the positive rate inside a region
-    (``rho_in = p/n``) differs from the rate outside against the global
-    single-rate null, in log-likelihood units.
-
-    Parameters
-    ----------
-    n, p : array_like
-        Total and positive outcome counts inside each region (any
-        shape; broadcast together).
-    total_n, total_p : float
-        Global totals ``N`` and ``P``.
-    direction : {0, 1, -1}, default 0
-        0 scans two-sided; 1 keeps only regions whose inside rate is
-        *higher* than outside (green); -1 only *lower* (red).  The
-        non-conforming regions score 0.
-
-    Returns
-    -------
-    ndarray of float64
-        The statistic, elementwise; 0 where the region is empty, full,
-        or points the wrong way.
-
-    Notes
-    -----
-    With ``q_in = p/n`` and ``q_out = (P-p)/(N-n)``, the statistic is
-
-    .. math::
-
-        \\Lambda = \\ell(p, n, q_{in}) + \\ell(P-p, N-n, q_{out})
-                   - \\ell(P, N, P/N)
-
-    where :math:`\\ell(p, n, q) = p \\log q + (n-p) \\log (1-q)`.
-    """
-    n = np.asarray(n, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    n, p = np.broadcast_arrays(n, p)
-    N = float(total_n)
-    P = float(total_p)
-    n_out = N - n
-    p_out = P - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_in = np.where(n > 0, p / np.maximum(n, 1.0), 0.0)
-        rho_out = np.where(
-            n_out > 0, p_out / np.maximum(n_out, 1.0), 0.0
-        )
-    rho = P / N
-    llr = (
-        _xlogy(p, rho_in)
-        + _xlogy(n - p, 1.0 - rho_in)
-        + _xlogy(p_out, rho_out)
-        + _xlogy(n_out - p_out, 1.0 - rho_out)
-        - (_xlogy(P, rho) + _xlogy(N - P, 1.0 - rho))
-    )
-    llr = np.maximum(llr, 0.0)
-    # Degenerate regions carry no spatial information.
-    llr = np.where((n <= 0) | (n >= N), 0.0, llr)
-    if direction > 0:
-        llr = np.where(rho_in > rho_out, llr, 0.0)
-    elif direction < 0:
-        llr = np.where(rho_in < rho_out, llr, 0.0)
-    return llr
-
-
-def poisson_llr(
-    obs, exp, total_obs: float, direction: int = 0
-) -> np.ndarray:
-    """Poisson scan log-likelihood ratio (Kulldorff's second model).
-
-    Tests whether observed counts inside a region exceed (or fall
-    short of) their forecast share, against the calibrated null where
-    events land proportionally to the forecast.
-
-    Parameters
-    ----------
-    obs, exp : array_like
-        Observed count and (scaled) expected count inside each region.
-        ``exp`` must be scaled so its grand total equals ``total_obs``.
-    total_obs : float
-        Total observed events ``O``.
-    direction : {0, 1, -1}, default 0
-        1 keeps only excess regions (obs > exp), -1 only deficit
-        regions, 0 both.
-
-    Returns
-    -------
-    ndarray of float64
-    """
-    obs = np.asarray(obs, dtype=np.float64)
-    exp = np.asarray(exp, dtype=np.float64)
-    obs, exp = np.broadcast_arrays(obs, exp)
-    total = float(total_obs)
-    obs_out = total - obs
-    exp_out = total - exp
-    valid = (exp > 0) & (exp_out > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        llr = _xlogy(obs, np.where(valid, obs / np.maximum(exp, 1e-300), 1.0))
-        llr = llr + _xlogy(
-            obs_out,
-            np.where(valid, obs_out / np.maximum(exp_out, 1e-300), 1.0),
-        )
-    llr = np.where(valid, np.maximum(llr, 0.0), 0.0)
-    if direction > 0:
-        llr = np.where(obs > exp, llr, 0.0)
-    elif direction < 0:
-        llr = np.where(obs < exp, llr, 0.0)
-    return llr
 
 
 @dataclass(frozen=True)

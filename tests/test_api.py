@@ -278,6 +278,79 @@ class TestValidationErrors:
         assert "spec.regions" in str(err.value)
         assert "observation" in str(err.value)
 
+    @pytest.mark.parametrize("bad", ["label_two", "scores", "nan"])
+    def test_non_binary_bernoulli_outcomes_name_the_field(
+        self, unit_coords, biased_labels, bad
+    ):
+        outcomes = {
+            "label_two": np.where(biased_labels == 1, 2, 0),
+            "scores": np.random.default_rng(0).random(len(unit_coords)),
+            "nan": np.r_[biased_labels[:-1], np.nan],
+        }[bad]
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=1)
+        with pytest.raises(ValueError, match=r"^outcomes: "):
+            AuditSession(unit_coords, outcomes).run(spec)
+        with pytest.raises(ValueError, match=r"^outcomes: "):
+            SpatialFairnessAuditor(unit_coords, outcomes)
+
+    def test_non_binary_append_fails_the_next_bernoulli_audit(
+        self, unit_coords, biased_labels
+    ):
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=1)
+        session = AuditSession(unit_coords, biased_labels)
+        session.run(spec)
+        session.append(unit_coords[:2], [1, 2])
+        with pytest.raises(ValueError, match=r"^outcomes: .* got 2$"):
+            session.run(spec)
+
+    @pytest.mark.parametrize("outcomes", [
+        np.array([True, False] * 300),
+        np.array([1.0, 0.0] * 300),
+        np.array([1, 0] * 300, dtype=np.int64),
+    ])
+    def test_bool_and_binary_numbers_stay_accepted(
+        self, unit_coords, outcomes
+    ):
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=1)
+        reports = [
+            AuditSession(unit_coords, labels).run(spec).to_dict(full=True)
+            for labels in (outcomes, outcomes.astype(np.int8))
+        ]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("value", [-5.0, np.nan, np.inf])
+    def test_bad_poisson_counts_name_the_field(
+        self, unit_coords, biased_counts, value
+    ):
+        observed, forecast = biased_counts
+        observed = observed.copy()
+        observed[0] = value
+        spec = AuditSpec(regions=UNIT_GRID, family="poisson",
+                         n_worlds=N_WORLDS, seed=1)
+        with pytest.raises(ValueError, match=r"^outcomes: "):
+            AuditSession(unit_coords, observed, forecast=forecast).run(spec)
+        with pytest.raises(ValueError, match=r"^outcomes: "):
+            PoissonSpatialAuditor(unit_coords, observed, forecast)
+
+    @pytest.mark.parametrize("design", [
+        UNIT_GRID, RegionSpec.squares(8, sides=(0.2, 0.35)),
+    ])
+    def test_zero_poisson_total_is_fair(self, unit_coords, biased_counts,
+                                        design):
+        """No observed events: nothing to scan, FAIR at p = 1, as an
+        all-zero Bernoulli audit is (region-level and points path)."""
+        _, forecast = biased_counts
+        zeros = np.zeros(len(unit_coords))
+        poisson = AuditSession(unit_coords, zeros, forecast=forecast).run(
+            AuditSpec(regions=design, family="poisson",
+                      n_worlds=N_WORLDS, seed=1)
+        )
+        bernoulli = AuditSession(unit_coords, zeros).run(
+            AuditSpec(regions=design, n_worlds=N_WORLDS, seed=1)
+        )
+        for report in (poisson, bernoulli):
+            assert report.is_fair and report.p_value == 1.0
+
     @pytest.mark.parametrize("value", ["3", 2.7, True, 0, -1, [3]])
     def test_bad_n_classes_names_the_field(
         self, unit_coords, biased_labels, value

@@ -100,7 +100,7 @@ class TestKernelContract:
     def test_unbound_kernel_refuses_to_score(self):
         kernel = BernoulliKernel(100, 50)
         with pytest.raises(RuntimeError, match="bound"):
-            kernel.score(np.zeros((100, 4), dtype=np.float32))
+            kernel.count(np.zeros((100, 4), dtype=np.float32))
 
     def test_base_kernel_is_abstract(self):
         kernel = LLRKernel()
@@ -290,7 +290,7 @@ class TestRegionLevelPass:
         worlds = kernel.simulate(np.random.default_rng(0), 6)
         assert worlds.shape[:2] == (len(member) + 1, 6)
         assert worlds.dtype == np.float64
-        assert kernel.score(worlds).shape == (len(member), 6)
+        assert kernel.llr(kernel.count(worlds)).shape == (len(member), 6)
         per_unit = worlds if worlds.ndim == 2 else worlds.sum(axis=2)
         if family == "poisson":
             assert (per_unit.sum(axis=0) == kernel.total_obs_int).all()
@@ -299,6 +299,105 @@ class TestRegionLevelPass:
             assert (per_unit <= sizes[:, None]).all()
             if family == "multinomial":
                 assert (per_unit == sizes[:, None]).all()
+
+
+class TestBlockedScoring:
+    """Each chunk is simulated and counted on its own; the LLR and the
+    per-world maxima run once per block of chunks.  The statistic is
+    elementwise per world, so no block layout changes a bit."""
+
+    @pytest.fixture()
+    def data(self, unit_coords, biased_labels, biased_counts,
+             biased_classes):
+        return (unit_coords, biased_labels, biased_counts, biased_classes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("design", ["grid", "squares"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_world_blocks_equal_one_block(
+        self, family, design, workers, data, monkeypatch
+    ):
+        coords = data[0]
+        regions = GOLDEN_DESIGNS[design].build(coords)
+        member = RegionMembership(regions, coords)
+        assert member.disjoint == (design == "grid")
+
+        def run():
+            engine = MonteCarloEngine(coords)
+            return engine.null_distribution(
+                engine.membership(regions), make_kernel(family, *data),
+                48, seed=7, chunk_worlds=1, workers=workers,
+            )
+
+        layout = MonteCarloEngine.chunk_layout(1, 48, chunk_worlds=1)
+        assert engine_mod._blocks(layout, len(member)) == [(0, 48)]
+        one_block = run()
+        monkeypatch.setattr(engine_mod, "_BLOCK_ENTRIES", 1)
+        assert len(engine_mod._blocks(layout, len(member))) == 48
+        assert run().tobytes() == one_block.tobytes()
+
+
+class TestObservedIsOneWorld:
+    """The observed scan and the null worlds share the LLR kernels: the
+    observed outcomes, scored as a one-world batch through the bound
+    kernel, give the observed LLR bit for bit."""
+
+    @staticmethod
+    def one_world(family, bound, member):
+        """The observed data as the batch ``simulate`` would return."""
+        if family == "bernoulli":
+            values = bound["labels"].astype(np.float64)
+        elif family == "poisson":
+            values = bound["observed"]
+        else:
+            values = bound["labels"]
+        if not member.disjoint:
+            return values[:, None]
+        if family == "multinomial":
+            per_class = [
+                (values == k).astype(np.float64)
+                for k in range(bound["n_classes"])
+            ]
+        else:
+            per_class = [values.astype(np.float64)]
+        columns = []
+        for v in per_class:
+            inside = member.positive_counts(v)
+            # One row per region, then the remainder unit.
+            columns.append(np.append(inside, v.sum() - inside.sum()))
+        units = np.stack(columns, axis=-1)
+        return units[:, None, :] if family == "multinomial" else units
+
+    @pytest.mark.parametrize("design", ["grid", "squares", "circles"])
+    @pytest.mark.parametrize(
+        "family, direction",
+        [(f, d) for f in ("bernoulli", "poisson") for d in (0, 1, -1)]
+        + [("multinomial", 0)],
+    )
+    def test_observed_llr_is_a_one_world_batch(
+        self, family, direction, design, unit_coords, biased_labels,
+        biased_counts, biased_classes,
+    ):
+        from repro.core import FAMILIES as SCAN_FAMILIES
+
+        outcomes = {
+            "bernoulli": biased_labels,
+            "poisson": biased_counts[0],
+            "multinomial": biased_classes,
+        }[family]
+        scan = SCAN_FAMILIES[family]
+        bound = scan.bind(
+            unit_coords, outcomes, forecast=biased_counts[1], n_classes=3
+        )
+        member = RegionMembership(
+            GOLDEN_DESIGNS[design].build(unit_coords), unit_coords
+        )
+        observed = scan.observed(bound, member, direction).llr
+        kernel = scan.kernel(bound, direction).bind(member)
+        world = self.one_world(family, bound, member)
+        scored = kernel.llr(kernel.count(world))
+        assert scored.shape == (len(member), 1)
+        assert scored[:, 0].tobytes() == observed.tobytes()
 
 
 class _PoolSpy(engine_mod.ThreadPoolExecutor):

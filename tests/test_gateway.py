@@ -800,6 +800,26 @@ class TestHTTP:
         )
         assert status == 400
 
+    def test_non_binary_outcomes_are_400_naming_the_field(
+        self, http, unit_coords
+    ):
+        client, _ = http
+        status, _, _ = client.post(
+            "/datasets",
+            {
+                "name": "scores",
+                "coords": unit_coords.tolist(),
+                "outcomes": [0.25] * len(unit_coords),
+            },
+        )
+        assert status == 201
+        status, body, _ = client.post(
+            "/audit", {"dataset": "scores", "spec": SPEC_DICT}
+        )
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"].startswith("outcomes: ")
+
     @pytest.mark.parametrize("value", [2.7, True, "7"])
     def test_non_integer_n_worlds_is_400(self, http, value):
         client, _ = http

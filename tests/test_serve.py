@@ -252,6 +252,42 @@ class TestResultCache:
         assert svc.stats()["report_cache_hits"] == 1
 
 
+def test_bounding_box_is_computed_once_per_dataset_state(
+    unit_coords, biased_labels, monkeypatch
+):
+    """Auto-bounds grid specs key their reports on the full dataset's
+    bounding box: the report key and the stream migration read it off
+    the session's current state instead of rescanning the points."""
+    from repro.geometry import Rect
+
+    scanned = []
+    bounding = Rect.bounding.__func__
+
+    def counting(cls, coords):
+        scanned.append(len(coords))
+        return bounding(cls, coords)
+
+    monkeypatch.setattr(Rect, "bounding", classmethod(counting))
+    svc = AuditService(AuditSession(unit_coords[:500], biased_labels[:500]))
+    specs = [
+        AuditSpec(regions=RegionSpec.grid(4, 4), n_worlds=N_WORLDS, seed=s)
+        for s in (1, 2)
+    ]
+    svc.run_batch(specs)
+    # One box for the state, one for the grid's own build.
+    assert scanned == [500, 500]
+    svc.run_batch(specs)
+    assert svc.stats()["report_cache_hits"] == 2
+    assert scanned == [500, 500]
+    # A stream event scans the new state once; the old box is kept.
+    # The arrivals leave the box where it was, so the grid survives
+    # and the next batch scans nothing.
+    svc.session.append(unit_coords[500:], biased_labels[500:])
+    assert scanned == [500, 500, 600]
+    svc.run_batch(specs)
+    assert scanned == [500, 500, 600]
+
+
 def test_stats_survive_engines_changing_underfoot(
     unit_coords, biased_labels
 ):

@@ -8,12 +8,19 @@ import math
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.stats import (
-    _xlogy,
     benjamini_hochberg,
     bernoulli_llr,
     poisson_llr,
 )
+
+
+def _xlogy(x, y):
+    """The LLR kernels' ``x * log(max(y, 1e-300))`` term, into a fresh
+    buffer."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return kernels._xlogy(x, y, np.empty(shape))
 
 
 def hand_bernoulli_llr(n, p, N, P):
@@ -137,6 +144,8 @@ class TestPoissonLLR:
 
 
 class TestXlogy:
+    """The clamped term keeps the ``0 * log 0 = 0`` convention."""
+
     def test_zero_times_log_zero_is_zero(self):
         assert _xlogy(0.0, 0.0) == 0.0
 
