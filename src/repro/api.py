@@ -32,6 +32,7 @@ All three produce bit-identical findings for the same spec and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -248,21 +249,15 @@ class ResolvedSpec:
     kernel: LLRKernel
 
 
-#: Marks a lazy :class:`_Snapshot` value not computed yet (``None`` is
-#: a value: the bounding box of no points).
-_UNSET = object()
-
-
 class _Snapshot:
     """One immutable dataset state of an :class:`AuditSession`.
 
     Holds the state's read-only arrays together with everything
     derived from them alone — measured slices, family bound state,
     content digests and the bounding box — each computed at most once,
-    on first use.  A
-    stream event builds a new snapshot and the session swaps it in
-    whole, so a reader never pairs one state's arrays with another
-    state's fingerprint.
+    on first use.  A stream event builds a new snapshot and the session
+    swaps it in whole, so a reader never pairs one state's arrays with
+    another state's fingerprint.
     """
 
     def __init__(
@@ -279,7 +274,6 @@ class _Snapshot:
             if arr is not None:
                 arr.flags.writeable = False
         self._fingerprint: str | None = None
-        self._box = _UNSET
         self._digests: dict = {}
         self._measured: dict = {}
         self._slice_digests: dict = {}
@@ -316,15 +310,12 @@ class _Snapshot:
         self.fingerprint()
         return self._digests[name]
 
+    @cached_property
     def bounding_box(self) -> Rect | None:
         """:meth:`repro.geometry.Rect.bounding` of the full dataset's
         coordinates, or None when it holds no points; computed on first
-        call only."""
-        if self._box is _UNSET:
-            self._box = (
-                Rect.bounding(self.coords) if len(self.coords) else None
-            )
-        return self._box
+        read only."""
+        return Rect.bounding(self.coords) if len(self.coords) else None
 
     def measured(self, measure: str):
         """(coords, outcomes) after applying a measure, cached."""
@@ -683,8 +674,8 @@ class AuditSession:
         if design.kind == "grid" and design.bounds is not None:
             return True
         if design.kind == "grid":
-            new_box = new.bounding_box()
-            return new_box is not None and new_box == old.bounding_box()
+            new_box = new.bounding_box
+            return new_box is not None and new_box == old.bounding_box
         return delta_changed is False
 
     def _migrate(self, state: _Snapshot, changed: dict, update) -> None:

@@ -77,6 +77,7 @@ from __future__ import annotations
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -980,19 +981,18 @@ class MonteCarloEngine:
         workers = self.workers if workers is None else workers
         n_threads = min(int(workers or 1), len(chunks), _usable_cores())
         null_max = np.empty((len(segments), n_worlds))
-        pool = (
-            ThreadPoolExecutor(max_workers=n_threads)
-            if n_threads >= 2
-            else None
-        )
+        threaded = n_threads >= 2
         job = partial(_count_chunk, kernel)
-        try:
+        with (
+            ThreadPoolExecutor(max_workers=n_threads)
+            if threaded
+            else nullcontext()
+        ) as pool:
+            # Both maps yield in chunk order; pool.map re-raises the
+            # first chunk error.
+            run = pool.map if threaded else map
             for first, stop in _blocks(chunks, len(member)):
-                # Both maps yield in chunk order; pool.map re-raises
-                # the first chunk error.
-                parts = (pool.map if pool else map)(
-                    job, chunks[first:stop], seeds[first:stop]
-                )
+                parts = run(job, chunks[first:stop], seeds[first:stop])
                 counts = tuple(
                     np.concatenate(arrays, axis=-1)
                     for arrays in zip(*parts)
@@ -1002,9 +1002,6 @@ class MonteCarloEngine:
                 _write_maxima(
                     null_max, kernel.llr(counts), start, width, segments
                 )
-        finally:
-            if pool is not None:
-                pool.shutdown()
         return null_max
 
     def _adaptive_pass(

@@ -398,7 +398,7 @@ class AuditService:
         }
         design = spec.regions
         if design.kind == "grid" and design.bounds is None:
-            box = state.bounding_box()
+            box = state.bounding_box
             parts["bbox"] = repr(
                 (box.min_x, box.min_y, box.max_x, box.max_y)
             )
