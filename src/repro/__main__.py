@@ -29,9 +29,10 @@ changed are re-run at each step
 registers a named dataset (invalid arrays exit 2), ``--queue-size`` /
 ``--tenant-quota`` bound admission (rejections are HTTP 429 with
 ``Retry-After``), ``--store PATH`` journals every ticket to a sqlite
-file (tickets survive restarts; journalled-but-unsettled audits are
-re-run on boot, see :mod:`repro.ticketstore`), and SIGTERM/SIGINT
-drain in-flight audits before exit.
+file instead of an in-memory one (tickets survive restarts;
+journalled-but-unsettled audits are re-run on boot, see
+:mod:`repro.ticketstore`), and SIGTERM/SIGINT drain in-flight audits
+before exit.
 
 The ``.npz`` archive must hold ``coords`` (an ``(n, 2)`` float array)
 and the outcomes under ``outcomes`` (aliases ``y_pred``, ``labels`` or
@@ -402,22 +403,18 @@ def _run_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: register the ``--data`` datasets,
     boot the HTTP gateway, block until SIGTERM/SIGINT, drain."""
     from .gateway import AuditGateway, serve_http
-    from .ticketstore import TicketStore, TicketStoreError
+    from .ticketstore import TicketStoreError
 
-    store = None
-    if args.store is not None:
-        try:
-            store = TicketStore(args.store)
-        except TicketStoreError as exc:
-            print(f"cannot open ticket store: {exc}", file=sys.stderr)
-            return 2
     try:
         gateway = AuditGateway(
             queue_size=args.queue_size,
             tenant_quota=args.tenant_quota,
             workers=args.workers,
-            store=store,
+            store=args.store,
         )
+    except TicketStoreError as exc:
+        print(f"cannot open ticket store: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid gateway options: {exc}", file=sys.stderr)
         return 2
@@ -452,15 +449,13 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if store is not None:
-        summary = gateway.recover()
-        print(
-            "ticket store {!r}: {replayed} unsettled ticket(s) "
-            "replayed ({recovered} recovered, {failed} failed)".format(
-                args.store, **summary
-            ),
-            file=sys.stderr,
-        )
+    print(
+        "ticket store {!r}: {replayed} unsettled ticket(s) replayed "
+        "({recovered} recovered, {failed} failed)".format(
+            gateway.store.path, **gateway.recover()
+        ),
+        file=sys.stderr,
+    )
 
     def _announce(server):
         # Line protocol for smoke tests and supervisors: the bound

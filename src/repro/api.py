@@ -31,6 +31,7 @@ All three produce bit-identical findings for the same spec and seed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -211,6 +212,12 @@ class AuditReport:
         if full:
             out["findings"] = self._region_dicts(columns, None)
         return out
+
+    def to_json(self) -> str:
+        """The report's canonical text: :meth:`to_dict` with ``full``
+        as sorted-key JSON.  The gateway serialises each report once,
+        through this, and journals and serves these exact bytes."""
+        return json.dumps(self.to_dict(full=True), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -1011,9 +1018,11 @@ class AuditSession:
         return self._run_resolved(self.resolve(spec), null_max)
 
     def _run_resolved(
-        self, resolved: ResolvedSpec, null_max: np.ndarray | None
+        self, resolved: ResolvedSpec, null_max: np.ndarray | None,
+        observed=None,
     ) -> AuditReport:
-        """:meth:`run` of an already resolved spec."""
+        """:meth:`run` of an already resolved spec (``observed``: its
+        observed scan, when the caller computed it already)."""
         spec = resolved.spec
         result = run_scan(
             resolved.engine,
@@ -1031,6 +1040,7 @@ class AuditSession:
             spec_field="spec.regions",
             null_max=null_max,
             budget=spec.budget,
+            observed=observed,
         )
         return AuditReport(spec=spec, result=result)
 

@@ -751,6 +751,7 @@ def run_scan(
     spec_field: str = "regions",
     null_max: np.ndarray | None = None,
     budget: BudgetPolicy | str | None = None,
+    observed: ObservedScan | None = None,
 ) -> AuditResult:
     """The one spec-driven dispatch every audit runs through.
 
@@ -797,6 +798,9 @@ def run_scan(
         settles the verdict; the result then reports the worlds
         actually simulated in ``n_worlds``, the requested budget in
         ``n_worlds_requested`` and ``stopped_early``.
+    observed : ObservedScan, optional
+        This design's observed scan, when the caller has computed it
+        already (a fused adaptive group's stopping rule needs it).
 
     Returns
     -------
@@ -841,7 +845,7 @@ def run_scan(
             f"{spec_field}: no candidate region contains any "
             "observation — the region geometry does not cover the data"
         )
-    obs = family.observed(bound, member, d)
+    obs = observed or family.observed(bound, member, d)
     if null_max is None:
         null_max = engine.null_distribution(
             member,

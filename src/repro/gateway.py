@@ -26,23 +26,24 @@ surfaces queue depth and peak, admission rejections, per-tenant
 counters, end-to-end latency and per-dataset service counters for
 dashboards.
 
-Crash safety: constructed with ``store=`` (a
-:class:`repro.ticketstore.TicketStore` or a path), the gateway
-journals every submit *before* work starts and every settle the
-moment its audit resolves (a :class:`GatewayTicket` settles itself
-before any waiter wakes, whichever thread's gather ran it),
-``ticket()`` falls back to the journal after a restart
-(:class:`StoredTicket`), and :meth:`AuditGateway.recover` replays
-journalled-but-unsettled tickets on boot — guarded by the stored
-dataset fingerprint, so a recovered report is byte-identical to what
-the crashed run would have produced (asserted under injected crashes
-in ``tests/test_faults.py``).
+Every gateway journals (:mod:`repro.ticketstore`) each submit before
+work starts and each settle — the report serialised once, by
+:meth:`repro.api.AuditReport.to_json` — before the ticket leaves the
+in-flight table and any waiter wakes.  A settled ticket *is* its
+journal row (:class:`StoredTicket`), and the HTTP routes splice the
+journalled text into their replies.  Without ``store=`` the journal
+is private and in memory; over a durable file
+:meth:`AuditGateway.recover` replays unsettled tickets on boot,
+guarded by the stored dataset fingerprint, so a recovered report is
+byte-identical to what the crashed run would have produced (asserted
+under injected crashes in ``tests/test_faults.py``).  Both
+byte-identities hold per host and numpy SIMD dispatch: numpy picks its
+``log`` kernels by CPU feature, so another machine may differ in the
+last ulp of an LLR.
 """
 
 from __future__ import annotations
 
-import copy
-import itertools
 import json
 import math
 import threading
@@ -150,43 +151,44 @@ class TicketRecoveryError(GatewayError):
 
 
 class StoredReport:
-    """An :class:`repro.api.AuditReport` payload rehydrated from the
-    ticket store after a restart.
+    """A settled report read from its journal row: what every lookup
+    of a ticket no longer in flight redeems for (in-flight ids never
+    expire; they answer the live :class:`GatewayTicket`).
 
-    Duck-types the report surface the HTTP layer and most clients
-    need; the payload is exactly the ``to_dict(full=True)`` dict the
-    original (or recovered) run journalled, so serving it preserves
-    byte-identity with the pre-crash response.
+    Duck-types the report surface most clients need over the canonical
+    text the settle journalled (:meth:`repro.api.AuditReport.to_json`).
     """
 
-    def __init__(self, payload: dict):
-        self._payload = payload
+    def __init__(self, text: str):
+        self._text = text
 
     def to_dict(self, full: bool = True) -> dict:
-        """The journalled report payload (always the ``full=True``
-        form, whatever ``full`` is passed)."""
-        return copy.deepcopy(self._payload)
+        """The journalled payload, parsed afresh (always the full
+        form)."""
+        return json.loads(self._text)
 
     @property
     def p_value(self) -> float:
         """Monte Carlo p-value of the scan maximum."""
-        return self._payload["p_value"]
+        return self.to_dict()["p_value"]
 
     @property
     def is_fair(self) -> bool:
         """Verdict: ``True`` when fairness cannot be rejected."""
-        return self._payload["verdict"] == "fair"
+        return self.to_dict()["verdict"] == "fair"
 
 
 class StoredTicket:
-    """A ticket served from the persistent journal (post-restart).
+    """A ticket that is no longer in flight, served from its journal
+    row.
 
-    Returned by :meth:`AuditGateway.ticket` when the id is absent
-    from the in-memory table but present in the store.  Settled
-    tickets redeem immediately (:class:`StoredReport` on success, the
-    replayed :class:`TicketFailedError` on failure); a ticket still
-    awaiting recovery raises :class:`TicketRecoveryError` so clients
-    retry instead of hanging.
+    Returned by :meth:`AuditGateway.ticket` once the ticket has
+    settled in this process, or for an id a previous (possibly
+    crashed) process admitted.  Settled tickets redeem immediately
+    (:class:`StoredReport` on success, the replayed
+    :class:`TicketFailedError` on failure); a row still unsettled —
+    awaiting recovery, or whose settle write failed — raises
+    :class:`TicketRecoveryError` so clients retry instead of hanging.
 
     Attributes
     ----------
@@ -207,29 +209,14 @@ class StoredTicket:
         """Whether the journalled ticket reached a terminal state."""
         return self.record.settled
 
-    def result(self, timeout: float | None = None):
-        """Redeem the journalled outcome.
-
-        Parameters
-        ----------
-        timeout : float, optional
-            Ignored — a stored ticket never blocks.
-
-        Returns
-        -------
-        StoredReport
-
-        Raises
-        ------
-        TicketFailedError
-            The ticket settled as failed; the original typed error is
-            replayed.
-        TicketRecoveryError
-            The ticket is journalled but not yet recovered.
-        """
+    def result_json(self, timeout: float | None = None) -> str:
+        """The journalled report text (never blocks; ``timeout`` is
+        ignored).  A failed ticket replays its typed error as
+        :class:`TicketFailedError`; an unsettled row raises
+        :class:`TicketRecoveryError`."""
         record = self.record
         if record.state == "done":
-            return StoredReport(record.report)
+            return record.report
         if record.state == "failed":
             raise TicketFailedError(
                 record.id, record.error_type or "Exception",
@@ -240,6 +227,10 @@ class StoredTicket:
             "recovered; retry once the gateway finishes recovery"
         )
 
+    def result(self, timeout: float | None = None) -> StoredReport:
+        """The journalled report (raises as :meth:`result_json`)."""
+        return StoredReport(self.result_json())
+
 
 class GatewayTicket(PendingAudit):
     """One admitted audit: redeem it for its report, or poll it.
@@ -249,9 +240,9 @@ class GatewayTicket(PendingAudit):
     bookkeeping: a stable id (the HTTP API's handle), the tenant and
     dataset it was admitted under, and the submit timestamp.  Whichever
     thread's gather resolves it, the ticket settles with its gateway
-    first — latency, tenant and outcome counters, then the journal —
+    first — the journal, then latency, tenant and outcome counters —
     and only then wakes its waiters, so a report a client holds is
-    always already counted and, with a store, journalled.
+    always already journalled and counted.
 
     Attributes
     ----------
@@ -279,10 +270,18 @@ class GatewayTicket(PendingAudit):
         self.dataset = dataset
         self.tenant = tenant
         self._submitted_at = time.monotonic()
+        self._json: str | None = None
 
     def _resolve(self, report=None, error=None) -> None:
-        self._gateway._settle(self, report, error)
+        self._json = self._gateway._settle(self, report, error)
         super()._resolve(report=report, error=error)
+
+    def result_json(self, timeout: float | None = None) -> str:
+        """The report's text, serialised once when the ticket settled
+        (the bytes the journal holds); waits and raises as
+        :meth:`result`."""
+        self.result(timeout=timeout)
+        return self._json
 
 
 def _entry(name: str, fingerprint: str, service: AuditService) -> dict:
@@ -334,11 +333,10 @@ class AuditGateway:
         Per-dataset service report-cache size.
     store : TicketStore or str, optional
         Durable ticket journal (:mod:`repro.ticketstore`); a path
-        opens one.  With a store, every submit is journalled before
-        work starts, every settle as its audit resolves, ticket ids are
-        allocated from the journal (unique across restarts),
-        :meth:`ticket` falls back to the journal, and
-        :meth:`recover` replays unsettled tickets on boot.
+        opens one.  Without one the gateway journals to a private
+        in-memory store that keeps every unsettled row and the newest
+        ``max(4 × queue_size, 256)`` settled ones; a durable journal
+        keeps every row and allocates ids unique across restarts.
     """
 
     def __init__(
@@ -364,16 +362,16 @@ class AuditGateway:
         self.cache_size = _int("cache_size", cache_size)
         if self.cache_size < 0:
             raise _err("cache_size", f"must be >= 0, got {cache_size!r}")
-        if store is not None and not isinstance(store, TicketStore):
-            store = TicketStore(store)
+        if not isinstance(store, TicketStore):
+            store = TicketStore(store or ":memory:")
+            if store.path == ":memory:":  # its own, so it is capped
+                store._keep_settled = max(4 * self.queue_size, 256)
         self.store = store
         self._store_errors = 0
         self._recovery: dict | None = None
         # name -> (dataset fingerprint, AuditService)
         self._datasets: dict = {}
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
-        self._tickets: dict = {}
         self._inflight: dict = {}
         self._per_tenant: dict = {}
         self._draining = False
@@ -493,13 +491,33 @@ class AuditGateway:
 
     # -- admission -----------------------------------------------------
 
-    def _settle(self, ticket: GatewayTicket, report, error) -> None:
-        """Account and journal one ticket as its audit resolves (the
-        ticket calls this before waking any waiter).  Never raises into
-        the service, which would strand the rest of its batch: a failed
-        journal write of any kind only bumps ``write_errors``."""
+    def _settle(self, ticket: GatewayTicket, report, error) -> str | None:
+        """Journal, then account one ticket as its audit resolves (the
+        ticket calls this before waking any waiter); returns the
+        report's text, serialised here once.
+
+        One critical section: a racing :meth:`ticket` finds the ticket
+        in flight or settled, and a concurrent :meth:`submit`, which
+        journals under the same lock, never holds the lock this settle
+        still needs.  Never raises into the service, which would strand
+        the rest of its batch: a failed journal write only bumps
+        ``write_errors`` (the waiters still get the report; lookups of
+        the unsettled row get the 503 a restart would give)."""
         elapsed = time.monotonic() - ticket._submitted_at
+        text = None
         with self._lock:
+            try:
+                if error is not None:
+                    self.store.record_settle(
+                        ticket.id,
+                        error_type=type(error).__name__,
+                        error=str(error),
+                    )
+                else:
+                    text = report.to_json()
+                    self.store.record_settle(ticket.id, report=text)
+            except Exception:
+                self._store_errors += 1
             self._inflight.pop(ticket.id, None)
             self._latency_total += elapsed
             self._latency_max = max(self._latency_max, elapsed)
@@ -511,22 +529,7 @@ class AuditGateway:
             else:
                 self._completed += 1
                 tenant["completed"] += 1
-        if self.store is None:
-            return
-        try:
-            if error is not None:
-                self.store.record_settle(
-                    ticket.id,
-                    error_type=type(error).__name__,
-                    error=str(error),
-                )
-            else:
-                self.store.record_settle(
-                    ticket.id, report=report.to_dict(full=True)
-                )
-        except Exception:
-            with self._lock:
-                self._store_errors += 1
+        return text
 
     def submit(
         self,
@@ -565,8 +568,8 @@ class AuditGateway:
         ValueError
             ``spec`` is not an :class:`AuditSpec`.
         TicketStoreError
-            The admission could not be journalled (store-backed
-            gateways refuse work they cannot make durable).
+            The admission could not be journalled (the gateway refuses
+            work it cannot journal).
         """
         fault_point("gateway.submit")
         fingerprint, service = self._lookup(dataset)
@@ -608,20 +611,13 @@ class AuditGateway:
                     "in-flight audits",
                     retry_after=1.0,
                 )
-            if self.store is None:
-                ticket_id = f"t-{next(self._ids)}"
-            else:
-                # Journal the admission before any work starts: a
-                # crash from here on can never lose an id the client
-                # was given (the id is allocated by the journal insert
-                # itself, so ids stay unique and monotone across
-                # restarts).
-                ticket_id = self.store.record_submit(
-                    dataset,
-                    tenant,
-                    spec.to_json(),
-                    fingerprint,
-                )
+            # Journal the admission before any work starts: a crash
+            # from here on can never lose an id the client was given
+            # (the id is allocated by the journal insert itself, so ids
+            # stay unique and monotone across restarts).
+            ticket_id = self.store.record_submit(
+                dataset, tenant, spec.to_json(), fingerprint
+            )
             ticket = GatewayTicket(
                 self, service, spec, ticket_id, dataset, tenant
             )
@@ -630,25 +626,21 @@ class AuditGateway:
             self._submitted += 1
             bucket["submitted"] += 1
             bucket["inflight"] += 1
-            self._tickets[ticket_id] = ticket
             self._inflight[ticket_id] = ticket
             self._queue_peak = max(
                 self._queue_peak, len(self._inflight)
             )
-            # Redeemed tickets stay addressable for the HTTP API;
-            # cap the table so abandoned ids cannot leak forever.
-            while len(self._tickets) > max(4 * self.queue_size, 256):
-                self._tickets.pop(next(iter(self._tickets)))
         service._enqueue(ticket)
         return ticket
 
     def ticket(self, ticket_id: str):
-        """Look an admitted ticket up by id (the HTTP handle).
+        """Look a ticket up by id (the HTTP handle).
 
-        With a store, an id absent from the in-memory table (expired,
-        or admitted by a previous — possibly crashed — process) is
-        served from the journal as a :class:`StoredTicket`; every
-        successful lookup is journalled as a fetch.
+        An in-flight id answers its live :class:`GatewayTicket` and
+        never expires.  Any other id answers its journal row as a
+        :class:`StoredTicket`, whether it settled in this process or a
+        previous, possibly crashed, one admitted it.  Every successful
+        lookup is journalled as a fetch.
 
         Returns
         -------
@@ -657,27 +649,24 @@ class AuditGateway:
         Raises
         ------
         KeyError
-            Unknown (or already expired) ticket id.
+            Unknown ticket id, or a settled row the in-memory journal
+            has already dropped.
         """
         with self._lock:
-            ticket = self._tickets.get(ticket_id)
-        if ticket is None and self.store is not None:
+            ticket = self._inflight.get(ticket_id)
+        if ticket is None:
             try:
                 record = self.store.get(ticket_id)
             except TicketStoreError:
                 record = None
-            if record is not None:
-                ticket = StoredTicket(record)
-        if ticket is None:
-            raise KeyError(f"unknown ticket {ticket_id!r}")
-        if self.store is not None:
-            # The fetch journal is an access log: losing an entry
-            # must not fail the read itself.
-            try:
-                self.store.record_fetch(ticket_id)
-            except TicketStoreError:
-                with self._lock:
-                    self._store_errors += 1
+            if record is None:
+                raise KeyError(f"unknown ticket {ticket_id!r}")
+            ticket = StoredTicket(record)
+        try:  # an access log: a lost entry must not fail the read
+            self.store.record_fetch(ticket_id)
+        except TicketStoreError:
+            with self._lock:
+                self._store_errors += 1
         return ticket
 
     # -- execution -----------------------------------------------------
@@ -753,12 +742,18 @@ class AuditGateway:
         -------
         list of AuditReport
         """
+        return [
+            ticket.result()
+            for ticket in self._admit_batch(dataset, specs, tenant)
+        ]
+
+    def _admit_batch(self, dataset: str, specs, tenant: str) -> list:
+        """:meth:`run_batch`'s resolved tickets."""
         tickets = [
-            self.submit(dataset, spec, tenant=tenant)
-            for spec in specs
+            self.submit(dataset, spec, tenant=tenant) for spec in specs
         ]
         self.gather(dataset)
-        return [ticket.result() for ticket in tickets]
+        return tickets
 
     # -- lifecycle -----------------------------------------------------
 
@@ -782,14 +777,11 @@ class AuditGateway:
         -------
         dict
             ``replayed`` (rows considered), ``recovered`` (reports
-            produced) and ``failed`` counts; all zero without a
-            store.
+            produced) and ``failed`` counts; all zero over a fresh
+            journal.
         """
-        summary = {"replayed": 0, "recovered": 0, "failed": 0}
-        if self.store is None:
-            return summary
         pending = self.store.unsettled()
-        summary["replayed"] = len(pending)
+        summary = {"replayed": len(pending), "recovered": 0, "failed": 0}
         by_dataset: dict = {}
         for record in pending:
             by_dataset.setdefault(record.dataset, []).append(record)
@@ -841,9 +833,7 @@ class AuditGateway:
                     _fail(record, type(exc).__name__, str(exc))
                 else:
                     self.store.record_settle(
-                        record.id,
-                        report=report.to_dict(full=True),
-                        recovered=True,
+                        record.id, report=report.to_json(), recovered=True
                     )
                     summary["recovered"] += 1
         with self._lock:
@@ -885,11 +875,10 @@ class AuditGateway:
             return self._draining
 
     def close(self) -> None:
-        """Drain, close the ticket store (if any), then forget every
-        dataset (idempotent)."""
+        """Drain, close the ticket store, then forget every dataset
+        (idempotent)."""
         self.drain()
-        if self.store is not None:
-            self.store.close()
+        self.store.close()
         with self._lock:
             self._datasets.clear()
 
@@ -910,9 +899,9 @@ class AuditGateway:
             ``latency_max_ms``), ``draining``,
             per-``tenants`` buckets, one ``datasets`` entry per
             registered dataset (its service counters), and ``store``
-            — the ticket journal's counters plus ``write_errors`` and
-            the boot-time ``recovery`` summary (``None`` when the
-            gateway runs without a store).
+            — the ticket journal's counters (``path`` is
+            ``":memory:"`` without a durable store) plus
+            ``write_errors`` and the boot-time ``recovery`` summary.
         """
         with self._lock:
             tenants = {
@@ -954,14 +943,11 @@ class AuditGateway:
         out["datasets"] = {
             name: service.stats() for name, service in services.items()
         }
-        if self.store is not None:
-            out["store"] = {
-                **self.store.stats(),
-                "write_errors": store_errors,
-                "recovery": recovery,
-            }
-        else:
-            out["store"] = None
+        out["store"] = {
+            **self.store.stats(),
+            "write_errors": store_errors,
+            "recovery": recovery,
+        }
         return out
 
 
@@ -1006,8 +992,14 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
 
         # -- plumbing --------------------------------------------------
 
-        def _send(self, status: int, payload: dict, headers=None):
-            body = json.dumps(payload).encode("utf-8")
+        def _send(self, status: int, payload: dict, headers=None,
+                  raw=None):
+            # ``raw`` maps more keys to JSON text serialised already
+            # (journalled reports), spliced in verbatim.
+            fields = [json.dumps(payload)[1:-1]] + [
+                f'"{key}": {text}' for key, text in (raw or {}).items()
+            ]
+            body = ("{%s}" % ", ".join(filter(None, fields))).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -1102,7 +1094,7 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             report = None
             if wait != 0 or ticket.done():
                 try:
-                    report = ticket.result(timeout=wait)
+                    report = ticket.result_json(timeout=wait)
                 except TimeoutError:
                     pass
             if report is None:
@@ -1112,11 +1104,8 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                 return
             self._send(
                 200,
-                {
-                    "ticket": ticket.id,
-                    "done": True,
-                    "report": report.to_dict(full=True),
-                },
+                {"ticket": ticket.id, "done": True},
+                raw={"report": report},
             )
 
         def do_POST(self):
@@ -1146,7 +1135,7 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
             report = None
             if body.get("wait", True):
                 try:
-                    report = ticket.result(timeout=timeout)
+                    report = ticket.result_json(timeout=timeout)
                 except TimeoutError:
                     pass
             if report is None:
@@ -1162,31 +1151,19 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                     },
                 )
                 return
-            self._send(
-                200,
-                {
-                    "ticket": ticket.id,
-                    "report": report.to_dict(full=True),
-                },
-            )
+            self._send(200, {"ticket": ticket.id}, raw={"report": report})
 
         def _batch(self, body: dict):
             specs = [
                 AuditSpec.from_dict(s) for s in _field(body, "specs")
             ]
-            reports = gateway.run_batch(
+            tickets = gateway._admit_batch(
                 _field(body, "dataset"),
                 specs,
-                tenant=str(body.get("tenant", "default")),
+                str(body.get("tenant", "default")),
             )
-            self._send(
-                200,
-                {
-                    "reports": [
-                        r.to_dict(full=True) for r in reports
-                    ]
-                },
-            )
+            texts = [ticket.result_json() for ticket in tickets]
+            self._send(200, {}, raw={"reports": f"[{', '.join(texts)}]"})
 
         def _register(self, body: dict):
             entry = gateway.register(

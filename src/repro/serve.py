@@ -479,21 +479,24 @@ class AuditService:
         requested = [w for w in effective if w is not None]
         workers = max(requested) if requested else None
         adaptive: dict = {}
+        observed = [None] * len(members)
         if spec0.budget.is_adaptive:
             # Each segment stops on its own (observed max, alpha); the
             # simulated world stream is unaffected, so fused adaptive
-            # reports stay bit-identical to solo adaptive runs.
-            observed_maxes = []
-            for r in resolutions:
-                obs = FAMILIES[r.spec.family].observed(
+            # reports stay bit-identical to solo adaptive runs.  The
+            # observed scans are handed on to assembly, not redone.
+            observed = [
+                FAMILIES[r.spec.family].observed(
                     r.bound, r.member, _parse_direction(r.spec.direction)
                 )
-                observed_maxes.append(
-                    float(obs.llr.max()) if len(obs.llr) else 0.0
-                )
+                for r in resolutions
+            ]
             adaptive = {
                 "budget": spec0.budget,
-                "observed_maxes": observed_maxes,
+                "observed_maxes": [
+                    float(obs.llr.max()) if len(obs.llr) else 0.0
+                    for obs in observed
+                ],
                 "alphas": [float(r.spec.alpha) for r in resolutions],
             }
         try:
@@ -520,9 +523,13 @@ class AuditService:
                 self._worlds_requested += (
                     resolved.spec.n_worlds * len(tickets)
                 )
-        for (tickets, key, resolved), null_max in zip(members, nulls):
+        for (tickets, key, resolved), null_max, obs in zip(
+            members, nulls, observed
+        ):
             try:
-                report = self.session._run_resolved(resolved, null_max)
+                report = self.session._run_resolved(
+                    resolved, null_max, obs
+                )
             except Exception as exc:
                 self._finish(tickets, key, error=exc)
                 continue

@@ -1,28 +1,31 @@
-"""Durable ticket journal for the gateway (stdlib sqlite3, WAL mode).
+"""Ticket journal for the gateway (stdlib sqlite3, WAL mode).
 
-The PR 9 gateway keeps every ticket in process memory: a restart
-silently loses all in-flight and completed audits.  This module is the
-persistence layer that fixes that — a single-file sqlite journal that
-:class:`repro.gateway.AuditGateway` writes through when constructed
-with ``store=``:
+Every :class:`repro.gateway.AuditGateway` writes through one journal:
+a single sqlite file given as ``store=`` (durable), or a private
+``":memory:"`` journal the gateway opens for itself.
 
 * every **submit** is journalled *before* the audit starts (ticket id,
   dataset name, tenant, the spec's canonical JSON, and the dataset's
   content fingerprint), so an admitted audit can never vanish;
-* every **settle** records the outcome: the full serialized
-  :class:`repro.api.AuditReport` payload on success, the typed error
-  on failure;
+* every **settle** records the outcome: the report's canonical text
+  (:meth:`repro.api.AuditReport.to_json`, stored verbatim) on success,
+  the typed error on failure;
 * every **fetch** bumps a counter, so the journal doubles as an
   access log.
 
-After a crash, a fresh gateway over the same file serves settled
-tickets from the journal (``GET /tickets/<id>`` falls back here when
-the in-memory table is empty) and
-:meth:`repro.gateway.AuditGateway.recover` re-runs the
-journalled-but-unsettled rows — the stored fingerprint guards
+A settled ticket *is* its journal row: the gateway serves it from
+here (:meth:`get`), splicing the stored text into its HTTP replies.
+The gateway's in-memory journal keeps only its newest settled rows
+(and every unsettled one); a durable journal is never trimmed.
+After a crash, a fresh gateway over the same file serves the settled
+rows and :meth:`repro.gateway.AuditGateway.recover` re-runs the
+journalled-but-unsettled ones.  The stored fingerprint guards
 bit-identity: a recovered report is only produced when the registered
 dataset's content is *exactly* what the crashed run audited, in which
-case the deterministic engine reproduces the report byte for byte.
+case the deterministic engine reproduces the report byte for byte on
+the same host and numpy SIMD dispatch (numpy picks its ``log``
+kernels by CPU feature, so another machine may differ in the last
+ulp of an LLR).
 
 Ticket ids are ``t-<seq>`` over an ``AUTOINCREMENT`` rowid, so ids
 stay unique and monotone across restarts — a client holding a
@@ -34,7 +37,6 @@ is how the chaos suite kills the server between two journal commits.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 import time
@@ -92,9 +94,10 @@ class TicketRecord:
         content the spec was admitted against.
     state : str
         ``'submitted'``, ``'done'`` or ``'failed'``.
-    report : dict or None
-        The settled :meth:`repro.api.AuditReport.to_dict` payload
-        (``full=True``), parsed; ``None`` unless ``state == 'done'``.
+    report : str or None
+        The settled report's canonical text
+        (:meth:`repro.api.AuditReport.to_json`), exactly as
+        journalled; ``None`` unless ``state == 'done'``.
     error_type, error : str or None
         Typed failure recorded at settle; ``None`` unless
         ``state == 'failed'``.
@@ -114,7 +117,7 @@ class TicketRecord:
     spec: str
     fingerprint: str
     state: str
-    report: dict | None
+    report: str | None
     error_type: str | None
     error: str | None
     submitted_at: float
@@ -141,22 +144,22 @@ def _seq_of(ticket_id: str) -> int:
 class TicketStore:
     """Append-mostly sqlite journal of gateway tickets.
 
-    One store maps to one database file (``":memory:"`` works for
-    tests but obviously survives nothing).  The connection runs in
-    WAL mode with autocommit — every recorded transition is one
-    atomic commit, so a crash (even ``kill -9``) between two calls
-    leaves a well-formed journal containing exactly the transitions
-    that returned.  All methods are thread-safe; sqlite errors
-    surface as :class:`TicketStoreError`.
+    One store maps to one database file (``":memory:"`` survives
+    nothing: it is what a gateway without ``store=`` journals to).
+    The connection runs in WAL mode with autocommit — every recorded
+    transition is one atomic commit, so a crash (even ``kill -9``)
+    between two calls leaves a well-formed journal containing exactly
+    the transitions that returned.  All methods are thread-safe;
+    sqlite errors surface as :class:`TicketStoreError`.
 
     >>> store = TicketStore(":memory:")
     >>> tid = store.record_submit("city", "alice", "{}", "fp")
     >>> store.get(tid).state
     'submitted'
-    >>> store.record_settle(tid, report={"p_value": 1.0})
+    >>> store.record_settle(tid, report='{"p_value": 1.0}')
     True
     >>> store.get(tid).report
-    {'p_value': 1.0}
+    '{"p_value": 1.0}'
     >>> store.close()
 
     Parameters
@@ -166,6 +169,11 @@ class TicketStore:
     timeout : float, default 30.0
         Sqlite busy timeout in seconds.
     """
+
+    #: How many settled rows to keep (the newest settles), or ``None``
+    #: to keep every row.  Only the gateway's own in-memory journal
+    #: sets it; unsettled rows are never dropped.
+    _keep_settled: int | None = None
 
     def __init__(self, path, timeout: float = 30.0):
         self.path = str(path)
@@ -187,6 +195,17 @@ class TicketStore:
             ) from exc
         self._closed = False
 
+    def _execute(self, sql: str, params=(), action: str = "read"):
+        """One locked statement: a query's rows, else the cursor."""
+        try:
+            with self._lock:
+                cursor = self._conn.execute(sql, params)
+                return cursor.fetchall() if cursor.description else cursor
+        except sqlite3.Error as exc:
+            raise TicketStoreError(
+                f"ticket store {action} failed ({self.path}): {exc}"
+            ) from exc
+
     # -- write path ----------------------------------------------------
 
     def _write(self, sql: str, params=()):
@@ -201,13 +220,7 @@ class TicketStore:
             raise TicketStoreError(
                 f"ticket store write failed ({self.path}): {exc}"
             ) from exc
-        try:
-            with self._lock:
-                cursor = self._conn.execute(sql, params)
-        except sqlite3.Error as exc:
-            raise TicketStoreError(
-                f"ticket store write failed ({self.path}): {exc}"
-            ) from exc
+        cursor = self._execute(sql, params, "write")
         fault_point("ticketstore.after_write")
         return cursor
 
@@ -249,7 +262,7 @@ class TicketStore:
     def record_settle(
         self,
         ticket_id: str,
-        report: dict | None = None,
+        report: str | None = None,
         error_type: str | None = None,
         error: str | None = None,
         recovered: bool = False,
@@ -264,8 +277,10 @@ class TicketStore:
         Parameters
         ----------
         ticket_id : str
-        report : dict, optional
-            The report payload (``to_dict(full=True)``) on success.
+        report : str, optional
+            The report's canonical text
+            (:meth:`repro.api.AuditReport.to_json`) on success,
+            stored verbatim.
         error_type, error : str, optional
             Exception type name and message on failure.
         recovered : bool, default False
@@ -281,16 +296,13 @@ class TicketStore:
                 "record_settle: exactly one of report / error_type "
                 "is required"
             )
-        state = "done" if report is not None else "failed"
         cursor = self._write(
             "UPDATE tickets SET state=?, report=?, error_type=?, "
             "error=?, settled_at=?, recovered=? "
             "WHERE seq=? AND state='submitted'",
             (
-                state,
-                None if report is None else json.dumps(
-                    report, sort_keys=True
-                ),
+                "done" if report is not None else "failed",
+                report,
                 error_type,
                 error,
                 time.time(),
@@ -298,6 +310,14 @@ class TicketStore:
                 _seq_of(ticket_id),
             ),
         )
+        if self._keep_settled is not None:
+            self._execute(
+                "DELETE FROM tickets WHERE seq IN (SELECT seq FROM "
+                "tickets WHERE state != 'submitted' ORDER BY "
+                "settled_at DESC, seq DESC LIMIT -1 OFFSET ?)",
+                (self._keep_settled,),
+                "write",
+            )
         return cursor.rowcount == 1
 
     def record_fetch(self, ticket_id: str) -> None:
@@ -309,39 +329,29 @@ class TicketStore:
 
     # -- read path -----------------------------------------------------
 
-    def _record(self, row) -> TicketRecord:
-        return TicketRecord(
-            id=f"t-{row['seq']}",
-            seq=int(row["seq"]),
-            dataset=row["dataset"],
-            tenant=row["tenant"],
-            spec=row["spec"],
-            fingerprint=row["fingerprint"],
-            state=row["state"],
-            report=(
-                None if row["report"] is None
-                else json.loads(row["report"])
-            ),
-            error_type=row["error_type"],
-            error=row["error"],
-            submitted_at=row["submitted_at"],
-            settled_at=row["settled_at"],
-            recovered=bool(row["recovered"]),
-            fetches=int(row["fetches"]),
-        )
-
     def _select(self, where: str = "", params=()) -> list:
-        try:
-            with self._lock:
-                rows = self._conn.execute(
-                    f"SELECT * FROM tickets {where} ORDER BY seq",
-                    params,
-                ).fetchall()
-        except sqlite3.Error as exc:
-            raise TicketStoreError(
-                f"ticket store read failed ({self.path}): {exc}"
-            ) from exc
-        return [self._record(row) for row in rows]
+        rows = self._execute(
+            f"SELECT * FROM tickets {where} ORDER BY seq", params
+        )
+        return [
+            TicketRecord(
+                id=f"t-{row['seq']}",
+                seq=int(row["seq"]),
+                dataset=row["dataset"],
+                tenant=row["tenant"],
+                spec=row["spec"],
+                fingerprint=row["fingerprint"],
+                state=row["state"],
+                report=row["report"],
+                error_type=row["error_type"],
+                error=row["error"],
+                submitted_at=row["submitted_at"],
+                settled_at=row["settled_at"],
+                recovered=bool(row["recovered"]),
+                fetches=int(row["fetches"]),
+            )
+            for row in rows
+        ]
 
     def get(self, ticket_id: str) -> TicketRecord | None:
         """The journalled ticket, or ``None`` for an unknown id."""
@@ -380,17 +390,11 @@ class TicketStore:
             ``path``, per-state ticket counts, ``recovered`` settles
             and total ``fetches``.
         """
-        try:
-            with self._lock:
-                rows = self._conn.execute(
-                    "SELECT state, COUNT(*) AS n, "
-                    "SUM(recovered) AS rec, SUM(fetches) AS fet "
-                    "FROM tickets GROUP BY state"
-                ).fetchall()
-        except sqlite3.Error as exc:
-            raise TicketStoreError(
-                f"ticket store read failed ({self.path}): {exc}"
-            ) from exc
+        rows = self._execute(
+            "SELECT state, COUNT(*) AS n, "
+            "SUM(recovered) AS rec, SUM(fetches) AS fet "
+            "FROM tickets GROUP BY state"
+        )
         by_state = dict.fromkeys(STATES, 0)
         recovered = fetches = 0
         for row in rows:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import AuditSession
-from repro.faults import FaultInjected, install_faults
+from repro.faults import FaultInjected, clear_faults, install_faults
 from repro.fingerprint import dataset_fingerprint
 from repro.gateway import (
     AuditGateway,
@@ -21,7 +21,9 @@ from repro.gateway import (
     GatewayFullError,
     GatewayHTTPServer,
     GatewayTicket,
+    StoredTicket,
     TenantQuotaError,
+    TicketRecoveryError,
     UnknownDatasetError,
 )
 from repro.spec import AuditSpec, RegionSpec
@@ -1046,3 +1048,171 @@ class TestNoFork:
             gw.close()
         if len(os.sched_getaffinity(0)) >= 2:
             assert pools and all(n == 2 for n in pools)
+
+
+class TestJournalPath:
+    """Every gateway journals; a settled ticket is its journal row."""
+
+    def test_inflight_ticket_never_expires(self, unit_coords, biased_labels):
+        # More settles than the old ticket table held must not evict a
+        # ticket that is still in flight on another dataset.
+        gw = AuditGateway(queue_size=64)
+        gw.register("x", unit_coords, biased_labels)
+        gw.register("y", unit_coords[:300], biased_labels[:300])
+        try:
+            pending = gw.submit("x", _spec(seed=1))
+            for _ in range(256):
+                gw.run("y", _spec(seed=2))
+            assert gw.stats()["queue_depth"] == 1
+            assert gw.ticket(pending.id) is pending
+            assert _payload(pending.result()) == _payload(
+                gw.run("x", _spec(seed=1))
+            )
+        finally:
+            gw.close()
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_settled_rows_capped_only_in_memory(
+        self, tmp_path, unit_coords, biased_labels, durable
+    ):
+        gw = AuditGateway(
+            queue_size=64, store=tmp_path / "j.sqlite" if durable else None
+        )
+        gw.register("x", unit_coords, biased_labels)
+        gw.register("y", unit_coords[:300], biased_labels[:300])
+        cap = 256  # max(4 * queue_size, 256)
+        try:
+            pending = gw.submit("x", _spec(seed=1))
+            ids = []
+            for _ in range(cap + 20):
+                ticket = gw.submit("y", _spec(seed=2))
+                ticket.result()
+                ids.append(ticket.id)
+            stats = gw.store.stats()
+            assert stats["submitted"] == 1  # the in-flight ticket
+            assert stats["done"] == (cap + 20 if durable else cap)
+            assert gw.ticket(ids[-1]).result_json() == ticket.result_json()
+            assert gw.ticket(pending.id) is pending
+            if durable:
+                assert gw.ticket(ids[0]).done()
+            else:
+                with pytest.raises(KeyError):
+                    gw.ticket(ids[0])
+            pending.result()
+            assert gw.ticket(pending.id).done()
+        finally:
+            gw.close()
+
+    def test_settled_ticket_is_its_journal_row(self, gateway):
+        ticket = gateway.submit("unit", _spec(seed=3))
+        report = ticket.result()
+        stored = gateway.ticket(ticket.id)
+        assert isinstance(stored, StoredTicket)
+        assert stored.result_json() == ticket.result_json()
+        assert stored.result_json() == report.to_json() == _payload(report)
+        assert gateway.store.get(ticket.id).report == report.to_json()
+
+    def test_lookup_racing_a_settle_never_sees_an_unsettled_row(
+        self, gateway
+    ):
+        ids: list = []
+        unsettled: list = []
+        stop = threading.Event()
+
+        def poll():
+            while not stop.is_set():
+                for tid in list(ids):
+                    found = gateway.ticket(tid)
+                    if isinstance(found, StoredTicket) and not found.done():
+                        unsettled.append(tid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            for seed in range(1, 41):
+                ticket = gateway.submit("unit", _spec(seed=seed, n_worlds=19))
+                ids.append(ticket.id)
+                ticket.result()
+        finally:
+            stop.set()
+            poller.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not poller.is_alive()
+        assert unsettled == []
+
+    def test_failed_settle_write_still_serves_then_503s(self, gateway):
+        ticket = gateway.submit("unit", _spec(seed=4))
+        install_faults("ticketstore.write:p=1.0")
+        report = ticket.result()  # the waiter still gets its report
+        assert ticket.result_json() == report.to_json()
+        assert gateway.stats()["store"]["write_errors"] == 1
+        clear_faults()
+        # The row stayed unsettled: the typed 503 a restart would give.
+        with pytest.raises(TicketRecoveryError) as err:
+            gateway.ticket(ticket.id).result()
+        assert err.value.http_status == 503
+
+
+def _raw(url: str, method: str = "GET", payload=None):
+    """``(status, body text)`` of one request, bytes untouched."""
+    data = None if payload is None else json.dumps(payload).encode()
+    req = urllib.request.Request(url, data=data, method=method)
+    with urllib.request.urlopen(req, timeout=60) as resp:
+        return resp.status, resp.read().decode("utf-8")
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_http_bytes_are_the_journal_bytes(
+    tmp_path, unit_coords, biased_labels, durable
+):
+    path = tmp_path / "j.sqlite" if durable else None
+    gw = AuditGateway(queue_size=8, store=path)
+    gw.register("unit", unit_coords, biased_labels)
+    server = GatewayHTTPServer(gw, port=0)
+    server.start()
+    try:
+        url = server.url
+        status, body = _raw(
+            f"{url}/audit", "POST", {"dataset": "unit", "spec": SPEC_DICT}
+        )
+        assert status == 200
+        sync_id = json.loads(body)["ticket"]
+        assert gw.store.get(sync_id).report in body
+
+        status, body = _raw(
+            f"{url}/batch",
+            "POST",
+            {"dataset": "unit", "specs": [SPEC_DICT, dict(SPEC_DICT, seed=8)]},
+        )
+        assert status == 200
+        for record in gw.store.tickets()[-2:]:
+            assert record.report in body
+
+        status, body = _raw(
+            f"{url}/audit",
+            "POST",
+            {"dataset": "unit", "spec": dict(SPEC_DICT, seed=9), "wait": False},
+        )
+        assert status == 202
+        tid = json.loads(body)["ticket"]
+        _, live = _raw(f"{url}/tickets/{tid}")  # redeemed in flight
+        _, settled = _raw(f"{url}/tickets/{tid}")  # from the journal row
+        text = gw.store.get(tid).report
+        assert text in live and text in settled
+    finally:
+        server.stop()
+        gw.close()
+    if not durable:
+        return
+    restarted = AuditGateway(queue_size=8, store=path)
+    server = GatewayHTTPServer(restarted, port=0)
+    server.start()
+    try:
+        for ticket_id in (sync_id, tid):
+            _, body = _raw(f"{server.url}/tickets/{ticket_id}")
+            assert restarted.store.get(ticket_id).report in body
+    finally:
+        server.stop()
+        restarted.close()

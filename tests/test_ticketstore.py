@@ -75,7 +75,7 @@ class TestTicketStore:
         path = tmp_path / "j.sqlite"
         with TicketStore(path) as store:
             first = store.record_submit("d", "t", "{}", "fp")
-            store.record_settle(first, report={"v": 1})
+            store.record_settle(first, report='{"v": 1}')
         # AUTOINCREMENT: a reopened store never reuses a seq, so a
         # restarted gateway cannot hand out an id that already names
         # a (possibly settled) pre-crash ticket.
@@ -99,7 +99,7 @@ class TestTicketStore:
 
     def test_settle_done_roundtrips_report(self, store):
         tid = store.record_submit("d", "t", "{}", "fp")
-        payload = {"p_value": 0.25, "verdict": "fair"}
+        payload = '{"p_value": 0.25, "verdict": "fair"}'
         assert store.record_settle(tid, report=payload)
         record = store.get(tid)
         assert record.state == "done"
@@ -121,13 +121,13 @@ class TestTicketStore:
 
     def test_first_settle_wins(self, store):
         tid = store.record_submit("d", "t", "{}", "fp")
-        assert store.record_settle(tid, report={"v": 1})
+        assert store.record_settle(tid, report='{"v": 1}')
         # A recovery replay racing the original settle must not
         # overwrite it.
         assert not store.record_settle(
             tid, error_type="X", error="late"
         )
-        assert store.get(tid).report == {"v": 1}
+        assert store.get(tid).report == '{"v": 1}'
 
     def test_settle_requires_exactly_one_outcome(self, store):
         tid = store.record_submit("d", "t", "{}", "fp")
@@ -135,7 +135,7 @@ class TestTicketStore:
             store.record_settle(tid)
         with pytest.raises(ValueError):
             store.record_settle(
-                tid, report={"v": 1}, error_type="X", error="both"
+                tid, report='{"v": 1}', error_type="X", error="both"
             )
 
     def test_fetch_counter(self, store):
@@ -147,7 +147,7 @@ class TestTicketStore:
     def test_unsettled_lists_only_submitted(self, store):
         keep = store.record_submit("d", "t", "{}", "fp")
         done = store.record_submit("d", "t", "{}", "fp")
-        store.record_settle(done, report={})
+        store.record_settle(done, report="{}")
         pending = store.unsettled()
         assert [r.id for r in pending] == [keep]
 
@@ -162,7 +162,7 @@ class TestTicketStore:
         a = store.record_submit("d", "t", "{}", "fp")
         b = store.record_submit("d", "t", "{}", "fp")
         store.record_submit("d", "t", "{}", "fp")
-        store.record_settle(a, report={})
+        store.record_settle(a, report="{}")
         store.record_settle(b, error_type="X", error="boom")
         stats = store.stats()
         assert stats["tickets"] == 3
@@ -172,7 +172,7 @@ class TestTicketStore:
 
     def test_recovered_flag_counted(self, store):
         tid = store.record_submit("d", "t", "{}", "fp")
-        store.record_settle(tid, report={}, recovered=True)
+        store.record_settle(tid, report="{}", recovered=True)
         assert store.get(tid).recovered
         assert store.stats()["recovered"] == 1
 
@@ -204,9 +204,7 @@ class TestGatewayWriteThrough:
         assert record.fingerprint == (
             gateway.datasets()[0]["fingerprint"]
         )
-        assert json.dumps(record.report, sort_keys=True) == _payload(
-            report
-        )
+        assert record.report == _payload(report)
 
     def test_failed_audit_is_journalled_failed(
         self, gateway, unit_coords, biased_labels
@@ -368,7 +366,10 @@ class TestGatewayWriteThrough:
             _register(gw, unit_coords, biased_labels)
             ticket = gw.submit("city", _spec())
             ticket.result()
-            assert gw.stats()["store"] is None
+            # A store-less gateway journals to its own in-memory store.
+            stats = gw.stats()["store"]
+            assert stats["path"] == ":memory:"
+            assert stats["done"] == 1 and stats["write_errors"] == 0
             assert gw.recover() == {
                 "replayed": 0,
                 "recovered": 0,
@@ -415,9 +416,7 @@ class TestRecovery:
             record = store.get(tid)
             assert record.state == "done"
             assert record.recovered
-            assert (
-                json.dumps(record.report, sort_keys=True) == golden
-            )
+            assert record.report == golden
             assert _payload(gw.ticket(tid).result()) == golden
             assert gw.stats()["store"]["recovery"] == summary
             gw.close()

@@ -16,6 +16,10 @@ lifecycle over HTTP exactly as a tenant would:
 6. restart-and-refetch: a second server over the same ``--store``
    journal must serve a pre-restart ticket byte-identically.
 
+``--no-store`` boots the server without ``--store``, so steps 1–5 run
+over the gateway's in-memory journal; step 6 needs a durable file and
+is skipped.
+
 Every subprocess is killed in a ``finally`` block — a failed
 assertion can never leave an orphan server holding the CI port — and
 the announce-line read is bounded, so a server that hangs on boot
@@ -23,11 +27,12 @@ fails the smoke test instead of wedging it.
 
 Exit code 0 means every step held.  Run it from the repo root::
 
-    python tools/http_smoke.py
+    python tools/http_smoke.py [--no-store]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -123,7 +128,13 @@ def stop_server(proc) -> str:
     return err
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="HTTP gateway smoke test")
+    parser.add_argument(
+        "--no-store", action="store_true",
+        help="serve from the in-memory journal; skip the restart step",
+    )
+    args = parser.parse_args(argv)
     rng = np.random.default_rng(11)
     coords = rng.random((N_POINTS, 2))
     outcomes = (rng.random(N_POINTS) < 0.5).astype(np.int8)
@@ -134,10 +145,11 @@ def main() -> int:
         store_path = os.path.join(tmp, "tickets.sqlite")
         np.savez(data_path, coords=coords, outcomes=outcomes)
         try:
+            store_args = [] if args.no_store else ["--store", store_path]
             proc, url = start_server(
                 procs, data_path,
                 "--queue-size", str(QUEUE_SIZE),
-                "--store", store_path,
+                *store_args,
             )
             print(f"[smoke] server up at {url}")
 
@@ -284,6 +296,9 @@ def main() -> int:
             # 5. graceful drain on SIGTERM.
             stop_server(proc)
             print("[smoke] SIGTERM drain clean")
+            if args.no_store:
+                print("[smoke] in-memory journal — all checks passed")
+                return 0
 
             # 6. restart-and-refetch: the journal must serve a
             # pre-restart ticket byte-identically.
