@@ -29,6 +29,17 @@ multinomial of the observed total over the units' summed forecasts for
 Poisson counts.  The draw is exact in distribution, and is chosen from
 the data alone: no option selects it.
 
+Poisson points draw
+-------------------
+On the points path a Poisson world redistributes the observed total
+over the areas in proportion to their forecasts.  The kernel draws
+the world's events one by one from a Walker alias table of the area
+probabilities, built once per kernel: one uniform per event gives its
+column and its coin, and ``np.bincount`` counts the events per area.
+The cost is O(1) per event where ``rng.multinomial`` pays one
+conditional binomial per area, and each event is an independent
+categorical draw, so the world is exactly multinomial.
+
 Determinism contract
 --------------------
 One simulation pass of ``n_worlds`` worlds from a
@@ -65,8 +76,11 @@ Parallel path
 :class:`concurrent.futures.ThreadPoolExecutor` of at most
 ``min(workers, chunks, usable cores)`` threads; the LLR then runs once
 per block on the calling thread.  The heavy steps — numpy's random
-draws, scipy's sparse mat-vec — release the GIL, so the threads
-overlap on separate cores.  Every thread reads the same bound kernel
+fills (``random``, ``binomial``, ``multinomial``), its elementwise
+passes (the Poisson alias draw's ``where`` and gathers) and scipy's
+sparse mat-vec — release the GIL for most of their run, so the threads
+overlap on separate cores; ``np.bincount`` holds it for part of its
+run.  Every thread reads the same bound kernel
 and membership matrix, and the pool hands each chunk's counts back in
 chunk order, so nothing is pickled or locked, and no process is
 forked.
@@ -120,6 +134,11 @@ _TARGET_CHUNKS = 16
 #: at most this many entries, so its memory stays bounded at any
 #: ``n_worlds``.
 _BLOCK_ENTRIES = 2**20
+
+#: Events drawn at once by the Poisson alias draw: one world's uniforms
+#: are filled in pieces of at most this many, so its memory stays
+#: bounded at any observed total.
+_ALIAS_EVENTS = 2**20
 
 
 def _usable_cores() -> int:
@@ -356,11 +375,23 @@ class PoissonKernel(LLRKernel):
     the (scaled) forecast — the conditional multinomial simulation that
     makes the Poisson scan exact given the total.
 
-    Worlds are drawn as float64 counts, exact up to ``2**53`` per area,
-    so every world holds exactly ``total_obs_int`` events.  On a
-    disjoint design the total is redistributed over the units instead,
-    with probabilities ``exp_r / total_obs`` per region and the rest
-    (clipped at 0) on the remainder unit.
+    On the points path each world's ``total_obs_int`` events are drawn
+    one by one from a Walker alias table of the area probabilities
+    (:func:`_alias_table`, built once per kernel on its first points
+    pass): one ``rng.random(total_obs_int)`` per world, in world order,
+    whose ``u * K`` gives each event's column (the integer part) and
+    coin (the fraction), and ``np.bincount`` counts the events per
+    area.  Each event is an independent categorical draw, so a world
+    is exactly ``Multinomial(total_obs_int, probs)``, in O(1) per event
+    rather than one conditional binomial per area.  Zero-forecast
+    areas are never drawn.  Worlds are float64 counts, exact up to
+    ``2**53`` per area, so every world holds exactly ``total_obs_int``
+    events.
+
+    On a disjoint design the total is redistributed over the units
+    instead, by one ``rng.multinomial`` per world with probabilities
+    ``exp_r / total_obs`` per region and the rest (clipped at 0) on
+    the remainder unit.
 
     Parameters
     ----------
@@ -389,6 +420,7 @@ class PoissonKernel(LLRKernel):
         self.direction = int(direction)
         self._exp_r: np.ndarray | None = None
         self._unit_probs: np.ndarray | None = None
+        self._alias: tuple | None = None
 
     def bind(self, member: RegionMembership) -> "PoissonKernel":
         super().bind(member)
@@ -396,7 +428,19 @@ class PoissonKernel(LLRKernel):
         if self._units is not None:
             probs = self._exp_r / self._scale
             self._unit_probs = np.append(probs, max(1.0 - probs.sum(), 0.0))
+        elif self.total_obs_int > 0:
+            # Built here, on the calling thread, before pool threads
+            # draw from it.
+            self._draw_table()
         return self
+
+    def _draw_table(self) -> tuple:
+        """The alias table of :attr:`probs`, built on first use.  It
+        depends on the probabilities alone, so every later pass and
+        adaptive round reuses it."""
+        if self._alias is None:
+            self._alias = _alias_table(self.probs)
+        return self._alias
 
     @property
     def chunk_points(self) -> int:
@@ -407,9 +451,31 @@ class PoissonKernel(LLRKernel):
         return (self.family, self.total_obs_int, digest, self.direction)
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
-        probs = self.probs if self._units is None else self._unit_probs
-        draws = rng.multinomial(self.total_obs_int, probs, size=n_worlds)
-        return np.ascontiguousarray(draws.T, dtype=np.float64)
+        if self._units is not None:
+            draws = rng.multinomial(
+                self.total_obs_int, self._unit_probs, size=n_worlds
+            )
+            return np.ascontiguousarray(draws.T, dtype=np.float64)
+        n_areas = len(self.expected)
+        worlds = np.zeros((n_areas, n_worlds))
+        if self.total_obs_int == 0:
+            return worlds
+        keep, alias = self._draw_table()
+        for j in range(n_worlds):
+            # Consecutive fills continue one stream, so bounding the
+            # piece only bounds the memory of a large total.
+            for start in range(0, self.total_obs_int, _ALIAS_EVENTS):
+                u = rng.random(min(_ALIAS_EVENTS, self.total_obs_int - start))
+                u *= n_areas
+                col = u.astype(np.intp)
+                # Keep an event at u * K == K on the last column.  Under
+                # round-to-nearest every double u < 1 keeps u * K < K
+                # below 2**53, but the table must never be read past.
+                np.minimum(col, n_areas - 1, out=col)
+                u -= col
+                events = np.where(u < keep[col], col, alias[col])
+                worlds[:, j] += np.bincount(events, minlength=n_areas)
+        return worlds
 
     def count(self, worlds: np.ndarray) -> tuple:
         return (self._region_counts(worlds),)
@@ -422,6 +488,59 @@ class PoissonKernel(LLRKernel):
             self.total_obs,
             direction=self.direction,
         )
+
+
+def _alias_table(probs: np.ndarray) -> tuple:
+    """Walker's alias table of a categorical distribution: ``(keep,
+    alias)``, built by Vose's pairing without a Python loop.
+
+    A draw takes a column ``j`` uniformly and keeps it with probability
+    ``keep[j]``, else takes ``alias[j]``.  In units of the mean
+    probability, the areas below 1 (*smalls*) keep their own mass and
+    take the current large as their alias, in index order; the current
+    large gives up each small's deficit, and once it falls below 1 it
+    passes its own deficit on to the next large, which becomes current.
+    So small ``i``'s alias is the first large whose cumulative excess
+    reaches the smalls' cumulative deficit before ``i``.  Each large
+    then keeps 1 less the deficit it passes on, a running balance of
+    its smalls' deficits against its excess that stays in ``[0, 1]``,
+    so the implied masses carry no rounding of the O(K) cumulative
+    sums.  Nothing aliases to a small, so a zero-probability area (a
+    small that keeps 0) is never drawn.
+
+    Parameters
+    ----------
+    probs : ndarray of shape (K,)
+        Non-negative probabilities with a positive sum (normalised
+        here).
+
+    Returns
+    -------
+    keep : ndarray of float64, shape (K,)
+    alias : ndarray of intp, shape (K,)
+    """
+    n = len(probs)
+    q = probs * (n / probs.sum())
+    keep = np.ones(n)
+    alias = np.arange(n)
+    small = np.flatnonzero(q < 1.0)
+    large = np.flatnonzero(q >= 1.0)
+    if not len(small) or not len(large):
+        # Every column is full (up to rounding): a uniform draw.
+        return keep, alias
+    deficit = 1.0 - q[small]
+    excess = q[large] - 1.0
+    before = np.cumsum(deficit) - deficit
+    current = np.minimum(
+        np.searchsorted(np.cumsum(excess), before), len(large) - 1
+    )
+    keep[small] = q[small]
+    alias[small] = large[current]
+    taken = np.bincount(current, weights=deficit, minlength=len(large))
+    passed = np.cumsum(taken - excess)
+    keep[large[:-1]] = np.clip(1.0 - passed[:-1], 0.0, 1.0)
+    alias[large[:-1]] = large[1:]
+    return keep, alias
 
 
 class MultinomialKernel(LLRKernel):

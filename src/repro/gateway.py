@@ -187,8 +187,10 @@ class StoredTicket:
     crashed) process admitted.  Settled tickets redeem immediately
     (:class:`StoredReport` on success, the replayed
     :class:`TicketFailedError` on failure); a row still unsettled —
-    awaiting recovery, or whose settle write failed — raises
-    :class:`TicketRecoveryError` so clients retry instead of hanging.
+    whose settle write failed, or admitted by a previous process that
+    :meth:`AuditGateway.recover` has not replayed — raises
+    :class:`TicketRecoveryError` instead of hanging.  Recovery runs
+    only at start-up, so such a row answers once the gateway restarts.
 
     Attributes
     ----------
@@ -222,9 +224,13 @@ class StoredTicket:
                 record.id, record.error_type or "Exception",
                 record.error or "",
             )
+        # Boot replays every unsettled row before serving, so a live
+        # process meets one only when its settle write failed (or when
+        # :meth:`AuditGateway.recover` was never called).
         raise TicketRecoveryError(
-            f"ticket {record.id} is journalled but not yet "
-            "recovered; retry once the gateway finishes recovery"
+            f"ticket {record.id} is journalled but unsettled: its settle "
+            "write failed, and it is replayed when the gateway next "
+            "restarts"
         )
 
     def result(self, timeout: float | None = None) -> StoredReport:

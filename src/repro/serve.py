@@ -55,6 +55,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Sequence
 
 from .api import AuditReport, AuditSession, ResolvedSpec
@@ -123,17 +124,19 @@ class PendingAudit:
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
+        service = self._service
         while not self._event.is_set():
-            lock = self._service._gather_lock
-            if lock.acquire(blocking=False):
+            ends = service._gather_ends
+            if service._gather_lock.acquire(blocking=False):
                 try:
-                    self._service._drain()
+                    service._drain()
                 finally:
-                    lock.release()
+                    service._end_gather()
                 # The drain resolves every ticket it took, ours
                 # included.
                 if self._event.is_set():
                     break
+                ends = service._gather_ends
             remaining = (
                 None
                 if deadline is None
@@ -144,12 +147,16 @@ class PendingAudit:
                     f"audit of {self.spec.describe()!r} still pending "
                     f"after {timeout}s"
                 )
-            # Wait briefly on the in-flight gather, then retry: its
-            # batch may have been snapshotted before this submission.
-            # Every pass waits, so an unresolved ticket never spins.
-            self._event.wait(
-                0.05 if remaining is None else min(0.05, remaining)
-            )
+            # Wait until the in-flight gather resolves the ticket or
+            # ends (its batch may have been snapshotted before this
+            # submission), then retry.  Every pass waits, at most
+            # 50 ms, so an unresolved ticket never spins.
+            with service._gathered:
+                service._gathered.wait_for(
+                    lambda: self._event.is_set()
+                    or service._gather_ends != ends,
+                    0.05 if remaining is None else min(0.05, remaining),
+                )
         if self._error is not None:
             raise self._error
         return self._report
@@ -164,6 +171,8 @@ class PendingAudit:
         self._report = report
         self._error = error
         self._event.set()
+        with self._service._gathered:
+            self._service._gathered.notify_all()
 
 
 class AuditService:
@@ -228,6 +237,12 @@ class AuditService:
         self._pending: list = []
         self._lock = threading.Lock()
         self._gather_lock = threading.Lock()
+        # Signalled when a ticket resolves and when a gather releases
+        # ``_gather_lock``; ``_gather_ends`` counts the releases, so a
+        # waiter that missed the in-flight gather's batch retries as
+        # soon as it ends.
+        self._gathered = threading.Condition()
+        self._gather_ends = 0
         self._submitted = 0
         self._completed = 0
         self._errors = 0
@@ -285,9 +300,26 @@ class AuditService:
             submission order (errored specs are skipped here and
             surface on their tickets).
         """
-        with self._gather_lock:
+        with self._gathering():
             batch = self._drain()
         return [t._report for t in batch if t._error is None]
+
+    @contextmanager
+    def _gathering(self):
+        """Hold ``_gather_lock`` for one gather, then wake the waiters
+        of :meth:`PendingAudit.result`."""
+        self._gather_lock.acquire()
+        try:
+            yield
+        finally:
+            self._end_gather()
+
+    def _end_gather(self) -> None:
+        """Release ``_gather_lock`` and signal the gather's end."""
+        self._gather_lock.release()
+        with self._gathered:
+            self._gather_ends += 1
+            self._gathered.notify_all()
 
     def _drain(self) -> list:
         """Snapshot and execute the pending queue; caller must hold
@@ -694,7 +726,7 @@ class AuditService:
             )
         evicting = n_selectors == 1
         session = self.session
-        with self._gather_lock:
+        with self._gathering():
             batch = None
             n = len(session.coords)
             if coords is not None:

@@ -4,9 +4,9 @@ Two checks, across all three outcome families:
 
 * **calibration** — on seeded null data (outcomes independent of
   location), every cell of family x {grid (region-level worlds),
-  squares (point-level worlds)} x {fixed, adaptive budget} rejects at
-  most ``alpha + 2 sd`` of its datasets, and no p-value falls below
-  ``1 / (W + 1)``;
+  squares, circles (point-level worlds)} x {fixed, adaptive budget}
+  rejects at most ``alpha + 2 sd`` of its datasets, and no p-value
+  falls below ``1 / (W + 1)``;
 * **exactness** — the region-level null maxima of a grid that leaves
   points uncovered have the same distribution as the point-level ones
   (two-sample Kolmogorov–Smirnov), the latter forced by treating the
@@ -34,6 +34,7 @@ FAMILIES = ["bernoulli", "poisson", "multinomial"]
 DESIGNS = {
     "grid": RegionSpec.grid(4, 4, bounds=(0, 0, 1, 1)),
     "squares": RegionSpec.squares(6, sides=(0.2, 0.4)),
+    "circles": RegionSpec.circles(6, radii=(0.1, 0.25)),
 }
 BUDGETS = {
     "fixed": "fixed",
@@ -101,12 +102,13 @@ def test_false_positive_rate_and_p_value_floor(
 
 def test_grid_designs_draw_region_level_worlds():
     # The gate above covers both passes only if the grid really is
-    # disjoint on the null data and the squares are not.
+    # disjoint on the null data and the squares and circles are not.
     session = null_session("bernoulli", 0)
     spec = AuditSpec(regions=DESIGNS["grid"], n_worlds=WORLDS)
     assert session.resolve(spec).member.disjoint
-    spec = AuditSpec(regions=DESIGNS["squares"], n_worlds=WORLDS)
-    assert not session.resolve(spec).member.disjoint
+    for design in ("squares", "circles"):
+        spec = AuditSpec(regions=DESIGNS[design], n_worlds=WORLDS)
+        assert not session.resolve(spec).member.disjoint
 
 
 @pytest.mark.parametrize("family", FAMILIES)

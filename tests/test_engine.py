@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from tests.conftest import N_WORLDS
 from repro import AuditSession, AuditSpec, RegionSpec
@@ -112,10 +113,12 @@ class TestKernelContract:
     def test_poisson_worlds_exact_past_2_24(self):
         # One area's count passes 2**24, where float32 integers stop
         # being exact: every simulated world must still redistribute
-        # exactly the observed total.
-        expected = np.array([2e7, 1e7 + 3, 5.0])
+        # exactly the observed total.  The alias draw costs one uniform
+        # per event, so the total stays just past 2**24.
+        expected = np.array([2.0**24 + 2**10, 3.0, 5.0])
         kernel = PoissonKernel(expected, expected.sum())
-        worlds = kernel.simulate(np.random.default_rng(0), 6)
+        worlds = kernel.simulate(np.random.default_rng(0), 2)
+        assert (worlds[0] > 2**24).all()
         totals = worlds.astype(np.float64).sum(axis=0)
         assert (totals == kernel.total_obs_int).all()
         assert worlds.dtype == np.float64
@@ -130,6 +133,84 @@ class TestKernelContract:
             MultinomialKernel(100, np.array([30, 70])).cache_key(),
         }
         assert len(keys) == 6
+
+
+class _EdgeUniforms:
+    """A generator stub whose uniforms cycle through the largest double
+    below 1 and 1 itself."""
+
+    def random(self, size):
+        return np.resize([np.nextafter(1.0, 0.0), 1.0], size)
+
+
+def _alias_forecast(n_areas: int, seed: int = 3) -> np.ndarray:
+    """Skewed forecasts with ~10% zero areas (area 0 always positive)."""
+    rng = np.random.default_rng(seed)
+    forecast = rng.gamma(2.0, 1.0, n_areas)
+    forecast[1:][rng.random(n_areas - 1) < 0.1] = 0.0
+    return forecast
+
+
+class TestPoissonAliasDraw:
+    """The Poisson points pass draws each world's events from a Walker
+    alias table of the area probabilities."""
+
+    @pytest.mark.parametrize("n_areas", [1, 2, 7, 1000, 20_000])
+    def test_table_reproduces_the_probabilities(self, n_areas):
+        forecast = _alias_forecast(n_areas)
+        keep, alias = engine_mod._alias_table(forecast)
+        assert ((keep >= 0.0) & (keep <= 1.0)).all()
+        implied = (
+            keep + np.bincount(alias, weights=1.0 - keep, minlength=n_areas)
+        ) / n_areas
+        np.testing.assert_allclose(
+            implied, forecast / forecast.sum(), rtol=1e-11, atol=0.0
+        )
+
+    def test_worlds_hold_the_total_and_skip_zero_areas(self):
+        forecast = _alias_forecast(2_000)
+        total = 5_000.0
+        kernel = PoissonKernel(forecast * (total / forecast.sum()), total)
+        worlds = kernel.simulate(np.random.default_rng(0), 64)
+        assert worlds.dtype == np.float64 and worlds.flags.c_contiguous
+        assert worlds.shape == (2_000, 64)
+        assert (worlds.sum(axis=0) == kernel.total_obs_int).all()
+        assert (forecast == 0.0).sum() > 100
+        assert (worlds[forecast == 0.0] == 0.0).all()
+
+    @pytest.mark.parametrize("k", [10, 14, 20])
+    def test_top_uniform_stays_in_the_table(self, k):
+        # K = 2**k + 1 areas, the last one zero-forecast.  An index of K
+        # would read past the table.  No double below 1 reaches
+        # u * K == K under round-to-nearest, so the stub also feeds
+        # u = 1, which the guard sends to the last column's alias.
+        n_areas = 2**k + 1
+        forecast = np.ones(n_areas)
+        forecast[-1] = 0.0
+        kernel = PoissonKernel(forecast * (7.0 / forecast.sum()), 7.0)
+        worlds = kernel.simulate(_EdgeUniforms(), 3)
+        assert worlds[-1].sum() == 0.0
+        assert (worlds.sum(axis=0) == 7.0).all()
+
+    def test_null_maxima_match_a_multinomial_draw(
+        self, unit_coords, biased_counts
+    ):
+        observed, _ = biased_counts
+        forecast = _alias_forecast(len(unit_coords))
+        total = float(observed.sum())
+        kernel = PoissonKernel(forecast * (total / forecast.sum()), total)
+        regions = GOLDEN_DESIGNS["squares"].build(unit_coords)
+        member = RegionMembership(regions, unit_coords)
+        assert not member.disjoint
+        alias = MonteCarloEngine(unit_coords).null_distribution(
+            member, kernel, 2000, seed=1
+        )
+        draws = np.random.default_rng(2).multinomial(
+            kernel.total_obs_int, kernel.probs, size=2000
+        )
+        worlds = np.ascontiguousarray(draws.T, dtype=np.float64)
+        multinomial = kernel.llr(kernel.count(worlds)).max(axis=0)
+        assert stats.ks_2samp(alias, multinomial).pvalue > 0.001
 
 
 class TestNullCache:
@@ -614,7 +695,8 @@ GOLDEN_SEEDS = {"bernoulli": 17, "poisson": 23, "multinomial": 29}
 #: (verdict, p_value, significant indices, worlds simulated,
 #: critical_value) per (family, design, budget).  The grid rows draw
 #: region-level worlds (the unit grid is disjoint on the unit points),
-#: so their critical values follow that stream.
+#: so their critical values follow that stream; the Poisson squares and
+#: circles rows follow the alias draw of the points pass.
 GOLDEN_NULL = {
     ('bernoulli', 'grid', 'fixed'): (
         'unfair', 0.02, (0,), 49, 4.93718941316,
@@ -641,16 +723,16 @@ GOLDEN_NULL = {
         'unfair', 0.02, (0, 1, 5, 6), 49, 5.4396560745,
     ),
     ('poisson', 'squares', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 5.99355691305,
+        'unfair', 0.02, (8, 9), 49, 4.92456984452,
     ),
     ('poisson', 'squares', 'adaptive'): (
-        'unfair', 0.02, (8, 9), 49, 4.9807707663,
+        'unfair', 0.02, (8, 9), 49, 4.89254561143,
     ),
     ('poisson', 'circles', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 5.2676711596,
+        'unfair', 0.02, (8, 9, 11), 49, 4.59725162067,
     ),
     ('poisson', 'circles', 'adaptive'): (
-        'unfair', 0.02, (8, 9, 11), 49, 4.36855744107,
+        'unfair', 0.02, (8, 9, 11), 49, 4.88739934835,
     ),
     ('multinomial', 'grid', 'fixed'): (
         'unfair', 0.02, (0, 1, 5), 49, 6.42379271545,

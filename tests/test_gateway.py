@@ -1149,10 +1149,14 @@ class TestJournalPath:
         assert ticket.result_json() == report.to_json()
         assert gateway.stats()["store"]["write_errors"] == 1
         clear_faults()
-        # The row stayed unsettled: the typed 503 a restart would give.
+        # The row stayed unsettled: a typed 503 that names the failed
+        # write and the restart that replays it (no recovery runs in a
+        # live process, so "retry" alone would never succeed).
         with pytest.raises(TicketRecoveryError) as err:
             gateway.ticket(ticket.id).result()
         assert err.value.http_status == 503
+        assert "settle write failed" in str(err.value)
+        assert "replayed when the gateway next restarts" in str(err.value)
 
 
 def _raw(url: str, method: str = "GET", payload=None):

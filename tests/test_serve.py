@@ -16,6 +16,7 @@ Acceptance contract of the service layer:
 
 import json
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -343,6 +344,44 @@ class TestAsyncFlow:
                 ticket.result(timeout=0.05)
         # Lock released: result() drains the queue itself and wins.
         assert ticket.result(timeout=5.0).spec == spec
+
+    def test_ticket_queued_mid_gather_resolves_when_it_ends(
+        self, service, monkeypatch
+    ):
+        # A ticket submitted while another thread's gather is in flight
+        # misses that gather's batch.  Its waiter must drain it as soon
+        # as that gather ends, not sleep out its 50 ms poll.
+        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=9)
+        service.run_batch([spec])  # cached: every later drain is a hit
+        entered, release = threading.Event(), threading.Event()
+        execute = service._execute
+
+        def held(batch):
+            entered.set()
+            release.wait(10.0)
+            execute(batch)
+
+        monkeypatch.setattr(service, "_execute", held)
+        service.submit(spec)
+        gather = threading.Thread(target=service.gather, daemon=True)
+        gather.start()
+        assert entered.wait(10.0)
+        late = service.submit(spec)
+        resolved = {}
+
+        def wait():
+            late.result(timeout=10.0)
+            resolved["at"] = time.monotonic()
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        time.sleep(0.01)  # the waiter now waits on the in-flight gather
+        release.set()
+        gather.join(10.0)
+        ended = time.monotonic()
+        waiter.join(10.0)
+        assert late.done() and not gather.is_alive()
+        assert resolved["at"] - ended < 0.025
 
     def test_concurrent_submits_are_deterministic(
         self, unit_coords, biased_labels, service
