@@ -32,13 +32,19 @@ the data alone: no option selects it.
 Poisson points draw
 -------------------
 On the points path a Poisson world redistributes the observed total
-over the areas in proportion to their forecasts.  The kernel draws
-the world's events one by one from a Walker alias table of the area
-probabilities, built once per kernel: one uniform per event gives its
-column and its coin, and ``np.bincount`` counts the events per area.
-The cost is O(1) per event where ``rng.multinomial`` pays one
-conditional binomial per area, and each event is an independent
-categorical draw, so the world is exactly multinomial.
+``O`` over the ``K`` areas in proportion to their forecasts.  The
+kernel picks one of two exact draws from ``O`` and ``K`` alone.  When
+``O <= 3 * K`` it draws the world's events one by one from a Walker
+alias table of the area probabilities, built once per kernel: one
+uniform per event gives its column and its coin, and ``np.bincount``
+counts the events per area, in O(1) per event.  Above that it keeps
+``rng.multinomial``, one conditional binomial per area, so a world
+costs O(K) however large the total.  Each event of the alias draw is
+an independent categorical draw, so both give exactly
+``Multinomial(O, probs)``.  Measured at 1k to 200k areas (numpy 2.4,
+2-core x86 box), the two cost the same at 2.5 to 4.5 events per area;
+the alias draw is 2 to 4 times faster at 0.5 events per area, and its
+cost keeps growing with the total where the multinomial's levels off.
 
 Determinism contract
 --------------------
@@ -139,6 +145,14 @@ _BLOCK_ENTRIES = 2**20
 #: are filled in pieces of at most this many, so its memory stays
 #: bounded at any observed total.
 _ALIAS_EVENTS = 2**20
+
+#: Largest mean events per area the Poisson points pass draws from its
+#: alias table.  The alias draw costs one uniform per event and
+#: ``rng.multinomial`` one binomial per area; they cost the same near
+#: 3 events per area (2.5 to 4.5 measured at 1k to 200k areas with
+#: numpy 2.4 on a 2-core x86 box), so above it the pass keeps the
+#: multinomial, whose cost does not grow with the total.
+_ALIAS_EVENTS_PER_AREA = 3
 
 
 def _usable_cores() -> int:
@@ -375,16 +389,19 @@ class PoissonKernel(LLRKernel):
     the (scaled) forecast — the conditional multinomial simulation that
     makes the Poisson scan exact given the total.
 
-    On the points path each world's ``total_obs_int`` events are drawn
-    one by one from a Walker alias table of the area probabilities
-    (:func:`_alias_table`, built once per kernel on its first points
-    pass): one ``rng.random(total_obs_int)`` per world, in world order,
-    whose ``u * K`` gives each event's column (the integer part) and
-    coin (the fraction), and ``np.bincount`` counts the events per
-    area.  Each event is an independent categorical draw, so a world
-    is exactly ``Multinomial(total_obs_int, probs)``, in O(1) per event
-    rather than one conditional binomial per area.  Zero-forecast
-    areas are never drawn.  Worlds are float64 counts, exact up to
+    On the points path, when ``total_obs_int`` is at most
+    ``_ALIAS_EVENTS_PER_AREA`` (3) events per area, each world's events
+    are drawn one by one from a Walker alias table of the area
+    probabilities (:func:`_alias_table`, built once per kernel on its
+    first points pass): one ``rng.random(total_obs_int)`` per world, in
+    world order, whose ``u * K`` gives each event's column (the integer
+    part) and coin (the fraction), and ``np.bincount`` counts the
+    events per area.  Each event is an independent categorical draw,
+    so a world is exactly ``Multinomial(total_obs_int, probs)``, in
+    O(1) per event.  Zero-forecast areas are never drawn.  Larger
+    totals are drawn by one ``rng.multinomial`` per world, one
+    conditional binomial per area, so a world never costs more than
+    O(K) whatever the total.  Worlds are float64 counts, exact up to
     ``2**53`` per area, so every world holds exactly ``total_obs_int``
     events.
 
@@ -428,11 +445,20 @@ class PoissonKernel(LLRKernel):
         if self._units is not None:
             probs = self._exp_r / self._scale
             self._unit_probs = np.append(probs, max(1.0 - probs.sum(), 0.0))
-        elif self.total_obs_int > 0:
+        elif self._draws_events():
             # Built here, on the calling thread, before pool threads
             # draw from it.
             self._draw_table()
         return self
+
+    def _draws_events(self) -> bool:
+        """Whether the points pass draws from the alias table: a
+        positive total of at most ``_ALIAS_EVENTS_PER_AREA`` events per
+        area."""
+        return (
+            0 < self.total_obs_int
+            <= _ALIAS_EVENTS_PER_AREA * len(self.expected)
+        )
 
     def _draw_table(self) -> tuple:
         """The alias table of :attr:`probs`, built on first use.  It
@@ -451,15 +477,19 @@ class PoissonKernel(LLRKernel):
         return (self.family, self.total_obs_int, digest, self.direction)
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
-        if self._units is not None:
-            draws = rng.multinomial(
-                self.total_obs_int, self._unit_probs, size=n_worlds
-            )
-            return np.ascontiguousarray(draws.T, dtype=np.float64)
+        if self._units is None and self._draws_events():
+            return self._alias_worlds(rng, n_worlds)
+        probs = self.probs if self._units is None else self._unit_probs
+        draws = rng.multinomial(self.total_obs_int, probs, size=n_worlds)
+        return np.ascontiguousarray(draws.T, dtype=np.float64)
+
+    def _alias_worlds(
+        self, rng: np.random.Generator, n_worlds: int
+    ) -> np.ndarray:
+        """``n_worlds`` points-pass worlds drawn event by event from the
+        alias table."""
         n_areas = len(self.expected)
         worlds = np.zeros((n_areas, n_worlds))
-        if self.total_obs_int == 0:
-            return worlds
         keep, alias = self._draw_table()
         for j in range(n_worlds):
             # Consecutive fills continue one stream, so bounding the

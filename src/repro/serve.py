@@ -65,6 +65,11 @@ from .faults import fault_point
 from .fingerprint import combine_fingerprints
 from .spec import AuditSpec
 
+#: Longest a :meth:`PendingAudit.result` waiter sleeps between checks
+#: of its ticket.  A resolution or a gather's end wakes it sooner; the
+#: poll only bounds a wake-up that is missed.
+_WAIT_POLL_S = 0.05
+
 __all__ = ["AuditService", "PendingAudit"]
 
 
@@ -150,12 +155,17 @@ class PendingAudit:
             # Wait until the in-flight gather resolves the ticket or
             # ends (its batch may have been snapshotted before this
             # submission), then retry.  Every pass waits, at most
-            # 50 ms, so an unresolved ticket never spins.
+            # ``_WAIT_POLL_S``, so an unresolved ticket never spins.
+            poll = (
+                _WAIT_POLL_S
+                if remaining is None
+                else min(_WAIT_POLL_S, remaining)
+            )
             with service._gathered:
                 service._gathered.wait_for(
                     lambda: self._event.is_set()
                     or service._gather_ends != ends,
-                    0.05 if remaining is None else min(0.05, remaining),
+                    poll,
                 )
         if self._error is not None:
             raise self._error

@@ -6,7 +6,10 @@ Two checks, across all three outcome families:
   location), every cell of family x {grid (region-level worlds),
   squares, circles (point-level worlds)} x {fixed, adaptive budget}
   rejects at most ``alpha + 2 sd`` of its datasets, and no p-value
-  falls below ``1 / (W + 1)``;
+  falls below ``1 / (W + 1)``.  Poisson points-pass worlds take one of
+  two draws by the mean events per area, so the squares and circles
+  cells run on dense counts (~4 per area, the multinomial) and again
+  on sparse ones (~2 per area, the alias table);
 * **exactness** — the region-level null maxima of a grid that leaves
   points uncovered have the same distribution as the point-level ones
   (two-sample Kolmogorov–Smirnov), the latter forced by treating the
@@ -48,6 +51,11 @@ WORLDS = 39
 ALPHA = 0.05
 
 
+#: Per-area forecast range of the sparse Poisson null datasets: about
+#: 2 events per area, under the 3 the alias draw takes.
+SPARSE_FORECAST = (0.5, 3.5)
+
+
 def null_session(family: str, index: int) -> AuditSession:
     """Seeded null dataset ``index`` of ``family``: uniform locations,
     outcomes drawn independently of them."""
@@ -65,6 +73,22 @@ def null_session(family: str, index: int) -> AuditSession:
     return AuditSession(coords, classes, n_classes=3)
 
 
+def sparse_poisson_session(index: int) -> AuditSession:
+    """Seeded sparse Poisson null dataset ``index``."""
+    rng = np.random.default_rng([len(FAMILIES), index, 17])
+    coords = rng.random((N_POINTS, 2))
+    forecast = rng.uniform(*SPARSE_FORECAST, N_POINTS)
+    observed = rng.poisson(forecast).astype(np.float64)
+    return AuditSession(coords, observed, forecast=forecast)
+
+
+def audit(session: AuditSession, regions, family, index, policy):
+    return session.run(AuditSpec(
+        regions=regions, family=family, n_worlds=WORLDS, alpha=ALPHA,
+        seed=index, budget=policy, workers=1,
+    )).result
+
+
 @pytest.fixture(scope="module")
 def null_reports():
     """``{(family, design, budget): [AuditResult, ...]}`` over every
@@ -75,14 +99,26 @@ def null_reports():
             session = null_session(family, index)
             for design, regions in DESIGNS.items():
                 for budget, policy in BUDGETS.items():
-                    report = session.run(AuditSpec(
-                        regions=regions, family=family, n_worlds=WORLDS,
-                        alpha=ALPHA, seed=index, budget=policy, workers=1,
-                    ))
                     out.setdefault((family, design, budget), []).append(
-                        report.result
+                        audit(session, regions, family, index, policy)
                     )
+    for index in range(N_DATASETS):
+        session = sparse_poisson_session(index)
+        for design in ("squares", "circles"):
+            for budget, policy in BUDGETS.items():
+                out.setdefault(("sparse", design, budget), []).append(
+                    audit(session, DESIGNS[design], "poisson", index, policy)
+                )
     return out
+
+
+def check_cell(results) -> None:
+    rejected = sum(not r.is_fair for r in results)
+    sd = np.sqrt(ALPHA * (1 - ALPHA) / len(results))
+    assert rejected / len(results) <= ALPHA + 2 * sd
+    for r in results:
+        assert r.p_value >= 1 / (r.n_worlds + 1) - 1e-12
+        assert r.p_value >= 1 / (WORLDS + 1) - 1e-12
 
 
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
@@ -91,13 +127,13 @@ def null_reports():
 def test_false_positive_rate_and_p_value_floor(
     null_reports, family, design, budget
 ):
-    results = null_reports[family, design, budget]
-    rejected = sum(not r.is_fair for r in results)
-    sd = np.sqrt(ALPHA * (1 - ALPHA) / len(results))
-    assert rejected / len(results) <= ALPHA + 2 * sd
-    for r in results:
-        assert r.p_value >= 1 / (r.n_worlds + 1) - 1e-12
-        assert r.p_value >= 1 / (WORLDS + 1) - 1e-12
+    check_cell(null_reports[family, design, budget])
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("design", ["circles", "squares"])
+def test_sparse_poisson_cells(null_reports, design, budget):
+    check_cell(null_reports["sparse", design, budget])
 
 
 def test_grid_designs_draw_region_level_worlds():
@@ -109,6 +145,18 @@ def test_grid_designs_draw_region_level_worlds():
     for design in ("squares", "circles"):
         spec = AuditSpec(regions=DESIGNS[design], n_worlds=WORLDS)
         assert not session.resolve(spec).member.disjoint
+
+
+def test_poisson_cells_cover_both_points_draws():
+    # The dense Poisson cells draw rng.multinomial worlds and the
+    # sparse ones alias-table worlds, on every dataset.
+    spec = AuditSpec(
+        regions=DESIGNS["squares"], family="poisson", n_worlds=WORLDS
+    )
+    for index in range(N_DATASETS):
+        dense = null_session("poisson", index).resolve(spec).kernel
+        sparse = sparse_poisson_session(index).resolve(spec).kernel
+        assert not dense._draws_events() and sparse._draws_events()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -16,7 +16,6 @@ Acceptance contract of the service layer:
 
 import json
 import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +23,7 @@ import pytest
 
 import repro
 from repro import AuditService, AuditSession, AuditSpec, RegionSpec
+from repro import serve as serve_mod
 from repro.engine import BernoulliKernel
 from repro.index import StackedMembership
 from tests.conftest import N_WORLDS
@@ -350,7 +350,8 @@ class TestAsyncFlow:
     ):
         # A ticket submitted while another thread's gather is in flight
         # misses that gather's batch.  Its waiter must drain it as soon
-        # as that gather ends, not sleep out its 50 ms poll.
+        # as that gather ends: with the poll stretched to an hour, only
+        # the gather's end can wake it within the join's 30 s.
         spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=9)
         service.run_batch([spec])  # cached: every later drain is a hit
         entered, release = threading.Event(), threading.Event()
@@ -358,30 +359,33 @@ class TestAsyncFlow:
 
         def held(batch):
             entered.set()
-            release.wait(10.0)
+            release.wait(30.0)
             execute(batch)
 
+        waiting = threading.Event()
+        wait_for = service._gathered.wait_for
+
+        def spied(predicate, timeout=None):
+            waiting.set()
+            return wait_for(predicate, timeout)
+
+        monkeypatch.setattr(serve_mod, "_WAIT_POLL_S", 3600.0)
         monkeypatch.setattr(service, "_execute", held)
+        monkeypatch.setattr(service._gathered, "wait_for", spied)
         service.submit(spec)
         gather = threading.Thread(target=service.gather, daemon=True)
         gather.start()
-        assert entered.wait(10.0)
+        assert entered.wait(30.0)
         late = service.submit(spec)
-        resolved = {}
-
-        def wait():
-            late.result(timeout=10.0)
-            resolved["at"] = time.monotonic()
-
-        waiter = threading.Thread(target=wait, daemon=True)
+        waiter = threading.Thread(target=late.result, daemon=True)
         waiter.start()
-        time.sleep(0.01)  # the waiter now waits on the in-flight gather
+        # The waiter sleeps on the in-flight gather before it ends.
+        assert waiting.wait(30.0) and not late.done()
         release.set()
-        gather.join(10.0)
-        ended = time.monotonic()
-        waiter.join(10.0)
-        assert late.done() and not gather.is_alive()
-        assert resolved["at"] - ended < 0.025
+        gather.join(30.0)
+        waiter.join(30.0)
+        assert not gather.is_alive() and not waiter.is_alive()
+        assert late.done()
 
     def test_concurrent_submits_are_deterministic(
         self, unit_coords, biased_labels, service
