@@ -137,6 +137,7 @@ from .gateway import (
     GatewayFullError,
     GatewayHTTPServer,
     GatewayTicket,
+    RequestTooLargeError,
     TenantQuotaError,
     TicketFailedError,
     TicketRecoveryError,
@@ -192,6 +193,7 @@ __all__ = [
     "RegionMembership",
     "RegionSet",
     "RegionSpec",
+    "RequestTooLargeError",
     "ResolvedSpec",
     "ScanFamily",
     "StackedMembership",

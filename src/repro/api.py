@@ -50,7 +50,7 @@ from .engine import LLRKernel, MonteCarloEngine
 from .fingerprint import array_fingerprint as _array_fingerprint
 from .fingerprint import dataset_fingerprint as _dataset_fingerprint
 from .geometry import Rect, RegionSet, check_coords
-from .index import RegionMembership
+from .index import RegionMembership, dropped_prefix
 from .spec import AuditSpec, RegionSpec
 
 __all__ = [
@@ -265,10 +265,16 @@ class _Snapshot:
     on first use.  A stream event builds a new snapshot and the session
     swaps it in whole, so a reader never pairs one state's arrays with
     another state's fingerprint.
+
+    ``in_order`` records whether the timestamps are non-decreasing with
+    no NaN, so a time selector drops a prefix found by one binary
+    search.  A stream event carries it over in O(delta); left as None,
+    it is computed here, once.
     """
 
     def __init__(
-        self, coords, outcomes, y_true, forecast, timestamps, n_classes
+        self, coords, outcomes, y_true, forecast, timestamps, n_classes,
+        in_order=None,
     ):
         self.coords = coords
         self.outcomes = outcomes
@@ -276,6 +282,9 @@ class _Snapshot:
         self.forecast = forecast
         self.timestamps = timestamps
         self.n_classes = n_classes
+        if in_order is None:
+            in_order = timestamps is not None and _in_order(timestamps)
+        self.in_order = in_order
         for name in _SNAPSHOT_ARRAYS:
             arr = getattr(self, name)
             if arr is not None:
@@ -286,15 +295,16 @@ class _Snapshot:
         self._slice_digests: dict = {}
         self._bound: dict = {}
 
-    def derive(self, change) -> "_Snapshot":
+    def derive(self, change, in_order=None) -> "_Snapshot":
         """The next state: ``change(name, arr)`` of every present
-        array (``None`` arrays stay ``None``)."""
+        array (``None`` arrays stay ``None``), whose timestamps are
+        ``in_order`` (None: check them)."""
         arrays = [
             None if getattr(self, name) is None
             else change(name, getattr(self, name))
             for name in _SNAPSHOT_ARRAYS
         ]
-        return _Snapshot(*arrays, self.n_classes)
+        return _Snapshot(*arrays, self.n_classes, in_order)
 
     def fingerprint(self) -> str:
         """:func:`repro.fingerprint.dataset_fingerprint` of the state,
@@ -378,6 +388,13 @@ class _Snapshot:
 
 #: The per-point arrays of a :class:`_Snapshot`, in constructor order.
 _SNAPSHOT_ARRAYS = ("coords", "outcomes", "y_true", "forecast", "timestamps")
+
+
+def _in_order(ts: np.ndarray) -> bool:
+    """Whether timestamps are non-decreasing with no NaN.  A NaN fails
+    every comparison, so the pairwise test catches it once there are
+    two stamps; the first stamp is checked on its own."""
+    return bool(np.all(ts[1:] >= ts[:-1])) and not np.isnan(ts[:1]).any()
 
 
 def _state_field(name: str, doc: str) -> property:
@@ -805,7 +822,7 @@ class AuditSession:
             dmask = np.asarray(
                 mdef.mask(coords, outcomes, y_true), dtype=bool
             )
-            deltas[measure] = coords[dmask]
+            deltas[measure] = np.compress(dmask, coords, axis=0)
             changed[measure] = bool(dmask.any())
         delta = {
             "coords": coords,
@@ -814,9 +831,21 @@ class AuditSession:
             "forecast": forecast,
             "timestamps": timestamps,
         }
+        # The grown stamps are in order iff the old ones were, the
+        # batch's are, and the batch starts no earlier than the old
+        # newest stamp: O(batch), never a pass over the window.
+        state = self._state
+        old = state.timestamps
+        in_order = (
+            old is not None
+            and state.in_order
+            and _in_order(timestamps)
+            and (len(old) == 0 or bool(timestamps[0] >= old[-1]))
+        )
         self._migrate(
-            self._state.derive(
-                lambda name, arr: np.concatenate([arr, delta[name]])
+            state.derive(
+                lambda name, arr: np.concatenate([arr, delta[name]]),
+                in_order,
             ),
             changed,
             lambda engine, measure: engine.append_points(
@@ -840,6 +869,16 @@ class AuditSession:
         The surviving arrays are a new read-only state; nothing is
         hashed here.
 
+        A ``window``/``older_than`` selector over in-order timestamps
+        (non-decreasing, no NaN) drops a prefix of the points, found by
+        one binary search; so does a mask whose evicted points all
+        precede its kept ones.  The surviving arrays, and the engines'
+        coordinates, are then read-only views ``arr[k:]`` of the
+        previous state's, and nothing is copied.  A view keeps the
+        previous arrays' memory alive until the next :meth:`append`
+        concatenates them.  Any other eviction (out-of-order or NaN
+        timestamps, a scattered mask) copies the kept rows.
+
         Exactly one selector must be given.
 
         Parameters
@@ -859,9 +898,9 @@ class AuditSession:
         int
             The number of points evicted.
         """
-        keep = self._evict_keep(mask, older_than, window)
-        self._evict(keep)
-        return int(len(keep) - keep.sum())
+        n = len(self.coords)
+        self._evict(self._evict_keep(mask, older_than, window))
+        return n - len(self.coords)
 
     def _check_selector(self, n: int, mask, older_than, window) -> None:
         """Validate :meth:`evict`'s selector against a dataset of ``n``
@@ -890,24 +929,47 @@ class AuditSession:
         if window is not None and value < 0:
             raise ValueError(f"window: must be non-negative, got {value}")
 
-    def _evict_keep(self, mask, older_than, window) -> np.ndarray:
-        """The keep mask of an :meth:`evict` selector over the current
-        data."""
+    def _evict_keep(self, mask, older_than, window):
+        """What an :meth:`evict` selector keeps of the current data:
+        an int ``k`` when it drops exactly the first ``k`` points, else
+        the bool keep mask."""
         self._check_selector(len(self.coords), mask, older_than, window)
         if mask is not None:
-            return ~np.asarray(mask)
-        if older_than is not None:
-            return self.timestamps >= float(older_than)
-        if len(self.timestamps) == 0:
-            return np.ones(0, dtype=bool)
-        cutoff = float(self.timestamps.max()) - float(window)
-        return self.timestamps >= cutoff
-
-    def _evict(self, keep: np.ndarray) -> None:
-        """Keep only the ``keep`` rows of the dataset."""
-        if keep.all():
-            return
+            keep = ~np.asarray(mask)
+            drop = dropped_prefix(keep)
+            return keep if drop is None else drop
         state = self._state
+        ts = state.timestamps
+        if len(ts) == 0:
+            return 0
+        if older_than is not None:
+            cutoff = float(older_than)
+        else:
+            newest = ts[-1] if state.in_order else ts.max()
+            cutoff = float(newest) - float(window)
+        if state.in_order:
+            # Everything before the first stamp >= cutoff is older.
+            return int(np.searchsorted(ts, cutoff, side="left"))
+        return ts >= cutoff
+
+    def _evict(self, keep) -> None:
+        """Keep only the ``keep`` rows of the dataset: a bool mask, or
+        an int ``k`` for all rows but the first ``k`` (as views)."""
+        state = self._state
+        if isinstance(keep, int):
+            drop = keep
+            if drop == 0:
+                return
+
+            def take(name, arr):
+                return arr[drop:]
+        else:
+            drop = None
+            if keep.all():
+                return
+
+            def take(name, arr):
+                return np.compress(keep, arr, axis=0)
         changed: dict = {}
         measured_keeps: dict = {}
         for measure in self._streamed_measures():
@@ -919,7 +981,12 @@ class AuditSession:
                 mdef.mask(state.coords, state.outcomes, state.y_true),
                 dtype=bool,
             )
-            measured_keep = keep[mmask]
+            if drop is not None:
+                # The measure's own rows lose a prefix too.
+                measured_keep = np.ones(np.count_nonzero(mmask), bool)
+                measured_keep[: np.count_nonzero(mmask[:drop])] = False
+            else:
+                measured_keep = np.compress(mmask, keep)
             if measured_keep.all():
                 changed[measure] = False
             elif measured_keep.any():
@@ -930,8 +997,10 @@ class AuditSession:
                 # caches so the cold path reports the canonical
                 # no-observations error on next use.
                 changed[measure] = None
+        # Survivors of in-order stamps stay in order; any other state
+        # checks its survivors, which may have shed the offenders.
         self._migrate(
-            state.derive(lambda name, arr: arr[keep]),
+            state.derive(take, True if state.in_order else None),
             changed,
             lambda engine, measure: engine.evict_points(
                 measured_keeps[measure]

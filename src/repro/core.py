@@ -1097,9 +1097,9 @@ def _accuracy_measure(name: str, true_label: int) -> MeasureDef:
 
     def extract(coords, outcomes, y_true):
         keep = mask(coords, outcomes, y_true)
-        return coords[keep], (np.asarray(outcomes)[keep] == 1).astype(
-            np.int8
-        )
+        return np.compress(keep, coords, axis=0), (
+            np.compress(keep, outcomes) == 1
+        ).astype(np.int8)
 
     return MeasureDef(
         name,

@@ -106,7 +106,7 @@ from . import kernels
 from .budget import BudgetPolicy, round_sizes, sequential_decision
 from .fingerprint import array_fingerprint
 from .geometry import check_coords
-from .index import RegionMembership, StackedMembership
+from .index import RegionMembership, StackedMembership, dropped_prefix
 
 __all__ = [
     "MonteCarloEngine",
@@ -798,6 +798,7 @@ class MonteCarloEngine:
         """
         coords = check_coords(coords)
         self.coords = np.concatenate([self.coords, coords])
+        self.coords.flags.writeable = False
         for member in list(self._member_cache.values()):
             member.append_points(coords)
             self.incremental_builds += 1
@@ -806,7 +807,10 @@ class MonteCarloEngine:
         """Expire observation locations from the engine, in place.
 
         The mirror of :meth:`append_points`: cached membership indexes
-        drop the expired columns incrementally.
+        drop the expired columns incrementally.  A mask that drops a
+        prefix of the points (a window slide over in-order timestamps)
+        keeps ``coords[k:]``, a view that copies nothing; any other
+        mask gathers the kept rows.
 
         Parameters
         ----------
@@ -823,7 +827,12 @@ class MonteCarloEngine:
                 f"{len(self.coords)}, got dtype {keep.dtype} and "
                 f"shape {keep.shape}"
             )
-        self.coords = self.coords[keep]
+        drop = dropped_prefix(keep)
+        if drop is None:
+            self.coords = np.compress(keep, self.coords, axis=0)
+            self.coords.flags.writeable = False
+        else:
+            self.coords = self.coords[drop:]
         for member in list(self._member_cache.values()):
             member.evict_points(keep)
             self.incremental_builds += 1

@@ -57,6 +57,12 @@ from .serve import AuditService, PendingAudit
 from .spec import AuditSpec
 from .ticketstore import TicketRecord, TicketStore, TicketStoreError
 
+#: The longest request body the HTTP front door reads, in bytes (64
+#: MiB: a JSON dataset of about a million points).  A longer
+#: ``Content-Length`` is refused with :class:`RequestTooLargeError`
+#: before any of the body is read.
+MAX_BODY_BYTES = 64 * 2**20
+
 __all__ = [
     "GatewayError",
     "UnknownDatasetError",
@@ -65,6 +71,7 @@ __all__ = [
     "GatewayDrainingError",
     "TicketFailedError",
     "TicketRecoveryError",
+    "RequestTooLargeError",
     "GatewayTicket",
     "StoredReport",
     "StoredTicket",
@@ -148,6 +155,13 @@ class TicketRecoveryError(GatewayError):
     (dataset missing or its content changed since the crash)."""
 
     http_status = 503
+
+
+class RequestTooLargeError(GatewayError):
+    """The request's ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`
+    (413).  The body is never read, and the connection closes."""
+
+    http_status = 413
 
 
 class StoredReport:
@@ -1026,6 +1040,14 @@ def _make_handler(gateway: AuditGateway, quiet: bool):
                     f"Content-Length: expected an integer >= 0, got {text!r}"
                 )
             length = int(text)
+            if length > MAX_BODY_BYTES:
+                # Skipping the body would mean reading it: refuse it
+                # unread and close the connection, as above.
+                self.close_connection = True
+                raise RequestTooLargeError(
+                    f"Content-Length: {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit on a request body"
+                )
             raw = self.rfile.read(length) if length else b"{}"
             data = json.loads(raw.decode("utf-8"))
             if not isinstance(data, dict):

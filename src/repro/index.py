@@ -313,6 +313,18 @@ def _recount(member, values) -> np.ndarray:
     )
 
 
+def dropped_prefix(keep: np.ndarray) -> int | None:
+    """How many leading points a keep mask drops, when it drops exactly
+    a prefix (every ``False`` before every ``True``); else None.
+
+    Two passes over the bools and no gather: a prefix eviction (a
+    window slide over in-order timestamps) then becomes ``arr[k:]``
+    views instead of copies of the kept rows.
+    """
+    drop = len(keep) - int(np.count_nonzero(keep))
+    return drop if keep[drop:].all() else None
+
+
 def _keep_columns(matrix, keep) -> tuple:
     """``(matrix[:, keep], dropped)``, column-major layout kept;
     ``dropped`` lists the row indices of the dropped entries.
@@ -322,8 +334,8 @@ def _keep_columns(matrix, keep) -> tuple:
     gathers the kept columns' entries.
     """
     indptr = matrix.indptr
-    drop = len(keep) - np.count_nonzero(keep)
-    if keep[drop:].all():
+    drop = dropped_prefix(keep)
+    if drop is not None:
         start = indptr[drop]
         dropped = matrix.indices[:start]
         indices = matrix.indices[start:]
@@ -334,7 +346,7 @@ def _keep_columns(matrix, keep) -> tuple:
         dropped = matrix.indices[~entries]
         indices = matrix.indices[entries]
         indptr = np.concatenate(([0], np.cumsum(sizes[keep])))
-    shape = (matrix.shape[0], len(keep) - drop)
+    shape = (matrix.shape[0], len(indptr) - 1)
     return _csc(indices, indptr, shape, matrix.data), dropped
 
 

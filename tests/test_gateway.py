@@ -15,7 +15,9 @@ import pytest
 from repro.api import AuditSession
 from repro.faults import FaultInjected, clear_faults, install_faults
 from repro.fingerprint import dataset_fingerprint
+import repro.gateway
 from repro.gateway import (
+    MAX_BODY_BYTES,
     AuditGateway,
     GatewayDrainingError,
     GatewayFullError,
@@ -875,6 +877,44 @@ class TestHTTP:
         assert payload["type"] == "ValueError"
         assert payload["error"].startswith("Content-Length:")
         assert repr(length) in payload["error"]
+
+    def test_oversized_content_length_is_413_unread_and_closes(
+        self, http
+    ):
+        client, _ = http
+        host, port = client.url.split("//")[1].split(":")
+        length = MAX_BODY_BYTES * 1000
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            # No body follows the headers: a server that tried to read
+            # it would still be waiting at the socket timeout.
+            sock.sendall(
+                b"POST /datasets HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + str(length).encode() + b"\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+            )
+            raw = b""
+            while chunk := sock.recv(4096):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        payload = json.loads(body)  # one JSON answer, nothing after it
+        assert payload["type"] == "RequestTooLargeError"
+        assert payload["error"].startswith("Content-Length:")
+        assert str(length) in payload["error"]
+
+    def test_body_cap_refuses_only_longer_bodies(self, http, monkeypatch):
+        client, _ = http
+        size = len(json.dumps({"name": "x"}).encode("utf-8"))
+        monkeypatch.setattr(repro.gateway, "MAX_BODY_BYTES", size)
+        status, body, _ = client.post("/datasets", {"name": "x"})
+        assert status == 400  # read and parsed: the next check fails
+        assert body["error"] == "coords: missing from the request body"
+        monkeypatch.setattr(repro.gateway, "MAX_BODY_BYTES", size - 1)
+        status, body, _ = client.post("/datasets", {"name": "x"})
+        assert status == 413
+        assert body["type"] == "RequestTooLargeError"
 
     def test_register_rejects_non_finite_coords(
         self, http, unit_coords, biased_labels

@@ -644,6 +644,209 @@ class TestNonPrefixEvictions:
         assert rs.member.counts.tobytes() == rc.member.counts.tobytes()
 
 
+def _in_order(ts) -> bool:
+    """The test's own oracle of the session's in-order flag."""
+    return bool(np.all(np.diff(ts) >= 0)) and not np.isnan(ts).any()
+
+
+#: The watched specs of :class:`TestPrefixViews`: a grid and a k-means
+#: scan over every point, and a measure over a row subset.
+PREFIX_SPECS = [
+    AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=17),
+    AuditSpec(regions=SQUARES, n_worlds=N_WORLDS, seed=17),
+    AuditSpec(
+        regions=GRID, measure="equal_opportunity", n_worlds=N_WORLDS,
+        seed=17,
+    ),
+]
+
+
+class TestPrefixViews:
+    """A window slide over in-order timestamps drops a prefix, so the
+    next state's arrays are views into the previous state's; every
+    other eviction gathers.  Both stay byte-identical to cold."""
+
+    @pytest.fixture()
+    def arrays(self, unit_coords, biased_labels, unit_y_true):
+        return {
+            "coords": unit_coords,
+            "outcomes": biased_labels,
+            "y_true": unit_y_true,
+            "forecast": np.linspace(1.0, 2.0, len(unit_coords)),
+        }
+
+    def _session(self, arrays, ts, stop):
+        session = AuditSession(
+            timestamps=ts[:stop], **_sliced(arrays, slice(None, stop))
+        )
+        for spec in PREFIX_SPECS:  # warm every cache
+            session.run(spec)
+        return session
+
+    def _assert_cold(self, session, arrays, ts, keep):
+        cold = AuditSession(
+            timestamps=ts[keep], **_sliced(arrays, keep)
+        )
+        for spec in PREFIX_SPECS:
+            assert report_json(session.run(spec)) == report_json(
+                cold.run(spec)
+            )
+
+    def test_window_slide_takes_read_only_views(self, arrays):
+        n = len(arrays["coords"])
+        ts = np.arange(n, dtype=np.float64)
+        session = self._session(arrays, ts, 500)
+        session.append(
+            timestamps=ts[500:], **_sliced(arrays, slice(500, None))
+        )
+        assert session._state.in_order
+        names = ("coords", "outcomes", "y_true", "forecast", "timestamps")
+        before = {name: getattr(session, name) for name in names}
+        engines = {
+            measure: (engine, engine.coords)
+            for measure, engine in session._engines.items()
+        }
+        assert set(engines) == {"statistical_parity", "equal_opportunity"}
+        assert session.evict(window=449.0) == 150
+        for name in names:
+            after = getattr(session, name)
+            assert np.shares_memory(after, before[name]), name
+            assert not after.flags.writeable, name
+        for measure, (engine, coords) in engines.items():
+            assert session._engines[measure] is engine
+            assert np.shares_memory(engine.coords, coords), measure
+            assert not engine.coords.flags.writeable, measure
+        self._assert_cold(session, arrays, ts, ts >= 150.0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "out-of-order stamps",
+            "nan stamp",
+            "batch behind the cutoff",
+            "prefix mask",
+            "evict none",
+        ],
+    )
+    def test_eviction_equals_cold(self, case, arrays):
+        n = len(arrays["coords"])
+        ts = np.arange(n, dtype=np.float64)
+        if case == "out-of-order stamps":
+            ts = np.random.default_rng(5).permutation(ts)
+        elif case == "nan stamp":
+            ts[420] = np.nan
+        elif case == "batch behind the cutoff":
+            ts[450:] = np.arange(n - 450, dtype=np.float64)
+        session = self._session(arrays, ts, 450)
+        session.append(
+            timestamps=ts[450:], **_sliced(arrays, slice(450, None))
+        )
+        if case == "prefix mask":
+            keep = np.arange(n) >= 120
+            drop = ~keep
+            before = session.coords
+            assert session.evict(drop) == 120
+            assert np.shares_memory(session.coords, before)
+        elif case == "nan stamp":
+            keep = ts >= 200.0
+            assert session.evict(older_than=200.0) == n - keep.sum()
+        elif case == "evict none":
+            keep = np.ones(n, dtype=bool)
+            before = session._state
+            assert session.evict(window=1e9) == 0
+            assert session._state is before
+        else:
+            keep = ts >= np.max(ts) - 300.0
+            assert session.evict(window=300.0) == n - keep.sum()
+            assert not np.shares_memory(session.coords, arrays["coords"])
+        assert session._state.in_order == _in_order(session.timestamps)
+        self._assert_cold(session, arrays, ts, keep)
+
+    def test_evict_all_then_refill_equals_cold(self, arrays):
+        n = len(arrays["coords"])
+        ts = np.arange(n, dtype=np.float64)
+        session = self._session(arrays, ts, 450)
+        assert session.evict(older_than=np.inf) == 450
+        assert len(session.coords) == 0
+        assert session._state.in_order
+        with pytest.raises(ValueError) as streamed:
+            session.run(PREFIX_SPECS[0])
+        empty = AuditSession(
+            timestamps=ts[:0], **_sliced(arrays, slice(0, 0))
+        )
+        with pytest.raises(ValueError) as cold:
+            empty.run(PREFIX_SPECS[0])
+        assert str(streamed.value) == str(cold.value)
+        session.append(
+            timestamps=ts[450:], **_sliced(arrays, slice(450, None))
+        )
+        assert session._state.in_order
+        self._assert_cold(session, arrays, ts, np.arange(n) >= 450)
+
+    def test_in_order_flag_follows_every_event(self, arrays):
+        n = len(arrays["coords"])
+        ts = np.arange(n, dtype=np.float64)
+        ts[300] = -1.0  # out of order until it is evicted
+        session = self._session(arrays, ts, 200)
+
+        def check():
+            assert session._state.in_order == _in_order(session.timestamps)
+
+        check()
+        steps = [
+            ("append", slice(200, 250)),  # in order, after the newest
+            ("window", 220.0),  # prefix evict
+            ("append", slice(250, 320)),  # holds the -1 stamp
+            ("window", 40.0),  # mask path; drops the -1
+            ("append", slice(320, 330)),
+            ("mask", None),  # scattered mask over in-order stamps
+            ("append", slice(330, 340)),
+        ]
+        for op, arg in steps:
+            if op == "append":
+                session.append(
+                    timestamps=ts[arg], **_sliced(arrays, arg)
+                )
+            elif op == "window":
+                session.evict(window=arg)
+            else:
+                drop = np.zeros(len(session.coords), dtype=bool)
+                drop[1::3] = True
+                session.evict(drop)
+            check()
+        # A batch that starts before the newest stamp breaks the order.
+        back = session.timestamps[-1] - 0.5
+        session.append(
+            arrays["coords"][:2], arrays["outcomes"][:2],
+            y_true=arrays["y_true"][:2], forecast=arrays["forecast"][:2],
+            timestamps=[back, back + 1.0],
+        )
+        assert not session._state.in_order
+        check()
+        # NaN breaks it too.
+        session.evict(np.ones(len(session.coords), dtype=bool))
+        session.append(
+            arrays["coords"][:2], arrays["outcomes"][:2],
+            y_true=arrays["y_true"][:2], forecast=arrays["forecast"][:2],
+            timestamps=[np.nan, 1.0],
+        )
+        assert not session._state.in_order
+        check()
+
+    def test_searchsorted_cursor_matches_the_mask(self):
+        # Cutoffs at, between and beyond the stamps, ties included.
+        ts = np.array([-np.inf, 0.0, 0.0, 1.5, 2.0, 2.0, np.inf])
+        session = AuditSession(
+            np.zeros((len(ts), 2)), np.zeros(len(ts), dtype=np.int8),
+            timestamps=ts,
+        )
+        assert session._state.in_order
+        for cutoff in (-np.inf, -1.0, 0.0, -0.0, 1.0, 2.0, 3.0, np.inf):
+            keep = session._evict_keep(None, cutoff, None)
+            assert keep == len(ts) - np.count_nonzero(ts >= cutoff)
+        assert session._evict_keep(None, np.nan, None) == len(ts)
+
+
 class TestIndexBuildCounter:
     """Satellite fix: index_builds is exhaustive on every build path."""
 
