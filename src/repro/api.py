@@ -32,6 +32,7 @@ All three produce bit-identical findings for the same spec and seed.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -42,6 +43,7 @@ from .core import (
     FAMILIES,
     MEASURES,
     AuditResult,
+    ObservedScan,
     _parse_direction,
     run_scan,
 )
@@ -261,10 +263,10 @@ class _Snapshot:
 
     Holds the state's read-only arrays together with everything
     derived from them alone — measured slices, family bound state,
-    content digests and the bounding box — each computed at most once,
-    on first use.  A stream event builds a new snapshot and the session
-    swaps it in whole, so a reader never pairs one state's arrays with
-    another state's fingerprint.
+    observed scans, content digests and the bounding box — each
+    computed at most once, on first use.  A stream event builds a new
+    snapshot and the session swaps it in whole, so a reader never
+    pairs one state's arrays with another state's fingerprint.
 
     ``in_order`` records whether the timestamps are non-decreasing with
     no NaN, so a time selector drops a prefix found by one binary
@@ -294,6 +296,7 @@ class _Snapshot:
         self._measured: dict = {}
         self._slice_digests: dict = {}
         self._bound: dict = {}
+        self._observed: dict = {}
 
     def derive(self, change, in_order=None) -> "_Snapshot":
         """The next state: ``change(name, arr)`` of every present
@@ -384,6 +387,22 @@ class _Snapshot:
             )
             self._bound[key] = bound
         return bound
+
+    def observed(self, resolved: "ResolvedSpec") -> ObservedScan:
+        """The observed scan of a spec resolved on this state, cached
+        per family, measure and direction, and per region set (held
+        weakly, as the engine's membership cache holds it)."""
+        spec = resolved.spec
+        direction = _parse_direction(spec.direction)
+        key = (spec.family, spec.measure, direction)
+        scans = self._observed.setdefault(key, weakref.WeakKeyDictionary())
+        obs = scans.get(resolved.regions)
+        if obs is None:
+            obs = FAMILIES[spec.family].observed(
+                resolved.bound, resolved.member, direction
+            )
+            scans[resolved.regions] = obs
+        return obs
 
 
 #: The per-point arrays of a :class:`_Snapshot`, in constructor order.
@@ -1087,12 +1106,15 @@ class AuditSession:
         return self._run_resolved(self.resolve(spec), null_max)
 
     def _run_resolved(
-        self, resolved: ResolvedSpec, null_max: np.ndarray | None,
-        observed=None,
+        self, resolved: ResolvedSpec, null_max: np.ndarray | None
     ) -> AuditReport:
-        """:meth:`run` of an already resolved spec (``observed``: its
-        observed scan, when the caller computed it already)."""
+        """:meth:`run` of an already resolved spec, with the state's
+        cached observed scan once ``run_scan`` will accept the design
+        (a design covering no observation fails there, unscanned)."""
         spec = resolved.spec
+        observed = None
+        if resolved.member.counts.any():
+            observed = self._state.observed(resolved)
         result = run_scan(
             resolved.engine,
             spec.family,

@@ -799,8 +799,9 @@ def run_scan(
         actually simulated in ``n_worlds``, the requested budget in
         ``n_worlds_requested`` and ``stopped_early``.
     observed : ObservedScan, optional
-        This design's observed scan, when the caller has computed it
-        already (a fused adaptive group's stopping rule needs it).
+        This design's observed scan, when the caller holds it already
+        (an :class:`repro.api.AuditSession` caches it per dataset
+        state).
 
     Returns
     -------
@@ -981,6 +982,7 @@ class PoissonFamily(ScanFamily):
             "expected": forecast * (total_obs / forecast.sum()),
             "O": total_obs,
             "N": len(coords),
+            "tables": {},
         }
 
     def observed(self, bound, member, direction):
@@ -1003,9 +1005,12 @@ class PoissonFamily(ScanFamily):
         )
 
     def kernel(self, bound, direction):
-        return PoissonKernel(
+        kernel = PoissonKernel(
             bound["expected"], bound["O"], direction=direction
         )
+        # Every kernel of one bound state draws from one alias table.
+        kernel._tables = bound["tables"]
+        return kernel
 
 
 class MultinomialFamily(ScanFamily):

@@ -35,16 +35,20 @@ On the points path a Poisson world redistributes the observed total
 ``O`` over the ``K`` areas in proportion to their forecasts.  The
 kernel picks one of two exact draws from ``O`` and ``K`` alone.  When
 ``O <= 3 * K`` it draws the world's events one by one from a Walker
-alias table of the area probabilities, built once per kernel: one
-uniform per event gives its column and its coin, and ``np.bincount``
-counts the events per area, in O(1) per event.  Above that it keeps
-``rng.multinomial``, one conditional binomial per area, so a world
-costs O(K) however large the total.  Each event of the alias draw is
-an independent categorical draw, so both give exactly
-``Multinomial(O, probs)``.  Measured at 1k to 200k areas (numpy 2.4,
-2-core x86 box), the two cost the same at 2.5 to 4.5 events per area;
-the alias draw is 2 to 4 times faster at 0.5 events per area, and its
-cost keeps growing with the total where the multinomial's levels off.
+alias table of the area probabilities: one uniform per event gives
+its column (the integer part of ``u * K``) and its coin (the
+fraction), one gather from an interleaved table gives its area, and
+``np.bincount`` counts the events per area, in O(1) per event.  The
+table is built by the first points pass that draws events and shared
+by every kernel of one bound dataset state, so a run of audits over
+one state builds it once.  Above ``3 * K`` it keeps ``rng.multinomial``,
+one conditional binomial per area, so a world costs O(K) however
+large the total.  Each event of the alias draw is an independent
+categorical draw, so both give exactly ``Multinomial(O, probs)``.
+Measured at 1k to 200k areas (numpy 2.4, 2-core x86 box), the two
+cost the same at 2.5 to 4.5 events per area; the alias draw is 2 to 4
+times faster at 0.5 events per area, and its cost keeps growing with
+the total where the multinomial's levels off.
 
 Determinism contract
 --------------------
@@ -83,7 +87,7 @@ Parallel path
 ``min(workers, chunks, usable cores)`` threads; the LLR then runs once
 per block on the calling thread.  The heavy steps — numpy's random
 fills (``random``, ``binomial``, ``multinomial``), its elementwise
-passes (the Poisson alias draw's ``where`` and gathers) and scipy's
+passes (the Poisson alias draw's table gathers) and scipy's
 sparse mat-vec — release the GIL for most of their run, so the threads
 overlap on separate cores; ``np.bincount`` holds it for part of its
 run.  Every thread reads the same bound kernel
@@ -392,18 +396,29 @@ class PoissonKernel(LLRKernel):
     On the points path, when ``total_obs_int`` is at most
     ``_ALIAS_EVENTS_PER_AREA`` (3) events per area, each world's events
     are drawn one by one from a Walker alias table of the area
-    probabilities (:func:`_alias_table`, built once per kernel on its
-    first points pass): one ``rng.random(total_obs_int)`` per world, in
-    world order, whose ``u * K`` gives each event's column (the integer
-    part) and coin (the fraction), and ``np.bincount`` counts the
-    events per area.  Each event is an independent categorical draw,
-    so a world is exactly ``Multinomial(total_obs_int, probs)``, in
-    O(1) per event.  Zero-forecast areas are never drawn.  Larger
-    totals are drawn by one ``rng.multinomial`` per world, one
-    conditional binomial per area, so a world never costs more than
-    O(K) whatever the total.  Worlds are float64 counts, exact up to
-    ``2**53`` per area, so every world holds exactly ``total_obs_int``
-    events.
+    probabilities (:func:`_alias_table`): one
+    ``rng.random(total_obs_int)`` per world, in world order, whose
+    ``u * K`` gives each event's column ``c`` (the integer part) and
+    coin (the fraction).  The event's area is one gather,
+    ``pair[2*c + (coin < keep[c])]``, from a table interleaving each
+    column's alias (``pair[2c]``) with the column itself
+    (``pair[2c+1]``), and ``np.bincount`` counts the events per area.
+    A sentinel column ``K`` with ``keep`` 0 takes the last column's
+    alias, so a ``u * K == K`` event needs no clamp.  Each event is an
+    independent categorical draw, so a world is exactly
+    ``Multinomial(total_obs_int, probs)``, in O(1) per event.
+    Zero-forecast areas are never drawn.  Larger totals are drawn by
+    one ``rng.multinomial`` per world, one conditional binomial per
+    area, so a world never costs more than O(K) whatever the total.
+    Worlds are float64 counts, exact up to ``2**53`` per area, so every
+    world holds exactly ``total_obs_int`` events.
+
+    The table is built on the kernel's first points pass that draws
+    events, on the calling thread.  It depends on the probabilities
+    alone, so :meth:`repro.core.PoissonFamily.kernel` hands every
+    kernel of one bound state the same table slot: audits of one
+    dataset state build it once.  Two threads that race to build it
+    compute the same bytes, so the slot needs no lock.
 
     On a disjoint design the total is redistributed over the units
     instead, by one ``rng.multinomial`` per world with probabilities
@@ -437,7 +452,9 @@ class PoissonKernel(LLRKernel):
         self.direction = int(direction)
         self._exp_r: np.ndarray | None = None
         self._unit_probs: np.ndarray | None = None
-        self._alias: tuple | None = None
+        # The draw table's slot; PoissonFamily.kernel swaps in its
+        # bound state's, so kernels of one state share one table.
+        self._tables: dict = {}
 
     def bind(self, member: RegionMembership) -> "PoissonKernel":
         super().bind(member)
@@ -461,12 +478,22 @@ class PoissonKernel(LLRKernel):
         )
 
     def _draw_table(self) -> tuple:
-        """The alias table of :attr:`probs`, built on first use.  It
-        depends on the probabilities alone, so every later pass and
-        adaptive round reuses it."""
-        if self._alias is None:
-            self._alias = _alias_table(self.probs)
-        return self._alias
+        """``(keep, pair)``: the alias table of :attr:`probs` laid out
+        for one gather per event, built on first use.  ``keep`` gains a
+        sentinel column ``K`` that keeps 0, and ``pair[2c]``,
+        ``pair[2c+1]`` are column ``c``'s alias and ``c`` itself; both
+        of the sentinel's entries are the last column's alias."""
+        table = self._tables.get("alias")
+        if table is None:
+            keep, alias = _alias_table(self.probs)
+            last = alias[-1:]
+            own = np.append(np.arange(len(alias)), last)
+            pair = np.stack([np.append(alias, last), own], axis=1).ravel()
+            table = (np.append(keep, 0.0), pair)
+            for arr in table:
+                arr.flags.writeable = False
+            self._tables["alias"] = table
+        return table
 
     @property
     def chunk_points(self) -> int:
@@ -489,22 +516,25 @@ class PoissonKernel(LLRKernel):
         """``n_worlds`` points-pass worlds drawn event by event from the
         alias table."""
         n_areas = len(self.expected)
-        worlds = np.zeros((n_areas, n_worlds))
-        keep, alias = self._draw_table()
+        worlds = np.empty((n_areas, n_worlds))
+        keep, pair = self._draw_table()
         for j in range(n_worlds):
             # Consecutive fills continue one stream, so bounding the
             # piece only bounds the memory of a large total.
             for start in range(0, self.total_obs_int, _ALIAS_EVENTS):
                 u = rng.random(min(_ALIAS_EVENTS, self.total_obs_int - start))
                 u *= n_areas
+                # A u * K == K event reads the sentinel column.
                 col = u.astype(np.intp)
-                # Keep an event at u * K == K on the last column.  Under
-                # round-to-nearest every double u < 1 keeps u * K < K
-                # below 2**53, but the table must never be read past.
-                np.minimum(col, n_areas - 1, out=col)
                 u -= col
-                events = np.where(u < keep[col], col, alias[col])
-                worlds[:, j] += np.bincount(events, minlength=n_areas)
+                heads = u < keep[col]
+                col += col
+                col += heads
+                counts = np.bincount(pair[col], minlength=n_areas)
+                if start:
+                    worlds[:, j] += counts
+                else:
+                    worlds[:, j] = counts
         return worlds
 
     def count(self, worlds: np.ndarray) -> tuple:

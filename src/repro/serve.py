@@ -60,7 +60,6 @@ from typing import Sequence
 
 from .api import AuditReport, AuditSession, ResolvedSpec
 from .budget import _err, _int
-from .core import FAMILIES, _parse_direction
 from .faults import fault_point
 from .fingerprint import combine_fingerprints
 from .spec import AuditSpec
@@ -521,17 +520,13 @@ class AuditService:
         requested = [w for w in effective if w is not None]
         workers = max(requested) if requested else None
         adaptive: dict = {}
-        observed = [None] * len(members)
         if spec0.budget.is_adaptive:
             # Each segment stops on its own (observed max, alpha); the
             # simulated world stream is unaffected, so fused adaptive
             # reports stay bit-identical to solo adaptive runs.  The
-            # observed scans are handed on to assembly, not redone.
+            # state caches the observed scans, so assembly reuses them.
             observed = [
-                FAMILIES[r.spec.family].observed(
-                    r.bound, r.member, _parse_direction(r.spec.direction)
-                )
-                for r in resolutions
+                self.session._state.observed(r) for r in resolutions
             ]
             adaptive = {
                 "budget": spec0.budget,
@@ -565,13 +560,9 @@ class AuditService:
                 self._worlds_requested += (
                     resolved.spec.n_worlds * len(tickets)
                 )
-        for (tickets, key, resolved), null_max, obs in zip(
-            members, nulls, observed
-        ):
+        for (tickets, key, resolved), null_max in zip(members, nulls):
             try:
-                report = self.session._run_resolved(
-                    resolved, null_max, obs
-                )
+                report = self.session._run_resolved(resolved, null_max)
             except Exception as exc:
                 self._finish(tickets, key, error=exc)
                 continue

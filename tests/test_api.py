@@ -3,13 +3,15 @@ every legacy auditor bit-for-bit, reuses its indexes across runs, and
 serves stable, versioned reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro
-from repro import AuditSession, AuditSpec, RegionSpec
+from repro import AuditService, AuditSession, AuditSpec, RegionSpec
 from repro.core import (
+    FAMILIES,
     MultinomialSpatialAuditor,
     PoissonSpatialAuditor,
     SpatialFairnessAuditor,
@@ -157,8 +159,6 @@ class TestSessionCaching:
     def test_run_many_shares_the_index(self, unit_coords, biased_labels):
         session = AuditSession(unit_coords, biased_labels)
         base = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=5)
-        from dataclasses import replace
-
         reports = session.run_many(
             [base, replace(base, direction="lower"),
              replace(base, direction="higher")]
@@ -179,6 +179,69 @@ class TestSessionCaching:
         ):
             session.run(spec)
         assert session.index_builds == 2
+
+
+class TestObservedScanCache:
+    """Each dataset state scans a design's observed statistics once per
+    family, measure and direction."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        family = FAMILIES["poisson"]
+        calls = []
+        observed = family.observed
+
+        def spy(bound, member, direction):
+            calls.append(direction)
+            return observed(bound, member, direction)
+
+        monkeypatch.setattr(family, "observed", spy)
+        return calls
+
+    def test_runs_on_one_state_share_the_scan(
+        self, scans, unit_coords, biased_counts
+    ):
+        observed, forecast = biased_counts
+        session = AuditSession(unit_coords, observed, forecast=forecast)
+        spec = AuditSpec(regions=RegionSpec.squares(8, sides=(0.2, 0.35)),
+                         family="poisson", n_worlds=N_WORLDS, seed=5)
+        session.run(spec)
+        again = session.run(replace(spec, seed=6))
+        assert scans == [0]
+        cold = AuditSession(unit_coords, observed, forecast=forecast)
+        assert json.dumps(again.to_dict(full=True)) == json.dumps(
+            cold.run(replace(spec, seed=6)).to_dict(full=True)
+        )
+        session.run(replace(spec, direction="higher"))
+        session.run(replace(spec, seed=7, direction="higher"))
+        assert scans == [0, 0, 1]
+        # A stream event starts a new state, which scans afresh.
+        session.append(unit_coords[:5], observed[:5], forecast=forecast[:5])
+        session.run(spec)
+        assert scans == [0, 0, 1, 0]
+
+    def test_fused_adaptive_group_reuses_the_scan(
+        self, scans, unit_coords, biased_counts
+    ):
+        observed, forecast = biased_counts
+        service = AuditService(
+            AuditSession(unit_coords, observed, forecast=forecast)
+        )
+        specs = [
+            AuditSpec(regions=design, family="poisson",
+                      n_worlds=N_WORLDS, seed=5, budget="adaptive")
+            for design in (UNIT_GRID, RegionSpec.squares(8, sides=(0.2,)))
+        ]
+        first = service.run_batch(specs)
+        assert scans == [0, 0]
+        again = service.run_batch([replace(s, seed=6) for s in specs])
+        assert scans == [0, 0]
+        solo = AuditSession(unit_coords, observed, forecast=forecast)
+        for spec, report in zip(specs, first):
+            assert report.to_dict(full=True) == solo.run(spec).to_dict(
+                full=True
+            )
+        assert len(again) == 2
 
 
 class TestDegenerateGrids:
@@ -473,8 +536,6 @@ class TestCorrections:
                                               biased_labels):
         session = AuditSession(unit_coords, biased_labels)
         base = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=17)
-        from dataclasses import replace
-
         specs = [
             base,
             replace(base, correction="fdr-bh"),

@@ -5,6 +5,7 @@ three auditors (the seed-stability golden tests)."""
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,9 +151,87 @@ def _alias_forecast(n_areas: int, seed: int = 3) -> np.ndarray:
     return forecast
 
 
+def _where_worlds(kernel, rng, n_worlds, piece):
+    """The alias draw as ``np.where`` over :func:`_alias_table`'s
+    ``(keep, alias)``, with a clamp at the last column: the reference
+    the kernel's one-gather draw must match bit for bit."""
+    keep, alias = engine_mod._alias_table(kernel.probs)
+    n_areas = len(keep)
+    worlds = np.zeros((n_areas, n_worlds))
+    for j in range(n_worlds):
+        for start in range(0, kernel.total_obs_int, piece):
+            u = rng.random(min(piece, kernel.total_obs_int - start))
+            u = u * n_areas
+            col = np.minimum(u.astype(np.intp), n_areas - 1)
+            events = np.where(u - col < keep[col], col, alias[col])
+            worlds[:, j] += np.bincount(events, minlength=n_areas)
+    return worlds
+
+
 class TestPoissonAliasDraw:
     """The Poisson points pass draws each world's events from a Walker
     alias table of the area probabilities."""
+
+    @pytest.mark.parametrize("n_areas", [1, 2, 7, 20_000])
+    def test_draw_equals_the_where_form(self, n_areas):
+        forecast = _alias_forecast(n_areas)
+        total = 2.0 * n_areas + 1
+        kernel = PoissonKernel(forecast * (total / forecast.sum()), total)
+        assert kernel._draws_events()
+        worlds = kernel.simulate(np.random.default_rng(11), 4)
+        reference = _where_worlds(
+            kernel, np.random.default_rng(11), 4, engine_mod._ALIAS_EVENTS
+        )
+        assert np.array_equal(worlds, reference)
+        assert (worlds[forecast == 0.0] == 0.0).all()
+
+    def test_world_of_several_pieces_equals_the_where_form(
+        self, monkeypatch
+    ):
+        # 7 events per piece: each 50-event world takes 8 fills.
+        monkeypatch.setattr(engine_mod, "_ALIAS_EVENTS", 7)
+        forecast = _alias_forecast(40)
+        kernel = PoissonKernel(forecast * (50.0 / forecast.sum()), 50.0)
+        worlds = kernel.simulate(np.random.default_rng(3), 5)
+        reference = _where_worlds(kernel, np.random.default_rng(3), 5, 7)
+        assert np.array_equal(worlds, reference)
+        assert (worlds.sum(axis=0) == 50.0).all()
+
+    def test_table_is_built_once_per_state(
+        self, monkeypatch, unit_coords
+    ):
+        builds = []
+
+        def spy(probs):
+            builds.append(len(probs))
+            return table(probs)
+
+        table = engine_mod._alias_table
+        monkeypatch.setattr(engine_mod, "_alias_table", spy)
+        rng = np.random.default_rng(8)
+        forecast = _alias_forecast(len(unit_coords))
+        observed = rng.poisson(forecast).astype(np.float64)
+        assert observed.sum() <= 3 * len(unit_coords)
+        squares = AuditSpec(
+            regions=GOLDEN_DESIGNS["squares"], family="poisson",
+            n_worlds=16, seed=1,
+        )
+        session = AuditSession(unit_coords, observed, forecast=forecast)
+        session.run(squares)
+        session.run(replace(squares, seed=2, direction="higher"))
+        assert builds == [len(unit_coords)]
+        session.append(
+            rng.random((10, 2)), np.ones(10), forecast=np.full(10, 2.0)
+        )
+        session.run(squares)
+        assert builds == [len(unit_coords), len(unit_coords) + 10]
+        # A grid is disjoint: its region-level pass draws no events.
+        session.run(replace(squares, regions=GOLDEN_DESIGNS["grid"]))
+        assert len(builds) == 2
+        # Above 3 events per area the points pass keeps the multinomial.
+        dense = AuditSession(unit_coords, observed + 3.0, forecast=forecast)
+        dense.run(squares)
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("n_areas", [1, 2, 7, 1000, 20_000])
     def test_table_reproduces_the_probabilities(self, n_areas):
@@ -201,7 +280,7 @@ class TestPoissonAliasDraw:
             kernel = PoissonKernel(forecast * (total / forecast.sum()), total)
             kernel.bind(member)
             assert kernel._draws_events() is alias
-            assert (kernel._alias is not None) is alias
+            assert ("alias" in kernel._tables) is alias
             worlds = kernel.simulate(np.random.default_rng(4), 5)
             draws = np.random.default_rng(4).multinomial(
                 kernel.total_obs_int, kernel.probs, size=5
@@ -211,9 +290,10 @@ class TestPoissonAliasDraw:
     @pytest.mark.parametrize("k", [10, 14, 20])
     def test_top_uniform_stays_in_the_table(self, k):
         # K = 2**k + 1 areas, the last one zero-forecast.  An index of K
-        # would read past the table.  No double below 1 reaches
-        # u * K == K under round-to-nearest, so the stub also feeds
-        # u = 1, which the guard sends to the last column's alias.
+        # would read past the table's K columns.  No double below 1
+        # reaches u * K == K under round-to-nearest, so the stub also
+        # feeds u = 1, which the sentinel column sends to the last
+        # column's alias.
         n_areas = 2**k + 1
         forecast = np.ones(n_areas)
         forecast[-1] = 0.0
@@ -221,6 +301,10 @@ class TestPoissonAliasDraw:
         worlds = kernel.simulate(_EdgeUniforms(), 3)
         assert worlds[-1].sum() == 0.0
         assert (worlds.sum(axis=0) == 7.0).all()
+        # The table's sentinel column draws what the clamp drew.
+        assert np.array_equal(
+            worlds, _where_worlds(kernel, _EdgeUniforms(), 3, 7)
+        )
 
     def test_null_maxima_match_a_multinomial_draw(self, unit_coords):
         # Two events per area, as in a sparse count audit.
