@@ -4,8 +4,9 @@ One declarative entry point serves every audit family.  An
 :class:`AuditSession` binds a dataset once (coordinates, outcomes and
 whatever auxiliaries the families need) and then runs any number of
 :class:`repro.spec.AuditSpec` requests against it, reusing the
-expensive intermediates across calls: region sets and membership
-matrices are cached per design.  Results come back as
+expensive intermediates across calls: each region set is cached with
+its membership matrix per design and measure, and stream events
+update the matrices in place.  Results come back as
 :class:`AuditReport` objects with a stable, versioned ``to_dict()``
 ready for serving.
 
@@ -227,7 +228,7 @@ class ResolvedSpec:
     """One spec materialised against a session, ready to execute.
 
     The bundle of cached intermediates a spec needs to run: the
-    measure's engine, the family's bound data, the materialised region
+    session's engine, the family's bound data, the materialised region
     set with its membership index, and the spec's Monte Carlo kernel.
     :meth:`AuditSession.resolve` produces it;
     :class:`repro.serve.AuditService` groups resolved specs whose
@@ -238,13 +239,14 @@ class ResolvedSpec:
     spec : AuditSpec
         The request this resolution answers.
     engine : MonteCarloEngine
-        The engine over the spec's measured coordinate subset.
+        The session's engine, which runs every null pass.
     bound : dict
         The family's validated bound state.
     regions : RegionSet
         The materialised candidate regions.
     member : RegionMembership
-        The regions' (cached) membership index.
+        The regions' (cached) membership index over the spec's
+        measured coordinate subset.
     kernel : LLRKernel
         The spec's null-model kernel; ``kernel.cache_key()`` is the
         fusion key — equal keys mean shareable simulated worlds.
@@ -391,7 +393,8 @@ class _Snapshot:
     def observed(self, resolved: "ResolvedSpec") -> ObservedScan:
         """The observed scan of a spec resolved on this state, cached
         per family, measure and direction, and per region set (held
-        weakly, as the engine's membership cache holds it)."""
+        weakly, so a region set the session drops takes its scan
+        along)."""
         spec = resolved.spec
         direction = _parse_direction(spec.direction)
         key = (spec.family, spec.measure, direction)
@@ -425,10 +428,12 @@ class AuditSession:
     """A dataset bound once, ready to answer any number of audit specs.
 
     The session owns the reusable state the specs share: the measured
-    data slices, one :class:`repro.engine.MonteCarloEngine` per
-    measure, and the materialised :class:`RegionSet` per
-    :class:`repro.spec.RegionSpec` — so a second ``run()`` over the
-    same geometry performs zero membership rebuilds.  Each ``run()``
+    data slices, one :class:`repro.engine.MonteCarloEngine` that runs
+    every null pass, and one table holding, per
+    :class:`repro.spec.RegionSpec` and measure, the materialised
+    :class:`RegionSet` with its membership index over the measure's
+    coordinates — so a second ``run()`` over the same geometry
+    performs zero membership rebuilds.  Each ``run()``
     simulates its own null worlds; repeated seeded specs are answered
     without simulation by :class:`repro.serve.AuditService`'s report
     cache.
@@ -449,8 +454,8 @@ class AuditSession:
     lose columns in place, and every updated structure is
     **bit-identical** to the one a cold session over the final data
     would build.  A measure whose data slice a stream event did not
-    change keeps its engine and indexes untouched, and streamed
-    reports equal cold reports bit for bit.
+    change keeps its indexes untouched, and streamed reports equal
+    cold reports bit for bit.
 
     Parameters
     ----------
@@ -483,8 +488,8 @@ class AuditSession:
         the cache-reuse observability counter.
     incremental_builds : int
         Total in-place membership updates applied by :meth:`append` /
-        :meth:`evict` — the streaming counterpart of
-        ``index_builds``.
+        :meth:`evict`, one per live membership index per stream
+        event — the streaming counterpart of ``index_builds``.
     """
 
     coords = _state_field(
@@ -539,23 +544,15 @@ class AuditSession:
                     f"({len(arr)} vs {len(self.coords)})"
                 )
         self.workers = workers
-        # Caches that outlive a state: stream events migrate them.
-        # Everything else derived from the data lives on the snapshot.
-        self._engines: dict = {}
-        self._region_sets: dict = {}
-        # Counters of engines retired by stream events, so the
-        # session-level totals never go backwards.
-        self._retired: dict = {
-            "index_builds": 0,
-            "incremental_builds": 0,
-            "worlds_simulated": 0,
-        }
+        self._engine = MonteCarloEngine()
+        # (design, measure) -> (RegionSet, RegionMembership): the one
+        # cache that outlives a state; stream events migrate it (see
+        # ``_migrate``).  Everything else derived from the data lives
+        # on the snapshot.
+        self._designs: dict = {}
+        self.incremental_builds = 0
 
     # -- cached intermediates -------------------------------------------
-    #
-    # Engines and region sets key on measure/design alone: only a
-    # stream event changes the state, and it migrates them (see
-    # ``_migrate``).
 
     def dataset_fingerprint(self) -> str:
         """Content fingerprint of the session's dataset.
@@ -572,20 +569,12 @@ class AuditSession:
         """
         return self._state.fingerprint()
 
-    def _engine(self, measure: str) -> MonteCarloEngine:
-        """The engine over a measure's coordinate subset, cached."""
-        engine = self._engines.get(measure)
-        if engine is None:
-            coords, _ = self._state.measured(measure)
-            engine = MonteCarloEngine(coords)
-            self._engines[measure] = engine
-        return engine
-
     def region_set(
         self, design: RegionSpec, measure: str = "statistical_parity"
     ) -> RegionSet:
         """The materialised candidate regions of a design, cached per
-        ``(design, measure)``.
+        ``(design, measure)`` together with their membership index
+        over the measure's coordinates.
 
         Grid designs without explicit ``bounds`` partition the full
         dataset's bounding box regardless of the measure (the region
@@ -605,64 +594,46 @@ class AuditSession:
         -------
         RegionSet
         """
+        return self._design(design, measure)[0]
+
+    def _design(self, design: RegionSpec, measure: str) -> tuple:
+        """``(regions, member)``: :meth:`region_set` with its
+        membership over the measure's coordinates, built on first
+        use."""
         key = (design, measure)
-        regions = self._region_sets.get(key)
-        if regions is None:
+        entry = self._designs.get(key)
+        if entry is None:
             # Validates the measure first.
             coords, _ = self._state.measured(measure)
-            if design.kind == "grid":
-                # Grids are predetermined region families: without
-                # explicit bounds they cover the FULL dataset's
-                # bounding box, independent of the measure's subset —
-                # matching the legacy workflow (grid over
-                # ``data.bounds()``, audit the measured slice) and
-                # keeping grids comparable across measures.
-                regions = design.build(self.coords)
-            else:
-                # Scan centres adapt to the points actually audited.
-                regions = design.build(coords)
-            self._region_sets[key] = regions
-        return regions
-
-    def _engine_total(self, counter: str) -> int:
-        """One engine counter summed over live and retired engines.
-        The engine dict is snapshotted first: a concurrent resolve or
-        stream event may add or drop engines while a reader sums."""
-        return self._retired[counter] + sum(
-            getattr(e, counter) for e in list(self._engines.values())
-        )
+            # Grids cover the full dataset's box (see region_set).
+            grid = design.kind == "grid"
+            regions = design.build(self.coords if grid else coords)
+            entry = (regions, self._engine._cold_build(regions, coords))
+            self._designs[key] = entry
+        return entry
 
     @property
     def index_builds(self) -> int:
-        """Membership matrices built so far, across all engines
-        (including engines since retired by stream events — the
-        counter never goes backwards)."""
-        return self._engine_total("index_builds")
-
-    @property
-    def incremental_builds(self) -> int:
-        """In-place membership updates applied by :meth:`append` /
-        :meth:`evict`, across all engines.  A sliding window that
-        re-audits without cold rebuilds moves this counter while
-        :attr:`index_builds` stays put."""
-        return self._engine_total("incremental_builds")
+        """Membership matrices built so far, across all measures — the
+        counter never goes backwards."""
+        return self._engine.index_builds
 
     @property
     def worlds_simulated(self) -> int:
-        """Null worlds actually simulated so far, across all engines
+        """Null worlds actually simulated so far, across all measures
         (cache answers and fused sharing excluded) — the denominator
         of every batching-amortisation claim."""
-        return self._engine_total("worlds_simulated")
+        return self._engine.worlds_simulated
 
     # -- streaming ------------------------------------------------------
     #
     # Append/evict build the next snapshot AND migrate the cached
-    # intermediates to it — incrementally where a structure can be
-    # updated in place (membership matrices), by retirement where it
-    # cannot (a data-driven grid whose bounding box moved, a measure
-    # whose row mask is unknown).  Everything that survives is
-    # bit-identical to what a cold session over the final arrays would
-    # build, so streamed audits equal cold audits exactly.
+    # designs to it — incrementally where a membership can be updated
+    # in place, by retirement where it cannot (a data-driven grid
+    # whose bounding box moved, a measure whose row mask is unknown).
+    # Everything that survives is bit-identical to what a cold session
+    # over the final arrays would build, so streamed audits equal cold
+    # audits exactly.
 
     def _check_delta(self, name, existing, delta, k, dtype=None):
         """Validate one optional auxiliary array of an append batch."""
@@ -690,16 +661,6 @@ class AuditSession:
             )
         return arr
 
-    def _streamed_measures(self) -> set:
-        """Measures with cached engines or region sets."""
-        return set(self._engines) | {m for _d, m in self._region_sets}
-
-    def _retire(self, engine: MonteCarloEngine) -> None:
-        """Fold a dropped engine's counters into the session totals."""
-        self._retired["index_builds"] += engine.index_builds
-        self._retired["incremental_builds"] += engine.incremental_builds
-        self._retired["worlds_simulated"] += engine.worlds_simulated
-
     def _region_survives(
         self, design, delta_changed, old: _Snapshot, new: _Snapshot
     ) -> bool:
@@ -711,15 +672,14 @@ class AuditSession:
         float equality — a box that moved at all retires the grid);
         k-means designs (squares/circles) depend on the measured
         coordinate subset and survive only when that subset did not
-        change.  ``delta_changed is None`` means the measure's row
-        mask is unknown, so nothing data-driven can be proven stable.
+        change.
         """
         if design.kind == "grid" and design.bounds is not None:
             return True
         if design.kind == "grid":
             new_box = new.bounding_box
             return new_box is not None and new_box == old.bounding_box
-        return delta_changed is False
+        return not delta_changed
 
     def _migrate(self, state: _Snapshot, changed: dict, update) -> None:
         """Carry the cached intermediates over to the next state, then
@@ -731,30 +691,21 @@ class AuditSession:
             The dataset after the event.
         changed : dict of str -> bool or None
             Per measure: did its measured slice change?  ``None`` =
-            unknown (retire everything data-driven for it).
+            unknown or emptied (retire every design of it).
         update : callable
-            ``update(engine, measure)`` applies the event's in-place
-            membership update to one surviving-but-changed engine.
+            ``update(member, measure)`` applies the event's in-place
+            update to one surviving membership whose slice changed.
         """
-        # Region sets first: a design that dies must be forgotten by
-        # its engine *before* the engine's incremental update, so the
-        # engine never maintains a dead index.
-        for key, regions in list(self._region_sets.items()):
+        for key, (_regions, member) in list(self._designs.items()):
             design, measure = key
-            if not self._region_survives(
-                design, changed.get(measure), self._state, state
+            change = changed.get(measure)
+            if change is None or not self._region_survives(
+                design, change, self._state, state
             ):
-                del self._region_sets[key]
-                engine = self._engines.get(measure)
-                if engine is not None:
-                    engine.forget_regions(regions)
-        # Engines second: in-place update or retirement.
-        for measure, engine in list(self._engines.items()):
-            if changed.get(measure) is None:
-                del self._engines[measure]
-                self._retire(engine)
-            elif changed[measure]:
-                update(engine, measure)
+                del self._designs[key]
+            elif change:
+                update(member, measure)
+                self.incremental_builds += 1
         self._state = state
 
     def append(
@@ -769,11 +720,11 @@ class AuditSession:
         session.
 
         Cached membership matrices gain the new points' columns in
-        place (:meth:`repro.engine.MonteCarloEngine.append_points`);
+        place (:meth:`repro.index.RegionMembership.append_points`);
         k-means region designs whose data slice changed are rebuilt on
         next use; a measure whose slice is untouched by the batch —
         e.g. ``equal_opportunity`` when every arrival has
-        ``y_true == 0`` — keeps its engine and indexes as they are.
+        ``y_true == 0`` — keeps its indexes as they are.
         Subsequent reports are bit-identical to a cold session over
         the concatenated arrays.  The grown arrays are a new
         read-only state; nothing is hashed here.
@@ -833,7 +784,7 @@ class AuditSession:
         # measured coordinates?
         changed: dict = {}
         deltas: dict = {}
-        for measure in self._streamed_measures():
+        for measure in {measure for _, measure in self._designs}:
             mdef = MEASURES.get(measure)
             if mdef is None or mdef.mask is None:
                 changed[measure] = None
@@ -867,9 +818,7 @@ class AuditSession:
                 in_order,
             ),
             changed,
-            lambda engine, measure: engine.append_points(
-                deltas[measure]
-            ),
+            lambda member, measure: member.append_points(deltas[measure]),
         )
 
     def evict(
@@ -891,26 +840,28 @@ class AuditSession:
         A ``window``/``older_than`` selector over in-order timestamps
         (non-decreasing, no NaN) drops a prefix of the points, found by
         one binary search; so does a mask whose evicted points all
-        precede its kept ones.  The surviving arrays, and the engines'
-        coordinates, are then read-only views ``arr[k:]`` of the
-        previous state's, and nothing is copied.  A view keeps the
-        previous arrays' memory alive until the next :meth:`append`
-        concatenates them.  Any other eviction (out-of-order or NaN
+        precede its kept ones.  The surviving arrays are then read-only
+        views ``arr[k:]`` of the previous state's, and nothing is
+        copied.  A view keeps the previous arrays' memory alive until
+        the next :meth:`append` concatenates them.  Any other eviction (out-of-order or NaN
         timestamps, a scattered mask) copies the kept rows.
 
-        Exactly one selector must be given.
+        Exactly one selector must be given.  Every time selector
+        evicts the points whose timestamp is NaN.
 
         Parameters
         ----------
         mask : bool ndarray of shape (n,), optional
             ``True`` marks the points to evict.
         older_than : float, optional
-            Evict points whose timestamp is strictly below this value
-            (needs the session constructed with ``timestamps=``).
+            Evict points whose timestamp is strictly below this value,
+            or NaN (needs the session constructed with
+            ``timestamps=``).
         window : float, optional
             Sliding time window: keep only points whose timestamp is
             within ``window`` of the newest timestamp (inclusive);
-            evict the rest.  Needs ``timestamps=``.
+            evict the rest, NaN stamps included.  Needs
+            ``timestamps=``.
 
         Returns
         -------
@@ -964,7 +915,8 @@ class AuditSession:
         if older_than is not None:
             cutoff = float(older_than)
         else:
-            newest = ts[-1] if state.in_order else ts.max()
+            # fmax skips NaN stamps, and warns of none.
+            newest = ts[-1] if state.in_order else np.fmax.reduce(ts)
             cutoff = float(newest) - float(window)
         if state.in_order:
             # Everything before the first stamp >= cutoff is older.
@@ -991,7 +943,7 @@ class AuditSession:
                 return np.compress(keep, arr, axis=0)
         changed: dict = {}
         measured_keeps: dict = {}
-        for measure in self._streamed_measures():
+        for measure in {measure for _, measure in self._designs}:
             mdef = MEASURES.get(measure)
             if mdef is None or mdef.mask is None:
                 changed[measure] = None
@@ -1021,7 +973,7 @@ class AuditSession:
         self._migrate(
             state.derive(take, True if state.in_order else None),
             changed,
-            lambda engine, measure: engine.evict_points(
+            lambda member, measure: member.evict_points(
                 measured_keeps[measure]
             ),
         )
@@ -1061,16 +1013,14 @@ class AuditSession:
             region design yields no scannable regions.
         """
         self._check_spec(spec)
-        regions = self.region_set(spec.regions, spec.measure)
-        engine = self._engine(spec.measure)
+        regions, member = self._design(spec.regions, spec.measure)
         bound = self._state.bound(spec.family, spec.measure)
-        member = engine.membership(regions)
         kernel = FAMILIES[spec.family].kernel(
             bound, _parse_direction(spec.direction)
         )
         return ResolvedSpec(
             spec=spec,
-            engine=engine,
+            engine=self._engine,
             bound=bound,
             regions=regions,
             member=member,
@@ -1119,12 +1069,11 @@ class AuditSession:
             resolved.engine,
             spec.family,
             resolved.bound,
-            resolved.regions,
+            resolved.member,
             n_worlds=spec.n_worlds,
             alpha=spec.alpha,
             seed=spec.seed,
             direction=spec.direction,
-            membership=resolved.member,
             workers=spec.workers if spec.workers is not None
             else self.workers,
             correction=spec.correction,

@@ -95,6 +95,17 @@ def _int(field_name: str, value) -> int:
     raise _err(field_name, f"expected an integer, got {value!r}")
 
 
+def _real(field_name: str, value) -> float:
+    """``value`` as a ``float``, or a ValueError naming ``field_name``.
+
+    Python and numpy real numbers pass; bools, strings, ``None`` and
+    anything else are refused rather than parsed.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise _err(field_name, f"expected a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BudgetPolicy:
     """How an audit spends (or saves) its Monte Carlo world budget.
@@ -158,7 +169,7 @@ class BudgetPolicy:
                 f"first-round worlds must be >= 1, got {self.initial}",
             )
         object.__setattr__(self, "initial", initial)
-        growth = float(self.growth)
+        growth = _real("budget.growth", self.growth)
         if not growth > 1.0:
             raise _err(
                 "budget.growth",
@@ -172,7 +183,7 @@ class BudgetPolicy:
                 f"must be >= 1, got {self.min_exceedances}",
             )
         object.__setattr__(self, "min_exceedances", min_exc)
-        confidence = float(self.confidence)
+        confidence = _real("budget.confidence", self.confidence)
         if not 0.5 < confidence < 1.0:
             raise _err(
                 "budget.confidence",

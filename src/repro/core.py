@@ -28,11 +28,16 @@ The declarative front door over this dispatch — serializable
 The Monte Carlo step is vectorized end-to-end: simulated worlds are a
 ``(n_points, n_worlds)`` matrix and per-region recounting is a single
 sparse mat-vec through :class:`repro.index.RegionMembership`.
+:func:`run_scan` takes the design's membership index, which its caller
+owns (a legacy auditor per region set, a session per design and
+measure); the :class:`repro.engine.MonteCarloEngine` that runs the
+null pass holds no coordinates.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -740,12 +745,11 @@ def run_scan(
     engine: MonteCarloEngine,
     family,
     bound: dict,
-    regions: RegionSet,
+    member: RegionMembership,
     n_worlds: int = 99,
     alpha: float = 0.05,
     seed: int | None = None,
     direction: str | None = None,
-    membership: RegionMembership | None = None,
     workers: int | None = None,
     correction: str = "max-stat",
     spec_field: str = "regions",
@@ -764,15 +768,16 @@ def run_scan(
     Parameters
     ----------
     engine : MonteCarloEngine
-        The engine bound to the scanned coordinates.
+        The engine that runs the null pass.
     family : ScanFamily or str
         A family instance, or a :data:`FAMILIES` registry name.
     bound : dict
         The family's bound data, from :meth:`ScanFamily.bind`.
-    regions : RegionSet
-        Candidate regions; must be non-empty and cover at least one
-        observation.
-    n_worlds, alpha, seed, direction, membership, workers
+    member : RegionMembership
+        The candidate regions' membership index over the scanned
+        coordinates; its regions (``member.regions``) must be
+        non-empty and cover at least one observation.
+    n_worlds, alpha, seed, direction, workers
         As in :meth:`SpatialFairnessAuditor.audit`.
     correction : {'max-stat', 'fdr-bh'}, default 'max-stat'
         Per-region multiple-testing correction (:data:`CORRECTIONS`).
@@ -835,12 +840,11 @@ def run_scan(
         )
     n_worlds = _check_n_worlds(n_worlds)
     policy = BudgetPolicy.parse(budget)
-    if len(regions) == 0:
+    if len(member) == 0:
         raise ValueError(
             f"{spec_field}: the candidate region set is empty — "
             "there is nothing to scan"
         )
-    member = membership or engine.membership(regions)
     if int(member.counts.sum()) == 0:
         raise ValueError(
             f"{spec_field}: no candidate region contains any "
@@ -874,7 +878,7 @@ def run_scan(
                 f"(one per world), got {len(null_max)}"
             )
     return _assemble(
-        regions,
+        member.regions,
         obs,
         null_max,
         alpha,
@@ -1126,15 +1130,15 @@ register_measure(_accuracy_measure("predictive_equality", 0))
 
 class _ScanAuditorBase:
     """Shared body of the legacy auditor classes: each binds one
-    :class:`ScanFamily`'s data (the :attr:`family` class attribute) to
-    a :class:`repro.engine.MonteCarloEngine` and delegates
-    :meth:`audit` to :func:`run_scan`.
+    :class:`ScanFamily`'s data (the :attr:`family` class attribute),
+    keeps the membership index of each region set it scans over its own
+    coordinates, and delegates :meth:`audit` to :func:`run_scan` on a
+    :class:`repro.engine.MonteCarloEngine`.
 
     Raises
     ------
     ValueError
-        Naming ``coords`` when a location is malformed, or ``engine``
-        when a shared engine is bound to other coordinates.
+        Naming ``coords`` when a location is malformed.
     """
 
     #: The registered family this auditor scans with.
@@ -1144,22 +1148,17 @@ class _ScanAuditorBase:
         self, coords: np.ndarray, engine: MonteCarloEngine | None = None
     ):
         self.coords = check_coords(coords)
-        if engine is None:
-            engine = MonteCarloEngine(self.coords)
-        elif engine.coords is not self.coords and not np.array_equal(
-            engine.coords, self.coords
-        ):
-            raise ValueError(
-                "engine: the shared engine is bound to different "
-                f"coordinates ({len(engine.coords)} points) than the "
-                f"auditor's ({len(self.coords)} points)"
-            )
-        # A shared engine (e.g. from PowerAnalysis) pools membership
-        # indexes across auditors.
-        self.engine = engine
+        # A shared engine (e.g. from PowerAnalysis) pools the Monte
+        # Carlo counters across auditors.
+        self.engine = MonteCarloEngine() if engine is None else engine
+        self._members: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def membership(self, regions: RegionSet) -> RegionMembership:
-        """The (cached) point-membership index for a region set.
+        """The point-membership index of a region set over the
+        auditor's coordinates, cached per region set (weakly, so region
+        sets can be garbage collected).
 
         Parameters
         ----------
@@ -1169,7 +1168,11 @@ class _ScanAuditorBase:
         -------
         RegionMembership
         """
-        return self.engine.membership(regions)
+        member = self._members.get(regions)
+        if member is None:
+            member = self.engine._cold_build(regions, self.coords)
+            self._members[regions] = member
+        return member
 
     def audit(
         self,
@@ -1206,7 +1209,8 @@ class _ScanAuditorBase:
             statistic.  Non-directional families (multinomial) scan
             two-sided only and reject any other direction.
         membership : RegionMembership, optional
-            Precomputed membership index (else built/cached).
+            Precomputed membership index of ``regions`` (else
+            :meth:`membership`).
         workers : int, optional
             Monte Carlo worker threads (see
             :meth:`repro.engine.MonteCarloEngine.null_distribution`);
@@ -1216,16 +1220,17 @@ class _ScanAuditorBase:
         -------
         AuditResult
         """
+        if membership is None:
+            membership = self.membership(regions)
         return run_scan(
             self.engine,
             self.family,
             self._bound,
-            regions,
+            membership,
             n_worlds=n_worlds,
             alpha=alpha,
             seed=seed,
             direction=direction,
-            membership=membership,
             workers=workers,
         )
 
@@ -1243,7 +1248,7 @@ class SpatialFairnessAuditor(_ScanAuditorBase):
     labels : ndarray of shape (n,)
         Binary outcomes (0/1 or bool).
     engine : MonteCarloEngine, optional
-        A shared engine bound to the same ``coords``.
+        A shared engine, pooling the Monte Carlo counters.
 
     Examples
     --------
@@ -1298,7 +1303,7 @@ class PoissonSpatialAuditor(_ScanAuditorBase):
         Forecast (expected) counts per area; internally rescaled so
         the totals match, making the audit test *relative* calibration.
     engine : MonteCarloEngine, optional
-        A shared engine bound to the same ``coords``.
+        A shared engine, pooling the Monte Carlo counters.
     """
 
     family = POISSON
@@ -1336,7 +1341,7 @@ class MultinomialSpatialAuditor(_ScanAuditorBase):
         Integer class labels in ``[0, n_classes)``.
     n_classes : int
     engine : MonteCarloEngine, optional
-        A shared engine bound to the same ``coords``.
+        A shared engine, pooling the Monte Carlo counters.
     """
 
     family = MULTINOMIAL
@@ -1546,16 +1551,15 @@ class PowerAnalysis:
         seed: int | None = None,
         workers: int | None = None,
     ):
-        self.coords = np.asarray(coords, dtype=np.float64)
+        self.coords = check_coords(coords)
         self.regions = regions
         self.n_worlds = int(n_worlds)
         self.alpha = float(alpha)
         self.seed = seed
-        # One engine serves every trial: locations are fixed by the
-        # design, only labels vary, so the membership index is shared
-        # across audits.
-        self.engine = MonteCarloEngine(self.coords, workers=workers)
-        self._member = self.engine.membership(regions)
+        # One engine and one membership index serve every trial:
+        # locations are fixed by the design, only labels vary.
+        self.engine = MonteCarloEngine(workers=workers)
+        self._member = self.engine._cold_build(regions, self.coords)
 
     def power_at(
         self,
@@ -1594,7 +1598,7 @@ class PowerAnalysis:
                 np.int8
             )
             auditor = SpatialFairnessAuditor(
-                self.engine.coords, labels, engine=self.engine
+                self.coords, labels, engine=self.engine
             )
             result = auditor.audit(
                 self.regions,

@@ -4,9 +4,11 @@ The audit's cost is dominated by the M x N x Q world loop (simulate a
 null world, recount every region, take the max statistic).  This
 module holds that loop once for every auditor:
 
-* :class:`MonteCarloEngine` owns world simulation, chunking, the sparse
-  membership mat-vec recount and an optional thread pool
-  (``workers=N``).  There is one simulation pass,
+* :class:`MonteCarloEngine` runs null passes: world simulation,
+  chunking, the sparse membership mat-vec recount and an optional
+  thread pool (``workers=N``).  It holds no coordinates: each pass is
+  handed the membership indexes it scores, which its callers own.
+  There is one simulation pass,
   :meth:`MonteCarloEngine.null_distribution_multi`, which scores each
   world batch against one or more designs; a solo
   :meth:`MonteCarloEngine.null_distribution` is its one-design case;
@@ -99,7 +101,6 @@ forked.
 from __future__ import annotations
 
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from functools import partial
@@ -109,8 +110,7 @@ import numpy as np
 from . import kernels
 from .budget import BudgetPolicy, round_sizes, sequential_decision
 from .fingerprint import array_fingerprint
-from .geometry import check_coords
-from .index import RegionMembership, StackedMembership, dropped_prefix
+from .index import RegionMembership, StackedMembership
 
 __all__ = [
     "MonteCarloEngine",
@@ -738,19 +738,20 @@ def _write_maxima(
 
 
 class MonteCarloEngine:
-    """The shared Monte Carlo scan core.
+    """The shared Monte Carlo null-pass runner.
 
-    One engine serves any number of audits over the same coordinates:
-    it caches the membership index per candidate :class:`RegionSet`
-    (weakly, so region sets can be garbage collected).  Null worlds are
-    simulated afresh on every call; a repeated seeded audit is
-    answered without simulation only by the report cache of
-    :class:`repro.serve.AuditService`.
+    The engine holds no data: every pass is handed the membership
+    indexes it scores, and the kernel that simulates its worlds.  The
+    null keeps locations fixed, so a pass needs each design's
+    membership and never the coordinates; callers own their
+    memberships (:class:`repro.api.AuditSession` per design and
+    measure, a legacy auditor per region set) and build each through
+    :meth:`_cold_build`.  Null worlds are simulated afresh on every
+    call; a repeated seeded audit is answered without simulation only
+    by the report cache of :class:`repro.serve.AuditService`.
 
     Parameters
     ----------
-    coords : ndarray of shape (n, 2)
-        Observation locations the audits share.
     workers : int, optional
         Default thread count for :meth:`null_distribution`; ``None``
         or ``1`` runs serially.  Results are bit-identical either way.
@@ -758,19 +759,13 @@ class MonteCarloEngine:
     Attributes
     ----------
     index_builds : int
-        Membership matrices actually constructed — cache misses of
-        :meth:`membership` plus every fused stacking of two or more
+        Membership matrices actually constructed — every
+        :meth:`_cold_build` plus every fused stacking of two or more
         designs (:class:`repro.index.StackedMembership`); lets callers
         assert index reuse.  A fused pass over a *single* design skips
         the stacking and scores the member's own matrix, and disjoint
         designs run their own region-level passes, so neither costs a
         build.
-    incremental_builds : int
-        In-place membership updates applied by :meth:`append_points` /
-        :meth:`evict_points` — one per cached index per stream event.
-        The streaming counterpart of ``index_builds``: a sliding window
-        that re-audits without cold rebuilds shows this counter move
-        while ``index_builds`` stays put.
     worlds_simulated : int
         Total null worlds simulated.  A fused
         :meth:`null_distribution_multi` pass counts its world budget
@@ -780,106 +775,27 @@ class MonteCarloEngine:
         ran.
     """
 
-    def __init__(self, coords: np.ndarray, workers: int | None = None):
-        self.coords = check_coords(coords)
+    def __init__(self, workers: int | None = None):
         self.workers = workers
-        self._member_cache: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
         self.index_builds = 0
-        self.incremental_builds = 0
         self.worlds_simulated = 0
 
-    def membership(self, regions) -> RegionMembership:
-        """The (cached) point-membership index for a region set.
+    def _cold_build(self, regions, coords: np.ndarray) -> RegionMembership:
+        """One cold membership build of ``regions`` over ``coords``.
+        Every full build of an audit's index goes through here, so
+        ``index_builds`` counts it.
 
         Parameters
         ----------
         regions : RegionSet
+        coords : ndarray of shape (n, 2)
 
         Returns
         -------
         RegionMembership
         """
-        member = self._member_cache.get(regions)
-        if member is None:
-            member = self._cold_build(regions)
-            self._member_cache[regions] = member
-            self.index_builds += 1
-        return member
-
-    def _cold_build(self, regions) -> RegionMembership:
-        """One cold membership build over the engine's coordinates."""
-        return RegionMembership(regions, self.coords)
-
-    def append_points(self, coords: np.ndarray) -> None:
-        """Stream new observation locations into the engine, in place.
-
-        Every cached membership index is extended incrementally
-        (:meth:`repro.index.RegionMembership.append_points`), so
-        subsequent audits see matrices **bit-identical** to cold builds
-        over the grown coordinate array without paying for a full
-        rebuild.
-
-        Parameters
-        ----------
-        coords : ndarray of shape (k, 2)
-            Coordinates of the appended points, in arrival order.
-        """
-        coords = check_coords(coords)
-        self.coords = np.concatenate([self.coords, coords])
-        self.coords.flags.writeable = False
-        for member in list(self._member_cache.values()):
-            member.append_points(coords)
-            self.incremental_builds += 1
-
-    def evict_points(self, keep: np.ndarray) -> None:
-        """Expire observation locations from the engine, in place.
-
-        The mirror of :meth:`append_points`: cached membership indexes
-        drop the expired columns incrementally.  A mask that drops a
-        prefix of the points (a window slide over in-order timestamps)
-        keeps ``coords[k:]``, a view that copies nothing; any other
-        mask gathers the kept rows.
-
-        Parameters
-        ----------
-        keep : bool ndarray of shape (n_points,)
-            ``True`` for the points that stay, in the engine's current
-            point order.
-        """
-        keep = np.asarray(keep)
-        if keep.dtype != np.bool_ or keep.shape != (
-            len(self.coords),
-        ):
-            raise ValueError(
-                "keep: expected a boolean mask of length "
-                f"{len(self.coords)}, got dtype {keep.dtype} and "
-                f"shape {keep.shape}"
-            )
-        drop = dropped_prefix(keep)
-        if drop is None:
-            self.coords = np.compress(keep, self.coords, axis=0)
-            self.coords.flags.writeable = False
-        else:
-            self.coords = self.coords[drop:]
-        for member in list(self._member_cache.values()):
-            member.evict_points(keep)
-            self.incremental_builds += 1
-
-    def forget_regions(self, regions) -> None:
-        """Drop a region set's cached membership index.
-
-        Streaming callers retire designs whose geometry is about to be
-        rebuilt (e.g. a data-driven grid whose bounding box grew) so
-        :meth:`append_points` does not waste work maintaining them.
-        Unknown region sets are ignored.
-
-        Parameters
-        ----------
-        regions : RegionSet
-        """
-        self._member_cache.pop(regions, None)
+        self.index_builds += 1
+        return RegionMembership(regions, coords)
 
     def _fused_member(self, members: list):
         """The scoring operand of a fused pass: ``(member, segments)``.

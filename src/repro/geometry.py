@@ -45,7 +45,7 @@ def check_coords(coords) -> np.ndarray:
     """Validate observation locations as a finite ``(k, 2)`` array.
 
     Every entry point that accepts coordinates (sessions, appends,
-    engines, registered datasets) goes through this one check, so a
+    auditors, registered datasets) goes through this one check, so a
     NaN or infinite location is rejected up front instead of silently
     falling outside every region while still counting toward ``N``.
 

@@ -10,8 +10,8 @@ repeat the dominant cost once per request.  This module amortises it:
   :meth:`~AuditService.submit` calls from any thread), groups them by
   null model — equal :meth:`repro.engine.LLRKernel.cache_key`, world
   budget, seed and :class:`~repro.budget.BudgetPolicy` — and executes
-  each group in a **single fused**
-  :class:`repro.engine.MonteCarloEngine` pass: worlds are simulated
+  each group in a **single fused** pass of the session's
+  :class:`repro.engine.MonteCarloEngine`: worlds are simulated
   once per group while every member spec's statistics are scored
   against the stacked membership matrix
   (:class:`repro.index.StackedMembership`) — or, for a disjoint
@@ -228,8 +228,7 @@ class AuditService:
     Attributes
     ----------
     session : AuditSession
-        The wrapped session (shared caches live there and in its
-        engines).
+        The wrapped session (shared caches live there).
     """
 
     def __init__(self, session: AuditSession, cache_size: int = 128):
@@ -807,7 +806,7 @@ class AuditService:
             ``fused_groups`` / ``fused_specs`` (groups executed and
             specs they covered), ``worlds_requested`` (sum of executed
             specs' budgets) vs ``worlds_simulated`` (worlds the
-            session's engines actually drew — the amortisation),
+            session's engine actually drew — the amortisation),
             ``report_cache_hits`` / ``report_cache_misses`` /
             ``report_cache_size``, the session's ``index_builds`` and
             ``incremental_builds``, and the continuous-audit counters

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .budget import BudgetPolicy, _int
+from .budget import BudgetPolicy, _int, _real
 from .core import CORRECTIONS, FAMILIES, MEASURES
 from .core import _DIRECTIONS as _core_directions
 from .geometry import (
@@ -59,6 +59,25 @@ _DIRECTION_CANON = {
 
 def _err(field_name: str, message: str) -> ValueError:
     return ValueError(f"{field_name}: {message}")
+
+
+def _reals(field_name: str, values) -> tuple:
+    """``values`` as a tuple of floats (:func:`repro.budget._real`
+    each), or a ValueError naming ``field_name``."""
+    if not isinstance(values, (str, bytes, dict)):
+        try:
+            return tuple(_real(field_name, v) for v in values)
+        except TypeError:  # not iterable
+            pass
+    raise _err(field_name, f"expected a list of numbers, got {values!r}")
+
+
+def _name(field_name: str, value) -> str:
+    """``value`` if it is a string, else a ValueError naming
+    ``field_name``."""
+    if not isinstance(value, str):
+        raise _err(field_name, f"expected a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,10 +123,10 @@ class RegionSpec:
                 f"{REGION_KINDS}",
             )
         object.__setattr__(
-            self, "sides", tuple(float(s) for s in self.sides)
+            self, "sides", _reals("regions.sides", self.sides)
         )
         object.__setattr__(
-            self, "radii", tuple(float(r) for r in self.radii)
+            self, "radii", _reals("regions.radii", self.radii)
         )
         object.__setattr__(
             self,
@@ -120,7 +139,7 @@ class RegionSpec:
                 f"must be >= 0, got {self.centers_seed}",
             )
         if self.bounds is not None:
-            bounds = tuple(float(b) for b in self.bounds)
+            bounds = _reals("regions.bounds", self.bounds)
             if len(bounds) != 4:
                 raise _err(
                     "regions.bounds",
@@ -390,11 +409,7 @@ class RegionSpec:
                 "regions.kind",
                 f"missing — expected one of {REGION_KINDS}",
             )
-        kwargs = dict(data)
-        for key in ("sides", "radii", "bounds"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -466,13 +481,13 @@ class AuditSpec:
                 "expected a RegionSpec (or its dict form), got "
                 f"{type(self.regions).__name__}",
             )
-        if self.family not in FAMILIES:
+        if _name("family", self.family) not in FAMILIES:
             raise _err(
                 "family",
                 f"unknown family {self.family!r}; registered: "
                 f"{sorted(FAMILIES)}",
             )
-        measure = MEASURES.get(self.measure)
+        measure = MEASURES.get(_name("measure", self.measure))
         if measure is None:
             raise _err(
                 "measure",
@@ -492,7 +507,7 @@ class AuditSpec:
         if n_worlds < 1:
             raise _err("n_worlds", f"must be >= 1, got {self.n_worlds}")
         object.__setattr__(self, "n_worlds", n_worlds)
-        alpha = float(self.alpha)
+        alpha = _real("alpha", self.alpha)
         if not 0.0 < alpha < 1.0:
             raise _err("alpha", f"must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "alpha", alpha)

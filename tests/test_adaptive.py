@@ -32,6 +32,7 @@ from repro.budget import (
     sequential_decision,
 )
 from repro.engine import BernoulliKernel, MonteCarloEngine
+from repro.index import RegionMembership
 from tests.conftest import N_WORLDS
 
 #: The unit grid matching the ``unit_regions`` fixture's geometry.
@@ -249,8 +250,8 @@ class TestEngineStopping:
 
     @pytest.fixture()
     def engine_setup(self, unit_coords, unit_regions):
-        engine = MonteCarloEngine(unit_coords)
-        member = engine.membership(unit_regions)
+        engine = MonteCarloEngine()
+        member = RegionMembership(unit_regions, unit_coords)
         kernel = BernoulliKernel(len(unit_coords), 300)
         return engine, member, kernel
 
@@ -306,12 +307,13 @@ class TestEngineStopping:
         self, engine_setup, unit_coords
     ):
         engine, member, kernel = engine_setup
-        other = engine.membership(
+        other = RegionMembership(
             repro.partition_region_set(
                 repro.GridPartitioning.regular(
                     repro.Rect(0, 0, 1, 1), 4, 4
                 )
-            )
+            ),
+            unit_coords,
         )
         solo = engine.null_distribution(
             member, kernel, N_WORLDS, seed=5, budget=small_policy(),
@@ -340,20 +342,23 @@ class TestEngineStopping:
                 observed_maxes=[1.0, 2.0],
             )
 
-    def test_fixed_budget_stream_unchanged(self, engine_setup):
+    def test_fixed_budget_stream_unchanged(
+        self, engine_setup, unit_coords
+    ):
         # budget='fixed' must be bit-identical to not passing a budget
         # at all (the pre-adaptive behaviour).
         engine, member, kernel = engine_setup
         base = engine.null_distribution(
             member, kernel, N_WORLDS, seed=5
         )
-        engine2 = MonteCarloEngine(engine.coords)
-        member2 = engine2.membership(
+        engine2 = MonteCarloEngine()
+        member2 = RegionMembership(
             repro.partition_region_set(
                 repro.GridPartitioning.regular(
                     repro.Rect(0, 0, 1, 1), 5, 5
                 )
-            )
+            ),
+            unit_coords,
         )
         fixed = engine2.null_distribution(
             member2, kernel, N_WORLDS, seed=5, budget="fixed",

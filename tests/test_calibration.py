@@ -176,7 +176,7 @@ def test_region_level_maxima_match_point_level(family, monkeypatch):
     def maxima(seed):
         member = RegionMembership(regions, coords)
         kernel = make_kernel(family, coords, labels, counts, classes)
-        return MonteCarloEngine(coords).null_distribution(
+        return MonteCarloEngine().null_distribution(
             member, kernel, 4000, seed=seed
         )
 

@@ -19,6 +19,7 @@ from repro.core import (
     select_non_overlapping,
 )
 from repro.engine import MonteCarloEngine
+from repro.index import RegionMembership
 from repro.geometry import (
     GridPartitioning,
     Rect,
@@ -209,11 +210,11 @@ def doubled_scan(request, unit_coords, biased_labels, biased_counts,
         "multinomial": (biased_classes, {"n_classes": 3}),
     }[family]
     bound = FAMILIES[family].bind(unit_coords, outcomes, **extra)
-    engine = MonteCarloEngine(unit_coords)
+    member = RegionMembership(_doubled_grid(), unit_coords)
 
     def scan(alpha=0.25):
         return run_scan(
-            engine, family, bound, _doubled_grid(), n_worlds=N_WORLDS,
+            MonteCarloEngine(), family, bound, member, n_worlds=N_WORLDS,
             alpha=alpha, seed=5, correction=correction,
         )
 

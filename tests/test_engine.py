@@ -45,9 +45,8 @@ def make_kernel(family, coords, labels, counts, classes):
 
 def null_pass(coords, regions, kernel, workers, seed=7):
     """A fixed-budget, multi-chunk null pass on a fresh engine."""
-    engine = MonteCarloEngine(coords)
-    return engine.null_distribution(
-        engine.membership(regions), kernel, 48, seed=seed,
+    return MonteCarloEngine().null_distribution(
+        RegionMembership(regions, coords), kernel, 48, seed=seed,
         chunk_worlds=8, workers=workers,
     )
 
@@ -75,9 +74,8 @@ class TestChunking:
         # The determinism contract depends on the layout never seeing
         # the worker count: engines configured for different pools must
         # produce the same chunk spans for the same workload.
-        coords = np.zeros((10, 2))
-        serial_engine = MonteCarloEngine(coords, workers=1)
-        pooled_engine = MonteCarloEngine(coords, workers=8)
+        serial_engine = MonteCarloEngine(workers=1)
+        pooled_engine = MonteCarloEngine(workers=8)
         for n_worlds in (5, 49, 199):
             assert serial_engine.chunk_layout(
                 1000, n_worlds
@@ -315,7 +313,7 @@ class TestPoissonAliasDraw:
         regions = GOLDEN_DESIGNS["squares"].build(unit_coords)
         member = RegionMembership(regions, unit_coords)
         assert not member.disjoint
-        alias = MonteCarloEngine(unit_coords).null_distribution(
+        alias = MonteCarloEngine().null_distribution(
             member, kernel, 2000, seed=1
         )
         draws = np.random.default_rng(2).multinomial(
@@ -332,8 +330,8 @@ class TestNullCache:
 
     def test_repeat_design_is_bit_identical(self, unit_coords,
                                             unit_regions, biased_labels):
-        engine = MonteCarloEngine(unit_coords)
-        member = engine.membership(unit_regions)
+        engine = MonteCarloEngine()
+        member = RegionMembership(unit_regions, unit_coords)
         P = int(biased_labels.sum())
         first = engine.null_distribution(
             member, BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
@@ -348,8 +346,8 @@ class TestNullCache:
     def test_duplicate_members_get_private_copies(
         self, unit_coords, unit_regions, biased_labels
     ):
-        engine = MonteCarloEngine(unit_coords)
-        member = engine.membership(unit_regions)
+        engine = MonteCarloEngine()
+        member = RegionMembership(unit_regions, unit_coords)
         kernel = BernoulliKernel(len(unit_coords), int(biased_labels.sum()))
         rows = engine.null_distribution_multi(
             [member, member], kernel, N_WORLDS, seed=5
@@ -359,12 +357,14 @@ class TestNullCache:
         rows[0][:] = -1.0  # caller mutates one entry's copy
         assert (rows[1] >= 0.0).all()
 
-    def test_membership_is_cached_per_region_set(self, unit_coords,
-                                                 unit_regions):
-        engine = MonteCarloEngine(unit_coords)
-        assert engine.membership(unit_regions) is engine.membership(
+    def test_membership_is_cached_per_region_set(
+        self, unit_coords, unit_regions, biased_labels
+    ):
+        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
+        assert auditor.membership(unit_regions) is auditor.membership(
             unit_regions
         )
+        assert auditor.engine.index_builds == 1
 
 
 #: A fused group mixing region-level and points passes over the unit
@@ -430,9 +430,9 @@ class TestRegionLevelPass:
         options = dict(
             seed=7, budget=adaptive if budget == "adaptive" else None
         )
-        engine = MonteCarloEngine(coords)
+        engine = MonteCarloEngine()
         members = [
-            engine.membership(design.build(coords))
+            RegionMembership(design.build(coords), coords)
             for design in MIXED_DESIGNS
         ]
         assert [m.disjoint for m in members] == [True, False, True]
@@ -441,7 +441,7 @@ class TestRegionLevelPass:
             observed_maxes=[5.0] * len(members), **options,
         )
         for member, got in zip(members, fused):
-            solo = MonteCarloEngine(coords).null_distribution(
+            solo = MonteCarloEngine().null_distribution(
                 RegionMembership(member.regions, coords),
                 make_kernel(family, *data), N_WORLDS,
                 observed_max=5.0, **options,
@@ -517,9 +517,8 @@ class TestBlockedScoring:
         assert member.disjoint == (design == "grid")
 
         def run():
-            engine = MonteCarloEngine(coords)
-            return engine.null_distribution(
-                engine.membership(regions), make_kernel(family, *data),
+            return MonteCarloEngine().null_distribution(
+                RegionMembership(regions, coords), make_kernel(family, *data),
                 48, seed=7, chunk_worlds=1, workers=workers,
             )
 
@@ -987,24 +986,8 @@ class TestCrossVersionGolden:
 
 
 class TestSharedEngineCheck:
-    """A legacy auditor refuses an engine bound to other points."""
-
-    def test_same_shape_other_points_rejected(self, unit_coords,
-                                              biased_labels):
-        other = np.random.default_rng(7).random(unit_coords.shape)
-        with pytest.raises(ValueError, match="engine"):
-            SpatialFairnessAuditor(
-                unit_coords, biased_labels,
-                engine=MonteCarloEngine(other),
-            )
-
-    def test_other_length_rejected(self, unit_coords, biased_counts):
-        observed, forecast = biased_counts
-        with pytest.raises(ValueError, match="engine"):
-            PoissonSpatialAuditor(
-                unit_coords[:500], observed[:500], forecast[:500],
-                engine=MonteCarloEngine(unit_coords),
-            )
+    """A legacy auditor sharing an engine still checks its own
+    coordinates, and scores exactly as one with a private engine."""
 
     def test_nan_coords_rejected_with_engine(self, unit_coords,
                                              biased_classes):
@@ -1012,15 +995,14 @@ class TestSharedEngineCheck:
         coords[3, 0] = np.nan
         with pytest.raises(ValueError, match="coords"):
             MultinomialSpatialAuditor(
-                coords, biased_classes, 3,
-                engine=MonteCarloEngine(unit_coords),
+                coords, biased_classes, 3, engine=MonteCarloEngine(),
             )
 
     def test_equal_copy_is_accepted(self, unit_coords, biased_labels,
                                     unit_regions):
-        engine = MonteCarloEngine(unit_coords.copy())
+        engine = MonteCarloEngine()
         shared = SpatialFairnessAuditor(
-            unit_coords, biased_labels, engine=engine
+            unit_coords.copy(), biased_labels, engine=engine
         )
         own = SpatialFairnessAuditor(unit_coords, biased_labels)
         assert shared.engine is engine

@@ -835,6 +835,23 @@ class TestHTTP:
         assert body["type"] == "ValueError"
         assert body["error"].startswith("n_worlds: expected an integer")
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("alpha", {"alpha": None}),
+            ("family", {"family": ["x"]}),
+            ("regions.sides", {"regions": {**SPEC_DICT["regions"], "sides": 5}}),
+        ],
+    )
+    def test_malformed_field_is_400_naming_it(self, http, field, overrides):
+        client, _ = http
+        status, body, _ = client.post(
+            "/audit", {"dataset": "unit", "spec": {**SPEC_DICT, **overrides}}
+        )
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"].startswith(f"{field}: ")
+
     def test_too_many_centres_is_400_naming_the_field(
         self, http, unit_coords
     ):

@@ -16,7 +16,6 @@ Acceptance contract of the service layer:
 
 import json
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,29 +286,6 @@ def test_bounding_box_is_computed_once_per_dataset_state(
     assert scanned == [500, 500, 600]
     svc.run_batch(specs)
     assert scanned == [500, 500, 600]
-
-
-def test_stats_survive_engines_changing_underfoot(
-    unit_coords, biased_labels
-):
-    # A concurrent resolve or stream event may add an engine while
-    # stats() sums the per-engine counters.
-    service = AuditService(AuditSession(unit_coords, biased_labels))
-    engines = service.session._engines
-
-    class GrowingEngine:
-        incremental_builds = 0
-        worlds_simulated = 0
-
-        @property
-        def index_builds(self):
-            engines[("late", len(engines))] = SimpleNamespace(
-                index_builds=0, incremental_builds=0, worlds_simulated=0
-            )
-            return 0
-
-    engines[("stub", "measure")] = GrowingEngine()
-    assert service.stats()["index_builds"] == 0
 
 
 class TestAsyncFlow:

@@ -260,6 +260,46 @@ class TestIntegerFields:
         ).spec_hash()
 
 
+SQUARES = {"kind": "squares", "n_centers": 4}
+
+
+class TestMalformedFields:
+    """Real-number and name fields refuse values of the wrong type
+    with a ValueError naming the field, never a TypeError."""
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("alpha", {"alpha": None}),
+            ("alpha", {"alpha": True}),
+            ("alpha", {"alpha": "0.1"}),
+            ("family", {"family": ["x"]}),
+            ("measure", {"measure": {}}),
+            ("regions.sides", {"regions": {**GRID, "sides": 5}}),
+            ("regions.sides", {"regions": {**SQUARES, "sides": [0.1, None]}}),
+            ("regions.radii", {"regions": {**SQUARES, "radii": "0.1"}}),
+            ("regions.bounds", {"regions": {**GRID, "bounds": 7}}),
+            ("regions.bounds", {"regions": {**GRID, "bounds": [0, 0, 1, None]}}),
+            ("budget.growth", {"budget": {"kind": "adaptive", "growth": "2"}}),
+            (
+                "budget.confidence",
+                {"budget": {"kind": "adaptive", "confidence": None}},
+            ),
+        ],
+    )
+    def test_from_dict_refuses(self, field, overrides):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            AuditSpec.from_dict({"regions": GRID, **overrides})
+
+    def test_numpy_reals_pass(self):
+        spec = AuditSpec(
+            regions=RegionSpec.squares(4, sides=np.array([0.1, 0.2])),
+            alpha=np.float32(0.25),
+        )
+        assert spec.regions.sides == (0.1, 0.2)
+        assert type(spec.alpha) is float
+
+
 class TestAuditSpecBudget:
     def test_default_is_fixed(self):
         spec = AuditSpec(regions=RegionSpec.grid(5, 5))

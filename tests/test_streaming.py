@@ -20,6 +20,7 @@ import pytest
 import repro.api
 import repro.fingerprint
 from repro.api import AuditSession
+from repro.core import SpatialFairnessAuditor
 from repro.engine import BernoulliKernel, MonteCarloEngine, PoissonKernel
 from repro.fingerprint import array_fingerprint, combine_fingerprints
 from repro.geometry import (
@@ -269,7 +270,56 @@ class TestSessionEquivalence:
 
 
 class TestCacheSurvival:
-    """Engines and indexes survive exactly the untouched slices."""
+    """Indexes survive exactly the untouched slices."""
+
+    def test_one_update_per_live_membership(
+        self, unit_coords, biased_labels, unit_y_true
+    ):
+        grid3 = RegionSpec.grid(3, 3, bounds=(0.0, 0.0, 1.0, 1.0))
+        specs = [
+            AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=5),
+            AuditSpec(regions=grid3, n_worlds=N_WORLDS, seed=5),
+            AuditSpec(
+                regions=GRID, n_worlds=N_WORLDS, seed=5,
+                measure="equal_opportunity",
+            ),
+        ]
+        session = AuditSession(
+            unit_coords[:500], biased_labels[:500], y_true=unit_y_true[:500]
+        )
+        resolved = [session.resolve(spec) for spec in specs]
+        # Two measures, one engine.
+        assert all(r.engine is session._engine for r in resolved)
+        assert session.index_builds == 3
+        # Both slices gain points: all three memberships update once.
+        assert unit_y_true[500:550].any()
+        session.append(
+            unit_coords[500:550], biased_labels[500:550],
+            y_true=unit_y_true[500:550],
+        )
+        assert session.incremental_builds == 3
+        # Only the whole-data slice gains points: two updates.
+        y_tail = np.zeros(50, dtype=np.int8)
+        session.append(
+            unit_coords[550:], biased_labels[550:], y_true=y_tail
+        )
+        assert session.incremental_builds == 5
+        # A prefix eviction that both slices lose points to.
+        assert unit_y_true[:10].any()
+        session.evict(np.arange(len(unit_coords)) < 10)
+        assert session.incremental_builds == 8
+        assert session.index_builds == 3
+        assert [session.resolve(spec).member for spec in specs] == [
+            r.member for r in resolved
+        ]
+        cold = AuditSession(
+            unit_coords[10:], biased_labels[10:],
+            y_true=np.concatenate([unit_y_true[10:550], y_tail]),
+        )
+        for spec in specs:
+            assert report_json(session.run(spec)) == report_json(
+                cold.run(spec)
+            )
 
     def test_untouched_measure_keeps_nulls(
         self, unit_coords, biased_labels, unit_y_true
@@ -462,17 +512,28 @@ class TestStreamValidation:
                 unit_coords, biased_labels, timestamps=np.arange(3.0)
             )
 
-    def test_engine_validation(self, unit_coords):
-        engine = MonteCarloEngine(unit_coords)
+    def test_engine_validation(self, unit_coords, biased_labels):
+        session = AuditSession(unit_coords, biased_labels)
+        spec = AuditSpec(regions=GRID, n_worlds=N_WORLDS, seed=1)
+        member = session.resolve(spec).member
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
-            engine.append_points(np.zeros(4))
+            session.append(np.zeros(4), biased_labels[:4])
         with pytest.raises(ValueError, match="boolean mask"):
-            engine.evict_points(np.zeros(10, dtype=bool))
+            session.evict(np.zeros(10, dtype=bool))
+        with pytest.raises(ValueError, match="boolean mask"):
+            member.evict_points(np.zeros(10, dtype=bool))
         with pytest.raises(ValueError, match="coords: expected finite"):
-            engine.append_points(np.full((4, 2), np.nan))
-        assert len(engine.coords) == len(unit_coords)
+            session.append(np.full((4, 2), np.nan), biased_labels[:4])
+        # Every refusal left the session and its membership untouched.
+        assert len(session.coords) == len(unit_coords)
+        assert session.resolve(spec).member is member
+        assert member.n_points == len(unit_coords)
         with pytest.raises(ValueError, match="coords: expected finite"):
-            MonteCarloEngine(np.full((4, 2), np.inf))
+            AuditSession(np.full((4, 2), np.inf), biased_labels[:4])
+        with pytest.raises(ValueError, match="coords: expected finite"):
+            SpatialFairnessAuditor(
+                np.full((4, 2), np.inf), biased_labels[:4]
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_append_rejects_non_finite_coords(
@@ -575,20 +636,17 @@ class TestNonPrefixEvictions:
         ts, _, keep = _scattered_case(kind, n)
         drop = np.flatnonzero(~keep)
         assert drop.max() > np.flatnonzero(keep).min()  # not a prefix
-        streamed = MonteCarloEngine(unit_coords[:450])
-        streamed.membership(regions)  # warm before the stream moves
-        streamed.append_points(unit_coords[450:])
-        streamed.evict_points(keep)
-        assert streamed.incremental_builds == 2
-        cold = MonteCarloEngine(unit_coords[keep])
-        ms, mc = streamed.membership(regions), cold.membership(regions)
+        ms = RegionMembership(regions, unit_coords[:450])
+        ms.append_points(unit_coords[450:])
+        ms.evict_points(keep)
+        mc = RegionMembership(regions, unit_coords[keep])
         assert matrix_equal(ms, mc)
         assert ms.counts.tobytes() == mc.counts.tobytes()
         assert ms.disjoint == mc.disjoint
         ks = self._kernel(design, outcomes[keep], forecast[keep])
         kc = self._kernel(design, outcomes[keep], forecast[keep])
-        ns = streamed.null_distribution(ms, ks, N_WORLDS, seed=11)
-        nc = cold.null_distribution(mc, kc, N_WORLDS, seed=11)
+        ns = MonteCarloEngine().null_distribution(ms, ks, N_WORLDS, seed=11)
+        nc = MonteCarloEngine().null_distribution(mc, kc, N_WORLDS, seed=11)
         assert ns.tobytes() == nc.tobytes()
         if design == "poisson-squares":
             exp_s = ms.positive_counts(forecast[keep])
@@ -702,20 +760,21 @@ class TestPrefixViews:
         assert session._state.in_order
         names = ("coords", "outcomes", "y_true", "forecast", "timestamps")
         before = {name: getattr(session, name) for name in names}
-        engines = {
-            measure: (engine, engine.coords)
-            for measure, engine in session._engines.items()
+        designs = dict(session._designs)
+        assert {measure for _, measure in designs} == {
+            "statistical_parity", "equal_opportunity"
         }
-        assert set(engines) == {"statistical_parity", "equal_opportunity"}
         assert session.evict(window=449.0) == 150
         for name in names:
             after = getattr(session, name)
             assert np.shares_memory(after, before[name]), name
             assert not after.flags.writeable, name
-        for measure, (engine, coords) in engines.items():
-            assert session._engines[measure] is engine
-            assert np.shares_memory(engine.coords, coords), measure
-            assert not engine.coords.flags.writeable, measure
+        # Every membership survives, updated in place, and the
+        # whole-data measure builds from the state's own view.
+        assert session._designs == designs
+        assert session._state.measured("statistical_parity")[0] is (
+            session.coords
+        )
         self._assert_cold(session, arrays, ts, ts >= 150.0)
 
     @pytest.mark.parametrize(
@@ -723,6 +782,7 @@ class TestPrefixViews:
         [
             "out-of-order stamps",
             "nan stamp",
+            "nan stamp, window",
             "batch behind the cutoff",
             "prefix mask",
             "evict none",
@@ -733,7 +793,7 @@ class TestPrefixViews:
         ts = np.arange(n, dtype=np.float64)
         if case == "out-of-order stamps":
             ts = np.random.default_rng(5).permutation(ts)
-        elif case == "nan stamp":
+        elif case.startswith("nan stamp"):
             ts[420] = np.nan
         elif case == "batch behind the cutoff":
             ts[450:] = np.arange(n - 450, dtype=np.float64)
@@ -750,6 +810,11 @@ class TestPrefixViews:
         elif case == "nan stamp":
             keep = ts >= 200.0
             assert session.evict(older_than=200.0) == n - keep.sum()
+        elif case == "nan stamp, window":
+            # The NaN stamp is evicted; the newest real stamp sets the
+            # cutoff.
+            keep = ts >= np.nanmax(ts) - 300.0
+            assert session.evict(window=300.0) == n - keep.sum()
         elif case == "evict none":
             keep = np.ones(n, dtype=bool)
             before = session._state
@@ -901,9 +966,8 @@ class TestIndexBuildCounter:
         )
         # A one-design "fusion" scores the member matrix directly.
         assert resolved.engine.index_builds == 1
-        solo_engine = MonteCarloEngine(resolved.engine.coords)
-        solo = solo_engine.null_distribution(
-            RegionMembership(resolved.regions, resolved.engine.coords),
+        solo = MonteCarloEngine().null_distribution(
+            RegionMembership(resolved.regions, session.coords),
             resolved.kernel,
             N_WORLDS,
             seed=6,
