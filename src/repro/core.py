@@ -1025,7 +1025,22 @@ class MultinomialFamily(ScanFamily):
     directional = False
 
     def bind(self, coords, outcomes, forecast=None, n_classes=None):
-        labels = np.asarray(outcomes).astype(np.int64).ravel()
+        labels = np.asarray(outcomes).ravel()
+        try:
+            values = labels.astype(np.float64)
+        except (TypeError, ValueError):
+            values = np.full(len(labels), np.nan)
+        # Checked before the integer cast, which would truncate 2.7 to
+        # class 2 and -0.5 to class 0 (and warn on NaN).
+        whole = np.isfinite(values) & (values == np.floor(values))
+        whole &= values >= 0
+        if not whole.all():
+            raise ValueError(
+                "outcomes: family 'multinomial' needs non-negative "
+                "integer class labels; got "
+                f"{labels[~whole][:1].tolist()[0]!r}"
+            )
+        labels = labels.astype(np.int64)
         if len(labels) != len(coords):
             raise ValueError(
                 "coords and labels must have the same length"
@@ -1033,9 +1048,7 @@ class MultinomialFamily(ScanFamily):
         if n_classes is None:
             n_classes = int(labels.max()) + 1 if len(labels) else 0
         n_classes = int(n_classes)
-        if len(labels) and (
-            labels.min() < 0 or labels.max() >= n_classes
-        ):
+        if len(labels) and labels.max() >= n_classes:
             raise ValueError("labels must lie in [0, n_classes)")
         return {
             "labels": labels,

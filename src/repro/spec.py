@@ -205,10 +205,13 @@ class RegionSpec:
                     f"side lengths must be finite and positive, got "
                     f"{self.sides}",
                 )
-            if any(not (0 < r < math.inf) for r in self.radii):
+            # Circle membership compares d**2 with radius**2, so the
+            # square must be finite too (False for NaN, inf, > ~1e154).
+            if any(not (0 < r and r * r < math.inf) for r in self.radii):
                 raise _err(
                     "regions.radii",
-                    f"radii must be finite and positive, got {self.radii}",
+                    f"radii must be positive with a finite square, got "
+                    f"{self.radii}",
                 )
             if self.kind == "squares" and self.radii:
                 raise _err(

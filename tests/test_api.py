@@ -395,6 +395,32 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match=r"^outcomes: "):
             PoissonSpatialAuditor(unit_coords, observed, forecast)
 
+    @pytest.mark.parametrize("value", [2.7, -0.5, np.nan, -1.0])
+    def test_bad_multinomial_labels_name_the_field(
+        self, unit_coords, biased_classes, value
+    ):
+        # Before the check, 2.7 and -0.5 were cast to classes 2 and 0
+        # and the audit ran.
+        labels = biased_classes.astype(np.float64)
+        labels[0] = value
+        spec = AuditSpec(regions=UNIT_GRID, family="multinomial",
+                         n_worlds=N_WORLDS, seed=1)
+        with pytest.raises(ValueError, match=r"^outcomes: .*integer"):
+            AuditSession(unit_coords, labels).run(spec)
+        with pytest.raises(ValueError, match=r"^outcomes: "):
+            MultinomialSpatialAuditor(unit_coords, labels, 3)
+
+    def test_integral_float_multinomial_labels_stay_accepted(
+        self, unit_coords, biased_classes
+    ):
+        spec = AuditSpec(regions=UNIT_GRID, family="multinomial",
+                         n_worlds=N_WORLDS, seed=1)
+        reports = [
+            AuditSession(unit_coords, labels).run(spec).to_dict(full=True)
+            for labels in (biased_classes, biased_classes.astype(float))
+        ]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("design", [
         UNIT_GRID, RegionSpec.squares(8, sides=(0.2, 0.35)),
     ])

@@ -841,6 +841,11 @@ class TestHTTP:
             ("alpha", {"alpha": None}),
             ("family", {"family": ["x"]}),
             ("regions.sides", {"regions": {**SPEC_DICT["regions"], "sides": 5}}),
+            (
+                "regions.radii",
+                {"regions": {"kind": "circles", "n_centers": 4,
+                             "radii": [1e200]}},
+            ),
         ],
     )
     def test_malformed_field_is_400_naming_it(self, http, field, overrides):

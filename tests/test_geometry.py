@@ -171,6 +171,9 @@ def _broadcast_scan_centers(coords, n_centers, seed=None, n_iter=20):
 def _oracle_inputs():
     rng = np.random.default_rng(11)
     uniform = rng.random((300, 2))
+    lattice = np.stack(
+        np.meshgrid(np.arange(30.0), np.arange(30.0)), axis=-1
+    ).reshape(-1, 2)
     return {
         "uniform-300": (uniform, 10),
         "subsampled-25k": (rng.random((25_000, 2)), 40),
@@ -180,6 +183,25 @@ def _oracle_inputs():
         ),
         "k=1": (uniform, 1),
         "k=n": (uniform, len(uniform)),
+        # Exact distance ties between lattice points and centres.
+        "lattice-ties": (lattice, 29),
+        # The same ties at 1e-7 spacing on a large offset: the bounds'
+        # rounding is no longer small against the gaps.
+        "lattice-offset": (lattice * 1e-7 + 45.0, 29),
+        # Metre-scale projected coordinates.
+        "metre-scale": (rng.random((3000, 2)) * 1e6 + 5e6, 50),
+        # 40 locations and 55 centres: dead centres re-seed each pass.
+        "duplicates-dead-centres": (
+            np.repeat(rng.random((40, 2)), 25, axis=0), 55
+        ),
+        "quantised-2dp": (np.round(rng.random((3000, 2)), 2), 64),
+        "heavy-tailed": (rng.standard_normal((3000, 2)) ** 3, 40),
+        # A 3x3 lattice at the inexact spacing 0.1: near-ties within a
+        # few ulp, which bounds compared without a tolerance certify
+        # wrongly.
+        "inexact-ties": (
+            np.random.default_rng(103).integers(0, 3, (60, 2)) * 0.1, 5
+        ),
     }
 
 
@@ -189,6 +211,15 @@ class TestScanCenters:
         coords, k = _oracle_inputs()[case]
         got = scan_centers(coords, n_centers=k, seed=4)
         want = _broadcast_scan_centers(coords, n_centers=k, seed=4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_iter", [0, 1, 2])
+    def test_few_iterations_bit_identical(self, n_iter):
+        coords = np.random.default_rng(13).random((2000, 2))
+        got = scan_centers(coords, n_centers=30, seed=4, n_iter=n_iter)
+        want = _broadcast_scan_centers(
+            coords, n_centers=30, seed=4, n_iter=n_iter
+        )
         assert got.tobytes() == want.tobytes()
 
     def test_assignment_memory_is_blocked(self):

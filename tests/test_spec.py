@@ -64,6 +64,17 @@ class TestRegionSpecValidation:
                 {"kind": "squares", "n_centers": 5, "sides": [value]}
             )
 
+    def test_radius_with_infinite_square(self):
+        # 1e200**2 overflows; the membership build would raise an
+        # untyped OverflowError.
+        with pytest.raises(ValueError, match="^regions.radii: .*square"):
+            RegionSpec.circles(5, radii=(0.1, 1e200))
+        with pytest.raises(ValueError, match="^regions.radii: "):
+            RegionSpec.from_dict(
+                {"kind": "circles", "n_centers": 5, "radii": [1e155]}
+            )
+        assert RegionSpec.circles(5, radii=(1e150,)).radii == (1e150,)
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError, match="regions.bounds"):
             RegionSpec(kind="grid", nx=2, ny=2, bounds=(0, 0, 1))
