@@ -45,8 +45,9 @@ from .core import (
     MEASURES,
     AuditResult,
     ObservedScan,
+    _assemble,
+    _check_member,
     _parse_direction,
-    run_scan,
 )
 from .budget import _err, _int
 from .engine import LLRKernel, MonteCarloEngine
@@ -412,6 +413,21 @@ class _Snapshot:
 _SNAPSHOT_ARRAYS = ("coords", "outcomes", "y_true", "forecast", "timestamps")
 
 
+def _numbers(name: str, arr, dtype=None) -> np.ndarray | None:
+    """A flat copy of one per-point input array (None stays None), or a
+    ValueError naming ``name`` when numpy can hold it only as objects
+    (a ``None`` entry, an integer past uint64, a dict)."""
+    if arr is None:
+        return None
+    try:
+        out = np.array(arr, dtype=dtype).ravel()
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.dtype == object:
+        raise ValueError(f"{name}: expected an array of numbers")
+    return out
+
+
 def _in_order(ts: np.ndarray) -> bool:
     """Whether timestamps are non-decreasing with no NaN.  A NaN fails
     every comparison, so the pairwise test catches it once there are
@@ -463,8 +479,8 @@ class AuditSession:
         Observation locations.
     outcomes : ndarray of shape (n,)
         The audited outcomes: binary labels (``family='bernoulli'``),
-        observed event counts (``'poisson'``) or integer class labels
-        (``'multinomial'``).
+        whole observed event counts (``'poisson'``) or integer class
+        labels (``'multinomial'``).
     y_true : ndarray of shape (n,), optional
         Ground-truth labels, required by the accuracy measures
         (``'equal_opportunity'``, ``'predictive_equality'``).
@@ -521,19 +537,16 @@ class AuditSession:
         workers: int | None = None,
         timestamps: np.ndarray | None = None,
     ):
-        def private(arr, dtype=None):
-            return None if arr is None else np.array(arr, dtype=dtype).ravel()
-
         if n_classes is not None:
             n_classes = _int("n_classes", n_classes)
             if n_classes < 1:
                 raise _err("n_classes", f"must be >= 1, got {n_classes}")
         self._state = _Snapshot(
-            check_coords(np.array(coords, dtype=np.float64)),
-            private(outcomes),
-            private(y_true),
-            private(forecast, np.float64),
-            private(timestamps, np.float64),
+            np.array(check_coords(coords)),
+            _numbers("outcomes", outcomes),
+            _numbers("y_true", y_true),
+            _numbers("forecast", forecast, np.float64),
+            _numbers("timestamps", timestamps, np.float64),
             n_classes,
         )
         for field in _SNAPSHOT_ARRAYS[1:]:
@@ -649,11 +662,7 @@ class AuditSession:
                 f"{name}: the session carries {name}, so append() "
                 "must supply it for the new points"
             )
-        arr = (
-            np.asarray(delta).ravel()
-            if dtype is None
-            else np.asarray(delta, dtype=dtype).ravel()
-        )
+        arr = _numbers(name, delta, dtype)
         if len(arr) != k:
             raise ValueError(
                 f"{name}: length does not match coords "
@@ -758,7 +767,7 @@ class AuditSession:
         """
         coords = check_coords(coords)
         k = len(coords)
-        outcomes = np.asarray(outcomes).ravel()
+        outcomes = _numbers("outcomes", outcomes)
         if len(outcomes) != k:
             raise ValueError(
                 "outcomes: length does not match coords "
@@ -1018,6 +1027,7 @@ class AuditSession:
         kernel = FAMILIES[spec.family].kernel(
             bound, _parse_direction(spec.direction)
         )
+        _check_member(member, "spec.regions")
         return ResolvedSpec(
             spec=spec,
             engine=self._engine,
@@ -1027,9 +1037,7 @@ class AuditSession:
             kernel=kernel,
         )
 
-    def run(
-        self, spec: AuditSpec, null_max: np.ndarray | None = None
-    ) -> AuditReport:
+    def run(self, spec: AuditSpec) -> AuditReport:
         """Run one declarative audit request.
 
         Parameters
@@ -1037,10 +1045,6 @@ class AuditSession:
         spec : AuditSpec
             A validated request; dicts/JSON must be parsed first via
             :meth:`repro.spec.AuditSpec.from_dict` / ``from_json``.
-        null_max : ndarray of shape (spec.n_worlds,), optional
-            Precomputed null max-statistic distribution for this spec
-            (the fused-batch hook; see :func:`repro.core.run_scan`).
-            When given, no worlds are simulated.
 
         Returns
         -------
@@ -1053,36 +1057,54 @@ class AuditSession:
             y_true, ...), or the spec's region design yields no
             scannable regions.
         """
-        return self._run_resolved(self.resolve(spec), null_max)
+        return self._run_group([self.resolve(spec)])[0]
 
-    def _run_resolved(
-        self, resolved: ResolvedSpec, null_max: np.ndarray | None
-    ) -> AuditReport:
-        """:meth:`run` of an already resolved spec, with the state's
-        cached observed scan once ``run_scan`` will accept the design
-        (a design covering no observation fails there, unscanned)."""
-        spec = resolved.spec
-        observed = None
-        if resolved.member.counts.any():
-            observed = self._state.observed(resolved)
-        result = run_scan(
-            resolved.engine,
-            spec.family,
-            resolved.bound,
-            resolved.member,
-            n_worlds=spec.n_worlds,
-            alpha=spec.alpha,
-            seed=spec.seed,
-            direction=spec.direction,
-            workers=spec.workers if spec.workers is not None
-            else self.workers,
-            correction=spec.correction,
-            spec_field="spec.regions",
-            null_max=null_max,
-            budget=spec.budget,
-            observed=observed,
+    def _run_group(self, resolutions: list) -> list:
+        """Run resolved specs that share a fusion group key (see
+        :meth:`repro.serve.AuditService.plan`): simulate the group's
+        null worlds in one pass, then assemble one report per spec, in
+        order.  :meth:`run` is the group of one, so fused and solo
+        reports agree by construction."""
+        first = resolutions[0]
+        # Each spec's effective request is its explicit workers if set,
+        # else the session default; the pass runs at the max of those,
+        # so no spec is slowed below what it asked for.  The worker
+        # count changes no result.
+        requested = [
+            r.spec.workers if r.spec.workers is not None else self.workers
+            for r in resolutions
+        ]
+        workers = max(
+            (w for w in requested if w is not None), default=None
         )
-        return AuditReport(spec=spec, result=result)
+        observed = [self._state.observed(r) for r in resolutions]
+        # An adaptive group stops each design on its own (observed
+        # maximum, alpha); a fixed one ignores both.
+        nulls = self._engine.null_distribution_multi(
+            [r.member for r in resolutions],
+            first.kernel,
+            first.spec.n_worlds,
+            seed=first.spec.seed,
+            workers=workers,
+            budget=first.spec.budget,
+            observed_maxes=[float(obs.llr.max()) for obs in observed],
+            alphas=[float(r.spec.alpha) for r in resolutions],
+        )
+        return [
+            AuditReport(
+                spec=r.spec,
+                result=_assemble(
+                    r.member.regions,
+                    obs,
+                    null_max,
+                    r.spec.alpha,
+                    _parse_direction(r.spec.direction),
+                    r.spec.correction,
+                    n_worlds_requested=r.spec.n_worlds,
+                ),
+            )
+            for r, obs, null_max in zip(resolutions, observed, nulls)
+        ]
 
     def run_many(self, specs: Sequence[AuditSpec]) -> list:
         """Run a batch of requests over the shared indexes.

@@ -7,10 +7,10 @@ regions, test the null hypothesis that outcomes are independent of
 location ("spatially uniform likelihood", SUL) with a Monte Carlo
 max-statistic scan, and localise the regions responsible.
 
-Every audit runs through one spec-driven dispatch, :func:`run_scan`,
-parameterised by a :class:`ScanFamily` from the :data:`FAMILIES`
-registry — new outcome families register instead of subclassing.  Three
-registered families ship, each with a thin legacy auditor wrapper:
+Every audit is parameterised by a :class:`ScanFamily` from the
+:data:`FAMILIES` registry — new outcome families register instead of
+subclassing.  Three registered families ship, each with a thin legacy
+auditor wrapper:
 
 * ``"bernoulli"`` / :class:`SpatialFairnessAuditor` — binary outcomes
   (Bernoulli scan, the paper's setting);
@@ -20,18 +20,23 @@ registered families ship, each with a thin legacy auditor wrapper:
 * ``"multinomial"`` / :class:`MultinomialSpatialAuditor` — categorical
   outcomes.
 
-The declarative front door over this dispatch — serializable
-:class:`repro.spec.AuditSpec` requests run by a
-:class:`repro.api.AuditSession` — lives in :mod:`repro.spec` and
-:mod:`repro.api`.
+Every audit takes the same three steps: the family's observed scan of
+the design, the engine's null max-statistic distribution, and the
+assembly that reads p-values, significant regions and the verdict off
+the two.  The legacy auditors take them through :func:`run_scan`, one
+design at a time.  The declarative front door —
+serializable :class:`repro.spec.AuditSpec` requests run by a
+:class:`repro.api.AuditSession` (:mod:`repro.spec`, :mod:`repro.api`)
+— takes them for a whole fusion group at once: one simulation pass,
+one report per spec, so a solo audit is a group of one.
 
 The Monte Carlo step is vectorized end-to-end: simulated worlds are a
 ``(n_points, n_worlds)`` matrix and per-region recounting is a single
-sparse mat-vec through :class:`repro.index.RegionMembership`.
-:func:`run_scan` takes the design's membership index, which its caller
-owns (a legacy auditor per region set, a session per design and
-measure); the :class:`repro.engine.MonteCarloEngine` that runs the
-null pass holds no coordinates.
+sparse mat-vec through :class:`repro.index.RegionMembership`.  The
+caller owns each design's membership index (a legacy auditor per
+region set, a session per design and measure); the
+:class:`repro.engine.MonteCarloEngine` that runs the null pass holds
+no coordinates.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .budget import BudgetPolicy, _int, clopper_pearson
+from .budget import _int, clopper_pearson
 from .engine import (
     BernoulliKernel,
     LLRKernel,
@@ -209,8 +214,8 @@ class RegionColumns:
     """The audit's evidence about every candidate region, one array
     per :class:`Finding` field.
 
-    :func:`run_scan` keeps these columns on the :class:`AuditResult`
-    and builds :class:`Finding` objects only for the regions a caller
+    Assembly keeps these columns on the :class:`AuditResult` and
+    builds :class:`Finding` objects only for the regions a caller
     reads.  Every array has one entry per region, in region order, and
     is a read-only copy, so a result cannot change after assembly.
 
@@ -485,7 +490,7 @@ class AuditResult:
         return "\n".join(lines)
 
 
-#: Multiple-testing corrections :func:`run_scan` understands for the
+#: Multiple-testing corrections an audit understands for the
 #: per-region ``significant`` flags.  ``'max-stat'`` is the paper's
 #: exact family-wise control (a region is significant when its
 #: max-statistic adjusted p-value is at most ``alpha``).  ``'fdr-bh'``
@@ -537,10 +542,10 @@ class ScanFamily:
     A family knows how to *bind* raw session data (validating it and
     precomputing totals), how to compute the *observed* per-region
     statistics, and which Monte Carlo *kernel* simulates its null
-    worlds.  :func:`run_scan` supplies everything else — membership
-    indexing, null simulation, correction and assembly — so a new
-    scenario is one :func:`register_family` call, not a new auditor
-    subclass.
+    worlds.  The session and :func:`run_scan` supply everything else —
+    membership indexing, null simulation, correction and assembly — so
+    a new scenario is one :func:`register_family` call, not a new
+    auditor subclass.
 
     Subclasses set :attr:`name` (the registry key and
     ``AuditSpec.family`` value) and :attr:`directional`, and implement
@@ -600,8 +605,8 @@ def register_family(family: ScanFamily) -> ScanFamily:
     """Register an outcome family under ``family.name``.
 
     Registered families are valid ``AuditSpec.family`` values and
-    drive :func:`run_scan` directly — adding a scenario is a
-    registration, not an auditor subclass.
+    drive every audit directly — adding a scenario is a registration,
+    not an auditor subclass.
 
     Parameters
     ----------
@@ -741,6 +746,22 @@ def _assemble(
     )
 
 
+def _check_member(member: RegionMembership, field: str) -> None:
+    """Refuse a region design with nothing to scan: no regions, or no
+    region holding any observation.  ``field`` names the offending
+    input in the error."""
+    if len(member) == 0:
+        raise ValueError(
+            f"{field}: the candidate region set is empty — "
+            "there is nothing to scan"
+        )
+    if not member.counts.any():
+        raise ValueError(
+            f"{field}: no candidate region contains any "
+            "observation — the region geometry does not cover the data"
+        )
+
+
 def run_scan(
     engine: MonteCarloEngine,
     family,
@@ -752,18 +773,15 @@ def run_scan(
     direction: str | None = None,
     workers: int | None = None,
     correction: str = "max-stat",
-    spec_field: str = "regions",
-    null_max: np.ndarray | None = None,
-    budget: BudgetPolicy | str | None = None,
-    observed: ObservedScan | None = None,
 ) -> AuditResult:
-    """The one spec-driven dispatch every audit runs through.
+    """One design's fixed-budget scan: the legacy auditors' path.
 
     Resolves the family, checks the region design, computes observed
-    statistics, simulates the null through the engine, and assembles
-    the :class:`AuditResult`.  The legacy auditor classes and the
-    :class:`repro.api.AuditSession` façade are both thin callers of
-    this function.
+    statistics, simulates ``n_worlds`` null worlds through the engine,
+    and assembles the :class:`AuditResult`.  Spec-driven audits run
+    through :class:`repro.api.AuditSession` instead, which simulates
+    a whole fusion group in one pass and assembles each report the
+    same way.
 
     Parameters
     ----------
@@ -781,32 +799,6 @@ def run_scan(
         As in :meth:`SpatialFairnessAuditor.audit`.
     correction : {'max-stat', 'fdr-bh'}, default 'max-stat'
         Per-region multiple-testing correction (:data:`CORRECTIONS`).
-    spec_field : str, default 'regions'
-        Name used in region-validation errors, so spec-driven callers
-        can point at the offending ``AuditSpec`` field.
-    null_max : ndarray of shape (n_worlds,), optional
-        A precomputed null max-statistic distribution for this exact
-        design — the multi-statistic evaluation hook.  Fused batch
-        callers (:class:`repro.serve.AuditService`) simulate one
-        world pass for many specs through
-        :meth:`repro.engine.MonteCarloEngine.null_distribution_multi`
-        and hand each spec's slice in here; the engine is then not
-        consulted and no further worlds are simulated.  With an
-        adaptive ``budget`` the array may be shorter than
-        ``n_worlds`` (the group's early stopping time for this
-        design).
-    budget : BudgetPolicy, str or None, default None
-        The world-budget policy (:class:`repro.budget.BudgetPolicy`).
-        ``None``/``'fixed'`` simulates exactly ``n_worlds`` worlds —
-        bit-identical to every release so far.  ``'adaptive'`` runs
-        progressive rounds and stops as soon as the sequential rule
-        settles the verdict; the result then reports the worlds
-        actually simulated in ``n_worlds``, the requested budget in
-        ``n_worlds_requested`` and ``stopped_early``.
-    observed : ObservedScan, optional
-        This design's observed scan, when the caller holds it already
-        (an :class:`repro.api.AuditSession` caches it per dataset
-        state).
 
     Returns
     -------
@@ -839,52 +831,18 @@ def run_scan(
             f"{CORRECTIONS}"
         )
     n_worlds = _check_n_worlds(n_worlds)
-    policy = BudgetPolicy.parse(budget)
-    if len(member) == 0:
-        raise ValueError(
-            f"{spec_field}: the candidate region set is empty — "
-            "there is nothing to scan"
-        )
-    if int(member.counts.sum()) == 0:
-        raise ValueError(
-            f"{spec_field}: no candidate region contains any "
-            "observation — the region geometry does not cover the data"
-        )
-    obs = observed or family.observed(bound, member, d)
-    if null_max is None:
-        null_max = engine.null_distribution(
-            member,
-            family.kernel(bound, d),
-            n_worlds,
-            seed=seed,
-            workers=workers,
-            budget=policy,
-            observed_max=(
-                float(obs.llr.max()) if len(obs.llr) else 0.0
-            ),
-            alpha=float(alpha),
-        )
-    else:
-        null_max = np.asarray(null_max, dtype=np.float64).ravel()
-        if policy.is_adaptive:
-            if not 1 <= len(null_max) <= n_worlds:
-                raise ValueError(
-                    f"null_max: expected 1..{n_worlds} simulated "
-                    f"maxima (adaptive budget), got {len(null_max)}"
-                )
-        elif len(null_max) != n_worlds:
-            raise ValueError(
-                f"null_max: expected {n_worlds} simulated maxima "
-                f"(one per world), got {len(null_max)}"
-            )
+    _check_member(member, "regions")
+    null_max = engine.null_distribution(
+        member, family.kernel(bound, d), n_worlds, seed=seed,
+        workers=workers,
+    )
     return _assemble(
         member.regions,
-        obs,
+        family.observed(bound, member, d),
         null_max,
         alpha,
         d,
         correction,
-        n_worlds_requested=n_worlds,
     )
 
 
@@ -970,6 +928,16 @@ class PoissonFamily(ScanFamily):
             raise ValueError(
                 "outcomes: family 'poisson' needs finite, non-negative "
                 "event counts"
+            )
+        # The null draws whole events, int64 of them in all.
+        if (observed != np.floor(observed)).any():
+            raise ValueError(
+                "outcomes: family 'poisson' needs whole event counts"
+            )
+        if observed.sum() >= 2.0**63:
+            raise ValueError(
+                "outcomes: family 'poisson' needs a total event count "
+                "below 2**63"
             )
         if (
             not np.isfinite(forecast).all()
@@ -1311,7 +1279,8 @@ class PoissonSpatialAuditor(_ScanAuditorBase):
     coords : ndarray of shape (n, 2)
         Area representative locations.
     observed : ndarray of shape (n,)
-        Observed event counts per area.
+        Observed event counts per area: whole, non-negative numbers
+        with a total below ``2**63``.
     forecast : ndarray of shape (n,)
         Forecast (expected) counts per area; internally rescaled so
         the totals match, making the audit test *relative* calibration.

@@ -64,10 +64,16 @@ def check_coords(coords) -> np.ndarray:
     Raises
     ------
     ValueError
-        Naming ``coords`` when the shape is not ``(k, 2)`` or a value
-        is NaN or infinite.
+        Naming ``coords`` when the input is not numeric, the shape is
+        not ``(k, 2)`` or a value is NaN or infinite.
     """
-    coords = np.asarray(coords, dtype=np.float64)
+    try:
+        coords = np.asarray(coords, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(
+            "coords: expected a (k, 2) array of numbers, got "
+            f"{type(coords).__name__}"
+        ) from None
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError(
             f"coords: expected a (k, 2) array, got shape {coords.shape}"

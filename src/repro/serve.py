@@ -500,51 +500,12 @@ class AuditService:
             self._run_group(members)
 
     def _run_group(self, members: list) -> None:
-        """One fused pass: simulate the group's worlds once, score all
-        member designs, assemble per-spec reports."""
-        resolutions = [r for _, _, r in members]
-        first = resolutions[0]
-        spec0 = first.spec
-        # Each member's effective request is its explicit workers if
-        # set, else the session default; the fused pass runs at the
-        # max of those so no member is slowed below what it asked for.
-        # (Worker count is a pure performance knob — results are
-        # bit-identical at any value — so taking the max is safe.)
-        effective = [
-            r.spec.workers
-            if r.spec.workers is not None
-            else self.session.workers
-            for r in resolutions
-        ]
-        requested = [w for w in effective if w is not None]
-        workers = max(requested) if requested else None
-        adaptive: dict = {}
-        if spec0.budget.is_adaptive:
-            # Each segment stops on its own (observed max, alpha); the
-            # simulated world stream is unaffected, so fused adaptive
-            # reports stay bit-identical to solo adaptive runs.  The
-            # state caches the observed scans, so assembly reuses them.
-            observed = [
-                self.session._state.observed(r) for r in resolutions
-            ]
-            adaptive = {
-                "budget": spec0.budget,
-                "observed_maxes": [
-                    float(obs.llr.max()) if len(obs.llr) else 0.0
-                    for obs in observed
-                ],
-                "alphas": [float(r.spec.alpha) for r in resolutions],
-            }
+        """One fused pass (:meth:`AuditSession._run_group
+        <repro.api.AuditSession._run_group>`) for a group's
+        representatives, then its accounting and ticket resolution."""
         try:
             fault_point("serve.run_group")
-            nulls = first.engine.null_distribution_multi(
-                [r.member for r in resolutions],
-                first.kernel,
-                spec0.n_worlds,
-                seed=spec0.seed,
-                workers=workers,
-                **adaptive,
-            )
+            reports = self.session._run_group([r for _, _, r in members])
         except Exception as exc:  # group-level failure fails members
             for tickets, key, _ in members:
                 self._finish(tickets, key, error=exc)
@@ -559,12 +520,7 @@ class AuditService:
                 self._worlds_requested += (
                     resolved.spec.n_worlds * len(tickets)
                 )
-        for (tickets, key, resolved), null_max in zip(members, nulls):
-            try:
-                report = self.session._run_resolved(resolved, null_max)
-            except Exception as exc:
-                self._finish(tickets, key, error=exc)
-                continue
+        for (tickets, key, _), report in zip(members, reports):
             self._finish(tickets, key, report=report)
 
     def _finish(

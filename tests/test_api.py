@@ -381,10 +381,14 @@ class TestValidationErrors:
         ]
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("value", [-5.0, np.nan, np.inf])
+    @pytest.mark.parametrize("value", [-5.0, np.nan, np.inf, 0.3, 2.5,
+                                       1e308])
     def test_bad_poisson_counts_name_the_field(
         self, unit_coords, biased_counts, value
     ):
+        # Fractional counts once entered the observed LLR as given while
+        # the null drew round(O) whole events, and a total of 1e308
+        # failed every audit in rng.multinomial.
         observed, forecast = biased_counts
         observed = observed.copy()
         observed[0] = value

@@ -360,6 +360,32 @@ class TestDatasets:
         with pytest.raises(UnknownDatasetError):
             gw.service("a")
 
+    @pytest.mark.parametrize("field, value", [
+        ("coords", {}),
+        ("outcomes", [None] + [0] * 299),
+        ("outcomes", [2**64] + [0] * 299),
+        ("y_true", [None] + [0] * 299),
+    ])
+    def test_register_rejects_unconvertible_arrays(
+        self, unit_coords, biased_labels, field, value
+    ):
+        # These were untyped TypeErrors, from float() or from
+        # hashing an object array.
+        arrays = {"coords": unit_coords, "outcomes": biased_labels,
+                  "y_true": biased_labels, field: value}
+        gw = AuditGateway()
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            gw.register("d", **arrays)
+        assert gw.datasets() == []
+        if field != "coords":
+            session = AuditSession(unit_coords[:300], biased_labels[:300],
+                                   y_true=biased_labels[:300])
+            batch = {"outcomes": [0] * 300, "y_true": [0] * 300,
+                     field: value}
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                session.append(unit_coords[:300], **batch)
+            assert len(session.coords) == 300
+
     def test_dataset_session_runs_bit_identical(
         self, unit_coords, biased_labels
     ):
@@ -824,6 +850,30 @@ class TestHTTP:
         assert body["type"] == "ValueError"
         assert body["error"].startswith("outcomes: ")
 
+    def test_fractional_poisson_counts_are_400_naming_the_field(
+        self, http, unit_coords
+    ):
+        client, _ = http
+        n = len(unit_coords)
+        status, _, _ = client.post(
+            "/datasets",
+            {
+                "name": "fractional",
+                "coords": unit_coords.tolist(),
+                "outcomes": [0.3] * n,
+                "forecast": [1.0] * n,
+            },
+        )
+        assert status == 201
+        status, body, _ = client.post(
+            "/audit",
+            {"dataset": "fractional",
+             "spec": {**SPEC_DICT, "family": "poisson"}},
+        )
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"].startswith("outcomes: ")
+
     @pytest.mark.parametrize("value", [2.7, True, "7"])
     def test_non_integer_n_worlds_is_400(self, http, value):
         client, _ = http
@@ -954,6 +1004,26 @@ class TestHTTP:
         )
         assert status == 400
         assert "coords" in body["error"]
+        assert [d["name"] for d in gw.datasets()] == ["unit"]
+
+    @pytest.mark.parametrize("field", ["coords", "outcomes"])
+    def test_register_rejects_unconvertible_arrays(
+        self, http, unit_coords, biased_labels, field
+    ):
+        client, gw = http
+        payload = {
+            "name": "bad",
+            "coords": unit_coords.tolist(),
+            "outcomes": biased_labels.tolist(),
+        }
+        if field == "coords":
+            payload["coords"] = {}
+        else:
+            payload["outcomes"][0] = None
+        status, body, _ = client.post("/datasets", payload)
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"].startswith(f"{field}: ")
         assert [d["name"] for d in gw.datasets()] == ["unit"]
 
     @pytest.mark.parametrize("field", ["outcomes", "y_true"])

@@ -492,7 +492,7 @@ class TestAsyncFlow:
 
 
 class TestEngineMultiHook:
-    """null_distribution_multi and the run_scan null_max hook."""
+    """null_distribution_multi and the stacked membership it scores."""
 
     def test_multi_matches_single(self, unit_coords, biased_labels,
                                   service):
@@ -552,20 +552,6 @@ class TestEngineMultiHook:
             )
         for serial, parallel in zip(*outs):
             assert (serial == parallel).all()
-
-    def test_run_scan_null_max_hook(self, unit_coords, biased_labels):
-        session = AuditSession(unit_coords, biased_labels)
-        spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=6)
-        r = session.resolve(spec)
-        null = r.engine.null_distribution(
-            r.member, r.kernel, N_WORLDS, seed=6
-        )
-        hooked = session.run(spec, null_max=null)
-        assert hooked.to_dict(full=True) == (
-            session.run(spec).to_dict(full=True)
-        )
-        with pytest.raises(ValueError, match="null_max"):
-            session.run(spec, null_max=null[:-1])
 
     def test_stacked_membership_invariants(self, unit_coords,
                                            biased_labels):
@@ -729,3 +715,44 @@ class TestFusedWorkerRule:
             session_workers=None, spec_workers=[None, None],
         )
         assert got is None
+
+
+class TestUncoveredDesigns:
+    """A design that covers no observation fails at resolve, before
+    any simulation: its fusion group's pass never sees it, and the
+    covered designs' reports equal their solo runs byte for byte."""
+
+    @pytest.mark.parametrize("budget", ["fixed", "adaptive"])
+    def test_refused_before_simulating(
+        self, unit_coords, biased_labels, monkeypatch, budget
+    ):
+        from repro.engine import MonteCarloEngine
+
+        session = AuditSession(unit_coords, biased_labels)
+        service = AuditService(session)
+        passes = []
+        original = MonteCarloEngine.null_distribution_multi
+
+        def spy(self, members, *args, **kwargs):
+            passes.append(list(members))
+            return original(self, members, *args, **kwargs)
+
+        monkeypatch.setattr(
+            MonteCarloEngine, "null_distribution_multi", spy
+        )
+        far, covered = (
+            AuditSpec(regions=design, n_worlds=N_WORLDS, seed=4,
+                      budget=budget)
+            for design in (
+                RegionSpec.grid(3, 3, bounds=(50.0, 50.0, 60.0, 60.0)),
+                UNIT_GRID,
+            )
+        )
+        tickets = [service.submit(far), service.submit(covered)]
+        service.gather()
+        with pytest.raises(ValueError, match="spec.regions.*observation"):
+            tickets[0].result()
+        assert len(passes) == 1
+        assert passes[0] == [session.resolve(covered).member]
+        solo = AuditSession(unit_coords, biased_labels).run(covered)
+        assert tickets[1].result().to_json() == solo.to_json()
