@@ -97,7 +97,6 @@ from .core import (
     predictive_equality,
     register_family,
     register_measure,
-    run_scan,
     select_non_overlapping,
 )
 from .datasets import SpatialDataset
@@ -225,7 +224,6 @@ __all__ = [
     "rank_contributions",
     "register_family",
     "register_measure",
-    "run_scan",
     "scan_centers",
     "select_non_overlapping",
     "serve_http",

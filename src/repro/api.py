@@ -45,9 +45,9 @@ from .core import (
     MEASURES,
     AuditResult,
     ObservedScan,
-    _assemble,
     _check_member,
     _parse_direction,
+    _scan_group,
 )
 from .budget import _err, _int
 from .engine import LLRKernel, MonteCarloEngine
@@ -488,7 +488,10 @@ class AuditSession:
         Expected counts, required by the Poisson family.
     n_classes : int, optional
         Class count (``>= 1``) for the multinomial family (inferred
-        from the labels when omitted).
+        from the labels when omitted).  A multinomial audit of a slice
+        with fewer points than classes — a window evicted below the
+        declared count too — is refused with a ValueError naming
+        ``n_classes`` (``outcomes`` when the count was inferred).
     workers : int, optional
         Default Monte Carlo worker count for specs that leave
         ``workers`` unset.
@@ -1063,8 +1066,9 @@ class AuditSession:
         """Run resolved specs that share a fusion group key (see
         :meth:`repro.serve.AuditService.plan`): simulate the group's
         null worlds in one pass, then assemble one report per spec, in
-        order.  :meth:`run` is the group of one, so fused and solo
-        reports agree by construction."""
+        order, through :func:`repro.core._scan_group` (the legacy
+        auditors' runner too).  :meth:`run` is the group of one, so
+        fused and solo reports agree by construction."""
         first = resolutions[0]
         # Each spec's effective request is its explicit workers if set,
         # else the session default; the pass runs at the max of those,
@@ -1077,33 +1081,22 @@ class AuditSession:
         workers = max(
             (w for w in requested if w is not None), default=None
         )
-        observed = [self._state.observed(r) for r in resolutions]
-        # An adaptive group stops each design on its own (observed
-        # maximum, alpha); a fixed one ignores both.
-        nulls = self._engine.null_distribution_multi(
-            [r.member for r in resolutions],
+        results = _scan_group(
+            self._engine,
             first.kernel,
+            [r.member for r in resolutions],
+            [self._state.observed(r) for r in resolutions],
+            [r.spec.alpha for r in resolutions],
+            _parse_direction(first.spec.direction),
+            [r.spec.correction for r in resolutions],
             first.spec.n_worlds,
-            seed=first.spec.seed,
-            workers=workers,
-            budget=first.spec.budget,
-            observed_maxes=[float(obs.llr.max()) for obs in observed],
-            alphas=[float(r.spec.alpha) for r in resolutions],
+            first.spec.seed,
+            workers,
+            first.spec.budget,
         )
         return [
-            AuditReport(
-                spec=r.spec,
-                result=_assemble(
-                    r.member.regions,
-                    obs,
-                    null_max,
-                    r.spec.alpha,
-                    _parse_direction(r.spec.direction),
-                    r.spec.correction,
-                    n_worlds_requested=r.spec.n_worlds,
-                ),
-            )
-            for r, obs, null_max in zip(resolutions, observed, nulls)
+            AuditReport(spec=r.spec, result=result)
+            for r, result in zip(resolutions, results)
         ]
 
     def run_many(self, specs: Sequence[AuditSpec]) -> list:

@@ -23,12 +23,15 @@ auditor wrapper:
 Every audit takes the same three steps: the family's observed scan of
 the design, the engine's null max-statistic distribution, and the
 assembly that reads p-values, significant regions and the verdict off
-the two.  The legacy auditors take them through :func:`run_scan`, one
-design at a time.  The declarative front door —
-serializable :class:`repro.spec.AuditSpec` requests run by a
+the two.  One runner, :func:`_scan_group`, takes them for a whole
+fusion group at once: one simulation pass, one result per design.
+The declarative front door — serializable
+:class:`repro.spec.AuditSpec` requests run by a
 :class:`repro.api.AuditSession` (:mod:`repro.spec`, :mod:`repro.api`)
-— takes them for a whole fusion group at once: one simulation pass,
-one report per spec, so a solo audit is a group of one.
+— hands it each group, and the legacy auditors hand it a group of one.
+Both check their Monte Carlo fields through one function,
+:func:`_run_fields`, so an argument one path refuses the other
+refuses too.
 
 The Monte Carlo step is vectorized end-to-end: simulated worlds are a
 ``(n_points, n_worlds)`` matrix and per-region recounting is a single
@@ -48,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .budget import _int, clopper_pearson
+from .budget import _err, _int, _real, clopper_pearson
 from .engine import (
     BernoulliKernel,
     LLRKernel,
@@ -78,7 +81,6 @@ __all__ = [
     "MEASURES",
     "register_measure",
     "CORRECTIONS",
-    "run_scan",
     "SpatialFairnessAuditor",
     "PoissonSpatialAuditor",
     "MultinomialSpatialAuditor",
@@ -93,6 +95,8 @@ __all__ = [
     "gerrymander_score",
 ]
 
+#: Scan directions by name and alias: 0 two-sided, -1 "lower inside",
+#: +1 "higher inside".
 _DIRECTIONS = {
     None: 0,
     "two-sided": 0,
@@ -103,24 +107,78 @@ _DIRECTIONS = {
     "green": 1,
 }
 
+#: The canonical name of each direction code.
+_DIRECTION_NAMES = {0: "two-sided", -1: "lower", 1: "higher"}
+
 
 def _parse_direction(direction) -> int:
+    """The code of a direction name or alias, or a ValueError naming
+    ``direction``."""
     try:
         return _DIRECTIONS[direction]
-    except KeyError:
+    except (KeyError, TypeError):
         valid = ", ".join(repr(k) for k in _DIRECTIONS if k)
-        raise ValueError(
-            f"unknown direction {direction!r}; expected None, {valid}"
+        raise _err(
+            "direction",
+            f"unknown direction {direction!r}; expected None, {valid}",
         ) from None
 
 
-def _check_n_worlds(n_worlds: int) -> int:
-    n_worlds = int(n_worlds)
-    if n_worlds < 1:
-        raise ValueError(
-            f"n_worlds must be >= 1, got {n_worlds}"
+def _run_fields(
+    family: str,
+    n_worlds,
+    alpha,
+    direction,
+    correction,
+    seed,
+    workers,
+) -> tuple:
+    """The Monte Carlo fields of one audit, checked and canonical:
+    ``(n_worlds, alpha, direction, correction, seed, workers)`` with
+    the direction as its canonical name (``'two-sided'``, ``'lower'``
+    or ``'higher'``).  ``family`` is a :data:`FAMILIES` name; ``seed``
+    and ``workers`` may be ``None``.
+
+    :class:`repro.spec.AuditSpec` and the legacy auditors' ``audit``
+    both check their fields here, so the two accept the same values;
+    the first invalid field raises a ValueError that names it.
+    """
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise _err(
+            "family",
+            f"unknown family {family!r}; registered: {sorted(FAMILIES)}",
         )
-    return n_worlds
+    n_worlds = _int("n_worlds", n_worlds)
+    if n_worlds < 1:
+        raise _err("n_worlds", f"must be >= 1, got {n_worlds}")
+    alpha = _real("alpha", alpha)
+    if not 0.0 < alpha < 1.0:
+        raise _err("alpha", f"must lie in (0, 1), got {alpha}")
+    code = _parse_direction(direction)
+    if code != 0 and not FAMILIES[family].directional:
+        raise _err(
+            "direction",
+            f"family {family!r} does not support directional scans; "
+            f"it scans two-sided only (got {direction!r})",
+        )
+    if correction not in CORRECTIONS:
+        raise _err(
+            "correction",
+            f"unknown correction {correction!r}; expected one of "
+            f"{CORRECTIONS}",
+        )
+    if seed is not None:
+        seed = _int("seed", seed)
+        # numpy's SeedSequence takes non-negative entropy only.
+        if seed < 0:
+            raise _err("seed", f"must be >= 0, got {seed}")
+    if workers is not None:
+        workers = _int("workers", workers)
+        if workers < 1:
+            raise _err("workers", f"must be >= 1, got {workers}")
+    return (
+        n_worlds, alpha, _DIRECTION_NAMES[code], correction, seed, workers
+    )
 
 
 def log_likelihood_ratio(n, p, total_n, total_p) -> np.ndarray:
@@ -542,8 +600,9 @@ class ScanFamily:
     A family knows how to *bind* raw session data (validating it and
     precomputing totals), how to compute the *observed* per-region
     statistics, and which Monte Carlo *kernel* simulates its null
-    worlds.  The session and :func:`run_scan` supply everything else —
-    membership indexing, null simulation, correction and assembly — so
+    worlds.  A session or a legacy auditor supplies everything else —
+    membership indexing, and through :func:`_scan_group` null
+    simulation, correction and assembly — so
     a new scenario is one :func:`register_family` call, not a new
     auditor subclass.
 
@@ -682,11 +741,9 @@ def _assemble(
     alpha: float,
     direction: int,
     correction: str,
-    n_worlds_requested: int | None = None,
+    n_worlds_requested: int,
 ) -> AuditResult:
     n_worlds = len(null_max)
-    if n_worlds_requested is None:
-        n_worlds_requested = n_worlds
     llr = obs.llr
     sorted_null = np.sort(null_max)
     # Max-statistic adjusted p-value per region, and for the scan
@@ -762,88 +819,57 @@ def _check_member(member: RegionMembership, field: str) -> None:
         )
 
 
-def run_scan(
+def _scan_group(
     engine: MonteCarloEngine,
-    family,
-    bound: dict,
-    member: RegionMembership,
-    n_worlds: int = 99,
-    alpha: float = 0.05,
-    seed: int | None = None,
-    direction: str | None = None,
-    workers: int | None = None,
-    correction: str = "max-stat",
-) -> AuditResult:
-    """One design's fixed-budget scan: the legacy auditors' path.
+    kernel: LLRKernel,
+    members: list,
+    observed: list,
+    alphas: list,
+    direction: int,
+    corrections: list,
+    n_worlds: int,
+    seed: int | None,
+    workers: int | None,
+    budget,
+) -> list:
+    """Audit the designs of one fusion group: one null pass, then one
+    :class:`AuditResult` per design, in order.
 
-    Resolves the family, checks the region design, computes observed
-    statistics, simulates ``n_worlds`` null worlds through the engine,
-    and assembles the :class:`AuditResult`.  Spec-driven audits run
-    through :class:`repro.api.AuditSession` instead, which simulates
-    a whole fusion group in one pass and assembles each report the
-    same way.
-
-    Parameters
-    ----------
-    engine : MonteCarloEngine
-        The engine that runs the null pass.
-    family : ScanFamily or str
-        A family instance, or a :data:`FAMILIES` registry name.
-    bound : dict
-        The family's bound data, from :meth:`ScanFamily.bind`.
-    member : RegionMembership
-        The candidate regions' membership index over the scanned
-        coordinates; its regions (``member.regions``) must be
-        non-empty and cover at least one observation.
-    n_worlds, alpha, seed, direction, workers
-        As in :meth:`SpatialFairnessAuditor.audit`.
-    correction : {'max-stat', 'fdr-bh'}, default 'max-stat'
-        Per-region multiple-testing correction (:data:`CORRECTIONS`).
-
-    Returns
-    -------
-    AuditResult
-
-    Raises
-    ------
-    ValueError
-        On an unknown family or correction, a directional scan of a
-        non-directional family, an empty region set, or a region set
-        containing no observation at all.
+    Every audit runs here: a session's group of resolved specs
+    (:meth:`repro.api.AuditSession._run_group`), and a legacy
+    auditor's one design.  The designs share the null model
+    (``kernel``, hence the family and ``direction`` code), the world
+    budget, ``seed``, ``workers`` and ``budget`` (``None`` is fixed);
+    ``members``, ``observed``, ``alphas`` and ``corrections`` hold one
+    entry per design, each member already checked by
+    :func:`_check_member`.
     """
-    if isinstance(family, str):
-        try:
-            family = FAMILIES[family]
-        except KeyError:
-            known = ", ".join(sorted(FAMILIES))
-            raise ValueError(
-                f"unknown family {family!r}; registered: {known}"
-            ) from None
-    d = _parse_direction(direction)
-    if d != 0 and not family.directional:
-        raise ValueError(
-            f"family {family.name!r} does not support directional "
-            f"scans (direction={direction!r})"
-        )
-    if correction not in CORRECTIONS:
-        raise ValueError(
-            f"unknown correction {correction!r}; expected one of "
-            f"{CORRECTIONS}"
-        )
-    n_worlds = _check_n_worlds(n_worlds)
-    _check_member(member, "regions")
-    null_max = engine.null_distribution(
-        member, family.kernel(bound, d), n_worlds, seed=seed,
+    # An adaptive pass stops each design on its own (observed maximum,
+    # alpha); a fixed one ignores both.
+    nulls = engine.null_distribution_multi(
+        members,
+        kernel,
+        n_worlds,
+        seed=seed,
         workers=workers,
+        budget=budget,
+        observed_maxes=[float(obs.llr.max()) for obs in observed],
+        alphas=list(alphas),
     )
-    return _assemble(
-        member.regions,
-        family.observed(bound, member, d),
-        null_max,
-        alpha,
-        d,
-        correction,
-    )
+    return [
+        _assemble(
+            member.regions,
+            obs,
+            null_max,
+            alpha,
+            direction,
+            correction,
+            n_worlds,
+        )
+        for member, obs, null_max, alpha, correction in zip(
+            members, observed, nulls, alphas, corrections
+        )
+    ]
 
 
 class BernoulliFamily(ScanFamily):
@@ -1013,9 +1039,18 @@ class MultinomialFamily(ScanFamily):
             raise ValueError(
                 "coords and labels must have the same length"
             )
+        # The class count sizes every per-class array, so it may not
+        # exceed the labelled points; a window evicted below a declared
+        # count is refused the same way.
+        named = "outcomes" if n_classes is None else "n_classes"
         if n_classes is None:
             n_classes = int(labels.max()) + 1 if len(labels) else 0
-        n_classes = int(n_classes)
+        n_classes = _int("n_classes", n_classes)
+        if n_classes > len(labels):
+            raise ValueError(
+                f"{named}: {n_classes} classes exceed the "
+                f"{len(labels)} labelled points"
+            )
         if len(labels) and labels.max() >= n_classes:
             raise ValueError("labels must lie in [0, n_classes)")
         return {
@@ -1113,8 +1148,10 @@ class _ScanAuditorBase:
     """Shared body of the legacy auditor classes: each binds one
     :class:`ScanFamily`'s data (the :attr:`family` class attribute),
     keeps the membership index of each region set it scans over its own
-    coordinates, and delegates :meth:`audit` to :func:`run_scan` on a
-    :class:`repro.engine.MonteCarloEngine`.
+    coordinates, and runs :meth:`audit` as a fusion group of one
+    design through :func:`_scan_group`, the runner sessions use, on a
+    :class:`repro.engine.MonteCarloEngine`.  Its fields are checked by
+    :func:`_run_fields`, as an :class:`repro.spec.AuditSpec`'s are.
 
     Raises
     ------
@@ -1190,30 +1227,57 @@ class _ScanAuditorBase:
             statistic.  Non-directional families (multinomial) scan
             two-sided only and reject any other direction.
         membership : RegionMembership, optional
-            Precomputed membership index of ``regions`` (else
-            :meth:`membership`).
+            Precomputed membership index of ``regions`` over the
+            auditor's coordinates (else :meth:`membership`).
         workers : int, optional
             Monte Carlo worker threads (see
-            :meth:`repro.engine.MonteCarloEngine.null_distribution`);
+            :meth:`repro.engine.MonteCarloEngine.null_distribution_multi`);
             results are bit-identical for any worker count.
 
         Returns
         -------
         AuditResult
+
+        Raises
+        ------
+        ValueError
+            Naming the field: ``n_worlds``, ``alpha``, ``seed``,
+            ``direction`` or ``workers`` as
+            :class:`repro.spec.AuditSpec` refuses them; a
+            ``membership`` of other regions or other points; or
+            ``regions`` that are empty or hold no observation.
         """
+        n_worlds, alpha, direction, correction, seed, workers = _run_fields(
+            self.family.name, n_worlds, alpha, direction, "max-stat",
+            seed, workers,
+        )
         if membership is None:
             membership = self.membership(regions)
-        return run_scan(
+        elif (
+            membership.regions is not regions
+            or membership.n_points != len(self.coords)
+        ):
+            raise ValueError(
+                "membership: must be built from the audited regions "
+                f"over the auditor's {len(self.coords)} points; got "
+                f"{len(membership)} regions over {membership.n_points} "
+                "points"
+            )
+        _check_member(membership, "regions")
+        d = _DIRECTIONS[direction]
+        return _scan_group(
             self.engine,
-            self.family,
-            self._bound,
-            membership,
-            n_worlds=n_worlds,
-            alpha=alpha,
-            seed=seed,
-            direction=direction,
-            workers=workers,
-        )
+            self.family.kernel(self._bound, d),
+            [membership],
+            [self.family.observed(self._bound, membership, d)],
+            [alpha],
+            d,
+            [correction],
+            n_worlds,
+            seed,
+            workers,
+            None,
+        )[0]
 
 
 class SpatialFairnessAuditor(_ScanAuditorBase):
@@ -1322,6 +1386,8 @@ class MultinomialSpatialAuditor(_ScanAuditorBase):
     labels : ndarray of shape (n,)
         Integer class labels in ``[0, n_classes)``.
     n_classes : int
+        At most ``n``; a larger count is refused with a ValueError
+        naming ``n_classes``.
     engine : MonteCarloEngine, optional
         A shared engine, pooling the Monte Carlo counters.
     """
@@ -1521,7 +1587,13 @@ class PowerAnalysis:
         Master seed; per-trial seeds are derived from it.
     workers : int, optional
         Monte Carlo worker threads for every trial audit (see
-        :meth:`repro.engine.MonteCarloEngine.null_distribution`).
+        :meth:`repro.engine.MonteCarloEngine.null_distribution_multi`).
+
+    Raises
+    ------
+    ValueError
+        Naming ``n_worlds``, ``alpha``, ``seed`` or ``workers`` when a
+        trial's audit would refuse it.
     """
 
     def __init__(
@@ -1535,9 +1607,10 @@ class PowerAnalysis:
     ):
         self.coords = check_coords(coords)
         self.regions = regions
-        self.n_worlds = int(n_worlds)
-        self.alpha = float(alpha)
-        self.seed = seed
+        # Checked as each trial's audit checks them, before any runs.
+        self.n_worlds, self.alpha, _, _, self.seed, workers = _run_fields(
+            "bernoulli", n_worlds, alpha, None, "max-stat", seed, workers
+        )
         # One engine and one membership index serve every trial:
         # locations are fixed by the design, only labels vary.
         self.engine = MonteCarloEngine(workers=workers)

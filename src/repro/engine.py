@@ -8,10 +8,11 @@ module holds that loop once for every auditor:
   chunking, the sparse membership mat-vec recount and an optional
   thread pool (``workers=N``).  It holds no coordinates: each pass is
   handed the membership indexes it scores, which its callers own.
-  There is one simulation pass,
+  There is one simulation pass and one entry point,
   :meth:`MonteCarloEngine.null_distribution_multi`, which scores each
-  world batch against one or more designs; a solo
-  :meth:`MonteCarloEngine.null_distribution` is its one-design case;
+  world batch against one or more designs (a solo audit is the
+  one-design case) and is called by :func:`repro.core._scan_group`
+  alone;
 * the per-family statistics plug in as :class:`LLRKernel` subclasses —
   :class:`BernoulliKernel` (binary outcomes), :class:`PoissonKernel`
   (observed vs forecast counts), :class:`MultinomialKernel`
@@ -740,21 +741,25 @@ def _write_maxima(
 class MonteCarloEngine:
     """The shared Monte Carlo null-pass runner.
 
-    The engine holds no data: every pass is handed the membership
-    indexes it scores, and the kernel that simulates its worlds.  The
-    null keeps locations fixed, so a pass needs each design's
-    membership and never the coordinates; callers own their
-    memberships (:class:`repro.api.AuditSession` per design and
-    measure, a legacy auditor per region set) and build each through
+    Its one entry point, :meth:`null_distribution_multi`, runs one
+    simulation pass over one or more designs; every audit, a session's
+    or a legacy auditor's, reaches it through
+    :func:`repro.core._scan_group`.  The engine holds no data: every
+    pass is handed the membership indexes it scores, and the kernel that
+    simulates its worlds.  The null keeps locations fixed, so a pass
+    needs each design's membership and never the coordinates; callers
+    own their memberships (:class:`repro.api.AuditSession` per design
+    and measure, a legacy auditor per region set) and build each through
     :meth:`_cold_build`.  Null worlds are simulated afresh on every
-    call; a repeated seeded audit is answered without simulation only
-    by the report cache of :class:`repro.serve.AuditService`.
+    call; a repeated seeded audit is answered without simulation only by
+    the report cache of :class:`repro.serve.AuditService`.
 
     Parameters
     ----------
     workers : int, optional
-        Default thread count for :meth:`null_distribution`; ``None``
-        or ``1`` runs serially.  Results are bit-identical either way.
+        Default thread count for :meth:`null_distribution_multi`;
+        ``None`` or ``1`` runs serially.  Results are bit-identical
+        either way.
 
     Attributes
     ----------
@@ -814,109 +819,26 @@ class MonteCarloEngine:
         return stacked, stacked.segments
 
     @staticmethod
-    def chunk_layout(
-        chunk_points: int, n_worlds: int, chunk_worlds: int | None = None
-    ) -> list:
-        """The deterministic ``(start, width)`` chunk spans of a run.
+    def chunk_layout(chunk_points: int, n_worlds: int) -> list:
+        """The deterministic ``(start, width)`` chunk spans of a run:
+        chunks of :func:`world_chunk_size` worlds, so the layout
+        depends on ``(chunk_points, n_worlds)`` alone.
 
         Parameters
         ----------
         chunk_points : int
             Matrix entries per world column (``kernel.chunk_points``).
         n_worlds : int
-        chunk_worlds : int, optional
-            Explicit chunk size override (tests); defaults to
-            :func:`world_chunk_size`.
 
         Returns
         -------
         list of (int, int)
         """
-        if chunk_worlds is None:
-            chunk_worlds = world_chunk_size(chunk_points, n_worlds)
-        chunk_worlds = max(1, int(chunk_worlds))
+        size = world_chunk_size(chunk_points, n_worlds)
         return [
-            (start, min(chunk_worlds, n_worlds - start))
-            for start in range(0, n_worlds, chunk_worlds)
+            (start, min(size, n_worlds - start))
+            for start in range(0, n_worlds, size)
         ]
-
-    def null_distribution(
-        self,
-        member: RegionMembership,
-        kernel: LLRKernel,
-        n_worlds: int,
-        seed: int | None = None,
-        workers: int | None = None,
-        chunk_worlds: int | None = None,
-        budget: BudgetPolicy | str | None = None,
-        observed_max: float | None = None,
-        alpha: float = 0.05,
-    ) -> np.ndarray:
-        """The null max-statistic distribution of a scan design.
-
-        Simulates ``n_worlds`` null worlds chunk by chunk through
-        ``kernel`` and returns each world's maximum region statistic.
-        The same design at the same integer ``seed`` gets bit-identical
-        maxima on every call.
-
-        Parameters
-        ----------
-        member : RegionMembership
-            The candidate regions' membership index.
-        kernel : LLRKernel
-            The outcome family's simulate, count and LLR steps.
-        n_worlds : int
-        seed : int, optional
-            Master seed; per-chunk streams are spawned from it.  When
-            ``None`` the run is unseeded.
-        workers : int, optional
-            Thread count; overrides the engine default.  ``>= 2`` runs
-            the chunks on a thread pool, anything else serially; the
-            result is bit-identical either way.  The pool never grows
-            past the chunk count or the usable cores
-            (``os.sched_getaffinity``), so a large request cannot
-            oversubscribe the machine.
-        chunk_worlds : int, optional
-            Chunk size override (tests/benchmarks); the default is
-            :func:`world_chunk_size` of the workload.
-        budget : BudgetPolicy, str or None, default None
-            ``None``/``'fixed'`` simulates exactly ``n_worlds`` worlds
-            (bit-identical to every release so far).  An adaptive
-            policy (:class:`repro.budget.BudgetPolicy`) runs the
-            progressive-round schedule and may return fewer maxima —
-            the caller reads the worlds actually simulated off the
-            result's length.  Adaptive runs are deterministic for a
-            given ``(seed, budget)`` at any worker count.
-        observed_max : float, optional
-            The observed scan maximum the stopping rule tests
-            against; required when ``budget`` is adaptive.
-        alpha : float, default 0.05
-            The significance level the stopping rule settles the
-            verdict around (adaptive only).
-
-        Returns
-        -------
-        ndarray of float64, shape (m,)
-            ``m == n_worlds`` for a fixed budget; ``m <= n_worlds``
-            when an adaptive budget stopped early.
-
-        Notes
-        -----
-        A solo run is the one-design case of
-        :meth:`null_distribution_multi`: the same chunk layout, random
-        streams and counters, so the two agree bit for bit.
-        """
-        return self.null_distribution_multi(
-            [member],
-            kernel,
-            n_worlds,
-            seed=seed,
-            workers=workers,
-            chunk_worlds=chunk_worlds,
-            budget=budget,
-            observed_maxes=[observed_max],
-            alphas=[alpha],
-        )[0]
 
     def null_distribution_multi(
         self,
@@ -925,13 +847,17 @@ class MonteCarloEngine:
         n_worlds: int,
         seed: int | None = None,
         workers: int | None = None,
-        chunk_worlds: int | None = None,
         budget: BudgetPolicy | str | None = None,
         observed_maxes: list | None = None,
         alphas: list | None = None,
     ) -> list:
-        """Null distributions of several region designs from **one**
-        simulation pass — the engine's multi-statistic evaluation hook.
+        """Null max-statistic distributions of one or more region
+        designs from **one** simulation pass.
+
+        Simulates ``n_worlds`` null worlds chunk by chunk through
+        ``kernel`` and returns, per design, each world's maximum region
+        statistic.  The same design at the same integer ``seed`` gets
+        bit-identical maxima on every call.
 
         All designs share the same null model (one ``kernel``).  Each
         disjoint design gets its own region-level pass (see the module
@@ -941,9 +867,9 @@ class MonteCarloEngine:
         are reduced segment by segment.  The chunk layouts and
         per-chunk random streams depend only on ``(kernel, n_worlds,
         seed)`` and the design itself, so every returned distribution
-        is **bit-identical** to the one a solo run of that design
-        (:meth:`null_distribution`, the one-design case of this method)
-        would produce — fused and sequential audits agree exactly.
+        is **bit-identical** to the one a solo run of that design (the
+        one-design case of this method) would produce — fused and
+        sequential audits agree exactly.
 
         Parameters
         ----------
@@ -954,21 +880,38 @@ class MonteCarloEngine:
             The shared null model.  Callers must ensure every design in
             the batch really does share it (same family, simulation
             parameters and direction — equal ``kernel.cache_key()``).
-        n_worlds, seed, workers, chunk_worlds
-            As in :meth:`null_distribution`.
+        n_worlds : int
+            The world budget.
+        seed : int, optional
+            Master seed; per-chunk streams are spawned from it.  When
+            ``None`` the run is unseeded.
+        workers : int, optional
+            Thread count; overrides the engine default.  ``>= 2`` runs
+            the chunks on a thread pool, anything else serially; the
+            result is bit-identical either way.  The pool never grows
+            past the chunk count or the usable cores
+            (``os.sched_getaffinity``), so a large request cannot
+            oversubscribe the machine.
         budget : BudgetPolicy, str or None, default None
-            As in :meth:`null_distribution`.  With an adaptive policy
-            the fused group still simulates each progressive round
-            **once**, scores every still-undecided design against it,
-            and drops designs from the stacked scoring as their
+            ``None``/``'fixed'`` simulates exactly ``n_worlds`` worlds
+            (bit-identical to every release so far).  An adaptive
+            policy (:class:`repro.budget.BudgetPolicy`) runs the
+            progressive-round schedule: the group still simulates each
+            round **once**, scores every still-undecided design against
+            it, and drops designs from the stacked scoring as their
             verdicts settle — per-segment early stopping.  Designs may
-            therefore come back with different lengths.
+            therefore come back with different lengths; the caller
+            reads the worlds actually simulated off each one.  Adaptive
+            runs are deterministic for a given ``(seed, budget)`` at
+            any worker count.
         observed_maxes : list of float, optional
-            One observed scan maximum per entry of ``members``;
-            required when ``budget`` is adaptive.
+            One observed scan maximum per entry of ``members``, which
+            the stopping rule tests against; required when ``budget``
+            is adaptive.
         alphas : list of float, optional
-            Per-design significance levels for the stopping rule
-            (adaptive only); a single float is broadcast.
+            Per-design significance levels the stopping rule settles
+            the verdict around (adaptive only; default 0.05); a single
+            float is broadcast.
 
         Returns
         -------
@@ -997,7 +940,6 @@ class MonteCarloEngine:
                 n_worlds,
                 seed,
                 workers,
-                chunk_worlds,
                 list(observed_maxes),
                 list(alphas),
                 policy,
@@ -1009,7 +951,6 @@ class MonteCarloEngine:
             n_worlds,
             np.random.SeedSequence(seed),
             workers,
-            chunk_worlds,
         )
         rows = {id(member): row for member, row in zip(unique, nulls)}
         return [rows[id(member)].copy() for member in members]
@@ -1021,7 +962,6 @@ class MonteCarloEngine:
         n_worlds: int,
         parent: np.random.SeedSequence,
         workers: int | None,
-        chunk_worlds: int | None,
     ) -> np.ndarray:
         """Simulate ``n_worlds`` worlds and score them against every
         design in ``members``: one row of per-world maxima per design.
@@ -1045,7 +985,7 @@ class MonteCarloEngine:
                 spawn_key=parent.spawn_key,
                 pool_size=parent.pool_size,
             )
-            chunks = self.chunk_layout(len(member) + 1, n_worlds, chunk_worlds)
+            chunks = self.chunk_layout(len(member) + 1, n_worlds)
             null_max[i] = self._run_chunks(
                 kernel, member, chunks, fresh.spawn(len(chunks)),
                 n_worlds, workers, [(0, len(member))],
@@ -1054,9 +994,7 @@ class MonteCarloEngine:
             member, segments = self._fused_member(
                 [members[i] for i in points]
             )
-            chunks = self.chunk_layout(
-                kernel.chunk_points, n_worlds, chunk_worlds
-            )
+            chunks = self.chunk_layout(kernel.chunk_points, n_worlds)
             null_max[points] = self._run_chunks(
                 kernel, member, chunks, parent.spawn(len(chunks)),
                 n_worlds, workers, segments,
@@ -1115,7 +1053,6 @@ class MonteCarloEngine:
         n_worlds: int,
         seed: int | None,
         workers: int | None,
-        chunk_worlds: int | None,
         observed_maxes: list,
         alphas: list,
         policy: BudgetPolicy,
@@ -1156,7 +1093,6 @@ class MonteCarloEngine:
                 size,
                 round_seed,
                 workers,
-                chunk_worlds,
             )
             total += size
             still = []

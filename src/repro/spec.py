@@ -27,9 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .budget import BudgetPolicy, _int, _real
-from .core import CORRECTIONS, FAMILIES, MEASURES
-from .core import _DIRECTIONS as _core_directions
+from .budget import BudgetPolicy, _err, _int, _real
+from .core import MEASURES, _run_fields
 from .geometry import (
     GridPartitioning,
     Rect,
@@ -48,18 +47,6 @@ SPEC_VERSION = 1
 
 #: Region designs a :class:`RegionSpec` can describe.
 REGION_KINDS = ("grid", "squares", "circles")
-
-#: Canonical direction names for ``AuditSpec``, derived from the one
-#: alias table the dispatch itself parses (no drift possible).
-_DIRECTION_CANON = {
-    alias: {0: "two-sided", -1: "lower", 1: "higher"}[code]
-    for alias, code in _core_directions.items()
-}
-
-
-def _err(field_name: str, message: str) -> ValueError:
-    return ValueError(f"{field_name}: {message}")
-
 
 def _reals(field_name: str, values) -> tuple:
     """``values`` as a tuple of floats (:func:`repro.budget._real`
@@ -446,7 +433,8 @@ class AuditSpec:
         early once the sequential rule settles the verdict.  A dict
         form tunes the adaptive parameters.
     seed : int, optional
-        Monte Carlo master seed; ``None`` runs unseeded (and uncached).
+        Monte Carlo master seed, ``>= 0``; ``None`` runs unseeded
+        (and uncached).
     workers : int, optional
         Worker threads; ``None`` defers to the session default.
 
@@ -484,12 +472,17 @@ class AuditSpec:
                 "expected a RegionSpec (or its dict form), got "
                 f"{type(self.regions).__name__}",
             )
-        if _name("family", self.family) not in FAMILIES:
-            raise _err(
-                "family",
-                f"unknown family {self.family!r}; registered: "
-                f"{sorted(FAMILIES)}",
-            )
+        # The Monte Carlo fields are checked as the legacy auditors'
+        # audit() checks them.
+        names = (
+            "n_worlds", "alpha", "direction", "correction", "seed",
+            "workers",
+        )
+        checked = _run_fields(
+            self.family, *(getattr(self, name) for name in names)
+        )
+        for name, value in zip(names, checked):
+            object.__setattr__(self, name, value)
         measure = MEASURES.get(_name("measure", self.measure))
         if measure is None:
             raise _err(
@@ -506,51 +499,11 @@ class AuditSpec:
                 f"measure {self.measure!r} applies to families "
                 f"{measure.families}, not {self.family!r}",
             )
-        n_worlds = _int("n_worlds", self.n_worlds)
-        if n_worlds < 1:
-            raise _err("n_worlds", f"must be >= 1, got {self.n_worlds}")
-        object.__setattr__(self, "n_worlds", n_worlds)
-        alpha = _real("alpha", self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise _err("alpha", f"must lie in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        try:
-            direction = _DIRECTION_CANON[self.direction]
-        except (KeyError, TypeError):
-            raise _err(
-                "direction",
-                f"unknown direction {self.direction!r}; expected one "
-                f"of {sorted(set(_DIRECTION_CANON) - {None})}",
-            ) from None
-        object.__setattr__(self, "direction", direction)
-        if (
-            direction != "two-sided"
-            and not FAMILIES[self.family].directional
-        ):
-            raise _err(
-                "direction",
-                f"family {self.family!r} only supports two-sided scans",
-            )
-        if self.correction not in CORRECTIONS:
-            raise _err(
-                "correction",
-                f"unknown correction {self.correction!r}; expected one "
-                f"of {CORRECTIONS}",
-            )
         # BudgetPolicy.parse raises ValueErrors that name the
         # ``budget`` field, matching the _err convention here.
         object.__setattr__(
             self, "budget", BudgetPolicy.parse(self.budget)
         )
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _int("seed", self.seed))
-        if self.workers is not None:
-            workers = _int("workers", self.workers)
-            if workers < 1:
-                raise _err(
-                    "workers", f"must be >= 1, got {self.workers}"
-                )
-            object.__setattr__(self, "workers", workers)
 
     def to_dict(self) -> dict:
         """The spec as plain JSON types, stamped with

@@ -7,7 +7,7 @@ stack:
   :func:`repro.budget.clopper_pearson` and
   :func:`repro.budget.round_sizes` pinned on hand-computable cases, so
   a refactor cannot silently change the stopping rule;
-* **engine stopping** — :meth:`MonteCarloEngine.null_distribution`
+* **engine stopping** — :meth:`MonteCarloEngine.null_distribution_multi`
   with observed maxima of ``±inf`` forces each trigger on a
   hand-computable schedule, and fused multi-design runs stop each
   segment independently while staying bit-identical to solo runs;
@@ -260,10 +260,10 @@ class TestEngineStopping:
     ):
         # k = m = 16 >= min_exceedances=5 after round one.
         engine, member, kernel = engine_setup
-        null = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5, budget=small_policy(),
-            observed_max=-np.inf, alpha=0.05,
-        )
+        null = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5, budget=small_policy(),
+            observed_maxes=[-np.inf], alphas=[0.05],
+        )[0]
         assert len(null) == 16
 
     def test_no_exceedance_tight_alpha_spends_full_budget(
@@ -272,10 +272,10 @@ class TestEngineStopping:
         # k = 0 and alpha=1e-6: the CI always straddles, so the run
         # must complete all [16, 16, 17] rounds.
         engine, member, kernel = engine_setup
-        null = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5, budget=small_policy(),
-            observed_max=np.inf, alpha=1e-6,
-        )
+        null = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5, budget=small_policy(),
+            observed_maxes=[np.inf], alphas=[1e-6],
+        )[0]
         assert len(null) == N_WORLDS
 
     def test_no_exceedance_loose_alpha_stops_ci_below(
@@ -283,24 +283,24 @@ class TestEngineStopping:
     ):
         # k=0 at m=16: CP upper bound 1 - 0.005**(1/16) ~= 0.282 < 0.5.
         engine, member, kernel = engine_setup
-        null = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5, budget=small_policy(),
-            observed_max=np.inf, alpha=0.5,
-        )
+        null = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5, budget=small_policy(),
+            observed_maxes=[np.inf], alphas=[0.5],
+        )[0]
         assert len(null) == 16
 
     def test_world_stream_independent_of_stopping(self, engine_setup):
         # The stopped run's worlds are the exact prefix of the full
         # run's: stopping decisions never perturb the random streams.
         engine, member, kernel = engine_setup
-        full = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5, budget=small_policy(),
-            observed_max=np.inf, alpha=1e-6,
-        )
-        stopped = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5, budget=small_policy(),
-            observed_max=np.inf, alpha=0.5,
-        )
+        full = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5, budget=small_policy(),
+            observed_maxes=[np.inf], alphas=[1e-6],
+        )[0]
+        stopped = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5, budget=small_policy(),
+            observed_maxes=[np.inf], alphas=[0.5],
+        )[0]
         assert np.array_equal(stopped, full[: len(stopped)])
 
     def test_multi_stops_each_segment_independently(
@@ -315,10 +315,10 @@ class TestEngineStopping:
             ),
             unit_coords,
         )
-        solo = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5, budget=small_policy(),
-            observed_max=-np.inf, alpha=0.05,
-        )
+        solo = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5, budget=small_policy(),
+            observed_maxes=[-np.inf], alphas=[0.05],
+        )[0]
         nulls = engine.null_distribution_multi(
             [member, other], kernel, N_WORLDS, seed=5,
             budget=small_policy(),
@@ -331,9 +331,9 @@ class TestEngineStopping:
     def test_adaptive_requires_observed_max(self, engine_setup):
         engine, member, kernel = engine_setup
         with pytest.raises(ValueError, match="observed_max"):
-            engine.null_distribution(
-                member, kernel, N_WORLDS, seed=5,
-                budget=small_policy(),
+            engine.null_distribution_multi(
+                [member], kernel, N_WORLDS, seed=5,
+                budget=small_policy(), observed_maxes=[None],
             )
         with pytest.raises(ValueError, match="observed_maxes"):
             engine.null_distribution_multi(
@@ -348,9 +348,9 @@ class TestEngineStopping:
         # budget='fixed' must be bit-identical to not passing a budget
         # at all (the pre-adaptive behaviour).
         engine, member, kernel = engine_setup
-        base = engine.null_distribution(
-            member, kernel, N_WORLDS, seed=5
-        )
+        base = engine.null_distribution_multi(
+            [member], kernel, N_WORLDS, seed=5
+        )[0]
         engine2 = MonteCarloEngine()
         member2 = RegionMembership(
             repro.partition_region_set(
@@ -360,10 +360,10 @@ class TestEngineStopping:
             ),
             unit_coords,
         )
-        fixed = engine2.null_distribution(
-            member2, kernel, N_WORLDS, seed=5, budget="fixed",
-            observed_max=0.0, alpha=0.05,
-        )
+        fixed = engine2.null_distribution_multi(
+            [member2], kernel, N_WORLDS, seed=5, budget="fixed",
+            observed_maxes=[0.0], alphas=[0.05],
+        )[0]
         assert np.array_equal(base, fixed)
 
     def test_adaptive_pass_leaves_caller_lists_unchanged(
@@ -377,7 +377,7 @@ class TestEngineStopping:
         observed = [-np.inf]
         alphas = [0.05]
         engine._adaptive_pass(
-            [member], kernel, N_WORLDS, 5, None, None,
+            [member], kernel, N_WORLDS, 5, None,
             observed, alphas, small_policy(),
         )
         assert observed == [-np.inf]

@@ -176,9 +176,9 @@ def test_region_level_maxima_match_point_level(family, monkeypatch):
     def maxima(seed):
         member = RegionMembership(regions, coords)
         kernel = make_kernel(family, coords, labels, counts, classes)
-        return MonteCarloEngine().null_distribution(
-            member, kernel, 4000, seed=seed
-        )
+        return MonteCarloEngine().null_distribution_multi(
+            [member], kernel, 4000, seed=seed
+        )[0]
 
     assert RegionMembership(regions, coords).disjoint
     region_level = maxima(1)

@@ -10,12 +10,14 @@ from repro import AuditSession, AuditSpec, RegionSpec
 from repro.core import (
     CORRECTIONS,
     FAMILIES,
+    MultinomialSpatialAuditor,
+    PoissonSpatialAuditor,
     PowerAnalysis,
     RegionColumns,
     SpatialFairnessAuditor,
+    _scan_group,
     gerrymander_score,
     log_likelihood_ratio,
-    run_scan,
     select_non_overlapping,
 )
 from repro.engine import MonteCarloEngine
@@ -124,6 +126,15 @@ class TestPowerAnalysis:
         # Every trial audits through the one shared engine and index.
         assert analysis.engine.index_builds == 1
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_worlds", 2.7), ("alpha", 1.5), ("workers", 0)]
+    )
+    def test_fields_checked_as_audits_check_them(
+        self, field, value, unit_coords, unit_regions
+    ):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            PowerAnalysis(unit_coords, unit_regions, **{field: value})
+
     def test_curve_shares_one_random_stream(self, unit_coords,
                                             unit_regions):
         analysis = PowerAnalysis(
@@ -177,6 +188,86 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_worlds"):
             auditor.audit(unit_regions, n_worlds=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", 1.5), ("alpha", 0), ("alpha", -1),
+            ("n_worlds", 2.7), ("n_worlds", True), ("n_worlds", "9"),
+            ("seed", 2.5), ("seed", -1), ("workers", 0), ("workers", 2.5),
+        ],
+    )
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "multinomial"])
+    def test_legacy_fields_refused_as_the_spec_refuses_them(
+        self, family, field, value, unit_coords, biased_labels,
+        biased_counts, biased_classes, unit_regions,
+    ):
+        observed, forecast = biased_counts
+        auditor = {
+            "bernoulli": lambda: SpatialFairnessAuditor(
+                unit_coords, biased_labels
+            ),
+            "poisson": lambda: PoissonSpatialAuditor(
+                unit_coords, observed, forecast
+            ),
+            "multinomial": lambda: MultinomialSpatialAuditor(
+                unit_coords, biased_classes, 3
+            ),
+        }[family]()
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            auditor.audit(
+                unit_regions, **{"n_worlds": N_WORLDS, field: value}
+            )
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            AuditSpec(regions=RegionSpec.grid(5, 5), family=family,
+                      **{field: value})
+
+    def test_membership_must_match_regions_and_points(
+        self, unit_coords, biased_labels, unit_regions
+    ):
+        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
+        coarse = partition_region_set(
+            GridPartitioning.regular(Rect(0, 0, 1, 1), 2, 2)
+        )
+        other_points = np.random.default_rng(7).random((300, 2))
+        for membership in (
+            RegionMembership(coarse, unit_coords),
+            RegionMembership(unit_regions, other_points),
+        ):
+            with pytest.raises(ValueError, match="^membership: "):
+                auditor.audit(
+                    unit_regions, n_worlds=N_WORLDS, membership=membership
+                )
+        # A matching index built elsewhere is accepted.
+        auditor.audit(
+            unit_regions, n_worlds=N_WORLDS, seed=1,
+            membership=RegionMembership(unit_regions, unit_coords),
+        )
+
+    @pytest.mark.parametrize("n_classes", [601, 2**64])
+    def test_multinomial_class_count_bounded_by_points(
+        self, n_classes, unit_coords, biased_classes
+    ):
+        # Refused before any per-class array is allocated.
+        with pytest.raises(ValueError, match="^n_classes: "):
+            MultinomialSpatialAuditor(unit_coords, biased_classes, n_classes)
+        session = AuditSession(
+            unit_coords, biased_classes, n_classes=n_classes
+        )
+        spec = AuditSpec(regions=RegionSpec.grid(3, 3),
+                         family="multinomial", n_worlds=N_WORLDS, seed=1)
+        with pytest.raises(ValueError, match="^n_classes: "):
+            session.run(spec)
+        # So is a window evicted below a declared count.
+        small = AuditSession(unit_coords, biased_classes, n_classes=3)
+        small.evict(np.arange(len(unit_coords)) >= 2)
+        with pytest.raises(ValueError, match="^n_classes: 3 classes"):
+            small.run(spec)
+        # An inferred count is bounded the same way.
+        labels = np.zeros(len(unit_coords), dtype=np.int64)
+        labels[-1] = 10**7
+        with pytest.raises(ValueError, match="^outcomes: "):
+            AuditSession(unit_coords, labels).run(spec)
+
 
 def _doubled_grid() -> RegionSet:
     """An empty region, then every cell of the unit 3x3 grid twice: each
@@ -213,10 +304,12 @@ def doubled_scan(request, unit_coords, biased_labels, biased_counts,
     member = RegionMembership(_doubled_grid(), unit_coords)
 
     def scan(alpha=0.25):
-        return run_scan(
-            MonteCarloEngine(), family, bound, member, n_worlds=N_WORLDS,
-            alpha=alpha, seed=5, correction=correction,
-        )
+        fam = FAMILIES[family]
+        return _scan_group(
+            MonteCarloEngine(), fam.kernel(bound, 0), [member],
+            [fam.observed(bound, member, 0)], [alpha], 0, [correction],
+            N_WORLDS, 5, None, None,
+        )[0]
 
     return family, scan
 

@@ -43,12 +43,20 @@ def make_kernel(family, coords, labels, counts, classes):
     )
 
 
+def fixed_chunks(patch, size):
+    """Patch the engine's chunk size to ``size`` worlds."""
+    patch.setattr(engine_mod, "world_chunk_size", lambda points, worlds: size)
+
+
 def null_pass(coords, regions, kernel, workers, seed=7):
-    """A fixed-budget, multi-chunk null pass on a fresh engine."""
-    return MonteCarloEngine().null_distribution(
-        RegionMembership(regions, coords), kernel, 48, seed=seed,
-        chunk_worlds=8, workers=workers,
-    )
+    """A fixed-budget null pass of six 8-world chunks on a fresh
+    engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        fixed_chunks(patch, 8)
+        return MonteCarloEngine().null_distribution_multi(
+            [RegionMembership(regions, coords)], kernel, 48, seed=seed,
+            workers=workers,
+        )[0]
 
 
 def result_fingerprint(result):
@@ -89,8 +97,9 @@ class TestChunking:
             for (s0, w0), (s1, _) in zip(layout, layout[1:]):
                 assert s1 == s0 + w0
 
-    def test_layout_respects_override(self):
-        layout = MonteCarloEngine.chunk_layout(1000, 20, chunk_worlds=6)
+    def test_layout_respects_override(self, monkeypatch):
+        fixed_chunks(monkeypatch, 6)
+        layout = MonteCarloEngine.chunk_layout(1000, 20)
         assert [(s, w) for s, w in layout] == [
             (0, 6), (6, 6), (12, 6), (18, 2),
         ]
@@ -313,9 +322,9 @@ class TestPoissonAliasDraw:
         regions = GOLDEN_DESIGNS["squares"].build(unit_coords)
         member = RegionMembership(regions, unit_coords)
         assert not member.disjoint
-        alias = MonteCarloEngine().null_distribution(
-            member, kernel, 2000, seed=1
-        )
+        alias = MonteCarloEngine().null_distribution_multi(
+            [member], kernel, 2000, seed=1
+        )[0]
         draws = np.random.default_rng(2).multinomial(
             kernel.total_obs_int, kernel.probs, size=2000
         )
@@ -333,12 +342,12 @@ class TestNullCache:
         engine = MonteCarloEngine()
         member = RegionMembership(unit_regions, unit_coords)
         P = int(biased_labels.sum())
-        first = engine.null_distribution(
-            member, BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
-        )
-        second = engine.null_distribution(
-            member, BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
-        )
+        first = engine.null_distribution_multi(
+            [member], BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
+        )[0]
+        second = engine.null_distribution_multi(
+            [member], BernoulliKernel(len(unit_coords), P), N_WORLDS, seed=5
+        )[0]
         # The engine keeps no nulls: the repeat re-simulates.
         assert engine.worlds_simulated == 2 * N_WORLDS
         assert np.array_equal(first, second)
@@ -441,11 +450,11 @@ class TestRegionLevelPass:
             observed_maxes=[5.0] * len(members), **options,
         )
         for member, got in zip(members, fused):
-            solo = MonteCarloEngine().null_distribution(
-                RegionMembership(member.regions, coords),
+            solo = MonteCarloEngine().null_distribution_multi(
+                [RegionMembership(member.regions, coords)],
                 make_kernel(family, *data), N_WORLDS,
-                observed_max=5.0, **options,
-            )
+                observed_maxes=[5.0], **options,
+            )[0]
             assert got.tobytes() == solo.tobytes()
         assert engine.worlds_simulated == max(len(n) for n in fused)
 
@@ -517,12 +526,13 @@ class TestBlockedScoring:
         assert member.disjoint == (design == "grid")
 
         def run():
-            return MonteCarloEngine().null_distribution(
-                RegionMembership(regions, coords), make_kernel(family, *data),
-                48, seed=7, chunk_worlds=1, workers=workers,
-            )
+            return MonteCarloEngine().null_distribution_multi(
+                [RegionMembership(regions, coords)],
+                make_kernel(family, *data), 48, seed=7, workers=workers,
+            )[0]
 
-        layout = MonteCarloEngine.chunk_layout(1, 48, chunk_worlds=1)
+        fixed_chunks(monkeypatch, 1)
+        layout = MonteCarloEngine.chunk_layout(1, 48)
         assert engine_mod._blocks(layout, len(member)) == [(0, 48)]
         one_block = run()
         monkeypatch.setattr(engine_mod, "_BLOCK_ENTRIES", 1)

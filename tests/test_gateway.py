@@ -874,6 +874,29 @@ class TestHTTP:
         assert body["type"] == "ValueError"
         assert body["error"].startswith("outcomes: ")
 
+    def test_class_count_above_points_is_400_naming_the_field(
+        self, http, unit_coords, biased_labels
+    ):
+        client, _ = http
+        status, _, _ = client.post(
+            "/datasets",
+            {
+                "name": "classes",
+                "coords": unit_coords.tolist(),
+                "outcomes": biased_labels.tolist(),
+                "n_classes": 2**64,
+            },
+        )
+        assert status == 201
+        status, body, _ = client.post(
+            "/audit",
+            {"dataset": "classes",
+             "spec": {**SPEC_DICT, "family": "multinomial"}},
+        )
+        assert status == 400
+        assert body["type"] == "ValueError"
+        assert body["error"].startswith("n_classes: ")
+
     @pytest.mark.parametrize("value", [2.7, True, "7"])
     def test_non_integer_n_worlds_is_400(self, http, value):
         client, _ = http

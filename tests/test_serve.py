@@ -26,7 +26,7 @@ from repro import serve as serve_mod
 from repro.engine import BernoulliKernel
 from repro.index import StackedMembership
 from tests.conftest import N_WORLDS
-from tests.test_engine import result_fingerprint
+from tests.test_engine import fixed_chunks, result_fingerprint
 
 #: The unit grid matching the ``unit_regions`` fixture's geometry.
 UNIT_GRID = RegionSpec.grid(5, 5, bounds=(0.0, 0.0, 1.0, 1.0))
@@ -513,9 +513,9 @@ class TestEngineMultiHook:
         fresh = AuditSession(unit_coords, biased_labels)
         for spec, r, null in zip(specs, resolved, fused):
             solo_r = fresh.resolve(spec)
-            solo = solo_r.engine.null_distribution(
-                solo_r.member, solo_r.kernel, N_WORLDS, seed=21
-            )
+            solo = solo_r.engine.null_distribution_multi(
+                [solo_r.member], solo_r.kernel, N_WORLDS, seed=21
+            )[0]
             assert (null == solo).all()
 
     def test_multi_deduplicates_by_identity(self, service):
@@ -530,12 +530,14 @@ class TestEngineMultiHook:
         assert engine.worlds_simulated == N_WORLDS
 
     def test_multi_parallel_bit_identical(self, unit_coords,
-                                          biased_labels):
+                                          biased_labels, monkeypatch):
         specs = [
             AuditSpec(regions=UNIT_GRID, n_worlds=32, seed=13),
             AuditSpec(regions=RegionSpec.grid(6, 6), n_worlds=32,
                       seed=13),
         ]
+        # Four 8-world chunks, so the pool has chunks to share.
+        fixed_chunks(monkeypatch, 8)
         outs = []
         for workers in (1, 2):
             session = AuditSession(unit_coords, biased_labels)
@@ -547,7 +549,6 @@ class TestEngineMultiHook:
                     32,
                     seed=13,
                     workers=workers,
-                    chunk_worlds=8,
                 )
             )
         for serial, parallel in zip(*outs):

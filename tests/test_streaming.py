@@ -144,12 +144,12 @@ class TestSessionEquivalence:
             assert matrix_equal(rs.member, rc.member)
             assert np.array_equal(rs.member.counts, rc.member.counts)
             # 3. null distributions
-            ns = rs.engine.null_distribution(
-                rs.member, rs.kernel, N_WORLDS, seed=11
-            )
-            nc = rc.engine.null_distribution(
-                rc.member, rc.kernel, N_WORLDS, seed=11
-            )
+            ns = rs.engine.null_distribution_multi(
+                [rs.member], rs.kernel, N_WORLDS, seed=11
+            )[0]
+            nc = rc.engine.null_distribution_multi(
+                [rc.member], rc.kernel, N_WORLDS, seed=11
+            )[0]
             assert np.array_equal(ns, nc)
 
     @pytest.mark.parametrize(
@@ -645,8 +645,12 @@ class TestNonPrefixEvictions:
         assert ms.disjoint == mc.disjoint
         ks = self._kernel(design, outcomes[keep], forecast[keep])
         kc = self._kernel(design, outcomes[keep], forecast[keep])
-        ns = MonteCarloEngine().null_distribution(ms, ks, N_WORLDS, seed=11)
-        nc = MonteCarloEngine().null_distribution(mc, kc, N_WORLDS, seed=11)
+        ns, nc = (
+            MonteCarloEngine().null_distribution_multi(
+                [m], k, N_WORLDS, seed=11
+            )[0]
+            for m, k in ((ms, ks), (mc, kc))
+        )
         assert ns.tobytes() == nc.tobytes()
         if design == "poisson-squares":
             exp_s = ms.positive_counts(forecast[keep])
@@ -966,12 +970,12 @@ class TestIndexBuildCounter:
         )
         # A one-design "fusion" scores the member matrix directly.
         assert resolved.engine.index_builds == 1
-        solo = MonteCarloEngine().null_distribution(
-            RegionMembership(resolved.regions, session.coords),
+        solo = MonteCarloEngine().null_distribution_multi(
+            [RegionMembership(resolved.regions, session.coords)],
             resolved.kernel,
             N_WORLDS,
             seed=6,
-        )
+        )[0]
         assert np.array_equal(fused[0], solo)
 
     def test_solo_runs_count_exactly(self, unit_coords, biased_labels):
