@@ -49,7 +49,7 @@ from .core import (
     _parse_direction,
     _scan_group,
 )
-from .budget import _err, _int
+from .budget import _int, _workers
 from .engine import LLRKernel, MonteCarloEngine
 from .fingerprint import array_fingerprint as _array_fingerprint
 from .fingerprint import dataset_fingerprint as _dataset_fingerprint
@@ -493,8 +493,8 @@ class AuditSession:
         declared count too — is refused with a ValueError naming
         ``n_classes`` (``outcomes`` when the count was inferred).
     workers : int, optional
-        Default Monte Carlo worker count for specs that leave
-        ``workers`` unset.
+        Default Monte Carlo worker count (``>= 1``) for specs that
+        leave ``workers`` unset.
     timestamps : ndarray of shape (n,), optional
         Per-point event times (any monotone unit).  Required by the
         time-based :meth:`evict` selectors (``older_than``/
@@ -541,9 +541,7 @@ class AuditSession:
         timestamps: np.ndarray | None = None,
     ):
         if n_classes is not None:
-            n_classes = _int("n_classes", n_classes)
-            if n_classes < 1:
-                raise _err("n_classes", f"must be >= 1, got {n_classes}")
+            n_classes = _int("n_classes", n_classes, 1)
         self._state = _Snapshot(
             np.array(check_coords(coords)),
             _numbers("outcomes", outcomes),
@@ -559,7 +557,7 @@ class AuditSession:
                     f"{field}: length does not match coords "
                     f"({len(arr)} vs {len(self.coords)})"
                 )
-        self.workers = workers
+        self.workers = _workers(workers)
         self._engine = MonteCarloEngine()
         # (design, measure) -> (RegionSet, RegionMembership): the one
         # cache that outlives a state; stream events migrate it (see
@@ -646,7 +644,7 @@ class AuditSession:
     # Append/evict build the next snapshot AND migrate the cached
     # designs to it — incrementally where a membership can be updated
     # in place, by retirement where it cannot (a data-driven grid
-    # whose bounding box moved, a measure whose row mask is unknown).
+    # whose bounding box moved, a measure whose slice emptied out).
     # Everything that survives is bit-identical to what a cold session
     # over the final arrays would build, so streamed audits equal cold
     # audits exactly.
@@ -673,50 +671,44 @@ class AuditSession:
             )
         return arr
 
-    def _region_survives(
-        self, design, delta_changed, old: _Snapshot, new: _Snapshot
-    ) -> bool:
-        """Whether a materialised region set is still the one a cold
-        build over the new data would produce.
+    def _migrate(self, state: _Snapshot, slices: dict, update) -> None:
+        """Carry the cached designs over to the next state, then swap
+        it in.
 
-        Grids with explicit bounds are data-independent; grids without
-        bounds depend only on the full dataset's bounding box (frozen
-        float equality — a box that moved at all retires the grid);
-        k-means designs (squares/circles) depend on the measured
-        coordinate subset and survive only when that subset did not
-        change.
-        """
-        if design.kind == "grid" and design.bounds is not None:
-            return True
-        if design.kind == "grid":
-            new_box = new.bounding_box
-            return new_box is not None and new_box == old.bounding_box
-        return not delta_changed
-
-    def _migrate(self, state: _Snapshot, changed: dict, update) -> None:
-        """Carry the cached intermediates over to the next state, then
-        swap it in.
+        A design survives while a cold build over the new data would
+        produce the same regions.  Grids with explicit bounds always
+        do; grids without bounds depend only on the full dataset's
+        bounding box (frozen float equality — a box that moved at all
+        retires the grid); k-means designs (squares/circles) depend on
+        the measured coordinate subset and survive only when that
+        subset did not change.
 
         Parameters
         ----------
         state : _Snapshot
             The dataset after the event.
-        changed : dict of str -> bool or None
-            Per measure: did its measured slice change?  ``None`` =
-            unknown or emptied (retire every design of it).
+        slices : dict of str -> object
+            Per measure: the event's change to its measured slice, or
+            ``None`` when the slice did not change.  A measure without
+            an entry (slice emptied, measure unregistered) retires
+            every design of it.
         update : callable
-            ``update(member, measure)`` applies the event's in-place
-            update to one surviving membership whose slice changed.
+            ``update(member, change)`` applies one measure's change to
+            one surviving membership, in place.
         """
         for key, (_regions, member) in list(self._designs.items()):
             design, measure = key
-            change = changed.get(measure)
-            if change is None or not self._region_survives(
-                design, change, self._state, state
-            ):
+            change = slices.get(measure)
+            if design.kind == "grid":
+                survives = design.bounds is not None or (
+                    state.bounding_box == self._state.bounding_box
+                )
+            else:
+                survives = change is None
+            if measure not in slices or not survives:
                 del self._designs[key]
-            elif change:
-                update(member, measure)
+            elif change is not None:
+                update(member, change)
                 self.incremental_builds += 1
         self._state = state
 
@@ -794,18 +786,12 @@ class AuditSession:
             return
         # Which measures' slices does the batch touch, and with which
         # measured coordinates?
-        changed: dict = {}
         deltas: dict = {}
-        for measure in {measure for _, measure in self._designs}:
-            mdef = MEASURES.get(measure)
-            if mdef is None or mdef.mask is None:
-                changed[measure] = None
-                continue
-            dmask = np.asarray(
-                mdef.mask(coords, outcomes, y_true), dtype=bool
+        for measure in {m for _, m in self._designs if m in MEASURES}:
+            (added,) = MEASURES[measure].kept(
+                coords, outcomes, y_true, coords
             )
-            deltas[measure] = np.compress(dmask, coords, axis=0)
-            changed[measure] = bool(dmask.any())
+            deltas[measure] = added if len(added) else None
         delta = {
             "coords": coords,
             "outcomes": outcomes,
@@ -829,8 +815,8 @@ class AuditSession:
                 lambda name, arr: np.concatenate([arr, delta[name]]),
                 in_order,
             ),
-            changed,
-            lambda member, measure: member.append_points(deltas[measure]),
+            deltas,
+            RegionMembership.append_points,
         )
 
     def evict(
@@ -943,51 +929,34 @@ class AuditSession:
             drop = keep
             if drop == 0:
                 return
+            keep = np.ones(len(state.coords), dtype=bool)
+            keep[:drop] = False
 
             def take(name, arr):
                 return arr[drop:]
         else:
-            drop = None
             if keep.all():
                 return
 
             def take(name, arr):
                 return np.compress(keep, arr, axis=0)
-        changed: dict = {}
-        measured_keeps: dict = {}
-        for measure in {measure for _, measure in self._designs}:
-            mdef = MEASURES.get(measure)
-            if mdef is None or mdef.mask is None:
-                changed[measure] = None
-                continue
-            mmask = np.asarray(
-                mdef.mask(state.coords, state.outcomes, state.y_true),
-                dtype=bool,
+        # Each measure keeps its own rows of the keep mask (a prefix
+        # stays a prefix, which evict_points detects).  A slice that
+        # emptied out gets no entry: its caches retire, so the cold
+        # path reports the canonical no-observations error on next use.
+        keeps: dict = {}
+        for measure in {m for _, m in self._designs if m in MEASURES}:
+            (mkeep,) = MEASURES[measure].kept(
+                state.coords, state.outcomes, state.y_true, keep
             )
-            if drop is not None:
-                # The measure's own rows lose a prefix too.
-                measured_keep = np.ones(np.count_nonzero(mmask), bool)
-                measured_keep[: np.count_nonzero(mmask[:drop])] = False
-            else:
-                measured_keep = np.compress(mmask, keep)
-            if measured_keep.all():
-                changed[measure] = False
-            elif measured_keep.any():
-                changed[measure] = True
-                measured_keeps[measure] = measured_keep
-            else:
-                # The measure's slice emptied out entirely; retire its
-                # caches so the cold path reports the canonical
-                # no-observations error on next use.
-                changed[measure] = None
+            if mkeep.any():
+                keeps[measure] = None if mkeep.all() else mkeep
         # Survivors of in-order stamps stay in order; any other state
         # checks its survivors, which may have shed the offenders.
         self._migrate(
             state.derive(take, True if state.in_order else None),
-            changed,
-            lambda member, measure: member.evict_points(
-                measured_keeps[measure]
-            ),
+            keeps,
+            RegionMembership.evict_points,
         )
 
     # -- running specs --------------------------------------------------

@@ -80,19 +80,27 @@ def _err(field_name: str, message: str) -> ValueError:
     return ValueError(f"{field_name}: {message}")
 
 
-def _int(field_name: str, value) -> int:
+def _int(field_name: str, value, low: int | None = None) -> int:
     """``value`` as an ``int``, or a ValueError naming ``field_name``.
 
     Python and numpy integers and integral floats (``2.0``) pass;
     bools, fractional floats, strings and anything else are refused
-    rather than truncated or parsed.
+    rather than truncated or parsed, and so is a value below ``low``.
     """
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        if low is not None and value < low:
+            raise _err(field_name, f"must be >= {low}, got {int(value)}")
+        return int(value)
     raise _err(field_name, f"expected an integer, got {value!r}")
+
+
+def _workers(workers) -> int | None:
+    """A worker count: ``None`` (the default) or an int >= 1, else a
+    ValueError naming ``workers``."""
+    return None if workers is None else _int("workers", workers, 1)
 
 
 def _real(field_name: str, value) -> float:
@@ -162,12 +170,7 @@ class BudgetPolicy:
                     "(initial/growth/min_exceedances/confidence)",
                 )
             return
-        initial = _int("budget.initial", self.initial)
-        if initial < 1:
-            raise _err(
-                "budget.initial",
-                f"first-round worlds must be >= 1, got {self.initial}",
-            )
+        initial = _int("budget.initial", self.initial, 1)
         object.__setattr__(self, "initial", initial)
         growth = _real("budget.growth", self.growth)
         if not growth > 1.0:
@@ -176,12 +179,7 @@ class BudgetPolicy:
                 f"refinement multiplier must be > 1, got {self.growth}",
             )
         object.__setattr__(self, "growth", growth)
-        min_exc = _int("budget.min_exceedances", self.min_exceedances)
-        if min_exc < 1:
-            raise _err(
-                "budget.min_exceedances",
-                f"must be >= 1, got {self.min_exceedances}",
-            )
+        min_exc = _int("budget.min_exceedances", self.min_exceedances, 1)
         object.__setattr__(self, "min_exceedances", min_exc)
         confidence = _real("budget.confidence", self.confidence)
         if not 0.5 < confidence < 1.0:

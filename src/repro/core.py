@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .budget import _err, _int, _real, clopper_pearson
+from .budget import _err, _int, _real, _workers, clopper_pearson
 from .engine import (
     BernoulliKernel,
     LLRKernel,
@@ -148,9 +148,7 @@ def _run_fields(
             "family",
             f"unknown family {family!r}; registered: {sorted(FAMILIES)}",
         )
-    n_worlds = _int("n_worlds", n_worlds)
-    if n_worlds < 1:
-        raise _err("n_worlds", f"must be >= 1, got {n_worlds}")
+    n_worlds = _int("n_worlds", n_worlds, 1)
     alpha = _real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise _err("alpha", f"must lie in (0, 1), got {alpha}")
@@ -168,16 +166,11 @@ def _run_fields(
             f"{CORRECTIONS}",
         )
     if seed is not None:
-        seed = _int("seed", seed)
         # numpy's SeedSequence takes non-negative entropy only.
-        if seed < 0:
-            raise _err("seed", f"must be >= 0, got {seed}")
-    if workers is not None:
-        workers = _int("workers", workers)
-        if workers < 1:
-            raise _err("workers", f"must be >= 1, got {workers}")
+        seed = _int("seed", seed, 0)
     return (
-        n_worlds, alpha, _DIRECTION_NAMES[code], correction, seed, workers
+        n_worlds, alpha, _DIRECTION_NAMES[code], correction, seed,
+        _workers(workers),
     )
 
 
@@ -509,10 +502,7 @@ class AuditResult:
             Naming ``k`` when it is negative, a bool or not an
             integer.
         """
-        k = _int("k", k)
-        if k < 0:
-            raise ValueError(f"k: must be non-negative, got {k}")
-        return self.significant_findings[:k]
+        return self.significant_findings[: _int("k", k, 0)]
 
     @property
     def global_rate(self) -> float:
@@ -683,36 +673,59 @@ def register_family(family: ScanFamily) -> ScanFamily:
 
 @dataclass(frozen=True)
 class MeasureDef:
-    """A registered fairness measure: the slice of the bound dataset an
-    audit actually scans.
+    """A registered fairness measure: which rows of the bound dataset
+    an audit scans, and what each kept row's outcome is.
 
     Attributes
     ----------
     name : str
         Registry key; the value of ``AuditSpec.measure``.
-    extract : callable
-        ``(coords, outcomes, y_true) -> (coords, outcomes)``.
+    rows : callable or None
+        ``(coords, outcomes, y_true) -> bool ndarray of shape (n,)``
+        marking the rows the measure keeps; ``None`` keeps every row.
+        A row mask commutes with concatenation and subsetting, so
+        streaming sessions map appends/evictions onto each measure's
+        slice (:meth:`repro.api.AuditSession.append`).
+    outcome : callable or None
+        ``(outcomes, y_true) -> outcomes`` of the kept rows; ``None``
+        keeps the outcomes as given.
     families : tuple of str or None
         Families the measure applies to; ``None`` means every
         registered family, including ones registered later.
     needs_y_true : bool
         Whether the session must carry ground-truth labels.
-    mask : callable or None
-        ``(coords, outcomes, y_true) -> bool ndarray of shape (n,)``
-        marking the rows ``extract`` keeps, in order.  Row-mask
-        measures commute with concatenation and subsetting, which lets
-        streaming sessions map dataset-level appends/evictions onto
-        each measure's slice (:meth:`repro.api.AuditSession.append`).
-        ``None`` means the measure gives no such guarantee; streaming
-        sessions then fall back to cold rebuilds for it — slower but
-        still bit-identical.
     """
 
     name: str
-    extract: Callable
+    rows: Callable | None = None
+    outcome: Callable | None = None
     families: tuple | None = None
     needs_y_true: bool = False
-    mask: Callable | None = None
+
+    def kept(self, coords, outcomes, y_true, *arrays) -> list:
+        """Each of ``arrays`` (row-aligned with ``coords``; None stays
+        None) on the rows :attr:`rows` keeps, or the arrays themselves
+        without a row mask.  A ValueError names ``measure`` when the
+        mask does not fit the rows."""
+        if self.rows is None:
+            return list(arrays)
+        keep = np.asarray(self.rows(coords, outcomes, y_true), dtype=bool)
+        if keep.shape != (len(coords),):
+            raise _err("measure", f"{self.name!r} rows gave {keep.shape}")
+        return [
+            None if arr is None else np.compress(keep, arr, axis=0)
+            for arr in arrays
+        ]
+
+    def extract(self, coords, outcomes, y_true) -> tuple:
+        """``(coords, outcomes)`` of the kept rows, outcomes mapped;
+        the arrays given when the measure keeps and maps nothing."""
+        coords, outcomes, y_true = self.kept(
+            coords, outcomes, y_true, coords, outcomes, y_true
+        )
+        if self.outcome is not None:
+            outcomes = np.asarray(self.outcome(outcomes, y_true))
+        return coords, outcomes
 
 
 #: Registry of measures by name; see :func:`register_measure`.
@@ -1105,41 +1118,18 @@ POISSON = register_family(PoissonFamily())
 MULTINOMIAL = register_family(MultinomialFamily())
 
 
-def _extract_identity(coords, outcomes, y_true):
-    return coords, outcomes
-
-
-def _mask_identity(coords, outcomes, y_true):
-    return np.ones(len(coords), dtype=bool)
-
-
 def _accuracy_measure(name: str, true_label: int) -> MeasureDef:
     """A measure keeping the rows whose true label is ``true_label``;
-    the outcome is whether the model predicted them positive."""
-
-    def mask(coords, outcomes, y_true):
-        return np.asarray(y_true) == true_label
-
-    def extract(coords, outcomes, y_true):
-        keep = mask(coords, outcomes, y_true)
-        return np.compress(keep, coords, axis=0), (
-            np.compress(keep, outcomes) == 1
-        ).astype(np.int8)
-
+    the outcome is the model's own (binary) prediction."""
     return MeasureDef(
         name,
-        extract,
+        rows=lambda coords, outcomes, y: np.asarray(y) == true_label,
         families=("bernoulli",),
         needs_y_true=True,
-        mask=mask,
     )
 
 
-register_measure(
-    MeasureDef(
-        "statistical_parity", _extract_identity, mask=_mask_identity
-    )
-)
+register_measure(MeasureDef("statistical_parity"))
 register_measure(_accuracy_measure("equal_opportunity", 1))
 register_measure(_accuracy_measure("predictive_equality", 0))
 
@@ -1608,12 +1598,14 @@ class PowerAnalysis:
         self.coords = check_coords(coords)
         self.regions = regions
         # Checked as each trial's audit checks them, before any runs.
-        self.n_worlds, self.alpha, _, _, self.seed, workers = _run_fields(
+        (
+            self.n_worlds, self.alpha, _, _, self.seed, self.workers
+        ) = _run_fields(
             "bernoulli", n_worlds, alpha, None, "max-stat", seed, workers
         )
         # One engine and one membership index serve every trial:
         # locations are fixed by the design, only labels vary.
-        self.engine = MonteCarloEngine(workers=workers)
+        self.engine = MonteCarloEngine()
         self._member = self.engine._cold_build(regions, self.coords)
 
     def power_at(
@@ -1636,12 +1628,18 @@ class PowerAnalysis:
             ``outside_rate - inside_rate``; 0 measures the audit's
             size (false-alarm rate).
         n_trials : int, default 20
-            Simulated datasets.
+            Simulated datasets, ``>= 1``.
 
         Returns
         -------
         PowerEstimate
+
+        Raises
+        ------
+        ValueError
+            Naming ``n_trials`` when it is not an integer ``>= 1``.
         """
+        n_trials = _int("n_trials", n_trials, 1)
         rng = _rng or np.random.default_rng(self.seed)
         inside = bias.contains(self.coords)
         rates = np.where(
@@ -1661,6 +1659,7 @@ class PowerAnalysis:
                 alpha=self.alpha,
                 seed=int(rng.integers(0, 2**31 - 1)),
                 membership=self._member,
+                workers=self.workers,
             )
             rejections += not result.is_fair
         power = rejections / n_trials
@@ -1691,7 +1690,13 @@ class PowerAnalysis:
         Returns
         -------
         list of PowerEstimate
+
+        Raises
+        ------
+        ValueError
+            Naming ``n_trials`` as :meth:`power_at` does.
         """
+        n_trials = _int("n_trials", n_trials, 1)
         rng = np.random.default_rng(self.seed)
         return [
             self.power_at(
@@ -1754,15 +1759,25 @@ def gerrymander_score(
     partitioning : GridPartitioning
         The partitioning under scrutiny.
     n_random : int, default 99
-        Random comparison partitionings.
+        Random comparison partitionings, ``>= 1``.
     seed : int, optional
     threshold : float, default 0.05
-        Percentile below which the verdict is ``suspicious``.
+        Percentile in [0, 1] below which the verdict is
+        ``suspicious``.
 
     Returns
     -------
     GerrymanderScore
+
+    Raises
+    ------
+    ValueError
+        Naming ``n_random`` or ``threshold`` when out of range.
     """
+    n_random = _int("n_random", n_random, 1)
+    threshold = _real("threshold", threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise _err("threshold", f"must lie in [0, 1], got {threshold}")
     coords = np.asarray(coords, dtype=np.float64)
     y = np.asarray(y_pred, dtype=np.float64).ravel()
     N = len(coords)

@@ -754,13 +754,6 @@ class MonteCarloEngine:
     call; a repeated seeded audit is answered without simulation only by
     the report cache of :class:`repro.serve.AuditService`.
 
-    Parameters
-    ----------
-    workers : int, optional
-        Default thread count for :meth:`null_distribution_multi`;
-        ``None`` or ``1`` runs serially.  Results are bit-identical
-        either way.
-
     Attributes
     ----------
     index_builds : int
@@ -780,8 +773,7 @@ class MonteCarloEngine:
         ran.
     """
 
-    def __init__(self, workers: int | None = None):
-        self.workers = workers
+    def __init__(self):
         self.index_builds = 0
         self.worlds_simulated = 0
 
@@ -886,12 +878,11 @@ class MonteCarloEngine:
             Master seed; per-chunk streams are spawned from it.  When
             ``None`` the run is unseeded.
         workers : int, optional
-            Thread count; overrides the engine default.  ``>= 2`` runs
-            the chunks on a thread pool, anything else serially; the
-            result is bit-identical either way.  The pool never grows
-            past the chunk count or the usable cores
-            (``os.sched_getaffinity``), so a large request cannot
-            oversubscribe the machine.
+            Thread count.  ``>= 2`` runs the chunks on a thread pool,
+            anything else serially; the result is bit-identical either
+            way.  The pool never grows past the chunk count or the
+            usable cores (``os.sched_getaffinity``), so a large request
+            cannot oversubscribe the machine.
         budget : BudgetPolicy, str or None, default None
             ``None``/``'fixed'`` simulates exactly ``n_worlds`` worlds
             (bit-identical to every release so far).  An adaptive
@@ -1020,7 +1011,6 @@ class MonteCarloEngine:
         once per block (:func:`_blocks`).  The statistic is elementwise
         per world, so the blocking changes no value."""
         kernel.bind(member)
-        workers = self.workers if workers is None else workers
         n_threads = min(int(workers or 1), len(chunks), _usable_cores())
         null_max = np.empty((len(segments), n_worlds))
         threaded = n_threads >= 2

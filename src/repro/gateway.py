@@ -51,7 +51,7 @@ import time
 from typing import Sequence
 
 from .api import AuditSession
-from .budget import _err, _int
+from .budget import _int, _workers
 from .faults import fault_point
 from .serve import AuditService, PendingAudit
 from .spec import AuditSpec
@@ -348,7 +348,8 @@ class AuditGateway:
         Per-tenant cap on in-flight audits; ``None`` leaves only the
         gateway-wide bound.
     workers : int, optional
-        Default simulation worker count for every per-dataset session.
+        Default simulation worker count (``>= 1``) for every
+        per-dataset session.
     cache_size : int, default 128
         Per-dataset service report-cache size.
     store : TicketStore or str, optional
@@ -367,21 +368,13 @@ class AuditGateway:
         cache_size: int = 128,
         store: TicketStore | str | None = None,
     ):
-        self.queue_size = _int("queue_size", queue_size)
-        if self.queue_size < 1:
-            raise _err("queue_size", f"must be >= 1, got {queue_size!r}")
+        self.queue_size = _int("queue_size", queue_size, 1)
         self.tenant_quota = (
             None if tenant_quota is None
-            else _int("tenant_quota", tenant_quota)
+            else _int("tenant_quota", tenant_quota, 1)
         )
-        if self.tenant_quota is not None and self.tenant_quota < 1:
-            raise _err(
-                "tenant_quota", f"must be None or >= 1, got {tenant_quota!r}"
-            )
-        self.workers = workers
-        self.cache_size = _int("cache_size", cache_size)
-        if self.cache_size < 0:
-            raise _err("cache_size", f"must be >= 0, got {cache_size!r}")
+        self.workers = _workers(workers)
+        self.cache_size = _int("cache_size", cache_size, 0)
         if not isinstance(store, TicketStore):
             store = TicketStore(store or ":memory:")
             if store.path == ":memory:":  # its own, so it is capped

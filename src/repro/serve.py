@@ -59,7 +59,7 @@ from contextlib import contextmanager
 from typing import Sequence
 
 from .api import AuditReport, AuditSession, ResolvedSpec
-from .budget import _err, _int
+from .budget import _int
 from .faults import fault_point
 from .fingerprint import combine_fingerprints
 from .spec import AuditSpec
@@ -238,9 +238,7 @@ class AuditService:
                 f"{type(session).__name__}"
             )
         self.session = session
-        self.cache_size = _int("cache_size", cache_size)
-        if self.cache_size < 0:
-            raise _err("cache_size", f"must be >= 0, got {cache_size!r}")
+        self.cache_size = _int("cache_size", cache_size, 0)
         self._cache: "OrderedDict[str, AuditReport]" = OrderedDict()
         self._pending: list = []
         self._lock = threading.Lock()

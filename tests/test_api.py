@@ -451,6 +451,13 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match=r"^n_classes: "):
             AuditSession(unit_coords, biased_labels, n_classes=value)
 
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "2", "x", True])
+    def test_bad_workers_names_the_field(
+        self, unit_coords, biased_labels, value
+    ):
+        with pytest.raises(ValueError, match=r"^workers: "):
+            AuditSession(unit_coords, biased_labels, workers=value)
+
     @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
     def test_integral_n_classes_is_kept_as_int(
         self, unit_coords, biased_labels, value

@@ -203,6 +203,12 @@ def test_serve_invalid_queue_size_is_exit_2(capsys):
     assert "invalid gateway options" in capsys.readouterr().err
 
 
+def test_serve_invalid_workers_is_exit_2(capsys):
+    assert main(["serve", "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid gateway options: workers" in err
+
+
 def test_serve_malformed_data_entry_is_exit_2(capsys):
     assert main(["serve", "--data", "no-equals-sign"]) == 2
     assert "expected NAME=file.npz" in capsys.readouterr().err

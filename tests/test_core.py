@@ -135,6 +135,14 @@ class TestPowerAnalysis:
         with pytest.raises(ValueError, match=f"^{field}: "):
             PowerAnalysis(unit_coords, unit_regions, **{field: value})
 
+    @pytest.mark.parametrize("n_trials", [0, -1, 2.5, "3", True])
+    def test_n_trials_checked(self, n_trials, unit_coords, unit_regions):
+        analysis = PowerAnalysis(unit_coords, unit_regions, n_worlds=19)
+        with pytest.raises(ValueError, match="^n_trials: "):
+            analysis.power_at(BIAS_RECT, 0.7, 0.5, n_trials=n_trials)
+        with pytest.raises(ValueError, match="^n_trials: "):
+            analysis.power_curve(BIAS_RECT, 0.7, [], n_trials=n_trials)
+
     def test_curve_shares_one_random_stream(self, unit_coords,
                                             unit_regions):
         analysis = PowerAnalysis(
@@ -164,6 +172,24 @@ class TestGerrymanderScore:
         assert 0.0 <= score.percentile <= 1.0
         assert score.suspicious == (score.percentile <= score.threshold)
         assert score.exposure > 0.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_random", 0),
+            ("n_random", -1),
+            ("n_random", 2.5),
+            ("threshold", "x"),
+            ("threshold", 1.5),
+            ("threshold", float("nan")),
+        ],
+    )
+    def test_fields_checked(self, field, value, unit_coords, biased_labels):
+        part = GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            gerrymander_score(
+                unit_coords, biased_labels, part, **{field: value}
+            )
 
 
 class TestValidation:

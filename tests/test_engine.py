@@ -78,16 +78,30 @@ class TestChunking:
         # Huge point counts cap the chunk near the memory budget.
         assert world_chunk_size(25_000_000, 999) == 8
 
-    def test_chunk_layout_ignores_worker_config(self):
+    def test_chunk_layout_ignores_worker_config(
+        self, monkeypatch, unit_coords, unit_regions
+    ):
         # The determinism contract depends on the layout never seeing
-        # the worker count: engines configured for different pools must
-        # produce the same chunk spans for the same workload.
-        serial_engine = MonteCarloEngine(workers=1)
-        pooled_engine = MonteCarloEngine(workers=8)
+        # the worker count: passes asking for different pools must lay
+        # out the same chunk spans for the same workload.
+        layouts = []
+        layout = MonteCarloEngine.chunk_layout
+
+        def recorded(chunk_points, n_worlds):
+            layouts.append(layout(chunk_points, n_worlds))
+            return layouts[-1]
+
+        monkeypatch.setattr(
+            MonteCarloEngine, "chunk_layout", staticmethod(recorded)
+        )
+        member = RegionMembership(unit_regions, unit_coords)
+        kernel = BernoulliKernel(len(unit_coords), len(unit_coords) // 2)
         for n_worlds in (5, 49, 199):
-            assert serial_engine.chunk_layout(
-                1000, n_worlds
-            ) == pooled_engine.chunk_layout(1000, n_worlds)
+            for workers in (1, 8):
+                MonteCarloEngine().null_distribution_multi(
+                    [member], kernel, n_worlds, seed=3, workers=workers
+                )
+            assert layouts[-1] == layouts[-2]
 
     def test_layout_covers_budget_contiguously(self):
         for n_worlds in (1, 7, 48, 49, 199):

@@ -117,6 +117,9 @@ class TestAdmission:
             ("cache_size", -1),
             ("cache_size", 2.5),
             ("cache_size", "8"),
+            ("workers", 0),
+            ("workers", 2.5),
+            ("workers", "2"),
         ],
     )
     def test_non_integer_or_negative_bounds_rejected(self, field, bad):

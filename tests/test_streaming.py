@@ -20,7 +20,14 @@ import pytest
 import repro.api
 import repro.fingerprint
 from repro.api import AuditSession
-from repro.core import SpatialFairnessAuditor
+from repro.core import (
+    MEASURES,
+    MeasureDef,
+    SpatialFairnessAuditor,
+    equal_opportunity,
+    register_measure,
+)
+from repro.datasets import SpatialDataset
 from repro.engine import BernoulliKernel, MonteCarloEngine, PoissonKernel
 from repro.fingerprint import array_fingerprint, combine_fingerprints
 from repro.geometry import (
@@ -1457,3 +1464,123 @@ class TestGridEdgeStreaming:
         assert [report_json(r) for r in last] == [
             report_json(r) for r in first
         ]
+
+
+def _false_omission() -> MeasureDef:
+    """Among the predicted-negative rows: how often truth was
+    positive (a row mask plus an outcome map)."""
+    return MeasureDef(
+        "false_omission",
+        rows=lambda coords, outcomes, y_true: np.asarray(outcomes) == 0,
+        outcome=lambda outcomes, y_true: (
+            np.asarray(y_true) == 1
+        ).astype(np.int8),
+        families=("bernoulli",),
+        needs_y_true=True,
+    )
+
+
+class TestCustomRowMeasure:
+    """A registered measure with a row mask and an outcome map streams
+    incrementally, as the built-ins do, and equals a cold run."""
+
+    @pytest.fixture(autouse=True)
+    def registered(self):
+        register_measure(_false_omission())
+        yield
+        del MEASURES["false_omission"]
+
+    def _stream(self, design, unit_coords, labels, y_true):
+        """Yield ``(session, spec)`` warm, then after an append, a
+        prefix window and a scattered mask."""
+        n = len(unit_coords)
+        head = 3 * n // 4
+        ts = np.arange(n, dtype=float)
+        session = AuditSession(
+            unit_coords[:head], labels[:head], y_true=y_true[:head],
+            timestamps=ts[:head],
+        )
+        spec = AuditSpec(
+            regions=design, measure="false_omission",
+            n_worlds=N_WORLDS, seed=5,
+        )
+        session.run(spec)
+        yield session, spec
+        session.append(
+            unit_coords[head:], labels[head:], y_true=y_true[head:],
+            timestamps=ts[head:],
+        )
+        yield session, spec
+        session.evict(window=float(n - 1 - n // 8))
+        assert session._state.coords.base is not None  # a prefix view
+        yield session, spec
+        drop = np.zeros(len(session.coords), dtype=bool)
+        drop[1::5] = True
+        session.evict(drop)
+        yield session, spec
+
+    @pytest.mark.parametrize(
+        "design",
+        [GRID, GRID_AUTO, SQUARES, CIRCLES],
+        ids=["grid", "grid-auto", "squares", "circles"],
+    )
+    def test_streamed_equals_cold(
+        self, design, unit_coords, biased_labels, unit_y_true
+    ):
+        for session, spec in self._stream(
+            design, unit_coords, biased_labels, unit_y_true
+        ):
+            cold = AuditSession(
+                session.coords.copy(),
+                session.outcomes.copy(),
+                y_true=session.y_true.copy(),
+            )
+            assert report_json(session.run(spec)) == report_json(
+                cold.run(spec)
+            )
+
+    def test_index_updated_in_place(
+        self, unit_coords, biased_labels, unit_y_true
+    ):
+        events = self._stream(
+            GRID, unit_coords, biased_labels, unit_y_true
+        )
+        session, spec = next(events)
+        builds = session.index_builds
+        for session, spec in events:
+            session.run(spec)
+            assert session.index_builds == builds
+        assert session.incremental_builds == 3
+
+    def test_malformed_row_mask_names_the_measure(
+        self, unit_coords, biased_labels
+    ):
+        register_measure(
+            MeasureDef("short_rows", rows=lambda c, o, y: o[:-1] == 0)
+        )
+        try:
+            session = AuditSession(unit_coords, biased_labels)
+            with pytest.raises(ValueError, match="^measure: 'short_rows'"):
+                session.run(AuditSpec(regions=GRID, measure="short_rows"))
+        finally:
+            del MEASURES["short_rows"]
+
+
+def test_accuracy_measures_refuse_non_binary_predictions(
+    unit_coords, biased_labels, unit_y_true
+):
+    # equal_opportunity audits y_pred itself on the y_true == 1 rows, so
+    # a prediction of 2 there is refused, not scored as a 0.
+    y_pred = biased_labels.astype(np.int64)
+    y_pred[np.flatnonzero(unit_y_true == 1)[0]] = 2
+    session = AuditSession(unit_coords, y_pred, y_true=unit_y_true)
+    spec = AuditSpec(
+        regions=GRID, measure="equal_opportunity", n_worlds=N_WORLDS
+    )
+    with pytest.raises(ValueError, match="^outcomes: "):
+        session.run(spec)
+    measure = equal_opportunity(
+        SpatialDataset(unit_coords, y_pred, y_true=unit_y_true)
+    )
+    with pytest.raises(ValueError, match="^outcomes: "):
+        SpatialFairnessAuditor(measure.coords, measure.outcomes)
