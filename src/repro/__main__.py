@@ -112,6 +112,21 @@ def _load_session(
     )
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` of ``run``, ``batch`` and ``stream``: a thread
+    count of at least 1, refused while parsing (exit 2) like every
+    other malformed argument."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def main(argv: list | None = None) -> int:
     """Entry point; returns the process exit code.
 
@@ -144,7 +159,7 @@ def main(argv: list | None = None) -> int:
         help="include every scanned region in the report",
     )
     run.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_worker_count, default=None,
         help="session default worker count",
     )
     run.add_argument(
@@ -179,7 +194,7 @@ def main(argv: list | None = None) -> int:
         help="include every scanned region in each report",
     )
     batch.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_worker_count, default=None,
         help="session default worker count",
     )
     batch.add_argument(
@@ -221,7 +236,7 @@ def main(argv: list | None = None) -> int:
         help="include every scanned region in each report",
     )
     stream.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_worker_count, default=None,
         help="session default worker count",
     )
     stream.add_argument(

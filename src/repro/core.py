@@ -911,6 +911,7 @@ class BernoulliFamily(ScanFamily):
             "labels": labels,
             "N": len(coords),
             "P": int(labels.sum()),
+            "tables": {},
         }
 
     def observed(self, bound, member, direction):
@@ -934,9 +935,10 @@ class BernoulliFamily(ScanFamily):
         )
 
     def kernel(self, bound, direction):
-        return BernoulliKernel(
-            bound["N"], bound["P"], direction=direction
-        )
+        kernel = BernoulliKernel(bound["N"], bound["P"], direction=direction)
+        # Every kernel of one bound state draws from its alias tables.
+        kernel._tables = bound["tables"]
+        return kernel
 
 
 class PoissonFamily(ScanFamily):

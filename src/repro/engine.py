@@ -32,6 +32,17 @@ multinomial of the observed total over the units' summed forecasts for
 Poisson counts.  The draw is exact in distribution, and is chosen from
 the data alone: no option selects it.
 
+A Bernoulli unit's count comes from a Walker alias table of its
+binomial, one row per distinct unit size, laid end to end
+(:func:`_binomial_rows`, :func:`_alias_table`): one uniform per unit
+and world gives a column of the unit's row and a coin, as in the
+Poisson points draw below.  A row keeps the outcomes whose weight is at
+least ``2**-64`` of the mode's, below the ``2**-53`` resolution of the
+uniform, so a design over ``N`` points holds at most ``N + R + 1``
+table entries.  Its weights come from the mode by the ratio recurrence
+``P(k + 1) / P(k) = (n - k) p / ((k + 1) q)``, products and quotients
+alone, so the table's bits do not depend on numpy's SIMD dispatch.
+
 Poisson points draw
 -------------------
 On the points path a Poisson world redistributes the observed total
@@ -89,8 +100,8 @@ Parallel path
 :class:`concurrent.futures.ThreadPoolExecutor` of at most
 ``min(workers, chunks, usable cores)`` threads; the LLR then runs once
 per block on the calling thread.  The heavy steps — numpy's random
-fills (``random``, ``binomial``, ``multinomial``), its elementwise
-passes (the Poisson alias draw's table gathers) and scipy's
+fills (``random``, ``multinomial``), its elementwise passes (the
+alias draws' table gathers) and scipy's
 sparse mat-vec — release the GIL for most of their run, so the threads
 overlap on separate cores; ``np.bincount`` holds it for part of its
 run.  Every thread reads the same bound kernel
@@ -159,6 +170,11 @@ _ALIAS_EVENTS = 2**20
 #: multinomial, whose cost does not grow with the total.
 _ALIAS_EVENTS_PER_AREA = 3
 
+#: Smallest weight, relative to the mode's, that a row of a Bernoulli
+#: unit's binomial alias table keeps: below the ``2**-53`` resolution
+#: of a uniform double, so a dropped outcome could barely be drawn.
+_BINOMIAL_TRIM = 2.0**-64
+
 
 def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity set where the
@@ -216,6 +232,9 @@ class LLRKernel:
     def __init__(self) -> None:
         self._member: RegionMembership | None = None
         self._units: np.ndarray | None = None
+        # The draw tables' slot; a family's kernel swaps in its bound
+        # state's, so kernels of one state share their tables.
+        self._tables: dict = {}
 
     def bind(self, member: RegionMembership) -> "LLRKernel":
         """Attach the membership index the scores will be counted
@@ -334,8 +353,21 @@ class BernoulliKernel(LLRKernel):
     at the global positive rate, locations fixed (the paper's SUL null).
 
     On a disjoint design each unit's positive count is one
-    ``Binomial(n_r, rate)`` draw, and a world's global total is the
-    sum over units.
+    ``Binomial(n_r, rate)`` draw from a Walker alias table, and a
+    world's global total is the sum over units.  The table holds one
+    row per distinct unit size (:func:`_binomial_rows`), laid end to
+    end with no padding; a chunk takes one ``rng.random((R + 1, w))``,
+    and each uniform ``u`` of unit ``r`` gives the column
+    ``floor(u * width_r)`` of the unit's row and the coin (the
+    fraction), which picks the column's own count or its alias, as in
+    :meth:`PoissonKernel._alias_worlds`.  No double below 1 reaches
+    ``u * width_r == width_r``, so a row needs no sentinel.  The table
+    is built when the kernel is bound to the design, on the calling
+    thread, and cached in the table slot, keyed by the unit sizes'
+    bytes: :meth:`repro.core.BernoulliFamily.kernel` hands every kernel
+    of one bound state that state's slot, so audits of one dataset
+    state build a design's table once.  Two threads that race to build
+    it compute the same bytes, so the slot needs no lock.
 
     Parameters
     ----------
@@ -356,11 +388,42 @@ class BernoulliKernel(LLRKernel):
         self.rate = self.total_p / max(self.n_points, 1)
         self.direction = int(direction)
         self._n: np.ndarray | None = None
+        self._table: tuple | None = None
 
     def bind(self, member: RegionMembership) -> "BernoulliKernel":
         super().bind(member)
         self._n = member.counts.astype(np.float64)
+        # Built here, on the calling thread, before pool threads draw
+        # from it.
+        self._table = None if self._units is None else self._draw_table()
         return self
+
+    def _draw_table(self) -> tuple:
+        """``(width, offset, keep, pair)``: each unit's row width (float
+        column) and offset (intp column) into the flat alias table of
+        its ``Binomial(n_r, rate)``, and the table laid out for one
+        gather per draw: ``pair[2c]``, ``pair[2c+1]`` are column ``c``'s
+        alias count and its own count, as float64."""
+        key = self._units.tobytes()
+        table = self._tables.get(key)
+        if table is None:
+            sizes, row = np.unique(self._units, return_inverse=True)
+            first, widths, weights = _binomial_rows(sizes, self.rate)
+            keep, alias = _alias_table(weights, widths)
+            offsets = np.cumsum(widths) - widths
+            counts = np.repeat(first - offsets, widths) + np.arange(
+                len(weights), dtype=np.float64
+            )
+            table = (
+                widths[row, None].astype(np.float64),
+                offsets[row, None],
+                keep,
+                np.stack([counts[alias], counts], axis=1).ravel(),
+            )
+            for arr in table:
+                arr.flags.writeable = False
+            self._tables[key] = table
+        return table
 
     @property
     def chunk_points(self) -> int:
@@ -371,9 +434,9 @@ class BernoulliKernel(LLRKernel):
 
     def simulate(self, rng: np.random.Generator, n_worlds: int) -> np.ndarray:
         if self._units is not None:
-            shape = (len(self._units), n_worlds)
-            units = self._units[:, None]
-            return rng.binomial(units, self.rate, shape).astype(np.float64)
+            width, offset, keep, pair = self._table
+            u = rng.random((len(self._units), n_worlds))
+            return _alias_draw(u, width, keep, pair, offset)
         return (
             rng.random((self.n_points, n_worlds)) < self.rate
         ).astype(np.float64)
@@ -453,9 +516,6 @@ class PoissonKernel(LLRKernel):
         self.direction = int(direction)
         self._exp_r: np.ndarray | None = None
         self._unit_probs: np.ndarray | None = None
-        # The draw table's slot; PoissonFamily.kernel swaps in its
-        # bound state's, so kernels of one state share one table.
-        self._tables: dict = {}
 
     def bind(self, member: RegionMembership) -> "PoissonKernel":
         super().bind(member)
@@ -524,14 +584,9 @@ class PoissonKernel(LLRKernel):
             # piece only bounds the memory of a large total.
             for start in range(0, self.total_obs_int, _ALIAS_EVENTS):
                 u = rng.random(min(_ALIAS_EVENTS, self.total_obs_int - start))
-                u *= n_areas
-                # A u * K == K event reads the sentinel column.
-                col = u.astype(np.intp)
-                u -= col
-                heads = u < keep[col]
-                col += col
-                col += heads
-                counts = np.bincount(pair[col], minlength=n_areas)
+                counts = np.bincount(
+                    _alias_draw(u, n_areas, keep, pair), minlength=n_areas
+                )
                 if start:
                     worlds[:, j] += counts
                 else:
@@ -551,57 +606,197 @@ class PoissonKernel(LLRKernel):
         )
 
 
-def _alias_table(probs: np.ndarray) -> tuple:
-    """Walker's alias table of a categorical distribution: ``(keep,
-    alias)``, built by Vose's pairing without a Python loop.
+def _alias_draw(
+    u: np.ndarray,
+    width: int | np.ndarray,
+    keep: np.ndarray,
+    pair: np.ndarray,
+    offset: np.ndarray | None = None,
+) -> np.ndarray:
+    """The alias draws of the uniforms ``u``, which it overwrites.
 
-    A draw takes a column ``j`` uniformly and keeps it with probability
-    ``keep[j]``, else takes ``alias[j]``.  In units of the mean
-    probability, the areas below 1 (*smalls*) keep their own mass and
-    take the current large as their alias, in index order; the current
-    large gives up each small's deficit, and once it falls below 1 it
-    passes its own deficit on to the next large, which becomes current.
-    So small ``i``'s alias is the first large whose cumulative excess
-    reaches the smalls' cumulative deficit before ``i``.  Each large
-    then keeps 1 less the deficit it passes on, a running balance of
-    its smalls' deficits against its excess that stays in ``[0, 1]``,
-    so the implied masses carry no rounding of the O(K) cumulative
-    sums.  Nothing aliases to a small, so a zero-probability area (a
-    small that keeps 0) is never drawn.
+    Each uniform picks a column of a table of ``width`` columns that
+    starts at ``offset`` (both broadcast against ``u``; one table from
+    column 0 when ``offset`` is None): the integer part of
+    ``u * width`` is the column ``c`` and the fraction the coin, and
+    the draw is ``pair[2c + (coin < keep[c])]``, the column's own
+    outcome on heads, its alias's otherwise.
+    """
+    u *= width
+    col = u.astype(np.intp)
+    u -= col
+    if offset is not None:
+        col += offset
+    heads = u < keep[col]
+    col += col
+    col += heads
+    return pair[col]
+
+
+def _alias_table(
+    probs: np.ndarray, widths: np.ndarray | None = None
+) -> tuple:
+    """Walker's alias tables of categorical distributions laid end to
+    end: ``(keep, alias)``, built by Vose's pairing without a Python
+    loop.
+
+    A draw from row ``r`` takes a column ``j`` of the row uniformly and
+    keeps it with probability ``keep[j]``, else takes ``alias[j]``, a
+    column of the same row.  In units of the row's mean probability,
+    the columns below 1 (*smalls*) keep their own mass and take the
+    current large as their alias, in index order; the current large
+    gives up each small's deficit, and once it falls below 1 it passes
+    its own deficit on to the next large of the row, which becomes
+    current.  So small ``i``'s alias is the first large whose
+    cumulative excess reaches the smalls' cumulative deficit before
+    ``i``.  Each large then keeps 1 less the deficit it passes on, a
+    running balance of its smalls' deficits against its excess that
+    stays in ``[0, 1]``, so the implied masses carry no rounding of
+    the cumulative sums.  Nothing aliases to a small, so a
+    zero-probability column (a small that keeps 0) is never drawn.
+
+    The rows share one pass: the cumulative sums run over every row's
+    smalls and larges in turn, each row's smalls are matched against
+    the larges' sums shifted by the gap between the two sums at the
+    row's start, and each small's match is clamped to its own row's
+    larges.  One row is exactly the single-table pairing.
 
     Parameters
     ----------
     probs : ndarray of shape (K,)
-        Non-negative probabilities with a positive sum (normalised
-        here).
+        Non-negative probabilities, each row with a positive sum
+        (normalised here).
+    widths : ndarray of int, optional
+        Columns per row, in order, each at least 1; default one row of
+        all ``K``.
 
     Returns
     -------
     keep : ndarray of float64, shape (K,)
     alias : ndarray of intp, shape (K,)
+        Flat column indices.
     """
     n = len(probs)
-    q = probs * (n / probs.sum())
+    one_row = widths is None
+    if one_row:
+        widths = np.array([n])
+    starts = np.cumsum(widths) - widths
+    # reduceat sums each row in order; a lone row keeps numpy's
+    # pairwise sum, as the single table always has.
+    totals = probs.sum() if one_row else np.add.reduceat(probs, starts)
+    q = probs * np.repeat(widths / totals, widths)
     keep = np.ones(n)
     alias = np.arange(n)
-    small = np.flatnonzero(q < 1.0)
-    large = np.flatnonzero(q >= 1.0)
-    if not len(small) or not len(large):
-        # Every column is full (up to rounding): a uniform draw.
+    rows = np.arange(len(widths))
+    row = np.repeat(rows, widths)
+    below = q < 1.0
+    above = ~below
+    # A row with no small or no large is full (up to rounding): a
+    # uniform draw.
+    paired = (np.minimum.reduceat(q, starts) < 1.0) & (
+        np.maximum.reduceat(q, starts) >= 1.0
+    )
+    if not paired.all():
+        below &= paired[row]
+        above &= paired[row]
+    small = np.flatnonzero(below)
+    large = np.flatnonzero(above)
+    if not len(small):
         return keep, alias
+    small_row, large_row = row[small], row[large]
+    small_first = np.searchsorted(small_row, rows)
+    large_first = np.searchsorted(large_row, rows)
+    large_last = np.searchsorted(large_row, rows, side="right") - 1
     deficit = 1.0 - q[small]
     excess = q[large] - 1.0
-    before = np.cumsum(deficit) - deficit
-    current = np.minimum(
-        np.searchsorted(np.cumsum(excess), before), len(large) - 1
+    spent = np.cumsum(deficit)
+    before = spent - deficit
+    reached = np.cumsum(excess)
+    # Each row's sums as if both started at 0 with the row.
+    before -= (
+        _sum_before(spent, small_first) - _sum_before(reached, large_first)
+    )[small_row]
+    current = np.clip(
+        np.searchsorted(reached, before),
+        large_first[small_row],
+        large_last[small_row],
     )
     keep[small] = q[small]
     alias[small] = large[current]
     taken = np.bincount(current, weights=deficit, minlength=len(large))
     passed = np.cumsum(taken - excess)
-    keep[large[:-1]] = np.clip(1.0 - passed[:-1], 0.0, 1.0)
-    alias[large[:-1]] = large[1:]
+    passed -= _sum_before(passed, large_first)[large_row]
+    inner = np.flatnonzero(large_row[:-1] == large_row[1:])
+    keep[large[inner]] = np.clip(1.0 - passed[inner], 0.0, 1.0)
+    alias[large[inner]] = large[inner + 1]
     return keep, alias
+
+
+def _sum_before(cumulative: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The running sum ``cumulative`` just before each row's first
+    entry, at index ``first`` (0 for a row that starts the sum)."""
+    return np.where(first > 0, cumulative[first - 1], 0.0)
+
+
+def _binomial_rows(sizes: np.ndarray, rate: float) -> tuple:
+    """The kept outcomes of ``Binomial(n, rate)`` for each size ``n``,
+    weighted relative to the mode: ``(first, widths, weights)``, the
+    first kept outcome and the kept count of each row, and the rows'
+    weights laid end to end in the order of ``sizes``.
+
+    A row keeps the outcomes whose weight is at least
+    :data:`_BINOMIAL_TRIM` of the mode's; the binomial is log-concave,
+    so they are one run of outcomes around the mode.  The weights come
+    from the mode ``m = floor((n + 1) p)`` outward by the ratio
+    recurrence, ``w(k) = w(k - 1) (n + 1 - k) / k * p / q`` up and
+    ``w(k) = w(k + 1) (k + 1) / (n - k) * q / p`` down, each a
+    cumulative product of ratios at most 1, so they use products and
+    quotients alone.  Past ``n`` (or below 0) a ratio is 0, so a scan
+    may run on past a row's outcomes.  Bernstein's inequality bounds
+    how far a scan must go: with ``L = 64 ln 2 + ln(n + 1) + 1``, an
+    outcome farther than ``L / 3 + sqrt(L**2 / 9 + 2 L n p q)`` from
+    ``n p`` has probability below ``exp(-L)``, so weight below
+    ``2**-64 / e`` (the mode's probability is at least
+    ``1 / (n + 1)``).  Consecutive rows whose scans have lengths within
+    a factor of 2 share one block, scanned to its longest row's reach.
+    """
+    n = sizes.astype(np.float64)
+    p, q = float(rate), 1.0 - float(rate)
+    mode = np.minimum(np.floor((n + 1.0) * p), n)
+    # Only how far the scan reaches depends on the logarithm and root:
+    # an outcome past it weighs below the cut, however they round.
+    bound = 64.0 * np.log(2.0) + np.log1p(n) + 1.0
+    reach = bound / 3.0 + np.sqrt(bound**2 / 9.0 + 2.0 * bound * n * p * q)
+    up = (np.minimum(np.ceil(n * p + reach), n) - mode).astype(np.intp)
+    down = (mode - np.maximum(np.floor(n * p - reach), 0.0)).astype(np.intp)
+    scale = np.frexp(up + down + 1)[1]
+    cuts = np.flatnonzero(scale[1:] != scale[:-1]) + 1
+    weights, widths, below = [], [], []
+    for rows in np.split(np.arange(len(n)), cuts):
+        m, top = mode[rows, None], n[rows, None]
+        lo, hi = down[rows].max(), up[rows].max()
+        block = np.empty((len(rows), lo + 1 + hi))
+        block[:, lo] = 1.0
+        if hi:
+            k = m + np.arange(1.0, hi + 1.0)
+            ratio = top + 1.0 - k
+            ratio /= k
+            ratio *= p / q
+            np.cumprod(ratio, axis=1, out=block[:, lo + 1 :])
+        if lo:
+            k = m - np.arange(1.0, lo + 1.0)
+            ratio = k + 1.0
+            ratio /= top - k
+            ratio *= q / p
+            # Outward from the mode: column lo - 1 holds k = m - 1.
+            np.cumprod(ratio, axis=1, out=block[:, lo - 1 :: -1])
+        kept = block >= _BINOMIAL_TRIM
+        weights.append(block[kept])
+        widths.append(kept.sum(axis=1))
+        below.append(kept[:, :lo].sum(axis=1))
+    widths = np.concatenate(widths)
+    first = mode.astype(np.intp) - np.concatenate(below)
+    return first, widths, np.concatenate(weights)
 
 
 class MultinomialKernel(LLRKernel):

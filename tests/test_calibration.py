@@ -159,11 +159,19 @@ def test_poisson_cells_cover_both_points_draws():
         assert not dense._draws_events() and sparse._draws_events()
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_region_level_maxima_match_point_level(family, monkeypatch):
+@pytest.mark.parametrize(
+    "family, positive_rate",
+    [pytest.param(family, 0.4, id=family) for family in FAMILIES]
+    # Few positives: each unit's binomial table row is short and
+    # lopsided about its mode.
+    + [pytest.param("bernoulli", 0.03, id="bernoulli-skewed")],
+)
+def test_region_level_maxima_match_point_level(
+    family, positive_rate, monkeypatch
+):
     rng = np.random.default_rng([FAMILIES.index(family), 29])
     coords = rng.random((300, 2))
-    labels = (rng.random(300) < 0.4).astype(np.int8)
+    labels = (rng.random(300) < positive_rate).astype(np.int8)
     forecast = rng.uniform(2.0, 6.0, 300)
     counts = (rng.poisson(forecast).astype(np.float64), forecast)
     classes = rng.choice(3, 300, p=[0.5, 0.3, 0.2])

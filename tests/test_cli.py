@@ -195,6 +195,23 @@ def test_stream_bad_spec_is_exit_2(npz_file, tmp_path):
     assert main(["stream", str(bad), "--data", str(npz_file)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "batch", "stream"])
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_invalid_workers_is_usage_error(
+    command, workers, spec_file, npz_file, capsys
+):
+    # Refused while parsing, before any data loads: exit 2, as serve.
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                command, str(spec_file), "--data", str(npz_file),
+                "--workers", workers,
+            ]
+        )
+    assert err.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
+
+
 # -- serve -----------------------------------------------------------
 
 

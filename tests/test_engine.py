@@ -347,6 +347,174 @@ class TestPoissonAliasDraw:
         assert stats.ks_2samp(alias, multinomial).pvalue > 0.001
 
 
+def _unit_kernel(units, rate):
+    """A Bernoulli kernel over ``units`` at ``rate``, set up as a bind
+    to a disjoint design with those unit sizes would set it up."""
+    units = np.asarray(units)
+    n_points = int(units.sum())
+    kernel = BernoulliKernel(n_points, rate * n_points)
+    kernel._units = units
+    kernel._table = kernel._draw_table()
+    return kernel
+
+
+def _implied_masses(kernel, unit):
+    """``(outcomes, masses)`` of one unit's table row: the row's own
+    outcomes, and each outcome ``0..n``'s probability under the row's
+    alias draw."""
+    width, offset, keep, pair = kernel._table
+    cols = offset[unit, 0] + np.arange(int(width[unit, 0]))
+    own = pair[2 * cols + 1].astype(np.intp)
+    alias = pair[2 * cols].astype(np.intp)
+    size = int(kernel._units[unit]) + 1
+    masses = np.bincount(
+        own, weights=keep[cols], minlength=size
+    ) + np.bincount(alias, weights=1.0 - keep[cols], minlength=size)
+    return own, masses / len(cols)
+
+
+class _TopUniforms:
+    """A generator stub whose uniforms are all the largest double
+    below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+class TestBinomialAliasDraw:
+    """A Bernoulli region-level pass draws each unit's count from a
+    Walker alias table of its ``Binomial(n, rate)``, one row per
+    distinct unit size."""
+
+    SIZES = [0, 1, 7, 250, 10**6]
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-6, 0.3, 0.5, 1 - 1e-6, 1.0])
+    def test_rows_reproduce_the_pmf(self, rate):
+        kernel = _unit_kernel(self.SIZES, rate)
+        keep = kernel._table[2]
+        assert ((keep >= 0.0) & (keep <= 1.0)).all()
+        for unit, n in enumerate(self.SIZES):
+            own, masses = _implied_masses(kernel, unit)
+            first, last = own[0], own[-1]
+            assert np.array_equal(own, np.arange(first, last + 1))
+            # Nothing outside the row's own outcomes is ever drawn.
+            assert masses[:first].sum() == masses[last + 1 :].sum() == 0.0
+            np.testing.assert_allclose(
+                masses[own],
+                stats.binom.pmf(own, n, kernel.rate),
+                rtol=1e-9,
+                atol=0.0,
+            )
+            trimmed = stats.binom.cdf(first - 1, n, kernel.rate) + (
+                stats.binom.sf(last, n, kernel.rate)
+            )
+            assert trimmed <= 2.0**-50
+
+    def test_rows_match_tables_built_one_by_one(self):
+        # Skewed rows with zero weights, lone columns and a uniform row
+        # (no small and no large): each row of the one segmented build
+        # implies the masses its own single-row table implies.
+        sizes = [1, 7, 2, 300, 1, 40]
+        rows = [_alias_forecast(n, seed) for seed, n in enumerate(sizes)]
+        rows += [np.ones(5), _alias_forecast(2_000, 9)]
+        widths = np.array([len(r) for r in rows])
+        keep, alias = engine_mod._alias_table(np.concatenate(rows), widths)
+
+        def masses(keep, alias):
+            taken = np.bincount(alias, weights=1.0 - keep, minlength=len(keep))
+            return (keep + taken) / len(keep)
+
+        start = 0
+        for probs in rows:
+            cols = slice(start, start + len(probs))
+            assert ((alias[cols] >= start) & (alias[cols] < cols.stop)).all()
+            implied = masses(keep[cols], alias[cols] - start)
+            alone = masses(*engine_mod._alias_table(probs))
+            np.testing.assert_allclose(implied, alone, rtol=1e-11, atol=0.0)
+            assert (implied[probs == 0.0] == 0.0).all()
+            start = cols.stop
+
+    @pytest.mark.parametrize("rate", [1e-6, 0.03, 0.5, 0.97])
+    def test_table_holds_at_most_n_plus_r_plus_1_entries(self, rate):
+        rng = np.random.default_rng(6)
+        designs = [
+            np.arange(40),  # all distinct, none trimmed at 0.5
+            rng.integers(0, 400, 61),
+            np.append(rng.integers(0, 30, 200), 100_000),
+        ]
+        for units in designs:
+            kernel = _unit_kernel(units, rate)
+            assert len(kernel._table[2]) <= units.sum() + len(units)
+            assert len(kernel._table[3]) == 2 * len(kernel._table[2])
+
+    def test_counts_follow_the_binomial(self):
+        sizes = [1, 7, 60, 250]
+        kernel = _unit_kernel(sizes, 0.3)
+        worlds = kernel.simulate(np.random.default_rng(12), 20_000)
+        assert worlds.dtype == np.float64 and worlds.flags.c_contiguous
+        for n, counts in zip(sizes, worlds):
+            observed = np.bincount(counts.astype(np.intp), minlength=n + 1)
+            expected = stats.binom.pmf(np.arange(n + 1), n, kernel.rate)
+            expected *= len(counts)
+            # Pool the sparse tails into their neighbours.
+            fat = expected >= 5.0
+            lo, hi = np.flatnonzero(fat)[[0, -1]]
+            obs = np.r_[observed[: lo + 1].sum(), observed[lo + 1 : hi],
+                        observed[hi:].sum()]
+            exp = np.r_[expected[: lo + 1].sum(), expected[lo + 1 : hi],
+                        expected[hi:].sum()]
+            exp *= obs.sum() / exp.sum()
+            assert stats.chisquare(obs, exp).pvalue > 0.001
+
+    def test_top_uniform_stays_in_its_row(self):
+        # Rows lie end to end with no sentinel: the largest uniform
+        # must still read the last column of its own unit's row.
+        kernel = _unit_kernel([3, 500, 2, 0], 0.5)
+        worlds = kernel.simulate(_TopUniforms(), 2)
+        for unit, counts in enumerate(worlds):
+            own, _ = _implied_masses(kernel, unit)
+            assert np.isin(counts, own).all()
+
+    def test_alias_stream_is_pinned(self):
+        # The draw reads only ``rng.random``, whose stream numpy keeps
+        # stable, and a table built from products and quotients alone.
+        kernel = _unit_kernel([0, 1, 4, 9, 30, 6], 0.3)
+        worlds = kernel.simulate(np.random.default_rng(0), 3)
+        assert worlds.T.astype(int).tolist() == [
+            [0, 0, 3, 3, 10, 1],
+            [0, 0, 0, 3, 6, 2],
+            [0, 0, 2, 0, 9, 3],
+        ]
+
+    def test_table_is_built_once_per_state_and_design(
+        self, monkeypatch, unit_coords, biased_labels
+    ):
+        builds = []
+
+        def spy(sizes, rate):
+            builds.append(len(sizes))
+            return rows(sizes, rate)
+
+        rows = engine_mod._binomial_rows
+        monkeypatch.setattr(engine_mod, "_binomial_rows", spy)
+        grid = AuditSpec(
+            regions=GOLDEN_DESIGNS["grid"], n_worlds=16, seed=1
+        )
+        session = AuditSession(unit_coords, biased_labels)
+        session.run(grid)
+        session.run(replace(grid, seed=2, direction="lower"))
+        assert len(builds) == 1
+        session.run(replace(grid, regions=RegionSpec.grid(3, 3)))
+        assert len(builds) == 2
+        # A stream event's new state builds its own.
+        session.append(np.full((5, 2), 0.5), np.ones(5, dtype=np.int8))
+        session.run(grid)
+        assert len(builds) == 3
+        # The points pass of an overlapping design builds none.
+        session.run(replace(grid, regions=GOLDEN_DESIGNS["squares"]))
+        assert len(builds) == 3
+
+
 class TestNullCache:
     """The engine keeps no null distributions: a repeat re-simulates
     bit for bit, and duplicate designs get private copies."""
@@ -672,10 +840,15 @@ class TestThreadPool:
 
     def test_concurrent_sessions_match_serial(
         self, unit_coords, unit_regions, biased_labels, biased_counts,
-        biased_classes,
+        biased_classes, monkeypatch,
     ):
         """Two threads run workers=2 null passes on separate engines at
         the same time; neither may disturb the other's results."""
+        # Each null_pass patches the chunk size and undoes its patch on
+        # exit; two threads interleaving those steps can restore the
+        # other's patch.  The test's own patch is undone last, so no
+        # patched chunk size outlives the test.
+        fixed_chunks(monkeypatch, 8)
         data = (unit_coords, biased_labels, biased_counts, biased_classes)
         families = ("bernoulli", "multinomial")
         serial = {
@@ -834,10 +1007,10 @@ GOLDEN_SEEDS = {"bernoulli": 17, "poisson": 23, "multinomial": 29}
 #: so their critical values follow that stream.
 GOLDEN_NULL = {
     ('bernoulli', 'grid', 'fixed'): (
-        'unfair', 0.02, (0,), 49, 4.93718941316,
+        'unfair', 0.02, (0,), 49, 4.75449825923,
     ),
     ('bernoulli', 'grid', 'adaptive'): (
-        'unfair', 0.02, (0,), 49, 5.81374980431,
+        'unfair', 0.02, (0,), 49, 6.50242926762,
     ),
     ('bernoulli', 'squares', 'fixed'): (
         'unfair', 0.02, (8, 9), 49, 4.56972817483,
