@@ -72,7 +72,8 @@ for a fixed budget, one round's seed for an adaptive one) runs
 
 * one **region-level** pass per disjoint design, whose chunks draw
   from the children of an unspawned copy of ``parent`` and whose
-  layout depends only on ``(R + 1, n_worlds)``;
+  layout depends only on ``((R + 1) * K, n_worlds)`` (``K`` class
+  counts per unit row, one outside the multinomial family);
 * one **points** pass over every other design, stacked, whose chunks
   draw from ``parent.spawn(...)`` and whose layout depends only on
   ``(kernel.chunk_points, n_worlds)``.
@@ -99,9 +100,11 @@ Parallel path
 ``workers >= 2`` simulates and counts the chunks on a
 :class:`concurrent.futures.ThreadPoolExecutor` of at most
 ``min(workers, chunks, usable cores)`` threads; the LLR then runs once
-per block on the calling thread.  The heavy steps — numpy's random
-fills (``random``, ``multinomial``), its elementwise passes (the
-alias draws' table gathers) and scipy's
+per block on the calling thread.  Chunks are sized by the entries they
+hold (:func:`world_chunk_size`), not by the pool, so a small pass is
+one chunk and runs serially whatever ``workers`` asks for.  The heavy
+steps — numpy's random fills (``random``, ``multinomial``), its
+elementwise passes (the alias draws' table gathers) and scipy's
 sparse mat-vec — release the GIL for most of their run, so the threads
 overlap on separate cores; ``np.bincount`` holds it for part of its
 run.  Every thread reads the same bound kernel
@@ -138,18 +141,16 @@ __all__ = [
 #: the observed maximum" means.
 _EXCEED_TOL = 1e-12
 
-#: Worlds simulated per chunk aim to keep the (points x worlds) batch
-#: near this many matrix entries (~200 MB of float64 intermediates).
-_CHUNK_ENTRIES = 2.5e7
+#: World-batch entries a simulation chunk holds at most (512 KiB of
+#: float64), unless :data:`_MIN_CHUNK` worlds alone hold more.  Each
+#: chunk pays a spawned generator and a ``simulate``/``count`` call, so
+#: a pass that fits is one chunk.
+_CHUNK_TARGET = 2**16
 
 #: Lower bound on worlds per chunk: below this the sparse mat-vec loses
-#: its batching advantage.
+#: its batching advantage.  A chunk of a large pass holds this many
+#: worlds, i.e. ``_MIN_CHUNK * entries_per_world`` entries.
 _MIN_CHUNK = 8
-
-#: Upper bound on the number of chunks a run is split into (memory
-#: permitting); keeps per-chunk overhead negligible while leaving
-#: enough chunks for a pool of threads to balance.
-_TARGET_CHUNKS = 16
 
 #: Region x world count entries scored at once: a pass runs its LLR
 #: and per-world maxima once per block of consecutive chunks holding
@@ -185,18 +186,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def world_chunk_size(n_points: int, n_worlds: int) -> int:
-    """Worlds per simulation chunk.
+def world_chunk_size(entries_per_world: int, n_worlds: int) -> int:
+    """Worlds per simulation chunk: as many as fit in
+    :data:`_CHUNK_TARGET` world-batch entries, at least
+    :data:`_MIN_CHUNK`, at most ``n_worlds``.
 
     A pure function of the workload — never of the worker count — so
     the chunk layout (and with it the per-chunk random streams) is
-    identical for serial and parallel runs.
+    identical for serial and parallel runs.  A chunk holds at most
+    ``max(_MIN_CHUNK * entries_per_world, _CHUNK_TARGET)`` entries.
 
     Parameters
     ----------
-    n_points : int
-        Entries per simulated world column (``n`` points, or ``n * K``
-        for a K-class multinomial world).
+    entries_per_world : int
+        Entries per simulated world column: ``n`` points (``n * K`` for
+        a K-class multinomial world) on the points path, ``(R + 1)``
+        units (``(R + 1) * K``) on the region-level path.
     n_worlds : int
         Total world budget.
 
@@ -205,11 +210,8 @@ def world_chunk_size(n_points: int, n_worlds: int) -> int:
     int
         Chunk size in worlds, at least ``min(n_worlds, 8)``.
     """
-    n_worlds = int(n_worlds)
-    memory_cap = int(_CHUNK_ENTRIES / max(int(n_points), 1)) + 1
-    fan_out = -(-n_worlds // _TARGET_CHUNKS)  # ceil division
-    size = max(_MIN_CHUNK, min(memory_cap, max(fan_out, _MIN_CHUNK)))
-    return max(1, min(n_worlds, size))
+    fits = _CHUNK_TARGET // max(int(entries_per_world), 1)
+    return max(1, min(int(n_worlds), max(_MIN_CHUNK, fits)))
 
 
 class LLRKernel:
@@ -228,6 +230,11 @@ class LLRKernel:
 
     #: Family tag used in fusion keys and reprs.
     family = "base"
+
+    #: World-batch entries per point or unit row: one count per class
+    #: of a K-class multinomial, else one.  A region-level pass holds
+    #: ``(R + 1) * row_entries`` entries per world.
+    row_entries = 1
 
     def __init__(self) -> None:
         self._member: RegionMembership | None = None
@@ -834,6 +841,10 @@ class MultinomialKernel(LLRKernel):
         return self
 
     @property
+    def row_entries(self) -> int:
+        return self.n_classes
+
+    @property
     def chunk_points(self) -> int:
         # One indicator matrix per class passes through the mat-vec.
         return self.n_points * self.n_classes
@@ -1006,22 +1017,26 @@ class MonteCarloEngine:
         return stacked, stacked.segments
 
     @staticmethod
-    def chunk_layout(chunk_points: int, n_worlds: int) -> list:
+    def chunk_layout(entries_per_world: int, n_worlds: int) -> list:
         """The deterministic ``(start, width)`` chunk spans of a run:
         chunks of :func:`world_chunk_size` worlds, so the layout
-        depends on ``(chunk_points, n_worlds)`` alone.
+        depends on ``(entries_per_world, n_worlds)`` alone.  A pass
+        whose worlds fit in :data:`_CHUNK_TARGET` entries is one chunk,
+        and then runs serially whatever ``workers`` asks for.
 
         Parameters
         ----------
-        chunk_points : int
-            Matrix entries per world column (``kernel.chunk_points``).
+        entries_per_world : int
+            World-batch entries per world: ``kernel.chunk_points`` on
+            the points path, ``(R + 1) * kernel.row_entries`` on the
+            region-level path.
         n_worlds : int
 
         Returns
         -------
         list of (int, int)
         """
-        size = world_chunk_size(chunk_points, n_worlds)
+        size = world_chunk_size(entries_per_world, n_worlds)
         return [
             (start, min(size, n_worlds - start))
             for start in range(0, n_worlds, size)
@@ -1171,7 +1186,9 @@ class MonteCarloEngine:
                 spawn_key=parent.spawn_key,
                 pool_size=parent.pool_size,
             )
-            chunks = self.chunk_layout(len(member) + 1, n_worlds)
+            chunks = self.chunk_layout(
+                (len(member) + 1) * kernel.row_entries, n_worlds
+            )
             null_max[i] = self._run_chunks(
                 kernel, member, chunks, fresh.spawn(len(chunks)),
                 n_worlds, workers, [(0, len(member))],

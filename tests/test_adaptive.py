@@ -34,6 +34,7 @@ from repro.budget import (
 from repro.engine import BernoulliKernel, MonteCarloEngine
 from repro.index import RegionMembership
 from tests.conftest import N_WORLDS
+from tests.test_engine import fixed_chunks
 
 #: The unit grid matching the ``unit_regions`` fixture's geometry.
 UNIT_GRID = RegionSpec.grid(5, 5, bounds=(0.0, 0.0, 1.0, 1.0))
@@ -483,9 +484,9 @@ class TestAgreementAndDeterminism:
         assert "stopped early" in report.result.summary()
 
     def test_golden_second_round_stop(self, unit_coords):
-        # Data seed 21 needs two rounds (k crosses 5 between 16 and 32).
+        # Data seed 35 needs two rounds (k crosses 5 between 16 and 32).
         labels = (
-            np.random.default_rng(21).random(len(unit_coords)) < 0.5
+            np.random.default_rng(35).random(len(unit_coords)) < 0.5
         ).astype(np.int8)
         payload = AuditSession(unit_coords, labels).run(AuditSpec(
             regions=UNIT_GRID, n_worlds=N_WORLDS, seed=3,
@@ -494,8 +495,11 @@ class TestAgreementAndDeterminism:
         assert payload["n_worlds"] == 32
 
     def test_same_seed_same_report_any_workers(
-        self, unit_coords, biased_labels,
+        self, unit_coords, biased_labels, monkeypatch,
     ):
+        # Each 16/17-world round fits one chunk; 8-world chunks give
+        # the pool more than one to share.
+        fixed_chunks(monkeypatch, 8)
         spec = AuditSpec(
             regions=UNIT_GRID, n_worlds=N_WORLDS, seed=13,
             budget=SMALL_ADAPTIVE,

@@ -45,7 +45,7 @@ def make_kernel(family, coords, labels, counts, classes):
 
 def fixed_chunks(patch, size):
     """Patch the engine's chunk size to ``size`` worlds."""
-    patch.setattr(engine_mod, "world_chunk_size", lambda points, worlds: size)
+    patch.setattr(engine_mod, "world_chunk_size", lambda entries, worlds: size)
 
 
 def null_pass(coords, regions, kernel, workers, seed=7):
@@ -75,8 +75,30 @@ class TestChunking:
     def test_chunk_size_bounds(self):
         assert world_chunk_size(100, 4) == 4
         assert world_chunk_size(100, 100) >= 8
-        # Huge point counts cap the chunk near the memory budget.
+        # Huge point counts keep the chunk at its worlds floor.
         assert world_chunk_size(25_000_000, 999) == 8
+
+    def test_small_pass_is_one_chunk(self):
+        # audit-grid's region-level pass: 401 units x 64 worlds.
+        assert MonteCarloEngine.chunk_layout(401, 64) == [(0, 64)]
+
+    def test_large_points_pass_keeps_eight_world_chunks(self):
+        # audit-scan's points pass (20,000 areas x 48 worlds) keeps the
+        # six 8-world chunks, and so the random stream, it always had.
+        assert MonteCarloEngine.chunk_layout(20_000, 48) == [
+            (start, 8) for start in range(0, 48, 8)
+        ]
+
+    @pytest.mark.parametrize(
+        "entries", [1, 7, 401, 7_000, 8_192, 8_193, 20_000, 25_000_000]
+    )
+    def test_chunk_entries_are_bounded(self, entries):
+        bound = max(
+            engine_mod._MIN_CHUNK * entries, engine_mod._CHUNK_TARGET
+        )
+        for n_worlds in (1, 49, 3072, 100_000):
+            layout = MonteCarloEngine.chunk_layout(entries, n_worlds)
+            assert max(w for _, w in layout) * entries <= bound
 
     def test_chunk_layout_ignores_worker_config(
         self, monkeypatch, unit_coords, unit_regions
@@ -87,8 +109,8 @@ class TestChunking:
         layouts = []
         layout = MonteCarloEngine.chunk_layout
 
-        def recorded(chunk_points, n_worlds):
-            layouts.append(layout(chunk_points, n_worlds))
+        def recorded(entries, n_worlds):
+            layouts.append(layout(entries, n_worlds))
             return layouts[-1]
 
         monkeypatch.setattr(
@@ -96,12 +118,40 @@ class TestChunking:
         )
         member = RegionMembership(unit_regions, unit_coords)
         kernel = BernoulliKernel(len(unit_coords), len(unit_coords) // 2)
-        for n_worlds in (5, 49, 199):
+        # The 26 units fit 2,520 worlds in a chunk: 6,000 worlds span
+        # three chunks, the smaller budgets one.
+        for n_worlds in (5, 49, 199, 6000):
             for workers in (1, 8):
                 MonteCarloEngine().null_distribution_multi(
                     [member], kernel, n_worlds, seed=3, workers=workers
                 )
             assert layouts[-1] == layouts[-2]
+        assert len(layouts[-1]) == 3
+
+    def test_region_level_layout_counts_class_columns(
+        self, monkeypatch, unit_coords, unit_regions, biased_classes
+    ):
+        # A unit row of a 3-class world holds 3 counts, as a point's
+        # does on the points pass (chunk_points = n * K).
+        entries = []
+        layout = MonteCarloEngine.chunk_layout
+
+        def recorded(entries_per_world, n_worlds):
+            entries.append(entries_per_world)
+            return layout(entries_per_world, n_worlds)
+
+        monkeypatch.setattr(
+            MonteCarloEngine, "chunk_layout", staticmethod(recorded)
+        )
+        member = RegionMembership(unit_regions, unit_coords)
+        kernel = MultinomialKernel(
+            len(unit_coords), np.bincount(biased_classes, minlength=3)
+        )
+        MonteCarloEngine().null_distribution_multi(
+            [member], kernel, 8, seed=3
+        )
+        assert member.disjoint
+        assert entries == [(len(member) + 1) * 3]
 
     def test_layout_covers_budget_contiguously(self):
         for n_worlds in (1, 7, 48, 49, 199):
@@ -929,7 +979,11 @@ class TestGoldenSeedStability:
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_bernoulli_workers_match_serial(self, unit_coords,
-                                            biased_labels, unit_regions):
+                                            biased_labels, unit_regions,
+                                            monkeypatch):
+        # The unit grid's 49 worlds fit one chunk; seven 8-world chunks
+        # give workers=2 a pool to share them.
+        fixed_chunks(monkeypatch, 8)
         a = self.run_bernoulli(unit_coords, biased_labels, unit_regions, 1)
         b = self.run_bernoulli(unit_coords, biased_labels, unit_regions, 2)
         assert result_fingerprint(a) == result_fingerprint(b)
@@ -943,7 +997,9 @@ class TestGoldenSeedStability:
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_poisson_workers_match_serial(self, unit_coords,
-                                          biased_counts, unit_regions):
+                                          biased_counts, unit_regions,
+                                          monkeypatch):
+        fixed_chunks(monkeypatch, 8)
         a = self.run_poisson(unit_coords, biased_counts, unit_regions, 1)
         b = self.run_poisson(unit_coords, biased_counts, unit_regions, 2)
         assert result_fingerprint(a) == result_fingerprint(b)
@@ -963,7 +1019,8 @@ class TestGoldenSeedStability:
 
     def test_multinomial_workers_match_serial(self, unit_coords,
                                               biased_classes,
-                                              unit_regions):
+                                              unit_regions, monkeypatch):
+        fixed_chunks(monkeypatch, 8)
         a = self.run_multinomial(
             unit_coords, biased_classes, unit_regions, 1
         )
@@ -1004,61 +1061,63 @@ GOLDEN_SEEDS = {"bernoulli": 17, "poisson": 23, "multinomial": 29}
 #: (verdict, p_value, significant indices, worlds simulated,
 #: critical_value) per (family, design, budget).  The grid rows draw
 #: region-level worlds (the unit grid is disjoint on the unit points),
-#: so their critical values follow that stream.
+#: so their critical values follow that stream.  Every row also hangs
+#: on its pass's chunk layout: 49 worlds are one chunk on every design
+#: here but the multinomial scans, whose 600 x 3 entries take two.
 GOLDEN_NULL = {
     ('bernoulli', 'grid', 'fixed'): (
-        'unfair', 0.02, (0,), 49, 4.75449825923,
+        'unfair', 0.02, (0,), 49, 5.6875699554,
     ),
     ('bernoulli', 'grid', 'adaptive'): (
-        'unfair', 0.02, (0,), 49, 6.50242926762,
+        'unfair', 0.02, (0,), 49, 7.32300393733,
     ),
     ('bernoulli', 'squares', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 4.56972817483,
+        'unfair', 0.02, (8, 9), 49, 4.71178639505,
     ),
     ('bernoulli', 'squares', 'adaptive'): (
-        'unfair', 0.02, (8, 9), 49, 4.32635622411,
+        'unfair', 0.02, (8, 9), 49, 5.1231080029,
     ),
     ('bernoulli', 'circles', 'fixed'): (
-        'unfair', 0.02, (5, 8, 9), 49, 4.57172767604,
+        'unfair', 0.02, (5, 8, 9), 49, 4.7959459895,
     ),
     ('bernoulli', 'circles', 'adaptive'): (
         'unfair', 0.02, (8, 9), 49, 4.96151083832,
     ),
     ('poisson', 'grid', 'fixed'): (
-        'unfair', 0.02, (0, 1, 5, 6), 49, 4.36983713868,
+        'unfair', 0.02, (0, 1, 5, 6), 49, 5.76316846093,
     ),
     ('poisson', 'grid', 'adaptive'): (
-        'unfair', 0.02, (0, 1, 5, 6), 49, 5.4396560745,
+        'unfair', 0.02, (0, 1, 5, 6), 49, 4.89254561143,
     ),
     ('poisson', 'squares', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 5.99355691305,
+        'unfair', 0.02, (8, 9), 49, 5.17547295324,
     ),
     ('poisson', 'squares', 'adaptive'): (
-        'unfair', 0.02, (8, 9), 49, 4.9807707663,
+        'unfair', 0.02, (8, 9), 49, 5.32657847357,
     ),
     ('poisson', 'circles', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 5.2676711596,
+        'unfair', 0.02, (8, 9, 11), 49, 4.37806456034,
     ),
     ('poisson', 'circles', 'adaptive'): (
-        'unfair', 0.02, (8, 9, 11), 49, 4.36855744107,
+        'unfair', 0.02, (8, 9, 11), 49, 4.59725162067,
     ),
     ('multinomial', 'grid', 'fixed'): (
-        'unfair', 0.02, (0, 1, 5), 49, 6.42379271545,
+        'unfair', 0.02, (0, 1, 5), 49, 6.8973323509,
     ),
     ('multinomial', 'grid', 'adaptive'): (
         'unfair', 0.02, (0, 1, 5), 49, 7.29976484361,
     ),
     ('multinomial', 'squares', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 6.8608234677,
+        'unfair', 0.02, (8, 9), 49, 7.51490418679,
     ),
     ('multinomial', 'squares', 'adaptive'): (
-        'unfair', 0.02, (8, 9), 49, 5.42272587618,
+        'unfair', 0.02, (8, 9), 49, 5.62966942826,
     ),
     ('multinomial', 'circles', 'fixed'): (
-        'unfair', 0.02, (8, 9), 49, 6.56384883241,
+        'unfair', 0.02, (8, 9), 49, 7.29570195313,
     ),
     ('multinomial', 'circles', 'adaptive'): (
-        'unfair', 0.02, (8, 9), 49, 6.63857906506,
+        'unfair', 0.02, (5, 8, 9, 15), 49, 4.88996269453,
     ),
 }
 GOLDEN_LLR = {

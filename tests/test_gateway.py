@@ -1157,12 +1157,29 @@ class TestHTTP:
 
 class TestNoFork:
     def test_threaded_workers_never_fork_inside_http_server(
-        self, monkeypatch, unit_coords, biased_labels
+        self, monkeypatch, unit_coords, biased_classes
     ):
         """workers=2 over real HTTP runs its chunks on threads: with
         os.fork disabled every report still equals its solo serial
         run, byte for byte."""
         from repro import engine
+
+        # A 3-class square scan draws a points pass of 600 x 3 entries
+        # per world, so its 49 worlds span two chunks, enough for a
+        # pool of two.
+        base = {
+            "regions": RegionSpec.squares(8, sides=(0.2, 0.35)).to_dict(),
+            "family": "multinomial",
+            "n_worlds": N_WORLDS,
+        }
+        solo = AuditSession(
+            unit_coords, biased_classes, n_classes=3, workers=1
+        )
+        resolved = solo.resolve(AuditSpec.from_dict(base))
+        assert not resolved.member.disjoint
+        assert len(engine.MonteCarloEngine.chunk_layout(
+            resolved.kernel.chunk_points, N_WORLDS
+        )) == 2
 
         def no_fork():
             raise AssertionError("os.fork called inside the HTTP server")
@@ -1186,13 +1203,13 @@ class TestNoFork:
                 {
                     "name": "unit",
                     "coords": unit_coords.tolist(),
-                    "outcomes": biased_labels.tolist(),
+                    "outcomes": biased_classes.tolist(),
+                    "n_classes": 3,
                 },
             )
             assert status == 201
-            solo = AuditSession(unit_coords, biased_labels, workers=1)
             for seed in (7, 8):
-                spec = dict(SPEC_DICT, seed=seed)
+                spec = dict(base, seed=seed)
                 status, body, _ = client.post(
                     "/audit", {"dataset": "unit", "spec": spec}
                 )
