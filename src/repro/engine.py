@@ -41,7 +41,17 @@ least ``2**-64`` of the mode's, below the ``2**-53`` resolution of the
 uniform, so a design over ``N`` points holds at most ``N + R + 1``
 table entries.  Its weights come from the mode by the ratio recurrence
 ``P(k + 1) / P(k) = (n - k) p / ((k + 1) q)``, products and quotients
-alone, so the table's bits do not depend on numpy's SIMD dispatch.
+alone, so the drawn counts' bits do not depend on numpy's SIMD
+dispatch.
+
+A region's inside term of the Bernoulli LLR,
+``k log(k / n) + (n - k) log(1 - k / n)``, depends on its size ``n``
+and its count ``k`` alone, so each table entry holds it beside its
+count, computed once per table by
+:func:`repro.kernels.bernoulli_inside_term`, whose operations
+:func:`repro.kernels.bernoulli_llr` computes its own term with.  The slot a
+uniform picks gathers both, and the region rows are scored from the
+outside and global terms alone, bit-identical to the whole formula.
 
 Poisson points draw
 -------------------
@@ -309,8 +319,10 @@ class LLRKernel:
             C-contiguous float64 ``(n_points, n_worlds)`` operand of
             the recount, and the multinomial kernel returns class
             labels.  Bound to a disjoint design, each kernel returns
-            float64 counts with one row per unit: ``(R + 1, n_worlds)``,
-            or ``(R + 1, n_worlds, K)`` per class.
+            float64 counts with one row per unit: ``(R + 1, n_worlds)``
+            for Poisson, ``(R + 1, n_worlds, K)`` per class, and
+            ``(R + 1, n_worlds, 2)`` ``(count, inside term)`` pairs for
+            Bernoulli.
         """
         raise NotImplementedError
 
@@ -368,7 +380,11 @@ class BernoulliKernel(LLRKernel):
     ``floor(u * width_r)`` of the unit's row and the coin (the
     fraction), which picks the column's own count or its alias, as in
     :meth:`PoissonKernel._alias_worlds`.  No double below 1 reaches
-    ``u * width_r == width_r``, so a row needs no sentinel.  The table
+    ``u * width_r == width_r``, so a row needs no sentinel.  Each table
+    slot holds its count beside the count's inside LLR term for the
+    row's size (:func:`repro.kernels.bernoulli_inside_term`), so one
+    gather draws both, and :meth:`llr` scores a region-level batch's
+    region rows from the outside and global terms alone.  The table
     is built when the kernel is bound to the design, on the calling
     thread, and cached in the table slot, keyed by the unit sizes'
     bytes: :meth:`repro.core.BernoulliFamily.kernel` hands every kernel
@@ -410,7 +426,9 @@ class BernoulliKernel(LLRKernel):
         column) and offset (intp column) into the flat alias table of
         its ``Binomial(n_r, rate)``, and the table laid out for one
         gather per draw: ``pair[2c]``, ``pair[2c+1]`` are column ``c``'s
-        alias count and its own count, as float64."""
+        alias and the column itself, each a float64 ``(count, inside
+        term)`` row (:func:`repro.kernels.bernoulli_inside_term` of the
+        row's size and the count)."""
         key = self._units.tobytes()
         table = self._tables.get(key)
         if table is None:
@@ -421,11 +439,22 @@ class BernoulliKernel(LLRKernel):
             counts = np.repeat(first - offsets, widths) + np.arange(
                 len(weights), dtype=np.float64
             )
+            inside = kernels.bernoulli_inside_term(
+                np.repeat(sizes, widths), counts
+            )
+            # [column, alias or own, count or inside term], filled by
+            # flat gathers: a gather of 2-wide rows costs several times
+            # more.
+            pair = np.empty((len(weights), 2, 2))
+            pair[:, 0, 0] = counts[alias]
+            pair[:, 0, 1] = inside[alias]
+            pair[:, 1, 0] = counts
+            pair[:, 1, 1] = inside
             table = (
                 widths[row, None].astype(np.float64),
                 offsets[row, None],
                 keep,
-                np.stack([counts[alias], counts], axis=1).ravel(),
+                pair.reshape(-1, 2),
             )
             for arr in table:
                 arr.flags.writeable = False
@@ -443,18 +472,25 @@ class BernoulliKernel(LLRKernel):
         if self._units is not None:
             width, offset, keep, pair = self._table
             u = rng.random((len(self._units), n_worlds))
-            return _alias_draw(u, width, keep, pair, offset)
+            return np.take(pair, _alias_slot(u, width, keep, offset), axis=0)
         return (
             rng.random((self.n_points, n_worlds)) < self.rate
         ).astype(np.float64)
 
     def count(self, worlds: np.ndarray) -> tuple:
+        """``(p, P)``, plus the region rows' inside terms for a
+        region-level batch of ``(count, inside term)`` pairs; a plain
+        batch of counts is scored through the whole formula."""
+        if worlds.ndim == 3:
+            units = worlds[..., 0]
+            return units[:-1], _world_totals(units), worlds[:-1, :, 1]
         return self._region_counts(worlds), _world_totals(worlds)
 
     def llr(self, counts: tuple) -> np.ndarray:
-        world_p, world_P = counts
+        world_p, world_P, *inside = counts
         return kernels.bernoulli_llr_batch(
-            self._n, world_p, float(self.n_points), world_P, self.direction
+            self._n, world_p, float(self.n_points), world_P, self.direction,
+            *inside,
         )
 
 
@@ -592,7 +628,7 @@ class PoissonKernel(LLRKernel):
             for start in range(0, self.total_obs_int, _ALIAS_EVENTS):
                 u = rng.random(min(_ALIAS_EVENTS, self.total_obs_int - start))
                 counts = np.bincount(
-                    _alias_draw(u, n_areas, keep, pair), minlength=n_areas
+                    pair[_alias_slot(u, n_areas, keep)], minlength=n_areas
                 )
                 if start:
                     worlds[:, j] += counts
@@ -613,21 +649,21 @@ class PoissonKernel(LLRKernel):
         )
 
 
-def _alias_draw(
+def _alias_slot(
     u: np.ndarray,
     width: int | np.ndarray,
     keep: np.ndarray,
-    pair: np.ndarray,
     offset: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The alias draws of the uniforms ``u``, which it overwrites.
+    """The alias slots the uniforms ``u`` pick, which it overwrites.
 
     Each uniform picks a column of a table of ``width`` columns that
     starts at ``offset`` (both broadcast against ``u``; one table from
     column 0 when ``offset`` is None): the integer part of
     ``u * width`` is the column ``c`` and the fraction the coin, and
-    the draw is ``pair[2c + (coin < keep[c])]``, the column's own
-    outcome on heads, its alias's otherwise.
+    the slot is ``2c + (coin < keep[c])``.  A caller's table holds
+    column ``c``'s alias at slot ``2c`` and the column's own outcome
+    at ``2c + 1``, so one gather at the slots is the draw.
     """
     u *= width
     col = u.astype(np.intp)
@@ -637,7 +673,7 @@ def _alias_draw(
     heads = u < keep[col]
     col += col
     col += heads
-    return pair[col]
+    return col
 
 
 def _alias_table(
@@ -1237,8 +1273,12 @@ class MonteCarloEngine:
             run = pool.map if threaded else map
             for first, stop in _blocks(chunks, len(member)):
                 parts = run(job, chunks[first:stop], seeds[first:stop])
+                # A one-chunk block scores its counts as they are: the
+                # LLR reads each once, where a join would copy them.
                 counts = tuple(
                     np.concatenate(arrays, axis=-1)
+                    if len(arrays) > 1
+                    else arrays[0]
                     for arrays in zip(*parts)
                 )
                 start = chunks[first][0]

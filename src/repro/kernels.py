@@ -5,7 +5,11 @@ observed data once and on every block of simulated worlds:
 
 * :func:`bernoulli_llr` — Kulldorff's Bernoulli LLR of every region
   against the global rate; :func:`bernoulli_llr_batch` scores a block
-  of worlds, each against its own global rate;
+  of worlds, each against its own global rate.  A region's inside term
+  depends on its size and count alone: :func:`bernoulli_inside_term`
+  computes it, for :func:`bernoulli_llr` and for the engine's binomial
+  alias tables, which hold it beside each count so a region-level pass
+  scores only the outside and global terms;
 * :func:`poisson_llr` — the Poisson LLR against fixed expected
   counts; :func:`poisson_llr_batch` is its world-block form;
 * :func:`multinomial_llr_term` — one class's additive term of the
@@ -34,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "bernoulli_inside_term",
     "bernoulli_llr",
     "bernoulli_llr_batch",
     "membership_counts_batch",
@@ -54,8 +59,43 @@ def _xlogy(x, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(x, out, out=out)
 
 
+def _inside_term(n, p, out, a, b) -> np.ndarray:
+    """``p log(p/n) + (n - p) log(1 - p/n)`` into ``out``, with ``a``
+    and ``b`` as scratch: every buffer has the broadcast shape."""
+    rho = np.divide(p, np.maximum(n, 1.0), out=a)
+    np.subtract(1.0, rho, out=b)
+    _xlogy(p, rho, out)
+    out += _xlogy(np.subtract(n, p, out=a), b, b)
+    return out
+
+
+def bernoulli_inside_term(n, p) -> np.ndarray:
+    """The inside term of :func:`bernoulli_llr`,
+    ``p log(p/n) + (n - p) log(1 - p/n)``, elementwise.
+
+    :func:`bernoulli_llr` computes its own inside term by the same
+    operations, so a value computed here and passed back as its
+    ``inside`` gives the statistic bit for bit.
+
+    Parameters
+    ----------
+    n, p : array_like
+        Total and positive counts inside each region (broadcast
+        together), with ``0 <= p <= n``.
+
+    Returns
+    -------
+    ndarray of float64
+        The term, elementwise; 0 where ``p`` is 0 or ``n``.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    shape = np.broadcast_shapes(n.shape, p.shape)
+    return _inside_term(n, p, *(np.empty(shape) for _ in range(3)))
+
+
 def bernoulli_llr(
-    n, p, total_n: float, total_p, direction: int = 0
+    n, p, total_n: float, total_p, direction: int = 0, inside=None
 ) -> np.ndarray:
     """Bernoulli scan log-likelihood ratio of Kulldorff (1997).
 
@@ -77,6 +117,10 @@ def bernoulli_llr(
         0 scans two-sided; 1 keeps only regions whose inside rate is
         *higher* than outside (green); -1 only *lower* (red).  The
         non-conforming regions score 0.
+    inside : array_like, optional
+        The inside term :func:`bernoulli_inside_term` of ``(n, p)``,
+        when the caller already has it (broadcast against ``p``); else
+        it is computed here.
 
     Returns
     -------
@@ -109,16 +153,13 @@ def bernoulli_llr(
     llr = np.empty(shape)
     a = np.empty(shape)
     b = np.empty(shape)
-    # Inside: p log(rho_in) + (n - p) log(1 - rho_in).
-    rho = np.divide(p, np.maximum(n, 1.0), out=a)
-    np.subtract(1.0, rho, out=b)
-    _xlogy(p, rho, llr)
-    llr += _xlogy(np.subtract(n, p, out=a), b, b)
-    # Outside: the same of (P - p, N - n).
+    if inside is None:
+        inside = _inside_term(n, p, llr, a, b)
+    # Outside: the same of (P - p, N - n), added term by term.
     p_out = np.subtract(P, p, out=np.empty(shape))
     rho = np.divide(p_out, np.maximum(n_out, 1.0), out=a)
     np.subtract(1.0, rho, out=b)
-    llr += _xlogy(p_out, rho, a)
+    np.add(inside, _xlogy(p_out, rho, a), out=llr)
     llr += _xlogy(np.subtract(n_out, p_out, out=a), b, b)
     # Global: P log(rho) + (N - P) log(1 - rho), once per total.
     rho = P / N
@@ -138,6 +179,7 @@ def bernoulli_llr_batch(
     N: float,
     world_P: np.ndarray,
     direction: int = 0,
+    inside: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bernoulli scan LLR for a batch of simulated worlds.
 
@@ -157,6 +199,8 @@ def bernoulli_llr_batch(
         Per-world global positive totals.
     direction : {0, 1, -1}, default 0
         Directional filter, as in :func:`bernoulli_llr`.
+    inside : ndarray of shape (R, W), optional
+        Each entry's inside term, as in :func:`bernoulli_llr`.
 
     Returns
     -------
@@ -164,7 +208,7 @@ def bernoulli_llr_batch(
     """
     n = np.asarray(n, dtype=np.float64)[:, None]
     world_P = np.asarray(world_P, dtype=np.float64)[None, :]
-    return bernoulli_llr(n, world_p, N, world_P, direction)
+    return bernoulli_llr(n, world_p, N, world_P, direction, inside)
 
 
 def poisson_llr(

@@ -14,6 +14,7 @@ from scipy import stats
 from tests.conftest import N_WORLDS
 from repro import AuditSession, AuditSpec, RegionSpec
 from repro import engine as engine_mod
+from repro import kernels
 from repro.core import (
     MultinomialSpatialAuditor,
     PoissonSpatialAuditor,
@@ -414,8 +415,8 @@ def _implied_masses(kernel, unit):
     alias draw."""
     width, offset, keep, pair = kernel._table
     cols = offset[unit, 0] + np.arange(int(width[unit, 0]))
-    own = pair[2 * cols + 1].astype(np.intp)
-    alias = pair[2 * cols].astype(np.intp)
+    own = pair[2 * cols + 1, 0].astype(np.intp)
+    alias = pair[2 * cols, 0].astype(np.intp)
     size = int(kernel._units[unit]) + 1
     masses = np.bincount(
         own, weights=keep[cols], minlength=size
@@ -502,7 +503,7 @@ class TestBinomialAliasDraw:
         kernel = _unit_kernel(sizes, 0.3)
         worlds = kernel.simulate(np.random.default_rng(12), 20_000)
         assert worlds.dtype == np.float64 and worlds.flags.c_contiguous
-        for n, counts in zip(sizes, worlds):
+        for n, counts in zip(sizes, worlds[..., 0]):
             observed = np.bincount(counts.astype(np.intp), minlength=n + 1)
             expected = stats.binom.pmf(np.arange(n + 1), n, kernel.rate)
             expected *= len(counts)
@@ -521,7 +522,7 @@ class TestBinomialAliasDraw:
         # must still read the last column of its own unit's row.
         kernel = _unit_kernel([3, 500, 2, 0], 0.5)
         worlds = kernel.simulate(_TopUniforms(), 2)
-        for unit, counts in enumerate(worlds):
+        for unit, counts in enumerate(worlds[..., 0]):
             own, _ = _implied_masses(kernel, unit)
             assert np.isin(counts, own).all()
 
@@ -529,12 +530,36 @@ class TestBinomialAliasDraw:
         # The draw reads only ``rng.random``, whose stream numpy keeps
         # stable, and a table built from products and quotients alone.
         kernel = _unit_kernel([0, 1, 4, 9, 30, 6], 0.3)
-        worlds = kernel.simulate(np.random.default_rng(0), 3)
+        worlds = kernel.simulate(np.random.default_rng(0), 3)[..., 0]
         assert worlds.T.astype(int).tolist() == [
             [0, 0, 3, 3, 10, 1],
             [0, 0, 0, 3, 6, 2],
             [0, 0, 2, 0, 9, 3],
         ]
+
+    @pytest.mark.parametrize("rate", [0.5, 0.03, 0.97, 1e-6, 1 - 1e-6])
+    def test_slots_hold_the_llr_inside_term(self, rate):
+        # Each slot's inside term is bit for bit the one the LLR
+        # computes for the row's size and the slot's count, so passing
+        # it to the LLR changes no bit of the statistic.
+        sizes = [0, 1, 7, 250, 4000]
+        kernel = _unit_kernel(sizes, rate)
+        width, offset, keep, pair = kernel._table
+        for unit, n in enumerate(sizes):
+            cols = offset[unit, 0] + np.arange(int(width[unit, 0]))
+            slots = pair[np.concatenate([2 * cols, 2 * cols + 1])]
+            counts, inside = slots[None, :, 0], slots[None, :, 1]
+            computed = kernels.bernoulli_inside_term(float(n), counts)
+            assert inside.tobytes() == computed.tobytes()
+            # A region of n points beside n + 1 outside points holding
+            # about their share of positives.
+            total_n = 2.0 * n + 1.0
+            world_P = counts[0] + np.round(rate * (n + 1))
+            for direction in (0, 1, -1):
+                args = (np.array([n]), counts, total_n, world_P, direction)
+                given = kernels.bernoulli_llr_batch(*args, inside)
+                full = kernels.bernoulli_llr_batch(*args)
+                assert given.tobytes() == full.tobytes()
 
     def test_table_is_built_once_per_state_and_design(
         self, monkeypatch, unit_coords, biased_labels
@@ -726,7 +751,12 @@ class TestRegionLevelPass:
         assert worlds.shape[:2] == (len(member) + 1, 6)
         assert worlds.dtype == np.float64
         assert kernel.llr(kernel.count(worlds)).shape == (len(member), 6)
-        per_unit = worlds if worlds.ndim == 2 else worlds.sum(axis=2)
+        if family == "bernoulli":
+            # Each unit's count rides with its inside LLR term.
+            assert worlds.shape[2] == 2
+            per_unit = worlds[..., 0]
+        else:
+            per_unit = worlds if worlds.ndim == 2 else worlds.sum(axis=2)
         if family == "poisson":
             assert (per_unit.sum(axis=0) == kernel.total_obs_int).all()
         else:
@@ -734,6 +764,42 @@ class TestRegionLevelPass:
             assert (per_unit <= sizes[:, None]).all()
             if family == "multinomial":
                 assert (per_unit == sizes[:, None]).all()
+
+    @pytest.mark.parametrize("direction", [0, 1, -1])
+    @pytest.mark.parametrize("positives", ["biased", "none", "all", "one"])
+    def test_bernoulli_maxima_equal_the_full_llr(
+        self, direction, positives, unit_coords, biased_labels
+    ):
+        # The pass scores the region rows from their tables' inside
+        # terms; the whole formula over the same drawn unit counts
+        # gives the same maxima, signed zeros included.  With no
+        # positive, every positive or one, the critical value is 0.
+        n_points = len(unit_coords)
+        labels = {
+            "biased": biased_labels,
+            "none": np.zeros(n_points),
+            "all": np.ones(n_points),
+            "one": np.eye(1, n_points, 17)[0],
+        }[positives]
+        kernel = BernoulliKernel(n_points, labels.sum(), direction)
+        regions = GOLDEN_DESIGNS["grid"].build(unit_coords)
+        maxima = null_pass(unit_coords, regions, kernel, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            fixed_chunks(patch, 8)
+            chunks = MonteCarloEngine.chunk_layout(len(regions) + 1, 48)
+        children = np.random.SeedSequence(7).spawn(len(chunks))
+        units = np.concatenate(
+            [
+                kernel.simulate(np.random.default_rng(child), width)[..., 0]
+                for (_, width), child in zip(chunks, children)
+            ],
+            axis=1,
+        )
+        full = kernels.bernoulli_llr_batch(
+            kernel.member.counts, units[:-1], n_points, units.sum(axis=0),
+            direction,
+        )
+        assert maxima.tobytes() == full.max(axis=0).tobytes()
 
 
 class TestBlockedScoring:
