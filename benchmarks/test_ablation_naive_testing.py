@@ -12,10 +12,18 @@ scan's false-alarm rate respects alpha while the naive procedure's is
 inflated, and both detect the genuine bias.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from conftest import ALPHA, N_WORLDS, report
 
-from repro import GridPartitioning, SpatialFairnessAuditor, partition_region_set
+from repro import (
+    AuditSession,
+    AuditSpec,
+    GridPartitioning,
+    RegionSpec,
+    partition_region_set,
+)
 from repro.baselines import naive_audit
 from repro.datasets import sample_florida_locations
 from repro.geometry import Rect
@@ -29,6 +37,11 @@ def test_naive_testing_vs_scan(benchmark, lar):
     grid = GridPartitioning.regular(Rect.bounding(coords), 15, 15)
     regions = partition_region_set(grid)
     member = RegionMembership(regions, coords)
+    # The scan audits the same grid: bounds-less, it covers the data's
+    # bounding box.
+    spec = AuditSpec(
+        regions=RegionSpec.grid(15, 15), n_worlds=N_WORLDS, alpha=ALPHA
+    )
     n_datasets = 20
 
     def run():
@@ -45,14 +58,9 @@ def test_naive_testing_vs_scan(benchmark, lar):
             flagged_regions_uncorrected += len(uncorrected.flagged)
             naive = naive_audit(member, labels, alpha=ALPHA)
             naive_alarms += not naive.is_fair
-            auditor = SpatialFairnessAuditor(coords, labels)
-            result = auditor.audit(
-                regions,
-                n_worlds=N_WORLDS,
-                alpha=ALPHA,
-                seed=1000 + i,
-                membership=member,
-            )
+            result = AuditSession(coords, labels).run(
+                replace(spec, seed=1000 + i)
+            ).result
             scan_alarms += not result.is_fair
         return (
             uncorrected_alarms,
@@ -73,10 +81,9 @@ def test_naive_testing_vs_scan(benchmark, lar):
     lar_regions = partition_region_set(lar_grid)
     lar_member = RegionMembership(lar_regions, lar.coords)
     naive_lar = naive_audit(lar_member, lar.y_pred, alpha=ALPHA)
-    scan_lar = SpatialFairnessAuditor(lar.coords, lar.y_pred).audit(
-        lar_regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1,
-        membership=lar_member,
-    )
+    scan_lar = AuditSession(lar.coords, lar.y_pred).run(
+        replace(spec, regions=RegionSpec.grid(25, 12), seed=1)
+    ).result
 
     report(
         "Ablation: naive per-region testing vs MC scan "

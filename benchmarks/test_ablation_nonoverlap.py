@@ -9,21 +9,19 @@ away for earlier centres.  The bench compares counts and total LLR.
 
 from conftest import ALPHA, N_WORLDS, report
 
-from repro import (
-    SpatialFairnessAuditor,
-    paper_side_lengths,
-    scan_centers,
-    select_non_overlapping,
-    square_region_set,
-)
+import repro
+from repro import select_non_overlapping
 
 
 def test_nonoverlap_policies(benchmark, lar):
-    centers = scan_centers(lar.coords, n_centers=100, seed=0)
-    regions = square_region_set(centers, paper_side_lengths())
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
-    result = auditor.audit(
-        regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
+    result = (
+        repro.audit(lar.coords, lar.y_pred)
+        .squares(100)
+        .worlds(N_WORLDS)
+        .alpha(ALPHA)
+        .seed(1)
+        .run()
+        .result
     )
 
     def run():

@@ -13,11 +13,7 @@ O(M.N.Q) bench).
 import numpy as np
 from conftest import ALPHA, report
 
-from repro import (
-    GridPartitioning,
-    SpatialFairnessAuditor,
-    partition_region_set,
-)
+from repro import AuditSession, AuditSpec, RegionSpec
 
 
 def test_worlds_convergence(benchmark, lar):
@@ -25,23 +21,20 @@ def test_worlds_convergence(benchmark, lar):
     sub = rng.choice(len(lar), size=20_000, replace=False)
     coords = lar.coords[sub]
     labels = lar.y_pred[sub]
-    grid = GridPartitioning.regular(
-        __import__("repro").Rect.bounding(coords), 25, 12
-    )
-    regions = partition_region_set(grid)
-    auditor = SpatialFairnessAuditor(coords, labels)
-    member = auditor.membership(regions)
+    session = AuditSession(coords, labels)
+    # A 25x12 grid over the subsample's box, built once for all runs.
+    design = RegionSpec.grid(25, 12)
+    session.region_set(design)
 
     def run():
         results = {}
         for n_worlds in (199, 399, 999):
-            results[n_worlds] = auditor.audit(
-                regions,
-                n_worlds=n_worlds,
-                alpha=ALPHA,
-                seed=7,
-                membership=member,
-            )
+            results[n_worlds] = session.run(
+                AuditSpec(
+                    regions=design, n_worlds=n_worlds, alpha=ALPHA,
+                    seed=7,
+                )
+            ).result
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

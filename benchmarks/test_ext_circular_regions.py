@@ -11,30 +11,34 @@ import numpy as np
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
-    SpatialFairnessAuditor,
-    circle_region_set,
+    AuditSession,
+    AuditSpec,
+    RegionSpec,
     paper_side_lengths,
-    scan_centers,
     select_non_overlapping,
-    square_region_set,
 )
 from repro.datasets import DEFAULT_BIAS_REGIONS
 from repro.viz import regions_figure
 
 
 def test_ext_circular_vs_square_regions(benchmark, lar, figure_dir):
-    centers = scan_centers(lar.coords, n_centers=100, seed=0)
-    sides = paper_side_lengths()
-    squares = square_region_set(centers, sides)
+    # Both designs fit the same 100 k-means centres (centers_seed 0);
+    # the squares take the paper's 20 sides.
+    squares = RegionSpec.squares(100)
     # Equal-area circles: r = side / sqrt(pi).
-    radii = sides / np.sqrt(np.pi)
-    circles = circle_region_set(centers, radii)
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
+    radii = paper_side_lengths() / np.sqrt(np.pi)
+    circles = RegionSpec.circles(100, tuple(radii))
+    session = AuditSession(lar.coords, lar.y_pred)
 
     def run():
-        sq = auditor.audit(squares, n_worlds=N_WORLDS, alpha=ALPHA, seed=1)
-        ci = auditor.audit(circles, n_worlds=N_WORLDS, alpha=ALPHA, seed=1)
-        return sq, ci
+        return tuple(
+            session.run(
+                AuditSpec(
+                    regions=design, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
+                )
+            ).result
+            for design in (squares, circles)
+        )
 
     sq, ci = benchmark.pedantic(run, rounds=1, iterations=1)
     sq_best = sq.best_finding

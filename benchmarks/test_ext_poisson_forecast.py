@@ -13,7 +13,7 @@ deficit direction) and passes a perfectly calibrated control forecast.
 
 from conftest import ALPHA, N_WORLDS, report
 
-from repro import PoissonSpatialAuditor, circle_region_set, scan_centers
+from repro import AuditSession, AuditSpec, RegionSpec
 from repro.datasets import (
     DEFAULT_MISCALIBRATIONS,
     generate_forecast_dataset,
@@ -23,17 +23,23 @@ from repro.datasets import (
 def test_ext_poisson_forecast_audit(benchmark, figure_dir):
     data = generate_forecast_dataset(seed=0)
     control = generate_forecast_dataset(zones=(), seed=0)
-    centers = scan_centers(data.coords, n_centers=60, seed=0)
-    regions = circle_region_set(centers, [0.03, 0.06, 0.10, 0.15])
+    # Both forecasts share their areas, so the 60 k-means centres
+    # (centers_seed 0) and the circles around them are the same.
+    spec = AuditSpec(
+        regions=RegionSpec.circles(60, (0.03, 0.06, 0.10, 0.15)),
+        family="poisson",
+        n_worlds=N_WORLDS,
+        alpha=ALPHA,
+        seed=1,
+    )
 
     def run():
-        biased = PoissonSpatialAuditor(
-            data.coords, data.observed, data.forecast
-        ).audit(regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1)
-        fair = PoissonSpatialAuditor(
-            control.coords, control.observed, control.forecast
-        ).audit(regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1)
-        return biased, fair
+        return tuple(
+            AuditSession(d.coords, d.observed, forecast=d.forecast)
+            .run(spec)
+            .result
+            for d in (data, control)
+        )
 
     biased, fair = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -1,12 +1,10 @@
 """Extension: the declarative façade on the LAR workload.
 
-Drives the paper's Figure-3 partition audit through the new
-:class:`repro.AuditSession` front door and verifies the redesign's two
-promises at benchmark scale:
+Drives a LAR partition audit through the :class:`repro.AuditSession`
+front door and verifies its two promises at benchmark scale:
 
-* **fidelity** — a spec-driven run (even one that round-trips through
-  JSON, as a served request would) reproduces the legacy auditor's
-  findings bit for bit;
+* **fidelity** — a spec that round-trips through JSON, as a served
+  request does, reproduces the direct spec's findings bit for bit;
 * **reuse** — a batch of requests over the same region design builds
   the membership index once, so the marginal audit costs a
   simulation, not a rebuild.
@@ -18,10 +16,9 @@ from dataclasses import replace
 from conftest import ALPHA, N_WORLDS, report
 
 import repro
-from repro import SpatialFairnessAuditor
 
 
-def test_facade_matches_legacy_and_reuses_index(benchmark, lar):
+def test_facade_survives_the_wire_and_reuses_index(benchmark, lar):
     grid = repro.RegionSpec.grid(50, 25)
     base = repro.AuditSpec(
         regions=grid, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
@@ -47,18 +44,8 @@ def test_facade_matches_legacy_and_reuses_index(benchmark, lar):
         run, rounds=1, iterations=1
     )
 
-    legacy = SpatialFairnessAuditor(lar.coords, lar.y_pred).audit(
-        grid.build(lar.coords), n_worlds=N_WORLDS, alpha=ALPHA, seed=1
-    )
-    facade = first.result
-    assert facade.p_value == legacy.p_value
-    assert facade.critical_value == legacy.critical_value
-    assert [f.llr for f in facade.findings] == [
-        f.llr for f in legacy.findings
-    ]
-    assert [f.significant for f in facade.findings] == [
-        f.significant for f in legacy.findings
-    ]
+    # The wired spec and the batch's direct one agree bit for bit.
+    assert first.result == reports[0].result
 
     # One membership build serves the JSON-round-tripped run plus the
     # whole batch.
@@ -67,8 +54,6 @@ def test_facade_matches_legacy_and_reuses_index(benchmark, lar):
     report(
         "Extension: declarative façade (LAR, 50x25 grid)",
         [
-            ("façade == legacy findings", "bit-identical",
-             "bit-identical"),
             ("membership builds for 5 audits", "1",
              str(session.index_builds)),
             ("first audit (build + simulate)", "-", f"{t_first:.2f}s"),

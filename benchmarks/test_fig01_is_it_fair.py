@@ -13,22 +13,21 @@ the orderings, and renders the Figure 1 scatters.
 
 from conftest import ALPHA, N_WORLDS, report
 
-from repro import (
-    GridPartitioning,
-    SpatialFairnessAuditor,
-    mean_variance,
-    partition_region_set,
-    random_partitionings,
-)
+import repro
+from repro import mean_variance, random_partitionings
 from repro.viz import dataset_figure
 
 
 def _audit(data, seed=1):
-    grid = GridPartitioning.regular(data.bounds(), 10, 10)
-    auditor = SpatialFairnessAuditor(data.coords, data.y_pred)
-    return auditor.audit(
-        partition_region_set(grid), n_worlds=N_WORLDS, alpha=ALPHA,
-        seed=seed,
+    # A bounds-less grid partitions the data's bounding box.
+    return (
+        repro.audit(data.coords, data.y_pred)
+        .partition(10, 10)
+        .worlds(N_WORLDS)
+        .alpha(ALPHA)
+        .seed(seed)
+        .run()
+        .result
     )
 
 

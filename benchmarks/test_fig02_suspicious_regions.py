@@ -15,9 +15,10 @@ Northern-California rate, and is significant.
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
+    AuditSession,
+    AuditSpec,
     GridPartitioning,
-    SpatialFairnessAuditor,
-    partition_region_set,
+    RegionSpec,
     rank_contributions,
 )
 from repro.core import log_likelihood_ratio
@@ -27,14 +28,13 @@ from repro.viz import rect_overlay_figure, regions_figure
 
 def test_fig02_suspicious_region_contrast(benchmark, lar, figure_dir):
     grid = GridPartitioning.regular(lar.bounds(), 100, 50)
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
-    regions = partition_region_set(grid)
+    session = AuditSession(lar.coords, lar.y_pred)
+    spec = AuditSpec(
+        regions=RegionSpec.grid(100, 50), n_worlds=N_WORLDS, alpha=ALPHA,
+        seed=1,
+    )
     result = benchmark.pedantic(
-        lambda: auditor.audit(
-            regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: session.run(spec).result, rounds=1, iterations=1
     )
 
     # MeanVar's champion: largest contribution to the variance.

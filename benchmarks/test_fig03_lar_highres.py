@@ -16,9 +16,10 @@ import numpy as np
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
+    AuditSession,
+    AuditSpec,
     GridPartitioning,
-    SpatialFairnessAuditor,
-    partition_region_set,
+    RegionSpec,
     top_contributors,
 )
 from repro.datasets import DEFAULT_BIAS_REGIONS
@@ -27,14 +28,13 @@ from repro.viz import rect_overlay_figure, regions_figure
 
 def test_fig03_highres_partitioning(benchmark, lar, figure_dir):
     grid = GridPartitioning.regular(lar.bounds(), 100, 50)
-    regions = partition_region_set(grid)
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
+    session = AuditSession(lar.coords, lar.y_pred)
+    spec = AuditSpec(
+        regions=RegionSpec.grid(100, 50), n_worlds=N_WORLDS, alpha=ALPHA,
+        seed=1,
+    )
     result = benchmark.pedantic(
-        lambda: auditor.audit(
-            regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: session.run(spec).result, rounds=1, iterations=1
     )
     sig = result.significant_findings
     top50 = top_contributors(grid, lar.coords, lar.y_pred, k=50)

@@ -12,12 +12,13 @@ Paper claims:
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
+    MEASURES,
+    AuditSession,
+    AuditSpec,
     GridPartitioning,
-    SpatialFairnessAuditor,
-    partition_region_set,
+    RegionSpec,
     top_contributors,
 )
-from repro.core import equal_opportunity
 from repro.datasets import HOLLYWOOD_ZONE
 from repro.viz import rect_overlay_figure, regions_figure
 
@@ -26,19 +27,23 @@ def test_fig04_crime_equal_opportunity(
     benchmark, crime_pipeline, figure_dir
 ):
     test = crime_pipeline.test
-    measure = equal_opportunity(test)
-    grid = GridPartitioning.regular(test.bounds(), 20, 20)
-    regions = partition_region_set(grid)
-    auditor = SpatialFairnessAuditor(measure.coords, measure.outcomes)
+    session = AuditSession(test.coords, test.y_pred, y_true=test.y_true)
+    # The grid partitions the whole test set's box; the measure audits
+    # its true-positive slice.
+    spec = AuditSpec(
+        regions=RegionSpec.grid(20, 20), measure="equal_opportunity",
+        n_worlds=N_WORLDS, alpha=ALPHA, seed=1,
+    )
     result = benchmark.pedantic(
-        lambda: auditor.audit(
-            regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: session.run(spec).result, rounds=1, iterations=1
     )
     sig = result.significant_findings
-    top5 = top_contributors(grid, measure.coords, measure.outcomes, k=5)
+    # MeanVar ranks the same slice on the same grid.
+    coords, outcomes = MEASURES["equal_opportunity"].extract(
+        test.coords, test.y_pred, test.y_true
+    )
+    grid = GridPartitioning.regular(test.bounds(), 20, 20)
+    top5 = top_contributors(grid, coords, outcomes, k=5)
 
     in_zone = [f for f in sig if f.rect.intersects(HOLLYWOOD_ZONE)]
     best = sig[0] if sig else None
@@ -47,8 +52,8 @@ def test_fig04_crime_equal_opportunity(
         "Figure 4: Crime 20x20, equal opportunity",
         [
             ("model accuracy", "0.78", f"{crime_pipeline.accuracy:.2f}"),
-            ("global TPR", "0.58", f"{measure.rate:.2f}"),
-            ("eq-opp subset size", "61,266", str(measure.n)),
+            ("global TPR", "0.58", f"{result.global_rate:.2f}"),
+            ("eq-opp subset size", "61,266", str(result.total_n)),
             ("verdict", "unfair", "fair" if result.is_fair else "unfair"),
             ("significant partitions", "5", str(len(sig))),
             ("significant in Hollywood zone", "(Hollywood)",
@@ -79,11 +84,11 @@ def test_fig04_crime_equal_opportunity(
 
     # Shape assertions.
     assert 0.70 <= crime_pipeline.accuracy <= 0.85
-    assert 0.45 <= measure.rate <= 0.70
+    assert 0.45 <= result.global_rate <= 0.70
     assert not result.is_fair
     assert sig
     assert len(in_zone) / len(sig) >= 0.8
-    assert best.rho_in < measure.rate  # under-recognition inside
+    assert best.rho_in < result.global_rate  # under-recognition inside
     assert best.direction == -1
     # MeanVar's picks are sparse degenerate cells.
     assert all(c.n <= 10 for c in top5)

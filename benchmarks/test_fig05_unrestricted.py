@@ -13,26 +13,24 @@ Paper claims:
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
-    SpatialFairnessAuditor,
-    paper_side_lengths,
-    scan_centers,
+    AuditSession,
+    AuditSpec,
+    RegionSpec,
     select_non_overlapping,
-    square_region_set,
 )
 from repro.datasets import DEFAULT_BIAS_REGIONS
 from repro.viz import regions_figure
 
 
 def test_fig05_unrestricted_square_scan(benchmark, lar, figure_dir):
-    centers = scan_centers(lar.coords, n_centers=100, seed=0)
-    regions = square_region_set(centers, paper_side_lengths())
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
+    # 100 k-means centres (seed 0) x the paper's 20 side lengths.
+    session = AuditSession(lar.coords, lar.y_pred)
+    spec = AuditSpec(
+        regions=RegionSpec.squares(100), n_worlds=N_WORLDS, alpha=ALPHA,
+        seed=1,
+    )
     result = benchmark.pedantic(
-        lambda: auditor.audit(
-            regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=1
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: session.run(spec).result, rounds=1, iterations=1
     )
     sig = result.significant_findings
     kept = select_non_overlapping(result.findings)
@@ -42,7 +40,7 @@ def test_fig05_unrestricted_square_scan(benchmark, lar, figure_dir):
     report(
         "Figure 5: unrestricted square regions",
         [
-            ("regions scanned", "2000", str(len(regions))),
+            ("regions scanned", "2000", str(result.n_regions)),
             ("verdict", "unfair", "fair" if result.is_fair else "unfair"),
             ("unfair regions", "700", str(len(sig))),
             ("non-overlapping kept", "28", str(len(kept))),
@@ -66,7 +64,7 @@ def test_fig05_unrestricted_square_scan(benchmark, lar, figure_dir):
         annotate=True,
     )
 
-    assert len(regions) == 2000
+    assert result.n_regions == 2000
     assert not result.is_fair
     assert len(sig) >= 50
     assert len(kept) >= 5

@@ -13,12 +13,7 @@ every world fair.
 import numpy as np
 from conftest import ALPHA, N_WORLDS, report
 
-from repro import (
-    GridPartitioning,
-    Rect,
-    SpatialFairnessAuditor,
-    partition_region_set,
-)
+from repro import AuditSession, AuditSpec, RegionSpec
 from repro.viz import dataset_figure
 from repro.datasets import SpatialDataset
 
@@ -26,17 +21,18 @@ from repro.datasets import SpatialDataset
 def test_fig06_fair_worlds_contain_red_clusters(benchmark, figure_dir):
     rng = np.random.default_rng(0)
     coords = rng.random((1000, 2))
-    grid = GridPartitioning.regular(Rect(0, 0, 1, 1), 12, 12)
-    regions = partition_region_set(grid)
+    design = RegionSpec.grid(12, 12, bounds=(0.0, 0.0, 1.0, 1.0))
 
     def run():
         worlds = []
         for w in range(4):
             labels = (rng.random(1000) < 0.5).astype(np.int8)
-            auditor = SpatialFairnessAuditor(coords, labels)
-            result = auditor.audit(
-                regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=100 + w
-            )
+            result = AuditSession(coords, labels).run(
+                AuditSpec(
+                    regions=design, n_worlds=N_WORLDS, alpha=ALPHA,
+                    seed=100 + w,
+                )
+            ).result
             worlds.append((labels, result))
         return worlds
 

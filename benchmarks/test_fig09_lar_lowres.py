@@ -11,9 +11,10 @@ import numpy as np
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
+    AuditSession,
+    AuditSpec,
     GridPartitioning,
-    SpatialFairnessAuditor,
-    partition_region_set,
+    RegionSpec,
     top_contributors,
 )
 from repro.datasets import DEFAULT_BIAS_REGIONS
@@ -22,17 +23,16 @@ from repro.viz import rect_overlay_figure, regions_figure
 
 def test_fig09_lowres_partitioning(benchmark, lar, figure_dir):
     grid = GridPartitioning.regular(lar.bounds(), 25, 12)
-    regions = partition_region_set(grid)
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
+    session = AuditSession(lar.coords, lar.y_pred)
     # At alpha 0.005 over 199 worlds the critical value is the largest
     # null world, so the per-bias check below misses on a few seeds
     # (Phoenix, at seeds 1 and 37 of 1-60).
+    spec = AuditSpec(
+        regions=RegionSpec.grid(25, 12), n_worlds=N_WORLDS, alpha=ALPHA,
+        seed=2,
+    )
     result = benchmark.pedantic(
-        lambda: auditor.audit(
-            regions, n_worlds=N_WORLDS, alpha=ALPHA, seed=2
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: session.run(spec).result, rounds=1, iterations=1
     )
     sig = result.significant_findings
     top20 = top_contributors(grid, lar.coords, lar.y_pred, k=20)

@@ -11,30 +11,26 @@ Jose at rate 0.84, so the directional scan must recover it.
 from conftest import ALPHA, N_WORLDS, report
 
 from repro import (
-    SpatialFairnessAuditor,
-    paper_side_lengths,
-    scan_centers,
+    AuditSession,
+    AuditSpec,
+    RegionSpec,
     select_non_overlapping,
-    square_region_set,
 )
 from repro.datasets import DEFAULT_BIAS_REGIONS
 from repro.viz import regions_figure
 
 
 def test_fig12_green_regions(benchmark, lar, figure_dir):
-    centers = scan_centers(lar.coords, n_centers=100, seed=0)
-    regions = square_region_set(centers, paper_side_lengths())
-    auditor = SpatialFairnessAuditor(lar.coords, lar.y_pred)
+    session = AuditSession(lar.coords, lar.y_pred)
+    spec = AuditSpec(
+        regions=RegionSpec.squares(100),
+        n_worlds=N_WORLDS,
+        alpha=ALPHA,
+        direction="higher",
+        seed=1,
+    )
     result = benchmark.pedantic(
-        lambda: auditor.audit(
-            regions,
-            n_worlds=N_WORLDS,
-            alpha=ALPHA,
-            direction="higher",
-            seed=1,
-        ),
-        rounds=1,
-        iterations=1,
+        lambda: session.run(spec).result, rounds=1, iterations=1
     )
     kept = select_non_overlapping(result.findings)
     worst = max(kept, key=lambda f: f.llr) if kept else None

@@ -1,8 +1,8 @@
 """Perf: the shared Monte Carlo engine — serial vs workers.
 
 Times one Bernoulli audit workload (40k points, 400 candidate regions,
-3072 null worlds) two ways through the same
-:class:`repro.engine.MonteCarloEngine`:
+3072 null worlds) two ways through :class:`repro.AuditSession`, whose
+:class:`repro.engine.MonteCarloEngine` runs the null pass:
 
 * ``workers=1`` — the serial chunk loop;
 * ``workers=4`` — the thread pool (capped at the usable cores).
@@ -18,15 +18,11 @@ containers cannot flake on a perf number.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from repro import (
-    GridPartitioning,
-    Rect,
-    SpatialFairnessAuditor,
-    partition_region_set,
-)
+from repro import AuditSession, AuditSpec, Rect, RegionSpec
 
 N_POINTS = 40_000
 GRID_SIDE = 20
@@ -60,28 +56,28 @@ def test_perf_engine():
     labels = (
         rng.random(N_POINTS) < np.where(inside, 0.45, 0.6)
     ).astype(np.int8)
-    regions = partition_region_set(
-        GridPartitioning.regular(Rect(0, 0, 1, 1), GRID_SIDE, GRID_SIDE)
+    spec = AuditSpec(
+        regions=RegionSpec.grid(
+            GRID_SIDE, GRID_SIDE, bounds=(0.0, 0.0, 1.0, 1.0)
+        ),
+        n_worlds=N_WORLDS,
+        seed=SEED,
     )
 
-    # Fresh auditor per mode; membership indexes are prebuilt outside
+    # Fresh session per mode; membership indexes are prebuilt outside
     # the timings (the engine's story is the world loop, not the index
     # build).
-    serial_auditor = SpatialFairnessAuditor(coords, labels)
-    serial_auditor.membership(regions)
-    parallel_auditor = SpatialFairnessAuditor(coords, labels)
-    parallel_auditor.membership(regions)
+    serial_session = AuditSession(coords, labels)
+    serial_session.region_set(spec.regions)
+    parallel_session = AuditSession(coords, labels)
+    parallel_session.region_set(spec.regions)
 
     t0 = time.perf_counter()
-    serial = serial_auditor.audit(
-        regions, n_worlds=N_WORLDS, seed=SEED, workers=1
-    )
+    serial = serial_session.run(replace(spec, workers=1)).result
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = parallel_auditor.audit(
-        regions, n_worlds=N_WORLDS, seed=SEED, workers=WORKERS
-    )
+    parallel = parallel_session.run(replace(spec, workers=WORKERS)).result
     t_parallel = time.perf_counter() - t0
 
     identical = _fingerprint(serial) == _fingerprint(parallel)

@@ -12,22 +12,13 @@ import time
 import numpy as np
 from conftest import report
 
-from repro import (
-    SpatialFairnessAuditor,
-    scan_centers,
-    square_region_set,
-)
+from repro import AuditSession, AuditSpec, RegionSpec
 
 
-def _timed_audit(auditor, regions, n_worlds, membership):
+def _timed_audit(session, design, n_worlds):
+    spec = AuditSpec(regions=design, n_worlds=n_worlds, alpha=0.05, seed=0)
     start = time.perf_counter()
-    auditor.audit(
-        regions,
-        n_worlds=n_worlds,
-        alpha=0.05,
-        seed=0,
-        membership=membership,
-    )
+    session.run(spec)
     return time.perf_counter() - start
 
 
@@ -36,21 +27,22 @@ def test_scaling_in_worlds_and_regions(benchmark, lar):
     sub = rng.choice(len(lar), size=20_000, replace=False)
     coords = lar.coords[sub]
     labels = lar.y_pred[sub]
-    auditor = SpatialFairnessAuditor(coords, labels)
-    centers = scan_centers(coords, n_centers=50, seed=0)
-    sides = np.linspace(0.1, 2.0, 20)
-    regions = square_region_set(centers, sides)
-    member = auditor.membership(regions)
-    half_regions = square_region_set(centers[:25], sides)
-    half_member = auditor.membership(half_regions)
+    session = AuditSession(coords, labels)
+    sides = tuple(np.linspace(0.1, 2.0, 20))
+    # Half the regions: a 25-centre fit instead of 50 (both k-means at
+    # centers_seed 0), so the two designs differ in region count.
+    regions = RegionSpec.squares(50, sides)
+    half_regions = RegionSpec.squares(25, sides)
+    # Memberships are built outside the timings.
+    for design in (regions, half_regions):
+        session.region_set(design)
 
     def run():
         # Warm-up to stabilise allocator effects.
-        _timed_audit(auditor, regions, 40, member)
-        t_worlds_1x = _timed_audit(auditor, regions, 100, member)
-        t_worlds_2x = _timed_audit(auditor, regions, 200, member)
-        t_regions_half = _timed_audit(auditor, half_regions, 100,
-                                      half_member)
+        _timed_audit(session, regions, 40)
+        t_worlds_1x = _timed_audit(session, regions, 100)
+        t_worlds_2x = _timed_audit(session, regions, 200)
+        t_regions_half = _timed_audit(session, half_regions, 100)
         return t_worlds_1x, t_worlds_2x, t_regions_half
 
     t1, t2, t_half = benchmark.pedantic(run, rounds=1, iterations=1)

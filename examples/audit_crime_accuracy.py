@@ -14,23 +14,24 @@ Run with::
     python examples/audit_crime_accuracy.py
 """
 
-from repro import (
-    GridPartitioning,
-    SpatialFairnessAuditor,
-    equal_opportunity,
-    partition_region_set,
-    predictive_equality,
-)
+from repro import AuditSession, AuditSpec, RegionSpec
 from repro.datasets import HOLLYWOOD_ZONE, generate_crime_dataset
 
 
-def audit(measure, bounds, n_worlds: int = 199, seed: int = 1):
-    """Audit one measure extraction over the paper's 20x20 grid."""
-    grid = GridPartitioning.regular(bounds, 20, 20)
-    auditor = SpatialFairnessAuditor(measure.coords, measure.outcomes)
-    return auditor.audit(
-        partition_region_set(grid), n_worlds=n_worlds, seed=seed
+def audit(session, measure: str, n_worlds: int = 199, seed: int = 1):
+    """Audit one measure over the paper's 20x20 grid.
+
+    The grid partitions the whole test set's bounding box; the measure
+    picks the rows it scans (true positives for equal opportunity,
+    true negatives for predictive equality).
+    """
+    spec = AuditSpec(
+        regions=RegionSpec.grid(20, 20),
+        measure=measure,
+        n_worlds=n_worlds,
+        seed=seed,
     )
+    return session.run(spec).result
 
 
 def main() -> None:
@@ -43,9 +44,10 @@ def main() -> None:
         f"(paper: 0.58)\n"
     )
 
+    session = AuditSession(test.coords, test.y_pred, y_true=test.y_true)
+
     print("=== equal opportunity (is accuracy on serious crimes uniform?)")
-    eq_opp = equal_opportunity(test)
-    result = audit(eq_opp, test.bounds())
+    result = audit(session, "equal_opportunity")
     print(result.summary())
     hollywood = [
         f
@@ -58,8 +60,7 @@ def main() -> None:
     )
 
     print("\n=== predictive equality (false positive rate by location)")
-    pred_eq = predictive_equality(test)
-    result_fpr = audit(pred_eq, test.bounds())
+    result_fpr = audit(session, "predictive_equality")
     print(result_fpr.summary())
 
 

@@ -18,17 +18,20 @@ Run with::
     python examples/audit_crime_forecast.py
 """
 
-from repro import PoissonSpatialAuditor, circle_region_set, scan_centers
+from repro import AuditSession, AuditSpec, RegionSpec
 from repro.datasets import (
     DEFAULT_MISCALIBRATIONS,
     generate_forecast_dataset,
 )
 
-
-def build_regions(coords):
-    """Circular scan regions (Kulldorff geometry) over the city."""
-    centers = scan_centers(coords, n_centers=60, seed=0)
-    return circle_region_set(centers, [0.03, 0.06, 0.10, 0.15])
+#: Circular scan regions (Kulldorff geometry) over the city: 60
+#: k-means centres, four radii each.
+SPEC = AuditSpec(
+    regions=RegionSpec.circles(60, (0.03, 0.06, 0.10, 0.15)),
+    family="poisson",
+    n_worlds=199,
+    seed=1,
+)
 
 
 def main() -> None:
@@ -37,13 +40,10 @@ def main() -> None:
         f"{len(data)} areas, {data.total_observed:.0f} observed events, "
         f"{data.total_forecast:.0f} forecast\n"
     )
-    regions = build_regions(data.coords)
-    auditor = PoissonSpatialAuditor(
-        data.coords, data.observed, data.forecast
-    )
+    session = AuditSession(data.coords, data.observed, forecast=data.forecast)
 
     print("=== miscalibrated forecast ===")
-    result = auditor.audit(regions, n_worlds=199, seed=1)
+    result = session.run(SPEC).result
     print(result.summary())
     print("\ninjected miscalibrations:")
     for zone in DEFAULT_MISCALIBRATIONS:
@@ -58,11 +58,12 @@ def main() -> None:
         )
 
     print("\n=== calibrated control forecast ===")
+    # The control shares the areas, hence the centres and circles.
     control = generate_forecast_dataset(zones=(), seed=0)
-    control_auditor = PoissonSpatialAuditor(
-        control.coords, control.observed, control.forecast
+    control_session = AuditSession(
+        control.coords, control.observed, forecast=control.forecast
     )
-    control_result = control_auditor.audit(regions, n_worlds=199, seed=1)
+    control_result = control_session.run(SPEC).result
     print(control_result.summary())
 
 

@@ -19,15 +19,11 @@ Run with::
 
 import numpy as np
 
-from repro import (
-    GridPartitioning,
-    MultinomialSpatialAuditor,
-    Rect,
-    partition_region_set,
-)
+from repro import AuditSession, AuditSpec, Rect, RegionSpec
 
 PRIORITIES = ("high", "medium", "low")
-CITY = Rect(0.0, 0.0, 10.0, 10.0)
+#: The city's bounding box, (min_x, min_y, max_x, max_y).
+CITY = (0.0, 0.0, 10.0, 10.0)
 SKEWED_DISTRICT = Rect(1.0, 1.0, 4.0, 4.0)
 BASE_SPLIT = np.array([0.20, 0.45, 0.35])
 SKEWED_SPLIT = np.array([0.60, 0.30, 0.10])
@@ -51,11 +47,14 @@ def synthesize_calls(n=12_000, skewed=True, seed=0):
 
 
 def run_audit(coords, labels):
-    grid = GridPartitioning.regular(CITY, 8, 8)
-    auditor = MultinomialSpatialAuditor(coords, labels, n_classes=3)
-    return auditor.audit(
-        partition_region_set(grid), n_worlds=199, alpha=0.005, seed=1
+    spec = AuditSpec(
+        regions=RegionSpec.grid(8, 8, bounds=CITY),
+        family="multinomial",
+        n_worlds=199,
+        alpha=0.005,
+        seed=1,
     )
+    return AuditSession(coords, labels, n_classes=3).run(spec).result
 
 
 def main() -> None:

@@ -18,12 +18,7 @@ Run with::
 
 import numpy as np
 
-from repro import (
-    GridPartitioning,
-    Rect,
-    SpatialFairnessAuditor,
-    partition_region_set,
-)
+from repro import AuditSession, AuditSpec, GridPartitioning, Rect, RegionSpec
 from repro.core import gerrymander_score
 from repro.datasets import generate_synth
 
@@ -56,18 +51,18 @@ def main() -> None:
     print(f"  max rate spread across strips: {spread:.3f} -> looks fair!\n")
 
     print("audit over the gerrymandered strips alone:")
-    auditor = SpatialFairnessAuditor(data.coords, data.y_pred)
-    result = auditor.audit(
-        partition_region_set(strips), n_worlds=199, seed=1
-    )
+    session = AuditSession(data.coords, data.y_pred)
+    # The strips are a 1 x 8 grid over the data's bounding box.
+    result = session.run(
+        AuditSpec(regions=RegionSpec.grid(1, 8), n_worlds=199, seed=1)
+    ).result
     print(f"  verdict: {'FAIR' if result.is_fair else 'UNFAIR'} "
           f"(p={result.p_value:.3f}) — the adversary wins here\n")
 
     print("audit over a 12x12 grid of candidate regions:")
-    grid = GridPartitioning.regular(bounds, 12, 12)
-    result = auditor.audit(
-        partition_region_set(grid), n_worlds=199, seed=1
-    )
+    result = session.run(
+        AuditSpec(regions=RegionSpec.grid(12, 12), n_worlds=199, seed=1)
+    ).result
     print(f"  verdict: {'FAIR' if result.is_fair else 'UNFAIR'} "
           f"(p={result.p_value:.3f})")
     best = result.best_finding

@@ -17,12 +17,8 @@ Run with::
     python examples/meanvar_vs_sul.py
 """
 
-from repro import (
-    GridPartitioning,
-    SpatialFairnessAuditor,
-    partition_region_set,
-    rank_contributions,
-)
+import repro
+from repro import GridPartitioning, rank_contributions
 from repro.datasets import generate_lar_like
 from repro.stats import binom_test
 
@@ -44,9 +40,13 @@ def main() -> None:
     print(f"  ({len(sparse)} of the top 50 have 10 or fewer points)\n")
 
     print("=== Our scan: top-5 significant partitions ===")
-    auditor = SpatialFairnessAuditor(data.coords, data.y_pred)
-    result = auditor.audit(
-        partition_region_set(grid), n_worlds=199, seed=1
+    result = (
+        repro.audit(data.coords, data.y_pred)
+        .partition(100, 50)
+        .worlds(199)
+        .seed(1)
+        .run()
+        .result
     )
     for finding in result.top_regions(5):
         print("  " + finding.describe())

@@ -47,7 +47,7 @@ Module map: :mod:`repro.api` (sessions, reports, the builder),
 :mod:`repro.ticketstore` (durable sqlite ticket journal),
 :mod:`repro.faults` (deterministic fault injection),
 :mod:`repro.spec` (declarative audit requests), :mod:`repro.core`
-(family/measure registries, dispatch, legacy auditors, analyses),
+(family/measure registries, the one audit runner, analyses),
 :mod:`repro.engine` (shared threaded Monte Carlo engine),
 :mod:`repro.budget` (world-budget policies, sequential stopping),
 :mod:`repro.geometry` (regions and partitionings), :mod:`repro.stats`
@@ -83,18 +83,12 @@ from .core import (
     AuditResult,
     Finding,
     GerrymanderScore,
-    Measure,
     MeasureDef,
-    MultinomialSpatialAuditor,
-    PoissonSpatialAuditor,
     PowerAnalysis,
     PowerEstimate,
     ScanFamily,
-    SpatialFairnessAuditor,
-    equal_opportunity,
     gerrymander_score,
     log_likelihood_ratio,
-    predictive_equality,
     register_family,
     register_measure,
     select_non_overlapping,
@@ -175,16 +169,13 @@ __all__ = [
     "GridPartitioning",
     "LLRKernel",
     "MEASURES",
-    "Measure",
     "MeasureDef",
     "MeanVarScore",
     "MonteCarloEngine",
     "MultinomialKernel",
-    "MultinomialSpatialAuditor",
     "NaiveAuditResult",
     "PendingAudit",
     "PoissonKernel",
-    "PoissonSpatialAuditor",
     "PowerAnalysis",
     "PowerEstimate",
     "Rect",
@@ -197,7 +188,6 @@ __all__ = [
     "ScanFamily",
     "StackedMembership",
     "SpatialDataset",
-    "SpatialFairnessAuditor",
     "StopDecision",
     "TenantQuotaError",
     "TicketFailedError",
@@ -211,7 +201,6 @@ __all__ = [
     "circle_region_set",
     "clear_faults",
     "dataset_fingerprint",
-    "equal_opportunity",
     "gerrymander_score",
     "install_faults",
     "log_likelihood_ratio",
@@ -219,7 +208,6 @@ __all__ = [
     "naive_audit",
     "paper_side_lengths",
     "partition_region_set",
-    "predictive_equality",
     "random_partitionings",
     "rank_contributions",
     "register_family",

@@ -592,8 +592,8 @@ class AuditSession:
 
         Grid designs without explicit ``bounds`` partition the full
         dataset's bounding box regardless of the measure (the region
-        family is predetermined, as the paper requires, and identical
-        to the legacy grid-over-``data.bounds()`` workflow); square
+        family is predetermined, as the paper requires: a grid over
+        ``data.bounds()``); square
         and circle scans place their k-means centres on the measure's
         coordinate subset, the points actually audited.
 
@@ -1035,8 +1035,8 @@ class AuditSession:
         """Run resolved specs that share a fusion group key (see
         :meth:`repro.serve.AuditService.plan`): simulate the group's
         null worlds in one pass, then assemble one report per spec, in
-        order, through :func:`repro.core._scan_group` (the legacy
-        auditors' runner too).  :meth:`run` is the group of one, so
+        order, through :func:`repro.core._scan_group`.  :meth:`run` is
+        the group of one, so
         fused and solo reports agree by construction."""
         first = resolutions[0]
         # Each spec's effective request is its explicit workers if set,

@@ -9,35 +9,30 @@ max-statistic scan, and localise the regions responsible.
 
 Every audit is parameterised by a :class:`ScanFamily` from the
 :data:`FAMILIES` registry — new outcome families register instead of
-subclassing.  Three registered families ship, each with a thin legacy
-auditor wrapper:
+subclassing.  Three registered families ship:
 
-* ``"bernoulli"`` / :class:`SpatialFairnessAuditor` — binary outcomes
-  (Bernoulli scan, the paper's setting);
-* ``"poisson"`` / :class:`PoissonSpatialAuditor` — observed-vs-forecast
-  count data (Kulldorff's Poisson model, the intro's crime-forecast
-  motivation);
-* ``"multinomial"`` / :class:`MultinomialSpatialAuditor` — categorical
-  outcomes.
+* ``"bernoulli"`` — binary outcomes (Bernoulli scan, the paper's
+  setting);
+* ``"poisson"`` — observed-vs-forecast count data (Kulldorff's Poisson
+  model, the intro's crime-forecast motivation);
+* ``"multinomial"`` — categorical outcomes.
 
 Every audit takes the same three steps: the family's observed scan of
 the design, the engine's null max-statistic distribution, and the
 assembly that reads p-values, significant regions and the verdict off
 the two.  One runner, :func:`_scan_group`, takes them for a whole
 fusion group at once: one simulation pass, one result per design.
-The declarative front door — serializable
-:class:`repro.spec.AuditSpec` requests run by a
-:class:`repro.api.AuditSession` (:mod:`repro.spec`, :mod:`repro.api`)
-— hands it each group, and the legacy auditors hand it a group of one.
-Both check their Monte Carlo fields through one function,
-:func:`_run_fields`, so an argument one path refuses the other
-refuses too.
+The one front door — serializable :class:`repro.spec.AuditSpec`
+requests run by a :class:`repro.api.AuditSession` (:mod:`repro.spec`,
+:mod:`repro.api`) — hands it each group; :class:`PowerAnalysis` hands
+it one design per simulated trial.  Both check their Monte Carlo
+fields through one function, :func:`_run_fields`.
 
 The Monte Carlo step is vectorized end-to-end: simulated worlds are a
 ``(n_points, n_worlds)`` matrix and per-region recounting is a single
 sparse mat-vec through :class:`repro.index.RegionMembership`.  The
-caller owns each design's membership index (a legacy auditor per
-region set, a session per design and measure); the
+caller owns each design's membership index (a session per design and
+measure, a power analysis its one design); the
 :class:`repro.engine.MonteCarloEngine` that runs the null pass holds
 no coordinates.
 """
@@ -45,7 +40,6 @@ no coordinates.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -81,13 +75,7 @@ __all__ = [
     "MEASURES",
     "register_measure",
     "CORRECTIONS",
-    "SpatialFairnessAuditor",
-    "PoissonSpatialAuditor",
-    "MultinomialSpatialAuditor",
     "select_non_overlapping",
-    "Measure",
-    "equal_opportunity",
-    "predictive_equality",
     "log_likelihood_ratio",
     "PowerAnalysis",
     "PowerEstimate",
@@ -139,9 +127,9 @@ def _run_fields(
     or ``'higher'``).  ``family`` is a :data:`FAMILIES` name; ``seed``
     and ``workers`` may be ``None``.
 
-    :class:`repro.spec.AuditSpec` and the legacy auditors' ``audit``
-    both check their fields here, so the two accept the same values;
-    the first invalid field raises a ValueError that names it.
+    :class:`repro.spec.AuditSpec` and :class:`PowerAnalysis` both
+    check their fields here, so the two accept the same values; the
+    first invalid field raises a ValueError that names it.
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise _err(
@@ -590,11 +578,10 @@ class ScanFamily:
     A family knows how to *bind* raw session data (validating it and
     precomputing totals), how to compute the *observed* per-region
     statistics, and which Monte Carlo *kernel* simulates its null
-    worlds.  A session or a legacy auditor supplies everything else —
-    membership indexing, and through :func:`_scan_group` null
-    simulation, correction and assembly — so
-    a new scenario is one :func:`register_family` call, not a new
-    auditor subclass.
+    worlds.  A session supplies everything else — membership indexing,
+    and through :func:`_scan_group` null simulation, correction and
+    assembly — so a new scenario is one :func:`register_family` call,
+    not a new front-end class.
 
     Subclasses set :attr:`name` (the registry key and
     ``AuditSpec.family`` value) and :attr:`directional`, and implement
@@ -655,7 +642,7 @@ def register_family(family: ScanFamily) -> ScanFamily:
 
     Registered families are valid ``AuditSpec.family`` values and
     drive every audit directly — adding a scenario is a registration,
-    not an auditor subclass.
+    not a new code path.
 
     Parameters
     ----------
@@ -849,12 +836,12 @@ def _scan_group(
     :class:`AuditResult` per design, in order.
 
     Every audit runs here: a session's group of resolved specs
-    (:meth:`repro.api.AuditSession._run_group`), and a legacy
-    auditor's one design.  The designs share the null model
-    (``kernel``, hence the family and ``direction`` code), the world
-    budget, ``seed``, ``workers`` and ``budget`` (``None`` is fixed);
-    ``members``, ``observed``, ``alphas`` and ``corrections`` hold one
-    entry per design, each member already checked by
+    (:meth:`repro.api.AuditSession._run_group`), and each trial of a
+    :class:`PowerAnalysis` as a group of one.  The designs share the
+    null model (``kernel``, hence the family and ``direction`` code),
+    the world budget, ``seed``, ``workers`` and ``budget`` (``None`` is
+    fixed); ``members``, ``observed``, ``alphas`` and ``corrections``
+    hold one entry per design, each member already checked by
     :func:`_check_member`.
     """
     # An adaptive pass stops each design on its own (observed maximum,
@@ -886,8 +873,11 @@ def _scan_group(
 
 
 class BernoulliFamily(ScanFamily):
-    """Binary outcomes: the paper's SUL test (see
-    :class:`SpatialFairnessAuditor`)."""
+    """Binary outcomes: the paper's SUL test.
+
+    Outcomes are 0/1 values or bools.  Null worlds redraw the labels
+    i.i.d. Bernoulli at the global rate, locations fixed.
+    """
 
     name = "bernoulli"
     directional = True
@@ -905,7 +895,8 @@ class BernoulliFamily(ScanFamily):
         labels = labels.astype(np.int8)
         if len(labels) != len(coords):
             raise ValueError(
-                "coords and labels must have the same length"
+                f"outcomes: length does not match coords "
+                f"({len(labels)} vs {len(coords)})"
             )
         return {
             "labels": labels,
@@ -942,8 +933,18 @@ class BernoulliFamily(ScanFamily):
 
 
 class PoissonFamily(ScanFamily):
-    """Observed-vs-forecast counts: Kulldorff's Poisson scan (see
-    :class:`PoissonSpatialAuditor`)."""
+    """Observed-vs-forecast counts: Kulldorff's Poisson scan.
+
+    The setting of the paper's introduction: a forecast assigns each
+    area an expected event count, and spatial fairness of its accuracy
+    means observed counts deviate from their expectations nowhere more
+    than chance allows.  Outcomes are whole, non-negative event counts
+    with a total below ``2**63``; the forecast is rescaled so the
+    totals match, so the audit tests *relative* calibration.  Null
+    worlds redistribute the observed total over the areas in
+    proportion to the forecast, so the audit is exact given the total.
+    ``'higher'`` hunts excess regions, ``'lower'`` deficits.
+    """
 
     name = "poisson"
     directional = True
@@ -1027,8 +1028,17 @@ class PoissonFamily(ScanFamily):
 
 
 class MultinomialFamily(ScanFamily):
-    """Categorical outcomes: the multinomial scan (see
-    :class:`MultinomialSpatialAuditor`)."""
+    """Categorical outcomes: the multinomial scan.
+
+    Spatial fairness of a multi-class system means the outcome *class
+    distribution* is location-independent; the statistic generalises
+    the Bernoulli log-likelihood ratio.  Outcomes are integer class
+    labels in ``[0, n_classes)``, with ``n_classes`` at most the point
+    count.  Null worlds redraw every label i.i.d. from the global class
+    distribution, locations fixed.  The scan is two-sided only, and
+    findings carry ``class_rates`` (per-class rates inside each
+    region).
+    """
 
     name = "multinomial"
     directional = False
@@ -1136,271 +1146,6 @@ register_measure(_accuracy_measure("equal_opportunity", 1))
 register_measure(_accuracy_measure("predictive_equality", 0))
 
 
-class _ScanAuditorBase:
-    """Shared body of the legacy auditor classes: each binds one
-    :class:`ScanFamily`'s data (the :attr:`family` class attribute),
-    keeps the membership index of each region set it scans over its own
-    coordinates, and runs :meth:`audit` as a fusion group of one
-    design through :func:`_scan_group`, the runner sessions use, on a
-    :class:`repro.engine.MonteCarloEngine`.  Its fields are checked by
-    :func:`_run_fields`, as an :class:`repro.spec.AuditSpec`'s are.
-
-    Raises
-    ------
-    ValueError
-        Naming ``coords`` when a location is malformed.
-    """
-
-    #: The registered family this auditor scans with.
-    family: ScanFamily
-
-    def __init__(
-        self, coords: np.ndarray, engine: MonteCarloEngine | None = None
-    ):
-        self.coords = check_coords(coords)
-        # A shared engine (e.g. from PowerAnalysis) pools the Monte
-        # Carlo counters across auditors.
-        self.engine = MonteCarloEngine() if engine is None else engine
-        self._members: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    def membership(self, regions: RegionSet) -> RegionMembership:
-        """The point-membership index of a region set over the
-        auditor's coordinates, cached per region set (weakly, so region
-        sets can be garbage collected).
-
-        Parameters
-        ----------
-        regions : RegionSet
-
-        Returns
-        -------
-        RegionMembership
-        """
-        member = self._members.get(regions)
-        if member is None:
-            member = self.engine._cold_build(regions, self.coords)
-            self._members[regions] = member
-        return member
-
-    def audit(
-        self,
-        regions: RegionSet,
-        n_worlds: int = 99,
-        alpha: float = 0.05,
-        seed: int | None = None,
-        direction: str | None = None,
-        membership: RegionMembership | None = None,
-        workers: int | None = None,
-    ) -> AuditResult:
-        """Run the Monte Carlo scan over a candidate region set.
-
-        Simulates ``n_worlds`` spatially fair worlds under the family's
-        null (see the class docstring), compares the observed maximum
-        region statistic against the null maxima, and returns
-        per-region adjusted significance.
-
-        Parameters
-        ----------
-        regions : RegionSet
-            Candidate regions (grid partitions, squares, circles, ...).
-        n_worlds : int, default 99
-            Simulated null worlds; the p-value resolution is
-            ``1 / (n_worlds + 1)``.
-        alpha : float, default 0.05
-            Significance level for the verdict and per-region flags.
-        seed : int, optional
-            Seed of the world simulator.
-        direction : {None, 'lower', 'higher'}, optional
-            ``None`` scans two-sided.  ``'lower'`` hunts "red" regions
-            (rate inside below outside), ``'higher'`` "green" ones.
-            The null distribution is directional too, matching the
-            statistic.  Non-directional families (multinomial) scan
-            two-sided only and reject any other direction.
-        membership : RegionMembership, optional
-            Precomputed membership index of ``regions`` over the
-            auditor's coordinates (else :meth:`membership`).
-        workers : int, optional
-            Monte Carlo worker threads (see
-            :meth:`repro.engine.MonteCarloEngine.null_distribution_multi`);
-            results are bit-identical for any worker count.
-
-        Returns
-        -------
-        AuditResult
-
-        Raises
-        ------
-        ValueError
-            Naming the field: ``n_worlds``, ``alpha``, ``seed``,
-            ``direction`` or ``workers`` as
-            :class:`repro.spec.AuditSpec` refuses them; a
-            ``membership`` of other regions or other points; or
-            ``regions`` that are empty or hold no observation.
-        """
-        n_worlds, alpha, direction, correction, seed, workers = _run_fields(
-            self.family.name, n_worlds, alpha, direction, "max-stat",
-            seed, workers,
-        )
-        if membership is None:
-            membership = self.membership(regions)
-        elif (
-            membership.regions is not regions
-            or membership.n_points != len(self.coords)
-        ):
-            raise ValueError(
-                "membership: must be built from the audited regions "
-                f"over the auditor's {len(self.coords)} points; got "
-                f"{len(membership)} regions over {membership.n_points} "
-                "points"
-            )
-        _check_member(membership, "regions")
-        d = _DIRECTIONS[direction]
-        return _scan_group(
-            self.engine,
-            self.family.kernel(self._bound, d),
-            [membership],
-            [self.family.observed(self._bound, membership, d)],
-            [alpha],
-            d,
-            [correction],
-            n_worlds,
-            seed,
-            workers,
-            None,
-        )[0]
-
-
-class SpatialFairnessAuditor(_ScanAuditorBase):
-    """Audit binary outcomes for spatial fairness (the paper's SUL test).
-
-    Null worlds redraw the labels i.i.d. Bernoulli at the global rate,
-    locations fixed.
-
-    Parameters
-    ----------
-    coords : ndarray of shape (n, 2)
-        Outcome locations.
-    labels : ndarray of shape (n,)
-        Binary outcomes (0/1 or bool).
-    engine : MonteCarloEngine, optional
-        A shared engine, pooling the Monte Carlo counters.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import (SpatialFairnessAuditor, GridPartitioning,
-    ...                    Rect, partition_region_set)
-    >>> rng = np.random.default_rng(0)
-    >>> coords = rng.random((2000, 2))
-    >>> labels = (rng.random(2000) < 0.5).astype(int)
-    >>> grid = GridPartitioning.regular(Rect(0, 0, 1, 1), 5, 5)
-    >>> auditor = SpatialFairnessAuditor(coords, labels)
-    >>> result = auditor.audit(partition_region_set(grid),
-    ...                        n_worlds=99, seed=0)
-    >>> result.is_fair
-    True
-    """
-
-    family = BERNOULLI
-
-    def __init__(
-        self,
-        coords: np.ndarray,
-        labels: np.ndarray,
-        engine: MonteCarloEngine | None = None,
-    ):
-        super().__init__(coords, engine=engine)
-        self._bound = self.family.bind(self.coords, labels)
-        self.labels = self._bound["labels"]
-
-
-class PoissonSpatialAuditor(_ScanAuditorBase):
-    """Audit observed-vs-forecast count data (Poisson scan).
-
-    The setting of the paper's introduction: a forecast assigns each
-    area an expected event count; spatial fairness of the forecast's
-    *accuracy* means observed counts deviate from their (calibrated)
-    expectations nowhere more than chance allows.
-
-    Null worlds redistribute the observed event total over areas with
-    probabilities proportional to the forecast (conditional /
-    multinomial simulation), so the audit is exact given the total.
-    ``direction='higher'`` hunts excess regions (observed above
-    forecast), ``'lower'`` deficits.
-
-    Parameters
-    ----------
-    coords : ndarray of shape (n, 2)
-        Area representative locations.
-    observed : ndarray of shape (n,)
-        Observed event counts per area: whole, non-negative numbers
-        with a total below ``2**63``.
-    forecast : ndarray of shape (n,)
-        Forecast (expected) counts per area; internally rescaled so
-        the totals match, making the audit test *relative* calibration.
-    engine : MonteCarloEngine, optional
-        A shared engine, pooling the Monte Carlo counters.
-    """
-
-    family = POISSON
-
-    def __init__(
-        self,
-        coords: np.ndarray,
-        observed: np.ndarray,
-        forecast: np.ndarray,
-        engine: MonteCarloEngine | None = None,
-    ):
-        super().__init__(coords, engine=engine)
-        self._bound = self.family.bind(
-            self.coords, observed, forecast=forecast
-        )
-        self.observed = self._bound["observed"]
-        self.forecast = self._bound["forecast"]
-
-
-class MultinomialSpatialAuditor(_ScanAuditorBase):
-    """Audit categorical outcomes for spatial fairness.
-
-    Spatial fairness of a multi-class system means the outcome *class
-    distribution* is location-independent; the scan statistic is the
-    multinomial generalisation of the Bernoulli log-likelihood ratio.
-    Null worlds redraw every label i.i.d. from the global class
-    distribution with locations fixed.  The scan is two-sided only,
-    and findings carry ``class_rates`` (the per-class rates inside
-    each region).
-
-    Parameters
-    ----------
-    coords : ndarray of shape (n, 2)
-    labels : ndarray of shape (n,)
-        Integer class labels in ``[0, n_classes)``.
-    n_classes : int
-        At most ``n``; a larger count is refused with a ValueError
-        naming ``n_classes``.
-    engine : MonteCarloEngine, optional
-        A shared engine, pooling the Monte Carlo counters.
-    """
-
-    family = MULTINOMIAL
-
-    def __init__(
-        self,
-        coords: np.ndarray,
-        labels: np.ndarray,
-        n_classes: int,
-        engine: MonteCarloEngine | None = None,
-    ):
-        super().__init__(coords, engine=engine)
-        self._bound = self.family.bind(
-            self.coords, labels, n_classes=n_classes
-        )
-        self.labels = self._bound["labels"]
-        self.n_classes = self._bound["n_classes"]
-
-
 def select_non_overlapping(findings, policy: str = "per-center") -> list:
     """Reduce significant findings to a disjoint set of regions.
 
@@ -1451,93 +1196,6 @@ def select_non_overlapping(findings, policy: str = "per-center") -> list:
 
 
 @dataclass(frozen=True)
-class Measure:
-    """A fairness measure extracted from a labelled dataset.
-
-    The audit is measure-agnostic: any subset of locations with binary
-    outcomes can be scanned.  :func:`equal_opportunity` and
-    :func:`predictive_equality` are the extractors used by the paper's
-    Crime experiment.
-
-    Attributes
-    ----------
-    coords : ndarray of shape (m, 2)
-        Locations of the retained subset.
-    outcomes : ndarray of shape (m,)
-        Binary outcome per retained observation.
-    name : str
-    """
-
-    coords: np.ndarray
-    outcomes: np.ndarray
-    name: str = "measure"
-
-    @property
-    def n(self) -> int:
-        """Size of the retained subset."""
-        return len(self.outcomes)
-
-    @property
-    def rate(self) -> float:
-        """Global positive-outcome rate of the subset."""
-        return float(np.mean(self.outcomes)) if self.n else 0.0
-
-
-def _dataset_measure(name: str, dataset, display: str) -> Measure:
-    """The registered measure ``name`` applied to a dataset's
-    predictions."""
-    if dataset.y_true is None:
-        raise ValueError(f"{name} needs y_true labels")
-    coords, outcomes = MEASURES[name].extract(
-        dataset.coords, dataset.y_pred, dataset.y_true
-    )
-    return Measure(coords=coords, outcomes=outcomes, name=display)
-
-
-def equal_opportunity(dataset) -> Measure:
-    """Equal-opportunity measure: is the true positive rate uniform?
-
-    Keeps the observations whose true label is positive; the outcome is
-    whether the model predicted them positive.  Spatial fairness of
-    this measure is location-independence of the TPR (recall).  The
-    same extraction runs spec-side as ``measure="equal_opportunity"``.
-
-    Parameters
-    ----------
-    dataset : SpatialDataset
-        Must carry ``y_true`` and ``y_pred``.
-
-    Returns
-    -------
-    Measure
-    """
-    return _dataset_measure(
-        "equal_opportunity", dataset, "equal opportunity (TPR)"
-    )
-
-
-def predictive_equality(dataset) -> Measure:
-    """Predictive-equality measure: is the false positive rate uniform?
-
-    Keeps the observations whose true label is negative; the outcome is
-    whether the model (wrongly) predicted them positive.  The same
-    extraction runs spec-side as ``measure="predictive_equality"``.
-
-    Parameters
-    ----------
-    dataset : SpatialDataset
-        Must carry ``y_true`` and ``y_pred``.
-
-    Returns
-    -------
-    Measure
-    """
-    return _dataset_measure(
-        "predictive_equality", dataset, "predictive equality (FPR)"
-    )
-
-
-@dataclass(frozen=True)
 class PowerEstimate:
     """Detection power of the audit at one effect size.
 
@@ -1584,8 +1242,10 @@ class PowerAnalysis:
     Raises
     ------
     ValueError
-        Naming ``n_worlds``, ``alpha``, ``seed`` or ``workers`` when a
-        trial's audit would refuse it.
+        Naming ``n_worlds``, ``alpha``, ``seed`` or ``workers`` as
+        :class:`repro.spec.AuditSpec` refuses them, ``coords`` when a
+        location is malformed, or ``regions`` when they are empty or
+        hold no point.
     """
 
     def __init__(
@@ -1609,6 +1269,7 @@ class PowerAnalysis:
         # locations are fixed by the design, only labels vary.
         self.engine = MonteCarloEngine()
         self._member = self.engine._cold_build(regions, self.coords)
+        _check_member(self._member, "regions")
 
     def power_at(
         self,
@@ -1639,30 +1300,44 @@ class PowerAnalysis:
         Raises
         ------
         ValueError
-            Naming ``n_trials`` when it is not an integer ``>= 1``.
+            Naming ``n_trials`` when it is not an integer ``>= 1``,
+            ``outside_rate`` when it is not a real number in [0, 1], or
+            ``gap`` when it is not a real number.
         """
         n_trials = _int("n_trials", n_trials, 1)
+        outside_rate = _real("outside_rate", outside_rate)
+        if not 0.0 <= outside_rate <= 1.0:
+            raise _err(
+                "outside_rate", f"must lie in [0, 1], got {outside_rate}"
+            )
+        gap = _real("gap", gap)
+        if np.isnan(gap):
+            raise _err("gap", "expected a real number, got nan")
         rng = _rng or np.random.default_rng(self.seed)
         inside = bias.contains(self.coords)
         rates = np.where(
             inside, np.clip(outside_rate - gap, 0.0, 1.0), outside_rate
         )
         rejections = 0
-        for t in range(n_trials):
+        for _ in range(n_trials):
             labels = (rng.random(len(self.coords)) < rates).astype(
                 np.int8
             )
-            auditor = SpatialFairnessAuditor(
-                self.coords, labels, engine=self.engine
-            )
-            result = auditor.audit(
-                self.regions,
-                n_worlds=self.n_worlds,
-                alpha=self.alpha,
-                seed=int(rng.integers(0, 2**31 - 1)),
-                membership=self._member,
-                workers=self.workers,
-            )
+            bound = BERNOULLI.bind(self.coords, labels)
+            # A two-sided, max-stat, fixed-budget audit of one design.
+            result = _scan_group(
+                self.engine,
+                BERNOULLI.kernel(bound, 0),
+                [self._member],
+                [BERNOULLI.observed(bound, self._member, 0)],
+                [self.alpha],
+                0,
+                ["max-stat"],
+                self.n_worlds,
+                int(rng.integers(0, 2**31 - 1)),
+                self.workers,
+                None,
+            )[0]
             rejections += not result.is_fair
         power = rejections / n_trials
         return PowerEstimate(
@@ -1696,7 +1371,8 @@ class PowerAnalysis:
         Raises
         ------
         ValueError
-            Naming ``n_trials`` as :meth:`power_at` does.
+            Naming ``n_trials``, ``outside_rate`` or ``gap`` as
+            :meth:`power_at` does.
         """
         n_trials = _int("n_trials", n_trials, 1)
         rng = np.random.default_rng(self.seed)
@@ -1774,14 +1450,17 @@ def gerrymander_score(
     Raises
     ------
     ValueError
-        Naming ``n_random`` or ``threshold`` when out of range.
+        Naming ``n_random`` or ``threshold`` when out of range,
+        ``coords`` when a location is malformed, or ``outcomes`` when
+        ``y_pred`` is not binary or not one value per location (the
+        Bernoulli family's rule).
     """
     n_random = _int("n_random", n_random, 1)
     threshold = _real("threshold", threshold)
     if not 0.0 <= threshold <= 1.0:
         raise _err("threshold", f"must lie in [0, 1], got {threshold}")
-    coords = np.asarray(coords, dtype=np.float64)
-    y = np.asarray(y_pred, dtype=np.float64).ravel()
+    coords = check_coords(coords)
+    y = BERNOULLI.bind(coords, y_pred)["labels"].astype(np.float64)
     N = len(coords)
     P = float(y.sum())
     bounds = Rect.bounding(coords)

@@ -1,8 +1,8 @@
-"""Shared parallel Monte Carlo engine for the scan auditors.
+"""Shared parallel Monte Carlo engine for the scan audit.
 
 The audit's cost is dominated by the M x N x Q world loop (simulate a
 null world, recount every region, take the max statistic).  This
-module holds that loop once for every auditor:
+module holds that loop once for every audit family:
 
 * :class:`MonteCarloEngine` runs null passes: world simulation,
   chunking, the sparse membership mat-vec recount and an optional
@@ -985,13 +985,14 @@ class MonteCarloEngine:
 
     Its one entry point, :meth:`null_distribution_multi`, runs one
     simulation pass over one or more designs; every audit, a session's
-    or a legacy auditor's, reaches it through
+    or a power analysis trial, reaches it through
     :func:`repro.core._scan_group`.  The engine holds no data: every
     pass is handed the membership indexes it scores, and the kernel that
     simulates its worlds.  The null keeps locations fixed, so a pass
     needs each design's membership and never the coordinates; callers
     own their memberships (:class:`repro.api.AuditSession` per design
-    and measure, a legacy auditor per region set) and build each through
+    and measure, :class:`repro.core.PowerAnalysis` its one design) and
+    build each through
     :meth:`_cold_build`.  Null worlds are simulated afresh on every
     call; a repeated seeded audit is answered without simulation only by
     the report cache of :class:`repro.serve.AuditService`.

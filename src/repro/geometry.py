@@ -49,9 +49,10 @@ def check_coords(coords) -> np.ndarray:
     """Validate observation locations as a finite ``(k, 2)`` array.
 
     Every entry point that accepts coordinates (sessions, appends,
-    auditors, registered datasets) goes through this one check, so a
-    NaN or infinite location is rejected up front instead of silently
-    falling outside every region while still counting toward ``N``.
+    power analyses, the gerrymander score, registered datasets) goes
+    through this one check, so a NaN or infinite location is rejected
+    up front instead of silently falling outside every region while
+    still counting toward ``N``.
 
     Parameters
     ----------
@@ -262,8 +263,9 @@ class Region:
 class RegionSet:
     """An ordered, indexable collection of candidate regions.
 
-    Region sets are what :meth:`repro.core.SpatialFairnessAuditor.audit`
-    scans.  They behave like sequences of :class:`Region`.
+    Region sets are what an audit scans:
+    :meth:`repro.spec.RegionSpec.build` materialises one per design,
+    and :class:`repro.core.PowerAnalysis` takes one directly.  They behave like sequences of :class:`Region`.
 
     Attributes
     ----------

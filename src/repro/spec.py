@@ -472,8 +472,8 @@ class AuditSpec:
                 "expected a RegionSpec (or its dict form), got "
                 f"{type(self.regions).__name__}",
             )
-        # The Monte Carlo fields are checked as the legacy auditors'
-        # audit() checks them.
+        # The Monte Carlo fields are checked as PowerAnalysis checks
+        # them.
         names = (
             "n_worlds", "alpha", "direction", "correction", "seed",
             "workers",

@@ -1,6 +1,6 @@
 """Unit tests for :mod:`repro.api` and the CLI: the façade reproduces
-every legacy auditor bit-for-bit, reuses its indexes across runs, and
-serves stable, versioned reports."""
+the pinned results of every audit family, reuses its indexes across
+runs, and serves stable, versioned reports."""
 
 import json
 from dataclasses import replace
@@ -10,129 +10,191 @@ import pytest
 
 import repro
 from repro import AuditService, AuditSession, AuditSpec, RegionSpec
-from repro.core import (
-    FAMILIES,
-    MultinomialSpatialAuditor,
-    PoissonSpatialAuditor,
-    SpatialFairnessAuditor,
-    equal_opportunity,
-    predictive_equality,
-)
-from repro.datasets import SpatialDataset
+from repro.core import FAMILIES
 from repro.stats import benjamini_hochberg
 from tests.conftest import N_WORLDS
-from tests.test_engine import result_fingerprint
+from tests.test_engine import GOLDEN_LLR, result_fingerprint
 
 #: The unit grid every equivalence test scans — identical to the
 #: ``unit_regions`` fixture's geometry.
 UNIT_GRID = RegionSpec.grid(5, 5, bounds=(0.0, 0.0, 1.0, 1.0))
 
+#: ``result_fingerprint`` of each audit of :class:`TestLegacyEquivalence`
+#: as the legacy auditor classes (since removed) returned it:
+#: ``(is_fair, p_value, critical_value, significant indices, per-region
+#: LLRs, per-region p-values)``.  The two-sided grids' LLRs are the
+#: cross-version golden rows of the same design.
+LEGACY_FINGERPRINTS = {
+    "bernoulli": (
+        False, 0.02, 5.687569955395759, (0,),
+        GOLDEN_LLR['bernoulli', 'grid'],
+        (
+            0.02, 0.52, 0.98, 1.0, 1.0, 0.18, 0.18, 0.98, 1.0, 0.98,
+            1.0, 1.0, 1.0, 1.0, 0.98, 1.0, 1.0, 0.8, 0.98, 0.94, 1.0,
+            0.86, 1.0, 0.9, 1.0,
+        ),
+    ),
+    "poisson": (
+        False, 0.02, 5.763168460931638, (1, 0, 5, 6),
+        GOLDEN_LLR['poisson', 'grid'],
+        (
+            0.02, 0.02, 0.72, 1.0, 0.8, 0.02, 0.04, 1.0, 0.98, 0.6, 1.0,
+            0.98, 1.0, 1.0, 1.0, 0.6, 0.96, 0.86, 0.96, 0.92, 0.74, 1.0,
+            1.0, 1.0, 1.0,
+        ),
+    ),
+    "multinomial": (
+        False, 0.02, 6.897332350900001, (0, 5, 1),
+        GOLDEN_LLR['multinomial', 'grid'],
+        (
+            0.02, 0.02, 1.0, 1.0, 1.0, 0.02, 0.68, 0.8, 1.0, 1.0, 1.0,
+            1.0, 1.0, 0.4, 0.1, 0.94, 0.98, 1.0, 1.0, 0.56, 0.98, 1.0,
+            0.78, 1.0, 0.98,
+        ),
+    ),
+    "lower": (
+        False, 0.02, 4.572949124078974, (0,),
+        (
+            17.236950748641362, 2.618020566070385, 0.0,
+            0.32605474645365007, 0.0, 3.9800399725894806,
+            3.990300096684763, 0.8881795710095446, 0.002432791580332605,
+            0.0, 0.0, 0.12605765679879255, 0.032327052986005356, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            0.5035019297718861,
+        ),
+        (
+            0.02, 0.28, 1.0, 1.0, 1.0, 0.08, 0.08, 0.92, 1.0, 1.0, 1.0,
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+            1.0, 1.0,
+        ),
+    ),
+    "eq_opp": (
+        False, 0.02, 5.335890579467389, (0,),
+        (
+            9.18979399096645, 1.6089016012818433, 0.2685872270044456,
+            0.010587297078927804, 0.03568341976767897,
+            1.6472997163161835, 3.5007093888592635, 2.801153349944144,
+            0.12337723026143976, 1.7187909747642607,
+            0.04658561273305395, 0.23090759620944823,
+            0.8056452360052901, 0.07347744127318379, 2.19950925664736,
+            0.31136301365808094, 0.01517428704556778,
+            0.6181562329325914, 0.5455524568515671, 1.6619028951852215,
+            3.7869271701304967, 0.9251567682782138,
+            0.007665392557612449, 0.5455524568515671,
+            0.06140483751329384,
+        ),
+        (
+            0.02, 0.86, 1.0, 1.0, 1.0, 0.86, 0.2, 0.44, 1.0, 0.82, 1.0,
+            1.0, 1.0, 1.0, 0.64, 1.0, 1.0, 1.0, 1.0, 0.86, 0.16, 1.0,
+            1.0, 1.0, 1.0,
+        ),
+    ),
+    "eq_opp_6x6": (
+        False, 0.02, 5.090097141783076, (0, 7),
+        (
+            8.83657772399863, 2.7736478554342057, 0.12680232698849636,
+            0.19027300795198698, 0.12337723026143976,
+            0.7073496876801642, 2.790843154406275, 5.091858577279027,
+            0.0011381502226868179, 2.2730561343075237,
+            0.33429255274336356, 0.15223420166921642,
+            0.00067094347366492, 0.12337723026143976,
+            0.33429255274336356, 0.6740345651332404, 1.1705053634670435,
+            2.6010698913266594, 0.2389593305604194, 0.8056452360052901,
+            0.15223420166921642, 0.9066987834610813,
+            0.026668527777701456, 2.6010698913266594,
+            0.1153875247207452, 0.48431552746825446,
+            0.30151153006514164, 1.5945347646241999,
+            0.03568341976767897, 1.4400331137363764, 3.7869271701304967,
+            0.07528381049695554, 0.30151153006514164,
+            0.0011381502226868179, 0.23090759620944823,
+            0.22012099492829407,
+        ),
+        (
+            0.02, 0.72, 1.0, 1.0, 1.0, 1.0, 0.72, 0.04, 1.0, 0.86, 1.0,
+            1.0, 1.0, 1.0, 1.0, 1.0, 0.98, 0.74, 1.0, 1.0, 1.0, 1.0,
+            1.0, 0.74, 1.0, 1.0, 1.0, 0.98, 1.0, 0.98, 0.3, 1.0, 1.0,
+            1.0, 1.0, 1.0,
+        ),
+    ),
+}
+
+
+def assert_legacy_fingerprint(result, name):
+    """``result`` reproduces the pinned legacy fingerprint ``name``:
+    verdicts, p-values and significant sets exactly, the critical value
+    and LLRs to 1e-9 relative (the cross-version golden tolerance)."""
+    is_fair, p_value, critical, significant, llr, p_values = (
+        LEGACY_FINGERPRINTS[name]
+    )
+    got = result_fingerprint(result)
+    assert (got[0], got[1], got[3], got[5]) == (
+        is_fair, p_value, significant, p_values
+    )
+    assert got[2] == pytest.approx(critical, rel=1e-9)
+    assert list(got[4]) == pytest.approx(llr, rel=1e-9, abs=1e-12)
+
+
+def _y_true(n):
+    rng = np.random.default_rng(7)
+    return (rng.random(n) < 0.6).astype(np.int8)
+
 
 class TestLegacyEquivalence:
-    """Acceptance: every audit expressible today is expressible as an
-    AuditSpec, reproducing the legacy auditor bit-identically."""
+    """Acceptance: every audit the legacy auditor classes ran is
+    expressible as an AuditSpec, reproducing their results (pinned in
+    :data:`LEGACY_FINGERPRINTS`) bit for bit."""
 
-    def test_bernoulli(self, unit_coords, biased_labels, unit_regions):
-        legacy = SpatialFairnessAuditor(unit_coords, biased_labels).audit(
-            unit_regions, n_worlds=N_WORLDS, seed=17
-        )
+    def test_bernoulli(self, unit_coords, biased_labels):
         spec = AuditSpec(regions=UNIT_GRID, family="bernoulli",
                          n_worlds=N_WORLDS, seed=17)
         report = AuditSession(unit_coords, biased_labels).run(spec)
-        assert result_fingerprint(report.result) == result_fingerprint(
-            legacy
-        )
+        assert_legacy_fingerprint(report.result, "bernoulli")
         assert not report.is_fair
 
-    def test_poisson(self, unit_coords, biased_counts, unit_regions):
+    def test_poisson(self, unit_coords, biased_counts):
         observed, forecast = biased_counts
-        legacy = PoissonSpatialAuditor(
-            unit_coords, observed, forecast
-        ).audit(unit_regions, n_worlds=N_WORLDS, seed=23)
         spec = AuditSpec(regions=UNIT_GRID, family="poisson",
                          n_worlds=N_WORLDS, seed=23)
         report = AuditSession(
             unit_coords, observed, forecast=forecast
         ).run(spec)
-        assert result_fingerprint(report.result) == result_fingerprint(
-            legacy
-        )
+        assert_legacy_fingerprint(report.result, "poisson")
 
-    def test_multinomial(self, unit_coords, biased_classes, unit_regions):
-        legacy = MultinomialSpatialAuditor(
-            unit_coords, biased_classes, 3
-        ).audit(unit_regions, n_worlds=N_WORLDS, seed=29)
+    def test_multinomial(self, unit_coords, biased_classes):
         spec = AuditSpec(regions=UNIT_GRID, family="multinomial",
                          n_worlds=N_WORLDS, seed=29)
         report = AuditSession(
             unit_coords, biased_classes, n_classes=3
         ).run(spec)
-        assert result_fingerprint(report.result) == result_fingerprint(
-            legacy
-        )
+        assert_legacy_fingerprint(report.result, "multinomial")
 
-    def test_directional_bernoulli(self, unit_coords, biased_labels,
-                                   unit_regions):
-        legacy = SpatialFairnessAuditor(unit_coords, biased_labels).audit(
-            unit_regions, n_worlds=N_WORLDS, seed=17, direction="lower"
-        )
+    def test_directional_bernoulli(self, unit_coords, biased_labels):
         spec = AuditSpec(regions=UNIT_GRID, direction="red",
                          n_worlds=N_WORLDS, seed=17)
         report = AuditSession(unit_coords, biased_labels).run(spec)
-        assert result_fingerprint(report.result) == result_fingerprint(
-            legacy
-        )
+        assert_legacy_fingerprint(report.result, "lower")
 
     def test_equal_opportunity_measure(self, unit_coords, biased_labels):
-        rng = np.random.default_rng(7)
-        y_true = (rng.random(len(unit_coords)) < 0.6).astype(np.int8)
-        dataset = SpatialDataset(coords=unit_coords, y_pred=biased_labels,
-                                 y_true=y_true)
-        measure = equal_opportunity(dataset)
-        legacy = SpatialFairnessAuditor(
-            measure.coords, measure.outcomes
-        ).audit(UNIT_GRID.build(measure.coords), n_worlds=N_WORLDS,
-                seed=31)
         spec = AuditSpec(regions=UNIT_GRID, measure="equal_opportunity",
                          n_worlds=N_WORLDS, seed=31)
         report = AuditSession(
-            unit_coords, biased_labels, y_true=y_true
+            unit_coords, biased_labels, y_true=_y_true(len(unit_coords))
         ).run(spec)
-        assert result_fingerprint(report.result) == result_fingerprint(
-            legacy
-        )
+        assert_legacy_fingerprint(report.result, "eq_opp")
 
     def test_measure_grid_covers_full_data_bounds(self, unit_coords,
                                                   biased_labels):
         """A bounds-less grid partitions the full dataset's bbox even
-        when the measure audits a subset — the legacy fig04 workflow
-        (grid over ``data.bounds()``, audit the y_true==1 slice)."""
-        rng = np.random.default_rng(7)
-        y_true = (rng.random(len(unit_coords)) < 0.6).astype(np.int8)
-        dataset = SpatialDataset(coords=unit_coords, y_pred=biased_labels,
-                                 y_true=y_true)
-        measure = equal_opportunity(dataset)
-        from repro.geometry import (
-            GridPartitioning,
-            partition_region_set,
-        )
-
-        legacy_grid = partition_region_set(
-            GridPartitioning.regular(dataset.bounds(), 6, 6)
-        )
-        legacy = SpatialFairnessAuditor(
-            measure.coords, measure.outcomes
-        ).audit(legacy_grid, n_worlds=N_WORLDS, seed=31)
+        when the measure audits a subset — the fig04 workflow (grid
+        over ``data.bounds()``, audit the y_true==1 slice)."""
         report = AuditSession(
-            unit_coords, biased_labels, y_true=y_true
+            unit_coords, biased_labels, y_true=_y_true(len(unit_coords))
         ).run(
             AuditSpec(regions=RegionSpec.grid(6, 6),
                       measure="equal_opportunity",
                       n_worlds=N_WORLDS, seed=31)
         )
-        assert result_fingerprint(report.result) == result_fingerprint(
-            legacy
-        )
+        assert_legacy_fingerprint(report.result, "eq_opp_6x6")
 
     def test_spec_survives_the_wire(self, unit_coords, biased_labels):
         """Serialising the request changes nothing about the answer."""
@@ -320,13 +382,13 @@ class TestBuilder:
 
 
 class TestValidationErrors:
-    def test_empty_region_set_names_the_field(self, unit_coords,
-                                              biased_labels):
+    def test_empty_region_set_names_the_field(self, unit_coords):
+        # A spec design always has a region; a power analysis takes
+        # its region set as given.
         from repro.geometry import RegionSet
 
-        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
         with pytest.raises(ValueError, match="regions.*empty"):
-            auditor.audit(RegionSet([]), n_worlds=N_WORLDS, seed=1)
+            repro.PowerAnalysis(unit_coords, RegionSet([]), n_worlds=9)
 
     def test_uncovered_regions_name_the_spec_field(self, unit_coords,
                                                    biased_labels):
@@ -353,8 +415,6 @@ class TestValidationErrors:
         spec = AuditSpec(regions=UNIT_GRID, n_worlds=N_WORLDS, seed=1)
         with pytest.raises(ValueError, match=r"^outcomes: "):
             AuditSession(unit_coords, outcomes).run(spec)
-        with pytest.raises(ValueError, match=r"^outcomes: "):
-            SpatialFairnessAuditor(unit_coords, outcomes)
 
     def test_non_binary_append_fails_the_next_bernoulli_audit(
         self, unit_coords, biased_labels
@@ -396,8 +456,6 @@ class TestValidationErrors:
                          n_worlds=N_WORLDS, seed=1)
         with pytest.raises(ValueError, match=r"^outcomes: "):
             AuditSession(unit_coords, observed, forecast=forecast).run(spec)
-        with pytest.raises(ValueError, match=r"^outcomes: "):
-            PoissonSpatialAuditor(unit_coords, observed, forecast)
 
     @pytest.mark.parametrize("value", [2.7, -0.5, np.nan, -1.0])
     def test_bad_multinomial_labels_name_the_field(
@@ -411,8 +469,6 @@ class TestValidationErrors:
                          n_worlds=N_WORLDS, seed=1)
         with pytest.raises(ValueError, match=r"^outcomes: .*integer"):
             AuditSession(unit_coords, labels).run(spec)
-        with pytest.raises(ValueError, match=r"^outcomes: "):
-            MultinomialSpatialAuditor(unit_coords, labels, 3)
 
     def test_integral_float_multinomial_labels_stay_accepted(
         self, unit_coords, biased_classes
@@ -476,38 +532,6 @@ class TestValidationErrors:
             match=rf"^regions.n_centers: {n + 1} centres .* has {n}$",
         ):
             session.run(spec)
-
-    def test_legacy_uncovered_regions_raise_too(self, unit_coords,
-                                                biased_labels):
-        from repro.geometry import (
-            GridPartitioning,
-            Rect,
-            partition_region_set,
-        )
-
-        far = partition_region_set(
-            GridPartitioning.regular(Rect(50, 50, 60, 60), 3, 3)
-        )
-        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
-        with pytest.raises(ValueError, match="does not cover"):
-            auditor.audit(far, n_worlds=N_WORLDS, seed=1)
-
-    def test_legacy_multinomial_is_two_sided_only(
-        self, unit_coords, biased_classes, unit_regions
-    ):
-        auditor = MultinomialSpatialAuditor(unit_coords, biased_classes, 3)
-        with pytest.raises(ValueError, match="directional"):
-            auditor.audit(
-                unit_regions, n_worlds=N_WORLDS, seed=1, direction="lower"
-            )
-
-    def test_accuracy_measures_need_y_true(self, unit_coords,
-                                           biased_labels):
-        dataset = SpatialDataset(coords=unit_coords, y_pred=biased_labels)
-        with pytest.raises(ValueError, match="equal_opportunity needs"):
-            equal_opportunity(dataset)
-        with pytest.raises(ValueError, match="predictive_equality needs"):
-            predictive_equality(dataset)
 
     def test_poisson_without_forecast(self, unit_coords, biased_counts):
         observed, _ = biased_counts
@@ -589,16 +613,12 @@ class TestCorrections:
 
 class TestRegistryExtension:
     def test_registered_family_runs_through_the_front_door(
-        self, unit_coords, biased_labels, unit_regions
+        self, unit_coords, biased_labels
     ):
         """The register-instead-of-subclass contract: a family added
         at runtime is immediately addressable from a spec, and the
         default measures accept it."""
-        from repro.core import (
-            FAMILIES,
-            BernoulliFamily,
-            register_family,
-        )
+        from repro.core import BernoulliFamily, register_family
 
         class RenamedBernoulli(BernoulliFamily):
             name = "bernoulli-clone"
@@ -610,12 +630,7 @@ class TestRegistryExtension:
                              n_worlds=N_WORLDS, seed=17)
             assert AuditSpec.from_json(spec.to_json()) == spec
             report = AuditSession(unit_coords, biased_labels).run(spec)
-            legacy = SpatialFairnessAuditor(
-                unit_coords, biased_labels
-            ).audit(unit_regions, n_worlds=N_WORLDS, seed=17)
-            assert result_fingerprint(report.result) == (
-                result_fingerprint(legacy)
-            )
+            assert_legacy_fingerprint(report.result, "bernoulli")
         finally:
             del FAMILIES["bernoulli-clone"]
 

@@ -10,11 +10,9 @@ from repro import AuditSession, AuditSpec, RegionSpec
 from repro.core import (
     CORRECTIONS,
     FAMILIES,
-    MultinomialSpatialAuditor,
-    PoissonSpatialAuditor,
     PowerAnalysis,
+    PowerEstimate,
     RegionColumns,
-    SpatialFairnessAuditor,
     _scan_group,
     gerrymander_score,
     log_likelihood_ratio,
@@ -143,6 +141,44 @@ class TestPowerAnalysis:
         with pytest.raises(ValueError, match="^n_trials: "):
             analysis.power_curve(BIAS_RECT, 0.7, [], n_trials=n_trials)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("outside_rate", 1.5), ("outside_rate", -0.1),
+            ("outside_rate", float("nan")), ("outside_rate", "0.7"),
+            ("gap", "0.2"), ("gap", None), ("gap", float("nan")),
+        ],
+    )
+    def test_rate_and_gap_checked(self, field, value, unit_coords,
+                                  unit_regions):
+        analysis = PowerAnalysis(unit_coords, unit_regions, n_worlds=19)
+        args = {"outside_rate": 0.7, "gap": 0.2, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            analysis.power_at(BIAS_RECT, n_trials=1, **args)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            analysis.power_curve(
+                BIAS_RECT, args["outside_rate"], [args["gap"]], n_trials=1
+            )
+
+    def test_curve_is_pinned(self, unit_coords, unit_regions):
+        """Each trial is a two-sided max-stat audit of the one design;
+        the curve is pinned bit for bit to the values the same seed
+        gave when each trial built a legacy auditor."""
+        analysis = PowerAnalysis(
+            unit_coords, unit_regions, n_worlds=19, seed=4
+        )
+        curve = analysis.power_curve(
+            BIAS_RECT, 0.7, [0.0, 0.1, 0.2, 0.3, 0.55], n_trials=5
+        )
+        floor = 4.472135954999579e-07  # sqrt(1e-12 / 5)
+        assert curve == [
+            PowerEstimate(0.0, 0.0, floor, 5),
+            PowerEstimate(0.1, 0.0, floor, 5),
+            PowerEstimate(0.2, 0.6, 0.21908902300206645, 5),
+            PowerEstimate(0.3, 0.4, 0.21908902300206645, 5),
+            PowerEstimate(0.55, 1.0, floor, 5),
+        ]
+
     def test_curve_shares_one_random_stream(self, unit_coords,
                                             unit_regions):
         analysis = PowerAnalysis(
@@ -182,14 +218,30 @@ class TestGerrymanderScore:
             ("threshold", "x"),
             ("threshold", 1.5),
             ("threshold", float("nan")),
+            # Malformed data, refused by the checks every audit runs
+            # (check_coords and the Bernoulli family's outcome rule).
+            ("coords", "1-D"),
+            ("coords", "NaN"),
+            ("outcomes", "short"),
+            ("outcomes", "2y"),
         ],
     )
     def test_fields_checked(self, field, value, unit_coords, biased_labels):
         part = GridPartitioning.regular(Rect(0, 0, 1, 1), 3, 3)
+        nan_row = unit_coords.copy()
+        nan_row[5, 1] = np.nan
+        bad_data = {
+            "1-D": (unit_coords[:, 0], biased_labels),
+            "NaN": (nan_row, biased_labels),
+            "short": (unit_coords, biased_labels[:-1]),
+            "2y": (unit_coords, 2 * biased_labels),
+        }
+        if field in ("coords", "outcomes"):
+            data, options = bad_data[value], {}
+        else:
+            data, options = (unit_coords, biased_labels), {field: value}
         with pytest.raises(ValueError, match=f"^{field}: "):
-            gerrymander_score(
-                unit_coords, biased_labels, part, **{field: value}
-            )
+            gerrymander_score(*data, part, **options)
 
 
 class TestValidation:
@@ -201,18 +253,17 @@ class TestValidation:
             bernoulli_llr(n, p, 100.0, 40.0),
         )
 
-    def test_unknown_direction(self, unit_coords, biased_labels,
-                               unit_regions):
-        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
+    def test_unknown_direction(self):
         with pytest.raises(ValueError, match="unknown direction"):
-            auditor.audit(unit_regions, n_worlds=N_WORLDS,
-                          direction="sideways")
+            AuditSpec(regions=RegionSpec.grid(5, 5), n_worlds=N_WORLDS,
+                      direction="sideways")
 
     def test_world_budget_must_be_positive(self, unit_coords,
-                                           biased_labels, unit_regions):
-        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
+                                           unit_regions):
         with pytest.raises(ValueError, match="n_worlds"):
-            auditor.audit(unit_regions, n_worlds=0)
+            AuditSpec(regions=RegionSpec.grid(5, 5), n_worlds=0)
+        with pytest.raises(ValueError, match="n_worlds"):
+            PowerAnalysis(unit_coords, unit_regions, n_worlds=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -224,58 +275,26 @@ class TestValidation:
     )
     @pytest.mark.parametrize("family", ["bernoulli", "poisson", "multinomial"])
     def test_legacy_fields_refused_as_the_spec_refuses_them(
-        self, family, field, value, unit_coords, biased_labels,
-        biased_counts, biased_classes, unit_regions,
+        self, family, field, value, unit_coords, unit_regions,
     ):
-        observed, forecast = biased_counts
-        auditor = {
-            "bernoulli": lambda: SpatialFairnessAuditor(
-                unit_coords, biased_labels
-            ),
-            "poisson": lambda: PoissonSpatialAuditor(
-                unit_coords, observed, forecast
-            ),
-            "multinomial": lambda: MultinomialSpatialAuditor(
-                unit_coords, biased_classes, 3
-            ),
-        }[family]()
-        with pytest.raises(ValueError, match=f"^{field}: "):
-            auditor.audit(
-                unit_regions, **{"n_worlds": N_WORLDS, field: value}
-            )
+        """The Monte Carlo keyword fields the legacy auditors took live
+        on in the spec and in :class:`PowerAnalysis`, the one entry
+        that still takes them as arguments; both refuse a bad value
+        the same way, naming the field."""
         with pytest.raises(ValueError, match=f"^{field}: "):
             AuditSpec(regions=RegionSpec.grid(5, 5), family=family,
                       **{field: value})
-
-    def test_membership_must_match_regions_and_points(
-        self, unit_coords, biased_labels, unit_regions
-    ):
-        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
-        coarse = partition_region_set(
-            GridPartitioning.regular(Rect(0, 0, 1, 1), 2, 2)
-        )
-        other_points = np.random.default_rng(7).random((300, 2))
-        for membership in (
-            RegionMembership(coarse, unit_coords),
-            RegionMembership(unit_regions, other_points),
-        ):
-            with pytest.raises(ValueError, match="^membership: "):
-                auditor.audit(
-                    unit_regions, n_worlds=N_WORLDS, membership=membership
-                )
-        # A matching index built elsewhere is accepted.
-        auditor.audit(
-            unit_regions, n_worlds=N_WORLDS, seed=1,
-            membership=RegionMembership(unit_regions, unit_coords),
-        )
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            PowerAnalysis(
+                unit_coords, unit_regions,
+                **{"n_worlds": N_WORLDS, field: value},
+            )
 
     @pytest.mark.parametrize("n_classes", [601, 2**64])
     def test_multinomial_class_count_bounded_by_points(
         self, n_classes, unit_coords, biased_classes
     ):
         # Refused before any per-class array is allocated.
-        with pytest.raises(ValueError, match="^n_classes: "):
-            MultinomialSpatialAuditor(unit_coords, biased_classes, n_classes)
         session = AuditSession(
             unit_coords, biased_classes, n_classes=n_classes
         )

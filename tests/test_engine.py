@@ -1,6 +1,6 @@
 """Unit tests for :mod:`repro.engine`: chunk layout, caching, the
 worker thread pool, and the engine's determinism contract through all
-three auditors (the seed-stability golden tests)."""
+three audit families (the seed-stability golden tests)."""
 
 import os
 import sys
@@ -15,11 +15,6 @@ from tests.conftest import N_WORLDS
 from repro import AuditSession, AuditSpec, RegionSpec
 from repro import engine as engine_mod
 from repro import kernels
-from repro.core import (
-    MultinomialSpatialAuditor,
-    PoissonSpatialAuditor,
-    SpatialFairnessAuditor,
-)
 from repro.engine import (
     BernoulliKernel,
     LLRKernel,
@@ -623,15 +618,6 @@ class TestNullCache:
         rows[0][:] = -1.0  # caller mutates one entry's copy
         assert (rows[1] >= 0.0).all()
 
-    def test_membership_is_cached_per_region_set(
-        self, unit_coords, unit_regions, biased_labels
-    ):
-        auditor = SpatialFairnessAuditor(unit_coords, biased_labels)
-        assert auditor.membership(unit_regions) is auditor.membership(
-            unit_regions
-        )
-        assert auditor.engine.index_builds == 1
-
 
 #: A fused group mixing region-level and points passes over the unit
 #: points: both grids are disjoint there, the nested squares are not.
@@ -1013,97 +999,82 @@ class TestThreadPool:
 
 
 class TestGoldenSeedStability:
-    """Each auditor at a fixed seed returns identical verdicts,
-    critical values and top-region ids across runs and worker counts.
-    Fresh auditor instances everywhere: nothing may lean on a cache."""
+    """Each family at a fixed seed returns identical verdicts, critical
+    values and top-region ids across runs and worker counts.  Fresh
+    sessions everywhere: nothing may lean on a cache."""
 
-    def run_bernoulli(self, coords, labels, regions, workers):
-        auditor = SpatialFairnessAuditor(coords, labels)
-        return auditor.audit(
-            regions, n_worlds=N_WORLDS, seed=17, workers=workers
+    def run(self, family, data, seed, workers, **session_args):
+        spec = AuditSpec(
+            regions=GOLDEN_DESIGNS["grid"], family=family,
+            n_worlds=N_WORLDS, seed=seed, workers=workers,
         )
+        return AuditSession(*data, **session_args).run(spec).result
 
-    def run_poisson(self, coords, counts, regions, workers):
+    def run_bernoulli(self, coords, labels, workers):
+        return self.run("bernoulli", (coords, labels), 17, workers)
+
+    def run_poisson(self, coords, counts, workers):
         observed, forecast = counts
-        auditor = PoissonSpatialAuditor(coords, observed, forecast)
-        return auditor.audit(
-            regions, n_worlds=N_WORLDS, seed=23, workers=workers
+        return self.run(
+            "poisson", (coords, observed), 23, workers, forecast=forecast
         )
 
-    def run_multinomial(self, coords, classes, regions, workers):
-        auditor = MultinomialSpatialAuditor(coords, classes, 3)
-        return auditor.audit(
-            regions, n_worlds=N_WORLDS, seed=29, workers=workers
+    def run_multinomial(self, coords, classes, workers):
+        return self.run(
+            "multinomial", (coords, classes), 29, workers, n_classes=3
         )
 
     def test_bernoulli_detects_and_repeats(self, unit_coords,
-                                           biased_labels, unit_regions):
-        a = self.run_bernoulli(unit_coords, biased_labels, unit_regions, 1)
-        b = self.run_bernoulli(unit_coords, biased_labels, unit_regions, 1)
+                                           biased_labels):
+        a = self.run_bernoulli(unit_coords, biased_labels, 1)
+        b = self.run_bernoulli(unit_coords, biased_labels, 1)
         assert not a.is_fair  # the injected bias is found
         assert a.significant_findings
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_bernoulli_workers_match_serial(self, unit_coords,
-                                            biased_labels, unit_regions,
-                                            monkeypatch):
+                                            biased_labels, monkeypatch):
         # The unit grid's 49 worlds fit one chunk; seven 8-world chunks
         # give workers=2 a pool to share them.
         fixed_chunks(monkeypatch, 8)
-        a = self.run_bernoulli(unit_coords, biased_labels, unit_regions, 1)
-        b = self.run_bernoulli(unit_coords, biased_labels, unit_regions, 2)
+        a = self.run_bernoulli(unit_coords, biased_labels, 1)
+        b = self.run_bernoulli(unit_coords, biased_labels, 2)
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_poisson_detects_and_repeats(self, unit_coords,
-                                         biased_counts, unit_regions):
-        a = self.run_poisson(unit_coords, biased_counts, unit_regions, 1)
-        b = self.run_poisson(unit_coords, biased_counts, unit_regions, 1)
+                                         biased_counts):
+        a = self.run_poisson(unit_coords, biased_counts, 1)
+        b = self.run_poisson(unit_coords, biased_counts, 1)
         assert not a.is_fair
         assert a.significant_findings
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_poisson_workers_match_serial(self, unit_coords,
-                                          biased_counts, unit_regions,
-                                          monkeypatch):
+                                          biased_counts, monkeypatch):
         fixed_chunks(monkeypatch, 8)
-        a = self.run_poisson(unit_coords, biased_counts, unit_regions, 1)
-        b = self.run_poisson(unit_coords, biased_counts, unit_regions, 2)
+        a = self.run_poisson(unit_coords, biased_counts, 1)
+        b = self.run_poisson(unit_coords, biased_counts, 2)
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_multinomial_detects_and_repeats(self, unit_coords,
-                                             biased_classes,
-                                             unit_regions):
-        a = self.run_multinomial(
-            unit_coords, biased_classes, unit_regions, 1
-        )
-        b = self.run_multinomial(
-            unit_coords, biased_classes, unit_regions, 1
-        )
+                                             biased_classes):
+        a = self.run_multinomial(unit_coords, biased_classes, 1)
+        b = self.run_multinomial(unit_coords, biased_classes, 1)
         assert not a.is_fair
         assert a.significant_findings
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_multinomial_workers_match_serial(self, unit_coords,
-                                              biased_classes,
-                                              unit_regions, monkeypatch):
+                                              biased_classes, monkeypatch):
         fixed_chunks(monkeypatch, 8)
-        a = self.run_multinomial(
-            unit_coords, biased_classes, unit_regions, 1
-        )
-        b = self.run_multinomial(
-            unit_coords, biased_classes, unit_regions, 2
-        )
+        a = self.run_multinomial(unit_coords, biased_classes, 1)
+        b = self.run_multinomial(unit_coords, biased_classes, 2)
         assert result_fingerprint(a) == result_fingerprint(b)
 
-    def test_different_seeds_differ(self, unit_coords, biased_labels,
-                                    unit_regions):
+    def test_different_seeds_differ(self, unit_coords, biased_labels):
         # Sanity check that the fingerprint is actually sensitive.
-        a = SpatialFairnessAuditor(unit_coords, biased_labels).audit(
-            unit_regions, n_worlds=N_WORLDS, seed=17
-        )
-        b = SpatialFairnessAuditor(unit_coords, biased_labels).audit(
-            unit_regions, n_worlds=N_WORLDS, seed=18
-        )
+        a = self.run("bernoulli", (unit_coords, biased_labels), 17, None)
+        b = self.run("bernoulli", (unit_coords, biased_labels), 18, None)
         assert a.critical_value != b.critical_value
 
 
@@ -1304,32 +1275,4 @@ class TestCrossVersionGolden:
         # abs=1e-12 only admits regions whose LLR is exactly 0.
         assert [f.llr for f in result.findings] == pytest.approx(
             GOLDEN_LLR[family, design], rel=1e-9, abs=1e-12
-        )
-
-
-class TestSharedEngineCheck:
-    """A legacy auditor sharing an engine still checks its own
-    coordinates, and scores exactly as one with a private engine."""
-
-    def test_nan_coords_rejected_with_engine(self, unit_coords,
-                                             biased_classes):
-        coords = unit_coords.copy()
-        coords[3, 0] = np.nan
-        with pytest.raises(ValueError, match="coords"):
-            MultinomialSpatialAuditor(
-                coords, biased_classes, 3, engine=MonteCarloEngine(),
-            )
-
-    def test_equal_copy_is_accepted(self, unit_coords, biased_labels,
-                                    unit_regions):
-        engine = MonteCarloEngine()
-        shared = SpatialFairnessAuditor(
-            unit_coords.copy(), biased_labels, engine=engine
-        )
-        own = SpatialFairnessAuditor(unit_coords, biased_labels)
-        assert shared.engine is engine
-        assert result_fingerprint(
-            shared.audit(unit_regions, n_worlds=N_WORLDS, seed=3)
-        ) == result_fingerprint(
-            own.audit(unit_regions, n_worlds=N_WORLDS, seed=3)
         )

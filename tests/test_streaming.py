@@ -20,14 +20,7 @@ import pytest
 import repro.api
 import repro.fingerprint
 from repro.api import AuditSession
-from repro.core import (
-    MEASURES,
-    MeasureDef,
-    SpatialFairnessAuditor,
-    equal_opportunity,
-    register_measure,
-)
-from repro.datasets import SpatialDataset
+from repro.core import MEASURES, MeasureDef, register_measure
 from repro.engine import BernoulliKernel, MonteCarloEngine, PoissonKernel
 from repro.fingerprint import array_fingerprint, combine_fingerprints
 from repro.geometry import (
@@ -537,10 +530,6 @@ class TestStreamValidation:
         assert member.n_points == len(unit_coords)
         with pytest.raises(ValueError, match="coords: expected finite"):
             AuditSession(np.full((4, 2), np.inf), biased_labels[:4])
-        with pytest.raises(ValueError, match="coords: expected finite"):
-            SpatialFairnessAuditor(
-                np.full((4, 2), np.inf), biased_labels[:4]
-            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_append_rejects_non_finite_coords(
@@ -1579,8 +1568,3 @@ def test_accuracy_measures_refuse_non_binary_predictions(
     )
     with pytest.raises(ValueError, match="^outcomes: "):
         session.run(spec)
-    measure = equal_opportunity(
-        SpatialDataset(unit_coords, y_pred, y_true=unit_y_true)
-    )
-    with pytest.raises(ValueError, match="^outcomes: "):
-        SpatialFairnessAuditor(measure.coords, measure.outcomes)
